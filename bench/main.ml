@@ -88,14 +88,14 @@ let header () =
 let mb b = float_of_int b /. 1048576.
 
 let row ~family ~level ~(r : Trance.Api.run) =
-  let s = r.Trance.Api.stats in
+  let s = Exec.Stats.snapshot r.Trance.Api.stats in
   Printf.printf "%-18s %-5s %-16s %9.3f %9.3f %10.2f %10.2f %9.2f  %s\n" family
     level r.Trance.Api.strategy
-    (Exec.Stats.sim_seconds s)
+    s.Exec.Stats.sim_seconds
     r.Trance.Api.wall_seconds
-    (mb (Exec.Stats.shuffled_bytes s))
-    (mb (Exec.Stats.broadcast_bytes s))
-    (mb (Exec.Stats.peak_worker_bytes s))
+    (mb s.Exec.Stats.shuffled_bytes)
+    (mb s.Exec.Stats.broadcast_bytes)
+    (mb s.Exec.Stats.peak_worker_bytes)
     (match r.Trance.Api.failure with
     | None -> "ok"
     | Some f -> "FAIL (" ^ Trance.Api.failure_message f ^ ")")
@@ -165,7 +165,7 @@ let fig7 ~wide () =
     families;
   (* automated claim summary (headline bullets of Section 6) *)
   let get f l s = List.assoc_opt (f, l, s) !results in
-  let sim (r : Trance.Api.run) = Exec.Stats.sim_seconds r.Trance.Api.stats in
+  let sim (r : Trance.Api.run) = (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds in
   let ratio num den =
     match num, den with
     | Some a, Some b -> (
@@ -179,10 +179,10 @@ let fig7 ~wide () =
     match num, den with
     | Some a, Some b
       when a.Trance.Api.failure = None && b.Trance.Api.failure = None
-           && Exec.Stats.shuffled_bytes b.Trance.Api.stats > 0 ->
+           && (Exec.Stats.snapshot b.Trance.Api.stats).Exec.Stats.shuffled_bytes > 0 ->
       Printf.sprintf "%.1fx"
-        (float_of_int (Exec.Stats.shuffled_bytes a.Trance.Api.stats)
-        /. float_of_int (Exec.Stats.shuffled_bytes b.Trance.Api.stats))
+        (float_of_int ((Exec.Stats.snapshot a.Trance.Api.stats).Exec.Stats.shuffled_bytes)
+        /. float_of_int ((Exec.Stats.snapshot b.Trance.Api.stats).Exec.Stats.shuffled_bytes))
     | _ -> "n/a"
   in
   Printf.printf "\n-- claim summary (Section 6 bullets) --\n";
@@ -278,7 +278,7 @@ let fig9 () =
         Printf.printf "%-14s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %10.2f  %s\n"
           r.Trance.Api.strategy (step "Step1") (step "Step2") (step "Step3")
           (step "Step4") (step "Step5") total
-          (mb (Exec.Stats.shuffled_bytes r.Trance.Api.stats))
+          (mb ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.shuffled_bytes))
           (match r.Trance.Api.failure with
           | None -> "ok"
           | Some f -> "FAIL (" ^ Trance.Api.failure_message f ^ ")"))
@@ -355,7 +355,7 @@ let scaling () =
             ~label:(label ^ "/" ^ Trance.Api.strategy_name strategy)
             ~config ~strategy prog inputs
         in
-        Exec.Stats.sim_seconds r.Trance.Api.stats)
+        (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds)
       [
         Trance.Api.Standard;
         Trance.Api.Shredded { unshred = false };
@@ -408,8 +408,9 @@ let cost_model () =
                 level
                 (Trance.Api.strategy_name strategy)
             in
-            Exec.Stats.sim_seconds
-              (api_run ~label ~config ~strategy prog inputs).Trance.Api.stats
+            (Exec.Stats.snapshot
+               (api_run ~label ~config ~strategy prog inputs).Trance.Api.stats)
+              .Exec.Stats.sim_seconds
           in
           let t_std = sim Trance.Api.Standard in
           let t_shred = sim (Trance.Api.Shredded { unshred = false }) in
@@ -501,8 +502,8 @@ let faults_sweep () =
             Printf.sprintf "%s/%s" (Trance.Api.strategy_name strategy) fname
           in
           let r = api_run ~label ~config ~strategy prog inputs in
-          let s = r.Trance.Api.stats in
-          let sim = Exec.Stats.sim_seconds s in
+          let s = Exec.Stats.snapshot r.Trance.Api.stats in
+          let sim = s.Exec.Stats.sim_seconds in
           if sch = [] then clean := sim;
           let overhead =
             if sch = [] || !clean <= 0. then "-"
@@ -510,11 +511,11 @@ let faults_sweep () =
           in
           Printf.printf "%-16s %-26s %9.4f %9s %7d %7d %10.1f %10.1f %6d  %s\n"
             r.Trance.Api.strategy fname sim overhead
-            (Exec.Stats.task_retries s)
-            (Exec.Stats.speculative_tasks s)
-            (float_of_int (Exec.Stats.recomputed_bytes s) /. 1024.)
-            (float_of_int (Exec.Stats.spilled_bytes s) /. 1024.)
-            (Exec.Stats.spill_rounds s)
+            s.Exec.Stats.task_retries
+            s.Exec.Stats.speculative_tasks
+            (float_of_int s.Exec.Stats.recomputed_bytes /. 1024.)
+            (float_of_int s.Exec.Stats.spilled_bytes /. 1024.)
+            s.Exec.Stats.spill_rounds
             (Trance.Api.outcome_name (Trance.Api.outcome r)))
         fault_specs)
     [
@@ -573,16 +574,16 @@ let recovery_sweep () =
               ~strategy:(Trance.Api.Shredded { unshred = true })
               prog inputs
           in
-          let s = r.Trance.Api.stats in
+          let s = Exec.Stats.snapshot r.Trance.Api.stats in
           Printf.printf "%-8d %-10s %9.4f %10.1f %6d %12.1f %9.1f %11.4f  %s\n"
             n
             (Exec.Config.checkpoint_name policy)
-            (Exec.Stats.sim_seconds s)
-            (float_of_int (Exec.Stats.recomputed_bytes s) /. 1024.)
-            (Exec.Stats.checkpoints_written s)
-            (float_of_int (Exec.Stats.checkpoint_bytes s) /. 1024.)
-            (float_of_int (Exec.Stats.lineage_truncated s) /. 1024.)
-            (Exec.Stats.recovery_seconds s)
+            s.Exec.Stats.sim_seconds
+            (float_of_int s.Exec.Stats.recomputed_bytes /. 1024.)
+            s.Exec.Stats.checkpoints_written
+            (float_of_int s.Exec.Stats.checkpoint_bytes /. 1024.)
+            (float_of_int s.Exec.Stats.lineage_truncated /. 1024.)
+            s.Exec.Stats.recovery_seconds
             (Trance.Api.outcome_name (Trance.Api.outcome r)))
         policies)
     [ 0; 1; 2; 3; 4 ]
@@ -605,7 +606,7 @@ let memory () =
     api_run ~label:"calibrate/Standard" ~config:base
       ~strategy:Trance.Api.Standard prog inputs
   in
-  let peak = Exec.Stats.peak_worker_bytes calibrate.Trance.Api.stats in
+  let peak = (Exec.Stats.snapshot calibrate.Trance.Api.stats).Exec.Stats.peak_worker_bytes in
   Printf.printf "clean Standard peak: %.2fMB per worker\n\n" (mb peak);
   let variants =
     [
@@ -645,7 +646,7 @@ let memory () =
           in
           let label = Printf.sprintf "%s/%.3fxpeak" vname frac in
           let r = api_run ~label ~config ~strategy prog inputs in
-          let s = r.Trance.Api.stats in
+          let s = Exec.Stats.snapshot r.Trance.Api.stats in
           let regime =
             match Trance.Api.outcome r, r.Trance.Api.degradation with
             | Trance.Api.Failed, _ -> "FAIL"
@@ -656,10 +657,10 @@ let memory () =
           in
           Printf.printf "%-22s %9.2f %9.4f %10.2f %6d %6d  %s\n" vname
             (mb budget)
-            (Exec.Stats.sim_seconds s)
-            (mb (Exec.Stats.spilled_bytes s))
-            (Exec.Stats.spill_partitions s)
-            (Exec.Stats.spill_rounds s)
+            s.Exec.Stats.sim_seconds
+            (mb s.Exec.Stats.spilled_bytes)
+            s.Exec.Stats.spill_partitions
+            s.Exec.Stats.spill_rounds
             regime)
         variants;
       print_newline ())
@@ -734,7 +735,7 @@ let scale_domains () =
               in
               Printf.printf "%-18s %-16s %7d %9.3f %9.3f %7.2fx %6s\n" cname
                 r.Trance.Api.strategy domains wall
-                (Exec.Stats.sim_seconds r.Trance.Api.stats)
+                ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds)
                 speedup
                 (if identical then "yes" else "NO");
               if not !first then Buffer.add_char buf ',';
@@ -743,7 +744,7 @@ let scale_domains () =
                 (Printf.sprintf
                    "{\"cell\":\"%s\",\"strategy\":\"%s\",\"domains\":%d,\"wall_seconds\":%.6f,\"sim_seconds\":%.6f,\"speedup\":%.4f,\"sim_identical\":%b}"
                    cname r.Trance.Api.strategy domains wall
-                   (Exec.Stats.sim_seconds r.Trance.Api.stats)
+                   ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds)
                    speedup identical))
             domain_counts)
         strategies)

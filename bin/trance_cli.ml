@@ -194,23 +194,27 @@ let print_trace (r : Trance.Api.run) =
   List.iter
     (fun sp -> Fmt.pr "%a" Exec.Trace.pp_tree sp)
     r.Trance.Api.trace;
-  let t = Exec.Trace.agg r.Trance.Api.trace in
-  let s = r.Trance.Api.stats in
+  let t = (Exec.Trace.agg r.Trance.Api.trace).Exec.Trace.counters in
   let mb b = float_of_int b /. 1048576. in
+  (* every counter but the wall-clock, which the driver charges to the run
+     total and to the assignment spans separately; the span tree sums the
+     simulated seconds in tree order, so those agree to rounding *)
+  let agree =
+    let s = Exec.Stats.snapshot r.Trance.Api.stats in
+    let exact (c : Exec.Stats.snapshot) =
+      { c with sim_seconds = 0.; recovery_seconds = 0.; wall_seconds = 0. }
+    in
+    let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs a) in
+    exact t = exact s
+    && close t.sim_seconds s.sim_seconds
+    && close t.recovery_seconds s.recovery_seconds
+  in
   Fmt.pr
     "trace totals: shuffle=%.2fMB bcast=%.2fMB peak=%.2fMB spilled=%.2fMB \
      (flat stats agree: %s)@."
-    (mb t.Exec.Trace.shuffled_bytes)
-    (mb t.Exec.Trace.broadcast_bytes)
-    (mb t.Exec.Trace.peak_worker_bytes)
-    (mb t.Exec.Trace.spilled_bytes)
-    (if
-       t.Exec.Trace.shuffled_bytes = Exec.Stats.shuffled_bytes s
-       && t.Exec.Trace.broadcast_bytes = Exec.Stats.broadcast_bytes s
-       && t.Exec.Trace.peak_worker_bytes = Exec.Stats.peak_worker_bytes s
-       && t.Exec.Trace.spilled_bytes = Exec.Stats.spilled_bytes s
-     then "yes"
-     else "NO")
+    (mb t.shuffled_bytes) (mb t.broadcast_bytes) (mb t.peak_worker_bytes)
+    (mb t.spilled_bytes)
+    (if agree then "yes" else "NO")
 
 let write_json path (r : Trance.Api.run) =
   match open_out path with
@@ -266,29 +270,23 @@ let explain_cmd =
 (* run: execute one cell on the simulator *)
 
 let print_outcome (r : Trance.Api.run) =
-  let s0 = r.Trance.Api.stats in
-  if Exec.Stats.checkpoints_written s0 > 0 then
+  let s = Exec.Stats.snapshot r.Trance.Api.stats in
+  if s.checkpoints_written > 0 then
     Fmt.pr
       "wrote %d checkpoints (%.1fKB), truncating %.1fKB of recovery lineage@."
-      (Exec.Stats.checkpoints_written s0)
-      (float_of_int (Exec.Stats.checkpoint_bytes s0) /. 1024.)
-      (float_of_int (Exec.Stats.lineage_truncated s0) /. 1024.);
+      s.checkpoints_written
+      (float_of_int s.checkpoint_bytes /. 1024.)
+      (float_of_int s.lineage_truncated /. 1024.);
   match Trance.Api.outcome r with
   | Trance.Api.Degraded ->
-    let s = r.Trance.Api.stats in
-    if
-      Exec.Stats.task_retries s > 0
-      || Exec.Stats.speculative_tasks s > 0
-      || Exec.Stats.recomputed_bytes s > 0
+    if s.task_retries > 0 || s.speculative_tasks > 0 || s.recomputed_bytes > 0
     then
       Fmt.pr
         "recovered from injected fault: %d retries, %d retried tasks, %d \
          speculative, %.1fKB recomputed, %.4fs recovery time@."
-        (Exec.Stats.task_retries s)
-        (Exec.Stats.retried_tasks s)
-        (Exec.Stats.speculative_tasks s)
-        (float_of_int (Exec.Stats.recomputed_bytes s) /. 1024.)
-        (Exec.Stats.recovery_seconds s);
+        s.task_retries s.retried_tasks s.speculative_tasks
+        (float_of_int s.recomputed_bytes /. 1024.)
+        s.recovery_seconds;
     Option.iter
       (fun (d : Trance.Api.degradation) ->
         if d.Trance.Api.fell_back then

@@ -10,8 +10,8 @@
 
     Both routes accept skew-aware execution (Section 5) and report the
     executor's instrumentation — totals, typed per-step reports, and (when
-    [config.trace] is on) per-operator span trees; per-worker memory
-    exhaustion is reported as a typed failed run (the paper's FAIL bars),
+    [config.trace] is on) per-operator span trees; every typed failure
+    ({!Exec.Failure}) is reported as a failed run (the paper's FAIL bars),
     not an exception. *)
 
 module E = Nrc.Expr
@@ -61,30 +61,13 @@ let default_config =
     route_fallback = true;
   }
 
-type failure =
+type failure = Exec.Failure.t =
   | Out_of_memory of { stage : string; worker_bytes : int; budget : int }
-      (** a worker exceeded its budget at [stage] — the paper's FAIL *)
   | Task_failed of { stage : string; partition : int; attempts : int }
-      (** an injected task failure exhausted its attempt budget *)
   | Deadline_missed of { stage : string; sim_seconds : float; deadline : float }
-      (** the run blew its simulated-seconds deadline at [stage], typically
-          while paying for storm recovery: typed, never a silent hang *)
   | Error of string
 
-let pp_bytes b =
-  if b >= 1048576 then Printf.sprintf "%.1fMB" (float_of_int b /. 1048576.)
-  else Printf.sprintf "%.1fKB" (float_of_int b /. 1024.)
-
-let failure_message = function
-  | Out_of_memory { stage; worker_bytes; budget } ->
-    Printf.sprintf "%s: %s > %s" stage (pp_bytes worker_bytes) (pp_bytes budget)
-  | Task_failed { stage; partition; attempts } ->
-    Printf.sprintf "%s: task on partition %d abandoned after %d attempts"
-      stage partition attempts
-  | Deadline_missed { stage; sim_seconds; deadline } ->
-    Printf.sprintf "%s: deadline %.3fs exceeded (%.3fs simulated)" stage
-      deadline sim_seconds
-  | Error msg -> msg
+let failure_message = Exec.Failure.message
 
 let pp_failure ppf f = Fmt.string ppf (failure_message f)
 
@@ -141,12 +124,10 @@ let outcome (r : run) : outcome =
   match r.failure with
   | Some _ -> Failed
   | None ->
+    let s = Exec.Stats.snapshot r.stats in
     if
-      Exec.Stats.task_retries r.stats > 0
-      || Exec.Stats.speculative_tasks r.stats > 0
-      || Exec.Stats.recomputed_bytes r.stats > 0
-      || Exec.Stats.spilled_bytes r.stats > 0
-      || r.degradation <> None
+      s.task_retries > 0 || s.speculative_tasks > 0 || s.recomputed_bytes > 0
+      || s.spilled_bytes > 0 || r.degradation <> None
     then Degraded
     else Completed
 
@@ -213,6 +194,7 @@ let run_steps ~options ~config ~stats ~trace ~faults ~checkpoint ~pool
   List.iter
     (fun (name, plan) ->
       let before = Exec.Stats.snapshot stats in
+      let step = step_of_target targets name in
       let ds =
         try
           Exec.Trace.with_span trace ~op:"Assignment" ~stage:name (fun () ->
@@ -221,33 +203,20 @@ let run_steps ~options ~config ~stats ~trace ~faults ~checkpoint ~pool
                     Exec.Executor.run_plan ~options ?trace ?faults ~checkpoint
                       ~pool ~config ~stats env plan)
               in
-              Exec.Trace.add trace ~wall_seconds:awall ();
+              Exec.Trace.add trace
+                {
+                  Exec.Trace.zero_metrics with
+                  counters = { Exec.Stats.zero with wall_seconds = awall };
+                };
               ds)
-        with
-        (* attribute the failure to its source step; the partially filled
-           step slice is still recorded for the failure report *)
-        | Exec.Stats.Worker_out_of_memory w ->
-          record_step ~stats ~trace ~before
-            ~step:(step_of_target targets name) steps_out;
-          raise
-            (Exec.Stats.Worker_out_of_memory
-               { w with stage = step_of_target targets name ^ "/" ^ w.stage })
-        | Exec.Faults.Task_abandoned a ->
-          record_step ~stats ~trace ~before
-            ~step:(step_of_target targets name) steps_out;
-          raise
-            (Exec.Faults.Task_abandoned
-               { a with stage = step_of_target targets name ^ "/" ^ a.stage })
-        | Exec.Stats.Deadline_exceeded d ->
-          record_step ~stats ~trace ~before
-            ~step:(step_of_target targets name) steps_out;
-          raise
-            (Exec.Stats.Deadline_exceeded
-               { d with stage = step_of_target targets name ^ "/" ^ d.stage })
+        with Exec.Failure.Failed f ->
+          (* attribute the failure to its source step; the partially filled
+             step slice is still recorded for the failure report *)
+          record_step ~stats ~trace ~before ~step steps_out;
+          raise (Exec.Failure.Failed (Exec.Failure.with_stage step f))
       in
       Hashtbl.replace env name ds;
-      record_step ~stats ~trace ~before ~step:(step_of_target targets name)
-        steps_out)
+      record_step ~stats ~trace ~before ~step steps_out)
     plans
 
 let pp_run ppf r =
@@ -271,18 +240,10 @@ let pp_run ppf r =
 
 (* Schema-stable: every counter appears in every run, zero-valued or not,
    so downstream diffing of run_json never sees keys come and go. *)
-let snapshot_json (s : Exec.Stats.snapshot) =
-  Printf.sprintf
-    "{\"shuffled_bytes\":%d,\"broadcast_bytes\":%d,\"peak_worker_bytes\":%d,\"rows_processed\":%d,\"stages\":%d,\"sim_seconds\":%.6g,\"task_retries\":%d,\"retried_tasks\":%d,\"speculative_tasks\":%d,\"recomputed_bytes\":%d,\"spilled_bytes\":%d,\"spill_partitions\":%d,\"spill_rounds\":%d,\"checkpoints_written\":%d,\"checkpoint_bytes\":%d,\"lineage_truncated\":%d,\"recovery_seconds\":%.6g,\"wall_seconds\":%.6g}"
-    s.Exec.Stats.shuffled_bytes s.Exec.Stats.broadcast_bytes
-    s.Exec.Stats.peak_worker_bytes s.Exec.Stats.rows_processed
-    s.Exec.Stats.stages s.Exec.Stats.sim_seconds s.Exec.Stats.task_retries
-    s.Exec.Stats.retried_tasks s.Exec.Stats.speculative_tasks
-    s.Exec.Stats.recomputed_bytes s.Exec.Stats.spilled_bytes
-    s.Exec.Stats.spill_partitions s.Exec.Stats.spill_rounds
-    s.Exec.Stats.checkpoints_written s.Exec.Stats.checkpoint_bytes
-    s.Exec.Stats.lineage_truncated s.Exec.Stats.recovery_seconds
-    s.Exec.Stats.wall_seconds
+let snapshot_json b (s : Exec.Stats.snapshot) =
+  Buffer.add_char b '{';
+  Exec.Stats.buffer_json_fields b s;
+  Buffer.add_char b '}'
 
 (* The effective configuration, embedded in run_json so an exported run is
    self-describing and replayable from the JSON alone. [worker_mem] is -1
@@ -291,7 +252,7 @@ let config_json b (c : config) =
   let cl = c.cluster in
   Buffer.add_string b
     (Printf.sprintf
-       "{\"workers\":%d,\"partitions\":%d,\"worker_mem\":%d,\"broadcast_limit\":%d,\"seed\":%d,\"max_task_attempts\":%d,\"speculation\":%b,\"spill\":\"%s\",\"max_spill_rounds\":%d,\"checkpoint\":\"%s\",\"checkpoint_replication\":%d,\"fault_rate\":%.6g,\"deadline\":%s,\"domains\":%d,\"skew_aware\":%b,\"cogroup\":%b,\"collect\":%b,\"trace\":%b,\"route_fallback\":%b,\"faults\":"
+       "{\"workers\":%d,\"partitions\":%d,\"worker_mem\":%d,\"broadcast_limit\":%d,\"seed\":%d,\"max_task_attempts\":%d,\"speculation\":%b,\"spill\":\"%s\",\"max_spill_rounds\":%d,\"checkpoint\":\"%s\",\"checkpoint_replication\":%d,\"fault_rate\":%s,\"deadline\":%s,\"domains\":%d,\"skew_aware\":%b,\"cogroup\":%b,\"collect\":%b,\"trace\":%b,\"route_fallback\":%b,\"faults\":"
        cl.Exec.Config.workers cl.Exec.Config.partitions
        (if cl.Exec.Config.worker_mem = max_int then -1
         else cl.Exec.Config.worker_mem)
@@ -300,10 +261,11 @@ let config_json b (c : config) =
        (Exec.Config.spill_name cl.Exec.Config.spill)
        cl.Exec.Config.max_spill_rounds
        (Exec.Config.checkpoint_name cl.Exec.Config.checkpoint)
-       cl.Exec.Config.checkpoint_replication cl.Exec.Config.fault_rate
+       cl.Exec.Config.checkpoint_replication
+       (Exec.Stats.json_float cl.Exec.Config.fault_rate)
        (match cl.Exec.Config.deadline with
        | None -> "null"
-       | Some d -> Printf.sprintf "%.6g" d)
+       | Some d -> Exec.Stats.json_float d)
        cl.Exec.Config.domains c.skew_aware c.cogroup c.collect c.trace
        c.route_fallback);
   (match c.faults with
@@ -314,25 +276,14 @@ let config_json b (c : config) =
     Buffer.add_char b '"');
   Buffer.add_char b '}'
 
-let json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+let json_string = Exec.Trace.json_string
 
 let run_json (r : run) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"strategy\":";
   json_string b r.strategy;
-  Buffer.add_string b (Printf.sprintf ",\"wall_seconds\":%.6g" r.wall_seconds);
+  Buffer.add_string b
+    (",\"wall_seconds\":" ^ Exec.Stats.json_float r.wall_seconds);
   Buffer.add_string b ",\"outcome\":";
   json_string b (outcome_name (outcome r));
   Buffer.add_string b ",\"failure\":";
@@ -356,7 +307,7 @@ let run_json (r : run) : string =
   Buffer.add_string b ",\"config\":";
   config_json b r.config;
   Buffer.add_string b ",\"totals\":";
-  Buffer.add_string b (snapshot_json (Exec.Stats.snapshot r.stats));
+  snapshot_json b (Exec.Stats.snapshot r.stats);
   Buffer.add_string b ",\"steps\":[";
   List.iteri
     (fun i s ->
@@ -364,8 +315,9 @@ let run_json (r : run) : string =
       Buffer.add_string b "{\"step\":";
       json_string b s.step;
       Buffer.add_string b
-        (Printf.sprintf ",\"sim_seconds\":%.6g,\"stats\":" s.sim_seconds);
-      Buffer.add_string b (snapshot_json s.stats);
+        (Printf.sprintf ",\"sim_seconds\":%s,\"stats\":"
+           (Exec.Stats.json_float s.sim_seconds));
+      snapshot_json b s.stats;
       Buffer.add_string b ",\"trace\":";
       (match s.trace with
       | None -> Buffer.add_string b "null"
@@ -400,6 +352,13 @@ type shredded_compiled = {
   unshred_plan : Plan.Op.t option;
 }
 
+(* shredded dictionaries carry a "_D_" segment in their name: R_D_corders *)
+let is_dict_name name =
+  let rec find i =
+    i + 3 <= String.length name && (String.sub name i 3 = "_D_" || find (i + 1))
+  in
+  String.length name > 3 && find 0
+
 (** Shredded route: shred + materialize, compile each materialized
     assignment, wrap dictionary outputs in BagToDict (label partitioning
     guarantee), and compile the unshredding query. *)
@@ -425,13 +384,7 @@ let compile_shredded ?(config = default_config) (p : Nrc.Program.t) :
     List.exists
       (fun { Nrc.Program.target; _ } -> target = name)
       pipeline.Shred_pipeline.mat.Nrc.Program.assignments
-    && String.length name > 3
-    &&
-    let rec find i =
-      i + 3 <= String.length name
-      && (String.sub name i 3 = "_D_" || find (i + 1))
-    in
-    find 0
+    && is_dict_name name
   in
   let plans =
     List.map
@@ -479,15 +432,7 @@ let load_shredded_inputs ~cluster (types : (string * T.t) list)
   List.iter
     (fun (name, v) ->
       let ds =
-        if
-          String.length name > 3
-          &&
-          let rec find i =
-            i + 3 <= String.length name
-            && (String.sub name i 3 = "_D_" || find (i + 1))
-          in
-          find 0
-        then
+        if is_dict_name name then
           Exec.Dataset.of_bag_by ~partitions:cluster.Exec.Config.partitions
             ~key:[ [ "label" ] ] v
         else Exec.Dataset.of_bag ~partitions:cluster.Exec.Config.partitions v
@@ -496,17 +441,24 @@ let load_shredded_inputs ~cluster (types : (string * T.t) list)
     shredded;
   env
 
-let catch_oom f =
-  match f () with
-  | v -> (Some v, None)
-  | exception Exec.Stats.Worker_out_of_memory { stage; worker_bytes; budget } ->
-    (None, Some (Out_of_memory { stage; worker_bytes; budget }))
-  | exception Exec.Faults.Task_abandoned { stage; partition; attempts } ->
-    (None, Some (Task_failed { stage; partition; attempts }))
-  | exception Exec.Stats.Deadline_exceeded { stage; sim_seconds; deadline } ->
-    (None, Some (Deadline_missed { stage; sim_seconds; deadline }))
+(* [fell_back] exactly when an earlier route's failure was abandoned *)
+let degradation_of (s : Exec.Stats.snapshot) ~answered_by ~first_failure =
+  {
+    spilled_bytes = s.spilled_bytes;
+    spill_partitions = s.spill_partitions;
+    spill_rounds = s.spill_rounds;
+    fell_back = first_failure <> None;
+    answered_by = strategy_name answered_by;
+    first_failure;
+  }
 
-(* One route, one run; never raises on memory exhaustion. *)
+let catch_failure f =
+  match f () with v -> Ok v | exception Exec.Failure.Failed f -> Error f
+
+(* One route, one run; never raises a typed failure. Both routes take the
+   same path: compile to (name, plan) steps, load the inputs, then run
+   the steps on one pool inside one timed, failure-catching region. The
+   Shred+Unshred reassembly is one more step, named "Unshred". *)
 let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
     (input_values : (string * V.t) list) : run =
   (* AddIndex ids and label sites feed partition assignment: reset both so
@@ -543,106 +495,63 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
           { config.optimizer with push_aggs = false; prune_columns = false } }
     | _ -> config
   in
-  let result_name = Nrc.Program.result_name p in
   let targets =
     List.map (fun { Nrc.Program.target; _ } -> target) p.Nrc.Program.assignments
   in
-  let run_config = config in
-  let finish ~strategy ~value ~wall ~failure ~steps_out =
-    (* wall-clock lands in Stats here, once, from the driver's real clock:
-       the executor's own accounting stays deterministic *)
-    Exec.Stats.add_wall_seconds stats wall;
-    let s = Exec.Stats.snapshot stats in
-    let degradation =
-      if s.Exec.Stats.spilled_bytes > 0 && failure = None then
-        Some
-          {
-            spilled_bytes = s.Exec.Stats.spilled_bytes;
-            spill_partitions = s.Exec.Stats.spill_partitions;
-            spill_rounds = s.Exec.Stats.spill_rounds;
-            fell_back = false;
-            answered_by = strategy_name strategy;
-            first_failure = None;
-          }
-      else None
-    in
-    {
-      strategy = strategy_name strategy;
-      config = run_config;
-      value;
-      stats;
-      wall_seconds = wall;
-      failure;
-      steps = reports_of !steps_out;
-      trace = (match trace with None -> [] | Some c -> Exec.Trace.roots c);
-      degradation;
-    }
+  let plans, env, result_name =
+    match strategy with
+    | Standard | SparkSQL_proxy ->
+      ( compile_standard ~config p,
+        load_inputs ~cluster p.Nrc.Program.inputs input_values,
+        Nrc.Program.result_name p )
+    | Shredded { unshred } -> (
+      let compiled = compile_shredded ~config p in
+      let env =
+        load_shredded_inputs ~cluster p.Nrc.Program.inputs input_values
+      in
+      match unshred, compiled.unshred_plan with
+      | true, Some uplan ->
+        (compiled.plans @ [ ("Unshred", uplan) ], env, "Unshred")
+      | _ -> (compiled.plans, env, compiled.pipeline.Shred_pipeline.top))
   in
-  match strategy with
-  | Standard | SparkSQL_proxy ->
-    let plans = compile_standard ~config p in
-    let env = load_inputs ~cluster p.Nrc.Program.inputs input_values in
-    let steps_out = ref [] in
-    (* the pool is spawned once per run, outside the timed region, so
-       wall_seconds measures execution rather than domain startup *)
-    let outcome, wall =
-      Exec.Pool.with_pool ~domains:cluster.Exec.Config.domains (fun pool ->
-          timed (fun () ->
-              catch_oom (fun () ->
-                  run_steps ~options:exec_options ~config:cluster ~stats
-                    ~trace ~faults ~checkpoint ~pool ~targets ~steps_out env
-                    plans;
-                  if config.collect then
-                    Some (Exec.Dataset.to_bag (Hashtbl.find env result_name))
-                  else None)))
-    in
-    let result, failure = outcome in
-    let value = Option.join result in
-    finish ~strategy ~value ~wall ~failure ~steps_out
-  | Shredded { unshred } ->
-    let compiled = compile_shredded ~config p in
-    let env = load_shredded_inputs ~cluster p.Nrc.Program.inputs input_values in
-    let steps_out = ref [] in
-    let outcome, wall =
-      Exec.Pool.with_pool ~domains:cluster.Exec.Config.domains (fun pool ->
-          timed (fun () ->
-              catch_oom (fun () ->
-                  run_steps ~options:exec_options ~config:cluster ~stats
-                    ~trace ~faults ~checkpoint ~pool ~targets ~steps_out env
-                    compiled.plans;
-                  match unshred, compiled.unshred_plan with
-                  | true, Some uplan ->
-                    let before = Exec.Stats.snapshot stats in
-                    let ds =
-                      Exec.Trace.with_span trace ~op:"Assignment"
-                        ~stage:"Unshred" (fun () ->
-                          let ds, awall =
-                            timed (fun () ->
-                                Exec.Executor.run_plan ~options:exec_options
-                                  ?trace ?faults ~checkpoint ~pool
-                                  ~config:cluster ~stats env uplan)
-                          in
-                          Exec.Trace.add trace ~wall_seconds:awall ();
-                          ds)
-                    in
-                    record_step ~stats ~trace ~before ~step:"Unshred"
-                      steps_out;
-                    if config.collect then Some (Exec.Dataset.to_bag ds)
-                    else None
-                  | _ ->
-                    if config.collect then
-                      Some
-                        (Exec.Dataset.to_bag
-                           (Hashtbl.find env
-                              compiled.pipeline.Shred_pipeline.top))
-                    else None)))
-    in
-    let result, failure = outcome in
-    let value = Option.join result in
-    finish ~strategy:(Shredded { unshred }) ~value ~wall ~failure ~steps_out
+  let steps_out = ref [] in
+  (* the pool is spawned once per run, outside the timed region, so
+     wall_seconds measures execution rather than domain startup *)
+  let outcome, wall =
+    Exec.Pool.with_pool ~domains:cluster.Exec.Config.domains (fun pool ->
+        timed (fun () ->
+            catch_failure (fun () ->
+                run_steps ~options:exec_options ~config:cluster ~stats ~trace
+                  ~faults ~checkpoint ~pool ~targets ~steps_out env plans;
+                if config.collect then
+                  Some (Exec.Dataset.to_bag (Hashtbl.find env result_name))
+                else None)))
+  in
+  (* wall-clock lands in Stats here, once, from the driver's real clock:
+     the executor's own accounting stays deterministic *)
+  Exec.Stats.charge stats { Exec.Stats.zero with wall_seconds = wall };
+  let s = Exec.Stats.snapshot stats in
+  let value, failure =
+    match outcome with Ok v -> (v, None) | Error f -> (None, Some f)
+  in
+  {
+    strategy = strategy_name strategy;
+    config;
+    value;
+    stats;
+    wall_seconds = wall;
+    failure;
+    steps = reports_of !steps_out;
+    trace = (match trace with None -> [] | Some c -> Exec.Trace.roots c);
+    degradation =
+      (if s.spilled_bytes > 0 && failure = None then
+         Some (degradation_of s ~answered_by:strategy ~first_failure:None)
+       else None);
+  }
 
-(** Run a program with the given strategy; never raises on memory
-    exhaustion. When the standard route dies of memory exhaustion — the
+(** Run a program with the given strategy; never raises a typed failure.
+    A configuration {!Exec.Config.validate} rejects ends the run at once
+    as [Error]. When the standard route dies of memory exhaustion — the
     spilling layer itself denied a reservation, or spilling is off — and
     [config.route_fallback] is on, the driver re-plans the same program
     down the shredded route (query shredding usually fits where flattening
@@ -651,27 +560,35 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
     the answering route; [wall_seconds] covers both attempts. *)
 let run ?(config = default_config) ~(strategy : strategy)
     (p : Nrc.Program.t) (input_values : (string * V.t) list) : run =
-  let r = run_once ~config ~strategy p input_values in
-  match r.failure, strategy with
-  | Some (Out_of_memory _ as first), Standard when config.route_fallback -> (
-    let fallback = Shredded { unshred = true } in
-    let r2 = run_once ~config ~strategy:fallback p input_values in
-    match r2.failure with
-    | Some _ -> r (* both routes failed: report the original failure *)
-    | None ->
-      let s = Exec.Stats.snapshot r2.stats in
-      {
-        r2 with
-        wall_seconds = r.wall_seconds +. r2.wall_seconds;
-        degradation =
-          Some
-            {
-              spilled_bytes = s.Exec.Stats.spilled_bytes;
-              spill_partitions = s.Exec.Stats.spill_partitions;
-              spill_rounds = s.Exec.Stats.spill_rounds;
-              fell_back = true;
-              answered_by = strategy_name fallback;
-              first_failure = Some first;
-            };
-      })
-  | _ -> r
+  match Exec.Config.validate config.cluster with
+  | Error msg ->
+    {
+      strategy = strategy_name strategy;
+      config;
+      value = None;
+      stats = Exec.Stats.create ();
+      wall_seconds = 0.;
+      failure = Some (Error msg);
+      steps = [];
+      trace = [];
+      degradation = None;
+    }
+  | Ok _ -> (
+    let r = run_once ~config ~strategy p input_values in
+    match r.failure, strategy with
+    | Some (Out_of_memory _ as first), Standard when config.route_fallback -> (
+      let fallback = Shredded { unshred = true } in
+      let r2 = run_once ~config ~strategy:fallback p input_values in
+      match r2.failure with
+      | Some _ -> r (* both routes failed: report the original failure *)
+      | None ->
+        {
+          r2 with
+          wall_seconds = r.wall_seconds +. r2.wall_seconds;
+          degradation =
+            Some
+              (degradation_of
+                 (Exec.Stats.snapshot r2.stats)
+                 ~answered_by:fallback ~first_failure:(Some first));
+        })
+    | _ -> r)

@@ -8,9 +8,10 @@
       over flat shredded datasets, optionally followed by unshredding
       (Section 4).
 
-    Both routes accept skew-aware execution (Section 5). Per-worker memory
-    exhaustion is reported as a typed failed run (the paper's FAIL bars),
-    never an exception. With [config.trace] on, every run additionally
+    Both routes accept skew-aware execution (Section 5). Every typed
+    failure — memory exhaustion (the paper's FAIL bars), an abandoned
+    task, a missed deadline, an invalid configuration — is reported as a
+    failed run, never an exception. With [config.trace] on, every run additionally
     carries per-operator {!Exec.Trace} span trees, and each
     {!step_report} points at its step's span tree. *)
 
@@ -51,23 +52,17 @@ val default_config : config
 
 (** {2 Reporting} *)
 
-type failure =
+(** {!Exec.Failure.t}, re-exported. Every stage is prefixed with its
+    source step, e.g. ["Step2/unnest"], or ["Unshred/..."] for the
+    reassembly step. *)
+type failure = Exec.Failure.t =
   | Out_of_memory of { stage : string; worker_bytes : int; budget : int }
-      (** a worker exceeded its budget at [stage] (prefixed with the source
-          step, e.g. ["Step2/unnest"]) — the paper's FAIL *)
   | Task_failed of { stage : string; partition : int; attempts : int }
-      (** an injected task failure exhausted
-          {!Exec.Config.t.max_task_attempts}: the run fails typed rather
-          than returning a wrong answer *)
   | Deadline_missed of { stage : string; sim_seconds : float; deadline : float }
-      (** the run blew {!Exec.Config.t.deadline} at [stage] — typically
-          while paying for storm recovery. Typed and named in CLI output
-          and [run_json]: a deadline-bound run never hangs silently in a
-          recompute loop *)
   | Error of string
 
 val failure_message : failure -> string
-(** Legacy one-line description, e.g. ["Step2/unnest: 5.0MB > 4.0MB"]. *)
+(** {!Exec.Failure.message}, e.g. ["Step2/unnest: 5.0MB > 4.0MB"]. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 
@@ -102,7 +97,7 @@ type run = {
   config : config;  (** the effective configuration the run executed under *)
   value : Nrc.Value.t option;  (** None when not collected or failed *)
   stats : Exec.Stats.t;
-      (** run totals; [Stats.wall_seconds] mirrors {!run.wall_seconds}
+      (** run totals; their [wall_seconds] mirrors {!run.wall_seconds}
           (the answering attempt's wall-clock, charged by this driver) *)
   wall_seconds : float;
       (** real elapsed seconds; shrinks with {!Exec.Config.t.domains}
@@ -181,8 +176,10 @@ val run :
   Nrc.Program.t ->
   (string * Nrc.Value.t) list ->
   run
-(** Compile and execute; never raises on memory exhaustion. A Standard run
-    that dies of memory exhaustion re-plans down the shredded route when
+(** Compile and execute; never raises a typed failure. A cluster
+    configuration {!Exec.Config.validate} rejects fails at once with
+    [Error] and runs nothing. A Standard run that dies of memory
+    exhaustion re-plans down the shredded route when
     [config.route_fallback] is on (see {!degradation}); [wall_seconds] then
     covers both attempts and the reported stats are the answering
     route's. *)

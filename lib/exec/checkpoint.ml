@@ -4,7 +4,6 @@ type t = {
   cfg : Config.t;
   mutable since_bytes : int;
   mutable since_stages : int;
-  mutable taken : int;
 }
 
 type write = {
@@ -13,7 +12,7 @@ type write = {
   truncated : int;
 }
 
-let make (cfg : Config.t) = { cfg; since_bytes = 0; since_stages = 0; taken = 0 }
+let make (cfg : Config.t) = { cfg; since_bytes = 0; since_stages = 0 }
 
 let observe (ot : t option) ~bytes =
   match ot with
@@ -54,7 +53,6 @@ let on_stage (ot : t option) ~out_bytes : write option =
       let truncated = t.since_bytes in
       t.since_bytes <- 0;
       t.since_stages <- 0;
-      t.taken <- t.taken + 1;
       Some
         { ckpt_bytes = out_bytes;
           io_seconds = write_cost t.cfg out_bytes;
@@ -72,5 +70,3 @@ let replay_bytes (ot : t option) ~lost ~parts =
   match ot with
   | None -> 0
   | Some t -> t.since_bytes * max 0 lost / max 1 parts
-
-let taken t = t.taken

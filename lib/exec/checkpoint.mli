@@ -48,6 +48,3 @@ val replay_bytes : t option -> lost:int -> parts:int -> int
     checkpoint, apportioned to the lost share. Call {e before}
     {!on_stage} for the crashed stage, so its own (separately charged)
     output is not double-counted. *)
-
-val taken : t -> int
-(** Checkpoints written so far this run. *)

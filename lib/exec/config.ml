@@ -5,7 +5,7 @@
     a 2.5% per-partition heavy-key sampling threshold (Sections 5-6). The
     simulator preserves the *ratios* at laptop scale; [worker_mem] is the
     lever that turns the paper's memory-saturation failures into
-    {!Stats.Worker_out_of_memory}. *)
+    {!Failure.Out_of_memory}. *)
 
 type spill = Off | On
 
@@ -60,63 +60,96 @@ let checkpoint_name = function
   | Every k -> Printf.sprintf "every=%d" k
   | Auto -> "auto"
 
+let validate t =
+  let at_least_one name v =
+    if v >= 1 then None else Some (Printf.sprintf "%s must be >= 1 (got %d)" name v)
+  in
+  let weight name w =
+    if Float.is_finite w && w >= 0. then None
+    else Some (Printf.sprintf "%s must be finite and >= 0 (got %g)" name w)
+  in
+  let problems =
+    [
+      at_least_one "workers" t.workers;
+      at_least_one "partitions" t.partitions;
+      at_least_one "domains" t.domains;
+      at_least_one "max_task_attempts" t.max_task_attempts;
+      weight "cpu_weight" t.cpu_weight;
+      weight "net_weight" t.net_weight;
+      weight "disk_weight" t.disk_weight;
+      (match t.deadline with
+      | Some d when not (d > 0.) ->
+        Some (Printf.sprintf "deadline must be > 0 (got %g)" d)
+      | _ -> None);
+    ]
+  in
+  match List.filter_map Fun.id problems with
+  | [] -> Ok t
+  | ps -> Error ("invalid configuration: " ^ String.concat "; " ps)
+
 (* CI's memory-pressure matrix sweeps the *default* budget and spill mode
    through the environment so the tier-1 suite runs unchanged under each
    cell; tests that pin [worker_mem] or [spill] explicitly are unaffected.
-   TRANCE_WORKER_MEM is MB or "unbounded"; TRANCE_SPILL is on|off;
-   TRANCE_CHECKPOINT is off|every=K|auto; TRANCE_DOMAINS is a domain
-   count >= 1 (parallel runs are bit-identical to sequential ones, so the
-   whole suite doubles as an equivalence campaign under the hook). *)
+   A set variable must parse: a malformed value is an error naming the
+   variable and the accepted form, never silently ignored. An empty value
+   counts as unset. *)
+let with_env getenv t =
+  let var name accepted parse set t =
+    Result.bind t (fun t ->
+        match getenv name with
+        | None | Some "" -> Ok t
+        | Some s -> (
+          match parse s with
+          | Some v -> Ok (set t v)
+          | None ->
+            Error (Printf.sprintf "%s=%S: expected %s" name s accepted)))
+  in
+  Ok t
+  |> var "TRANCE_DOMAINS" "a domain count >= 1"
+       (fun s ->
+         match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
+       (fun t domains -> { t with domains })
+  |> var "TRANCE_WORKER_MEM" "a positive number of MB, or unbounded"
+       (function
+         | "unbounded" -> Some max_int
+         | s -> (
+           match float_of_string_opt s with
+           | Some mb when mb > 0. && Float.is_finite mb ->
+             Some (int_of_float (Float.min (mb *. 1048576.) 4e18))
+           | _ -> None))
+       (fun t worker_mem -> { t with worker_mem })
+  |> var "TRANCE_SPILL" "on or off"
+       (fun s -> Result.to_option (spill_of_string s))
+       (fun t spill -> { t with spill })
+  |> var "TRANCE_CHECKPOINT" "off, every=K with K >= 1, or auto"
+       (fun s -> Result.to_option (checkpoint_of_string s))
+       (fun t checkpoint -> { t with checkpoint })
+
+let base =
+  {
+    workers = 5;
+    partitions = 40;
+    worker_mem = 64 * 1024 * 1024;
+    broadcast_limit = 256 * 1024;
+    sample_per_partition = 40;
+    heavy_threshold = 0.025;
+    cpu_weight = 1e-8;
+    net_weight = 4e-8;
+    seed = 42;
+    max_task_attempts = 4;
+    speculation = true;
+    spill = Off;
+    max_spill_rounds = 256;
+    disk_weight = 2e-8;
+    checkpoint = No_checkpoints;
+    checkpoint_replication = 3;
+    fault_rate = 0.05;
+    deadline = None;
+    domains = 1;
+  }
+
 let default =
-  let base =
-    {
-      workers = 5;
-      partitions = 40;
-      worker_mem = 64 * 1024 * 1024;
-      broadcast_limit = 256 * 1024;
-      sample_per_partition = 40;
-      heavy_threshold = 0.025;
-      cpu_weight = 1e-8;
-      net_weight = 4e-8;
-      seed = 42;
-      max_task_attempts = 4;
-      speculation = true;
-      spill = Off;
-      max_spill_rounds = 256;
-      disk_weight = 2e-8;
-      checkpoint = No_checkpoints;
-      checkpoint_replication = 3;
-      fault_rate = 0.05;
-      deadline = None;
-      domains = 1;
-    }
-  in
-  let base =
-    match Sys.getenv_opt "TRANCE_DOMAINS" with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> { base with domains = n }
-        | _ -> base)
-    | None -> base
-  in
-  let base =
-    match Sys.getenv_opt "TRANCE_WORKER_MEM" with
-    | Some "unbounded" -> { base with worker_mem = max_int }
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some mb when mb > 0. ->
-            { base with worker_mem = int_of_float (mb *. 1024. *. 1024.) }
-        | _ -> base)
-    | None -> base
-  in
-  let base =
-    match Option.map spill_of_string (Sys.getenv_opt "TRANCE_SPILL") with
-    | Some (Ok sp) -> { base with spill = sp }
-    | _ -> base
-  in
-  match Option.map checkpoint_of_string (Sys.getenv_opt "TRANCE_CHECKPOINT") with
-  | Some (Ok ck) -> { base with checkpoint = ck }
-  | _ -> base
+  match with_env Sys.getenv_opt base with Ok t -> t | Error msg -> failwith msg
 
 (** A configuration that never fails on memory: used by tests that check
     semantics only. *)

@@ -4,7 +4,10 @@
     shuffle partitions, 64 GB per executor, 10 MB auto-broadcast, 2.5%
     heavy-key sampling threshold; Sections 5-6). The simulator preserves
     the ratios at laptop scale; [worker_mem] is the lever that turns memory
-    saturation into {!Stats.Worker_out_of_memory} — the paper's FAIL bars. *)
+    saturation into {!Failure.Out_of_memory} — the paper's FAIL bars.
+
+    A configuration runs only if {!validate} accepts it; {!Trance.Api.run}
+    reports a rejected one as a failed run. *)
 
 type spill =
   | Off  (** deny over-budget reservations: the paper's FAIL bars *)
@@ -33,7 +36,7 @@ type t = {
   seed : int;  (** also seeds the {!Faults} injector *)
   max_task_attempts : int;
       (** attempt budget per task before the run fails typed
-          ({!Faults.Task_abandoned}); Spark's [spark.task.maxFailures] = 4 *)
+          ({!Failure.Task_failed}); Spark's [spark.task.maxFailures] = 4 *)
   speculation : bool;
       (** launch a speculative duplicate for an injected straggler; the
           first copy to finish wins (Spark's [spark.speculation]) *)
@@ -57,7 +60,7 @@ type t = {
   deadline : float option;
       (** simulated-seconds budget for a whole run: a run that exceeds it
           (typically while paying for recovery) fails typed
-          ({!Stats.Deadline_exceeded}) instead of recomputing unboundedly *)
+          ({!Failure.Deadline_missed}) instead of recomputing unboundedly *)
   domains : int;
       (** OCaml domains the {!Pool} runs partition tasks on (including the
           calling one); 1 = today's sequential path. Parallel runs are
@@ -74,11 +77,24 @@ val checkpoint_of_string : string -> (checkpoint, string) result
 val checkpoint_name : checkpoint -> string
 (** Canonical round-trippable form of {!checkpoint_of_string}. *)
 
+val validate : t -> (t, string) result
+(** Accept a configuration the simulator can run: [workers], [partitions],
+    [domains] and [max_task_attempts] at least 1; [cpu_weight],
+    [net_weight] and [disk_weight] finite and non-negative; a [deadline],
+    if set, above 0. The error names every offending field. *)
+
+val with_env : (string -> string option) -> t -> (t, string) result
+(** [with_env getenv t] applies the CI matrix hooks read through [getenv]:
+    [TRANCE_DOMAINS] (domain count >= 1), [TRANCE_WORKER_MEM] (positive MB,
+    or ["unbounded"]), [TRANCE_SPILL] (on|off) and [TRANCE_CHECKPOINT]
+    (off|every=K|auto). An unset or empty variable leaves [t] unchanged; a
+    malformed one is an error naming the variable and the accepted form. *)
+
 val default : t
-(** Honours the CI matrix hooks [TRANCE_WORKER_MEM] (MB, or ["unbounded"]),
-    [TRANCE_SPILL] (on|off), [TRANCE_CHECKPOINT] (off|every=K|auto) and
-    [TRANCE_DOMAINS] (domain count >= 1) so the whole suite can run under
-    a swept budget — or on many cores — without code changes. *)
+(** The built-in configuration under {!with_env}[ Sys.getenv_opt], so the
+    whole suite can run under a swept budget — or on many cores — without
+    code changes.
+    @raise Stdlib.Failure at start-up when a set [TRANCE_*] hook is malformed. *)
 
 val unbounded : t
 (** [default] with no memory budget: for semantics-only tests. *)

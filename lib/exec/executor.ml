@@ -18,15 +18,15 @@
     - every operator is accounted: bytes shuffled and broadcast, per-worker
       resident bytes reserved through the {!Memory} manager — which either
       fits the stage, spills its declared build side to simulated disk
-      ({!Config.t.spill} [= On]), or denies the reservation (raising
-      {!Stats.Worker_out_of_memory}, the paper's FAIL entries) — and a
+      ({!Config.t.spill} [= On]), or denies the reservation (failing with
+      {!Failure.Out_of_memory}, the paper's FAIL entries) — and a
       simulated time accumulating per-stage maxima over partitions, which is
       where load imbalance shows.
 
-    When a {!Trace.ctx} is supplied, every operator dispatch opens a span
-    and all accounting is mirrored into the innermost open span, producing
-    the per-operator span tree {!Trace} documents; the untraced path takes
-    the [None] fast path everywhere. *)
+    Each accounted quantity is one {!charge} of a {!Stats.snapshot} delta,
+    which feeds both the run total and — when a {!Trace.ctx} is supplied —
+    the innermost open span of the per-operator span tree {!Trace}
+    documents. *)
 
 module V = Nrc.Value
 module S = Plan.Sexpr
@@ -116,46 +116,53 @@ let rset_rows r =
 let trace_rows_in st rsets =
   if st.trace <> None then
     Trace.add st.trace
-      ~rows_in:(List.fold_left (fun acc r -> acc + rset_rows r) 0 rsets)
-      ()
+      {
+        Trace.zero_metrics with
+        rows_in = List.fold_left (fun acc r -> acc + rset_rows r) 0 rsets;
+      }
 
-(* Recovery cost is charged to both the flat counters and the innermost
-   span, so the span tree accounts recomputed bytes exactly. The extra
-   simulated time is also booked as [recovery_seconds], the slice of
-   [sim_seconds] a deadline-bound run is paying for faults. *)
+(* The one accounting entry point: a counter delta lands in the run total
+   and in the innermost span. *)
+let charge st d = Trace.charge st.trace st.stats d
+
+(* Recovery cost: the extra simulated time is also booked as
+   [recovery_seconds], the slice of [sim_seconds] a deadline-bound run is
+   paying for faults. *)
 let charge_recovery st ?(retries = 0) ?(retried = 0) ?(speculative = 0)
     ?(recomputed = 0) ?(dt = 0.) () =
-  Stats.add_task_retries st.stats retries;
-  Stats.add_retried_tasks st.stats retried;
-  Stats.add_speculative st.stats speculative;
-  Stats.add_recomputed st.stats recomputed;
-  Stats.add_sim_seconds st.stats dt;
-  Stats.add_recovery_seconds st.stats dt;
-  Trace.add st.trace ~retries ~retried ~speculative ~recomputed
-    ~sim_seconds:dt ~recovery_seconds:dt ()
+  charge st
+    {
+      Stats.zero with
+      task_retries = retries;
+      retried_tasks = retried;
+      speculative_tasks = speculative;
+      recomputed_bytes = recomputed;
+      sim_seconds = dt;
+      recovery_seconds = dt;
+    }
 
 (* Deadlines are enforced at accounted stage boundaries: a run paying for
    recovery can overshoot within a stage, but it can never silently start
    another one — the typed breach is raised before more work is charged,
    so recompute loops are bounded by construction. *)
 let check_deadline st ~stage =
+  let sim_seconds = (Stats.snapshot st.stats).Stats.sim_seconds in
   match st.cfg.Config.deadline with
-  | Some deadline when Stats.sim_seconds st.stats > deadline ->
+  | Some deadline when sim_seconds > deadline ->
     raise
-      (Stats.Deadline_exceeded
-         { stage; sim_seconds = Stats.sim_seconds st.stats; deadline })
+      (Failure.Failed (Failure.Deadline_missed { stage; sim_seconds; deadline }))
   | _ -> ()
 
-(* Charge one checkpoint write: the io time is paid by the stage, and the
-   counters mirror into the innermost span like every other quantity. *)
+(* Charge one checkpoint write: the io time is paid by the stage. *)
 let charge_checkpoint st (w : Checkpoint.write) =
-  Stats.add_checkpoint st.stats;
-  Stats.add_checkpoint_bytes st.stats w.Checkpoint.ckpt_bytes;
-  Stats.add_lineage_truncated st.stats w.Checkpoint.truncated;
-  Stats.add_sim_seconds st.stats w.Checkpoint.io_seconds;
-  Trace.add st.trace ~checkpoints:1 ~checkpoint_bytes:w.Checkpoint.ckpt_bytes
-    ~lineage_truncated:w.Checkpoint.truncated
-    ~sim_seconds:w.Checkpoint.io_seconds ()
+  charge st
+    {
+      Stats.zero with
+      checkpoints_written = 1;
+      checkpoint_bytes = w.Checkpoint.ckpt_bytes;
+      lineage_truncated = w.Checkpoint.truncated;
+      sim_seconds = w.Checkpoint.io_seconds;
+    }
 
 (* What a stage's operator can stage out to disk when the manager denies
    full residency — its "build side". Everything else must stay resident.
@@ -180,28 +187,26 @@ let worker_totals cfg ?(base = 0) (arrs : int array list) : int array =
 
 (* Reserve one stage's residency through the memory manager and charge
    whatever it decides: a fitting stage just records its peak, a spilling
-   stage additionally pays the spill counters and disk time (to Stats and
-   the innermost span, identically), and a denied one fails typed. *)
+   stage additionally pays the spill counters and disk time, and a denied
+   one records the offending residency and fails typed. *)
 let check_residency st ~stage ~(worker : int array) ~(spillable : int array) :
     unit =
   match Memory.reserve st.mem ~worker ~spillable with
-  | Memory.Fit { peak } ->
-    Stats.observe_worker st.stats peak;
-    Trace.observe_worker st.trace peak
+  | Memory.Fit { peak } -> charge st { Stats.zero with peak_worker_bytes = peak }
   | Memory.Spill { spilled_bytes; spill_partitions; rounds; peak; io_seconds }
     ->
-    Stats.observe_worker st.stats peak;
-    Trace.observe_worker st.trace peak;
-    Stats.add_spilled st.stats spilled_bytes;
-    Stats.add_spill_partitions st.stats spill_partitions;
-    Stats.add_spill_rounds st.stats rounds;
-    Stats.add_sim_seconds st.stats io_seconds;
-    Trace.add st.trace ~spilled:spilled_bytes ~spill_partitions
-      ~spill_rounds:rounds ~sim_seconds:io_seconds ()
+    charge st
+      {
+        Stats.zero with
+        peak_worker_bytes = peak;
+        spilled_bytes;
+        spill_partitions;
+        spill_rounds = rounds;
+        sim_seconds = io_seconds;
+      }
   | Memory.Denied { worker_bytes; budget } ->
-    Stats.observe_worker st.stats worker_bytes;
-    Trace.observe_worker st.trace worker_bytes;
-    raise (Stats.Worker_out_of_memory { stage; worker_bytes; budget })
+    charge st { Stats.zero with peak_worker_bytes = worker_bytes };
+    raise (Failure.Failed (Failure.Out_of_memory { stage; worker_bytes; budget }))
 
 (* Charge one stage: per-worker residency reservation + simulated cpu time.
    Broadcast copies resident on every worker are accounted through the
@@ -247,12 +252,10 @@ let account st ~stage ?(spill = Spill_all) (input_bytes : int array list)
     if b > !max_part then max_part := b
   done;
   let dt = float_of_int !max_part *. cfg.Config.cpu_weight in
-  Stats.add_sim_seconds st.stats dt;
   let rows =
     Array.fold_left (fun acc p -> acc + Array.length p) 0 output
   in
-  Stats.add_rows st.stats rows;
-  Trace.add st.trace ~rows_out:rows ~sim_seconds:dt ();
+  charge st { Stats.zero with rows_processed = rows; sim_seconds = dt };
   (match event with
   | None -> ()
   | Some (Faults.Fail_task { partition; fails }) ->
@@ -264,8 +267,9 @@ let account st ~stage ?(spill = Spill_all) (input_bytes : int array list)
       charge_recovery st ~retries:wasted ~retried:1 ~recomputed:(wasted * b)
         ~dt:(float_of_int wasted *. t) ();
       raise
-        (Faults.Task_abandoned
-           { stage; partition; attempts = cfg.Config.max_task_attempts })
+        (Failure.Failed
+           (Failure.Task_failed
+              { stage; partition; attempts = cfg.Config.max_task_attempts }))
     end
     else
       charge_recovery st ~retries:fails ~retried:1 ~recomputed:(fails * b)
@@ -361,12 +365,10 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
             done;
             Array.of_list !acc)
       in
-      Stats.add_shuffled st.stats moved;
-      Stats.add_stage st.stats;
       let max_recv = Array.fold_left max 0 received in
       let dt = float_of_int max_recv *. cfg.Config.net_weight in
-      Stats.add_sim_seconds st.stats dt;
-      Trace.add st.trace ~shuffled:moved ~stages:1 ~sim_seconds:dt ();
+      charge st
+        { Stats.zero with shuffled_bytes = moved; stages = 1; sim_seconds = dt };
       Trace.observe_partitions st.trace received;
       (* a shuffle is a fetch-site stage: a transient fetch failure makes
          one destination partition re-fetch its inputs [fails] times *)
@@ -406,9 +408,7 @@ let gather st (r : rset) : rset =
       let bytes =
         List.fold_left (fun acc row -> acc + Row.byte_size row) 0 all
       in
-      Stats.add_shuffled st.stats bytes;
-      Stats.add_stage st.stats;
-      Trace.add st.trace ~shuffled:bytes ~stages:1 ();
+      charge st { Stats.zero with shuffled_bytes = bytes; stages = 1 };
       let parts = Array.make st.cfg.Config.partitions [||] in
       parts.(0) <- Array.of_list all;
       { parts; key = None; skew = None })
@@ -418,9 +418,7 @@ let rset_total_bytes r = Array.fold_left ( + ) 0 (part_bytes r.parts)
 (* broadcast charge shared by broadcast joins, products, and the broadcast
    cogroup: the right side is resident on every worker *)
 let charge_broadcast st rbytes =
-  let total = rbytes * st.cfg.Config.workers in
-  Stats.add_broadcast st.stats total;
-  Trace.add st.trace ~broadcast:total ()
+  charge st { Stats.zero with broadcast_bytes = rbytes * st.cfg.Config.workers }
 
 (* ------------------------------------------------------------------ *)
 (* Heavy-key detection (Section 5): per-partition sampling; a key is heavy
@@ -1035,47 +1033,24 @@ let rset_to_dataset (cols : string list) (r : rset) : Dataset.t =
   in
   { Dataset.parts = Array.map (Array.map to_value) r.parts; key }
 
-(* The pool is spawned once per run: callers that execute several plans
-   (the Api driver, run_assignments) pass one in; a bare run_plan call
-   creates a pool sized by [config.domains] and shuts it down on exit. *)
-let with_run_pool ?pool ~(config : Config.t) f =
-  match pool with
-  | Some p -> f p
-  | None -> Pool.with_pool ~domains:config.Config.domains f
-
 (** Execute one plan against named datasets; returns the result dataset.
     The checkpoint manager is created here when not supplied, so lineage
-    accrues (and recovery is charged) even under [No_checkpoints]. *)
+    accrues (and recovery is charged) even under [No_checkpoints]. The
+    pool is spawned once per run: a driver that executes several plans
+    passes one in; a bare call creates a pool sized by [config.domains]
+    and shuts it down on exit. *)
 let run_plan ?(options = default_options) ?trace ?faults ?checkpoint ?pool
     ~config ~stats (env : env) (plan : Op.t) : Dataset.t =
   let ckpt =
     match checkpoint with Some c -> c | None -> Checkpoint.make config
   in
-  with_run_pool ?pool ~config (fun pool ->
-      let st =
-        { cfg = config; opts = options; stats; trace; faults;
-          ckpt = Some ckpt; mem = Memory.create ?faults config; env; pool }
-      in
-      let r = run st plan in
-      rset_to_dataset (Op.columns plan) r)
-
-(** Execute a sequence of (name, plan) assignments, extending the
-    environment; returns the final environment. One checkpoint manager
-    spans all assignments: lineage (and therefore recovery cost) is
-    run-wide, not per-assignment. *)
-let run_assignments ?(options = default_options) ?trace ?faults ?checkpoint
-    ?pool ~config ~stats (env : env) (plans : (string * Op.t) list) : env =
-  let ckpt =
-    match checkpoint with Some c -> c | None -> Checkpoint.make config
+  let go pool =
+    let st =
+      { cfg = config; opts = options; stats; trace; faults;
+        ckpt = Some ckpt; mem = Memory.create ?faults config; env; pool }
+    in
+    rset_to_dataset (Op.columns plan) (run st plan)
   in
-  with_run_pool ?pool ~config (fun pool ->
-      List.iter
-        (fun (name, plan) ->
-          let ds =
-            Trace.with_span trace ~op:"Assignment" ~stage:name (fun () ->
-                run_plan ~options ?trace ?faults ~checkpoint:ckpt ~pool
-                  ~config ~stats env plan)
-          in
-          Hashtbl.replace env name ds)
-        plans;
-      env)
+  match pool with
+  | Some p -> go p
+  | None -> Pool.with_pool ~domains:config.Config.domains go

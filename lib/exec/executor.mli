@@ -15,11 +15,15 @@
       residency reserved through the {!Memory} manager — fitting, spilling
       the operator's build side to simulated disk ({!Config.t.spill}
       [= On], charged as [spilled_bytes]/[spill_partitions]/[spill_rounds]
-      plus disk time), or denied (raising {!Stats.Worker_out_of_memory}) —
+      plus disk time), or denied (failing with {!Failure.Out_of_memory}) —
       and simulated time from per-stage maxima over partitions;
-    - passing a {!Trace.ctx} additionally records a per-operator span tree
-      (one span per dispatched operator, shuffles as child spans) mirroring
-      every accounted quantity — the observability layer of {!Trace}. *)
+    - each accounted quantity is one {!Trace.charge} of a {!Stats.snapshot}
+      delta, feeding the run's {!Stats.t} and, when a {!Trace.ctx} is
+      passed, the innermost span of a per-operator span tree (one span per
+      dispatched operator, shuffles as child spans) — the observability
+      layer of {!Trace}.
+
+    Every typed failure is raised as {!Failure.Failed}. *)
 
 type options = {
   skew_aware : bool;  (** the skew-resilient operators of Section 5 *)
@@ -81,31 +85,13 @@ val run_plan :
     checkpoint — speculation); recovery cost shows up in {!Stats} and the
     trace. A {!Checkpoint} manager is created from [config] when not
     supplied, so recovery lineage accrues even under
-    {!Config.No_checkpoints}; pass one explicitly to share lineage across
-    plans ({!run_assignments} does).
-    @raise Stats.Worker_out_of_memory when a worker exceeds its (possibly
-    squeezed) budget and cannot spill — spilling off, or the stage would
-    need more than {!Config.t.max_spill_rounds} build passes.
-    @raise Faults.Task_abandoned when an injected task failure exhausts
-    {!Config.t.max_task_attempts}.
-    @raise Stats.Deadline_exceeded at the first stage boundary past
-    {!Config.t.deadline}: a deadline-bound run can never silently keep
-    recomputing. *)
-
-val run_assignments :
-  ?options:options ->
-  ?trace:Trace.ctx ->
-  ?faults:Faults.t ->
-  ?checkpoint:Checkpoint.t ->
-  ?pool:Pool.t ->
-  config:Config.t ->
-  stats:Stats.t ->
-  env ->
-  (string * Plan.Op.t) list ->
-  env
-(** Execute (name, plan) assignments in order, extending the environment.
-    With [?trace], each assignment is wrapped in an ["Assignment"] span
-    whose stage is the assignment name. [?faults] and [?pool] as in
-    {!run_plan}; one pool and one checkpoint manager span all
-    assignments, so domains are spawned once and lineage — and with it
-    recovery cost — is run-wide. *)
+    {!Config.No_checkpoints}; pass one explicitly (and one pool) to share
+    lineage and domains across the plans of a run, as {!Trance.Api}
+    does.
+    @raise Failure.Failed with [Out_of_memory] when a worker exceeds its
+    (possibly squeezed) budget and cannot spill — spilling off, or the
+    stage would need more than {!Config.t.max_spill_rounds} build passes;
+    with [Task_failed] when an injected task failure exhausts
+    {!Config.t.max_task_attempts}; with [Deadline_missed] at the first
+    stage boundary past {!Config.t.deadline}, so a deadline-bound run can
+    never silently keep recomputing. *)

@@ -147,13 +147,6 @@ type event =
   | Fail_fetch of { partition : int; fails : int }
   | Straggle of { partition : int; multiplier : float }
 
-exception
-  Task_abandoned of {
-    stage : string;
-    partition : int;
-    attempts : int;
-  }
-
 let make ?(seed = 42) (sch : schedule) =
   let schedule = Array.of_list sch in
   {

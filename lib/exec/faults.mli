@@ -107,16 +107,6 @@ type event =
   | Fail_fetch of { partition : int; fails : int }
   | Straggle of { partition : int; multiplier : float }
 
-exception
-  Task_abandoned of {
-    stage : string;
-    partition : int;
-    attempts : int;
-  }
-(** A task exhausted its attempt budget: the typed unrecoverable outcome
-    (reported by {!Trance.Api} as [Task_failed], never a wrong answer).
-    Raised by the executor, not by this module. *)
-
 val on_stage :
   t option -> site:site -> partitions:int -> workers:int -> event option
 (** Advance the stage counter and return the event injected at this stage,

@@ -21,10 +21,10 @@
       partition count, the worst per-worker round count, the post-spill
       peak residency, and the disk time (write + read back at
       {!Config.t.disk_weight}, slowest worker wins); the executor charges
-      all of it to {!Stats} and the innermost {!Trace} span.
+      all of it as one {!Trace.charge}.
     - [Denied]: over budget with spilling off, or a spill that would need
-      more than {!Config.t.max_spill_rounds} passes. The executor raises
-      {!Stats.Worker_out_of_memory}, which the driver may answer by
+      more than {!Config.t.max_spill_rounds} passes. The executor fails
+      with {!Failure.Out_of_memory}, which the driver may answer by
       re-planning down the shredded route ({!Trance.Api}).
 
     Spilling is cost-model only: operator results are byte-identical to

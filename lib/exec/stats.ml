@@ -1,27 +1,4 @@
-(** Execution metrics collected by the simulator; see stats.mli. The record
-    is mutable internally but opaque to consumers, who read through the
-    accessors or an immutable {!snapshot}. *)
-
-type t = {
-  mutable shuffled_bytes : int;
-  mutable broadcast_bytes : int;
-  mutable peak_worker_bytes : int;
-  mutable rows_processed : int;
-  mutable stages : int;
-  mutable sim_seconds : float;
-  mutable task_retries : int;
-  mutable retried_tasks : int;
-  mutable speculative_tasks : int;
-  mutable recomputed_bytes : int;
-  mutable spilled_bytes : int;
-  mutable spill_partitions : int;
-  mutable spill_rounds : int;
-  mutable checkpoints_written : int;
-  mutable checkpoint_bytes : int;
-  mutable lineage_truncated : int;
-  mutable recovery_seconds : float;
-  mutable wall_seconds : float;
-}
+(** Execution metrics collected by the simulator; see stats.mli. *)
 
 type snapshot = {
   shuffled_bytes : int;
@@ -44,21 +21,7 @@ type snapshot = {
   wall_seconds : float;
 }
 
-exception
-  Worker_out_of_memory of {
-    stage : string;
-    worker_bytes : int;
-    budget : int;
-  }
-
-exception
-  Deadline_exceeded of {
-    stage : string;
-    sim_seconds : float;
-    deadline : float;
-  }
-
-let create () : t =
+let zero : snapshot =
   {
     shuffled_bytes = 0;
     broadcast_bytes = 0;
@@ -78,80 +41,6 @@ let create () : t =
     lineage_truncated = 0;
     recovery_seconds = 0.;
     wall_seconds = 0.;
-  }
-
-let shuffled_bytes (s : t) = s.shuffled_bytes
-let broadcast_bytes (s : t) = s.broadcast_bytes
-let peak_worker_bytes (s : t) = s.peak_worker_bytes
-let rows_processed (s : t) = s.rows_processed
-let stages (s : t) = s.stages
-let sim_seconds (s : t) = s.sim_seconds
-let task_retries (s : t) = s.task_retries
-let retried_tasks (s : t) = s.retried_tasks
-let speculative_tasks (s : t) = s.speculative_tasks
-let recomputed_bytes (s : t) = s.recomputed_bytes
-let spilled_bytes (s : t) = s.spilled_bytes
-let spill_partitions (s : t) = s.spill_partitions
-let spill_rounds (s : t) = s.spill_rounds
-let checkpoints_written (s : t) = s.checkpoints_written
-let checkpoint_bytes (s : t) = s.checkpoint_bytes
-let lineage_truncated (s : t) = s.lineage_truncated
-let recovery_seconds (s : t) = s.recovery_seconds
-let wall_seconds (s : t) = s.wall_seconds
-let add_shuffled (s : t) n = s.shuffled_bytes <- s.shuffled_bytes + n
-let add_broadcast (s : t) n = s.broadcast_bytes <- s.broadcast_bytes + n
-let add_rows (s : t) n = s.rows_processed <- s.rows_processed + n
-let add_stage (s : t) = s.stages <- s.stages + 1
-let add_sim_seconds (s : t) dt = s.sim_seconds <- s.sim_seconds +. dt
-let add_task_retries (s : t) n = s.task_retries <- s.task_retries + n
-let add_retried_tasks (s : t) n = s.retried_tasks <- s.retried_tasks + n
-
-let add_speculative (s : t) n =
-  s.speculative_tasks <- s.speculative_tasks + n
-
-let add_recomputed (s : t) n = s.recomputed_bytes <- s.recomputed_bytes + n
-let add_spilled (s : t) n = s.spilled_bytes <- s.spilled_bytes + n
-
-let add_spill_partitions (s : t) n =
-  s.spill_partitions <- s.spill_partitions + n
-
-let add_spill_rounds (s : t) n = s.spill_rounds <- s.spill_rounds + n
-let add_checkpoint (s : t) = s.checkpoints_written <- s.checkpoints_written + 1
-
-let add_checkpoint_bytes (s : t) n =
-  s.checkpoint_bytes <- s.checkpoint_bytes + n
-
-let add_lineage_truncated (s : t) n =
-  s.lineage_truncated <- s.lineage_truncated + n
-
-let add_recovery_seconds (s : t) dt =
-  s.recovery_seconds <- s.recovery_seconds +. dt
-
-let add_wall_seconds (s : t) dt = s.wall_seconds <- s.wall_seconds +. dt
-
-let observe_worker (s : t) bytes =
-  s.peak_worker_bytes <- max s.peak_worker_bytes bytes
-
-let snapshot (s : t) : snapshot =
-  {
-    shuffled_bytes = s.shuffled_bytes;
-    broadcast_bytes = s.broadcast_bytes;
-    peak_worker_bytes = s.peak_worker_bytes;
-    rows_processed = s.rows_processed;
-    stages = s.stages;
-    sim_seconds = s.sim_seconds;
-    task_retries = s.task_retries;
-    retried_tasks = s.retried_tasks;
-    speculative_tasks = s.speculative_tasks;
-    recomputed_bytes = s.recomputed_bytes;
-    spilled_bytes = s.spilled_bytes;
-    spill_partitions = s.spill_partitions;
-    spill_rounds = s.spill_rounds;
-    checkpoints_written = s.checkpoints_written;
-    checkpoint_bytes = s.checkpoint_bytes;
-    lineage_truncated = s.lineage_truncated;
-    recovery_seconds = s.recovery_seconds;
-    wall_seconds = s.wall_seconds;
   }
 
 let diff (a : snapshot) (b : snapshot) : snapshot =
@@ -198,27 +87,14 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
     wall_seconds = a.wall_seconds +. b.wall_seconds;
   }
 
-let zero : snapshot =
-  {
-    shuffled_bytes = 0;
-    broadcast_bytes = 0;
-    peak_worker_bytes = 0;
-    rows_processed = 0;
-    stages = 0;
-    sim_seconds = 0.;
-    task_retries = 0;
-    retried_tasks = 0;
-    speculative_tasks = 0;
-    recomputed_bytes = 0;
-    spilled_bytes = 0;
-    spill_partitions = 0;
-    spill_rounds = 0;
-    checkpoints_written = 0;
-    checkpoint_bytes = 0;
-    lineage_truncated = 0;
-    recovery_seconds = 0.;
-    wall_seconds = 0.;
-  }
+(* The running total is one left fold of [merge] over the charged deltas,
+   in charge order: the float counters are summed exactly as the executor
+   charges them, which is what keeps pinned [sim_seconds] values stable. *)
+type t = { mutable total : snapshot }
+
+let create () = { total = zero }
+let snapshot t = t.total
+let charge t d = t.total <- merge t.total d
 
 (* Equivalence campaigns compare parallel against sequential snapshots:
    everything must match bit-for-bit except the one quantity that is
@@ -250,4 +126,21 @@ let pp_snapshot ppf (s : snapshot) =
       s.recovery_seconds;
   if s.wall_seconds > 0. then Fmt.pf ppf " wall=%.3fs" s.wall_seconds
 
-let pp ppf (s : t) = pp_snapshot ppf (snapshot s)
+let pp ppf t = pp_snapshot ppf t.total
+
+(* Hand-rolled JSON (no JSON dependency in the toolchain image). JSON has
+   no nan or infinity: such a value is written as [null], never as a
+   plausible number. *)
+let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+
+let buffer_json_fields b (s : snapshot) =
+  Buffer.add_string b
+    (Printf.sprintf
+       "\"shuffled_bytes\":%d,\"broadcast_bytes\":%d,\"peak_worker_bytes\":%d,\"rows_processed\":%d,\"stages\":%d,\"sim_seconds\":%s,\"task_retries\":%d,\"retried_tasks\":%d,\"speculative_tasks\":%d,\"recomputed_bytes\":%d,\"spilled_bytes\":%d,\"spill_partitions\":%d,\"spill_rounds\":%d,\"checkpoints_written\":%d,\"checkpoint_bytes\":%d,\"lineage_truncated\":%d,\"recovery_seconds\":%s,\"wall_seconds\":%s"
+       s.shuffled_bytes s.broadcast_bytes s.peak_worker_bytes s.rows_processed
+       s.stages (json_float s.sim_seconds) s.task_retries s.retried_tasks
+       s.speculative_tasks s.recomputed_bytes s.spilled_bytes
+       s.spill_partitions s.spill_rounds s.checkpoints_written
+       s.checkpoint_bytes s.lineage_truncated
+       (json_float s.recovery_seconds)
+       (json_float s.wall_seconds))

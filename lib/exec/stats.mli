@@ -3,19 +3,17 @@
     per-stage maxima over partitions (which is where skew and load
     imbalance appear).
 
-    The counter set is mutable but opaque: the executor feeds it through the
-    [add_*]/[observe_*] entry points, and consumers read it through the
-    accessors or grab an immutable {!snapshot}. Per-step slices are computed
-    with {!snapshot} + {!diff} instead of threading deltas by hand. *)
+    {!snapshot} is the one record of the run counters. Everything that
+    records a quantity builds a delta of that record and {!charge}s it:
+    the executor charges each accounted quantity once, through
+    {!Trace.charge}, which feeds both the run's {!t} and the innermost
+    span. Per-step slices are computed with {!snapshot} + {!diff}. *)
 
-type t
-(** Mutable counter set, one per run. *)
-
-(** Immutable copy of the counters at one instant. *)
+(** The run counters at one instant, or a delta of them. *)
 type snapshot = {
   shuffled_bytes : int;
   broadcast_bytes : int;
-  peak_worker_bytes : int;
+  peak_worker_bytes : int;  (** a high-water mark: merges by [max] *)
   rows_processed : int;
   stages : int;  (** shuffle boundaries *)
   sim_seconds : float;
@@ -33,101 +31,53 @@ type snapshot = {
       (** simulated seconds spent paying for fault recovery: retries,
           speculation, lineage replay — a slice of [sim_seconds] *)
   wall_seconds : float;
-      (** real elapsed seconds of the run, measured by the driver. Unlike
-          every other counter, this one is {e not} deterministic and it
-          {e does} change with {!Config.t.domains}; equivalence campaigns
-          compare snapshots through {!strip_wall} *)
+      (** real elapsed seconds, measured by the driver ({!Trance.Api}
+          charges the run total once, from a real clock — never the
+          executor, whose accounting stays a pure function of the plan and
+          the configuration). Unlike every other counter, this one is
+          {e not} deterministic and it {e does} change with
+          {!Config.t.domains}; equivalence campaigns compare snapshots
+          through {!strip_wall} *)
 }
 
-exception
-  Worker_out_of_memory of {
-    stage : string;  (** "Step2/unnest"-style location *)
-    worker_bytes : int;
-    budget : int;
-  }
-(** A worker exceeded its memory budget: the paper's FAIL entries. Callers
-    that must not fail hard catch this ({!Trance.Api.run} reports it as a
-    failed run). *)
+val zero : snapshot
 
-exception
-  Deadline_exceeded of {
-    stage : string;  (** the stage boundary where the breach was detected *)
-    sim_seconds : float;  (** simulated seconds elapsed at that point *)
-    deadline : float;  (** the configured {!Config.t.deadline} *)
-  }
-(** The run blew its simulated-seconds budget — typically while paying for
-    recovery under a fault storm. Raised at stage boundaries so a run can
-    never silently hang in a recompute loop; {!Trance.Api.run} reports it
-    as a typed failed run naming the deadline. *)
-
-val create : unit -> t
-
-(** {2 Accessors} *)
-
-val shuffled_bytes : t -> int
-val broadcast_bytes : t -> int
-val peak_worker_bytes : t -> int
-val rows_processed : t -> int
-val stages : t -> int
-val sim_seconds : t -> float
-val task_retries : t -> int
-val retried_tasks : t -> int
-val speculative_tasks : t -> int
-val recomputed_bytes : t -> int
-val spilled_bytes : t -> int
-val spill_partitions : t -> int
-val spill_rounds : t -> int
-val checkpoints_written : t -> int
-val checkpoint_bytes : t -> int
-val lineage_truncated : t -> int
-val recovery_seconds : t -> float
-val wall_seconds : t -> float
-
-(** {2 Recording (executor side)} *)
-
-val add_shuffled : t -> int -> unit
-val add_broadcast : t -> int -> unit
-val add_rows : t -> int -> unit
-val add_stage : t -> unit
-val add_sim_seconds : t -> float -> unit
-val add_task_retries : t -> int -> unit
-val add_retried_tasks : t -> int -> unit
-val add_speculative : t -> int -> unit
-val add_recomputed : t -> int -> unit
-val add_spilled : t -> int -> unit
-val add_spill_partitions : t -> int -> unit
-val add_spill_rounds : t -> int -> unit
-val add_checkpoint : t -> unit
-val add_checkpoint_bytes : t -> int -> unit
-val add_lineage_truncated : t -> int -> unit
-val add_recovery_seconds : t -> float -> unit
-
-val add_wall_seconds : t -> float -> unit
-(** Charged once per run by the driver ({!Trance.Api.run}) from a real
-    clock — never by the executor, whose accounting must stay a pure
-    function of the plan and the configuration. *)
-
-val observe_worker : t -> int -> unit
-(** Raise the peak per-worker residency high-water mark. *)
-
-(** {2 Snapshots} *)
-
-val snapshot : t -> snapshot
+val merge : snapshot -> snapshot -> snapshot
+(** Pointwise sum; [peak_worker_bytes] merges by [max]. Aggregates slices
+    back into totals, and applies a delta in {!charge}. *)
 
 val diff : snapshot -> snapshot -> snapshot
 (** [diff after before]: additive counters subtract; [peak_worker_bytes]
     keeps [after]'s value (the peak is a run-wide high-water mark, so a
     slice reports the peak reached by the end of its step). *)
 
-val merge : snapshot -> snapshot -> snapshot
-(** Pointwise sum; [peak_worker_bytes] merges by [max]. Replaces the old
-    [Stats.add] for aggregating slices back into totals. *)
-
-val zero : snapshot
-
 val strip_wall : snapshot -> snapshot
 (** The snapshot with [wall_seconds] zeroed: the deterministic part, which
     must be bit-identical across {!Config.t.domains} settings. *)
 
+type t
+(** One run's running total: a mutable cell over a {!snapshot}. *)
+
+val create : unit -> t
+(** A fresh total, equal to {!zero}. *)
+
+val charge : t -> snapshot -> unit
+(** [charge t d] sets the total to [merge total d]. The total is one
+    running sum in charge order, so the float counters are bit-stable for
+    a given charge sequence. *)
+
+val snapshot : t -> snapshot
+
 val pp : Format.formatter -> t -> unit
 val pp_snapshot : Format.formatter -> snapshot -> unit
+
+(** {2 JSON} *)
+
+val json_float : float -> string
+(** [%.6g]; a nan or infinite value is written as [null] — JSON has no
+    such numbers, and a plausible stand-in would hide the error. *)
+
+val buffer_json_fields : Buffer.t -> snapshot -> unit
+(** The 18 counters as ["key":value] pairs, comma-separated and without
+    the enclosing braces: the one writer behind the run totals, step
+    slices and span metrics of [run_json]. *)

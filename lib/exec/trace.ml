@@ -12,81 +12,31 @@ let strategy_name = function
   | Guarantee_skipped -> "guarantee-skipped"
   | Skew_split { heavy_keys } -> Printf.sprintf "skew-split(%d)" heavy_keys
 
+(* The shared counters plus the span-only partition-load fields. *)
 type metrics = {
-  shuffled_bytes : int;
-  broadcast_bytes : int;
+  counters : Stats.snapshot;
   rows_in : int;
-  rows_out : int;
-  stages : int;
   max_partition_bytes : int;
   sum_partition_bytes : int;
   partitions : int;
-  peak_worker_bytes : int;
-  sim_seconds : float;
-  task_retries : int;
-  retried_tasks : int;
-  speculative_tasks : int;
-  recomputed_bytes : int;
-  spilled_bytes : int;
-  spill_partitions : int;
-  spill_rounds : int;
-  checkpoints_written : int;
-  checkpoint_bytes : int;
-  lineage_truncated : int;
-  recovery_seconds : float;
-  wall_seconds : float;
 }
 
 let zero_metrics =
   {
-    shuffled_bytes = 0;
-    broadcast_bytes = 0;
+    counters = Stats.zero;
     rows_in = 0;
-    rows_out = 0;
-    stages = 0;
     max_partition_bytes = 0;
     sum_partition_bytes = 0;
     partitions = 0;
-    peak_worker_bytes = 0;
-    sim_seconds = 0.;
-    task_retries = 0;
-    retried_tasks = 0;
-    speculative_tasks = 0;
-    recomputed_bytes = 0;
-    spilled_bytes = 0;
-    spill_partitions = 0;
-    spill_rounds = 0;
-    checkpoints_written = 0;
-    checkpoint_bytes = 0;
-    lineage_truncated = 0;
-    recovery_seconds = 0.;
-    wall_seconds = 0.;
   }
 
 let merge_metrics a b =
   {
-    shuffled_bytes = a.shuffled_bytes + b.shuffled_bytes;
-    broadcast_bytes = a.broadcast_bytes + b.broadcast_bytes;
+    counters = Stats.merge a.counters b.counters;
     rows_in = a.rows_in + b.rows_in;
-    rows_out = a.rows_out + b.rows_out;
-    stages = a.stages + b.stages;
     max_partition_bytes = max a.max_partition_bytes b.max_partition_bytes;
     sum_partition_bytes = a.sum_partition_bytes + b.sum_partition_bytes;
     partitions = a.partitions + b.partitions;
-    peak_worker_bytes = max a.peak_worker_bytes b.peak_worker_bytes;
-    sim_seconds = a.sim_seconds +. b.sim_seconds;
-    task_retries = a.task_retries + b.task_retries;
-    retried_tasks = a.retried_tasks + b.retried_tasks;
-    speculative_tasks = a.speculative_tasks + b.speculative_tasks;
-    recomputed_bytes = a.recomputed_bytes + b.recomputed_bytes;
-    spilled_bytes = a.spilled_bytes + b.spilled_bytes;
-    spill_partitions = a.spill_partitions + b.spill_partitions;
-    spill_rounds = a.spill_rounds + b.spill_rounds;
-    checkpoints_written = a.checkpoints_written + b.checkpoints_written;
-    checkpoint_bytes = a.checkpoint_bytes + b.checkpoint_bytes;
-    lineage_truncated = a.lineage_truncated + b.lineage_truncated;
-    recovery_seconds = a.recovery_seconds +. b.recovery_seconds;
-    wall_seconds = a.wall_seconds +. b.wall_seconds;
   }
 
 let mean_partition_bytes m =
@@ -192,51 +142,23 @@ let set_strategy octx s =
   on_top octx (fun n ->
       match n.nstrategy with None -> n.nstrategy <- Some s | Some _ -> ())
 
-let add octx ?(shuffled = 0) ?(broadcast = 0) ?(rows_in = 0) ?(rows_out = 0)
-    ?(stages = 0) ?(sim_seconds = 0.) ?(retries = 0) ?(retried = 0)
-    ?(speculative = 0) ?(recomputed = 0) ?(spilled = 0) ?(spill_partitions = 0)
-    ?(spill_rounds = 0) ?(checkpoints = 0) ?(checkpoint_bytes = 0)
-    ?(lineage_truncated = 0) ?(recovery_seconds = 0.) ?(wall_seconds = 0.) () =
-  on_top octx (fun n ->
-      n.nm <-
-        {
-          n.nm with
-          shuffled_bytes = n.nm.shuffled_bytes + shuffled;
-          broadcast_bytes = n.nm.broadcast_bytes + broadcast;
-          rows_in = n.nm.rows_in + rows_in;
-          rows_out = n.nm.rows_out + rows_out;
-          stages = n.nm.stages + stages;
-          sim_seconds = n.nm.sim_seconds +. sim_seconds;
-          task_retries = n.nm.task_retries + retries;
-          retried_tasks = n.nm.retried_tasks + retried;
-          speculative_tasks = n.nm.speculative_tasks + speculative;
-          recomputed_bytes = n.nm.recomputed_bytes + recomputed;
-          spilled_bytes = n.nm.spilled_bytes + spilled;
-          spill_partitions = n.nm.spill_partitions + spill_partitions;
-          spill_rounds = n.nm.spill_rounds + spill_rounds;
-          checkpoints_written = n.nm.checkpoints_written + checkpoints;
-          checkpoint_bytes = n.nm.checkpoint_bytes + checkpoint_bytes;
-          lineage_truncated = n.nm.lineage_truncated + lineage_truncated;
-          recovery_seconds = n.nm.recovery_seconds +. recovery_seconds;
-          wall_seconds = n.nm.wall_seconds +. wall_seconds;
-        })
+let add octx d = on_top octx (fun n -> n.nm <- merge_metrics n.nm d)
+
+(* The one charge path for counters: the run total first, then the span,
+   so tracing can never perturb the total's summation order. *)
+let charge octx stats d =
+  Stats.charge stats d;
+  on_top octx (fun n -> n.nm <- { n.nm with counters = Stats.merge n.nm.counters d })
 
 let observe_partitions octx (bytes : int array) =
-  on_top octx (fun n ->
-      let mx = Array.fold_left max 0 bytes in
-      let sum = Array.fold_left ( + ) 0 bytes in
-      n.nm <-
-        {
-          n.nm with
-          max_partition_bytes = max n.nm.max_partition_bytes mx;
-          sum_partition_bytes = n.nm.sum_partition_bytes + sum;
-          partitions = n.nm.partitions + Array.length bytes;
-        })
-
-let observe_worker octx bytes =
-  on_top octx (fun n ->
-      n.nm <-
-        { n.nm with peak_worker_bytes = max n.nm.peak_worker_bytes bytes })
+  if Option.is_some octx then
+    add octx
+      {
+        zero_metrics with
+        max_partition_bytes = Array.fold_left max 0 bytes;
+        sum_partition_bytes = Array.fold_left ( + ) 0 bytes;
+        partitions = Array.length bytes;
+      }
 
 let group ~op ~stage children =
   { id = -1; op; stage; strategy = None; metrics = zero_metrics; children }
@@ -246,7 +168,7 @@ let group ~op ~stage children =
 let rec without_wall sp =
   {
     sp with
-    metrics = { sp.metrics with wall_seconds = 0. };
+    metrics = { sp.metrics with counters = Stats.strip_wall sp.metrics.counters };
     children = List.map without_wall sp.children;
   }
 
@@ -259,21 +181,23 @@ let pp_bytes ppf b =
   else Fmt.pf ppf "%dB" b
 
 let pp_metrics ppf m =
+  let c = m.counters in
   Fmt.pf ppf "shuffle=%a bcast=%a rows=%d/%d peak=%a imbal=%.1f sim=%.4fs"
-    pp_bytes m.shuffled_bytes pp_bytes m.broadcast_bytes m.rows_in m.rows_out
-    pp_bytes m.peak_worker_bytes (load_imbalance m) m.sim_seconds;
-  if m.task_retries > 0 || m.speculative_tasks > 0 || m.recomputed_bytes > 0
+    pp_bytes c.shuffled_bytes pp_bytes c.broadcast_bytes m.rows_in
+    c.rows_processed pp_bytes c.peak_worker_bytes (load_imbalance m)
+    c.sim_seconds;
+  if c.task_retries > 0 || c.speculative_tasks > 0 || c.recomputed_bytes > 0
   then
-    Fmt.pf ppf " retries=%d spec=%d recomp=%a" m.task_retries
-      m.speculative_tasks pp_bytes m.recomputed_bytes;
-  if m.spilled_bytes > 0 || m.spill_rounds > 0 then
+    Fmt.pf ppf " retries=%d spec=%d recomp=%a" c.task_retries
+      c.speculative_tasks pp_bytes c.recomputed_bytes;
+  if c.spilled_bytes > 0 || c.spill_rounds > 0 then
     Fmt.pf ppf " spilled=%a spill_parts=%d spill_rounds=%d" pp_bytes
-      m.spilled_bytes m.spill_partitions m.spill_rounds;
-  if m.checkpoints_written > 0 || m.recovery_seconds > 0. then
+      c.spilled_bytes c.spill_partitions c.spill_rounds;
+  if c.checkpoints_written > 0 || c.recovery_seconds > 0. then
     Fmt.pf ppf " ckpts=%d ckpt=%a trunc=%a recovery=%.4fs"
-      m.checkpoints_written pp_bytes m.checkpoint_bytes pp_bytes
-      m.lineage_truncated m.recovery_seconds;
-  if m.wall_seconds > 0. then Fmt.pf ppf " wall=%.4fs" m.wall_seconds
+      c.checkpoints_written pp_bytes c.checkpoint_bytes pp_bytes
+      c.lineage_truncated c.recovery_seconds;
+  if c.wall_seconds > 0. then Fmt.pf ppf " wall=%.4fs" c.wall_seconds
 
 let pp_tree ppf sp =
   let rec go indent sp =
@@ -290,7 +214,8 @@ let pp_tree ppf sp =
 
 (* Hand-rolled JSON (no JSON dependency in the toolchain image). *)
 
-let json_escape b s =
+let json_string b s =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -302,40 +227,29 @@ let json_escape b s =
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s
+    s;
+  Buffer.add_char b '"'
 
-let json_float f =
-  (* JSON has no nan/inf; clamp to null-safe zero *)
-  if Float.is_finite f then Printf.sprintf "%.6g" f else "0"
-
+(* [rows_out] repeats [rows_processed] under the span schema's name *)
 let buffer_metrics b m =
+  Buffer.add_char b '{';
+  Stats.buffer_json_fields b m.counters;
   Buffer.add_string b
     (Printf.sprintf
-       "{\"shuffled_bytes\":%d,\"broadcast_bytes\":%d,\"rows_in\":%d,\"rows_out\":%d,\"stages\":%d,\"max_partition_bytes\":%d,\"mean_partition_bytes\":%s,\"peak_worker_bytes\":%d,\"load_imbalance\":%s,\"sim_seconds\":%s,\"task_retries\":%d,\"retried_tasks\":%d,\"speculative_tasks\":%d,\"recomputed_bytes\":%d,\"spilled_bytes\":%d,\"spill_partitions\":%d,\"spill_rounds\":%d,\"checkpoints_written\":%d,\"checkpoint_bytes\":%d,\"lineage_truncated\":%d,\"recovery_seconds\":%s,\"wall_seconds\":%s}"
-       m.shuffled_bytes m.broadcast_bytes m.rows_in m.rows_out m.stages
-       m.max_partition_bytes
-       (json_float (mean_partition_bytes m))
-       m.peak_worker_bytes
-       (json_float (load_imbalance m))
-       (json_float m.sim_seconds)
-       m.task_retries m.retried_tasks m.speculative_tasks m.recomputed_bytes
-       m.spilled_bytes m.spill_partitions m.spill_rounds
-       m.checkpoints_written m.checkpoint_bytes m.lineage_truncated
-       (json_float m.recovery_seconds)
-       (json_float m.wall_seconds))
+       ",\"rows_in\":%d,\"rows_out\":%d,\"max_partition_bytes\":%d,\"mean_partition_bytes\":%s,\"load_imbalance\":%s}"
+       m.rows_in m.counters.rows_processed m.max_partition_bytes
+       (Stats.json_float (mean_partition_bytes m))
+       (Stats.json_float (load_imbalance m)))
 
 let rec buffer_json b sp =
-  Buffer.add_string b (Printf.sprintf "{\"id\":%d,\"op\":\"" sp.id);
-  json_escape b sp.op;
-  Buffer.add_string b "\",\"stage\":\"";
-  json_escape b sp.stage;
-  Buffer.add_string b "\",\"strategy\":";
+  Buffer.add_string b (Printf.sprintf "{\"id\":%d,\"op\":" sp.id);
+  json_string b sp.op;
+  Buffer.add_string b ",\"stage\":";
+  json_string b sp.stage;
+  Buffer.add_string b ",\"strategy\":";
   (match sp.strategy with
   | None -> Buffer.add_string b "null"
-  | Some s ->
-    Buffer.add_char b '"';
-    json_escape b (strategy_name s);
-    Buffer.add_char b '"');
+  | Some s -> json_string b (strategy_name s));
   Buffer.add_string b ",\"metrics\":";
   buffer_metrics b sp.metrics;
   Buffer.add_string b ",\"total\":";

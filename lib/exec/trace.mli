@@ -1,9 +1,11 @@
 (** Per-operator execution tracing: a span tree per plan run.
 
-    Every operator the executor dispatches opens a {!span}; accounting
-    (shuffled and broadcast bytes, rows, per-partition load, per-worker
-    residency, simulated seconds) is charged to the innermost open span, so
-    the tree answers the questions the flat {!Stats.t} totals cannot: which
+    Every operator the executor dispatches opens a {!span}; each accounted
+    quantity (shuffled and broadcast bytes, rows, per-worker residency,
+    simulated seconds, recovery, spill and checkpoint counters) is one
+    {!charge} that feeds both the run's {!Stats.t} total and the innermost
+    open span, so the tree agrees with the total by construction and
+    answers the questions the flat total cannot: which
     join shuffled the bytes, where a worker saturated, and which strategy
     (broadcast, shuffle, guarantee-skipped, skew-split) each join picked —
     the per-stage attribution the paper uses to explain its Section 5–6
@@ -13,8 +15,9 @@
     broadcast join carries zero shuffled bytes of its own and a
     guarantee-skipped join has no shuffle child at all.
 
-    Tracing is opt-in: every recording entry point takes a [ctx option] and
-    is a no-op on [None], keeping the untraced path allocation-free. *)
+    Tracing is opt-in: every recording entry point takes a [ctx option];
+    on [None] the span side is a no-op and {!charge} only charges the
+    total. *)
 
 (** How a join (or cogroup) moved its inputs. *)
 type join_strategy =
@@ -29,42 +32,28 @@ type join_strategy =
 
 val strategy_name : join_strategy -> string
 
-(** Metrics charged directly to one span (exclusive of children). Partition
-    load is tracked as (max, sum, count) over the per-partition output bytes
-    of the span's stages, which makes skew visible as [max_partition_bytes]
+(** Metrics charged directly to one span (exclusive of children): the
+    run counters of {!Stats.snapshot} — so a span carries exactly the
+    fields the run total does, with [rows_processed] as the rows the
+    span's stages output — plus the span-only fields. Partition load is
+    tracked as (max, sum, count) over the per-partition output bytes of
+    the span's stages, which makes skew visible as [max_partition_bytes]
     far above the mean. *)
 type metrics = {
-  shuffled_bytes : int;
-  broadcast_bytes : int;
-  rows_in : int;
-  rows_out : int;
-  stages : int;  (** shuffle boundaries crossed *)
+  counters : Stats.snapshot;
+      (** [wall_seconds] here is charged by the driver to assignment
+          spans — see {!without_wall} *)
+  rows_in : int;  (** rows the span's operator consumed *)
   max_partition_bytes : int;
   sum_partition_bytes : int;
   partitions : int;  (** partitions observed (for the mean) *)
-  peak_worker_bytes : int;
-  sim_seconds : float;
-  task_retries : int;  (** extra task attempts beyond the first *)
-  retried_tasks : int;  (** distinct tasks that needed more than one attempt *)
-  speculative_tasks : int;  (** speculative duplicates launched *)
-  recomputed_bytes : int;  (** bytes recomputed or re-fetched in recovery *)
-  spilled_bytes : int;  (** bytes written to simulated disk while spilling *)
-  spill_partitions : int;  (** on-disk build partitions created *)
-  spill_rounds : int;  (** extra build passes executed by spilling stages *)
-  checkpoints_written : int;  (** stage outputs materialized to stable storage *)
-  checkpoint_bytes : int;  (** bytes materialized (one replica's worth) *)
-  lineage_truncated : int;  (** lineage bytes checkpoints made unreplayable *)
-  recovery_seconds : float;  (** simulated seconds spent paying for recovery *)
-  wall_seconds : float;
-      (** real elapsed seconds, charged by the driver to assignment spans;
-          the one non-deterministic quantity — see {!without_wall} *)
 }
 
 val zero_metrics : metrics
 
 val merge_metrics : metrics -> metrics -> metrics
-(** Pointwise sum; [max_partition_bytes] and [peak_worker_bytes] merge by
-    [max]. *)
+(** {!Stats.merge} on the counters; [rows_in], [sum_partition_bytes] and
+    [partitions] add, [max_partition_bytes] merges by [max]. *)
 
 val mean_partition_bytes : metrics -> float
 
@@ -115,35 +104,19 @@ val set_strategy : ctx option -> join_strategy -> unit
 (** Record the innermost open span's join strategy. The first write wins:
     a skew-split join's light/heavy sub-joins do not overwrite it. *)
 
-val add :
-  ctx option ->
-  ?shuffled:int ->
-  ?broadcast:int ->
-  ?rows_in:int ->
-  ?rows_out:int ->
-  ?stages:int ->
-  ?sim_seconds:float ->
-  ?retries:int ->
-  ?retried:int ->
-  ?speculative:int ->
-  ?recomputed:int ->
-  ?spilled:int ->
-  ?spill_partitions:int ->
-  ?spill_rounds:int ->
-  ?checkpoints:int ->
-  ?checkpoint_bytes:int ->
-  ?lineage_truncated:int ->
-  ?recovery_seconds:float ->
-  ?wall_seconds:float ->
-  unit ->
-  unit
-(** Charge counters to the innermost open span. *)
+val charge : ctx option -> Stats.t -> Stats.snapshot -> unit
+(** [charge ctx stats d]: the one way a counter delta is recorded.
+    {!Stats.charge}s the run total, then merges [d] into the innermost open
+    span (if any). The total is charged first and never derived from the
+    span tree, so tracing cannot change its float summation order. *)
+
+val add : ctx option -> metrics -> unit
+(** Merge a delta into the innermost open span only: for the span-only
+    fields, and for the driver's per-assignment wall-clock (the run total's
+    wall-clock is charged once, separately). *)
 
 val observe_partitions : ctx option -> int array -> unit
 (** Record one stage's per-partition output bytes (feeds max/sum/count). *)
-
-val observe_worker : ctx option -> int -> unit
-(** Record a per-worker residency high-water mark. *)
 
 val group : op:string -> stage:string -> span list -> span
 (** Synthetic parent span (zero own metrics) over existing spans — used by
@@ -160,6 +133,10 @@ val pp_metrics : Format.formatter -> metrics -> unit
 
 val pp_tree : Format.formatter -> span -> unit
 (** Indented per-operator tree with inclusive metrics per line. *)
+
+val json_string : Buffer.t -> string -> unit
+(** A JSON string literal: quoted, with quotes, backslashes and control
+    characters escaped. *)
 
 val buffer_json : Buffer.t -> span -> unit
 

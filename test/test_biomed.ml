@@ -115,8 +115,8 @@ let test_step2_explosion_shape () =
   check "both succeed (unbounded memory)" true
     (std.Trance.Api.failure = None && shred.Trance.Api.failure = None);
   check "standard needs more worker memory on the E2E pipeline" true
-    (Exec.Stats.peak_worker_bytes shred.Trance.Api.stats
-    < Exec.Stats.peak_worker_bytes std.Trance.Api.stats)
+    ((Exec.Stats.snapshot shred.Trance.Api.stats).Exec.Stats.peak_worker_bytes
+    < (Exec.Stats.snapshot std.Trance.Api.stats).Exec.Stats.peak_worker_bytes)
 
 let () =
   Alcotest.run "biomed"

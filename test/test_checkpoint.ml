@@ -103,22 +103,22 @@ let storms =
 
 let check_counter_totals what (r : Trance.Api.run) =
   let t = Trace.agg r.Trance.Api.trace in
-  let s = r.Trance.Api.stats in
+  let s = Exec.Stats.snapshot r.Trance.Api.stats in
   check_int (what ^ ": span checkpoints_written")
-    (Exec.Stats.checkpoints_written s)
-    t.Trace.checkpoints_written;
+    s.Exec.Stats.checkpoints_written
+    t.Trace.counters.Exec.Stats.checkpoints_written;
   check_int (what ^ ": span checkpoint_bytes")
-    (Exec.Stats.checkpoint_bytes s)
-    t.Trace.checkpoint_bytes;
+    s.Exec.Stats.checkpoint_bytes
+    t.Trace.counters.Exec.Stats.checkpoint_bytes;
   check_int (what ^ ": span lineage_truncated")
-    (Exec.Stats.lineage_truncated s)
-    t.Trace.lineage_truncated;
+    s.Exec.Stats.lineage_truncated
+    t.Trace.counters.Exec.Stats.lineage_truncated;
   check (what ^ ": span recovery_seconds") true
     (abs_float
-       (Exec.Stats.recovery_seconds s -. t.Trace.recovery_seconds)
+       (s.Exec.Stats.recovery_seconds -. t.Trace.counters.Exec.Stats.recovery_seconds)
     < 1e-9);
-  check_int (what ^ ": span recomputed") (Exec.Stats.recomputed_bytes s)
-    t.Trace.recomputed_bytes
+  check_int (what ^ ": span recomputed") s.Exec.Stats.recomputed_bytes
+    t.Trace.counters.Exec.Stats.recomputed_bytes
 
 let campaign_tests =
   List.concat_map
@@ -158,13 +158,13 @@ let campaign_tests =
                       (match policy with
                       | Exec.Config.No_checkpoints ->
                         check_int (what ^ ": no checkpoints when off") 0
-                          (Exec.Stats.checkpoints_written r.Trance.Api.stats)
+                          ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.checkpoints_written)
                       | _ -> ());
                       check (what ^ ": checkpoint bytes iff checkpoints")
                         true
-                        (Exec.Stats.checkpoints_written r.Trance.Api.stats
+                        ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.checkpoints_written
                          > 0
-                        = (Exec.Stats.checkpoint_bytes r.Trance.Api.stats
+                        = ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.checkpoint_bytes
                           > 0));
                       (* same seed => identical replay *)
                       let r2 = run ~config ~faults:sch strategy q in
@@ -208,11 +208,11 @@ let storm_pay_tests =
                     (bare.Trance.Api.failure = None
                     && ck.Trance.Api.failure = None);
                   check (what ^ ": checkpoints were written") true
-                    (Exec.Stats.checkpoints_written ck.Trance.Api.stats > 0);
+                    ((Exec.Stats.snapshot ck.Trance.Api.stats).Exec.Stats.checkpoints_written > 0);
                   check (what ^ ": lineage was truncated") true
-                    (Exec.Stats.lineage_truncated ck.Trance.Api.stats > 0);
-                  let rb = Exec.Stats.recomputed_bytes bare.Trance.Api.stats
-                  and rc = Exec.Stats.recomputed_bytes ck.Trance.Api.stats in
+                    ((Exec.Stats.snapshot ck.Trance.Api.stats).Exec.Stats.lineage_truncated > 0);
+                  let rb = (Exec.Stats.snapshot bare.Trance.Api.stats).Exec.Stats.recomputed_bytes
+                  and rc = (Exec.Stats.snapshot ck.Trance.Api.stats).Exec.Stats.recomputed_bytes in
                   if not (rc < rb) then
                     fail_with_dump what ck
                       (Printf.sprintf

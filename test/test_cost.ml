@@ -87,7 +87,7 @@ let measure strategy prog inputs =
         { Plan.Optimize.default with unique_keys = [ ("Part", [ "pkey" ]) ] } }
   in
   let r = Trance.Api.run ~config ~strategy prog inputs in
-  Exec.Stats.sim_seconds r.Trance.Api.stats
+  (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds
 
 let test_recommendation_matches_simulator () =
   let db =

@@ -173,7 +173,7 @@ let test_heavy_keys () =
   Fixtures.check_bag_equal "skew join result" expected
     (Option.get r.Trance.Api.value);
   check "heavy path broadcasts something" true
-    (Exec.Stats.broadcast_bytes r.Trance.Api.stats > 0)
+    ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.broadcast_bytes > 0)
 
 let test_skew_join_less_imbalance () =
   (* with a heavy key, the skew-aware join must shuffle less than the
@@ -210,8 +210,8 @@ let test_skew_join_less_imbalance () =
        (Option.get plain.Trance.Api.value)
        (Option.get skewed.Trance.Api.value));
   check "skew-aware shuffles less" true
-    (Exec.Stats.shuffled_bytes skewed.Trance.Api.stats
-    < Exec.Stats.shuffled_bytes plain.Trance.Api.stats)
+    ((Exec.Stats.snapshot skewed.Trance.Api.stats).Exec.Stats.shuffled_bytes
+    < (Exec.Stats.snapshot plain.Trance.Api.stats).Exec.Stats.shuffled_bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Partition and sampling invariants (property tests) *)
@@ -290,9 +290,9 @@ let test_heavy_key_detection_bounds () =
   in
   let r_skew = run skewed and r_uni = run uniform in
   check "heavy key triggers broadcast path" true
-    (Exec.Stats.broadcast_bytes r_skew.Trance.Api.stats > 0);
+    ((Exec.Stats.snapshot r_skew.Trance.Api.stats).Exec.Stats.broadcast_bytes > 0);
   check "uniform data uses no heavy path" true
-    (Exec.Stats.broadcast_bytes r_uni.Trance.Api.stats = 0)
+    ((Exec.Stats.snapshot r_uni.Trance.Api.stats).Exec.Stats.broadcast_bytes = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Memory budget: FAIL reproduction *)
@@ -336,10 +336,10 @@ let test_broadcast_decision () =
   check "results agree" true
     (V.approx_bag_equal (Option.get r_b.Trance.Api.value) (Option.get r_s.Trance.Api.value));
   check "broadcast mode broadcasts" true
-    (Exec.Stats.broadcast_bytes r_b.Trance.Api.stats > 0);
+    ((Exec.Stats.snapshot r_b.Trance.Api.stats).Exec.Stats.broadcast_bytes > 0);
   check "shuffle mode shuffles more" true
-    (Exec.Stats.shuffled_bytes r_s.Trance.Api.stats
-    > Exec.Stats.shuffled_bytes r_b.Trance.Api.stats)
+    ((Exec.Stats.snapshot r_s.Trance.Api.stats).Exec.Stats.shuffled_bytes
+    > (Exec.Stats.snapshot r_b.Trance.Api.stats).Exec.Stats.shuffled_bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Shredded route shuffles less than standard on nested-to-nested *)
@@ -363,8 +363,101 @@ let test_shred_shuffles_less () =
   check "both succeed" true
     (std.Trance.Api.failure = None && shred.Trance.Api.failure = None);
   check "shred shuffles no more than standard" true
-    (Exec.Stats.shuffled_bytes shred.Trance.Api.stats
-    <= Exec.Stats.shuffled_bytes std.Trance.Api.stats)
+    ((Exec.Stats.snapshot shred.Trance.Api.stats).Exec.Stats.shuffled_bytes
+    <= (Exec.Stats.snapshot std.Trance.Api.stats).Exec.Stats.shuffled_bytes)
+
+(* ------------------------------------------------------------------ *)
+(* Configuration: validation and the environment hooks *)
+
+(* one rejected value per validated field: each is refused by
+   [Config.validate], and [Api.run] reports it as a typed [Error] *)
+let invalid_configs =
+  let c = cluster in
+  [
+    ("workers = 0", { c with Exec.Config.workers = 0 });
+    ("partitions = 0", { c with partitions = 0 });
+    ("domains = 0", { c with domains = 0 });
+    ("max_task_attempts = 0", { c with max_task_attempts = 0 });
+    ("cpu_weight = nan", { c with cpu_weight = Float.nan });
+    ("net_weight = -1", { c with net_weight = -1. });
+    ("disk_weight = inf", { c with disk_weight = Float.infinity });
+    ("deadline = 0", { c with deadline = Some 0. });
+  ]
+
+let test_validate_rejects (what, c) () =
+  let field = List.hd (String.split_on_char ' ' what) in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  (match Exec.Config.validate c with
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | Error msg -> check (what ^ ": message names the field") true (contains msg field));
+  let r =
+    Trance.Api.run
+      ~config:{ Trance.Api.default_config with cluster = c }
+      ~strategy:Trance.Api.Standard
+      (Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" Fixtures.example1)
+      Fixtures.inputs_val
+  in
+  match r.Trance.Api.failure with
+  | Some (Trance.Api.Error msg) ->
+    check (what ^ ": run fails typed") true (contains msg field);
+    check (what ^ ": nothing ran") true (r.Trance.Api.steps = [])
+  | _ -> Alcotest.failf "%s: expected a typed Error" what
+
+let test_validate_accepts () =
+  check "the default configuration is valid" true
+    (Exec.Config.validate Exec.Config.default = Ok Exec.Config.default);
+  check "a positive deadline is valid" true
+    (Result.is_ok
+       (Exec.Config.validate { cluster with Exec.Config.deadline = Some 1e-9 }))
+
+let with_env vars =
+  Exec.Config.with_env (fun name -> List.assoc_opt name vars) cluster
+
+let test_env_hooks_parse () =
+  match
+    with_env
+      [
+        ("TRANCE_DOMAINS", "3");
+        ("TRANCE_WORKER_MEM", "8");
+        ("TRANCE_SPILL", "on");
+        ("TRANCE_CHECKPOINT", "every=2");
+      ]
+  with
+  | Error msg -> Alcotest.fail msg
+  | Ok c ->
+    Alcotest.(check int) "domains" 3 c.Exec.Config.domains;
+    Alcotest.(check int) "worker_mem (MB)" (8 * 1048576) c.Exec.Config.worker_mem;
+    check "spill" true (c.Exec.Config.spill = Exec.Config.On);
+    check "checkpoint" true (c.Exec.Config.checkpoint = Exec.Config.Every 2);
+    check "unbounded memory" true
+      (with_env [ ("TRANCE_WORKER_MEM", "unbounded") ]
+      |> Result.map (fun c -> c.Exec.Config.worker_mem)
+      = Ok max_int);
+    check "unset and empty variables change nothing" true
+      (with_env [] = Ok cluster && with_env [ ("TRANCE_SPILL", "") ] = Ok cluster)
+
+let test_env_hooks_reject () =
+  List.iter
+    (fun (var, value, accepted) ->
+      match with_env [ (var, value) ] with
+      | Ok _ -> Alcotest.failf "%s=%s accepted" var value
+      | Error msg ->
+        Alcotest.(check string)
+          (var ^ "=" ^ value)
+          (Printf.sprintf "%s=%S: expected %s" var value accepted)
+          msg)
+    [
+      ("TRANCE_DOMAINS", "abc", "a domain count >= 1");
+      ("TRANCE_DOMAINS", "0", "a domain count >= 1");
+      ("TRANCE_WORKER_MEM", "-3", "a positive number of MB, or unbounded");
+      ("TRANCE_WORKER_MEM", "abc", "a positive number of MB, or unbounded");
+      ("TRANCE_SPILL", "maybe", "on or off");
+      ("TRANCE_CHECKPOINT", "every=0", "off, every=K with K >= 1, or auto");
+    ]
 
 let () =
   Alcotest.run "exec"
@@ -400,4 +493,17 @@ let () =
           Alcotest.test_case "shred shuffles less" `Quick
             test_shred_shuffles_less;
         ] );
+      ( "config",
+        List.map
+          (fun (what, c) ->
+            Alcotest.test_case ("rejects " ^ what) `Quick
+              (test_validate_rejects (what, c)))
+          invalid_configs
+        @ [
+            Alcotest.test_case "accepts valid configurations" `Quick
+              test_validate_accepts;
+            Alcotest.test_case "env hooks parse" `Quick test_env_hooks_parse;
+            Alcotest.test_case "env hooks reject malformed values" `Quick
+              test_env_hooks_reject;
+          ] );
     ]

@@ -183,29 +183,29 @@ let fault_specs =
    "recomputed bytes accounted exactly in the span tree" *)
 let check_recovery_totals what (r : Trance.Api.run) =
   let t = Trace.agg r.Trance.Api.trace in
-  let s = r.Trance.Api.stats in
-  check_int (what ^ ": span task_retries") (Exec.Stats.task_retries s)
-    t.Trace.task_retries;
-  check_int (what ^ ": span retried_tasks") (Exec.Stats.retried_tasks s)
-    t.Trace.retried_tasks;
-  check_int (what ^ ": span speculative") (Exec.Stats.speculative_tasks s)
-    t.Trace.speculative_tasks;
-  check_int (what ^ ": span recomputed") (Exec.Stats.recomputed_bytes s)
-    t.Trace.recomputed_bytes;
-  check_int (what ^ ": span spilled_bytes") (Exec.Stats.spilled_bytes s)
-    t.Trace.spilled_bytes;
+  let s = Exec.Stats.snapshot r.Trance.Api.stats in
+  check_int (what ^ ": span task_retries") s.Exec.Stats.task_retries
+    t.Trace.counters.Exec.Stats.task_retries;
+  check_int (what ^ ": span retried_tasks") s.Exec.Stats.retried_tasks
+    t.Trace.counters.Exec.Stats.retried_tasks;
+  check_int (what ^ ": span speculative") s.Exec.Stats.speculative_tasks
+    t.Trace.counters.Exec.Stats.speculative_tasks;
+  check_int (what ^ ": span recomputed") s.Exec.Stats.recomputed_bytes
+    t.Trace.counters.Exec.Stats.recomputed_bytes;
+  check_int (what ^ ": span spilled_bytes") s.Exec.Stats.spilled_bytes
+    t.Trace.counters.Exec.Stats.spilled_bytes;
   check_int (what ^ ": span spill_partitions")
-    (Exec.Stats.spill_partitions s) t.Trace.spill_partitions;
-  check_int (what ^ ": span spill_rounds") (Exec.Stats.spill_rounds s)
-    t.Trace.spill_rounds
+    s.Exec.Stats.spill_partitions t.Trace.counters.Exec.Stats.spill_partitions;
+  check_int (what ^ ": span spill_rounds") s.Exec.Stats.spill_rounds
+    t.Trace.counters.Exec.Stats.spill_rounds
 
 let check_attempt_bounds what (spec : F.spec) (r : Trance.Api.run) =
-  let s = r.Trance.Api.stats in
+  let s = Exec.Stats.snapshot r.Trance.Api.stats in
   let per_task = max (cluster.Exec.Config.max_task_attempts - 1) spec.F.fails in
   check (what ^ ": retried tasks bounded by partitions") true
-    (Exec.Stats.retried_tasks s <= cluster.Exec.Config.partitions);
+    (s.Exec.Stats.retried_tasks <= cluster.Exec.Config.partitions);
   check (what ^ ": retries within attempt budget") true
-    (Exec.Stats.task_retries s <= Exec.Stats.retried_tasks s * per_task)
+    (s.Exec.Stats.task_retries <= s.Exec.Stats.retried_tasks * per_task)
 
 let campaign_tests =
   List.concat_map
@@ -273,7 +273,7 @@ let ladder_tests =
               let clean = run_fault ~config:(spill_on max_int) ~spec:[] strategy q in
               check (what ^ ": unbounded run succeeds") true
                 (clean.Trance.Api.failure = None);
-              let peak = Exec.Stats.peak_worker_bytes clean.Trance.Api.stats in
+              let peak = (Exec.Stats.snapshot clean.Trance.Api.stats).Exec.Stats.peak_worker_bytes in
               List.iter
                 (fun budget ->
                   let rung = Printf.sprintf "%s mem=%d" what budget in
@@ -287,7 +287,7 @@ let ladder_tests =
                   | None -> Alcotest.fail (rung ^ ": no value"));
                   check (rung ^ ": spills iff the in-memory peak overflows")
                     true
-                    (Exec.Stats.spilled_bytes r.Trance.Api.stats > 0
+                    ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.spilled_bytes > 0
                     = (peak > budget));
                   check_recovery_totals rung r;
                   let r2 = run_fault ~config:(spill_on budget) ~spec:[] strategy q in
@@ -317,7 +317,7 @@ let test_task_exhaustion () =
   check "outcome is Failed" true (Trance.Api.outcome r = Trance.Api.Failed);
   check_int "wasted retries accounted"
     (cluster.Exec.Config.max_task_attempts - 1)
-    (Exec.Stats.task_retries r.Trance.Api.stats);
+    ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.task_retries);
   check_recovery_totals "task exhaustion" r
 
 (* a worker crash is always recoverable: lineage re-execution retries every
@@ -327,7 +327,7 @@ let test_crash_recovers () =
   let r = run_fault ~spec:[ spec ] Trance.Api.Standard Fixtures.example1 in
   check "no failure" true (r.Trance.Api.failure = None);
   check "lost partitions were retried" true
-    (Exec.Stats.task_retries r.Trance.Api.stats > 0);
+    ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.task_retries > 0);
   check "outcome is Degraded" true
     (Trance.Api.outcome r = Trance.Api.Degraded);
   let reference = Fixtures.eval_ref Fixtures.example1 in
@@ -348,12 +348,12 @@ let test_straggler_speculation () =
       Fixtures.example1
   in
   check_int "speculative duplicate launched" 1
-    (Exec.Stats.speculative_tasks with_spec.Trance.Api.stats);
+    ((Exec.Stats.snapshot with_spec.Trance.Api.stats).Exec.Stats.speculative_tasks);
   check_int "no duplicate without speculation" 0
-    (Exec.Stats.speculative_tasks without.Trance.Api.stats);
+    ((Exec.Stats.snapshot without.Trance.Api.stats).Exec.Stats.speculative_tasks);
   check "speculation is never slower" true
-    (Exec.Stats.sim_seconds with_spec.Trance.Api.stats
-    <= Exec.Stats.sim_seconds without.Trance.Api.stats +. 1e-12);
+    ((Exec.Stats.snapshot with_spec.Trance.Api.stats).Exec.Stats.sim_seconds
+    <= (Exec.Stats.snapshot without.Trance.Api.stats).Exec.Stats.sim_seconds +. 1e-12);
   List.iter
     (fun (r : Trance.Api.run) ->
       check "straggler runs recover" true (r.Trance.Api.failure = None))
@@ -365,16 +365,16 @@ let test_fetch_recovers () =
   let r = run_fault ~spec:[ spec ] Trance.Api.Standard Fixtures.example1 in
   check "no failure" true (r.Trance.Api.failure = None);
   check_int "both re-fetch attempts counted" 2
-    (Exec.Stats.task_retries r.Trance.Api.stats);
+    ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.task_retries);
   check_int "one task re-fetched" 1
-    (Exec.Stats.retried_tasks r.Trance.Api.stats)
+    ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.retried_tasks)
 
 (* with spilling off and no route fallback, a memory squeeze still
    surfaces as the typed OOM failure, with the squeezed (not the
    configured) budget reported *)
 let test_memsqueeze_typed_oom () =
   let clean = run_fault ~spec:[] Trance.Api.Standard Fixtures.example1 in
-  let peak = Exec.Stats.peak_worker_bytes clean.Trance.Api.stats in
+  let peak = (Exec.Stats.snapshot clean.Trance.Api.stats).Exec.Stats.peak_worker_bytes in
   check "clean run has a positive peak" true (peak > 0);
   let budget = 2 * peak in
   let config =
@@ -401,7 +401,7 @@ let test_memsqueeze_typed_oom () =
    squeezed stages spill their build sides and the answer is unchanged *)
 let test_memsqueeze_spills () =
   let clean = run_fault ~spec:[] Trance.Api.Standard Fixtures.example1 in
-  let peak = Exec.Stats.peak_worker_bytes clean.Trance.Api.stats in
+  let peak = (Exec.Stats.snapshot clean.Trance.Api.stats).Exec.Stats.peak_worker_bytes in
   let budget = 2 * peak in
   let config =
     { api_config with
@@ -414,7 +414,7 @@ let test_memsqueeze_spills () =
   check "squeeze recovers by spilling" true (r.Trance.Api.failure = None);
   check "outcome is Degraded" true (Trance.Api.outcome r = Trance.Api.Degraded);
   check "spilled bytes accounted" true
-    (Exec.Stats.spilled_bytes r.Trance.Api.stats > 0);
+    ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.spilled_bytes > 0);
   let reference = Fixtures.eval_ref Fixtures.example1 in
   check "answer unchanged" true
     (V.approx_bag_equal reference (Option.get r.Trance.Api.value));
@@ -457,8 +457,8 @@ let test_storm_fires_all () =
   in
   check "storm recovers" true (two.Trance.Api.failure = None);
   check "second crash pays additional retries" true
-    (Exec.Stats.task_retries two.Trance.Api.stats
-    > Exec.Stats.task_retries one.Trance.Api.stats);
+    ((Exec.Stats.snapshot two.Trance.Api.stats).Exec.Stats.task_retries
+    > (Exec.Stats.snapshot one.Trance.Api.stats).Exec.Stats.task_retries);
   let reference = Fixtures.eval_ref Fixtures.example1 in
   check "storm answer unchanged" true
     (V.approx_bag_equal reference (Option.get two.Trance.Api.value));
@@ -509,9 +509,9 @@ let prop_fault_never_wrong =
       let expected = Nrc.Eval.eval (Nrc.Eval.env_of_list inputs) q in
       let r = run_random ~spec q inputs in
       let t = Trace.agg r.Trance.Api.trace in
-      let s = r.Trance.Api.stats in
-      t.Trace.task_retries = Exec.Stats.task_retries s
-      && t.Trace.recomputed_bytes = Exec.Stats.recomputed_bytes s
+      let s = Exec.Stats.snapshot r.Trance.Api.stats in
+      t.Trace.counters.Exec.Stats.task_retries = s.Exec.Stats.task_retries
+      && t.Trace.counters.Exec.Stats.recomputed_bytes = s.Exec.Stats.recomputed_bytes
       &&
       match r.Trance.Api.failure, r.Trance.Api.value with
       | None, Some v -> V.approx_bag_equal expected v
@@ -546,14 +546,14 @@ let prop_spill_never_wrong =
     ~count:(count 100) arbitrary_budget_case (fun ((q, inputs), k) ->
       let expected = Nrc.Eval.eval (Nrc.Eval.env_of_list inputs) q in
       let clean = run_budget ~budget:max_int q inputs in
-      let peak = Exec.Stats.peak_worker_bytes clean.Trance.Api.stats in
+      let peak = (Exec.Stats.snapshot clean.Trance.Api.stats).Exec.Stats.peak_worker_bytes in
       let budget = max 1 (peak / k) in
       let r = run_budget ~budget q inputs in
       let t = Trace.agg r.Trance.Api.trace in
-      let s = r.Trance.Api.stats in
-      t.Trace.spilled_bytes = Exec.Stats.spilled_bytes s
-      && t.Trace.spill_rounds = Exec.Stats.spill_rounds s
-      && (Exec.Stats.spilled_bytes s > 0) = (peak > budget)
+      let s = Exec.Stats.snapshot r.Trance.Api.stats in
+      t.Trace.counters.Exec.Stats.spilled_bytes = s.Exec.Stats.spilled_bytes
+      && t.Trace.counters.Exec.Stats.spill_rounds = s.Exec.Stats.spill_rounds
+      && (s.Exec.Stats.spilled_bytes > 0) = (peak > budget)
       &&
       match r.Trance.Api.failure, r.Trance.Api.value with
       | None, Some v -> V.approx_bag_equal expected v

@@ -154,7 +154,7 @@ let scenarios =
     ( "memory ladder",
       fun config strategy q ->
         let clean = run_q ~config:(with_domains config 1) strategy q in
-        let peak = Exec.Stats.peak_worker_bytes clean.Trance.Api.stats in
+        let peak = (Exec.Stats.snapshot clean.Trance.Api.stats).Exec.Stats.peak_worker_bytes in
         { config with
           Trance.Api.route_fallback = false;
           cluster =

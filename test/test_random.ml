@@ -180,11 +180,11 @@ let prop_shuffle_conservation =
     ~name:"random query: executor metrics are sane (bytes, rows >= 0)"
     ~count:(count 100) Qgen.arbitrary_case (fun (q, inputs) ->
       let r = run_strategy Trance.Api.Standard q inputs in
-      let s = r.Trance.Api.stats in
-      Exec.Stats.shuffled_bytes s >= 0
-      && Exec.Stats.peak_worker_bytes s >= 0
-      && Exec.Stats.sim_seconds s >= 0.
-      && Exec.Stats.rows_processed s >= 0)
+      let s = Exec.Stats.snapshot r.Trance.Api.stats in
+      s.Exec.Stats.shuffled_bytes >= 0
+      && s.Exec.Stats.peak_worker_bytes >= 0
+      && s.Exec.Stats.sim_seconds >= 0.
+      && s.Exec.Stats.rows_processed >= 0)
 
 let () =
   Alcotest.run "random"

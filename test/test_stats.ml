@@ -5,9 +5,10 @@
     leans on the same algebra for its recovery counters. These properties
     pin the laws down: [merge] is a commutative monoid with [zero] (peaks
     by [max], everything else additive), [diff] inverts [merge] on the
-    additive counters, and the recorder entry points land in the snapshot
-    they claim to. [sim_seconds] is generated as whole floats so equality
-    is exact. *)
+    additive counters, and the one recording path, {!Exec.Trace.charge},
+    keeps the run total and the span tree in agreement without letting
+    tracing perturb the total. The float counters are generated as
+    multiples of 1/8, so every sum is exact in any order. *)
 
 module S = Exec.Stats
 
@@ -24,7 +25,8 @@ let gen_snapshot : S.snapshot QCheck.Gen.t =
   let* peak_worker_bytes = small in
   let* rows_processed = small in
   let* stages = int_bound 50 in
-  let* sim_seconds = map float_of_int (int_bound 1_000) in
+  let eighths n = map (fun k -> float_of_int k /. 8.) (int_bound n) in
+  let* sim_seconds = eighths 8_000 in
   let* task_retries = int_bound 20 in
   let* retried_tasks = int_bound 20 in
   let* speculative_tasks = int_bound 5 in
@@ -35,8 +37,8 @@ let gen_snapshot : S.snapshot QCheck.Gen.t =
   let* checkpoints_written = int_bound 20 in
   let* checkpoint_bytes = small in
   let* lineage_truncated = small in
-  let* recovery_seconds = map float_of_int (int_bound 100) in
-  let* wall_seconds = map float_of_int (int_bound 100) in
+  let* recovery_seconds = eighths 800 in
+  let* wall_seconds = eighths 800 in
   return
     {
       S.shuffled_bytes;
@@ -115,31 +117,52 @@ let prop_merge_monotone =
       && m.S.peak_worker_bytes
          = max a.S.peak_worker_bytes b.S.peak_worker_bytes)
 
-(* the recorder entry points land where they claim to *)
-let test_recorders () =
-  let t = S.create () in
-  S.add_task_retries t 3;
-  S.add_retried_tasks t 2;
-  S.add_speculative t 1;
-  S.add_recomputed t 4096;
-  S.add_spilled t 2048;
-  S.add_spill_partitions t 6;
-  S.add_spill_rounds t 2;
-  S.observe_worker t 512;
-  S.observe_worker t 256;
-  let s = S.snapshot t in
-  Alcotest.(check int) "task_retries" 3 s.S.task_retries;
-  Alcotest.(check int) "retried_tasks" 2 s.S.retried_tasks;
-  Alcotest.(check int) "speculative_tasks" 1 s.S.speculative_tasks;
-  Alcotest.(check int) "recomputed_bytes" 4096 s.S.recomputed_bytes;
-  Alcotest.(check int) "spilled_bytes" 2048 s.S.spilled_bytes;
-  Alcotest.(check int) "spill_partitions" 6 s.S.spill_partitions;
-  Alcotest.(check int) "spill_rounds" 2 s.S.spill_rounds;
-  Alcotest.(check int) "peak is a high-water mark" 512 s.S.peak_worker_bytes;
-  Alcotest.(check int) "accessors agree with the snapshot"
-    s.S.task_retries (S.task_retries t);
-  Alcotest.(check bool) "fresh counters are zero except nothing" true
-    (S.snapshot (S.create ()) = S.zero)
+(* A charge script: counter deltas charged inside a random nesting of
+   spans, as the executor charges them inside nested operator spans. *)
+type script = Charge of S.snapshot | Span of script list
+
+let gen_script : script list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let charge = map (fun d -> Charge d) gen_snapshot in
+  let node =
+    sized
+    @@ fix (fun self n ->
+           if n <= 1 then charge
+           else
+             frequency
+               [
+                 (3, charge);
+                 (1, map (fun l -> Span l) (list_size (int_bound 4) (self (n / 4))));
+               ])
+  in
+  list_size (int_bound 12) node
+
+let rec pp_script ppf = function
+  | Charge d -> Fmt.pf ppf "charge {%a}" S.pp_snapshot d
+  | Span l -> Fmt.pf ppf "@[<v 2>span@,%a@]" Fmt.(list pp_script) l
+
+let arbitrary_script =
+  QCheck.make ~print:(Fmt.str "@[<v>%a@]" Fmt.(list pp_script)) gen_script
+
+(* play a script under one root span, as Api wraps each assignment *)
+let play trace stats script =
+  let rec go = function
+    | Charge d -> Exec.Trace.charge trace stats d
+    | Span l -> Exec.Trace.with_span trace ~op:"span" (fun () -> List.iter go l)
+  in
+  Exec.Trace.with_span trace ~op:"root" (fun () -> List.iter go script)
+
+let prop_charge_once =
+  QCheck.Test.make
+    ~name:"charge: tracing leaves the total bit-identical; spans sum to it"
+    ~count:(count 200) arbitrary_script (fun script ->
+      let untraced = S.create () and traced = S.create () in
+      play None untraced script;
+      let ctx = Exec.Trace.create () in
+      play (Some ctx) traced script;
+      let total = S.snapshot traced in
+      S.snapshot untraced = total
+      && (Exec.Trace.agg (Exec.Trace.roots ctx)).Exec.Trace.counters = total)
 
 let () =
   Alcotest.run "stats"
@@ -155,7 +178,5 @@ let () =
             prop_diff_inverts_merge;
             prop_merge_monotone;
           ] );
-      ( "recorders",
-        [ Alcotest.test_case "add_* and observe_worker" `Quick test_recorders ]
-      );
+      ("charge", [ QCheck_alcotest.to_alcotest prop_charge_once ]);
     ]

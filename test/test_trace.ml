@@ -30,36 +30,36 @@ let close a b =
 let check_totals what (r : Trance.Api.run) =
   check (what ^ ": spans recorded") true (r.Trance.Api.trace <> []);
   let t = Trace.agg r.Trance.Api.trace in
-  let s = r.Trance.Api.stats in
-  check_int (what ^ ": shuffled bytes") (Exec.Stats.shuffled_bytes s)
-    t.Trace.shuffled_bytes;
-  check_int (what ^ ": broadcast bytes") (Exec.Stats.broadcast_bytes s)
-    t.Trace.broadcast_bytes;
-  check_int (what ^ ": peak worker bytes") (Exec.Stats.peak_worker_bytes s)
-    t.Trace.peak_worker_bytes;
-  check_int (what ^ ": stages") (Exec.Stats.stages s) t.Trace.stages;
-  check_int (what ^ ": rows") (Exec.Stats.rows_processed s) t.Trace.rows_out;
-  check_int (what ^ ": spilled bytes") (Exec.Stats.spilled_bytes s)
-    t.Trace.spilled_bytes;
-  check_int (what ^ ": spill partitions") (Exec.Stats.spill_partitions s)
-    t.Trace.spill_partitions;
-  check_int (what ^ ": spill rounds") (Exec.Stats.spill_rounds s)
-    t.Trace.spill_rounds;
+  let s = Exec.Stats.snapshot r.Trance.Api.stats in
+  check_int (what ^ ": shuffled bytes") s.Exec.Stats.shuffled_bytes
+    t.Trace.counters.Exec.Stats.shuffled_bytes;
+  check_int (what ^ ": broadcast bytes") s.Exec.Stats.broadcast_bytes
+    t.Trace.counters.Exec.Stats.broadcast_bytes;
+  check_int (what ^ ": peak worker bytes") s.Exec.Stats.peak_worker_bytes
+    t.Trace.counters.Exec.Stats.peak_worker_bytes;
+  check_int (what ^ ": stages") s.Exec.Stats.stages t.Trace.counters.Exec.Stats.stages;
+  check_int (what ^ ": rows") s.Exec.Stats.rows_processed t.Trace.counters.Exec.Stats.rows_processed;
+  check_int (what ^ ": spilled bytes") s.Exec.Stats.spilled_bytes
+    t.Trace.counters.Exec.Stats.spilled_bytes;
+  check_int (what ^ ": spill partitions") s.Exec.Stats.spill_partitions
+    t.Trace.counters.Exec.Stats.spill_partitions;
+  check_int (what ^ ": spill rounds") s.Exec.Stats.spill_rounds
+    t.Trace.counters.Exec.Stats.spill_rounds;
   check (what ^ ": sim seconds") true
-    (close (Exec.Stats.sim_seconds s) t.Trace.sim_seconds)
+    (close s.Exec.Stats.sim_seconds t.Trace.counters.Exec.Stats.sim_seconds)
 
 (* Children's inclusive totals never exceed the parent's, at every level. *)
 let rec check_span_sums what (sp : Trace.span) =
   let t = Trace.total sp in
   let kids = Trace.agg sp.Trace.children in
   check (what ^ ": child shuffle <= parent") true
-    (kids.Trace.shuffled_bytes <= t.Trace.shuffled_bytes);
+    (kids.Trace.counters.Exec.Stats.shuffled_bytes <= t.Trace.counters.Exec.Stats.shuffled_bytes);
   check (what ^ ": child broadcast <= parent") true
-    (kids.Trace.broadcast_bytes <= t.Trace.broadcast_bytes);
+    (kids.Trace.counters.Exec.Stats.broadcast_bytes <= t.Trace.counters.Exec.Stats.broadcast_bytes);
   check (what ^ ": child peak <= parent") true
-    (kids.Trace.peak_worker_bytes <= t.Trace.peak_worker_bytes);
+    (kids.Trace.counters.Exec.Stats.peak_worker_bytes <= t.Trace.counters.Exec.Stats.peak_worker_bytes);
   check (what ^ ": child sim <= parent") true
-    (kids.Trace.sim_seconds <= t.Trace.sim_seconds +. 1e-9);
+    (kids.Trace.counters.Exec.Stats.sim_seconds <= t.Trace.counters.Exec.Stats.sim_seconds +. 1e-9);
   List.iter (check_span_sums what) sp.Trace.children
 
 (* Joins that chose broadcast move no shuffle bytes of their own and never
@@ -73,7 +73,7 @@ let check_broadcast_joins what (r : Trance.Api.run) =
   List.iter
     (fun (sp : Trace.span) ->
       check_int (what ^ ": broadcast join own shuffle") 0
-        sp.Trace.metrics.Trace.shuffled_bytes;
+        sp.Trace.metrics.Trace.counters.Exec.Stats.shuffled_bytes;
       check (what ^ ": broadcast join has no shuffle child") true
         (List.for_all
            (fun (c : Trace.span) -> c.Trace.op <> "Shuffle")
@@ -147,8 +147,8 @@ let test_guarantee_skipped () =
   check "no shuffle span under the join" true
     (Trace.find_all (fun sp -> sp.Trace.op = "Shuffle") [ j ] = []);
   check_int "no shuffled bytes in the subtree" 0
-    (Trace.total j).Trace.shuffled_bytes;
-  check_int "flat stats agree" 0 (Exec.Stats.shuffled_bytes stats)
+    (Trace.total j).Trace.counters.Exec.Stats.shuffled_bytes;
+  check_int "flat stats agree" 0 (Exec.Stats.snapshot stats).Exec.Stats.shuffled_bytes
 
 let test_shuffle_strategy () =
   (* unpartitioned inputs with broadcast disabled: the join must shuffle,
@@ -168,10 +168,10 @@ let test_shuffle_strategy () =
   let shuffles = Trace.find_all (fun sp -> sp.Trace.op = "Shuffle") [ j ] in
   check "shuffle spans present" true (shuffles <> []);
   check_int "join's own shuffled bytes are zero (children carry them)" 0
-    j.Trace.metrics.Trace.shuffled_bytes;
+    j.Trace.metrics.Trace.counters.Exec.Stats.shuffled_bytes;
   check_int "shuffle spans carry the full total"
-    (Exec.Stats.shuffled_bytes stats)
-    (Trace.agg shuffles).Trace.shuffled_bytes
+    (Exec.Stats.snapshot stats).Exec.Stats.shuffled_bytes
+    (Trace.agg shuffles).Trace.counters.Exec.Stats.shuffled_bytes
 
 let test_broadcast_strategy () =
   (* a small right side under a generous broadcast limit: Broadcast, with
@@ -190,9 +190,9 @@ let test_broadcast_strategy () =
   check_int "one broadcast join" 1 (List.length joins);
   let j = List.hd joins in
   check "broadcast bytes recorded" true
-    ((Trace.total j).Trace.broadcast_bytes > 0);
-  check_int "flat stats agree" (Exec.Stats.broadcast_bytes stats)
-    (Trace.total j).Trace.broadcast_bytes;
+    ((Trace.total j).Trace.counters.Exec.Stats.broadcast_bytes > 0);
+  check_int "flat stats agree" (Exec.Stats.snapshot stats).Exec.Stats.broadcast_bytes
+    (Trace.total j).Trace.counters.Exec.Stats.broadcast_bytes;
   check "no hash-shuffle span under a broadcast join" true
     (Trace.find_all (fun sp -> sp.Trace.op = "Shuffle") [ j ] = [])
 
@@ -302,7 +302,7 @@ let test_spill_traced () =
   (* the same budget with spilling on completes; the span tree mirrors the
      spill counters exactly and the observed peak respects the budget *)
   let clean = run_traced Trance.Api.Standard Fixtures.example1 in
-  let peak = Exec.Stats.peak_worker_bytes clean.Trance.Api.stats in
+  let peak = (Exec.Stats.snapshot clean.Trance.Api.stats).Exec.Stats.peak_worker_bytes in
   let budget = max 1 (peak / 4) in
   let config =
     { api_config with
@@ -315,28 +315,139 @@ let test_spill_traced () =
   check "outcome is Degraded" true
     (Trance.Api.outcome r = Trance.Api.Degraded);
   check "spill accounted" true
-    (Exec.Stats.spilled_bytes r.Trance.Api.stats > 0);
+    ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.spilled_bytes > 0);
   check "post-spill peak within budget" true
-    (Exec.Stats.peak_worker_bytes r.Trance.Api.stats <= budget);
+    ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.peak_worker_bytes <= budget);
   check_totals "spill trace" r;
   check "spilling costs simulated disk time" true
-    (Exec.Stats.sim_seconds r.Trance.Api.stats
-    > Exec.Stats.sim_seconds clean.Trance.Api.stats)
+    ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds
+    > (Exec.Stats.snapshot clean.Trance.Api.stats).Exec.Stats.sim_seconds)
+
+(* ------------------------------------------------------------------ *)
+(* Typed failures inside a later step *)
+
+(* Two routes with two source steps each: a two-assignment Standard
+   program, and Shred+Unshred, whose reassembly is the step "Unshred". *)
+let two_steps =
+  [
+    ( Trance.Api.Standard,
+      Nrc.Program.make ~inputs:Fixtures.inputs_ty
+        [ ("A", Fixtures.select_nested); ("B", Fixtures.example1) ],
+      ("A", "B") );
+    ( Trance.Api.Shredded { unshred = true },
+      Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" Fixtures.example1,
+      ("Q", "Unshred") );
+  ]
+
+let run_program ?(config = api_config) strategy prog =
+  Trance.Api.run ~config ~strategy prog Fixtures.inputs_val
+
+let failing_config f = { api_config with cluster = f cluster; route_fallback = false }
+
+let failure_stage kind (r : Trance.Api.run) =
+  match kind, r.Trance.Api.failure with
+  | `Oom, Some (Trance.Api.Out_of_memory { stage; _ })
+  | `Task, Some (Trance.Api.Task_failed { stage; _ })
+  | `Deadline, Some (Trance.Api.Deadline_missed { stage; _ }) ->
+    Some stage
+  | _ -> None
+
+(* The failing run for one failure kind, tuned from the clean run so the
+   first step completes and the later one fails: a budget at the first
+   step's peak, a deadline just above its simulated seconds, and a task
+   fault at the first accounted-stage index that lands in the later
+   step (found by scanning). *)
+let failing_run kind strategy prog ~first ~later =
+  let clean = run_program strategy prog in
+  let slice =
+    (List.find
+       (fun (s : Trance.Api.step_report) -> s.Trance.Api.step = first)
+       clean.Trance.Api.steps)
+      .Trance.Api.stats
+  in
+  match kind with
+  | `Oom ->
+    check "the later step peaks higher than the first" true
+      ((Exec.Stats.snapshot clean.Trance.Api.stats).peak_worker_bytes
+      > slice.peak_worker_bytes);
+    run_program strategy prog
+      ~config:
+        (failing_config (fun c ->
+             { c with
+               worker_mem = slice.peak_worker_bytes;
+               spill = Exec.Config.Off }))
+  | `Deadline ->
+    run_program strategy prog
+      ~config:
+        (failing_config (fun c ->
+             { c with deadline = Some (slice.sim_seconds *. 1.0001) }))
+  | `Task ->
+    let rec scan k =
+      if k > 500 then Alcotest.fail "no task fault lands in the later step";
+      let config =
+        { (failing_config Fun.id) with
+          faults =
+            [ { (Exec.Faults.default_spec Exec.Faults.Task_failure) with
+                stage = k; fails = 99 } ] }
+      in
+      let r = run_program ~config strategy prog in
+      match failure_stage `Task r with
+      | Some stage when String.starts_with ~prefix:(later ^ "/") stage -> r
+      | _ -> scan (k + 1)
+    in
+    scan 0
+
+let later_step_tests =
+  List.concat_map
+    (fun (strategy, prog, (first, later)) ->
+      List.map
+        (fun (kind, kname) ->
+          let what =
+            Printf.sprintf "%s: %s in %s" (Trance.Api.strategy_name strategy)
+              kname later
+          in
+          Alcotest.test_case what `Quick (fun () ->
+              let r = failing_run kind strategy prog ~first ~later in
+              (match failure_stage kind r with
+              | Some stage ->
+                check (what ^ ": stage prefixed with the step") true
+                  (String.starts_with ~prefix:(later ^ "/") stage)
+              | None ->
+                Alcotest.failf "%s: got %s" what
+                  (Option.fold ~none:"no failure"
+                     ~some:Trance.Api.failure_message r.Trance.Api.failure));
+              Alcotest.(check (list string))
+                (what ^ ": both step slices reported") [ first; later ]
+                (List.map
+                   (fun (s : Trance.Api.step_report) -> s.Trance.Api.step)
+                   r.Trance.Api.steps);
+              check (what ^ ": the partial step carries its spans") true
+                ((List.nth r.Trance.Api.steps 1).Trance.Api.trace <> None)))
+        [
+          (`Oom, "Out_of_memory");
+          (`Task, "Task_failed");
+          (`Deadline, "Deadline_missed");
+        ])
+    two_steps
 
 (* ------------------------------------------------------------------ *)
 (* Stats snapshot/diff/merge *)
 
 let test_snapshot_diff () =
   let s = Exec.Stats.create () in
-  Exec.Stats.add_shuffled s 100;
-  Exec.Stats.observe_worker s 400;
+  let charge d = Exec.Stats.charge s d in
+  charge { Exec.Stats.zero with shuffled_bytes = 100; peak_worker_bytes = 400 };
   let before = Exec.Stats.snapshot s in
-  Exec.Stats.add_shuffled s 20;
-  Exec.Stats.add_broadcast s 7;
-  Exec.Stats.add_stage s;
-  Exec.Stats.add_rows s 5;
-  Exec.Stats.add_sim_seconds s 0.25;
-  Exec.Stats.observe_worker s 300;
+  charge
+    {
+      Exec.Stats.zero with
+      shuffled_bytes = 20;
+      broadcast_bytes = 7;
+      stages = 1;
+      rows_processed = 5;
+      sim_seconds = 0.25;
+      peak_worker_bytes = 300;
+    };
   let slice = Exec.Stats.diff (Exec.Stats.snapshot s) before in
   check_int "diff shuffled" 20 slice.Exec.Stats.shuffled_bytes;
   check_int "diff broadcast" 7 slice.Exec.Stats.broadcast_bytes;
@@ -421,6 +532,7 @@ let () =
           Alcotest.test_case "spilled run traced within budget" `Quick
             test_spill_traced;
         ] );
+      ("failures in a later step", later_step_tests);
       ( "stats snapshots",
         [ Alcotest.test_case "snapshot/diff/merge" `Quick test_snapshot_diff ] );
       ( "json",
