@@ -43,49 +43,32 @@ let zero : snapshot =
     wall_seconds = 0.;
   }
 
-let diff (a : snapshot) (b : snapshot) : snapshot =
+(* The one field table: every pointwise operation on two snapshots goes
+   through [combine], with one operator per kind of counter. *)
+let combine ~int ~float ~peak (a : snapshot) (b : snapshot) : snapshot =
   {
-    shuffled_bytes = a.shuffled_bytes - b.shuffled_bytes;
-    broadcast_bytes = a.broadcast_bytes - b.broadcast_bytes;
-    peak_worker_bytes = a.peak_worker_bytes;
-    rows_processed = a.rows_processed - b.rows_processed;
-    stages = a.stages - b.stages;
-    sim_seconds = a.sim_seconds -. b.sim_seconds;
-    task_retries = a.task_retries - b.task_retries;
-    retried_tasks = a.retried_tasks - b.retried_tasks;
-    speculative_tasks = a.speculative_tasks - b.speculative_tasks;
-    recomputed_bytes = a.recomputed_bytes - b.recomputed_bytes;
-    spilled_bytes = a.spilled_bytes - b.spilled_bytes;
-    spill_partitions = a.spill_partitions - b.spill_partitions;
-    spill_rounds = a.spill_rounds - b.spill_rounds;
-    checkpoints_written = a.checkpoints_written - b.checkpoints_written;
-    checkpoint_bytes = a.checkpoint_bytes - b.checkpoint_bytes;
-    lineage_truncated = a.lineage_truncated - b.lineage_truncated;
-    recovery_seconds = a.recovery_seconds -. b.recovery_seconds;
-    wall_seconds = a.wall_seconds -. b.wall_seconds;
+    shuffled_bytes = int a.shuffled_bytes b.shuffled_bytes;
+    broadcast_bytes = int a.broadcast_bytes b.broadcast_bytes;
+    peak_worker_bytes = peak a.peak_worker_bytes b.peak_worker_bytes;
+    rows_processed = int a.rows_processed b.rows_processed;
+    stages = int a.stages b.stages;
+    sim_seconds = float a.sim_seconds b.sim_seconds;
+    task_retries = int a.task_retries b.task_retries;
+    retried_tasks = int a.retried_tasks b.retried_tasks;
+    speculative_tasks = int a.speculative_tasks b.speculative_tasks;
+    recomputed_bytes = int a.recomputed_bytes b.recomputed_bytes;
+    spilled_bytes = int a.spilled_bytes b.spilled_bytes;
+    spill_partitions = int a.spill_partitions b.spill_partitions;
+    spill_rounds = int a.spill_rounds b.spill_rounds;
+    checkpoints_written = int a.checkpoints_written b.checkpoints_written;
+    checkpoint_bytes = int a.checkpoint_bytes b.checkpoint_bytes;
+    lineage_truncated = int a.lineage_truncated b.lineage_truncated;
+    recovery_seconds = float a.recovery_seconds b.recovery_seconds;
+    wall_seconds = float a.wall_seconds b.wall_seconds;
   }
 
-let merge (a : snapshot) (b : snapshot) : snapshot =
-  {
-    shuffled_bytes = a.shuffled_bytes + b.shuffled_bytes;
-    broadcast_bytes = a.broadcast_bytes + b.broadcast_bytes;
-    peak_worker_bytes = max a.peak_worker_bytes b.peak_worker_bytes;
-    rows_processed = a.rows_processed + b.rows_processed;
-    stages = a.stages + b.stages;
-    sim_seconds = a.sim_seconds +. b.sim_seconds;
-    task_retries = a.task_retries + b.task_retries;
-    retried_tasks = a.retried_tasks + b.retried_tasks;
-    speculative_tasks = a.speculative_tasks + b.speculative_tasks;
-    recomputed_bytes = a.recomputed_bytes + b.recomputed_bytes;
-    spilled_bytes = a.spilled_bytes + b.spilled_bytes;
-    spill_partitions = a.spill_partitions + b.spill_partitions;
-    spill_rounds = a.spill_rounds + b.spill_rounds;
-    checkpoints_written = a.checkpoints_written + b.checkpoints_written;
-    checkpoint_bytes = a.checkpoint_bytes + b.checkpoint_bytes;
-    lineage_truncated = a.lineage_truncated + b.lineage_truncated;
-    recovery_seconds = a.recovery_seconds +. b.recovery_seconds;
-    wall_seconds = a.wall_seconds +. b.wall_seconds;
-  }
+let merge = combine ~int:( + ) ~float:( +. ) ~peak:max
+let diff = combine ~int:( - ) ~float:( -. ) ~peak:(fun after _ -> after)
 
 (* The running total is one left fold of [merge] over the charged deltas,
    in charge order: the float counters are summed exactly as the executor

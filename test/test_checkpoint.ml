@@ -101,24 +101,7 @@ let storms =
       ] );
   ]
 
-let check_counter_totals what (r : Trance.Api.run) =
-  let t = Trace.agg r.Trance.Api.trace in
-  let s = Exec.Stats.snapshot r.Trance.Api.stats in
-  check_int (what ^ ": span checkpoints_written")
-    s.Exec.Stats.checkpoints_written
-    t.Trace.counters.Exec.Stats.checkpoints_written;
-  check_int (what ^ ": span checkpoint_bytes")
-    s.Exec.Stats.checkpoint_bytes
-    t.Trace.counters.Exec.Stats.checkpoint_bytes;
-  check_int (what ^ ": span lineage_truncated")
-    s.Exec.Stats.lineage_truncated
-    t.Trace.counters.Exec.Stats.lineage_truncated;
-  check (what ^ ": span recovery_seconds") true
-    (abs_float
-       (s.Exec.Stats.recovery_seconds -. t.Trace.counters.Exec.Stats.recovery_seconds)
-    < 1e-9);
-  check_int (what ^ ": span recomputed") s.Exec.Stats.recomputed_bytes
-    t.Trace.counters.Exec.Stats.recomputed_bytes
+let check_counter_totals = Fixtures.check_counters_agree
 
 let campaign_tests =
   List.concat_map

@@ -179,25 +179,9 @@ let fault_specs =
       ])
     [ 1; 4 ]
 
-(* aggregated recovery counters in the span tree = flat Stats counters:
+(* aggregated counters in the span tree = flat Stats counters:
    "recomputed bytes accounted exactly in the span tree" *)
-let check_recovery_totals what (r : Trance.Api.run) =
-  let t = Trace.agg r.Trance.Api.trace in
-  let s = Exec.Stats.snapshot r.Trance.Api.stats in
-  check_int (what ^ ": span task_retries") s.Exec.Stats.task_retries
-    t.Trace.counters.Exec.Stats.task_retries;
-  check_int (what ^ ": span retried_tasks") s.Exec.Stats.retried_tasks
-    t.Trace.counters.Exec.Stats.retried_tasks;
-  check_int (what ^ ": span speculative") s.Exec.Stats.speculative_tasks
-    t.Trace.counters.Exec.Stats.speculative_tasks;
-  check_int (what ^ ": span recomputed") s.Exec.Stats.recomputed_bytes
-    t.Trace.counters.Exec.Stats.recomputed_bytes;
-  check_int (what ^ ": span spilled_bytes") s.Exec.Stats.spilled_bytes
-    t.Trace.counters.Exec.Stats.spilled_bytes;
-  check_int (what ^ ": span spill_partitions")
-    s.Exec.Stats.spill_partitions t.Trace.counters.Exec.Stats.spill_partitions;
-  check_int (what ^ ": span spill_rounds") s.Exec.Stats.spill_rounds
-    t.Trace.counters.Exec.Stats.spill_rounds
+let check_recovery_totals = Fixtures.check_counters_agree
 
 let check_attempt_bounds what (spec : F.spec) (r : Trance.Api.run) =
   let s = Exec.Stats.snapshot r.Trance.Api.stats in

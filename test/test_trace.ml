@@ -29,37 +29,20 @@ let close a b =
 
 let check_totals what (r : Trance.Api.run) =
   check (what ^ ": spans recorded") true (r.Trance.Api.trace <> []);
-  let t = Trace.agg r.Trance.Api.trace in
-  let s = Exec.Stats.snapshot r.Trance.Api.stats in
-  check_int (what ^ ": shuffled bytes") s.Exec.Stats.shuffled_bytes
-    t.Trace.counters.Exec.Stats.shuffled_bytes;
-  check_int (what ^ ": broadcast bytes") s.Exec.Stats.broadcast_bytes
-    t.Trace.counters.Exec.Stats.broadcast_bytes;
-  check_int (what ^ ": peak worker bytes") s.Exec.Stats.peak_worker_bytes
-    t.Trace.counters.Exec.Stats.peak_worker_bytes;
-  check_int (what ^ ": stages") s.Exec.Stats.stages t.Trace.counters.Exec.Stats.stages;
-  check_int (what ^ ": rows") s.Exec.Stats.rows_processed t.Trace.counters.Exec.Stats.rows_processed;
-  check_int (what ^ ": spilled bytes") s.Exec.Stats.spilled_bytes
-    t.Trace.counters.Exec.Stats.spilled_bytes;
-  check_int (what ^ ": spill partitions") s.Exec.Stats.spill_partitions
-    t.Trace.counters.Exec.Stats.spill_partitions;
-  check_int (what ^ ": spill rounds") s.Exec.Stats.spill_rounds
-    t.Trace.counters.Exec.Stats.spill_rounds;
-  check (what ^ ": sim seconds") true
-    (close s.Exec.Stats.sim_seconds t.Trace.counters.Exec.Stats.sim_seconds)
+  Fixtures.check_counters_agree what r
 
 (* Children's inclusive totals never exceed the parent's, at every level. *)
 let rec check_span_sums what (sp : Trace.span) =
-  let t = Trace.total sp in
-  let kids = Trace.agg sp.Trace.children in
+  let t : Exec.Stats.snapshot = (Trace.total sp).Trace.counters in
+  let kids : Exec.Stats.snapshot = (Trace.agg sp.Trace.children).Trace.counters in
   check (what ^ ": child shuffle <= parent") true
-    (kids.Trace.counters.Exec.Stats.shuffled_bytes <= t.Trace.counters.Exec.Stats.shuffled_bytes);
+    (kids.shuffled_bytes <= t.shuffled_bytes);
   check (what ^ ": child broadcast <= parent") true
-    (kids.Trace.counters.Exec.Stats.broadcast_bytes <= t.Trace.counters.Exec.Stats.broadcast_bytes);
+    (kids.broadcast_bytes <= t.broadcast_bytes);
   check (what ^ ": child peak <= parent") true
-    (kids.Trace.counters.Exec.Stats.peak_worker_bytes <= t.Trace.counters.Exec.Stats.peak_worker_bytes);
+    (kids.peak_worker_bytes <= t.peak_worker_bytes);
   check (what ^ ": child sim <= parent") true
-    (kids.Trace.counters.Exec.Stats.sim_seconds <= t.Trace.counters.Exec.Stats.sim_seconds +. 1e-9);
+    (kids.sim_seconds <= t.sim_seconds +. 1e-9);
   List.iter (check_span_sums what) sp.Trace.children
 
 (* Joins that chose broadcast move no shuffle bytes of their own and never
