@@ -276,20 +276,18 @@ let config_json b (c : config) =
     Buffer.add_char b '"');
   Buffer.add_char b '}'
 
-let json_string = Exec.Trace.json_string
-
 let run_json (r : run) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"strategy\":";
-  json_string b r.strategy;
+  Exec.Trace.json_string b r.strategy;
   Buffer.add_string b
     (",\"wall_seconds\":" ^ Exec.Stats.json_float r.wall_seconds);
   Buffer.add_string b ",\"outcome\":";
-  json_string b (outcome_name (outcome r));
+  Exec.Trace.json_string b (outcome_name (outcome r));
   Buffer.add_string b ",\"failure\":";
   (match r.failure with
   | None -> Buffer.add_string b "null"
-  | Some f -> json_string b (failure_message f));
+  | Some f -> Exec.Trace.json_string b (failure_message f));
   Buffer.add_string b ",\"degradation\":";
   (match r.degradation with
   | None -> Buffer.add_string b "null"
@@ -298,11 +296,11 @@ let run_json (r : run) : string =
       (Printf.sprintf
          "{\"spilled_bytes\":%d,\"spill_partitions\":%d,\"spill_rounds\":%d,\"fell_back\":%b,\"answered_by\":"
          d.spilled_bytes d.spill_partitions d.spill_rounds d.fell_back);
-    json_string b d.answered_by;
+    Exec.Trace.json_string b d.answered_by;
     Buffer.add_string b ",\"first_failure\":";
     (match d.first_failure with
     | None -> Buffer.add_string b "null"
-    | Some f -> json_string b (failure_message f));
+    | Some f -> Exec.Trace.json_string b (failure_message f));
     Buffer.add_char b '}');
   Buffer.add_string b ",\"config\":";
   config_json b r.config;
@@ -313,7 +311,7 @@ let run_json (r : run) : string =
     (fun i s ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "{\"step\":";
-      json_string b s.step;
+      Exec.Trace.json_string b s.step;
       Buffer.add_string b
         (Printf.sprintf ",\"sim_seconds\":%s,\"stats\":"
            (Exec.Stats.json_float s.sim_seconds));
@@ -352,13 +350,6 @@ type shredded_compiled = {
   unshred_plan : Plan.Op.t option;
 }
 
-(* shredded dictionaries carry a "_D_" segment in their name: R_D_corders *)
-let is_dict_name name =
-  let rec find i =
-    i + 3 <= String.length name && (String.sub name i 3 = "_D_" || find (i + 1))
-  in
-  String.length name > 3 && find 0
-
 (** Shredded route: shred + materialize, compile each materialized
     assignment, wrap dictionary outputs in BagToDict (label partitioning
     guarantee), and compile the unshredding query. *)
@@ -384,7 +375,13 @@ let compile_shredded ?(config = default_config) (p : Nrc.Program.t) :
     List.exists
       (fun { Nrc.Program.target; _ } -> target = name)
       pipeline.Shred_pipeline.mat.Nrc.Program.assignments
-    && is_dict_name name
+    && String.length name > 3
+    &&
+    let rec find i =
+      i + 3 <= String.length name
+      && (String.sub name i 3 = "_D_" || find (i + 1))
+    in
+    find 0
   in
   let plans =
     List.map
@@ -432,7 +429,15 @@ let load_shredded_inputs ~cluster (types : (string * T.t) list)
   List.iter
     (fun (name, v) ->
       let ds =
-        if is_dict_name name then
+        if
+          String.length name > 3
+          &&
+          let rec find i =
+            i + 3 <= String.length name
+            && (String.sub name i 3 = "_D_" || find (i + 1))
+          in
+          find 0
+        then
           Exec.Dataset.of_bag_by ~partitions:cluster.Exec.Config.partitions
             ~key:[ [ "label" ] ] v
         else Exec.Dataset.of_bag ~partitions:cluster.Exec.Config.partitions v
