@@ -196,9 +196,8 @@ let print_trace (r : Trance.Api.run) =
     r.Trance.Api.trace;
   let t = (Exec.Trace.agg r.Trance.Api.trace).Exec.Trace.counters in
   let mb b = float_of_int b /. 1048576. in
-  (* every counter but the wall-clock, which the driver charges to the run
-     total and to the assignment spans separately; the span tree sums the
-     simulated seconds in tree order, so those agree to rounding *)
+  (* every counter; the span tree sums the float ones in tree order, so
+     those agree to rounding *)
   let agree =
     let s = Exec.Stats.snapshot r.Trance.Api.stats in
     let exact (c : Exec.Stats.snapshot) =
@@ -208,6 +207,7 @@ let print_trace (r : Trance.Api.run) =
     exact t = exact s
     && close t.sim_seconds s.sim_seconds
     && close t.recovery_seconds s.recovery_seconds
+    && close t.wall_seconds s.wall_seconds
   in
   Fmt.pr
     "trace totals: shuffle=%.2fMB bcast=%.2fMB peak=%.2fMB spilled=%.2fMB \

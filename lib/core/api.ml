@@ -187,8 +187,8 @@ let timed f =
 
 (* run assignments one at a time, slicing the stats (and trace) per step;
    one pool and one checkpoint manager span all of them so domains are
-   spawned once and recovery lineage is run-wide. Each assignment span is
-   charged its real wall-clock alongside the simulated counters. *)
+   spawned once and recovery lineage is run-wide. Each assignment is
+   charged its real wall-clock, failed or not, like any other counter. *)
 let run_steps ~options ~config ~stats ~trace ~faults ~checkpoint ~pool
     ~targets ~steps_out env plans =
   List.iter
@@ -198,17 +198,17 @@ let run_steps ~options ~config ~stats ~trace ~faults ~checkpoint ~pool
       let ds =
         try
           Exec.Trace.with_span trace ~op:"Assignment" ~stage:name (fun () ->
-              let ds, awall =
-                timed (fun () ->
-                    Exec.Executor.run_plan ~options ?trace ?faults ~checkpoint
-                      ~pool ~config ~stats env plan)
-              in
-              Exec.Trace.add trace
-                {
-                  Exec.Trace.zero_metrics with
-                  counters = { Exec.Stats.zero with wall_seconds = awall };
-                };
-              ds)
+              let t0 = Unix.gettimeofday () in
+              Fun.protect
+                ~finally:(fun () ->
+                  Exec.Trace.charge trace stats
+                    {
+                      Exec.Stats.zero with
+                      wall_seconds = Unix.gettimeofday () -. t0;
+                    })
+                (fun () ->
+                  Exec.Executor.run_plan ~options ?trace ?faults ~checkpoint
+                    ~pool ~config ~stats env plan))
         with Exec.Failure.Failed f ->
           (* attribute the failure to its source step; the partially filled
              step slice is still recorded for the failure report *)
@@ -532,9 +532,6 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
                   Some (Exec.Dataset.to_bag (Hashtbl.find env result_name))
                 else None)))
   in
-  (* wall-clock lands in Stats here, once, from the driver's real clock:
-     the executor's own accounting stays deterministic *)
-  Exec.Stats.charge stats { Exec.Stats.zero with wall_seconds = wall };
   let s = Exec.Stats.snapshot stats in
   let value, failure =
     match outcome with Ok v -> (v, None) | Error f -> (None, Some f)

@@ -97,8 +97,9 @@ type run = {
   config : config;  (** the effective configuration the run executed under *)
   value : Nrc.Value.t option;  (** None when not collected or failed *)
   stats : Exec.Stats.t;
-      (** run totals; their [wall_seconds] mirrors {!run.wall_seconds}
-          (the answering attempt's wall-clock, charged by this driver) *)
+      (** run totals; their [wall_seconds] sums the assignments' real
+          wall-clock, charged by this driver — the executed part of
+          {!run.wall_seconds}, which also covers result collection *)
   wall_seconds : float;
       (** real elapsed seconds; shrinks with {!Exec.Config.t.domains}
           while [sim_seconds] and every other counter stay bit-identical *)

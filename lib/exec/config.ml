@@ -62,7 +62,8 @@ let checkpoint_name = function
 
 let validate t =
   let at_least_one name v =
-    if v >= 1 then None else Some (Printf.sprintf "%s must be >= 1 (got %d)" name v)
+    if v >= 1 then None
+    else Some (Printf.sprintf "%s must be >= 1 (got %d)" name v)
   in
   let weight name w =
     if Float.is_finite w && w >= 0. then None
@@ -107,7 +108,9 @@ let with_env getenv t =
   Ok t
   |> var "TRANCE_DOMAINS" "a domain count >= 1"
        (fun s ->
-         match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
+         match int_of_string_opt s with
+         | Some n when n >= 1 -> Some n
+         | _ -> None)
        (fun t domains -> { t with domains })
   |> var "TRANCE_WORKER_MEM" "a positive number of MB, or unbounded"
        (function

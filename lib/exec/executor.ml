@@ -150,7 +150,8 @@ let check_deadline st ~stage =
   match st.cfg.Config.deadline with
   | Some deadline when sim_seconds > deadline ->
     raise
-      (Failure.Failed (Failure.Deadline_missed { stage; sim_seconds; deadline }))
+      (Failure.Failed
+         (Failure.Deadline_missed { stage; sim_seconds; deadline }))
   | _ -> ()
 
 (* Charge one checkpoint write: the io time is paid by the stage. *)
@@ -192,7 +193,8 @@ let worker_totals cfg ?(base = 0) (arrs : int array list) : int array =
 let check_residency st ~stage ~(worker : int array) ~(spillable : int array) :
     unit =
   match Memory.reserve st.mem ~worker ~spillable with
-  | Memory.Fit { peak } -> charge st { Stats.zero with peak_worker_bytes = peak }
+  | Memory.Fit { peak } ->
+    charge st { Stats.zero with peak_worker_bytes = peak }
   | Memory.Spill { spilled_bytes; spill_partitions; rounds; peak; io_seconds }
     ->
     charge st
@@ -206,7 +208,8 @@ let check_residency st ~stage ~(worker : int array) ~(spillable : int array) :
       }
   | Memory.Denied { worker_bytes; budget } ->
     charge st { Stats.zero with peak_worker_bytes = worker_bytes };
-    raise (Failure.Failed (Failure.Out_of_memory { stage; worker_bytes; budget }))
+    raise
+      (Failure.Failed (Failure.Out_of_memory { stage; worker_bytes; budget }))
 
 (* Charge one stage: per-worker residency reservation + simulated cpu time.
    Broadcast copies resident on every worker are accounted through the
@@ -368,7 +371,12 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
       let max_recv = Array.fold_left max 0 received in
       let dt = float_of_int max_recv *. cfg.Config.net_weight in
       charge st
-        { Stats.zero with shuffled_bytes = moved; stages = 1; sim_seconds = dt };
+        {
+          Stats.zero with
+          shuffled_bytes = moved;
+          stages = 1;
+          sim_seconds = dt;
+        };
       Trace.observe_partitions st.trace received;
       (* a shuffle is a fetch-site stage: a transient fetch failure makes
          one destination partition re-fetch its inputs [fails] times *)
@@ -418,7 +426,8 @@ let rset_total_bytes r = Array.fold_left ( + ) 0 (part_bytes r.parts)
 (* broadcast charge shared by broadcast joins, products, and the broadcast
    cogroup: the right side is resident on every worker *)
 let charge_broadcast st rbytes =
-  charge st { Stats.zero with broadcast_bytes = rbytes * st.cfg.Config.workers }
+  charge st
+    { Stats.zero with broadcast_bytes = rbytes * st.cfg.Config.workers }
 
 (* ------------------------------------------------------------------ *)
 (* Heavy-key detection (Section 5): per-partition sampling; a key is heavy

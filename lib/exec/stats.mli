@@ -32,12 +32,11 @@ type snapshot = {
           speculation, lineage replay — a slice of [sim_seconds] *)
   wall_seconds : float;
       (** real elapsed seconds, measured by the driver ({!Trance.Api}
-          charges the run total once, from a real clock — never the
-          executor, whose accounting stays a pure function of the plan and
-          the configuration). Unlike every other counter, this one is
-          {e not} deterministic and it {e does} change with
-          {!Config.t.domains}; equivalence campaigns compare snapshots
-          through {!strip_wall} *)
+          charges each assignment's wall-clock — never the executor, whose
+          accounting stays a pure function of the plan and the
+          configuration). Unlike every other counter, this one is {e not}
+          deterministic and it {e does} change with {!Config.t.domains};
+          equivalence campaigns compare snapshots through {!strip_wall} *)
 }
 
 val zero : snapshot

@@ -148,7 +148,8 @@ let add octx d = on_top octx (fun n -> n.nm <- merge_metrics n.nm d)
    so tracing can never perturb the total's summation order. *)
 let charge octx stats d =
   Stats.charge stats d;
-  on_top octx (fun n -> n.nm <- { n.nm with counters = Stats.merge n.nm.counters d })
+  on_top octx (fun n ->
+      n.nm <- { n.nm with counters = Stats.merge n.nm.counters d })
 
 let observe_partitions octx (bytes : int array) =
   if Option.is_some octx then
@@ -168,7 +169,8 @@ let group ~op ~stage children =
 let rec without_wall sp =
   {
     sp with
-    metrics = { sp.metrics with counters = Stats.strip_wall sp.metrics.counters };
+    metrics =
+      { sp.metrics with counters = Stats.strip_wall sp.metrics.counters };
     children = List.map without_wall sp.children;
   }
 

@@ -41,8 +41,8 @@ val strategy_name : join_strategy -> string
     far above the mean. *)
 type metrics = {
   counters : Stats.snapshot;
-      (** [wall_seconds] here is charged by the driver to assignment
-          spans — see {!without_wall} *)
+      (** [wall_seconds] is charged by the driver to assignment spans —
+          see {!without_wall} *)
   rows_in : int;  (** rows the span's operator consumed *)
   max_partition_bytes : int;
   sum_partition_bytes : int;
@@ -112,8 +112,7 @@ val charge : ctx option -> Stats.t -> Stats.snapshot -> unit
 
 val add : ctx option -> metrics -> unit
 (** Merge a delta into the innermost open span only: for the span-only
-    fields, and for the driver's per-assignment wall-clock (the run total's
-    wall-clock is charged once, separately). *)
+    fields. Counters go through {!charge}. *)
 
 val observe_partitions : ctx option -> int array -> unit
 (** Record one stage's per-partition output bytes (feeds max/sum/count). *)

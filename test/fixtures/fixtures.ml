@@ -298,8 +298,7 @@ let check_bag_equal what expected actual =
 
 (** The span tree of a traced run agrees with its flat totals: every
     integer counter exactly, the float counters to rounding (the tree sums
-    them in tree order). The wall-clock is left out: the driver charges it
-    to the run and to the assignment spans separately. *)
+    them in tree order). *)
 let check_counters_agree what (r : Trance.Api.run) =
   let open Stdlib in
   let t = (Exec.Trace.agg r.Trance.Api.trace).Exec.Trace.counters in
@@ -312,7 +311,8 @@ let check_counters_agree what (r : Trance.Api.run) =
     not
       (exact s = exact t
       && close s.sim_seconds t.sim_seconds
-      && close s.recovery_seconds t.recovery_seconds)
+      && close s.recovery_seconds t.recovery_seconds
+      && close s.wall_seconds t.wall_seconds)
   then
     failwith
       (Fmt.str "%s: span tree disagrees with the totals@.totals: %a@.spans:  %a"
