@@ -45,11 +45,12 @@ let () =
                   push_aggs = not skew_aware } }
           in
           let r = Trance.Api.run ~config ~strategy prog inputs in
+          let s = Exec.Stats.snapshot r.Trance.Api.stats in
           Fmt.pr "%-6d %-14s %9.3f %10.2f %9.2f  %s@." skew
             (r.Trance.Api.strategy ^ if skew_aware then "+skew" else "")
-            (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds
-            (mb (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.shuffled_bytes)
-            (mb (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.peak_worker_bytes)
+            s.Exec.Stats.sim_seconds
+            (mb s.Exec.Stats.shuffled_bytes)
+            (mb s.Exec.Stats.peak_worker_bytes)
             (match r.Trance.Api.failure with
             | None -> "ok"
             | Some f -> "FAIL (" ^ Trance.Api.failure_message f ^ ")"))
