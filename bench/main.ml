@@ -38,8 +38,6 @@ let json_path : string option ref = ref None
 
 let sc n = max 1 (int_of_float (float_of_int n *. !scale_factor))
 
-(* a run's counter totals *)
-let totals (r : Trance.Api.run) = Exec.Stats.snapshot r.Trance.Api.stats
 
 (* Per-figure worker memory defaults (MB), calibrated so the simulator's
    FAIL pattern matches the paper's (see EXPERIMENTS.md); --mem overrides.
@@ -91,7 +89,7 @@ let header () =
 let mb b = float_of_int b /. 1048576.
 
 let row ~family ~level ~(r : Trance.Api.run) =
-  let s = totals r in
+  let s = Exec.Stats.snapshot r.Trance.Api.stats in
   Printf.printf "%-18s %-5s %-16s %9.3f %9.3f %10.2f %10.2f %9.2f  %s\n" family
     level r.Trance.Api.strategy
     s.Exec.Stats.sim_seconds
@@ -168,7 +166,9 @@ let fig7 ~wide () =
     families;
   (* automated claim summary (headline bullets of Section 6) *)
   let get f l s = List.assoc_opt (f, l, s) !results in
-  let sim (r : Trance.Api.run) = (totals r).Exec.Stats.sim_seconds in
+  let counters (r : Trance.Api.run) = Exec.Stats.snapshot r.Trance.Api.stats in
+  let sim r = (counters r).Exec.Stats.sim_seconds in
+  let shuffled r = float_of_int (counters r).Exec.Stats.shuffled_bytes in
   let ratio num den =
     match num, den with
     | Some a, Some b -> (
@@ -182,10 +182,8 @@ let fig7 ~wide () =
     match num, den with
     | Some a, Some b
       when a.Trance.Api.failure = None && b.Trance.Api.failure = None
-           && (totals b).Exec.Stats.shuffled_bytes > 0 ->
-      Printf.sprintf "%.1fx"
-        (float_of_int (totals a).Exec.Stats.shuffled_bytes
-        /. float_of_int (totals b).Exec.Stats.shuffled_bytes)
+           && shuffled b > 0. ->
+      Printf.sprintf "%.1fx" (shuffled a /. shuffled b)
     | _ -> "n/a"
   in
   Printf.printf "\n-- claim summary (Section 6 bullets) --\n";
@@ -281,7 +279,7 @@ let fig9 () =
         Printf.printf "%-14s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %10.2f  %s\n"
           r.Trance.Api.strategy (step "Step1") (step "Step2") (step "Step3")
           (step "Step4") (step "Step5") total
-          (mb (totals r).Exec.Stats.shuffled_bytes)
+          (mb (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.shuffled_bytes)
           (match r.Trance.Api.failure with
           | None -> "ok"
           | Some f -> "FAIL (" ^ Trance.Api.failure_message f ^ ")"))
@@ -358,7 +356,7 @@ let scaling () =
             ~label:(label ^ "/" ^ Trance.Api.strategy_name strategy)
             ~config ~strategy prog inputs
         in
-        (totals r).Exec.Stats.sim_seconds)
+        (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds)
       [
         Trance.Api.Standard;
         Trance.Api.Shredded { unshred = false };
@@ -411,8 +409,8 @@ let cost_model () =
                 level
                 (Trance.Api.strategy_name strategy)
             in
-            (totals (api_run ~label ~config ~strategy prog inputs))
-              .Exec.Stats.sim_seconds
+            let r = api_run ~label ~config ~strategy prog inputs in
+            (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds
           in
           let t_std = sim Trance.Api.Standard in
           let t_shred = sim (Trance.Api.Shredded { unshred = false }) in
@@ -504,7 +502,7 @@ let faults_sweep () =
             Printf.sprintf "%s/%s" (Trance.Api.strategy_name strategy) fname
           in
           let r = api_run ~label ~config ~strategy prog inputs in
-          let s = totals r in
+          let s = Exec.Stats.snapshot r.Trance.Api.stats in
           let sim = s.Exec.Stats.sim_seconds in
           if sch = [] then clean := sim;
           let overhead =
@@ -576,7 +574,7 @@ let recovery_sweep () =
               ~strategy:(Trance.Api.Shredded { unshred = true })
               prog inputs
           in
-          let s = totals r in
+          let s = Exec.Stats.snapshot r.Trance.Api.stats in
           Printf.printf "%-8d %-10s %9.4f %10.1f %6d %12.1f %9.1f %11.4f  %s\n"
             n
             (Exec.Config.checkpoint_name policy)
@@ -608,7 +606,9 @@ let memory () =
     api_run ~label:"calibrate/Standard" ~config:base
       ~strategy:Trance.Api.Standard prog inputs
   in
-  let peak = (totals calibrate).Exec.Stats.peak_worker_bytes in
+  let peak =
+    (Exec.Stats.snapshot calibrate.Trance.Api.stats).Exec.Stats.peak_worker_bytes
+  in
   Printf.printf "clean Standard peak: %.2fMB per worker\n\n" (mb peak);
   let variants =
     [
@@ -648,7 +648,7 @@ let memory () =
           in
           let label = Printf.sprintf "%s/%.3fxpeak" vname frac in
           let r = api_run ~label ~config ~strategy prog inputs in
-          let s = totals r in
+          let s = Exec.Stats.snapshot r.Trance.Api.stats in
           let regime =
             match Trance.Api.outcome r, r.Trance.Api.degradation with
             | Trance.Api.Failed, _ -> "FAIL"
@@ -737,7 +737,7 @@ let scale_domains () =
               in
               Printf.printf "%-18s %-16s %7d %9.3f %9.3f %7.2fx %6s\n" cname
                 r.Trance.Api.strategy domains wall
-                (totals r).Exec.Stats.sim_seconds
+                (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds
                 speedup
                 (if identical then "yes" else "NO");
               if not !first then Buffer.add_char buf ',';
@@ -746,7 +746,7 @@ let scale_domains () =
                 (Printf.sprintf
                    "{\"cell\":\"%s\",\"strategy\":\"%s\",\"domains\":%d,\"wall_seconds\":%.6f,\"sim_seconds\":%.6f,\"speedup\":%.4f,\"sim_identical\":%b}"
                    cname r.Trance.Api.strategy domains wall
-                   (totals r).Exec.Stats.sim_seconds
+                   (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds
                    speedup identical))
             domain_counts)
         strategies)

@@ -196,18 +196,8 @@ let print_trace (r : Trance.Api.run) =
     r.Trance.Api.trace;
   let t = (Exec.Trace.agg r.Trance.Api.trace).Exec.Trace.counters in
   let mb b = float_of_int b /. 1048576. in
-  (* every counter; the span tree sums the float ones in tree order, so
-     those agree to rounding *)
   let agree =
-    let s = Exec.Stats.snapshot r.Trance.Api.stats in
-    let exact (c : Exec.Stats.snapshot) =
-      { c with sim_seconds = 0.; recovery_seconds = 0.; wall_seconds = 0. }
-    in
-    let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs a) in
-    exact t = exact s
-    && close t.sim_seconds s.sim_seconds
-    && close t.recovery_seconds s.recovery_seconds
-    && close t.wall_seconds s.wall_seconds
+    Exec.Trace.agrees r.Trance.Api.trace (Exec.Stats.snapshot r.Trance.Api.stats)
   in
   Fmt.pr
     "trace totals: shuffle=%.2fMB bcast=%.2fMB peak=%.2fMB spilled=%.2fMB \

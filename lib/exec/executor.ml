@@ -115,11 +115,8 @@ let rset_rows r =
 
 let trace_rows_in st rsets =
   if st.trace <> None then
-    Trace.add st.trace
-      {
-        Trace.zero_metrics with
-        rows_in = List.fold_left (fun acc r -> acc + rset_rows r) 0 rsets;
-      }
+    Trace.add_rows_in st.trace
+      (List.fold_left (fun acc r -> acc + rset_rows r) 0 rsets)
 
 (* The one accounting entry point: a counter delta lands in the run total
    and in the innermost span. *)

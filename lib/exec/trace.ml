@@ -64,6 +64,19 @@ let rec total sp =
 let agg spans =
   List.fold_left (fun acc sp -> merge_metrics acc (total sp)) zero_metrics spans
 
+(* The tree sums the float counters in tree order, the total in charge
+   order: those agree to rounding, every other counter exactly. *)
+let agrees spans (s : Stats.snapshot) =
+  let t = (agg spans).counters in
+  let exact (c : Stats.snapshot) =
+    { c with sim_seconds = 0.; recovery_seconds = 0.; wall_seconds = 0. }
+  in
+  let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs a) in
+  exact t = exact s
+  && close t.sim_seconds s.sim_seconds
+  && close t.recovery_seconds s.recovery_seconds
+  && close t.wall_seconds s.wall_seconds
+
 let find_all pred spans =
   let rec go acc sp =
     let acc = if pred sp then sp :: acc else acc in
@@ -142,8 +155,6 @@ let set_strategy octx s =
   on_top octx (fun n ->
       match n.nstrategy with None -> n.nstrategy <- Some s | Some _ -> ())
 
-let add octx d = on_top octx (fun n -> n.nm <- merge_metrics n.nm d)
-
 (* The one charge path for counters: the run total first, then the span,
    so tracing can never perturb the total's summation order. *)
 let charge octx stats d =
@@ -151,15 +162,21 @@ let charge octx stats d =
   on_top octx (fun n ->
       n.nm <- { n.nm with counters = Stats.merge n.nm.counters d })
 
+(* The span-only fields: they never reach the run total. *)
+let add_rows_in octx rows =
+  on_top octx (fun n -> n.nm <- { n.nm with rows_in = n.nm.rows_in + rows })
+
 let observe_partitions octx (bytes : int array) =
-  if Option.is_some octx then
-    add octx
-      {
-        zero_metrics with
-        max_partition_bytes = Array.fold_left max 0 bytes;
-        sum_partition_bytes = Array.fold_left ( + ) 0 bytes;
-        partitions = Array.length bytes;
-      }
+  on_top octx (fun n ->
+      n.nm <-
+        {
+          n.nm with
+          max_partition_bytes =
+            Array.fold_left max n.nm.max_partition_bytes bytes;
+          sum_partition_bytes =
+            Array.fold_left ( + ) n.nm.sum_partition_bytes bytes;
+          partitions = n.nm.partitions + Array.length bytes;
+        })
 
 let group ~op ~stage children =
   { id = -1; op; stage; strategy = None; metrics = zero_metrics; children }

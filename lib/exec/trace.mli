@@ -76,6 +76,11 @@ val total : span -> metrics
 val agg : span list -> metrics
 (** [merge_metrics] over the inclusive totals of a span forest. *)
 
+val agrees : span list -> Stats.snapshot -> bool
+(** Whether a span forest's {!agg} counters equal a run total: every
+    integer counter exactly, the float counters to rounding (the tree sums
+    them in tree order, the total in charge order). *)
+
 val find_all : (span -> bool) -> span list -> span list
 (** All spans (depth-first) in a forest satisfying the predicate. *)
 
@@ -110,12 +115,14 @@ val charge : ctx option -> Stats.t -> Stats.snapshot -> unit
     span (if any). The total is charged first and never derived from the
     span tree, so tracing cannot change its float summation order. *)
 
-val add : ctx option -> metrics -> unit
-(** Merge a delta into the innermost open span only: for the span-only
-    fields. Counters go through {!charge}. *)
+val add_rows_in : ctx option -> int -> unit
+(** Add to the innermost open span's [rows_in]. Like
+    {!observe_partitions}, it touches a span-only field: counters can reach
+    a span only through {!charge}. *)
 
 val observe_partitions : ctx option -> int array -> unit
-(** Record one stage's per-partition output bytes (feeds max/sum/count). *)
+(** Record one stage's per-partition output bytes (feeds max/sum/count)
+    on the innermost open span. *)
 
 val group : op:string -> stage:string -> span list -> span
 (** Synthetic parent span (zero own metrics) over existing spans — used by

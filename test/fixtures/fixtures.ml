@@ -296,24 +296,12 @@ let check_bag_equal what expected actual =
       (Fmt.str "%s: bags differ@.expected: %a@.actual:   %a" what V.pp
          (V.canonicalize expected) V.pp (V.canonicalize actual))
 
-(** The span tree of a traced run agrees with its flat totals: every
-    integer counter exactly, the float counters to rounding (the tree sums
-    them in tree order). *)
+(** The span tree of a traced run agrees with its flat totals
+    ({!Exec.Trace.agrees}). *)
 let check_counters_agree what (r : Trance.Api.run) =
-  let open Stdlib in
   let t = (Exec.Trace.agg r.Trance.Api.trace).Exec.Trace.counters in
   let s = Exec.Stats.snapshot r.Trance.Api.stats in
-  let exact (c : Exec.Stats.snapshot) =
-    { c with sim_seconds = 0.; recovery_seconds = 0.; wall_seconds = 0. }
-  in
-  let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs a) in
-  if
-    not
-      (exact s = exact t
-      && close s.sim_seconds t.sim_seconds
-      && close s.recovery_seconds t.recovery_seconds
-      && close s.wall_seconds t.wall_seconds)
-  then
+  if not (Exec.Trace.agrees r.Trance.Api.trace s) then
     failwith
       (Fmt.str "%s: span tree disagrees with the totals@.totals: %a@.spans:  %a"
          what Exec.Stats.pp_snapshot s Exec.Stats.pp_snapshot t)

@@ -101,8 +101,6 @@ let storms =
       ] );
   ]
 
-let check_counter_totals = Fixtures.check_counters_agree
-
 let campaign_tests =
   List.concat_map
     (fun (name, q) ->
@@ -136,7 +134,7 @@ let campaign_tests =
                         () (* typed: acceptable, never a wrong answer *)
                       | Some (Trance.Api.Error m) ->
                         fail_with_dump what r ("untyped failure " ^ m));
-                      check_counter_totals what r;
+                      Fixtures.check_counters_agree what r;
                       (* checkpoints only where the policy allows them *)
                       (match policy with
                       | Exec.Config.No_checkpoints ->

@@ -179,10 +179,6 @@ let fault_specs =
       ])
     [ 1; 4 ]
 
-(* aggregated counters in the span tree = flat Stats counters:
-   "recomputed bytes accounted exactly in the span tree" *)
-let check_recovery_totals = Fixtures.check_counters_agree
-
 let check_attempt_bounds what (spec : F.spec) (r : Trance.Api.run) =
   let s = Exec.Stats.snapshot r.Trance.Api.stats in
   let per_task = max (cluster.Exec.Config.max_task_attempts - 1) spec.F.fails in
@@ -219,7 +215,7 @@ let campaign_tests =
                   | Some (Trance.Api.Error m) ->
                     Alcotest.fail (what ^ ": untyped failure " ^ m));
                   check_attempt_bounds what spec r;
-                  check_recovery_totals what r;
+                  Fixtures.check_counters_agree what r;
                   (* same seed => identical span tree and counters *)
                   let r2 = run_fault ~config ~spec:[ spec ] strategy q in
                   check (what ^ ": deterministic span tree") true
@@ -273,7 +269,7 @@ let ladder_tests =
                     true
                     ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.spilled_bytes > 0
                     = (peak > budget));
-                  check_recovery_totals rung r;
+                  Fixtures.check_counters_agree rung r;
                   let r2 = run_fault ~config:(spill_on budget) ~spec:[] strategy q in
                   check (rung ^ ": deterministic replay") true
                     (det_spans r = det_spans r2 && det_stats r = det_stats r2))
@@ -302,7 +298,7 @@ let test_task_exhaustion () =
   check_int "wasted retries accounted"
     (cluster.Exec.Config.max_task_attempts - 1)
     ((Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.task_retries);
-  check_recovery_totals "task exhaustion" r
+  Fixtures.check_counters_agree "task exhaustion" r
 
 (* a worker crash is always recoverable: lineage re-execution retries every
    partition of the dead worker and the answer is unchanged *)
@@ -402,7 +398,7 @@ let test_memsqueeze_spills () =
   let reference = Fixtures.eval_ref Fixtures.example1 in
   check "answer unchanged" true
     (V.approx_bag_equal reference (Option.get r.Trance.Api.value));
-  check_recovery_totals "squeeze spills" r;
+  Fixtures.check_counters_agree "squeeze spills" r;
   match r.Trance.Api.degradation with
   | Some d ->
     check "degradation records the spill" true
@@ -446,7 +442,7 @@ let test_storm_fires_all () =
   let reference = Fixtures.eval_ref Fixtures.example1 in
   check "storm answer unchanged" true
     (V.approx_bag_equal reference (Option.get two.Trance.Api.value));
-  check_recovery_totals "storm" two
+  Fixtures.check_counters_agree "storm" two
 
 (* a clean run is byte-identical to itself: the baseline the injected
    determinism checks rest on *)
