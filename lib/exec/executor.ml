@@ -521,6 +521,16 @@ let join_partition ~lkey ~kind ~rcols (index : Row.t list ref KeyTbl.t)
     lpart;
   Array.of_list (List.rev !out)
 
+(* Account a stage over a broadcast replica of [rbytes]: the replica is
+   pinned on every worker for the duration of the stage; it is also the
+   stage's build side, so it can spill (external broadcast join). *)
+let account_broadcast st ~stage rbytes (l : rset) out =
+  Memory.pin st.mem rbytes;
+  Fun.protect
+    ~finally:(fun () -> Memory.unpin st.mem rbytes)
+    (fun () ->
+      account st ~stage ~spill:Spill_pinned [ part_bytes l.parts ] out)
+
 (* broadcast join: right side replicated to every worker *)
 let broadcast_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
     rset =
@@ -534,14 +544,7 @@ let broadcast_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
   let index = index_rows rkey all_right in
   (* probe tasks share the index read-only, which is safe across domains *)
   let out = pool_map st (join_partition ~lkey ~kind ~rcols index) l.parts in
-  (* the replica is pinned on every worker for the duration of the stage;
-     it is also the join's build side, so it can spill (external broadcast
-     join) *)
-  Memory.pin st.mem rbytes;
-  Fun.protect
-    ~finally:(fun () -> Memory.unpin st.mem rbytes)
-    (fun () ->
-      account st ~stage ~spill:Spill_pinned [ part_bytes l.parts ] out);
+  account_broadcast st ~stage rbytes l out;
   { parts = out; key = l.key; skew = None }
 
 let shuffle_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
