@@ -367,6 +367,471 @@ let test_shred_shuffles_less () =
     <= (Exec.Stats.snapshot std.Trance.Api.stats).Exec.Stats.shuffled_bytes)
 
 (* ------------------------------------------------------------------ *)
+(* Golden simulated counters: every corpus query × route × config must
+   reproduce the recorded stripped totals and span partition metrics bit
+   for bit. Domain-count campaigns compare runs against each other, so only
+   a recorded table catches a size computed wrongly in the same way
+   everywhere. Floats are printed as hex, zero counters are omitted. *)
+
+let golden_configs =
+  [
+    ("default", api_config);
+    ("skew", { api_config with skew_aware = true });
+    ("nocogroup", { api_config with cogroup = false });
+    ( "shuffle",
+      { api_config with cluster = { cluster with broadcast_limit = 0 } } );
+  ]
+
+let golden_line (s : Exec.Stats.snapshot) (m : Exec.Trace.metrics) =
+  let ints =
+    [
+      ("sh", s.shuffled_bytes); ("bc", s.broadcast_bytes);
+      ("peak", s.peak_worker_bytes); ("rows", s.rows_processed);
+      ("st", s.stages); ("retry", s.task_retries);
+      ("retried", s.retried_tasks); ("spec", s.speculative_tasks);
+      ("recomp", s.recomputed_bytes); ("spill", s.spilled_bytes);
+      ("spillp", s.spill_partitions); ("rounds", s.spill_rounds);
+      ("ckpt", s.checkpoints_written); ("ckptb", s.checkpoint_bytes);
+      ("trunc", s.lineage_truncated); ("in", m.rows_in);
+      ("maxp", m.max_partition_bytes); ("sump", m.sum_partition_bytes);
+      ("np", m.partitions);
+    ]
+  in
+  let floats =
+    [ ("sim", s.sim_seconds); ("rec", s.recovery_seconds); ("wall", s.wall_seconds) ]
+  in
+  String.concat " "
+    (List.filter_map
+       (fun (k, v) -> if v = 0 then None else Some (Printf.sprintf "%s=%d" k v))
+       ints
+    @ List.filter_map
+        (fun (k, v) -> if v = 0. then None else Some (Printf.sprintf "%s=%h" k v))
+        floats)
+
+(* a join without an equality: the one path through [Product] *)
+let cross_price =
+  B.(
+    for_ "cop" (input "COP") (fun cop ->
+        for_ "p" (input "Part") (fun p ->
+            where
+              (p #. "price" > real 25.)
+              (sng (record [ ("cname", cop #. "cname"); ("pname", p #. "pname") ])))))
+
+(* a global aggregate: the one path through [gather] *)
+let total_qty =
+  B.(
+    sum_by ~keys:[] ~values:[ "qty" ]
+      (for_ "cop" (input "COP") (fun cop ->
+           for_ "co" (cop #. "corders") (fun co ->
+               for_ "op" (co #. "oparts") (fun op ->
+                   sng (record [ ("qty", op #. "qty") ]))))))
+
+let golden_runs () =
+  List.concat_map
+    (fun (cname, config) ->
+      let config = { (config : Trance.Api.config) with trace = true } in
+      List.concat_map
+        (fun (qname, q) ->
+          List.map
+            (fun strategy ->
+              let r = run_strategy ~config strategy q in
+              ( Printf.sprintf "%s/%s/%s" qname
+                  (Trance.Api.strategy_name strategy)
+                  cname,
+                r ))
+            strategies)
+        (Fixtures.corpus
+         @ [ ("cross_price", cross_price); ("total_qty", total_qty) ]))
+    golden_configs
+
+(* recorded on the executor that re-walked rows to size partitions *)
+let golden_table =
+  [
+    ("example1/Standard/default",
+     "sh=1517 bc=696 peak=2705 rows=68 st=2 in=74 maxp=1164 sump=11298 np=91 sim=0x1.02693bd8c92f6p-13");
+    ("example1/Shred+Unshred/default",
+     "sh=1570 bc=2508 peak=1141 rows=81 st=4 in=135 maxp=354 sump=8594 np=140 sim=0x1.697712053b284p-14");
+    ("example1/SparkSQL/default",
+     "sh=1517 bc=696 peak=4713 rows=63 st=2 in=69 maxp=2076 sump=14436 np=84 sim=0x1.6a38580b2edd3p-13");
+    ("flatten/Standard/default",
+     "peak=906 rows=22 in=26 maxp=404 sump=2266 np=28 sim=0x1.9a89d9881c18cp-16");
+    ("flatten/Shred+Unshred/default",
+     "bc=2100 peak=1626 rows=33 in=59 maxp=724 sump=3062 np=42 sim=0x1.06fb9cc3f0854p-15");
+    ("flatten/SparkSQL/default",
+     "peak=2910 rows=17 in=21 maxp=1716 sump=3912 np=21 sim=0x1.ca1a14ff159f5p-15");
+    ("nested_to_flat/Standard/default",
+     "sh=74 bc=480 peak=1228 rows=28 st=1 in=43 maxp=564 sump=2903 np=56 sim=0x1.4234d8cfba67fp-15");
+    ("nested_to_flat/Shred+Unshred/default",
+     "sh=74 bc=2400 peak=1840 rows=39 st=1 in=76 maxp=836 sump=3847 np=70 sim=0x1.9a745ff939e84p-15");
+    ("nested_to_flat/SparkSQL/default",
+     "sh=74 bc=696 peak=4140 rows=19 st=1 in=34 maxp=1948 sump=5935 np=42 sim=0x1.8f81e8a2ec28bp-14");
+    ("flat_to_nested/Standard/default",
+     "bc=696 peak=552 rows=16 in=28 maxp=126 sump=1152 np=28 sim=0x1.8a99a17c3c10ap-18");
+    ("flat_to_nested/Shred+Unshred/default",
+     "sh=248 bc=792 peak=636 rows=32 st=1 in=56 maxp=186 sump=2432 np=63 sim=0x1.36b6cb58ae6cfp-16");
+    ("flat_to_nested/SparkSQL/default",
+     "sh=792 bc=696 peak=776 rows=18 st=1 in=30 maxp=264 sump=2696 np=35 sim=0x1.690bb23ad0359p-16");
+    ("select_nested/Standard/default",
+     "peak=818 rows=21 in=27 maxp=277 sump=3122 np=35 sim=0x1.bc98a222d5172p-16");
+    ("select_nested/Shred+Unshred/default",
+     "sh=699 bc=2100 peak=1283 rows=44 st=1 in=76 maxp=332 sump=5174 np=77 sim=0x1.7dae81882adc5p-15");
+    ("select_nested/SparkSQL/default",
+     "peak=818 rows=16 in=22 maxp=277 sump=2468 np=28 sim=0x1.6504e770671b4p-16");
+    ("group_query/Standard/default",
+     "sh=594 peak=826 rows=13 st=1 in=20 maxp=515 sump=2074 np=28 sim=0x1.4031736a85dadp-15");
+    ("group_query/Shred+Unshred/default",
+     "sh=466 bc=2046 peak=647 rows=55 st=2 in=105 maxp=202 sump=3860 np=105 sim=0x1.9e2544881a405p-15");
+    ("group_query/SparkSQL/default",
+     "sh=1294 peak=1526 rows=8 st=1 in=15 maxp=1155 sump=2820 np=21 sim=0x1.238bcb4fca17cp-14");
+    ("dedup_query/Standard/default",
+     "sh=96 peak=772 rows=26 st=1 in=32 maxp=336 sump=1844 np=42 sim=0x1.6f40d588323e2p-16");
+    ("dedup_query/Shred+Unshred/default",
+     "sh=96 bc=1704 peak=1264 rows=37 st=1 in=65 maxp=560 sump=2304 np=56 sim=0x1.ae55e940a0da1p-16");
+    ("dedup_query/SparkSQL/default",
+     "sh=96 peak=2910 rows=21 st=1 in=27 maxp=1716 sump=3755 np=35 sim=0x1.c86c95d569d46p-15");
+    ("deep_nested/Standard/default",
+     "sh=2266 peak=1614 rows=46 st=2 in=51 maxp=932 sump=8724 np=70 sim=0x1.c3fa6b4095c76p-14");
+    ("deep_nested/Shred+Unshred/default",
+     "sh=1362 bc=1920 peak=1191 rows=74 st=3 in=126 maxp=306 sump=7672 np=119 sim=0x1.287412767a2fcp-14");
+    ("deep_nested/SparkSQL/default",
+     "sh=3442 peak=3166 rows=41 st=2 in=46 maxp=1844 sump=11862 np=63 sim=0x1.61ca1f7362ce4p-13");
+    ("two_bags/Standard/default",
+     "sh=4581 peak=4121 rows=40 st=2 in=45 maxp=2446 sump=14629 np=63 sim=0x1.f9e55ebefd2b6p-13");
+    ("two_bags/Shred+Unshred/default",
+     "sh=400 bc=2340 peak=1020 rows=66 st=2 in=128 maxp=348 sump=5896 np=105 sim=0x1.abd1aa821f299p-15");
+    ("two_bags/SparkSQL/default",
+     "sh=4581 peak=4121 rows=40 st=2 in=45 maxp=2446 sump=14629 np=63 sim=0x1.f9e55ebefd2b6p-13");
+    ("group_in_nested/Standard/default",
+     "sh=1376 peak=1486 rows=41 st=1 in=46 maxp=868 sump=6678 np=56 sim=0x1.67c992db8f5d6p-14");
+    ("group_in_nested/Shred+Unshred/default",
+     "sh=2353 bc=6036 peak=1932 rows=160 st=6 in=266 maxp=560 sump=15706 np=245 sim=0x1.3f8b05572ce2bp-13");
+    ("group_in_nested/SparkSQL/default",
+     "sh=2552 peak=3038 rows=36 st=1 in=41 maxp=1780 sump=9096 np=49 sim=0x1.2ed428e1a0996p-13");
+    ("union_nested/Standard/default",
+     "sh=604 peak=770 rows=34 st=1 in=52 maxp=322 sump=3966 np=84 sim=0x1.830ce540b6ff6p-15");
+    ("union_nested/Shred+Unshred/default",
+     "sh=272 bc=1296 peak=628 rows=72 st=2 in=132 maxp=252 sump=3774 np=133 sim=0x1.130ffd232bd42p-15");
+    ("union_nested/SparkSQL/default",
+     "sh=1232 peak=1055 rows=25 st=1 in=43 maxp=778 sump=4408 np=70 sim=0x1.1c8aa5350341fp-14");
+    ("union_query/Standard/default",
+     "peak=772 rows=32 in=50 maxp=336 sump=2012 np=49 sim=0x1.764cb86a6a2c2p-16");
+    ("union_query/Shred+Unshred/default",
+     "bc=1704 peak=1264 rows=43 in=83 maxp=560 sump=2472 np=63 sim=0x1.b561cc22d8c8p-16");
+    ("union_query/SparkSQL/default",
+     "peak=2910 rows=23 in=41 maxp=1716 sump=3817 np=35 sim=0x1.c841a2b7a5734p-15");
+    ("cross_price/Standard/default",
+     "bc=276 peak=484 rows=31 in=39 maxp=158 sump=1646 np=35 sim=0x1.3660e51d25aabp-17");
+    ("cross_price/Shred+Unshred/default",
+     "bc=276 peak=484 rows=31 in=39 maxp=158 sump=1646 np=35 sim=0x1.e12ba97c0fc6p-18");
+    ("cross_price/SparkSQL/default",
+     "bc=348 peak=1503 rows=22 in=30 maxp=638 sump=2428 np=21 sim=0x1.23c17b34ff912p-16");
+    ("total_qty/Standard/default",
+     "sh=48 peak=772 rows=20 st=1 in=26 maxp=336 sump=1652 np=35 sim=0x1.51b9b1112f7d5p-16");
+    ("total_qty/Shred+Unshred/default",
+     "sh=48 bc=1704 peak=1264 rows=31 st=1 in=59 maxp=560 sump=2112 np=49 sim=0x1.90cec4c99e193p-16");
+    ("total_qty/SparkSQL/default",
+     "sh=48 peak=2910 rows=15 st=1 in=21 maxp=1716 sump=3563 np=28 sim=0x1.b9a90399e873fp-15");
+    ("example1/Standard/skew",
+     "sh=2697 bc=174 peak=2166 rows=68 st=4 in=74 maxp=932 sump=12478 np=112 sim=0x1.1d9714af0ea0dp-13");
+    ("example1/Shred+Unshred/skew",
+     "sh=4834 bc=174 peak=1532 rows=88 st=11 in=142 maxp=541 sump=13158 np=203 sim=0x1.493b5d4e39c9cp-13");
+    ("example1/SparkSQL/skew",
+     "sh=3417 bc=174 peak=3262 rows=63 st=4 in=69 maxp=1844 sump=16336 np=105 sim=0x1.8fe28ba5e6033p-13");
+    ("flatten/Standard/skew",
+     "peak=906 rows=22 in=26 maxp=404 sump=2266 np=28 sim=0x1.9a89d9881c18cp-16");
+    ("flatten/Shred+Unshred/skew",
+     "sh=1564 peak=1566 rows=33 st=4 in=59 maxp=543 sump=4626 np=70 sim=0x1.fc1915a5aea5cp-15");
+    ("flatten/SparkSQL/skew",
+     "peak=2910 rows=17 in=21 maxp=1716 sump=3912 np=21 sim=0x1.ca1a14ff159f5p-15");
+    ("nested_to_flat/Standard/skew",
+     "sh=634 bc=120 peak=906 rows=29 st=3 in=43 maxp=404 sump=3500 np=77 sim=0x1.8ea06c46a52afp-15");
+    ("nested_to_flat/Shred+Unshred/skew",
+     "sh=2313 bc=120 peak=1470 rows=39 st=7 in=76 maxp=507 sump=6086 np=119 sim=0x1.7f86f3cf9b085p-14");
+    ("nested_to_flat/SparkSQL/skew",
+     "sh=1600 bc=174 peak=2910 rows=20 st=3 in=34 maxp=1716 sump=7498 np=63 sim=0x1.e4463b22c0ca5p-14");
+    ("flat_to_nested/Standard/skew",
+     "sh=1080 peak=1080 rows=22 st=3 in=34 maxp=540 sump=2880 np=56 sim=0x1.3cebeea610756p-15");
+    ("flat_to_nested/Shred+Unshred/skew",
+     "sh=1404 peak=1420 rows=38 st=3 in=62 maxp=710 sump=4440 np=84 sim=0x1.b7e60ae15a787p-15");
+    ("flat_to_nested/SparkSQL/skew",
+     "sh=1320 peak=1320 rows=18 st=3 in=30 maxp=660 sump=3224 np=49 sim=0x1.75a0ebf358a7cp-15");
+    ("select_nested/Standard/skew",
+     "peak=818 rows=21 in=27 maxp=277 sump=3122 np=35 sim=0x1.bc98a222d5172p-16");
+    ("select_nested/Shred+Unshred/skew",
+     "sh=3171 peak=1822 rows=51 st=4 in=83 maxp=1225 sump=9083 np=105 sim=0x1.26405b8fc8b57p-13");
+    ("select_nested/SparkSQL/skew",
+     "peak=818 rows=16 in=22 maxp=277 sump=2468 np=28 sim=0x1.6504e770671b4p-16");
+    ("group_query/Standard/skew",
+     "sh=594 peak=826 rows=13 st=1 in=20 maxp=515 sump=2074 np=28 sim=0x1.4031736a85dadp-15");
+    ("group_query/Shred+Unshred/skew",
+     "sh=2379 peak=906 rows=60 st=9 in=110 maxp=505 sump=6399 np=161 sim=0x1.c88ccc2bbd1d1p-14");
+    ("group_query/SparkSQL/skew",
+     "sh=1294 peak=1526 rows=8 st=1 in=15 maxp=1155 sump=2820 np=21 sim=0x1.238bcb4fca17cp-14");
+    ("dedup_query/Standard/skew",
+     "sh=96 peak=772 rows=26 st=1 in=32 maxp=336 sump=1844 np=42 sim=0x1.6f40d588323e2p-16");
+    ("dedup_query/Shred+Unshred/skew",
+     "sh=1304 peak=1216 rows=37 st=5 in=65 maxp=420 sump=3512 np=84 sim=0x1.9a1e79bdb126p-15");
+    ("dedup_query/SparkSQL/skew",
+     "sh=96 peak=2910 rows=21 st=1 in=27 maxp=1716 sump=3755 np=35 sim=0x1.c86c95d569d46p-15");
+    ("deep_nested/Standard/skew",
+     "sh=2266 peak=1614 rows=46 st=2 in=51 maxp=932 sump=8724 np=70 sim=0x1.c3fa6b4095c76p-14");
+    ("deep_nested/Shred+Unshred/skew",
+     "sh=4287 peak=1587 rows=81 st=8 in=133 maxp=529 sump=11924 np=161 sim=0x1.1c752ba621118p-13");
+    ("deep_nested/SparkSQL/skew",
+     "sh=3442 peak=3166 rows=41 st=2 in=46 maxp=1844 sump=11862 np=63 sim=0x1.61ca1f7362ce4p-13");
+    ("two_bags/Standard/skew",
+     "sh=4581 peak=4121 rows=40 st=2 in=45 maxp=2446 sump=14629 np=63 sim=0x1.f9e55ebefd2b6p-13");
+    ("two_bags/Shred+Unshred/skew",
+     "sh=4616 peak=1970 rows=79 st=10 in=141 maxp=825 sump=12262 np=175 sim=0x1.3b137c5ea0495p-13");
+    ("two_bags/SparkSQL/skew",
+     "sh=4581 peak=4121 rows=40 st=2 in=45 maxp=2446 sump=14629 np=63 sim=0x1.f9e55ebefd2b6p-13");
+    ("group_in_nested/Standard/skew",
+     "sh=1376 peak=1486 rows=41 st=1 in=46 maxp=868 sump=6678 np=56 sim=0x1.67c992db8f5d6p-14");
+    ("group_in_nested/Shred+Unshred/skew",
+     "sh=9090 peak=1708 rows=168 st=18 in=274 maxp=888 sump=24044 np=336 sim=0x1.28fa4a337fdf3p-12");
+    ("group_in_nested/SparkSQL/skew",
+     "sh=2552 peak=3038 rows=36 st=1 in=41 maxp=1780 sump=9096 np=49 sim=0x1.2ed428e1a0996p-13");
+    ("union_nested/Standard/skew",
+     "sh=604 peak=770 rows=34 st=1 in=52 maxp=322 sump=3966 np=84 sim=0x1.830ce540b6ff6p-15");
+    ("union_nested/Shred+Unshred/skew",
+     "sh=1747 peak=909 rows=78 st=7 in=138 maxp=349 sump=5864 np=175 sim=0x1.1decfaea97631p-14");
+    ("union_nested/SparkSQL/skew",
+     "sh=1232 peak=1055 rows=25 st=1 in=43 maxp=778 sump=4408 np=70 sim=0x1.1c8aa5350341fp-14");
+    ("union_query/Standard/skew",
+     "peak=772 rows=32 in=50 maxp=336 sump=2012 np=49 sim=0x1.764cb86a6a2c2p-16");
+    ("union_query/Shred+Unshred/skew",
+     "sh=1208 peak=1216 rows=43 st=4 in=83 maxp=420 sump=3680 np=91 sim=0x1.9da46b2ecd1dp-15");
+    ("union_query/SparkSQL/skew",
+     "peak=2910 rows=23 in=41 maxp=1716 sump=3817 np=35 sim=0x1.c841a2b7a5734p-15");
+    ("cross_price/Standard/skew",
+     "bc=276 peak=484 rows=31 in=39 maxp=158 sump=1646 np=35 sim=0x1.3660e51d25aabp-17");
+    ("cross_price/Shred+Unshred/skew",
+     "bc=276 peak=484 rows=31 in=39 maxp=158 sump=1646 np=35 sim=0x1.e12ba97c0fc6p-18");
+    ("cross_price/SparkSQL/skew",
+     "bc=348 peak=1503 rows=22 in=30 maxp=638 sump=2428 np=21 sim=0x1.23c17b34ff912p-16");
+    ("total_qty/Standard/skew",
+     "sh=48 peak=772 rows=20 st=1 in=26 maxp=336 sump=1652 np=35 sim=0x1.51b9b1112f7d5p-16");
+    ("total_qty/Shred+Unshred/skew",
+     "sh=1256 peak=1216 rows=31 st=5 in=59 maxp=420 sump=3320 np=77 sim=0x1.8cb2807052ce5p-15");
+    ("total_qty/SparkSQL/skew",
+     "sh=48 peak=2910 rows=15 st=1 in=21 maxp=1716 sump=3563 np=28 sim=0x1.b9a90399e873fp-15");
+    ("example1/Standard/nocogroup",
+     "sh=1517 bc=696 peak=2705 rows=68 st=2 in=74 maxp=1164 sump=11298 np=91 sim=0x1.02693bd8c92f6p-13");
+    ("example1/Shred+Unshred/nocogroup",
+     "sh=2870 bc=2508 peak=1540 rows=88 st=5 in=142 maxp=657 sump=11194 np=154 sim=0x1.0766fc8e5b77fp-13");
+    ("example1/SparkSQL/nocogroup",
+     "sh=1517 bc=696 peak=4713 rows=63 st=2 in=69 maxp=2076 sump=14436 np=84 sim=0x1.6a38580b2edd3p-13");
+    ("flatten/Standard/nocogroup",
+     "peak=906 rows=22 in=26 maxp=404 sump=2266 np=28 sim=0x1.9a89d9881c18cp-16");
+    ("flatten/Shred+Unshred/nocogroup",
+     "bc=2100 peak=1626 rows=33 in=59 maxp=724 sump=3062 np=42 sim=0x1.06fb9cc3f0854p-15");
+    ("flatten/SparkSQL/nocogroup",
+     "peak=2910 rows=17 in=21 maxp=1716 sump=3912 np=21 sim=0x1.ca1a14ff159f5p-15");
+    ("nested_to_flat/Standard/nocogroup",
+     "sh=74 bc=480 peak=1228 rows=28 st=1 in=43 maxp=564 sump=2903 np=56 sim=0x1.4234d8cfba67fp-15");
+    ("nested_to_flat/Shred+Unshred/nocogroup",
+     "sh=74 bc=2400 peak=1840 rows=39 st=1 in=76 maxp=836 sump=3847 np=70 sim=0x1.9a745ff939e84p-15");
+    ("nested_to_flat/SparkSQL/nocogroup",
+     "sh=74 bc=696 peak=4140 rows=19 st=1 in=34 maxp=1948 sump=5935 np=42 sim=0x1.8f81e8a2ec28bp-14");
+    ("flat_to_nested/Standard/nocogroup",
+     "sh=648 bc=696 peak=656 rows=22 st=1 in=34 maxp=216 sump=2448 np=42 sim=0x1.3c152f113a9p-16");
+    ("flat_to_nested/Shred+Unshred/nocogroup",
+     "sh=1100 bc=792 peak=842 rows=38 st=2 in=62 maxp=284 sump=4136 np=77 sim=0x1.2a4c84bdea5bdp-15");
+    ("flat_to_nested/SparkSQL/nocogroup",
+     "sh=792 bc=696 peak=776 rows=18 st=1 in=30 maxp=264 sump=2696 np=35 sim=0x1.690bb23ad0359p-16");
+    ("select_nested/Standard/nocogroup",
+     "peak=818 rows=21 in=27 maxp=277 sump=3122 np=35 sim=0x1.bc98a222d5172p-16");
+    ("select_nested/Shred+Unshred/nocogroup",
+     "sh=2136 bc=2100 peak=1882 rows=51 st=2 in=83 maxp=852 sump=8048 np=91 sim=0x1.9540ef5e72263p-14");
+    ("select_nested/SparkSQL/nocogroup",
+     "peak=818 rows=16 in=22 maxp=277 sump=2468 np=28 sim=0x1.6504e770671b4p-16");
+    ("group_query/Standard/nocogroup",
+     "sh=594 peak=826 rows=13 st=1 in=20 maxp=515 sump=2074 np=28 sim=0x1.4031736a85dadp-15");
+    ("group_query/Shred+Unshred/nocogroup",
+     "sh=1092 bc=2046 peak=913 rows=60 st=3 in=110 maxp=505 sump=5112 np=119 sim=0x1.2ac2a14fc666dp-14");
+    ("group_query/SparkSQL/nocogroup",
+     "sh=1294 peak=1526 rows=8 st=1 in=15 maxp=1155 sump=2820 np=21 sim=0x1.238bcb4fca17cp-14");
+    ("dedup_query/Standard/nocogroup",
+     "sh=96 peak=772 rows=26 st=1 in=32 maxp=336 sump=1844 np=42 sim=0x1.6f40d588323e2p-16");
+    ("dedup_query/Shred+Unshred/nocogroup",
+     "sh=96 bc=1704 peak=1264 rows=37 st=1 in=65 maxp=560 sump=2304 np=56 sim=0x1.ae55e940a0da1p-16");
+    ("dedup_query/SparkSQL/nocogroup",
+     "sh=96 peak=2910 rows=21 st=1 in=27 maxp=1716 sump=3755 np=35 sim=0x1.c86c95d569d46p-15");
+    ("deep_nested/Standard/nocogroup",
+     "sh=2266 peak=1614 rows=46 st=2 in=51 maxp=932 sump=8724 np=70 sim=0x1.c3fa6b4095c76p-14");
+    ("deep_nested/Shred+Unshred/nocogroup",
+     "sh=2689 bc=1920 peak=1609 rows=81 st=4 in=133 maxp=639 sump=10326 np=133 sim=0x1.c943556a3fb9ep-14");
+    ("deep_nested/SparkSQL/nocogroup",
+     "sh=3442 peak=3166 rows=41 st=2 in=46 maxp=1844 sump=11862 np=63 sim=0x1.61ca1f7362ce4p-13");
+    ("two_bags/Standard/nocogroup",
+     "sh=4581 peak=4121 rows=40 st=2 in=45 maxp=2446 sump=14629 np=63 sim=0x1.f9e55ebefd2b6p-13");
+    ("two_bags/Shred+Unshred/nocogroup",
+     "sh=2550 bc=2340 peak=1741 rows=79 st=4 in=141 maxp=666 sump=10196 np=133 sim=0x1.cc12bd9cd9143p-14");
+    ("two_bags/SparkSQL/nocogroup",
+     "sh=4581 peak=4121 rows=40 st=2 in=45 maxp=2446 sump=14629 np=63 sim=0x1.f9e55ebefd2b6p-13");
+    ("group_in_nested/Standard/nocogroup",
+     "sh=1376 peak=1486 rows=41 st=1 in=46 maxp=868 sump=6678 np=56 sim=0x1.67c992db8f5d6p-14");
+    ("group_in_nested/Shred+Unshred/nocogroup",
+     "sh=3954 bc=6036 peak=2223 rows=168 st=7 in=274 maxp=932 sump=18908 np=259 sim=0x1.99b319f346336p-13");
+    ("group_in_nested/SparkSQL/nocogroup",
+     "sh=2552 peak=3038 rows=36 st=1 in=41 maxp=1780 sump=9096 np=49 sim=0x1.2ed428e1a0996p-13");
+    ("union_nested/Standard/nocogroup",
+     "sh=604 peak=770 rows=34 st=1 in=52 maxp=322 sump=3966 np=84 sim=0x1.830ce540b6ff6p-15");
+    ("union_nested/Shred+Unshred/nocogroup",
+     "sh=887 bc=1296 peak=628 rows=78 st=3 in=138 maxp=252 sump=5004 np=147 sim=0x1.88d6a8c3ae153p-15");
+    ("union_nested/SparkSQL/nocogroup",
+     "sh=1232 peak=1055 rows=25 st=1 in=43 maxp=778 sump=4408 np=70 sim=0x1.1c8aa5350341fp-14");
+    ("union_query/Standard/nocogroup",
+     "peak=772 rows=32 in=50 maxp=336 sump=2012 np=49 sim=0x1.764cb86a6a2c2p-16");
+    ("union_query/Shred+Unshred/nocogroup",
+     "bc=1704 peak=1264 rows=43 in=83 maxp=560 sump=2472 np=63 sim=0x1.b561cc22d8c8p-16");
+    ("union_query/SparkSQL/nocogroup",
+     "peak=2910 rows=23 in=41 maxp=1716 sump=3817 np=35 sim=0x1.c841a2b7a5734p-15");
+    ("cross_price/Standard/nocogroup",
+     "bc=276 peak=484 rows=31 in=39 maxp=158 sump=1646 np=35 sim=0x1.3660e51d25aabp-17");
+    ("cross_price/Shred+Unshred/nocogroup",
+     "bc=276 peak=484 rows=31 in=39 maxp=158 sump=1646 np=35 sim=0x1.e12ba97c0fc6p-18");
+    ("cross_price/SparkSQL/nocogroup",
+     "bc=348 peak=1503 rows=22 in=30 maxp=638 sump=2428 np=21 sim=0x1.23c17b34ff912p-16");
+    ("total_qty/Standard/nocogroup",
+     "sh=48 peak=772 rows=20 st=1 in=26 maxp=336 sump=1652 np=35 sim=0x1.51b9b1112f7d5p-16");
+    ("total_qty/Shred+Unshred/nocogroup",
+     "sh=48 bc=1704 peak=1264 rows=31 st=1 in=59 maxp=560 sump=2112 np=49 sim=0x1.90cec4c99e193p-16");
+    ("total_qty/SparkSQL/nocogroup",
+     "sh=48 peak=2910 rows=15 st=1 in=21 maxp=1716 sump=3563 np=28 sim=0x1.b9a90399e873fp-15");
+    ("example1/Standard/shuffle",
+     "sh=3253 peak=1905 rows=68 st=4 in=74 maxp=932 sump=13034 np=105 sim=0x1.146796114edcdp-13");
+    ("example1/Shred+Unshred/shuffle",
+     "sh=3360 peak=1326 rows=81 st=8 in=135 maxp=457 sump=10384 np=168 sim=0x1.f02fa86437b8p-14");
+    ("example1/SparkSQL/shuffle",
+     "sh=4429 peak=3185 rows=63 st=4 in=69 maxp=1844 sump=17348 np=98 sim=0x1.84afa7a2f1b2p-13");
+    ("flatten/Standard/shuffle",
+     "peak=906 rows=22 in=26 maxp=404 sump=2266 np=28 sim=0x1.9a89d9881c18cp-16");
+    ("flatten/Shred+Unshred/shuffle",
+     "sh=1564 peak=1566 rows=33 st=4 in=59 maxp=543 sump=4626 np=70 sim=0x1.fc1915a5aea5cp-15");
+    ("flatten/SparkSQL/shuffle",
+     "peak=2910 rows=17 in=21 maxp=1716 sump=3912 np=21 sim=0x1.ca1a14ff159f5p-15");
+    ("nested_to_flat/Standard/shuffle",
+     "sh=876 peak=906 rows=29 st=3 in=43 maxp=404 sump=3742 np=70 sim=0x1.76cd91c3b74f6p-15");
+    ("nested_to_flat/Shred+Unshred/shuffle",
+     "sh=2728 peak=1470 rows=40 st=7 in=76 maxp=507 sump=6538 np=112 sim=0x1.67333ff360098p-14");
+    ("nested_to_flat/SparkSQL/shuffle",
+     "sh=2548 peak=2910 rows=20 st=3 in=34 maxp=1716 sump=8446 np=56 sim=0x1.d33ed6d5644b1p-14");
+    ("flat_to_nested/Standard/shuffle",
+     "sh=432 peak=872 rows=16 st=2 in=28 maxp=346 sump=1584 np=42 sim=0x1.d369c9f328ac2p-16");
+    ("flat_to_nested/Shred+Unshred/shuffle",
+     "sh=552 peak=1008 rows=32 st=2 in=56 maxp=346 sump=2736 np=70 sim=0x1.39e6d68e41a1cp-15");
+    ("flat_to_nested/SparkSQL/shuffle",
+     "sh=1320 peak=1320 rows=18 st=3 in=30 maxp=660 sump=3224 np=49 sim=0x1.75a0ebf358a7cp-15");
+    ("select_nested/Standard/shuffle",
+     "peak=818 rows=21 in=27 maxp=277 sump=3122 np=35 sim=0x1.bc98a222d5172p-16");
+    ("select_nested/Shred+Unshred/shuffle",
+     "sh=1734 peak=1223 rows=44 st=3 in=76 maxp=457 sump=6209 np=91 sim=0x1.281e2c3af16d9p-14");
+    ("select_nested/SparkSQL/shuffle",
+     "peak=818 rows=16 in=22 maxp=277 sump=2468 np=28 sim=0x1.6504e770671b4p-16");
+    ("group_query/Standard/shuffle",
+     "sh=594 peak=826 rows=13 st=1 in=20 maxp=515 sump=2074 np=28 sim=0x1.4031736a85dadp-15");
+    ("group_query/Shred+Unshred/shuffle",
+     "sh=1626 peak=751 rows=55 st=7 in=105 maxp=301 sump=5020 np=140 sim=0x1.601ca049b7033p-14");
+    ("group_query/SparkSQL/shuffle",
+     "sh=1294 peak=1526 rows=8 st=1 in=15 maxp=1155 sump=2820 np=21 sim=0x1.238bcb4fca17cp-14");
+    ("dedup_query/Standard/shuffle",
+     "sh=96 peak=772 rows=26 st=1 in=32 maxp=336 sump=1844 np=42 sim=0x1.6f40d588323e2p-16");
+    ("dedup_query/Shred+Unshred/shuffle",
+     "sh=1304 peak=1216 rows=37 st=5 in=65 maxp=420 sump=3512 np=84 sim=0x1.9a1e79bdb126p-15");
+    ("dedup_query/SparkSQL/shuffle",
+     "sh=96 peak=2910 rows=21 st=1 in=27 maxp=1716 sump=3755 np=35 sim=0x1.c86c95d569d46p-15");
+    ("deep_nested/Standard/shuffle",
+     "sh=2266 peak=1614 rows=46 st=2 in=51 maxp=932 sump=8724 np=70 sim=0x1.c3fa6b4095c76p-14");
+    ("deep_nested/Shred+Unshred/shuffle",
+     "sh=2560 peak=1326 rows=74 st=5 in=126 maxp=457 sump=8870 np=133 sim=0x1.933d89f93d99p-14");
+    ("deep_nested/SparkSQL/shuffle",
+     "sh=3442 peak=3166 rows=41 st=2 in=46 maxp=1844 sump=11862 np=63 sim=0x1.61ca1f7362ce4p-13");
+    ("two_bags/Standard/shuffle",
+     "sh=4581 peak=4121 rows=40 st=2 in=45 maxp=2446 sump=14629 np=63 sim=0x1.f9e55ebefd2b6p-13");
+    ("two_bags/Shred+Unshred/shuffle",
+     "sh=2186 peak=1588 rows=66 st=6 in=128 maxp=432 sump=7682 np=133 sim=0x1.76b81834d51eep-14");
+    ("two_bags/SparkSQL/shuffle",
+     "sh=4581 peak=4121 rows=40 st=2 in=45 maxp=2446 sump=14629 np=63 sim=0x1.f9e55ebefd2b6p-13");
+    ("group_in_nested/Standard/shuffle",
+     "sh=1376 peak=1486 rows=41 st=1 in=46 maxp=868 sump=6678 np=56 sim=0x1.67c992db8f5d6p-14");
+    ("group_in_nested/Shred+Unshred/shuffle",
+     "sh=7217 peak=1628 rows=160 st=16 in=266 maxp=888 sump=20570 np=315 sim=0x1.fa6b967c02daep-13");
+    ("group_in_nested/SparkSQL/shuffle",
+     "sh=2552 peak=3038 rows=36 st=1 in=41 maxp=1780 sump=9096 np=49 sim=0x1.2ed428e1a0996p-13");
+    ("union_nested/Standard/shuffle",
+     "sh=604 peak=770 rows=34 st=1 in=52 maxp=322 sump=3966 np=84 sim=0x1.830ce540b6ff6p-15");
+    ("union_nested/Shred+Unshred/shuffle",
+     "sh=1020 peak=714 rows=72 st=5 in=132 maxp=252 sump=4522 np=154 sim=0x1.b97e107c2412fp-15");
+    ("union_nested/SparkSQL/shuffle",
+     "sh=1232 peak=1055 rows=25 st=1 in=43 maxp=778 sump=4408 np=70 sim=0x1.1c8aa5350341fp-14");
+    ("union_query/Standard/shuffle",
+     "peak=772 rows=32 in=50 maxp=336 sump=2012 np=49 sim=0x1.764cb86a6a2c2p-16");
+    ("union_query/Shred+Unshred/shuffle",
+     "sh=1208 peak=1216 rows=43 st=4 in=83 maxp=420 sump=3680 np=91 sim=0x1.9da46b2ecd1dp-15");
+    ("union_query/SparkSQL/shuffle",
+     "peak=2910 rows=23 in=41 maxp=1716 sump=3817 np=35 sim=0x1.c841a2b7a5734p-15");
+    ("cross_price/Standard/shuffle",
+     "bc=276 peak=484 rows=31 in=39 maxp=158 sump=1646 np=35 sim=0x1.3660e51d25aabp-17");
+    ("cross_price/Shred+Unshred/shuffle",
+     "bc=276 peak=484 rows=31 in=39 maxp=158 sump=1646 np=35 sim=0x1.e12ba97c0fc6p-18");
+    ("cross_price/SparkSQL/shuffle",
+     "bc=348 peak=1503 rows=22 in=30 maxp=638 sump=2428 np=21 sim=0x1.23c17b34ff912p-16");
+    ("total_qty/Standard/shuffle",
+     "sh=48 peak=772 rows=20 st=1 in=26 maxp=336 sump=1652 np=35 sim=0x1.51b9b1112f7d5p-16");
+    ("total_qty/Shred+Unshred/shuffle",
+     "sh=1256 peak=1216 rows=31 st=5 in=59 maxp=420 sump=3320 np=77 sim=0x1.8cb2807052ce5p-15");
+    ("total_qty/SparkSQL/shuffle",
+     "sh=48 peak=2910 rows=15 st=1 in=21 maxp=1716 sump=3563 np=28 sim=0x1.b9a90399e873fp-15");
+  ]
+
+let test_golden_counters () =
+  let runs = golden_runs () in
+  let actual =
+    List.map
+      (fun (key, (r : Trance.Api.run)) ->
+        ( key,
+          golden_line
+            (Exec.Stats.strip_wall (Exec.Stats.snapshot r.stats))
+            (Exec.Trace.agg r.trace) ))
+      runs
+  in
+  let bad =
+    List.filter
+      (fun (key, line) -> List.assoc_opt key golden_table <> Some line)
+      actual
+  in
+  if bad <> [] then
+    Alcotest.failf "%d of %d golden rows differ; actual:@.%s" (List.length bad)
+      (List.length actual)
+      (String.concat "\n"
+         (List.map (fun (k, l) -> Printf.sprintf "    (%S,\n     %S);" k l) bad));
+  (* the table must reach every sizing path of the executor *)
+  let spans = List.concat_map (fun (_, (r : Trance.Api.run)) -> r.trace) runs in
+  let reached what pred =
+    check ("golden table reaches " ^ what) true
+      (Exec.Trace.find_all pred spans <> [])
+  in
+  List.iter
+    (fun (what, stage) -> reached what (fun sp -> sp.Exec.Trace.stage = stage))
+    [
+      ("the broadcast join", "join(broadcast)");
+      ("the shuffle join", "join(shuffle)");
+      ("the broadcast cogroup", "cogroup(broadcast)");
+      ("the shuffle cogroup", "cogroup");
+      ("the gather", "gather");
+      ("the product", "product");
+      ("the skew split", "join(skew)");
+    ];
+  List.iter
+    (fun op -> reached op (fun sp -> sp.Exec.Trace.op = op))
+    [ "UnionAll"; "Unnest"; "AddIndex"; "NestSum"; "Dedup"; "BagToDict" ];
+  reached "a skew split with heavy keys" (fun sp ->
+      match sp.Exec.Trace.strategy with
+      | Some (Exec.Trace.Skew_split _) -> true
+      | _ -> false)
+
+(* ------------------------------------------------------------------ *)
 (* Configuration: validation and the environment hooks *)
 
 (* one rejected value per validated field: each is refused by
@@ -492,6 +957,11 @@ let () =
             test_broadcast_decision;
           Alcotest.test_case "shred shuffles less" `Quick
             test_shred_shuffles_less;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "simulated counters match the recorded table"
+            `Quick test_golden_counters;
         ] );
       ( "config",
         List.map
