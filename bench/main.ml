@@ -19,9 +19,9 @@
     - [memory]: graceful degradation under memory pressure — a shrinking
       per-worker budget ladder showing the in-memory / spilling /
       route-fallback crossover per strategy;
-    - [scale]: multicore scaling — wall-clock seconds vs [--domains] 1/2/4/8
-      on both routes while every simulated counter stays bit-identical,
-      written to BENCH_parallel.json;
+    - [scale]: multicore scaling — wall-clock seconds vs [--domains] 1/2/4/8,
+      capped at the host core count, on both routes while every simulated
+      counter stays bit-identical, written to BENCH_parallel.json;
     - [micro]: Bechamel micro-benchmarks of core primitives.
 
     Absolute numbers are simulator output; the paper-vs-measured *shape*
@@ -671,8 +671,10 @@ let memory () =
 (* ------------------------------------------------------------------ *)
 (* Domain scaling: sweep --domains over both routes and show wall-clock
    speedup while every simulated counter stays bit-identical (the parallel
-   executor's contract: domains are a pure speed knob). Also written to
-   BENCH_parallel.json for the CI artifact. *)
+   executor's contract: domains are a pure speed knob). The sweep stops at
+   the host's core count: more domains than cores measures
+   oversubscription, not scaling. Also written to BENCH_parallel.json, with
+   the core count, for the CI artifact. *)
 
 let scale_domains () =
   Printf.printf
@@ -692,9 +694,14 @@ let scale_domains () =
   let strategies =
     [ Trance.Api.Standard; Trance.Api.Shredded { unshred = true } ]
   in
-  let domain_counts = [ 1; 2; 4; 8 ] in
+  let cores = Domain.recommended_domain_count () in
+  let domain_counts =
+    List.sort_uniq compare
+      (cores :: List.filter (fun d -> d <= cores) [ 1; 2; 4; 8 ])
+  in
+  Printf.printf "host cores (Domain.recommended_domain_count): %d\n" cores;
   let buf = Buffer.create 4096 in
-  Buffer.add_char buf '[';
+  Buffer.add_string buf (Printf.sprintf "{\"host_cores\":%d,\"runs\":[" cores);
   let first = ref true in
   Printf.printf "%-18s %-16s %7s %9s %9s %8s %6s\n" "cell" "strategy" "domains"
     "wall(s)" "sim(s)" "speedup" "sim=";
@@ -751,7 +758,7 @@ let scale_domains () =
             domain_counts)
         strategies)
     cells;
-  Buffer.add_string buf "]\n";
+  Buffer.add_string buf "]}\n";
   (match open_out "BENCH_parallel.json" with
   | exception Sys_error msg -> Fmt.epr "cannot write BENCH_parallel.json: %s@." msg
   | oc ->

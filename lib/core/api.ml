@@ -209,11 +209,20 @@ let run_steps ~options ~config ~stats ~trace ~faults ~checkpoint ~pool
                 (fun () ->
                   Exec.Executor.run_plan ~options ?trace ?faults ~checkpoint
                     ~pool ~config ~stats env plan))
-        with Exec.Failure.Failed f ->
+        with exn ->
           (* attribute the failure to its source step; the partially filled
-             step slice is still recorded for the failure report *)
+             step slice is still recorded for the failure report. Any other
+             exception escaping the executor (a plan naming an unknown
+             input, say) is a failure of the step too, typed as [Error]. *)
+          let f =
+            match exn with
+            | Exec.Failure.Failed f -> Exec.Failure.with_stage step f
+            | exn ->
+              Exec.Failure.Error
+                (Printf.sprintf "%s: %s" step (Printexc.to_string exn))
+          in
           record_step ~stats ~trace ~before ~step steps_out;
-          raise (Exec.Failure.Failed (Exec.Failure.with_stage step f))
+          raise (Exec.Failure.Failed f)
       in
       Hashtbl.replace env name ds;
       record_step ~stats ~trace ~before ~step steps_out)

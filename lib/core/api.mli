@@ -179,7 +179,9 @@ val run :
   run
 (** Compile and execute; never raises a typed failure. A cluster
     configuration {!Exec.Config.validate} rejects fails at once with
-    [Error] and runs nothing. A Standard run that dies of memory
+    [Error] and runs nothing. Any other exception escaping the executor
+    (e.g. a plan scanning an input that was not supplied) ends the run as
+    [Error "<step>: <exception>"]. A Standard run that dies of memory
     exhaustion re-plans down the shredded route when
     [config.route_fallback] is on (see {!degradation}); [wall_seconds] then
     covers both attempts and the reported stats are the answering

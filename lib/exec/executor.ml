@@ -73,6 +73,9 @@ end)
 
 type rset = {
   parts : Row.t array array;
+  bytes : int array;
+      (* [Row.byte_size] summed over each partition, computed by the task
+         that built the partition (or derived exactly from its inputs) *)
   key : S.t list option; (* partitioning guarantee over rows *)
   skew : (S.t list * unit KeyTbl.t) option;
       (* heavy keys of a skew-triple, carried between operators until
@@ -95,20 +98,55 @@ type state = {
 
 (* Partition-wise evaluation goes through the pool. The task closures must
    not touch [st.stats]/[st.trace]/[st.mem]/[st.faults]: every hot loop
-   below computes pure per-partition results (plus, for the shuffle, a
-   per-task accounting delta merged in partition order), and all shared
-   accounting happens on the calling domain after the barrier — which is
-   what makes a [domains = N] run bit-identical to [domains = 1]. *)
-let pool_map st f parts = Pool.map st.pool (fun _ part -> f part) parts
-let pool_mapi st f parts = Pool.map st.pool f parts
+   below computes a pure per-partition result — its rows and their byte
+   size (plus, for the shuffle, a per-task accounting delta merged in
+   partition order) — and all shared accounting happens on the calling
+   domain after the barrier, reading the carried sizes. The sizes are pure
+   integer functions of the partitions, so a [domains = N] run stays
+   bit-identical to [domains = 1], and no row is walked for sizing outside
+   a task. *)
+let unzip a = (Array.map fst a, Array.map snd a)
+
+let pool_parts st (f : int -> 'a -> Row.t array * int) (xs : 'a array) =
+  unzip (Pool.map st.pool f xs)
+
+(* [Row.byte_size] for the rows one task walks. Consecutive rows often
+   share column values physically — an unnest repeats its parent's values
+   in every output row — so a column holding the very value the previous
+   row held there reuses its size instead of walking it again. Exact,
+   since a size is a pure function of the value; the memo lives only as
+   long as the task. *)
+let row_sizer () =
+  let prev = ref [] in
+  fun (row : Row.t) ->
+    let rec go prev = function
+      | [] -> ([], 0)
+      | (_, v) :: rest ->
+        let b, prev =
+          match prev with
+          | (pv, pb) :: prev when pv == v -> (pb, prev)
+          | _ :: prev -> (Row.column_bytes v, prev)
+          | [] -> (Row.column_bytes v, [])
+        in
+        let cells, total = go prev rest in
+        ((v, b) :: cells, b + total)
+    in
+    let cells, total = go !prev row in
+    prev := cells;
+    total
+
+(* a task's rows, sized where they are built *)
+let sized rows =
+  let size = row_sizer () in
+  (rows, Array.fold_left (fun acc r -> acc + size r) 0 rows)
+
+let mk_rset ?(key = None) ?(skew = None) (parts, bytes) =
+  { parts; bytes; key; skew }
+
+let empty_rset n = mk_rset (Array.make n [||], Array.make n 0)
 
 (* ------------------------------------------------------------------ *)
 (* Accounting *)
-
-let part_bytes (parts : Row.t array array) : int array =
-  Array.map
-    (fun p -> Array.fold_left (fun acc r -> acc + Row.byte_size r) 0 p)
-    parts
 
 let rset_rows r =
   Array.fold_left (fun acc p -> acc + Array.length p) 0 r.parts
@@ -217,9 +255,9 @@ let check_residency st ~stage ~(worker : int array) ~(spillable : int array) :
    duplicates for stragglers — and its cost (extra attempts, recomputed
    bytes, extra simulated time) is charged on top of the clean stage. *)
 let account st ~stage ?(spill = Spill_all) (input_bytes : int array list)
-    (output : Row.t array array) : unit =
+    (output : rset) : unit =
   let cfg = st.cfg in
-  let out_bytes = part_bytes output in
+  let out_bytes = output.bytes in
   let nparts = Array.length out_bytes in
   let worker =
     worker_totals cfg ~base:(Memory.pinned st.mem) (out_bytes :: input_bytes)
@@ -252,9 +290,7 @@ let account st ~stage ?(spill = Spill_all) (input_bytes : int array list)
     if b > !max_part then max_part := b
   done;
   let dt = float_of_int !max_part *. cfg.Config.cpu_weight in
-  let rows =
-    Array.fold_left (fun acc p -> acc + Array.length p) 0 output
-  in
+  let rows = rset_rows output in
   charge st { Stats.zero with rows_processed = rows; sim_seconds = dt };
   (match event with
   | None -> ()
@@ -343,11 +379,12 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
             let dest = Array.make n [] in
             let received = Array.make n 0 in
             let moved = ref 0 in
+            let size = row_sizer () in
             Array.iter
               (fun row ->
                 let p = hash_key (eval_keys row keys) mod n in
                 dest.(p) <- row :: dest.(p);
-                let b = Row.byte_size row in
+                let b = size row in
                 moved := !moved + b;
                 received.(p) <- received.(p) + b)
               part;
@@ -398,7 +435,7 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
          checkpoint would have to re-move them *)
       Checkpoint.observe st.ckpt ~bytes:moved;
       check_deadline st ~stage;
-      { parts = dest; key = Some keys; skew = None })
+      mk_rset ~key:(Some keys) (dest, received))
 
 (* shuffle only if the guarantee does not already hold *)
 let ensure_partitioned st ?stage (r : rset) (keys : S.t list) : rset =
@@ -406,19 +443,17 @@ let ensure_partitioned st ?stage (r : rset) (keys : S.t list) : rset =
   | Some k when k = keys -> r
   | _ -> shuffle st ?stage r keys
 
+let rset_total_bytes r = Array.fold_left ( + ) 0 r.bytes
+
 (* gather everything to partition 0 (global aggregates) *)
 let gather st (r : rset) : rset =
   Trace.with_span st.trace ~op:"Gather" ~stage:"gather" (fun () ->
-      let all = Array.to_list r.parts |> List.concat_map Array.to_list in
-      let bytes =
-        List.fold_left (fun acc row -> acc + Row.byte_size row) 0 all
-      in
-      charge st { Stats.zero with shuffled_bytes = bytes; stages = 1 };
-      let parts = Array.make st.cfg.Config.partitions [||] in
-      parts.(0) <- Array.of_list all;
-      { parts; key = None; skew = None })
-
-let rset_total_bytes r = Array.fold_left ( + ) 0 (part_bytes r.parts)
+      let total = rset_total_bytes r in
+      charge st { Stats.zero with shuffled_bytes = total; stages = 1 };
+      let g = empty_rset st.cfg.Config.partitions in
+      g.parts.(0) <- Array.concat (Array.to_list r.parts);
+      g.bytes.(0) <- total;
+      g)
 
 (* broadcast charge shared by broadcast joins, products, and the broadcast
    cogroup: the right side is resident on every worker *)
@@ -461,29 +496,30 @@ let heavy_keys st (r : rset) (keys : S.t list) : unit KeyTbl.t =
     r.parts;
   heavy
 
-let split_by_keys (r : rset) (keys : S.t list) (hk : unit KeyTbl.t) :
+(* Each task splits one partition (the heavy-key set is shared read-only)
+   and sizes its heavy rows; the light rows keep the rest of the carried
+   size. *)
+let split_by_keys st (r : rset) (keys : S.t list) (hk : unit KeyTbl.t) :
     rset * rset =
-  let light = Array.map (fun _ -> []) r.parts in
-  let heavy = Array.map (fun _ -> []) r.parts in
-  Array.iteri
-    (fun p part ->
-      Array.iter
-        (fun row ->
-          let kv = eval_keys row keys in
-          if KeyTbl.mem hk kv then heavy.(p) <- row :: heavy.(p)
-          else light.(p) <- row :: light.(p))
-        part)
-    r.parts;
-  let mk arr = Array.map (fun l -> Array.of_list (List.rev l)) arr in
-  ( { parts = mk light; key = r.key; skew = None },
-    { parts = mk heavy; key = None; skew = None } )
+  let halves =
+    Pool.map st.pool
+      (fun p part ->
+        let light, heavy =
+          List.partition
+            (fun row -> not (KeyTbl.mem hk (eval_keys row keys)))
+            (Array.to_list part)
+        in
+        let heavy, hbytes = sized (Array.of_list heavy) in
+        ((Array.of_list light, r.bytes.(p) - hbytes), (heavy, hbytes)))
+      r.parts
+  in
+  ( mk_rset ~key:r.key (unzip (Array.map fst halves)),
+    mk_rset (unzip (Array.map snd halves)) )
 
 let union_parts ?(skew = None) a b =
-  {
-    parts = Array.mapi (fun i p -> Array.append p b.parts.(i)) a.parts;
-    key = None;
-    skew;
-  }
+  mk_rset ~skew
+    ( Array.map2 Array.append a.parts b.parts,
+      Array.map2 ( + ) a.bytes b.bytes )
 
 (* ------------------------------------------------------------------ *)
 (* Join strategies *)
@@ -501,53 +537,94 @@ let index_rows rkey (rows : Row.t array) : Row.t list ref KeyTbl.t =
     rows;
   tbl
 
-let join_partition ~lkey ~kind ~rcols (index : Row.t list ref KeyTbl.t)
-    (lpart : Row.t array) : Row.t array =
-  let out = ref [] in
+(* The hash probe shared by joins and cogroups: the right rows [lrow]
+   joins with, in build order — none for a null key; a left-outer miss
+   joins one all-null row. *)
+let probe ~lkey ~kind ~rcols (index : Row.t list ref KeyTbl.t) lrow :
+    Row.t list =
+  let kv = eval_keys lrow lkey in
+  let matches =
+    if List.exists V.is_null kv then []
+    else
+      match KeyTbl.find_opt index kv with
+      | Some cell -> List.rev !cell
+      | None -> []
+  in
+  match matches, kind with
+  | [], Op.LeftOuter -> [ Row.nulls rcols ]
+  | ms, _ -> ms
+
+(* A joined row's size is the sum of its sides' ([Row.byte_size] is
+   additive over columns), so each left row is sized once. *)
+let join_partition ~lkey ~kind ~rcols index (lpart : Row.t array) =
+  let out = ref [] and bytes = ref 0 in
+  let lsize = row_sizer () and rsize = row_sizer () in
   Array.iter
     (fun lrow ->
-      let kv = eval_keys lrow lkey in
-      let matches =
-        if List.exists V.is_null kv then []
-        else
-          match KeyTbl.find_opt index kv with
-          | Some cell -> List.rev !cell
-          | None -> []
-      in
-      match matches, kind with
-      | [], Op.LeftOuter -> out := (lrow @ Row.nulls rcols) :: !out
-      | [], Op.Inner -> ()
-      | ms, _ -> List.iter (fun rrow -> out := (lrow @ rrow) :: !out) ms)
+      match probe ~lkey ~kind ~rcols index lrow with
+      | [] -> ()
+      | rrows ->
+        let lb = lsize lrow in
+        List.iter
+          (fun rrow ->
+            out := (lrow @ rrow) :: !out;
+            bytes := !bytes + lb + rsize rrow)
+          rrows)
     lpart;
-  Array.of_list (List.rev !out)
+  (Array.of_list (List.rev !out), !bytes)
 
-(* Account a stage over a broadcast replica of [rbytes]: the replica is
-   pinned on every worker for the duration of the stage; it is also the
-   stage's build side, so it can spill (external broadcast join). *)
-let account_broadcast st ~stage rbytes (l : rset) out =
-  Memory.pin st.mem rbytes;
-  Fun.protect
-    ~finally:(fun () -> Memory.unpin st.mem rbytes)
-    (fun () ->
-      account st ~stage ~spill:Spill_pinned [ part_bytes l.parts ] out)
+(* Cogroup fusion's kernel: one output row per left row that joins, its
+   nest keys plus the bag of items over its joined rows. *)
+let cogroup_partition ~lkey ~kind ~rcols ~keys ~item ~presence ~out index
+    (lpart : Row.t array) =
+  let rows = ref [] and bytes = ref 0 in
+  let size = row_sizer () in
+  Array.iter
+    (fun lrow ->
+      match probe ~lkey ~kind ~rcols index lrow with
+      | [] -> ()
+      | rrows ->
+        let items =
+          List.filter_map
+            (fun rrow ->
+              let jrow = lrow @ rrow in
+              if S.eval_pred jrow presence then Some (S.eval jrow item)
+              else None)
+            rrows
+        in
+        let row =
+          List.map (fun (n, e) -> (n, S.eval lrow e)) keys
+          @ [ (out, V.Bag items) ]
+        in
+        rows := row :: !rows;
+        bytes := !bytes + size row)
+    lpart;
+  (Array.of_list (List.rev !rows), !bytes)
 
-(* broadcast join: right side replicated to every worker *)
-let broadcast_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
-    rset =
+(* A stage whose right side is replicated to every worker (broadcast join,
+   broadcast cogroup, product): [task all_right] builds the per-partition
+   task over the replica's rows. The replica is pinned on every worker for
+   the duration of the stage; it is also the stage's build side, so it can
+   spill (external broadcast join). *)
+let broadcast_stage st ~stage ?key (l : rset) (r : rset) task : rset =
   Trace.set_strategy st.trace Trace.Broadcast;
   Trace.set_stage st.trace stage;
   let rbytes = rset_total_bytes r in
   charge_broadcast st rbytes;
-  let all_right =
-    Array.to_list r.parts |> List.concat_map Array.to_list |> Array.of_list
-  in
-  let index = index_rows rkey all_right in
-  (* probe tasks share the index read-only, which is safe across domains *)
-  let out = pool_map st (join_partition ~lkey ~kind ~rcols index) l.parts in
-  account_broadcast st ~stage rbytes l out;
-  { parts = out; key = l.key; skew = None }
+  (* tasks share the replica (and any index over it) read-only, which is
+     safe across domains *)
+  let all_right = Array.concat (Array.to_list r.parts) in
+  let out = mk_rset ?key (pool_parts st (task all_right) l.parts) in
+  Memory.pin st.mem rbytes;
+  Fun.protect
+    ~finally:(fun () -> Memory.unpin st.mem rbytes)
+    (fun () -> account st ~stage ~spill:Spill_pinned [ l.bytes ] out);
+  out
 
-let shuffle_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
+(* A stage over both sides hash-partitioned on their keys (shuffle join,
+   shuffle cogroup): each task indexes its right partition and probes it
+   with [kernel]. *)
+let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey kernel :
     rset =
   Trace.set_strategy st.trace
     (if l.key = Some lkey && r.key = Some rkey then Trace.Guarantee_skipped
@@ -556,19 +633,27 @@ let shuffle_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
   let l' = ensure_partitioned st ~stage l lkey in
   let r' = ensure_partitioned st ~stage r rkey in
   let out =
-    pool_mapi st
-      (fun p lpart ->
-        let index = index_rows rkey r'.parts.(p) in
-        join_partition ~lkey ~kind ~rcols index lpart)
-      l'.parts
+    mk_rset ?key
+      (pool_parts st
+         (fun p lpart -> kernel (index_rows rkey r'.parts.(p)) lpart)
+         l'.parts)
   in
   (* external hash join: the per-partition build table over the right side
      is what can stage through disk *)
-  account st ~stage
-    ~spill:(Spill_parts [ part_bytes r'.parts ])
-    [ part_bytes l'.parts; part_bytes r'.parts ]
-    out;
-  { parts = out; key = Some lkey; skew = None }
+  account st ~stage ~spill:(Spill_parts [ r'.bytes ])
+    [ l'.bytes; r'.bytes ] out;
+  out
+
+let broadcast_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
+    rset =
+  broadcast_stage st ~stage ~key:l.key l r (fun all_right ->
+      let index = index_rows rkey all_right in
+      fun _ -> join_partition ~lkey ~kind ~rcols index)
+
+let shuffle_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
+    rset =
+  shuffle_stage st ~stage ~key:(Some lkey) l r ~lkey ~rkey
+    (join_partition ~lkey ~kind ~rcols)
 
 (* Figure 6: skew-aware join. The heavy-key set is taken from the incoming
    skew-triple when it matches the join key (it "remains associated until
@@ -587,8 +672,8 @@ let skew_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols : rset =
     Trace.set_strategy st.trace
       (Trace.Skew_split { heavy_keys = KeyTbl.length hk });
     Trace.set_stage st.trace stage;
-    let x_l, x_h = split_by_keys l lkey hk in
-    let y_l, y_h = split_by_keys r rkey hk in
+    let x_l, x_h = split_by_keys st l lkey hk in
+    let y_l, y_h = split_by_keys st r rkey hk in
     let light = shuffle_join st ~stage:(stage ^ ":light") x_l y_l ~lkey ~rkey ~kind ~rcols in
     (* heavy side: X_H keeps its location; Y_H is broadcast *)
     let heavy =
@@ -618,67 +703,28 @@ let cols_subset exprs cols =
     (fun e -> List.for_all (fun c -> SS.mem c cs) (S.cols_used e))
     exprs
 
-let cogroup st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols ~keys
-    ~item ~presence ~out : rset =
-  Trace.set_strategy st.trace
-    (if l.key = Some lkey && r.key = Some rkey then Trace.Guarantee_skipped
-     else Trace.Shuffle);
-  Trace.set_stage st.trace stage;
-  let l' = ensure_partitioned st ~stage l lkey in
-  let r' = ensure_partitioned st ~stage r rkey in
-  let outp =
-    pool_mapi st
-      (fun p lpart ->
-        let index = index_rows rkey r'.parts.(p) in
-        let rows = ref [] in
-        Array.iter
-          (fun lrow ->
-            let kv = eval_keys lrow lkey in
-            let matches =
-              if List.exists V.is_null kv then []
-              else
-                match KeyTbl.find_opt index kv with
-                | Some cell -> List.rev !cell
-                | None -> []
-            in
-            let joined =
-              match matches, kind with
-              | [], Op.LeftOuter -> [ lrow @ Row.nulls rcols ]
-              | [], Op.Inner -> []
-              | ms, _ -> List.map (fun rrow -> lrow @ rrow) ms
-            in
-            match joined with
-            | [] -> ()
-            | _ ->
-              let items =
-                List.filter_map
-                  (fun jrow ->
-                    if S.eval_pred jrow presence then Some (S.eval jrow item)
-                    else None)
-                  joined
-              in
-              let key_fields =
-                List.map (fun (n, e) -> (n, S.eval lrow e)) keys
-              in
-              rows := (key_fields @ [ (out, V.Bag items) ]) :: !rows)
-          lpart;
-        Array.of_list (List.rev !rows))
-      l'.parts
-  in
-  account st ~stage
-    ~spill:(Spill_parts [ part_bytes r'.parts ])
-    [ part_bytes l'.parts; part_bytes r'.parts ]
-    outp;
-  { parts = outp; key = None; skew = None }
-
 (* ------------------------------------------------------------------ *)
 (* Operator dispatch *)
 
 let map_parts st ~stage ?(key = fun k -> k) ?(keep_skew = false) f (r : rset)
     : rset =
-  let out = pool_map st f r.parts in
-  account st ~stage [ part_bytes r.parts ] out;
-  { parts = out; key = key r.key; skew = (if keep_skew then r.skew else None) }
+  let out =
+    mk_rset ~key:(key r.key)
+      ~skew:(if keep_skew then r.skew else None)
+      (pool_parts st f r.parts)
+  in
+  account st ~stage [ r.bytes ] out;
+  out
+
+(* the nest operators' shared tail: the output is partitioned by the
+   grouping columns, and its heavy-key set is null (Figure 6) *)
+let nested_by shuffle_keys parts =
+  mk_rset
+    ~key:
+      (match shuffle_keys with
+      | [] -> None
+      | sk -> Some (List.map (fun (n, _) -> S.Col [ n ]) sk))
+    parts
 
 let next_id_base = ref 0
 
@@ -693,27 +739,25 @@ let rec run (st : state) (op : Op.t) : rset =
 and exec (st : state) (op : Op.t) : rset =
   let cfg = st.cfg in
   match op with
-  | Op.Nil _ ->
-    { parts = Array.make cfg.Config.partitions [||]; key = None; skew = None }
+  | Op.Nil _ -> empty_rset cfg.Config.partitions
   | Op.UnitRow ->
-    let parts = Array.make cfg.Config.partitions [||] in
-    parts.(0) <- [| [] |];
-    { parts; key = None; skew = None }
+    let r = empty_rset cfg.Config.partitions in
+    r.parts.(0) <- [| Row.empty |];
+    r
   | Op.Scan { input; binder } -> (
     match Hashtbl.find_opt st.env input with
     | None -> invalid_arg (Printf.sprintf "Executor: unknown input %S" input)
     | Some ds ->
       Trace.set_stage st.trace input;
       let r =
-        {
-          parts =
-            Array.map (Array.map (fun v -> [ (binder, v) ])) ds.Dataset.parts;
-          key =
-            Option.map
-              (List.map (fun path -> S.Col (binder :: path)))
-              ds.Dataset.key;
-          skew = None;
-        }
+        mk_rset
+          ~key:
+            (Option.map
+               (List.map (fun path -> S.Col (binder :: path)))
+               ds.Dataset.key)
+          (pool_parts st
+             (fun _ part -> sized (Array.map (fun v -> [ (binder, v) ]) part))
+             ds.Dataset.parts)
       in
       trace_rows_in st [ r ];
       r)
@@ -721,9 +765,11 @@ and exec (st : state) (op : Op.t) : rset =
     let r = run st child in
     trace_rows_in st [ r ];
     map_parts st ~stage:"select" ~keep_skew:true
-      (fun part -> Array.of_list (List.filter (fun row -> S.eval_pred row p) (Array.to_list part)))
+      (fun _ part ->
+        sized
+          (Array.of_list
+             (List.filter (fun row -> S.eval_pred row p) (Array.to_list part))))
       r
-      ~key:(fun k -> k)
   | Op.Project (fields, child) ->
     let r = run st child in
     trace_rows_in st [ r ];
@@ -741,7 +787,11 @@ and exec (st : state) (op : Op.t) : rset =
         else None
     in
     map_parts st ~stage:"project"
-      (Array.map (fun row -> List.map (fun (n, e) -> (n, S.eval row e)) fields))
+      (fun _ part ->
+        sized
+          (Array.map
+             (fun row -> List.map (fun (n, e) -> (n, S.eval row e)) fields)
+             part))
       r
       ~key:(fun _ -> new_key)
   | Op.Join { left; right; lkey; rkey; kind } ->
@@ -758,61 +808,62 @@ and exec (st : state) (op : Op.t) : rset =
     let l = run st left in
     let r = run st right in
     trace_rows_in st [ l; r ];
-    Trace.set_strategy st.trace Trace.Broadcast;
-    Trace.set_stage st.trace "product";
     let rbytes = rset_total_bytes r in
-    charge_broadcast st rbytes;
-    let all_right =
-      Array.to_list r.parts |> List.concat_map Array.to_list
-    in
-    let out =
-      pool_map st
-        (fun lpart ->
-          Array.of_list
-            (List.concat_map
-               (fun lrow -> List.map (fun rrow -> lrow @ rrow) all_right)
-               (Array.to_list lpart)))
-        l.parts
-    in
-    Memory.pin st.mem rbytes;
-    Fun.protect
-      ~finally:(fun () -> Memory.unpin st.mem rbytes)
-      (fun () ->
-        account st ~stage:"product" ~spill:Spill_pinned
-          [ part_bytes l.parts ]
-          out);
-    { parts = out; key = l.key; skew = None }
+    broadcast_stage st ~stage:"product" ~key:l.key l r (fun all_right ->
+        let all_right = Array.to_list all_right in
+        let nright = List.length all_right in
+        fun p lpart ->
+          ( Array.of_list
+              (List.concat_map
+                 (fun lrow -> List.map (fun rrow -> lrow @ rrow) all_right)
+                 (Array.to_list lpart)),
+            (* every left row meets every right row, and a joined row's
+               size is the sum of its sides' *)
+            (nright * l.bytes.(p)) + (Array.length lpart * rbytes) ))
   | Op.Unnest { input; path; binder; outer; drop } ->
     let r = run st input in
     trace_rows_in st [ r ];
     map_parts st ~stage:"unnest" ~keep_skew:true
-      (fun part ->
-        Array.of_list
-          (List.concat_map
-             (fun row ->
-               let bag = S.eval row (S.Col path) in
-               let row = if drop then L.drop_path row path else row in
-               match V.bag_items bag with
-               | [] -> if outer then [ row @ [ (binder, V.Null) ] ] else []
-               | items -> List.map (fun item -> row @ [ (binder, item) ]) items)
-             (Array.to_list part)))
+      (fun _ part ->
+        (* an output row is its parent plus one column, so the parent is
+           sized once per input row, not once per item *)
+        let bytes = ref 0 in
+        let size = row_sizer () in
+        let rows =
+          List.concat_map
+            (fun row ->
+              let bag = S.eval row (S.Col path) in
+              let row = if drop then L.drop_path row path else row in
+              match
+                (match V.bag_items bag with
+                | [] when outer -> [ V.Null ]
+                | items -> items)
+              with
+              | [] -> []
+              | items ->
+                let parent = size row + 8 in
+                List.map
+                  (fun v ->
+                    bytes := !bytes + parent + V.byte_size v;
+                    row @ [ (binder, v) ])
+                  items)
+            (Array.to_list part)
+        in
+        (Array.of_list rows, !bytes))
       r
-      ~key:(fun k -> k)
   | Op.AddIndex { input; col } ->
     let r = run st input in
     trace_rows_in st [ r ];
     incr next_id_base;
     let base = !next_id_base * (1 lsl 50) in
-    let out =
-      pool_mapi st
-        (fun p part ->
-          Array.mapi
+    map_parts st ~stage:"add_index" ~keep_skew:true
+      (fun p part ->
+        ( Array.mapi
             (fun i row -> row @ [ (col, V.Int (base + (p lsl 28) + i)) ])
-            part)
-        r.parts
-    in
-    account st ~stage:"add_index" [ part_bytes r.parts ] out;
-    { parts = out; key = r.key; skew = r.skew }
+            part,
+          (* one column of 8 bytes holding an 8-byte int per row *)
+          r.bytes.(p) + (16 * Array.length part) ))
+      r
   | Op.NestBag
       { input = Op.Join { left; right; lkey; rkey; kind };
         keys; agg_keys = []; item; presence; out }
@@ -822,67 +873,16 @@ and exec (st : state) (op : Op.t) : rset =
     let l = run st left in
     let r = run st right in
     trace_rows_in st [ l; r ];
-    let rcols = Op.columns right in
-    if rset_total_bytes r <= cfg.Config.broadcast_limit then begin
-      (* broadcast cogroup: no shuffle at all *)
-      Trace.set_strategy st.trace Trace.Broadcast;
-      Trace.set_stage st.trace "cogroup(broadcast)";
-      let rbytes = rset_total_bytes r in
-      charge_broadcast st rbytes;
-      let all_right =
-        Array.to_list r.parts |> List.concat_map Array.to_list |> Array.of_list
-      in
-      let index = index_rows rkey all_right in
-      let outp =
-        pool_map st
-          (fun lpart ->
-            let rows = ref [] in
-            Array.iter
-              (fun lrow ->
-                let kv = eval_keys lrow lkey in
-                let matches =
-                  if List.exists V.is_null kv then []
-                  else
-                    match KeyTbl.find_opt index kv with
-                    | Some cell -> List.rev !cell
-                    | None -> []
-                in
-                let joined =
-                  match matches, kind with
-                  | [], Op.LeftOuter -> [ lrow @ Row.nulls rcols ]
-                  | [], Op.Inner -> []
-                  | ms, _ -> List.map (fun rrow -> lrow @ rrow) ms
-                in
-                match joined with
-                | [] -> ()
-                | _ ->
-                  let items =
-                    List.filter_map
-                      (fun jrow ->
-                        if S.eval_pred jrow presence then Some (S.eval jrow item)
-                        else None)
-                      joined
-                  in
-                  rows :=
-                    (List.map (fun (n, e) -> (n, S.eval lrow e)) keys
-                    @ [ (out, V.Bag items) ])
-                    :: !rows)
-              lpart;
-            Array.of_list (List.rev !rows))
-          l.parts
-      in
-      Memory.pin st.mem rbytes;
-      Fun.protect
-        ~finally:(fun () -> Memory.unpin st.mem rbytes)
-        (fun () ->
-          account st ~stage:"cogroup(broadcast)" ~spill:Spill_pinned
-            [ part_bytes l.parts ]
-            outp);
-      { parts = outp; key = None; skew = None }
-    end
-    else
-      cogroup st ~stage:"cogroup" l r ~lkey ~rkey ~kind ~rcols ~keys ~item
+    let kernel =
+      cogroup_partition ~lkey ~kind ~rcols:(Op.columns right) ~keys ~item
         ~presence ~out
+    in
+    if rset_total_bytes r <= cfg.Config.broadcast_limit then
+      (* broadcast cogroup: no shuffle at all *)
+      broadcast_stage st ~stage:"cogroup(broadcast)" l r (fun all_right ->
+          let index = index_rows rkey all_right in
+          fun _ -> kernel index)
+    else shuffle_stage st ~stage:"cogroup" l r ~lkey ~rkey kernel
   | Op.NestBag { input; keys; agg_keys; item; presence; out } ->
     let r = run st input in
     trace_rows_in st [ r ];
@@ -893,26 +893,20 @@ and exec (st : state) (op : Op.t) : rset =
       | sk -> ensure_partitioned st ~stage:"nest" r (List.map snd sk)
     in
     let outp =
-      pool_map st
-        (fun part ->
-          Array.of_list
-            (L.nest_bag_rows ~keys ~agg_keys ~item ~presence ~out
-               (Array.to_list part)))
-        r'.parts
+      nested_by shuffle_keys
+        (pool_parts st
+           (fun _ part ->
+             sized
+               (Array.of_list
+                  (L.nest_bag_rows ~keys ~agg_keys ~item ~presence ~out
+                     (Array.to_list part))))
+           r'.parts)
     in
     (* external group-by: the grouping hash table is built over the
        shuffled input *)
-    account st ~stage:"nest_bag"
-      ~spill:(Spill_parts [ part_bytes r'.parts ])
-      [ part_bytes r'.parts ] outp;
-    {
-      parts = outp;
-      key =
-        (match shuffle_keys with
-        | [] -> None
-        | sk -> Some (List.map (fun (n, _) -> S.Col [ n ]) sk));
-      skew = None (* Figure 6: nests return a null heavy-key set *);
-    }
+    account st ~stage:"nest_bag" ~spill:(Spill_parts [ r'.bytes ])
+      [ r'.bytes ] outp;
+    outp
   | Op.NestSum { input; keys; agg_keys; aggs; presence } ->
     let r = run st input in
     trace_rows_in st [ r ];
@@ -920,17 +914,17 @@ and exec (st : state) (op : Op.t) : rset =
        partition before shuffling, so Gamma-plus "mitigates skew-effects by
        default by reducing the values of all keys" (Section 5) *)
     let partials =
-      pool_map st
-        (fun part ->
-          Array.of_list
-            (L.nest_sum_rows ~keys ~agg_keys ~aggs ~presence
-               (Array.to_list part)))
-        r.parts
+      mk_rset
+        (pool_parts st
+           (fun _ part ->
+             sized
+               (Array.of_list
+                  (L.nest_sum_rows ~keys ~agg_keys ~aggs ~presence
+                     (Array.to_list part))))
+           r.parts)
     in
-    account st ~stage:"nest_sum(combine)"
-      ~spill:(Spill_parts [ part_bytes r.parts ])
-      [ part_bytes r.parts ] partials;
-    let r = { parts = partials; key = None; skew = None } in
+    account st ~stage:"nest_sum(combine)" ~spill:(Spill_parts [ r.bytes ])
+      [ r.bytes ] partials;
     (* reduce side: sum the partial sums *)
     let keys' = List.map (fun (n, _) -> (n, S.Col [ n ])) keys in
     let agg_keys' = List.map (fun (n, _) -> (n, S.Col [ n ])) agg_keys in
@@ -943,28 +937,22 @@ and exec (st : state) (op : Op.t) : rset =
     let shuffle_keys = if keys = [] then agg_keys' else keys' in
     let r' =
       match shuffle_keys with
-      | [] -> gather st r
-      | sk -> ensure_partitioned st ~stage:"nest_sum" r (List.map snd sk)
+      | [] -> gather st partials
+      | sk -> ensure_partitioned st ~stage:"nest_sum" partials (List.map snd sk)
     in
     let outp =
-      pool_map st
-        (fun part ->
-          Array.of_list
-            (L.nest_sum_rows ~keys:keys' ~agg_keys:agg_keys' ~aggs:aggs'
-               ~presence:presence' (Array.to_list part)))
-        r'.parts
+      nested_by shuffle_keys
+        (pool_parts st
+           (fun _ part ->
+             sized
+               (Array.of_list
+                  (L.nest_sum_rows ~keys:keys' ~agg_keys:agg_keys'
+                     ~aggs:aggs' ~presence:presence' (Array.to_list part))))
+           r'.parts)
     in
-    account st ~stage:"nest_sum"
-      ~spill:(Spill_parts [ part_bytes r'.parts ])
-      [ part_bytes r'.parts ] outp;
-    {
-      parts = outp;
-      key =
-        (match shuffle_keys with
-        | [] -> None
-        | sk -> Some (List.map (fun (n, _) -> S.Col [ n ]) sk));
-      skew = None (* Figure 6: nests return a null heavy-key set *);
-    }
+    account st ~stage:"nest_sum" ~spill:(Spill_parts [ r'.bytes ])
+      [ r'.bytes ] outp;
+    outp
   | Op.Dedup child ->
     let r = run st child in
     trace_rows_in st [ r ];
@@ -972,25 +960,24 @@ and exec (st : state) (op : Op.t) : rset =
     let key_exprs = List.map (fun c -> S.Col [ c ]) cols in
     let r' = ensure_partitioned st ~stage:"dedup" r key_exprs in
     map_parts st ~stage:"dedup"
-      (fun part ->
+      (fun _ part ->
         let values = Array.to_list part |> List.map (fun row -> V.Tuple row) in
-        Array.of_list
-          (List.map
-             (fun v -> match v with V.Tuple row -> row | _ -> assert false)
-             (V.dedup values)))
+        sized
+          (Array.of_list
+             (List.map
+                (fun v -> match v with V.Tuple row -> row | _ -> assert false)
+                (V.dedup values))))
       r'
-      ~key:(fun k -> k)
   | Op.UnionAll (left, right) ->
     let l = run st left in
     let r = run st right in
     trace_rows_in st [ l; r ];
     let cols = Op.columns left in
-    let r_aligned =
-      Array.map (Array.map (fun row -> Row.restrict cols row)) r.parts
-    in
-    { parts = Array.mapi (fun i p -> Array.append p r_aligned.(i)) l.parts;
-      key = None;
-      skew = None }
+    union_parts l
+      (mk_rset
+         (pool_parts st
+            (fun _ part -> sized (Array.map (Row.restrict cols) part))
+            r.parts))
   | Op.BagToDict { input; label } ->
     let r = run st input in
     trace_rows_in st [ r ];
@@ -1008,7 +995,7 @@ and exec (st : state) (op : Op.t) : rset =
       else begin
         Trace.set_strategy st.trace
           (Trace.Skew_split { heavy_keys = KeyTbl.length hk });
-        let light, heavy = split_by_keys r [ label ] hk in
+        let light, heavy = split_by_keys st r [ label ] hk in
         let light' = shuffle st ~stage:"bag_to_dict(light)" light [ label ] in
         union_parts ~skew:(Some ([ label ], hk)) light' heavy
       end

@@ -11,8 +11,10 @@
       heavy keys; the light part follows the standard implementation while
       the heavy part keeps its location and receives broadcast partners;
       [BagToDict] repartitions only light labels;
-    - every operator is accounted: shuffled/broadcast bytes, per-worker
-      residency reserved through the {!Memory} manager — fitting, spilling
+    - every operator is accounted, from the partition byte sizes the pool
+      tasks return with their partitions (see {!rset}): shuffled and
+      broadcast bytes, per-worker residency reserved through the
+      {!Memory} manager — fitting, spilling
       the operator's build side to simulated disk ({!Config.t.spill}
       [= On], charged as [spilled_bytes]/[spill_partitions]/[spill_rounds]
       plus disk time), or denied (failing with {!Failure.Out_of_memory}) —
@@ -48,6 +50,10 @@ module KeyTbl : Hashtbl.S with type key = Nrc.Value.t list
 
 type rset = {
   parts : Plan.Row.t array array;
+  bytes : int array;
+      (** {!Plan.Row.byte_size} summed over each partition — computed by
+          the pool task that built the partition, or derived exactly from
+          the operator's inputs, never by re-walking rows on the driver *)
   key : Plan.Sexpr.t list option;  (** partitioning guarantee over rows *)
   skew : (Plan.Sexpr.t list * unit KeyTbl.t) option;
       (** heavy keys of a skew-triple, carried between operators until

@@ -15,8 +15,8 @@ let get_opt (row : t) col = List.assoc_opt col row
 let add col v (row : t) : t = (col, v) :: List.remove_assoc col row
 let columns (row : t) = List.map fst row
 
-let byte_size (row : t) =
-  List.fold_left (fun acc (_, v) -> acc + 8 + Nrc.Value.byte_size v) 0 row
+let column_bytes v = 8 + Nrc.Value.byte_size v
+let byte_size (row : t) = List.fold_left (fun acc (_, v) -> acc + column_bytes v) 0 row
 
 (** Restrict to the given columns, in that order; missing columns are Null
     (used to align union branches and to nullify outer-join sides). *)

@@ -13,8 +13,13 @@ val get_opt : t -> string -> Nrc.Value.t option
 val add : string -> Nrc.Value.t -> t -> t
 val columns : t -> string list
 
+val column_bytes : Nrc.Value.t -> int
+(** One column holding the value: 8 bytes plus {!Nrc.Value.byte_size}. *)
+
 val byte_size : t -> int
-(** Used by the executor's shuffle and memory accounting. *)
+(** The sum of {!column_bytes} over the columns — additive, so a row
+    built by appending columns or joining rows is sized from its parts.
+    Used by the executor's shuffle and memory accounting. *)
 
 val restrict : string list -> t -> t
 (** Project to the given columns in order; missing ones become [Null]

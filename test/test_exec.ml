@@ -3,7 +3,8 @@
     and without unshredding), SparkSQL-proxy, and skew-aware variants as the
     NRC reference interpreter; plus unit tests for datasets, shuffling
     guarantees, heavy-key detection, broadcast decisions, cogroup fusion,
-    and memory-budget failures. *)
+    memory-budget failures, stray executor exceptions as typed failures,
+    and a golden table of the simulated counters. *)
 
 module B = Nrc.Builder
 module V = Nrc.Value
@@ -12,6 +13,11 @@ module Op = Plan.Op
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 let cluster = { Exec.Config.unbounded with partitions = 7; workers = 3 }
 
@@ -316,6 +322,29 @@ let test_oom_failure () =
   check "failure reported" true (r.Trance.Api.failure <> None);
   check "no value on failure" true (r.Trance.Api.value = None)
 
+(* An exception escaping the executor is still a typed failure of its
+   step: here the plan scans an input that was not supplied. *)
+let test_stray_exception_typed () =
+  List.iter
+    (fun strategy ->
+      let r =
+        Trance.Api.run ~config:api_config ~strategy
+          (Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q"
+             Fixtures.example1)
+          (List.filter (fun (n, _) -> n <> "COP") Fixtures.inputs_val)
+      in
+      match r.Trance.Api.failure with
+      | Some (Trance.Api.Error msg) ->
+        check ("names the step: " ^ msg) true
+          (String.length msg > 3 && String.sub msg 0 3 = "Q: ");
+        check ("names the input: " ^ msg) true
+          (contains msg "unknown input" && contains msg "COP");
+        check "no value on failure" true (r.Trance.Api.value = None)
+      | _ ->
+        Alcotest.failf "%s: expected failure = Some (Error _)"
+          (Trance.Api.strategy_name strategy))
+    strategies
+
 (* ------------------------------------------------------------------ *)
 (* Broadcast vs shuffle decisions *)
 
@@ -374,6 +403,12 @@ let test_shred_shuffles_less () =
    everywhere. Floats are printed as hex, zero counters are omitted. *)
 
 let golden_configs =
+  (* pin the settings a TRANCE_* hook could move; domains stay free, as
+     they move no simulated number *)
+  let cluster =
+    { cluster with checkpoint = Exec.Config.No_checkpoints; spill = Exec.Config.Off }
+  in
+  let api_config = { api_config with cluster } in
   [
     ("default", api_config);
     ("skew", { api_config with skew_aware = true });
@@ -851,11 +886,6 @@ let invalid_configs =
 
 let test_validate_rejects (what, c) () =
   let field = List.hd (String.split_on_char ' ' what) in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   (match Exec.Config.validate c with
   | Ok _ -> Alcotest.failf "%s accepted" what
   | Error msg -> check (what ^ ": message names the field") true (contains msg field));
@@ -949,7 +979,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_key_guarantee;
         ] );
       ( "memory",
-        [ Alcotest.test_case "OOM reported as failure" `Quick test_oom_failure ]
+        [
+          Alcotest.test_case "OOM reported as failure" `Quick test_oom_failure;
+          Alcotest.test_case "stray exception reported as Error" `Quick
+            test_stray_exception_typed;
+        ]
       );
       ( "decisions",
         [

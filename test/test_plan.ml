@@ -234,6 +234,75 @@ let test_prune_keeps_whole_uses () =
        (function Op.Project (_, Op.Scan _) -> true | _ -> false)
        (match opt with Op.Project (_, inner) -> inner | p -> p))
 
+(* ------------------------------------------------------------------ *)
+(* Row sizes are additive over columns. The executor derives partition
+   sizes from this instead of re-walking rows: an unnested row is its
+   parent plus one column, an indexed row its input plus one int column,
+   a joined row the sum of its sides. A change to the size model that
+   breaks additivity must fail here before derived sizes drift. *)
+
+let rec gen_value depth =
+  QCheck.Gen.(
+    let scalar =
+      [
+        return V.Null;
+        map (fun i -> V.Int i) int;
+        map (fun f -> V.Real f) float;
+        map (fun d -> V.Date d) small_int;
+        map (fun b -> V.Bool b) bool;
+        map (fun s -> V.Str s) (string_size (int_bound 8));
+      ]
+    in
+    if depth = 0 then oneof scalar
+    else
+      let sub = gen_value (depth - 1) in
+      oneof
+        (scalar
+        @ [
+            map2
+              (fun site args -> V.Label { site; args })
+              small_int
+              (list_size (int_bound 3) sub);
+            map
+              (fun vs ->
+                V.Tuple (List.mapi (fun i v -> (Printf.sprintf "f%d" i, v)) vs))
+              (list_size (int_bound 3) sub);
+            map (fun vs -> V.Bag vs) (list_size (int_bound 4) sub);
+          ]))
+
+let gen_row : Row.t QCheck.Gen.t =
+  QCheck.Gen.(
+    map
+      (List.mapi (fun i v -> (Printf.sprintf "c%d" i, v)))
+      (list_size (int_bound 4) (gen_value 3)))
+
+let print_row = Fmt.to_to_string Row.pp
+
+let prop_append_column =
+  QCheck.Test.make ~name:"appending a column adds 8 + its value's size"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (row, v) -> print_row row ^ " + " ^ V.to_string v)
+       QCheck.Gen.(pair gen_row (gen_value 3)))
+    (fun (row, v) ->
+      Row.byte_size (row @ [ ("new", v) ])
+      = Row.byte_size row + 8 + V.byte_size v)
+
+let prop_index_column =
+  QCheck.Test.make ~name:"an index column adds 16" ~count:300
+    (QCheck.make
+       ~print:(fun (row, i) -> print_row row ^ Printf.sprintf " + %d" i)
+       QCheck.Gen.(pair gen_row (oneof [ int; return min_int; return max_int ])))
+    (fun (row, i) ->
+      Row.byte_size (row @ [ ("id", V.Int i) ]) = Row.byte_size row + 16)
+
+let prop_join_rows =
+  QCheck.Test.make ~name:"a joined row is the sum of its sides" ~count:300
+    (QCheck.make
+       ~print:(fun (a, b) -> print_row a ^ " @ " ^ print_row b)
+       QCheck.Gen.(pair gen_row gen_row))
+    (fun (a, b) -> Row.byte_size (a @ b) = Row.byte_size a + Row.byte_size b)
+
 let () =
   Alcotest.run "plan"
     [
@@ -259,4 +328,7 @@ let () =
           Alcotest.test_case "prune respects whole uses" `Quick
             test_prune_keeps_whole_uses;
         ] );
+      ( "row sizes",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_append_column; prop_index_column; prop_join_rows ] );
     ]
