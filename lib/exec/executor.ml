@@ -96,6 +96,8 @@ type state = {
   pool : Pool.t; (* partition tasks run here; accounting stays outside *)
 }
 
+let unzip a = (Array.map fst a, Array.map snd a)
+
 (* Partition-wise evaluation goes through the pool. The task closures must
    not touch [st.stats]/[st.trace]/[st.mem]/[st.faults]: every hot loop
    below computes a pure per-partition result — its rows and their byte
@@ -105,8 +107,6 @@ type state = {
    integer functions of the partitions, so a [domains = N] run stays
    bit-identical to [domains = 1], and no row is walked for sizing outside
    a task. *)
-let unzip a = (Array.map fst a, Array.map snd a)
-
 let pool_parts st (f : int -> 'a -> Row.t array * int) (xs : 'a array) =
   unzip (Pool.map st.pool f xs)
 

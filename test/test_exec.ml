@@ -433,7 +433,7 @@ let golden_line (s : Exec.Stats.snapshot) (m : Exec.Trace.metrics) =
     ]
   in
   let floats =
-    [ ("sim", s.sim_seconds); ("rec", s.recovery_seconds); ("wall", s.wall_seconds) ]
+    [ ("sim", s.sim_seconds); ("rec", s.recovery_seconds) ]
   in
   String.concat " "
     (List.filter_map
