@@ -47,15 +47,8 @@ let of_bag_by ~partitions ~key (v : V.t) : t =
   let parts = Array.make partitions [] in
   List.iter
     (fun item ->
-      let kv =
-        List.map
-          (fun path -> List.fold_left V.field item path)
-          key
-      in
-      (* [land max_int], not [abs]: [abs min_int = min_int], whose [mod]
-         is negative and would index out of bounds *)
-      let h = List.fold_left (fun acc v -> (acc * 31) + V.hash v) 17 kv in
-      let p = h land max_int mod partitions in
+      let kv = List.map (fun path -> List.fold_left V.field item path) key in
+      let p = Plan.Kernel.hash_key kv mod partitions in
       parts.(p) <- item :: parts.(p))
     items;
   {

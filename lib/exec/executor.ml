@@ -7,8 +7,9 @@
     - joins pick between broadcast (small right side, like Spark's
       auto-broadcast) and shuffle hash join, honouring existing partitioning
       guarantees to skip shuffles;
-    - nest operators shuffle by their grouping key, then reuse the exact
-      single-node semantics of {!Plan.Local_eval} per partition;
+    - operators run the same per-partition row code as the single-node
+      {!Plan.Local_eval}, {!Plan.Kernel}, in pool tasks; nest operators
+      first shuffle by their grouping key;
     - join+nest pairs that build nested objects are fused into a cogroup
       (Section 3, Optimization) when the nest key contains the unique row id,
       avoiding the flattened intermediate;
@@ -32,7 +33,7 @@ module V = Nrc.Value
 module S = Plan.Sexpr
 module Op = Plan.Op
 module Row = Plan.Row
-module L = Plan.Local_eval
+module K = Plan.Kernel
 
 type options = {
   skew_aware : bool;
@@ -48,36 +49,13 @@ let env_of_list l : env =
   List.iter (fun (n, d) -> Hashtbl.replace h n d) l;
   h
 
-(* Hash over evaluated key tuples, shared by shuffling and heavy-key sets.
-   [land max_int], not [abs]: [abs min_int = min_int], whose [mod n] is
-   negative and would index [dest.(p)] out of bounds in [shuffle]. *)
-let hash_key (kv : V.t list) =
-  List.fold_left (fun acc v -> (acc * 31) + V.hash v) 17 kv land max_int
-
-module KeyTbl = Hashtbl.Make (struct
-  type t = V.t list
-
-  (* single pass over both lists: this runs once per probed row on the
-     join hot path, so no [List.length] pre-walks *)
-  let equal a b =
-    let rec go a b =
-      match a, b with
-      | [], [] -> true
-      | x :: a, y :: b -> V.equal x y && go a b
-      | _, _ -> false
-    in
-    go a b
-
-  let hash = hash_key
-end)
-
 type rset = {
   parts : Row.t array array;
   bytes : int array;
       (* [Row.byte_size] summed over each partition, computed by the task
          that built the partition (or derived exactly from its inputs) *)
   key : S.t list option; (* partitioning guarantee over rows *)
-  skew : (S.t list * unit KeyTbl.t) option;
+  skew : (S.t list * unit K.KeyTbl.t) option;
       (* heavy keys of a skew-triple, carried between operators until
          something alters the key (Section 5: "This set of heavy keys
          remains associated to that skew-triple until the operator does
@@ -109,36 +87,6 @@ let unzip a = (Array.map fst a, Array.map snd a)
    a task. *)
 let pool_parts st (f : int -> 'a -> Row.t array * int) (xs : 'a array) =
   unzip (Pool.map st.pool f xs)
-
-(* [Row.byte_size] for the rows one task walks. Consecutive rows often
-   share column values physically — an unnest repeats its parent's values
-   in every output row — so a column holding the very value the previous
-   row held there reuses its size instead of walking it again. Exact,
-   since a size is a pure function of the value; the memo lives only as
-   long as the task. *)
-let row_sizer () =
-  let prev = ref [] in
-  fun (row : Row.t) ->
-    let rec go prev = function
-      | [] -> ([], 0)
-      | (_, v) :: rest ->
-        let b, prev =
-          match prev with
-          | (pv, pb) :: prev when pv == v -> (pb, prev)
-          | _ :: prev -> (Row.column_bytes v, prev)
-          | [] -> (Row.column_bytes v, [])
-        in
-        let cells, total = go prev rest in
-        ((v, b) :: cells, b + total)
-    in
-    let cells, total = go !prev row in
-    prev := cells;
-    total
-
-(* a task's rows, sized where they are built *)
-let sized rows =
-  let size = row_sizer () in
-  (rows, Array.fold_left (fun acc r -> acc + size r) 0 rows)
 
 let mk_rset ?(key = None) ?(skew = None) (parts, bytes) =
   { parts; bytes; key; skew }
@@ -357,8 +305,6 @@ let account st ~stage ?(spill = Spill_all) (input_bytes : int array list)
 (* ------------------------------------------------------------------ *)
 (* Shuffling *)
 
-let eval_keys row keys = List.map (S.eval row) keys
-
 (* Redistribute rows by key hash; counts shuffle bytes and simulated network
    time (bounded by the most-loaded receiving partition — the skew
    bottleneck). Emits its own trace span, so operators that avoid shuffling
@@ -379,10 +325,10 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
             let dest = Array.make n [] in
             let received = Array.make n 0 in
             let moved = ref 0 in
-            let size = row_sizer () in
+            let size = K.row_sizer () in
             Array.iter
               (fun row ->
-                let p = hash_key (eval_keys row keys) mod n in
+                let p = K.hash_key (K.eval_keys row keys) mod n in
                 dest.(p) <- row :: dest.(p);
                 let b = size row in
                 moved := !moved + b;
@@ -465,22 +411,22 @@ let charge_broadcast st rbytes =
 (* Heavy-key detection (Section 5): per-partition sampling; a key is heavy
    when it covers at least [heavy_threshold] of a partition's sample. *)
 
-let heavy_keys st (r : rset) (keys : S.t list) : unit KeyTbl.t =
+let heavy_keys st (r : rset) (keys : S.t list) : unit K.KeyTbl.t =
   let cfg = st.cfg in
-  let heavy = KeyTbl.create 8 in
+  let heavy = K.KeyTbl.create 8 in
   Array.iter
     (fun part ->
       let n = Array.length part in
       if n > 0 then begin
         let sample_n = min n cfg.Config.sample_per_partition in
         let stride = max 1 (n / sample_n) in
-        let counts = KeyTbl.create 16 in
+        let counts = K.KeyTbl.create 16 in
         let sampled = ref 0 in
         let i = ref 0 in
         while !i < n do
-          let kv = eval_keys part.(!i) keys in
-          KeyTbl.replace counts kv
-            (1 + Option.value (KeyTbl.find_opt counts kv) ~default:0);
+          let kv = K.eval_keys part.(!i) keys in
+          K.KeyTbl.replace counts kv
+            (1 + Option.value (K.KeyTbl.find_opt counts kv) ~default:0);
           incr sampled;
           i := !i + stride
         done;
@@ -489,28 +435,19 @@ let heavy_keys st (r : rset) (keys : S.t list) : unit KeyTbl.t =
             (int_of_float
                (ceil (cfg.Config.heavy_threshold *. float_of_int !sampled)))
         in
-        KeyTbl.iter
-          (fun kv c -> if c >= cutoff then KeyTbl.replace heavy kv ())
+        K.KeyTbl.iter
+          (fun kv c -> if c >= cutoff then K.KeyTbl.replace heavy kv ())
           counts
       end)
     r.parts;
   heavy
 
-(* Each task splits one partition (the heavy-key set is shared read-only)
-   and sizes its heavy rows; the light rows keep the rest of the carried
-   size. *)
-let split_by_keys st (r : rset) (keys : S.t list) (hk : unit KeyTbl.t) :
+(* Each task splits one partition; the heavy-key set is shared read-only. *)
+let split_by_keys st (r : rset) (keys : S.t list) (hk : unit K.KeyTbl.t) :
     rset * rset =
   let halves =
     Pool.map st.pool
-      (fun p part ->
-        let light, heavy =
-          List.partition
-            (fun row -> not (KeyTbl.mem hk (eval_keys row keys)))
-            (Array.to_list part)
-        in
-        let heavy, hbytes = sized (Array.of_list heavy) in
-        ((Array.of_list light, r.bytes.(p) - hbytes), (heavy, hbytes)))
+      (fun p part -> K.split_by_keys keys hk (part, r.bytes.(p)))
       r.parts
   in
   ( mk_rset ~key:r.key (unzip (Array.map fst halves)),
@@ -523,83 +460,6 @@ let union_parts ?(skew = None) a b =
 
 (* ------------------------------------------------------------------ *)
 (* Join strategies *)
-
-let index_rows rkey (rows : Row.t array) : Row.t list ref KeyTbl.t =
-  let tbl = KeyTbl.create 64 in
-  Array.iter
-    (fun row ->
-      let kv = eval_keys row rkey in
-      if not (List.exists V.is_null kv) then begin
-        match KeyTbl.find_opt tbl kv with
-        | Some cell -> cell := row :: !cell
-        | None -> KeyTbl.add tbl kv (ref [ row ])
-      end)
-    rows;
-  tbl
-
-(* The hash probe shared by joins and cogroups: the right rows [lrow]
-   joins with, in build order — none for a null key; a left-outer miss
-   joins one all-null row. *)
-let probe ~lkey ~kind ~rcols (index : Row.t list ref KeyTbl.t) lrow :
-    Row.t list =
-  let kv = eval_keys lrow lkey in
-  let matches =
-    if List.exists V.is_null kv then []
-    else
-      match KeyTbl.find_opt index kv with
-      | Some cell -> List.rev !cell
-      | None -> []
-  in
-  match matches, kind with
-  | [], Op.LeftOuter -> [ Row.nulls rcols ]
-  | ms, _ -> ms
-
-(* A joined row's size is the sum of its sides' ([Row.byte_size] is
-   additive over columns), so each left row is sized once. *)
-let join_partition ~lkey ~kind ~rcols index (lpart : Row.t array) =
-  let out = ref [] and bytes = ref 0 in
-  let lsize = row_sizer () and rsize = row_sizer () in
-  Array.iter
-    (fun lrow ->
-      match probe ~lkey ~kind ~rcols index lrow with
-      | [] -> ()
-      | rrows ->
-        let lb = lsize lrow in
-        List.iter
-          (fun rrow ->
-            out := (lrow @ rrow) :: !out;
-            bytes := !bytes + lb + rsize rrow)
-          rrows)
-    lpart;
-  (Array.of_list (List.rev !out), !bytes)
-
-(* Cogroup fusion's kernel: one output row per left row that joins, its
-   nest keys plus the bag of items over its joined rows. *)
-let cogroup_partition ~lkey ~kind ~rcols ~keys ~item ~presence ~out index
-    (lpart : Row.t array) =
-  let rows = ref [] and bytes = ref 0 in
-  let size = row_sizer () in
-  Array.iter
-    (fun lrow ->
-      match probe ~lkey ~kind ~rcols index lrow with
-      | [] -> ()
-      | rrows ->
-        let items =
-          List.filter_map
-            (fun rrow ->
-              let jrow = lrow @ rrow in
-              if S.eval_pred jrow presence then Some (S.eval jrow item)
-              else None)
-            rrows
-        in
-        let row =
-          List.map (fun (n, e) -> (n, S.eval lrow e)) keys
-          @ [ (out, V.Bag items) ]
-        in
-        rows := row :: !rows;
-        bytes := !bytes + size row)
-    lpart;
-  (Array.of_list (List.rev !rows), !bytes)
 
 (* A stage whose right side is replicated to every worker (broadcast join,
    broadcast cogroup, product): [task all_right] builds the per-partition
@@ -635,7 +495,7 @@ let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey kernel :
   let out =
     mk_rset ?key
       (pool_parts st
-         (fun p lpart -> kernel (index_rows rkey r'.parts.(p)) lpart)
+         (fun p lpart -> kernel (K.index rkey r'.parts.(p)) lpart)
          l'.parts)
   in
   (* external hash join: the per-partition build table over the right side
@@ -647,13 +507,13 @@ let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey kernel :
 let broadcast_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
     rset =
   broadcast_stage st ~stage ~key:l.key l r (fun all_right ->
-      let index = index_rows rkey all_right in
-      fun _ -> join_partition ~lkey ~kind ~rcols index)
+      let index = K.index rkey all_right in
+      fun _ -> K.join ~lkey ~kind ~rcols index)
 
 let shuffle_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
     rset =
   shuffle_stage st ~stage ~key:(Some lkey) l r ~lkey ~rkey
-    (join_partition ~lkey ~kind ~rcols)
+    (K.join ~lkey ~kind ~rcols)
 
 (* Figure 6: skew-aware join. The heavy-key set is taken from the incoming
    skew-triple when it matches the join key (it "remains associated until
@@ -665,12 +525,12 @@ let skew_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols : rset =
     | Some (k, hk) when k = lkey -> hk
     | _ -> heavy_keys st l lkey
   in
-  if KeyTbl.length hk = 0 then
+  if K.KeyTbl.length hk = 0 then
     { (shuffle_join st ~stage l r ~lkey ~rkey ~kind ~rcols) with
       skew = Some (lkey, hk) }
   else begin
     Trace.set_strategy st.trace
-      (Trace.Skew_split { heavy_keys = KeyTbl.length hk });
+      (Trace.Skew_split { heavy_keys = K.KeyTbl.length hk });
     Trace.set_stage st.trace stage;
     let x_l, x_h = split_by_keys st l lkey hk in
     let y_l, y_h = split_by_keys st r rkey hk in
@@ -728,7 +588,7 @@ let nested_by shuffle_keys parts =
 
 let next_id_base = ref 0
 
-(* AddIndex ids feed [hash_key] and therefore partition assignment; callers
+(* AddIndex ids feed [Kernel.hash_key] and therefore partition assignment; callers
    that need run-for-run determinism (fault-injection replay) reset the
    counter before each run. *)
 let reset_ids () = next_id_base := 0
@@ -756,7 +616,7 @@ and exec (st : state) (op : Op.t) : rset =
                (List.map (fun path -> S.Col (binder :: path)))
                ds.Dataset.key)
           (pool_parts st
-             (fun _ part -> sized (Array.map (fun v -> [ (binder, v) ]) part))
+             (fun _ part -> K.sized (Array.map (fun v -> [ (binder, v) ]) part))
              ds.Dataset.parts)
       in
       trace_rows_in st [ r ];
@@ -764,12 +624,7 @@ and exec (st : state) (op : Op.t) : rset =
   | Op.Select (p, child) ->
     let r = run st child in
     trace_rows_in st [ r ];
-    map_parts st ~stage:"select" ~keep_skew:true
-      (fun _ part ->
-        sized
-          (Array.of_list
-             (List.filter (fun row -> S.eval_pred row p) (Array.to_list part))))
-      r
+    map_parts st ~stage:"select" ~keep_skew:true (fun _ -> K.select p) r
   | Op.Project (fields, child) ->
     let r = run st child in
     trace_rows_in st [ r ];
@@ -786,13 +641,7 @@ and exec (st : state) (op : Op.t) : rset =
           Some (List.map (fun o -> S.Col [ fst (Option.get o) ]) mapped)
         else None
     in
-    map_parts st ~stage:"project"
-      (fun _ part ->
-        sized
-          (Array.map
-             (fun row -> List.map (fun (n, e) -> (n, S.eval row e)) fields)
-             part))
-      r
+    map_parts st ~stage:"project" (fun _ -> K.project fields) r
       ~key:(fun _ -> new_key)
   | Op.Join { left; right; lkey; rkey; kind } ->
     let l = run st left in
@@ -809,47 +658,13 @@ and exec (st : state) (op : Op.t) : rset =
     let r = run st right in
     trace_rows_in st [ l; r ];
     let rbytes = rset_total_bytes r in
-    broadcast_stage st ~stage:"product" ~key:l.key l r (fun all_right ->
-        let all_right = Array.to_list all_right in
-        let nright = List.length all_right in
-        fun p lpart ->
-          ( Array.of_list
-              (List.concat_map
-                 (fun lrow -> List.map (fun rrow -> lrow @ rrow) all_right)
-                 (Array.to_list lpart)),
-            (* every left row meets every right row, and a joined row's
-               size is the sum of its sides' *)
-            (nright * l.bytes.(p)) + (Array.length lpart * rbytes) ))
+    broadcast_stage st ~stage:"product" ~key:l.key l r (fun all_right p lpart ->
+        K.product (lpart, l.bytes.(p)) (all_right, rbytes))
   | Op.Unnest { input; path; binder; outer; drop } ->
     let r = run st input in
     trace_rows_in st [ r ];
     map_parts st ~stage:"unnest" ~keep_skew:true
-      (fun _ part ->
-        (* an output row is its parent plus one column, so the parent is
-           sized once per input row, not once per item *)
-        let bytes = ref 0 in
-        let size = row_sizer () in
-        let rows =
-          List.concat_map
-            (fun row ->
-              let bag = S.eval row (S.Col path) in
-              let row = if drop then L.drop_path row path else row in
-              match
-                (match V.bag_items bag with
-                | [] when outer -> [ V.Null ]
-                | items -> items)
-              with
-              | [] -> []
-              | items ->
-                let parent = size row + 8 in
-                List.map
-                  (fun v ->
-                    bytes := !bytes + parent + V.byte_size v;
-                    row @ [ (binder, v) ])
-                  items)
-            (Array.to_list part)
-        in
-        (Array.of_list rows, !bytes))
+      (fun _ -> K.unnest ~path ~binder ~outer ~drop)
       r
   | Op.AddIndex { input; col } ->
     let r = run st input in
@@ -874,13 +689,13 @@ and exec (st : state) (op : Op.t) : rset =
     let r = run st right in
     trace_rows_in st [ l; r ];
     let kernel =
-      cogroup_partition ~lkey ~kind ~rcols:(Op.columns right) ~keys ~item
-        ~presence ~out
+      K.cogroup ~lkey ~kind ~rcols:(Op.columns right) ~keys ~item ~presence
+        ~out
     in
     if rset_total_bytes r <= cfg.Config.broadcast_limit then
       (* broadcast cogroup: no shuffle at all *)
       broadcast_stage st ~stage:"cogroup(broadcast)" l r (fun all_right ->
-          let index = index_rows rkey all_right in
+          let index = K.index rkey all_right in
           fun _ -> kernel index)
     else shuffle_stage st ~stage:"cogroup" l r ~lkey ~rkey kernel
   | Op.NestBag { input; keys; agg_keys; item; presence; out } ->
@@ -895,11 +710,7 @@ and exec (st : state) (op : Op.t) : rset =
     let outp =
       nested_by shuffle_keys
         (pool_parts st
-           (fun _ part ->
-             sized
-               (Array.of_list
-                  (L.nest_bag_rows ~keys ~agg_keys ~item ~presence ~out
-                     (Array.to_list part))))
+           (fun _ -> K.nest_bag ~keys ~agg_keys ~item ~presence ~out)
            r'.parts)
     in
     (* external group-by: the grouping hash table is built over the
@@ -915,13 +726,7 @@ and exec (st : state) (op : Op.t) : rset =
        default by reducing the values of all keys" (Section 5) *)
     let partials =
       mk_rset
-        (pool_parts st
-           (fun _ part ->
-             sized
-               (Array.of_list
-                  (L.nest_sum_rows ~keys ~agg_keys ~aggs ~presence
-                     (Array.to_list part))))
-           r.parts)
+        (pool_parts st (fun _ -> K.nest_sum ~keys ~agg_keys ~aggs ~presence) r.parts)
     in
     account st ~stage:"nest_sum(combine)" ~spill:(Spill_parts [ r.bytes ])
       [ r.bytes ] partials;
@@ -943,11 +748,9 @@ and exec (st : state) (op : Op.t) : rset =
     let outp =
       nested_by shuffle_keys
         (pool_parts st
-           (fun _ part ->
-             sized
-               (Array.of_list
-                  (L.nest_sum_rows ~keys:keys' ~agg_keys:agg_keys'
-                     ~aggs:aggs' ~presence:presence' (Array.to_list part))))
+           (fun _ ->
+             K.nest_sum ~keys:keys' ~agg_keys:agg_keys' ~aggs:aggs'
+               ~presence:presence')
            r'.parts)
     in
     account st ~stage:"nest_sum" ~spill:(Spill_parts [ r'.bytes ])
@@ -959,15 +762,7 @@ and exec (st : state) (op : Op.t) : rset =
     let cols = Op.columns child in
     let key_exprs = List.map (fun c -> S.Col [ c ]) cols in
     let r' = ensure_partitioned st ~stage:"dedup" r key_exprs in
-    map_parts st ~stage:"dedup"
-      (fun _ part ->
-        let values = Array.to_list part |> List.map (fun row -> V.Tuple row) in
-        sized
-          (Array.of_list
-             (List.map
-                (fun v -> match v with V.Tuple row -> row | _ -> assert false)
-                (V.dedup values))))
-      r'
+    map_parts st ~stage:"dedup" (fun _ -> K.dedup) r'
   | Op.UnionAll (left, right) ->
     let l = run st left in
     let r = run st right in
@@ -975,9 +770,7 @@ and exec (st : state) (op : Op.t) : rset =
     let cols = Op.columns left in
     union_parts l
       (mk_rset
-         (pool_parts st
-            (fun _ part -> sized (Array.map (Row.restrict cols) part))
-            r.parts))
+         (pool_parts st (fun _ -> K.align cols) r.parts))
   | Op.BagToDict { input; label } ->
     let r = run st input in
     trace_rows_in st [ r ];
@@ -989,12 +782,12 @@ and exec (st : state) (op : Op.t) : rset =
         | Some (k, hk) when k = [ label ] -> hk
         | _ -> heavy_keys st r [ label ]
       in
-      if KeyTbl.length hk = 0 then
+      if K.KeyTbl.length hk = 0 then
         { (shuffle st ~stage:"bag_to_dict" r [ label ]) with
           skew = Some ([ label ], hk) }
       else begin
         Trace.set_strategy st.trace
-          (Trace.Skew_split { heavy_keys = KeyTbl.length hk });
+          (Trace.Skew_split { heavy_keys = K.KeyTbl.length hk });
         let light, heavy = split_by_keys st r [ label ] hk in
         let light' = shuffle st ~stage:"bag_to_dict(light)" light [ label ] in
         union_parts ~skew:(Some ([ label ], hk)) light' heavy

@@ -39,15 +39,6 @@ type env = (string, Dataset.t) Hashtbl.t
 
 val env_of_list : (string * Dataset.t) list -> env
 
-val hash_key : Nrc.Value.t list -> int
-(** Hash over an evaluated key tuple; decides partition assignment as
-    [hash_key kv mod partitions]. Always non-negative (masked with
-    [land max_int] — [abs] would map a [min_int] fold to itself, and a
-    negative [mod] would index out of bounds). *)
-
-module KeyTbl : Hashtbl.S with type key = Nrc.Value.t list
-(** Hash tables over evaluated key tuples (heavy-key sets). *)
-
 type rset = {
   parts : Plan.Row.t array array;
   bytes : int array;
@@ -55,7 +46,7 @@ type rset = {
           the pool task that built the partition, or derived exactly from
           the operator's inputs, never by re-walking rows on the driver *)
   key : Plan.Sexpr.t list option;  (** partitioning guarantee over rows *)
-  skew : (Plan.Sexpr.t list * unit KeyTbl.t) option;
+  skew : (Plan.Sexpr.t list * unit Plan.Kernel.KeyTbl.t) option;
       (** heavy keys of a skew-triple, carried between operators until
           something alters the key (Section 5) *)
 }
@@ -63,7 +54,8 @@ type rset = {
 val rset_to_dataset : string list -> rset -> Dataset.t
 
 val reset_ids : unit -> unit
-(** Reset the global [AddIndex] id counter. The ids feed [hash_key] and
+(** Reset the global [AddIndex] id counter. The ids feed
+    {!Plan.Kernel.hash_key} and
     therefore partition assignment, so callers that need run-for-run
     determinism (fault-injection replay; {!Trance.Api.run} calls this)
     reset before each run. *)

@@ -1,10 +1,10 @@
-(** Single-node interpreter for plans: the oracle used to validate the
-    unnesting translation against the NRC reference semantics before any
-    distributed concerns enter the picture. The distributed executor
-    (lib/exec) implements the same operators over partitioned data and is
-    tested for agreement with this module. *)
+(** Single-node plan interpreter: runs a plan as one partition through the
+    same {!Kernel} row code the distributed executor runs per partition.
+    Comparing the executor with it therefore checks distribution (shuffles,
+    partitioning guarantees, skew splits); {!Nrc.Eval} checks semantics. *)
 
 module V = Nrc.Value
+module K = Kernel
 
 type env = (string, V.t list) Hashtbl.t
 (** named datasets: bag items per input name *)
@@ -24,167 +24,39 @@ let lookup (env : env) name =
   | Some items -> items
   | None -> invalid_arg (Printf.sprintf "Local_eval: unknown input %S" name)
 
-(* Grouping with first-seen order, keyed by evaluated key tuples *)
-let group_by_keys keys (rows : Row.t list) =
-  let tbl : (V.t list, Row.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun row ->
-      let kv = List.map (fun (_, e) -> Sexpr.eval row e) keys in
-      match Hashtbl.find_opt tbl kv with
-      | Some cell -> cell := row :: !cell
-      | None ->
-        Hashtbl.add tbl kv (ref [ row ]);
-        order := kv :: !order)
-    rows;
-  List.rev_map (fun kv -> (kv, List.rev !(Hashtbl.find tbl kv))) !order
-  |> List.rev
-
-let name_values names_exprs vals =
-  List.map2 (fun (n, _) v -> (n, v)) names_exprs vals
-
-let sum_agg value rows =
-  List.fold_left
-    (fun acc row ->
-      match Sexpr.eval row value with
-      | V.Null -> acc
-      | v -> Nrc.Eval.add_values acc v)
-    (V.Int 0) rows
-
-(** Gamma-union over an in-memory group of rows; shared by this interpreter
-    and by the distributed executor (per partition, after key shuffling). *)
-let nest_bag_rows ~keys ~agg_keys ~item ~presence ~out (rows : Row.t list) :
-    Row.t list =
-  group_by_keys keys rows
-  |> List.concat_map (fun (kv, members) ->
-         let base = name_values keys kv in
-         let present =
-           List.filter (fun r -> Sexpr.eval_pred r presence) members
-         in
-         let mk_bag rs = V.Bag (List.map (fun r -> Sexpr.eval r item) rs) in
-         match agg_keys with
-         | [] -> [ base @ [ (out, mk_bag present) ] ]
-         | _ -> (
-           match present with
-           | [] ->
-             if keys = [] then []
-             else
-               [ base
-                 @ List.map (fun (n, _) -> (n, V.Null)) agg_keys
-                 @ [ (out, V.Bag []) ] ]
-           | _ ->
-             group_by_keys agg_keys present
-             |> List.map (fun (akv, sub) ->
-                    base @ name_values agg_keys akv @ [ (out, mk_bag sub) ])))
-
-(** Gamma-plus over an in-memory group of rows (see {!nest_bag_rows}). *)
-let nest_sum_rows ~keys ~agg_keys ~aggs ~presence (rows : Row.t list) :
-    Row.t list =
-  group_by_keys keys rows
-  |> List.concat_map (fun (kv, members) ->
-         let base = name_values keys kv in
-         let present =
-           List.filter (fun r -> Sexpr.eval_pred r presence) members
-         in
-         let mk_sums rs = List.map (fun (n, e) -> (n, sum_agg e rs)) aggs in
-         match agg_keys with
-         | [] -> if keys = [] && present = [] then [] else [ base @ mk_sums present ]
-         | _ -> (
-           match present with
-           | [] ->
-             if keys = [] then []
-             else
-               [ base
-                 @ List.map (fun (n, _) -> (n, V.Null)) agg_keys
-                 @ List.map (fun (n, _) -> (n, V.Int 0)) aggs ]
-           | _ ->
-             group_by_keys agg_keys present
-             |> List.map (fun (akv, sub) ->
-                    base @ name_values agg_keys akv @ mk_sums sub)))
-
-(* remove the consumed bag attribute from the source column of an unnest *)
-let drop_path (row : Row.t) = function
-  | [ col ] -> List.remove_assoc col row
-  | [ col; attr ] -> (
-    match List.assoc_opt col row with
-    | Some (V.Tuple fields) ->
-      Row.add col (V.Tuple (List.remove_assoc attr fields)) row
-    | _ -> row)
-  | _ -> row (* deeper paths: keep (rare, and dropping is only an optimization) *)
-
 let next_index = ref 0
 
-let rec eval (env : env) (op : Op.t) : Row.t list =
+let rec eval (env : env) (op : Op.t) : Row.t array =
   match op with
-  | Op.Nil _ -> []
-  | Op.UnitRow -> [ [] ]
+  | Op.Nil _ -> [||]
+  | Op.UnitRow -> [| Row.empty |]
   | Op.Scan { input; binder } ->
-    List.map (fun item -> [ (binder, item) ]) (lookup env input)
-  | Op.Select (p, child) ->
-    List.filter (fun row -> Sexpr.eval_pred row p) (eval env child)
-  | Op.Project (fields, child) ->
-    List.map
-      (fun row -> List.map (fun (n, e) -> (n, Sexpr.eval row e)) fields)
-      (eval env child)
+    Array.of_list (List.map (fun item -> [ (binder, item) ]) (lookup env input))
+  | Op.Select (p, child) -> fst (K.select p (eval env child))
+  | Op.Project (fields, child) -> fst (K.project fields (eval env child))
   | Op.Join { left; right; lkey; rkey; kind } ->
-    let lrows = eval env left and rrows = eval env right in
-    let rcols = Op.columns right in
-    let index : (V.t list, Row.t list ref) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun rrow ->
-        let kv = List.map (Sexpr.eval rrow) rkey in
-        if not (List.exists V.is_null kv) then begin
-          match Hashtbl.find_opt index kv with
-          | Some cell -> cell := rrow :: !cell
-          | None -> Hashtbl.add index kv (ref [ rrow ])
-        end)
-      rrows;
-    List.concat_map
-      (fun lrow ->
-        let kv = List.map (Sexpr.eval lrow) lkey in
-        let matches =
-          if List.exists V.is_null kv then []
-          else
-            match Hashtbl.find_opt index kv with
-            | Some cell -> List.rev !cell
-            | None -> []
-        in
-        match matches, kind with
-        | [], Op.LeftOuter -> [ lrow @ Row.nulls rcols ]
-        | [], Op.Inner -> []
-        | ms, _ -> List.map (fun rrow -> lrow @ rrow) ms)
-      lrows
+    let lrows = eval env left in
+    let index = K.index rkey (eval env right) in
+    fst (K.join ~lkey ~kind ~rcols:(Op.columns right) index lrows)
   | Op.Product (left, right) ->
-    let lrows = eval env left and rrows = eval env right in
-    List.concat_map (fun lrow -> List.map (fun rrow -> lrow @ rrow) rrows) lrows
+    (* one partition: the carried sizes are never read *)
+    fst (K.product (eval env left, 0) (eval env right, 0))
   | Op.Unnest { input; path; binder; outer; drop } ->
-    List.concat_map
-      (fun row ->
-        let bag = Sexpr.eval row (Sexpr.Col path) in
-        let row = if drop then drop_path row path else row in
-        match V.bag_items bag with
-        | [] -> if outer then [ row @ [ (binder, V.Null) ] ] else []
-        | items -> List.map (fun item -> row @ [ (binder, item) ]) items)
-      (eval env input)
+    fst (K.unnest ~path ~binder ~outer ~drop (eval env input))
   | Op.AddIndex { input; col } ->
-    List.map
+    Array.map
       (fun row ->
         incr next_index;
         row @ [ (col, V.Int !next_index) ])
       (eval env input)
   | Op.NestBag { input; keys; agg_keys; item; presence; out } ->
-    nest_bag_rows ~keys ~agg_keys ~item ~presence ~out (eval env input)
+    fst (K.nest_bag ~keys ~agg_keys ~item ~presence ~out (eval env input))
   | Op.NestSum { input; keys; agg_keys; aggs; presence } ->
-    nest_sum_rows ~keys ~agg_keys ~aggs ~presence (eval env input)
-  | Op.Dedup child ->
-    let rows = eval env child in
-    let as_values = List.map (fun r -> V.Tuple r) rows in
-    List.map
-      (fun v -> match v with V.Tuple r -> r | _ -> assert false)
-      (V.dedup as_values)
+    fst (K.nest_sum ~keys ~agg_keys ~aggs ~presence (eval env input))
+  | Op.Dedup child -> fst (K.dedup (eval env child))
   | Op.UnionAll (left, right) ->
-    let cols = Op.columns left in
-    eval env left @ List.map (Row.restrict cols) (eval env right)
+    let lrows = eval env left in
+    Array.append lrows (fst (K.align (Op.columns left) (eval env right)))
   | Op.BagToDict { input; _ } -> eval env input
 
 (** Evaluate a plan and package the result rows as a bag of tuples, using the
@@ -192,7 +64,7 @@ let rec eval (env : env) (op : Op.t) : Row.t list =
     marks rows that carry whole bag elements (scalars or pass-through
     tuples); they are unwrapped rather than re-wrapped in a tuple. *)
 let eval_to_bag (env : env) (op : Op.t) : V.t =
-  let rows = eval env op in
+  let rows = Array.to_list (eval env op) in
   match Op.columns op with
   | [ "item" ] -> V.Bag (List.map (fun row -> Row.get row "item") rows)
   | cols -> V.Bag (List.map (fun row -> V.Tuple (Row.restrict cols row)) rows)

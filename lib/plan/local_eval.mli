@@ -1,48 +1,15 @@
-(** Single-node plan interpreter: the oracle used to validate the unnesting
-    translation against the NRC reference semantics. The distributed
-    executor implements the same operators over partitioned data and reuses
-    the nest-group semantics exported here. *)
+(** Single-node plan interpreter: runs a plan as one partition through the
+    same {!Kernel} row code the distributed executor runs per partition, so
+    comparing the two checks distribution (shuffles, partitioning
+    guarantees, skew splits), while {!Nrc.Eval} stays the semantic
+    oracle. *)
 
 type env = (string, Nrc.Value.t list) Hashtbl.t
 (** Named datasets: bag items per input name. *)
 
 val env_of_list : (string * Nrc.Value.t) list -> env
 val lookup : env -> string -> Nrc.Value.t list
-
-val group_by_keys :
-  (string * Sexpr.t) list ->
-  Row.t list ->
-  (Nrc.Value.t list * Row.t list) list
-(** Group rows by evaluated key tuples, first-seen order. *)
-
-val sum_agg : Sexpr.t -> Row.t list -> Nrc.Value.t
-(** Sum an aggregand over rows, skipping Nulls (contributes 0). *)
-
-val nest_bag_rows :
-  keys:(string * Sexpr.t) list ->
-  agg_keys:(string * Sexpr.t) list ->
-  item:Sexpr.t ->
-  presence:Sexpr.t ->
-  out:string ->
-  Row.t list ->
-  Row.t list
-(** Gamma-union over an in-memory group of rows; shared with the
-    distributed executor (applied per partition after key shuffling). *)
-
-val nest_sum_rows :
-  keys:(string * Sexpr.t) list ->
-  agg_keys:(string * Sexpr.t) list ->
-  aggs:(string * Sexpr.t) list ->
-  presence:Sexpr.t ->
-  Row.t list ->
-  Row.t list
-(** Gamma-plus over an in-memory group of rows. *)
-
-val drop_path : Row.t -> string list -> Row.t
-(** Remove the consumed bag attribute from the source column of a dropping
-    unnest (see {!Op.Unnest}). *)
-
-val eval : env -> Op.t -> Row.t list
+val eval : env -> Op.t -> Row.t array
 
 val eval_to_bag : env -> Op.t -> Nrc.Value.t
 (** Package result rows as a bag of tuples named by the plan's columns; the

@@ -11,7 +11,6 @@ let get (row : t) col : Nrc.Value.t =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Row.get: no column %S" col)
 
-let get_opt (row : t) col = List.assoc_opt col row
 let add col v (row : t) : t = (col, v) :: List.remove_assoc col row
 let columns (row : t) = List.map fst row
 

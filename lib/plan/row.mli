@@ -9,7 +9,6 @@ val empty : t
 val get : t -> string -> Nrc.Value.t
 (** @raise Invalid_argument on missing columns. *)
 
-val get_opt : t -> string -> Nrc.Value.t option
 val add : string -> Nrc.Value.t -> t -> t
 val columns : t -> string list
 

@@ -142,7 +142,7 @@ let prop_hash_key_in_range =
   QCheck.Test.make
     ~name:"hash_key: non-negative; partition index always in [0, n)"
     ~count:(count 500) arbitrary_key_case (fun (kv, n) ->
-      let h = Exec.Executor.hash_key kv in
+      let h = Plan.Kernel.hash_key kv in
       h >= 0 && 0 <= h mod n && h mod n < n)
 
 let arbitrary_extreme_bag =

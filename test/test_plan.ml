@@ -14,7 +14,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let eval_op ?(env = []) op =
-  Plan.Local_eval.eval (Plan.Local_eval.env_of_list env) op
+  Array.to_list (Plan.Local_eval.eval (Plan.Local_eval.env_of_list env) op)
 
 let tup fields = V.Tuple fields
 
