@@ -21,8 +21,10 @@ val of_bag : partitions:int -> Nrc.Value.t -> t
 (** Round-robin distribution, no guarantee (freshly loaded data). *)
 
 val of_bag_by : partitions:int -> key:string list list -> Nrc.Value.t -> t
-(** Hash distribution by field paths; establishes the guarantee. Used to
-    load dictionaries with their label partitioning (Section 4). *)
+(** Hash distribution by field paths; establishes the guarantee. Each
+    element goes to partition [Plan.Kernel.hash_key kv mod partitions],
+    where a shuffle on the same key would send it. Used to load
+    dictionaries with their label partitioning (Section 4). *)
 
 val to_bag : t -> Nrc.Value.t
 val map : (Nrc.Value.t -> Nrc.Value.t) -> t -> t

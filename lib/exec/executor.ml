@@ -3,13 +3,14 @@
 
     Faithfulness notes (per DESIGN.md substitution table):
 
-    - datasets are partitioned arrays; operators run partition-wise;
+    - datasets are partitioned arrays; operators run partition-wise, each
+      pool task calling the operator's {!Plan.Kernel} — the row code
+      {!Plan.Local_eval} runs as one partition — so this module holds only
+      the distribution: shuffles, broadcasts, guarantees, skew splits;
     - joins pick between broadcast (small right side, like Spark's
       auto-broadcast) and shuffle hash join, honouring existing partitioning
       guarantees to skip shuffles;
-    - operators run the same per-partition row code as the single-node
-      {!Plan.Local_eval}, {!Plan.Kernel}, in pool tasks; nest operators
-      first shuffle by their grouping key;
+    - nest operators shuffle by their grouping key first;
     - join+nest pairs that build nested objects are fused into a cogroup
       (Section 3, Optimization) when the nest key contains the unique row id,
       avoiding the flattened intermediate;

@@ -1,6 +1,9 @@
 (** The distributed plan executor: evaluates plans over partitioned
     datasets the way a Spark cluster would, fully instrumented.
 
+    - each pool task runs its operator's {!Plan.Kernel}, the per-partition
+      row code {!Plan.Local_eval} runs as one partition; shuffles place
+      rows by {!Plan.Kernel.hash_key}, as {!Dataset.of_bag_by} does;
     - joins pick between broadcast (small right side) and shuffle hash
       join, honouring partitioning guarantees to skip shuffles;
     - Gamma-plus performs map-side partial aggregation before shuffling

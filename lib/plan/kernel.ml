@@ -61,8 +61,6 @@ let sized rows : sized =
   let size = row_sizer () in
   (rows, Array.fold_left (fun acc r -> acc + size r) 0 rows)
 
-let filter p rows = Array.of_list (List.filter p (Array.to_list rows))
-
 (* ------------------------------------------------------------------ *)
 (* Joins *)
 
@@ -145,7 +143,8 @@ let product ((lrows, lbytes) : sized) ((rrows, rbytes) : sized) : sized =
 (* ------------------------------------------------------------------ *)
 (* Row-wise operators *)
 
-let select p rows = sized (filter (fun row -> S.eval_pred row p) rows)
+let select p rows =
+  sized (Array.of_list (List.filter (fun row -> S.eval_pred row p) (Array.to_list rows)))
 
 let project fields rows =
   sized (Array.map (fun row -> List.map (fun (n, e) -> (n, S.eval row e)) fields) rows)

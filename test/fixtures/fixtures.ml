@@ -306,6 +306,15 @@ let check_counters_agree what (r : Trance.Api.run) =
       (Fmt.str "%s: span tree disagrees with the totals@.totals: %a@.spans:  %a"
          what Exec.Stats.pp_snapshot s Exec.Stats.pp_snapshot t)
 
+(** Per-property QCheck case count: [default], or [QCHECK_COUNT] when it
+    holds a positive integer, so the nightly campaign scales every suite up
+    (the seed comes from QCHECK_SEED via qcheck-alcotest). *)
+let qcheck_count default =
+  match Sys.getenv_opt "QCHECK_COUNT" with
+  | Some s -> (
+    match int_of_string_opt s with Some n when Stdlib.(n > 0) -> n | _ -> default)
+  | None -> default
+
 (** Evaluate a query with the reference NRC interpreter on the fixture. *)
 let eval_ref ?(extra = []) q =
   Nrc.Eval.eval (Nrc.Eval.env_of_list (inputs_val @ extra)) q

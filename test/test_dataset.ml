@@ -11,10 +11,7 @@ module D = Exec.Dataset
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
+let count = Fixtures.qcheck_count
 
 let row k v =
   V.Tuple [ ("k", V.Int k); ("v", V.Str (Printf.sprintf "row-%d" v)) ]
@@ -91,6 +88,9 @@ let arbitrary_case =
     ~print:(fun (v, p) -> Fmt.str "partitions=%d@ %a" p V.pp v)
     QCheck.Gen.(pair gen_rows (int_range 1 9))
 
+(* Each element must also sit exactly where a shuffle on the same key
+   would send it, [Kernel.hash_key kv mod n]: a join that skips its
+   shuffle because of the guarantee probes only that partition. *)
 let prop_colocation =
   QCheck.Test.make
     ~name:"of_bag_by: equal keys always share a partition, rows preserved"
@@ -103,6 +103,7 @@ let prop_colocation =
           Array.iter
             (fun item ->
               let k = V.field item "k" in
+              if Plan.Kernel.hash_key [ k ] mod partitions <> p then ok := false;
               match Hashtbl.find_opt home k with
               | None -> Hashtbl.add home k p
               | Some p' -> if p <> p' then ok := false)

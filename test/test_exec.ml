@@ -346,6 +346,195 @@ let test_stray_exception_typed () =
     strategies
 
 (* ------------------------------------------------------------------ *)
+(* Keys holding bags. Key equality is order-sensitive on bags everywhere:
+   [Value.equal], the kernels' key table and [Nrc.Eval] alike. [Value.hash]
+   ignores bag order, so permuted bags only collide. Equal bags must
+   group, dedup and join together; permutations of them stay apart. *)
+
+let xs is = V.Bag (List.map (fun i -> V.Tuple [ ("x", V.Int i) ]) is)
+
+let bag_keyed_inputs =
+  let b g h s = V.Tuple [ ("g", V.Int g); ("h", V.Int h); ("s", xs s) ] in
+  let c s t = V.Tuple [ ("s", xs s); ("t", V.Str t) ] in
+  [
+    ( "B",
+      V.Bag
+        [ b 1 0 [ 1; 2 ]; b 2 1 [ 1; 2 ]; b 3 0 [ 2; 1 ]; b 4 1 [];
+          b 5 0 [ 1; 2 ]; b 6 1 [ 2; 1 ]; b 7 0 [ 1; 2; 1 ] ] );
+    ("C", V.Bag [ c [ 1; 2 ] "p"; c [ 2; 1 ] "q"; c [] "r"; c [ 1; 2 ] "s" ]);
+  ]
+
+let bag_keyed_tenv =
+  let xs_ty = Nrc.Types.(bag (tuple [ ("x", int_) ])) in
+  [
+    ("B", Nrc.Types.(bag (tuple [ ("g", int_); ("h", int_); ("s", xs_ty) ])));
+    ("C", Nrc.Types.(bag (tuple [ ("s", xs_ty); ("t", string_) ])));
+  ]
+
+let eval_bag_keyed q = Nrc.Eval.eval (Nrc.Eval.env_of_list bag_keyed_inputs) q
+
+(* (name, query keyed on a bag, the plan that runs it, result size): the
+   sizes count [1;2] and [2;1] apart *)
+let bag_keyed_cases =
+  let scan input binder = Op.Scan { input; binder } in
+  let bs = S.path "b" [ "s" ] and bg = S.path "b" [ "g" ] in
+  let s_and_g =
+    B.(for_ "b" (input "B") (fun b ->
+           sng (record [ ("s", b #. "s"); ("g", b #. "g") ])))
+  in
+  let yes = S.Const (V.Bool true) in
+  [
+    ( "group",
+      B.group_by [ "s" ] s_and_g,
+      Op.NestBag
+        { input = scan "B" "b"; keys = [ ("s", bs) ]; agg_keys = [];
+          item = S.MkTuple [ ("g", bg) ]; presence = yes; out = "group" },
+      4 );
+    ( "sum",
+      B.sum_by ~keys:[ "s" ] ~values:[ "g" ] s_and_g,
+      Op.NestSum
+        { input = scan "B" "b"; keys = [ ("s", bs) ]; agg_keys = [];
+          aggs = [ ("g", bg) ]; presence = yes },
+      4 );
+    ( "dedup",
+      B.(dedup (for_ "b" (input "B") (fun b -> sng (record [ ("s", b #. "s") ])))),
+      Op.Dedup (Op.Project ([ ("s", bs) ], scan "B" "b")),
+      4 );
+    ( "join",
+      B.(for_ "b" (input "B") (fun b ->
+             for_ "c" (input "C") (fun c ->
+                 where (b #. "s" == c #. "s")
+                   (sng (record [ ("g", b #. "g"); ("t", c #. "t") ]))))),
+      Op.Project
+        ( [ ("g", bg); ("t", S.path "c" [ "t" ]) ],
+          Op.Join
+            { left = scan "B" "b"; right = scan "C" "c"; lkey = [ bs ];
+              rkey = [ S.path "c" [ "s" ] ]; kind = Op.Inner } ),
+      9 );
+  ]
+
+(* The plans run on the local interpreter and on the executor: one and
+   many partitions (permuted bags hash alike, so they share one),
+   broadcast and shuffle joins, skew-aware splits on the bag keys. *)
+let test_bag_keyed_plans () =
+  let configs =
+    [ ("7 partitions", cluster);
+      ("shuffle", { cluster with broadcast_limit = 0 });
+      ("1 partition", { cluster with partitions = 1; workers = 1 }) ]
+  in
+  let options =
+    [ ("", Exec.Executor.default_options);
+      (", skew-aware", { Exec.Executor.default_options with skew_aware = true }) ]
+  in
+  List.iter
+    (fun (name, q, plan, size) ->
+      let expected = eval_bag_keyed q in
+      check_int (name ^ ": Nrc.Eval keeps permutations apart") size
+        (List.length (V.bag_items expected));
+      Fixtures.check_bag_equal (name ^ " [local]") expected
+        (Plan.Local_eval.eval_to_bag
+           (Plan.Local_eval.env_of_list bag_keyed_inputs)
+           plan);
+      List.iter
+        (fun (cname, config) ->
+          List.iter
+            (fun (oname, options) ->
+              let env =
+                Exec.Executor.env_of_list
+                  (List.map
+                     (fun (n, v) ->
+                       ( n,
+                         Exec.Dataset.of_bag
+                           ~partitions:config.Exec.Config.partitions v ))
+                     bag_keyed_inputs)
+              in
+              let ds =
+                Exec.Executor.run_plan ~options ~config
+                  ~stats:(Exec.Stats.create ()) env plan
+              in
+              Fixtures.check_bag_equal
+                (Printf.sprintf "%s [executor, %s%s]" name cname oname)
+                expected (Exec.Dataset.to_bag ds))
+            options)
+        configs)
+    bag_keyed_cases
+
+(* A source program cannot key on a bag (Figure 1 keeps comparisons,
+   dedup and grouping keys flat): every route rejects these queries when
+   compiling, before any of them could observe bag order. *)
+let test_bag_keyed_source_rejected () =
+  List.iter
+    (fun (name, q, _, _) ->
+      let prog = Nrc.Program.of_expr ~inputs:bag_keyed_tenv ~name:"Q" q in
+      List.iter
+        (fun (route, compile) ->
+          match compile prog with
+          | () -> Alcotest.failf "%s [%s]: a bag-valued key compiled" name route
+          | exception Nrc.Typecheck.Type_error _ -> ())
+        [
+          ("standard", fun p -> ignore (Trance.Api.compile_standard p));
+          ("shredded", fun p -> ignore (Trance.Api.compile_shredded p));
+        ])
+    bag_keyed_cases
+
+(* Type-correct queries whose plans group, shuffle and join rows that
+   hold these bags: a nest under a bag-holding parent (its grouping key
+   holds the parent's bag), nested groups whose items are bags, and a join
+   carrying them. Every route and the local interpreter must agree with
+   Nrc.Eval. *)
+let bag_carrying_queries =
+  B.
+    [
+      ( "nest under a bag-holding parent",
+        for_ "b" (input "B") (fun b ->
+            sng
+              (record
+                 [ ("s", b #. "s"); ("g", b #. "g");
+                   ( "ys",
+                     for_ "x" (b #. "s") (fun x ->
+                         sng (record [ ("y", x #. "x") ])) ) ])) );
+      ( "groups holding bags",
+        for_ "b" (input "B") (fun b ->
+            sng
+              (record
+                 [ ("s", b #. "s");
+                   ( "same_h",
+                     for_ "b2" (input "B") (fun b2 ->
+                         where (b #. "h" == b2 #. "h")
+                           (sng (record [ ("s2", b2 #. "s") ]))) ) ])) );
+      ( "join carrying bags",
+        for_ "b" (input "B") (fun b ->
+            for_ "b2" (input "B") (fun b2 ->
+                where (b #. "g" == b2 #. "h")
+                  (sng (record [ ("s", b #. "s"); ("s2", b2 #. "s") ])))) );
+    ]
+
+let test_bag_carrying_routes () =
+  List.iter
+    (fun (name, q) ->
+      let expected = eval_bag_keyed q in
+      let plan = Trance.Unnest.translate ~tenv:bag_keyed_tenv q in
+      Fixtures.check_bag_equal (name ^ " [local]") expected
+        (Plan.Local_eval.eval_to_bag
+           (Plan.Local_eval.env_of_list bag_keyed_inputs)
+           plan);
+      let prog = Nrc.Program.of_expr ~inputs:bag_keyed_tenv ~name:"Q" q in
+      List.iter
+        (fun strategy ->
+          let sname = Trance.Api.strategy_name strategy in
+          let r = Trance.Api.run ~config:api_config ~strategy prog bag_keyed_inputs in
+          match r.Trance.Api.failure with
+          | Some f ->
+            Alcotest.failf "%s [%s] failed: %s" name sname
+              (Trance.Api.failure_message f)
+          | None ->
+            Fixtures.check_bag_equal
+              (Printf.sprintf "%s [%s]" name sname)
+              expected (Option.get r.Trance.Api.value))
+        strategies)
+    bag_carrying_queries
+
+(* ------------------------------------------------------------------ *)
 (* Broadcast vs shuffle decisions *)
 
 let test_broadcast_decision () =
@@ -985,6 +1174,15 @@ let () =
             test_stray_exception_typed;
         ]
       );
+      ( "bag-valued keys",
+        [
+          Alcotest.test_case "plans keyed by bags agree with Nrc.Eval" `Quick
+            test_bag_keyed_plans;
+          Alcotest.test_case "source programs cannot key on bags" `Quick
+            test_bag_keyed_source_rejected;
+          Alcotest.test_case "rows holding bags, every route" `Quick
+            test_bag_carrying_routes;
+        ] );
       ( "decisions",
         [
           Alcotest.test_case "broadcast vs shuffle" `Quick

@@ -13,12 +13,7 @@ module Trace = Exec.Trace
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* per-property case count; QCHECK_COUNT scales the whole suite up for the
-   nightly campaign (the seed comes from QCHECK_SEED via qcheck-alcotest) *)
-let count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
+let count = Fixtures.qcheck_count
 
 let cluster = { Exec.Config.unbounded with partitions = 7; workers = 3 }
 

@@ -2,8 +2,9 @@
     semantics, label operations), each operator of the plan language
     (outer-join padding, outer-unnest, drop-unnest, presence and
     placeholder semantics of the nest operators, dedup, union alignment),
-    and schema inference. These pin the operator semantics that both the
-    local interpreter and the distributed executor implement. *)
+    and schema inference. These pin the operator semantics of the
+    {!Plan.Kernel} row code that both the local interpreter and the
+    distributed executor run, and the kernels' size contract. *)
 
 module V = Nrc.Value
 module S = Plan.Sexpr
@@ -280,7 +281,7 @@ let print_row = Fmt.to_to_string Row.pp
 
 let prop_append_column =
   QCheck.Test.make ~name:"appending a column adds 8 + its value's size"
-    ~count:300
+    ~count:(Fixtures.qcheck_count 300)
     (QCheck.make
        ~print:(fun (row, v) -> print_row row ^ " + " ^ V.to_string v)
        QCheck.Gen.(pair gen_row (gen_value 3)))
@@ -289,7 +290,7 @@ let prop_append_column =
       = Row.byte_size row + 8 + V.byte_size v)
 
 let prop_index_column =
-  QCheck.Test.make ~name:"an index column adds 16" ~count:300
+  QCheck.Test.make ~name:"an index column adds 16" ~count:(Fixtures.qcheck_count 300)
     (QCheck.make
        ~print:(fun (row, i) -> print_row row ^ Printf.sprintf " + %d" i)
        QCheck.Gen.(pair gen_row (oneof [ int; return min_int; return max_int ])))
@@ -297,11 +298,143 @@ let prop_index_column =
       Row.byte_size (row @ [ ("id", V.Int i) ]) = Row.byte_size row + 16)
 
 let prop_join_rows =
-  QCheck.Test.make ~name:"a joined row is the sum of its sides" ~count:300
+  QCheck.Test.make ~name:"a joined row is the sum of its sides" ~count:(Fixtures.qcheck_count 300)
     (QCheck.make
        ~print:(fun (a, b) -> print_row a ^ " @ " ^ print_row b)
        QCheck.Gen.(pair gen_row gen_row))
     (fun (a, b) -> Row.byte_size (a @ b) = Row.byte_size a + Row.byte_size b)
+
+(* ------------------------------------------------------------------ *)
+(* The kernel size contract. The executor accounts every partition from
+   the size its kernel returns, never re-walking rows, so each kernel's
+   size must be the [Row.byte_size] sum of its rows — both halves of a
+   skew split included. Row-wise kernels must also run the same on any
+   split of their input, as partitions split it. *)
+
+module K = Plan.Kernel
+
+let col c = S.Col [ c ]
+
+(* keys from a small domain, so joins, groups and dedup meet equal keys;
+   the bags include permutations of each other *)
+let gen_key =
+  QCheck.Gen.oneofl
+    [ V.Null; V.Int 1; V.Int 2; V.Str "a"; V.Bag [];
+      V.Bag [ V.Int 1; V.Int 2 ]; V.Bag [ V.Int 2; V.Int 1 ] ]
+
+let gen_bag =
+  QCheck.Gen.(
+    oneof
+      [ return V.Null; map (fun vs -> V.Bag vs) (list_size (int_bound 3) (gen_value 2)) ])
+
+let gen_num =
+  QCheck.Gen.(
+    oneof
+      [ return V.Null; map (fun i -> V.Int i) small_signed_int;
+        map (fun f -> V.Real f) (float_bound_inclusive 100.) ])
+
+(* a key, a bag to unnest (also one field down, for two-step paths), a
+   number to sum and an arbitrary value *)
+let gen_left_row =
+  QCheck.Gen.(
+    map
+      (fun (k, b, t, n, v) ->
+        [ ("k", k); ("b", b); ("t", V.Tuple [ ("items", t); ("f", v) ]);
+          ("n", n); ("v", v) ])
+      (tup5 gen_key gen_bag gen_bag gen_num (gen_value 2)))
+
+let gen_right_row =
+  QCheck.Gen.(map2 (fun k w -> [ ("rk", k); ("w", w) ]) gen_key (gen_value 2))
+
+let arbitrary_kernel_input =
+  let print_rows rows = String.concat "\n" (List.map print_row (Array.to_list rows)) in
+  QCheck.make
+    ~print:(fun (l, r, cut) ->
+      Printf.sprintf "left:\n%s\nright:\n%s\nsplit at %d" (print_rows l)
+        (print_rows r) cut)
+    QCheck.Gen.(
+      let* l = array_size (int_bound 12) gen_left_row in
+      let* r = array_size (int_bound 8) gen_right_row in
+      let* cut = int_bound (Array.length l) in
+      return (l, r, cut))
+
+(* the kernels that work row by row, over a fixed build side *)
+let row_kernels rrows =
+  let index = K.index [ col "rk" ] rrows in
+  let join kind = K.join ~lkey:[ col "k" ] ~kind ~rcols:[ "rk"; "w" ] index in
+  [
+    ("select", K.select (S.Not (S.IsNull (col "v"))));
+    ("project", K.project [ ("k", col "k"); ("x", S.MkTuple [ ("v", col "v") ]) ]);
+    ("join", join Op.Inner);
+    ("left-outer join", join Op.LeftOuter);
+    ("unnest", K.unnest ~path:[ "b" ] ~binder:"i" ~outer:false ~drop:false);
+    ("outer unnest, drop", K.unnest ~path:[ "b" ] ~binder:"i" ~outer:true ~drop:true);
+    ("unnest a field, drop",
+      K.unnest ~path:[ "t"; "items" ] ~binder:"i" ~outer:true ~drop:true);
+    ("align", K.align [ "v"; "k"; "missing" ]);
+  ]
+
+let all_kernels rrows =
+  let index = K.index [ col "rk" ] rrows in
+  let heavy = K.KeyTbl.create 4 in
+  List.iter (fun k -> K.KeyTbl.replace heavy [ k ] ()) [ V.Int 1; V.Bag [ V.Int 1; V.Int 2 ] ];
+  let split rows = K.split_by_keys [ col "k" ] heavy (K.sized rows) in
+  let present = S.Not (S.IsNull (col "v")) in
+  row_kernels rrows
+  @ [
+      ("cogroup",
+        K.cogroup ~lkey:[ col "k" ] ~kind:Op.LeftOuter ~rcols:[ "rk"; "w" ]
+          ~keys:[ ("k", col "k") ] ~item:(col "w")
+          ~presence:(S.Not (S.IsNull (col "w"))) ~out:"ws" index);
+      ("product", fun rows -> K.product (K.sized rows) (K.sized rrows));
+      ("dedup", K.dedup);
+      ("split, light side", fun rows -> fst (split rows));
+      ("split, heavy side", fun rows -> snd (split rows));
+      ("nest_bag",
+        K.nest_bag ~keys:[ ("k", col "k") ] ~agg_keys:[] ~item:(col "v")
+          ~presence:present ~out:"vs");
+      ("nest_bag by key",
+        K.nest_bag ~keys:[ ("k", col "k") ] ~agg_keys:[ ("b", col "b") ]
+          ~item:(col "v") ~presence:present ~out:"vs");
+      ("nest_sum",
+        K.nest_sum ~keys:[ ("k", col "k") ] ~agg_keys:[ ("b", col "b") ]
+          ~aggs:[ ("s", col "n") ] ~presence:present);
+      ("global nest_sum",
+        K.nest_sum ~keys:[] ~agg_keys:[] ~aggs:[ ("s", col "n") ] ~presence:present);
+    ]
+
+let bytes_of rows = Array.fold_left (fun acc r -> acc + Row.byte_size r) 0 rows
+
+let prop_kernel_sizes =
+  QCheck.Test.make ~name:"every kernel returns the byte-size sum of its rows"
+    ~count:(Fixtures.qcheck_count 300) arbitrary_kernel_input
+    (fun (lrows, rrows, _) ->
+      List.for_all
+        (fun (name, kernel) ->
+          let rows, bytes = kernel lrows in
+          bytes = bytes_of rows
+          || QCheck.Test.fail_reportf "%s: returned %d, rows sum to %d" name
+               bytes (bytes_of rows))
+        (all_kernels rrows))
+
+let same_rows a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun r s -> V.equal (V.Tuple r) (V.Tuple s)) a b
+
+let prop_kernel_chunks =
+  QCheck.Test.make
+    ~name:"row-wise kernels: two chunks concatenated = the whole input"
+    ~count:(Fixtures.qcheck_count 300) arbitrary_kernel_input
+    (fun (lrows, rrows, cut) ->
+      let a = Array.sub lrows 0 cut
+      and b = Array.sub lrows cut (Array.length lrows - cut) in
+      List.for_all
+        (fun (name, kernel) ->
+          let whole, wbytes = kernel lrows in
+          let ra, ba = kernel a and rb, bb = kernel b in
+          (same_rows whole (Array.append ra rb) && wbytes = ba + bb)
+          || QCheck.Test.fail_reportf "%s differs on chunks" name)
+        (row_kernels rrows))
 
 let () =
   Alcotest.run "plan"
@@ -331,4 +464,7 @@ let () =
       ( "row sizes",
         List.map QCheck_alcotest.to_alcotest
           [ prop_append_column; prop_index_column; prop_join_rows ] );
+      ( "kernels",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_kernel_sizes; prop_kernel_chunks ] );
     ]

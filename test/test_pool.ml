@@ -21,10 +21,7 @@ module Trace = Exec.Trace
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
+let count = Fixtures.qcheck_count
 
 (* ------------------------------------------------------------------ *)
 (* Pool properties *)

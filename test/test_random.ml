@@ -8,12 +8,7 @@
 module V = Nrc.Value
 module E = Nrc.Expr
 
-(* per-property case count; QCHECK_COUNT scales the whole suite up for the
-   nightly campaign (the seed comes from QCHECK_SEED via qcheck-alcotest) *)
-let count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
+let count = Fixtures.qcheck_count
 
 let cluster = { Exec.Config.unbounded with partitions = 6; workers = 3 }
 let api_config = { Trance.Api.default_config with cluster }

@@ -12,10 +12,7 @@
 
 module S = Exec.Stats
 
-let count default =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
+let count = Fixtures.qcheck_count
 
 let gen_snapshot : S.snapshot QCheck.Gen.t =
   let open QCheck.Gen in
