@@ -469,10 +469,45 @@ let degradation_of (s : Exec.Stats.snapshot) ~answered_by ~first_failure =
 let catch_failure f =
   match f () with v -> Ok v | exception Exec.Failure.Failed f -> Error f
 
+(* Compiling or loading raises when the route cannot run the program (a
+   type error, a program shredding does not support) or its inputs do not
+   load: the run fails typed, as [Error "<phase>: <message>"]. *)
+let in_phase phase f =
+  match f () with
+  | v -> v
+  | exception exn ->
+    let msg =
+      match exn with
+      | Nrc.Typecheck.Type_error m
+      | Symbolic.Unsupported_shredding m
+      | Unnest.Unsupported m
+      | Shred_type.Shred_error m
+      | Invalid_argument m
+      | Failure m ->
+        m
+      | exn -> Printexc.to_string exn
+    in
+    raise (Exec.Failure.Failed (Exec.Failure.Error (phase ^ ": " ^ msg)))
+
+(* a run that failed before executing anything *)
+let not_run ~strategy ~config failure =
+  {
+    strategy = strategy_name strategy;
+    config;
+    value = None;
+    stats = Exec.Stats.create ();
+    wall_seconds = 0.;
+    failure = Some failure;
+    steps = [];
+    trace = [];
+    degradation = None;
+  }
+
 (* One route, one run; never raises a typed failure. Both routes take the
-   same path: compile to (name, plan) steps, load the inputs, then run
-   the steps on one pool inside one timed, failure-catching region. The
-   Shred+Unshred reassembly is one more step, named "Unshred". *)
+   same path: compile to (name, plan) steps and load the inputs inside a
+   failure-catching region, then run the steps on one pool inside one
+   timed, failure-catching region. The Shred+Unshred reassembly is one
+   more step, named "Unshred". *)
 let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
     (input_values : (string * V.t) list) : run =
   (* AddIndex ids and label sites feed partition assignment: reset both so
@@ -512,53 +547,60 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
   let targets =
     List.map (fun { Nrc.Program.target; _ } -> target) p.Nrc.Program.assignments
   in
-  let plans, env, result_name =
-    match strategy with
-    | Standard | SparkSQL_proxy ->
-      ( compile_standard ~config p,
-        load_inputs ~cluster p.Nrc.Program.inputs input_values,
-        Nrc.Program.result_name p )
-    | Shredded { unshred } -> (
-      let compiled = compile_shredded ~config p in
-      let env =
-        load_shredded_inputs ~cluster p.Nrc.Program.inputs input_values
-      in
-      match unshred, compiled.unshred_plan with
-      | true, Some uplan ->
-        (compiled.plans @ [ ("Unshred", uplan) ], env, "Unshred")
-      | _ -> (compiled.plans, env, compiled.pipeline.Shred_pipeline.top))
+  let load load =
+    in_phase "load" (fun () -> load ~cluster p.Nrc.Program.inputs input_values)
   in
-  let steps_out = ref [] in
-  (* the pool is spawned once per run, outside the timed region, so
-     wall_seconds measures execution rather than domain startup *)
-  let outcome, wall =
-    Exec.Pool.with_pool ~domains:cluster.Exec.Config.domains (fun pool ->
-        timed (fun () ->
-            catch_failure (fun () ->
-                run_steps ~options:exec_options ~config:cluster ~stats ~trace
-                  ~faults ~checkpoint ~pool ~targets ~steps_out env plans;
-                if config.collect then
-                  Some (Exec.Dataset.to_bag (Hashtbl.find env result_name))
-                else None)))
+  let prepared =
+    catch_failure (fun () ->
+        match strategy with
+        | Standard | SparkSQL_proxy ->
+          let plans, result_name =
+            in_phase "compile" (fun () ->
+                (compile_standard ~config p, Nrc.Program.result_name p))
+          in
+          (plans, load load_inputs, result_name)
+        | Shredded { unshred } -> (
+          let compiled = in_phase "compile" (fun () -> compile_shredded ~config p) in
+          let env = load load_shredded_inputs in
+          match unshred, compiled.unshred_plan with
+          | true, Some uplan ->
+            (compiled.plans @ [ ("Unshred", uplan) ], env, "Unshred")
+          | _ -> (compiled.plans, env, compiled.pipeline.Shred_pipeline.top)))
   in
-  let s = Exec.Stats.snapshot stats in
-  let value, failure =
-    match outcome with Ok v -> (v, None) | Error f -> (None, Some f)
-  in
-  {
-    strategy = strategy_name strategy;
-    config;
-    value;
-    stats;
-    wall_seconds = wall;
-    failure;
-    steps = reports_of !steps_out;
-    trace = (match trace with None -> [] | Some c -> Exec.Trace.roots c);
-    degradation =
-      (if s.spilled_bytes > 0 && failure = None then
-         Some (degradation_of s ~answered_by:strategy ~first_failure:None)
-       else None);
-  }
+  match prepared with
+  | Error f -> not_run ~strategy ~config f
+  | Ok (plans, env, result_name) ->
+    let steps_out = ref [] in
+    (* the pool is spawned once per run, outside the timed region, so
+       wall_seconds measures execution rather than domain startup *)
+    let outcome, wall =
+      Exec.Pool.with_pool ~domains:cluster.Exec.Config.domains (fun pool ->
+          timed (fun () ->
+              catch_failure (fun () ->
+                  run_steps ~options:exec_options ~config:cluster ~stats ~trace
+                    ~faults ~checkpoint ~pool ~targets ~steps_out env plans;
+                  if config.collect then
+                    Some (Exec.Dataset.to_bag (Hashtbl.find env result_name))
+                  else None)))
+    in
+    let s = Exec.Stats.snapshot stats in
+    let value, failure =
+      match outcome with Ok v -> (v, None) | Error f -> (None, Some f)
+    in
+    {
+      strategy = strategy_name strategy;
+      config;
+      value;
+      stats;
+      wall_seconds = wall;
+      failure;
+      steps = reports_of !steps_out;
+      trace = (match trace with None -> [] | Some c -> Exec.Trace.roots c);
+      degradation =
+        (if s.spilled_bytes > 0 && failure = None then
+           Some (degradation_of s ~answered_by:strategy ~first_failure:None)
+         else None);
+    }
 
 (** Run a program with the given strategy; never raises a typed failure.
     A configuration {!Exec.Config.validate} rejects ends the run at once
@@ -572,18 +614,7 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
 let run ?(config = default_config) ~(strategy : strategy)
     (p : Nrc.Program.t) (input_values : (string * V.t) list) : run =
   match Exec.Config.validate config.cluster with
-  | Error msg ->
-    {
-      strategy = strategy_name strategy;
-      config;
-      value = None;
-      stats = Exec.Stats.create ();
-      wall_seconds = 0.;
-      failure = Some (Error msg);
-      steps = [];
-      trace = [];
-      degradation = None;
-    }
+  | Error msg -> not_run ~strategy ~config (Error msg)
   | Ok _ -> (
     let r = run_once ~config ~strategy p input_values in
     match r.failure, strategy with

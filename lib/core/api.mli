@@ -179,7 +179,10 @@ val run :
   run
 (** Compile and execute; never raises a typed failure. A cluster
     configuration {!Exec.Config.validate} rejects fails at once with
-    [Error] and runs nothing. Any other exception escaping the executor
+    [Error] and runs nothing. A program the route cannot compile (a type
+    error, a program shredding does not support) or inputs that do not
+    load end the run as [Error "compile: <message>"] or
+    [Error "load: <message>"]. Any other exception escaping the executor
     (e.g. a plan scanning an input that was not supplied) ends the run as
     [Error "<step>: <exception>"]. A Standard run that dies of memory
     exhaustion re-plans down the shredded route when

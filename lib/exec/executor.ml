@@ -326,10 +326,10 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
             let dest = Array.make n [] in
             let received = Array.make n 0 in
             let moved = ref 0 in
-            let size = K.row_sizer () in
+            let size = K.row_sizer () and key = K.compile_keys keys in
             Array.iter
               (fun row ->
-                let p = K.hash_key (K.eval_keys row keys) mod n in
+                let p = K.hash_key (key row) mod n in
                 dest.(p) <- row :: dest.(p);
                 let b = size row in
                 moved := !moved + b;
@@ -422,10 +422,11 @@ let heavy_keys st (r : rset) (keys : S.t list) : unit K.KeyTbl.t =
         let sample_n = min n cfg.Config.sample_per_partition in
         let stride = max 1 (n / sample_n) in
         let counts = K.KeyTbl.create 16 in
+        let key = K.compile_keys keys in
         let sampled = ref 0 in
         let i = ref 0 in
         while !i < n do
-          let kv = K.eval_keys part.(!i) keys in
+          let kv = key part.(!i) in
           K.KeyTbl.replace counts kv
             (1 + Option.value (K.KeyTbl.find_opt counts kv) ~default:0);
           incr sampled;
@@ -616,9 +617,7 @@ and exec (st : state) (op : Op.t) : rset =
             (Option.map
                (List.map (fun path -> S.Col (binder :: path)))
                ds.Dataset.key)
-          (pool_parts st
-             (fun _ part -> K.sized (Array.map (fun v -> [ (binder, v) ]) part))
-             ds.Dataset.parts)
+          (pool_parts st (fun _ -> K.scan ~binder) ds.Dataset.parts)
       in
       trace_rows_in st [ r ];
       r)
@@ -674,9 +673,7 @@ and exec (st : state) (op : Op.t) : rset =
     let base = !next_id_base * (1 lsl 50) in
     map_parts st ~stage:"add_index" ~keep_skew:true
       (fun p part ->
-        ( Array.mapi
-            (fun i row -> row @ [ (col, V.Int (base + (p lsl 28) + i)) ])
-            part,
+        ( K.add_index ~col (fun i -> base + (p lsl 28) + i) part,
           (* one column of 8 bytes holding an 8-byte int per row *)
           r.bytes.(p) + (16 * Array.length part) ))
       r
@@ -800,11 +797,6 @@ and exec (st : state) (op : Op.t) : rset =
 (* Entry points *)
 
 let rset_to_dataset (cols : string list) (r : rset) : Dataset.t =
-  let to_value =
-    match cols with
-    | [ "item" ] -> fun row -> Row.get row "item"
-    | _ -> fun row -> V.Tuple (Row.restrict cols row)
-  in
   let key =
     match r.key with
     | None -> None
@@ -821,7 +813,7 @@ let rset_to_dataset (cols : string list) (r : rset) : Dataset.t =
         Some (List.map Option.get paths)
       else None
   in
-  { Dataset.parts = Array.map (Array.map to_value) r.parts; key }
+  { Dataset.parts = Array.map (K.values cols) r.parts; key }
 
 (** Execute one plan against named datasets; returns the result dataset.
     The checkpoint manager is created here when not supplied, so lineage

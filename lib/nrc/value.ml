@@ -90,13 +90,18 @@ let rec hash (v : t) =
 (* ------------------------------------------------------------------ *)
 (* Accessors *)
 
+(* a monomorphic lookup: field names compare as strings, not through
+   polymorphic [compare] *)
 let field v name =
   match v with
   | Tuple fields -> (
-    match List.assoc_opt name fields with
-    | Some x -> x
-    | None ->
-      invalid_arg (Printf.sprintf "Value.field: no attribute %S in tuple" name))
+    let rec find = function
+      | (n, x) :: _ when String.equal n name -> x
+      | _ :: rest -> find rest
+      | [] ->
+        invalid_arg (Printf.sprintf "Value.field: no attribute %S in tuple" name)
+    in
+    find fields)
   | Null -> Null (* null propagation through projections of outer tuples *)
   | _ -> invalid_arg (Printf.sprintf "Value.field %S: not a tuple" name)
 

@@ -2,7 +2,8 @@
     single-node interpreter on its one partition and by the distributed
     executor in each pool task. A kernel returns its rows with their
     {!Row.byte_size} sum, derived from the size model's additivity where
-    that saves walking rows. *)
+    that saves walking rows. Each call compiles its expressions afresh and
+    gives the rows it builds one shared schema per input schema. *)
 
 module V = Nrc.Value
 module S = Sexpr
@@ -31,81 +32,115 @@ module KeyTbl = Hashtbl.Make (struct
   let hash = hash_key
 end)
 
-let eval_keys row keys = List.map (S.eval row) keys
+let compile_keys keys =
+  let fs = List.map S.compile keys in
+  fun row -> List.map (fun f -> f row) fs
 
 (* Consecutive rows often share column values physically — an unnest
-   repeats its parent's values in every output row — so a column holding
+   repeats its parent's values in every output row — so a slot holding
    the very value the previous row held there reuses its size instead of
    walking it again. Exact, since a size is a pure function of the value;
-   the memo lives only as long as the sizer. *)
+   the memo lives only as long as the sizer and allocates only when a
+   wider row arrives. *)
+let vals_sizer () =
+  let prev = ref [||] and sizes = ref [||] in
+  fun (vals : V.t array) ->
+    let n = Array.length vals in
+    if Array.length !sizes < n then begin
+      let grown = Array.make n 0 in
+      Array.blit !sizes 0 grown 0 (Array.length !sizes);
+      sizes := grown
+    end;
+    let pv = !prev and sizes = !sizes in
+    let m = Array.length pv in
+    let total = ref 0 in
+    for i = 0 to n - 1 do
+      let v = vals.(i) in
+      if i >= m || pv.(i) != v then sizes.(i) <- Row.column_bytes v;
+      total := !total + sizes.(i)
+    done;
+    prev := vals;
+    !total
+
 let row_sizer () =
-  let prev = ref [] in
-  fun (row : Row.t) ->
-    let rec go prev = function
-      | [] -> ([], 0)
-      | (_, v) :: rest ->
-        let b, prev =
-          match prev with
-          | (pv, pb) :: prev when pv == v -> (pb, prev)
-          | _ :: prev -> (Row.column_bytes v, prev)
-          | [] -> (Row.column_bytes v, [])
-        in
-        let cells, total = go prev rest in
-        ((v, b) :: cells, b + total)
-    in
-    let cells, total = go !prev row in
-    prev := cells;
-    total
+  let size = vals_sizer () in
+  fun (row : Row.t) -> size row.vals
 
 let sized rows : sized =
   let size = row_sizer () in
   (rows, Array.fold_left (fun acc r -> acc + size r) 0 rows)
+
+(* [vals] plus one trailing value *)
+let snoc vals v =
+  let m = Array.length vals in
+  let out = Array.make (m + 1) v in
+  Array.blit vals 0 out 0 m;
+  out
+
+let scan ~binder items =
+  let names = [| binder |] in
+  sized (Array.map (fun v -> Row.make names [| v |]) items)
+
+let add_index ~col id (rows : Row.t array) =
+  let names = Row.by_schema (fun names -> snoc names col) in
+  Array.mapi (fun i (row : Row.t) -> Row.make (names row) (snoc row.vals (V.Int (id i)))) rows
 
 (* ------------------------------------------------------------------ *)
 (* Joins *)
 
 type index = Row.t list ref KeyTbl.t
 
+(* filled back to front, so each key's rows come out in build order *)
 let index rkey (rows : Row.t array) : index =
+  let key = compile_keys rkey in
   let tbl = KeyTbl.create 64 in
-  Array.iter
-    (fun row ->
-      let kv = eval_keys row rkey in
-      if not (List.exists V.is_null kv) then begin
-        match KeyTbl.find_opt tbl kv with
-        | Some cell -> cell := row :: !cell
-        | None -> KeyTbl.add tbl kv (ref [ row ])
-      end)
-    rows;
+  for i = Array.length rows - 1 downto 0 do
+    let row = rows.(i) in
+    let kv = key row in
+    if not (List.exists V.is_null kv) then begin
+      match KeyTbl.find_opt tbl kv with
+      | Some cell -> cell := row :: !cell
+      | None -> KeyTbl.add tbl kv (ref [ row ])
+    end
+  done;
   tbl
 
-let probe ~lkey ~kind ~rcols (index : index) lrow =
-  let kv = eval_keys lrow lkey in
-  let matches =
-    if List.exists V.is_null kv then []
-    else
-      match KeyTbl.find_opt index kv with
-      | Some cell -> List.rev !cell
-      | None -> []
+let prober ~lkey ~kind ~rcols (index : index) =
+  let key = compile_keys lkey in
+  let miss =
+    match kind with
+    | Op.Inner -> []
+    | Op.LeftOuter ->
+      let names = Array.of_list rcols in
+      [ Row.make names (Array.make (Array.length names) V.Null) ]
   in
-  match matches, kind with
-  | [], Op.LeftOuter -> [ Row.nulls rcols ]
-  | ms, _ -> ms
+  fun lrow ->
+    let kv = key lrow in
+    if List.exists V.is_null kv then miss
+    else match KeyTbl.find_opt index kv with Some cell -> !cell | None -> miss
+
+(* the joined schema is derived once per pair of side schemas *)
+let joiner () =
+  let names =
+    Row.by_schema (fun lnames -> Row.by_schema (fun rnames -> Array.append lnames rnames))
+  in
+  fun (l : Row.t) (r : Row.t) -> Row.make (names l r) (Array.append l.vals r.vals)
 
 (* a joined row's size is the sum of its sides', so each left row is
    sized once *)
 let join ~lkey ~kind ~rcols index (lrows : Row.t array) : sized =
+  let probe = prober ~lkey ~kind ~rcols index and joined = joiner () in
   let out = ref [] and bytes = ref 0 in
   let lsize = row_sizer () and rsize = row_sizer () in
   Array.iter
     (fun lrow ->
-      match probe ~lkey ~kind ~rcols index lrow with
+      match probe lrow with
       | [] -> ()
       | rrows ->
         let lb = lsize lrow in
         List.iter
           (fun rrow ->
-            out := (lrow @ rrow) :: !out;
+            out := joined lrow rrow :: !out;
             bytes := !bytes + lb + rsize rrow)
           rrows)
     lrows;
@@ -113,91 +148,147 @@ let join ~lkey ~kind ~rcols index (lrows : Row.t array) : sized =
 
 let cogroup ~lkey ~kind ~rcols ~keys ~item ~presence ~out index
     (lrows : Row.t array) : sized =
+  let probe = prober ~lkey ~kind ~rcols index and joined = joiner () in
+  let present = S.compile_pred presence and item = S.compile item in
+  let key = Array.of_list (List.map (fun (_, e) -> S.compile e) keys) in
+  let names = snoc (Array.of_list (List.map fst keys)) out in
   sized
     (Array.of_list
        (List.filter_map
           (fun lrow ->
-            match probe ~lkey ~kind ~rcols index lrow with
+            match probe lrow with
             | [] -> None
             | rrows ->
               let items =
                 List.filter_map
                   (fun rrow ->
-                    let jrow = lrow @ rrow in
-                    if S.eval_pred jrow presence then Some (S.eval jrow item)
-                    else None)
+                    let jrow = joined lrow rrow in
+                    if present jrow then Some (item jrow) else None)
                   rrows
               in
-              Some
-                (List.map (fun (n, e) -> (n, S.eval lrow e)) keys
-                @ [ (out, V.Bag items) ]))
+              Some (Row.make names (snoc (Array.map (fun f -> f lrow) key) (V.Bag items))))
           (Array.to_list lrows)))
 
 (* every left row meets every right row *)
 let product ((lrows, lbytes) : sized) ((rrows, rbytes) : sized) : sized =
+  let joined = joiner () in
   ( Array.concat
-      (Array.to_list
-         (Array.map (fun lrow -> Array.map (fun rrow -> lrow @ rrow) rrows) lrows)),
+      (Array.to_list (Array.map (fun lrow -> Array.map (joined lrow) rrows) lrows)),
     (Array.length rrows * lbytes) + (Array.length lrows * rbytes) )
 
 (* ------------------------------------------------------------------ *)
 (* Row-wise operators *)
 
 let select p rows =
-  sized (Array.of_list (List.filter (fun row -> S.eval_pred row p) (Array.to_list rows)))
+  let p = S.compile_pred p in
+  sized (Array.of_list (List.filter p (Array.to_list rows)))
 
 let project fields rows =
-  sized (Array.map (fun row -> List.map (fun (n, e) -> (n, S.eval row e)) fields) rows)
+  let names = Array.of_list (List.map fst fields) in
+  let fs = Array.of_list (List.map (fun (_, e) -> S.compile e) fields) in
+  sized (Array.map (fun row -> Row.make names (Array.map (fun f -> f row) fs)) rows)
 
-(* remove the consumed bag attribute from the source column of an unnest *)
-let drop_path (row : Row.t) = function
-  | [ col ] -> List.remove_assoc col row
-  | [ col; attr ] -> (
-    match List.assoc_opt col row with
-    | Some (V.Tuple fields) ->
-      Row.add col (V.Tuple (List.remove_assoc attr fields)) row
-    | _ -> row)
-  | _ -> row (* deeper paths: keep (rare, and dropping is only an optimization) *)
+(* the first field [attr] removed *)
+let rec remove_field attr = function
+  | [] -> []
+  | (n, _) :: rest when String.equal n attr -> rest
+  | f :: rest -> f :: remove_field attr rest
+
+(* Per input schema: the parent's values once the consumed bag attribute
+   is dropped from the source column of an unnest, and the output schema.
+   Deeper paths keep it (rare, and dropping is only an optimization). *)
+let unnest_schema ~path ~binder ~drop names =
+  let slot = match path with col :: _ when drop -> Row.slot names col | _ -> None in
+  let parent, names =
+    match slot, path with
+    | Some i, [ _ ] ->
+      let without a =
+        Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (Array.length a - i - 1))
+      in
+      (without, without names)
+    | Some i, [ _; attr ] ->
+      ( (fun vals ->
+          match vals.(i) with
+          | V.Tuple fields ->
+            let vals = Array.copy vals in
+            vals.(i) <- V.Tuple (remove_field attr fields);
+            vals
+          | _ -> vals),
+        names )
+    | _ -> (Fun.id, names)
+  in
+  (parent, snoc names binder)
 
 (* an output row is its parent plus one column, so the parent is sized
    once per input row, not once per item *)
 let unnest ~path ~binder ~outer ~drop (rows : Row.t array) : sized =
+  let bag = S.compile (S.Col path) in
+  let schema = Row.by_schema (unnest_schema ~path ~binder ~drop) in
   let bytes = ref 0 in
-  let size = row_sizer () in
+  let size = vals_sizer () in
   let out =
     List.concat_map
-      (fun row ->
-        let bag = S.eval row (S.Col path) in
-        let row = if drop then drop_path row path else row in
-        match
-          (match V.bag_items bag with [] when outer -> [ V.Null ] | items -> items)
-        with
+      (fun (row : Row.t) ->
+        let items = V.bag_items (bag row) in
+        let parent, names = schema row in
+        let pvals = parent row.vals in
+        match (match items with [] when outer -> [ V.Null ] | items -> items) with
         | [] -> []
         | items ->
-          let parent = size row + 8 in
+          let pbytes = size pvals + 8 in
           List.map
             (fun v ->
-              bytes := !bytes + parent + V.byte_size v;
-              row @ [ (binder, v) ])
+              bytes := !bytes + pbytes + V.byte_size v;
+              Row.make names (snoc pvals v))
             items)
       (Array.to_list rows)
   in
   (Array.of_list out, !bytes)
 
+module RowTbl = Hashtbl.Make (struct
+  type t = Row.t
+
+  let equal (a : t) (b : t) =
+    Row.same_schema a.names b.names && Array.for_all2 V.equal a.vals b.vals
+
+  let hash (r : t) = Array.fold_left (fun acc v -> (acc * 31) + V.hash v) 17 r.vals
+end)
+
+(* the first of equal rows (same columns in order, equal values) stays *)
 let dedup rows =
+  let seen = RowTbl.create 64 in
   sized
     (Array.of_list
-       (List.map
-          (function V.Tuple row -> row | _ -> assert false)
-          (V.dedup (Array.to_list (Array.map (fun row -> V.Tuple row) rows)))))
+       (List.filter
+          (fun row ->
+            if RowTbl.mem seen row then false
+            else (
+              RowTbl.add seen row ();
+              true))
+          (Array.to_list rows)))
 
-let align cols rows = sized (Array.map (Row.restrict cols) rows)
+(* the values of the columns [names] in order, missing ones Null *)
+let picker names =
+  let slots = Row.by_schema (fun src -> Array.map (Row.slot src) names) in
+  fun (row : Row.t) ->
+    Array.map (function Some i -> row.vals.(i) | None -> V.Null) (slots row)
+
+let align cols rows =
+  let names = Array.of_list cols in
+  let pick = picker names in
+  sized (Array.map (fun row -> Row.make names (pick row)) rows)
+
+let values cols (rows : Row.t array) =
+  match cols with
+  | [ "item" ] -> Array.map (S.compile (S.col "item")) rows
+  | _ ->
+    let pick = picker (Array.of_list cols) in
+    Array.map (fun row -> V.Tuple (List.combine cols (Array.to_list (pick row)))) rows
 
 let split_by_keys keys hk ((rows, bytes) : sized) : sized * sized =
+  let key = compile_keys keys in
   let light, heavy =
-    List.partition
-      (fun row -> not (KeyTbl.mem hk (eval_keys row keys)))
-      (Array.to_list rows)
+    List.partition (fun row -> not (KeyTbl.mem hk (key row))) (Array.to_list rows)
   in
   let heavy, hbytes = sized (Array.of_list heavy) in
   ((Array.of_list light, bytes - hbytes), (heavy, hbytes))
@@ -206,11 +297,11 @@ let split_by_keys keys hk ((rows, bytes) : sized) : sized * sized =
 (* Nest operators *)
 
 (* groups by evaluated key tuples, the most recently first-seen key first *)
-let group_by_keys keys (rows : Row.t list) =
-  let tbl = KeyTbl.create 64 in
+let group_by_keys ~size key (rows : Row.t list) =
+  let tbl = KeyTbl.create size in
   List.fold_left
     (fun groups row ->
-      let kv = List.map (fun (_, e) -> S.eval row e) keys in
+      let kv = key row in
       match KeyTbl.find_opt tbl kv with
       | Some cell ->
         cell := row :: !cell;
@@ -222,47 +313,57 @@ let group_by_keys keys (rows : Row.t list) =
     [] rows
   |> List.map (fun (kv, cell) -> (kv, List.rev !cell))
 
-let name_values names_exprs vals =
-  List.map2 (fun (n, _) v -> (n, v)) names_exprs vals
-
-(* the grouping skeleton shared by both nest operators: per G-group, the
+(* The grouping skeleton shared by both nest operators: per G-group, the
    aggregated row(s) over its present members. A G-group with none emits
    one placeholder row (Null aggregation keys, [empty] aggregates) unless
    the grouping is global; a global plain nest over no present rows emits
-   its aggregate over nothing only when [global_empty]. *)
-let nest ~keys ~agg_keys ~presence ~(aggregate : Row.t list -> Row.t)
-    ~(empty : Row.t) ~global_empty (rows : Row.t array) =
-  group_by_keys keys (Array.to_list rows)
+   its aggregate over nothing only when [global_empty]. An output row is
+   one array: the G-key values, the aggregation-key values, then the
+   aggregates, which [aggregate] and [empty] write from the given slot. *)
+let nest ~keys ~agg_keys ~presence ~aggs ~(aggregate : Row.t list -> V.t array -> int -> unit)
+    ~(empty : V.t array -> int -> unit) ~global_empty (rows : Row.t array) =
+  let key = compile_keys (List.map snd keys)
+  and agg_key = compile_keys (List.map snd agg_keys)
+  and present = S.compile_pred presence in
+  let names = Array.of_list (List.map fst keys @ List.map fst agg_keys @ aggs) in
+  let nk = List.length keys in
+  let first_agg = nk + List.length agg_keys in
+  let global = keys = [] in
+  let out kv akv fill =
+    let vals = Array.make (Array.length names) V.Null in
+    List.iteri (fun i v -> vals.(i) <- v) kv;
+    List.iteri (fun i v -> vals.(nk + i) <- v) akv;
+    fill vals first_agg;
+    Row.make names vals
+  in
+  group_by_keys ~size:64 key (Array.to_list rows)
   |> List.concat_map (fun (kv, members) ->
-         let base = name_values keys kv in
-         let present = List.filter (fun r -> S.eval_pred r presence) members in
-         match agg_keys, present with
-         | [], [] when keys = [] && not global_empty -> []
-         | [], _ -> [ base @ aggregate present ]
-         | _, [] ->
-           if keys = [] then []
-           else [ base @ List.map (fun (n, _) -> (n, V.Null)) agg_keys @ empty ]
-         | _, _ ->
-           group_by_keys agg_keys present
-           |> List.map (fun (akv, sub) ->
-                  base @ name_values agg_keys akv @ aggregate sub))
+         match agg_keys, List.filter present members with
+         | [], [] when global && not global_empty -> []
+         | [], present -> [ out kv [] (aggregate present) ]
+         | _, [] -> if global then [] else [ out kv [] empty ]
+         | _, present ->
+           group_by_keys ~size:1 agg_key present
+           |> List.map (fun (akv, sub) -> out kv akv (aggregate sub)))
   |> Array.of_list |> sized
 
 let nest_bag ~keys ~agg_keys ~item ~presence ~out rows =
-  nest ~keys ~agg_keys ~presence rows ~global_empty:true
-    ~aggregate:(fun rs -> [ (out, V.Bag (List.map (fun r -> S.eval r item) rs)) ])
-    ~empty:[ (out, V.Bag []) ]
+  let item = S.compile item in
+  nest ~keys ~agg_keys ~presence ~aggs:[ out ] rows ~global_empty:true
+    ~aggregate:(fun rs vals i -> vals.(i) <- V.Bag (List.map item rs))
+    ~empty:(fun vals i -> vals.(i) <- V.Bag [])
 
 (* Null aggregands are skipped (contribute 0) *)
 let sum_agg value rows =
   List.fold_left
     (fun acc row ->
-      match S.eval row value with
+      match value row with
       | V.Null -> acc
       | v -> Nrc.Eval.add_values acc v)
     (V.Int 0) rows
 
 let nest_sum ~keys ~agg_keys ~aggs ~presence rows =
-  nest ~keys ~agg_keys ~presence rows ~global_empty:false
-    ~aggregate:(fun rs -> List.map (fun (n, e) -> (n, sum_agg e rs)) aggs)
-    ~empty:(List.map (fun (n, _) -> (n, V.Int 0)) aggs)
+  let values = List.map (fun (_, e) -> S.compile e) aggs in
+  nest ~keys ~agg_keys ~presence ~aggs:(List.map fst aggs) rows ~global_empty:false
+    ~aggregate:(fun rs vals i -> List.iteri (fun j f -> vals.(i + j) <- sum_agg f rs) values)
+    ~empty:(fun vals i -> List.iteri (fun j _ -> vals.(i + j) <- V.Int 0) values)

@@ -6,7 +6,14 @@
     {!Row.byte_size} over them. Where the size model's additivity allows,
     the sum is derived from the inputs instead of walking the output (a
     joined row is the sum of its sides, an unnested row its parent plus
-    one column, a product from both sides' carried sizes). *)
+    one column, a product from both sides' carried sizes).
+
+    Each call compiles its expressions ({!Sexpr.compile}) afresh, so a
+    compiled closure never outlives the call or crosses a pool task. The
+    rows a call builds share one [names] array per input schema: an
+    output schema is derived once, when a row's schema differs from the
+    last one seen ({!Row.by_schema}). Column order is part of a row's
+    schema but not of its meaning: only {!align} and {!values} fix it. *)
 
 type sized = Row.t array * int
 
@@ -21,16 +28,26 @@ module KeyTbl : Hashtbl.S with type key = Nrc.Value.t list
     so key equality is order-sensitive on bags, and [Value.hash] ignoring
     bag order only makes permutations collide. *)
 
-val eval_keys : Row.t -> Sexpr.t list -> Nrc.Value.t list
+val compile_keys : Sexpr.t list -> Row.t -> Nrc.Value.t list
+(** A key tuple's evaluator, compiled as {!Sexpr.compile} is: one per
+    task or call. *)
 
 val row_sizer : unit -> Row.t -> int
-(** A fresh {!Row.byte_size} that reuses a column's size when the previous
-    row held the physically same value there. *)
+(** A fresh {!Row.byte_size} that reuses a slot's size when the previous
+    row held the physically same value there; allocates nothing per row. *)
 
 val sized : Row.t array -> sized
 
+val scan : binder:string -> Nrc.Value.t array -> sized
+(** One single-column row [binder] per item. *)
+
+val add_index : col:string -> (int -> int) -> Row.t array -> Row.t array
+(** Append the column [col] holding [Int (id i)] to the [i]-th row; [id]
+    is called in row order. *)
+
 type index = Row.t list ref KeyTbl.t
-(** A join's build side: non-null right keys to their rows. *)
+(** A join's build side: non-null right keys to their rows, in build
+    order. *)
 
 val index : Sexpr.t list -> Row.t array -> index
 
@@ -66,9 +83,17 @@ val unnest :
 (** See {!Op.Unnest}. *)
 
 val dedup : Row.t array -> sized
+(** Keeps the first of equal rows (the same columns in order and equal
+    values), in input order, as {!Nrc.Value.dedup} does. *)
 
 val align : string list -> Row.t array -> sized
 (** Restrict to the columns in order, missing ones Null (union branches). *)
+
+val values : string list -> Row.t array -> Nrc.Value.t array
+(** Rows as the elements of a result bag over the plan columns [cols]: a
+    tuple of those columns, missing ones Null — except that the reserved
+    single column ["item"] marks rows carrying whole bag elements (scalars
+    or pass-through tuples), which are unwrapped. *)
 
 val split_by_keys : Sexpr.t list -> unit KeyTbl.t -> sized -> sized * sized
 (** Rows whose key is not / is in the set: light and heavy sides, the heavy

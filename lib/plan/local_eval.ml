@@ -31,7 +31,7 @@ let rec eval (env : env) (op : Op.t) : Row.t array =
   | Op.Nil _ -> [||]
   | Op.UnitRow -> [| Row.empty |]
   | Op.Scan { input; binder } ->
-    Array.of_list (List.map (fun item -> [ (binder, item) ]) (lookup env input))
+    fst (K.scan ~binder (Array.of_list (lookup env input)))
   | Op.Select (p, child) -> fst (K.select p (eval env child))
   | Op.Project (fields, child) -> fst (K.project fields (eval env child))
   | Op.Join { left; right; lkey; rkey; kind } ->
@@ -44,10 +44,10 @@ let rec eval (env : env) (op : Op.t) : Row.t array =
   | Op.Unnest { input; path; binder; outer; drop } ->
     fst (K.unnest ~path ~binder ~outer ~drop (eval env input))
   | Op.AddIndex { input; col } ->
-    Array.map
-      (fun row ->
+    K.add_index ~col
+      (fun _ ->
         incr next_index;
-        row @ [ (col, V.Int !next_index) ])
+        !next_index)
       (eval env input)
   | Op.NestBag { input; keys; agg_keys; item; presence; out } ->
     fst (K.nest_bag ~keys ~agg_keys ~item ~presence ~out (eval env input))
@@ -59,12 +59,7 @@ let rec eval (env : env) (op : Op.t) : Row.t array =
     Array.append lrows (fst (K.align (Op.columns left) (eval env right)))
   | Op.BagToDict { input; _ } -> eval env input
 
-(** Evaluate a plan and package the result rows as a bag of tuples, using the
-    plan's column names as attributes. The reserved single column ["item"]
-    marks rows that carry whole bag elements (scalars or pass-through
-    tuples); they are unwrapped rather than re-wrapped in a tuple. *)
+(** Evaluate a plan and package the result rows as a bag, using the plan's
+    column names as attributes ({!Kernel.values}). *)
 let eval_to_bag (env : env) (op : Op.t) : V.t =
-  let rows = Array.to_list (eval env op) in
-  match Op.columns op with
-  | [ "item" ] -> V.Bag (List.map (fun row -> Row.get row "item") rows)
-  | cols -> V.Bag (List.map (fun row -> V.Tuple (Row.restrict cols row)) rows)
+  V.Bag (Array.to_list (K.values (Op.columns op) (eval env op)))

@@ -2,9 +2,14 @@
     (outer) unnest, nest, dedup, union — plus the ID-adding operator implied
     by outer-unnest and the BagToDict cast of the shredded route (Section 4).
 
-    Rows are flat records ({!Row.t}); generator variables of the source NRC
-    program become columns holding tuple values, so no renaming operators are
-    needed (cf. Figure 3, "we omit renaming operators").
+    Rows are flat records ({!Row.t}): a values array per row over a schema
+    of column names that the rows built by one kernel call share.
+    Generator variables of the source NRC program become columns holding
+    tuple values, so no renaming operators are needed (cf. Figure 3, "we
+    omit renaming operators"). Operators name columns; expressions
+    ({!Sexpr}) are compiled per kernel call to read them by slot, so
+    column order carries no meaning except where {!columns} fixes it
+    (union alignment and result packaging).
 
     The nest operators refine the paper's Gamma with an explicit split
     between the outer grouping attributes G ([keys]) and the aggregation key

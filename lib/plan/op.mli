@@ -3,9 +3,10 @@
     by outer-unnest and the [BagToDict] cast of the shredded route
     (Section 4).
 
-    Rows are flat records ({!Row.t}); generator variables of the source NRC
-    program become columns holding tuple values, so no renaming operators
-    are needed (cf. Figure 3).
+    Rows are flat records ({!Row.t}): one values array per row over a
+    schema of column names shared by the rows of one kernel call.
+    Generator variables of the source NRC program become columns holding
+    tuple values, so no renaming operators are needed (cf. Figure 3).
 
     The nest operators refine the paper's Gamma with an explicit split
     between the outer grouping attributes G ([keys]) and the aggregation key
@@ -80,7 +81,9 @@ val name : t -> string
     stable operator identifier used by execution-trace spans. *)
 
 val columns : t -> string list
-(** Output column names, in order. *)
+(** Output column names. Rows are read by name, so only union alignment
+    and result packaging follow this order; a kernel may build its rows'
+    columns in another. *)
 
 val inputs : t -> string list
 (** Datasets scanned (with duplicates). *)

@@ -1,36 +1,49 @@
-(** Rows flowing through plan operators: flat records mapping column names to
-    values. Columns typically hold whole generator variables (tuples), added
-    index columns (ints), or nested bags produced by {!Op.NestBag}. *)
+(** Rows flowing through plan operators: a shared schema of column names and
+    the values position by position; see row.mli. *)
 
-type t = (string * Nrc.Value.t) list
+type t = { names : string array; vals : Nrc.Value.t array }
 
-let empty : t = []
+let make names vals =
+  if Array.length names <> Array.length vals then
+    invalid_arg "Row.make: names and values differ in length";
+  { names; vals }
 
-let get (row : t) col : Nrc.Value.t =
-  match List.assoc_opt col row with
-  | Some v -> v
+let empty = { names = [||]; vals = [||] }
+
+let slot names col =
+  let n = Array.length names in
+  let rec go i =
+    if i = n then None else if String.equal names.(i) col then Some i else go (i + 1)
+  in
+  go 0
+
+let get row col =
+  match slot row.names col with
+  | Some i -> row.vals.(i)
   | None -> invalid_arg (Printf.sprintf "Row.get: no column %S" col)
 
-let add col v (row : t) : t = (col, v) :: List.remove_assoc col row
-let columns (row : t) = List.map fst row
+let same_schema a b =
+  a == b
+  || (Array.length a = Array.length b && Array.for_all2 String.equal a b)
+
+let by_schema derive =
+  let last = ref None in
+  fun row ->
+    match !last with
+    | Some (names, d) when names == row.names -> d
+    | Some (names, d) when same_schema names row.names ->
+      last := Some (row.names, d);
+      d
+    | _ ->
+      let d = derive row.names in
+      last := Some (row.names, d);
+      d
 
 let column_bytes v = 8 + Nrc.Value.byte_size v
-let byte_size (row : t) = List.fold_left (fun acc (_, v) -> acc + column_bytes v) 0 row
+let byte_size row = Array.fold_left (fun acc v -> acc + column_bytes v) 0 row.vals
 
-(** Restrict to the given columns, in that order; missing columns are Null
-    (used to align union branches and to nullify outer-join sides). *)
-let restrict cols (row : t) : t =
-  List.map
-    (fun c ->
-      match List.assoc_opt c row with
-      | Some v -> (c, v)
-      | None -> (c, Nrc.Value.Null))
-    cols
-
-let nulls cols : t = List.map (fun c -> (c, Nrc.Value.Null)) cols
-
-let pp ppf (row : t) =
+let pp ppf row =
   Fmt.pf ppf "@[<h>[%a]@]"
-    (Fmt.list ~sep:(Fmt.any "; ")
+    (Fmt.array ~sep:(Fmt.any "; ")
        (fun ppf (c, v) -> Fmt.pf ppf "%s=%a" c Nrc.Value.pp v))
-    row
+    (Array.map2 (fun c v -> (c, v)) row.names row.vals)

@@ -22,63 +22,90 @@ type t =
 let col c = Col [ c ]
 let path c fields = Col (c :: fields)
 
-let rec eval (row : Row.t) (e : t) : Nrc.Value.t =
+(* [e] over rows of the schema [names]: each column is resolved to its slot
+   here, once, so the closure reads values by position *)
+let rec specialize names (e : t) : Nrc.Value.t array -> Nrc.Value.t =
+  let spec = specialize names in
   match e with
-  | Col [] -> invalid_arg "Sexpr.eval: empty path"
-  | Col (c :: fields) ->
-    List.fold_left
-      (fun v f -> match v with Nrc.Value.Null -> Nrc.Value.Null | _ -> Nrc.Value.field v f)
-      (Row.get row c) fields
-  | Const v -> v
-  | Prim (op, a, b) -> (
-    match eval row a, eval row b with
-    | Nrc.Value.Null, _ | _, Nrc.Value.Null -> Nrc.Value.Null
-    | va, vb -> Nrc.Eval.eval_prim op va vb)
-  | Cmp (op, a, b) -> (
-    match eval row a, eval row b with
-    | Nrc.Value.Null, _ | _, Nrc.Value.Null -> Nrc.Value.Null
-    | va, vb -> Nrc.Eval.eval_cmp op va vb)
-  | Logic (op, a, b) -> (
-    match eval row a, eval row b with
-    | Nrc.Value.Null, _ | _, Nrc.Value.Null -> Nrc.Value.Null
-    | Nrc.Value.Bool x, Nrc.Value.Bool y ->
-      Nrc.Value.Bool (match op with Nrc.Expr.And -> x && y | Nrc.Expr.Or -> x || y)
-    | _ -> invalid_arg "Sexpr.eval: logic on non-boolean")
-  | Not a -> (
-    match eval row a with
-    | Nrc.Value.Null -> Nrc.Value.Null
-    | Nrc.Value.Bool b -> Nrc.Value.Bool (not b)
-    | _ -> invalid_arg "Sexpr.eval: not on non-boolean")
-  | IsNull a -> Nrc.Value.Bool (Nrc.Value.is_null (eval row a))
+  | Col [] -> invalid_arg "Sexpr.compile: empty path"
+  | Col (c :: fields) -> (
+    match Row.slot names c, fields with
+    | None, _ -> invalid_arg (Printf.sprintf "Sexpr.compile: no column %S" c)
+    | Some i, [] -> fun vals -> vals.(i)
+    (* [Value.field] passes Null through *)
+    | Some i, _ -> fun vals -> List.fold_left Nrc.Value.field vals.(i) fields)
+  | Const v -> fun _ -> v
+  | Prim (op, a, b) ->
+    let a = spec a and b = spec b in
+    fun vals -> (
+      match a vals, b vals with
+      | Nrc.Value.Null, _ | _, Nrc.Value.Null -> Nrc.Value.Null
+      | va, vb -> Nrc.Eval.eval_prim op va vb)
+  | Cmp (op, a, b) ->
+    let a = spec a and b = spec b in
+    fun vals -> (
+      match a vals, b vals with
+      | Nrc.Value.Null, _ | _, Nrc.Value.Null -> Nrc.Value.Null
+      | va, vb -> Nrc.Eval.eval_cmp op va vb)
+  | Logic (op, a, b) ->
+    let a = spec a and b = spec b in
+    fun vals -> (
+      match a vals, b vals with
+      | Nrc.Value.Null, _ | _, Nrc.Value.Null -> Nrc.Value.Null
+      | Nrc.Value.Bool x, Nrc.Value.Bool y ->
+        Nrc.Value.Bool (match op with Nrc.Expr.And -> x && y | Nrc.Expr.Or -> x || y)
+      | _ -> invalid_arg "Sexpr.compile: logic on non-boolean")
+  | Not a ->
+    let a = spec a in
+    fun vals -> (
+      match a vals with
+      | Nrc.Value.Null -> Nrc.Value.Null
+      | Nrc.Value.Bool b -> Nrc.Value.Bool (not b)
+      | _ -> invalid_arg "Sexpr.compile: not on non-boolean")
+  | IsNull a ->
+    let a = spec a in
+    fun vals -> Nrc.Value.Bool (Nrc.Value.is_null (a vals))
   | MkLabel { site; args } ->
-    Nrc.Value.Label { site; args = List.map (eval row) args }
+    let args = List.map spec args in
+    fun vals -> Nrc.Value.Label { site; args = List.map (fun a -> a vals) args }
   | LabelArg (a, i) -> (
-    match eval row a with
-    | Nrc.Value.Null -> Nrc.Value.Null
-    | Nrc.Value.Label { args; _ } -> (
-      (* out-of-bounds yields Null: rows from a foreign-site label are
-         filtered by the accompanying IsLabelSite guard *)
-      match List.nth_opt args i with Some v -> v | None -> Nrc.Value.Null)
-    | v ->
-      invalid_arg
-        (Printf.sprintf "Sexpr.eval: LabelArg on non-label %s"
-           (Nrc.Value.to_string v)))
+    let a = spec a in
+    fun vals ->
+      match a vals with
+      | Nrc.Value.Null -> Nrc.Value.Null
+      | Nrc.Value.Label { args; _ } -> (
+        (* out-of-bounds yields Null: rows from a foreign-site label are
+           filtered by the accompanying IsLabelSite guard *)
+        match List.nth_opt args i with Some v -> v | None -> Nrc.Value.Null)
+      | v ->
+        invalid_arg
+          (Printf.sprintf "Sexpr.compile: LabelArg on non-label %s"
+             (Nrc.Value.to_string v)))
   | IsLabelSite (a, site) -> (
-    match eval row a with
-    | Nrc.Value.Null -> Nrc.Value.Null
-    | Nrc.Value.Label { site = s; _ } -> Nrc.Value.Bool (s = site)
-    | _ -> Nrc.Value.Bool false)
+    let a = spec a in
+    fun vals ->
+      match a vals with
+      | Nrc.Value.Null -> Nrc.Value.Null
+      | Nrc.Value.Label { site = s; _ } -> Nrc.Value.Bool (s = site)
+      | _ -> Nrc.Value.Bool false)
   | MkTuple fields ->
-    Nrc.Value.Tuple (List.map (fun (n, x) -> (n, eval row x)) fields)
+    let fields = List.map (fun (n, x) -> (n, spec x)) fields in
+    fun vals -> Nrc.Value.Tuple (List.map (fun (n, x) -> (n, x vals)) fields)
+
+let compile e =
+  let spec = Row.by_schema (fun names -> specialize names e) in
+  fun (row : Row.t) -> spec row row.vals
 
 (** Truthiness for selections: Null counts as false (outer-join semantics). *)
-let eval_pred row e =
-  match eval row e with
-  | Nrc.Value.Bool b -> b
-  | Nrc.Value.Null -> false
-  | v ->
-    invalid_arg
-      (Printf.sprintf "Sexpr.eval_pred: non-boolean %s" (Nrc.Value.to_string v))
+let compile_pred e =
+  let f = compile e in
+  fun row ->
+    match f row with
+    | Nrc.Value.Bool b -> b
+    | Nrc.Value.Null -> false
+    | v ->
+      invalid_arg
+        (Printf.sprintf "Sexpr.compile_pred: non-boolean %s" (Nrc.Value.to_string v))
 
 (** Columns referenced by an expression (for pushdown analyses). *)
 let rec cols_used (e : t) : string list =

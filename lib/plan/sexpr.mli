@@ -1,6 +1,12 @@
 (** Scalar expressions evaluated per row inside plan operators (selections,
     projections, join keys, nest keys and aggregands).
 
+    An expression runs only compiled: {!compile} turns it into a closure
+    over rows that resolves each column to its slot once per row schema
+    ({!Row.by_schema}) and then reads values by position. A kernel compiles
+    its expressions once per call; a compiled closure holds a mutable memo,
+    so it is never shared between pool tasks.
+
     Null semantics mirror the paper's outer operators: projecting through a
     Null tuple yields Null; primitives and comparisons with a Null operand
     yield Null; selections treat Null as false; {!Op.NestSum} casts Null
@@ -24,9 +30,13 @@ type t =
 val col : string -> t
 val path : string -> string list -> t
 
-val eval : Row.t -> t -> Nrc.Value.t
-val eval_pred : Row.t -> t -> bool
-(** Truthiness for selections: Null counts as false. *)
+val compile : t -> Row.t -> Nrc.Value.t
+(** [compile e] is [e]'s evaluator. Partially apply it once and run the
+    result over many rows.
+    @raise Invalid_argument when applied to a row lacking a column of [e]. *)
+
+val compile_pred : t -> Row.t -> bool
+(** {!compile} with truthiness for selections: Null counts as false. *)
 
 val cols_used : t -> string list
 (** Columns referenced (for pushdown analyses). *)

@@ -477,6 +477,47 @@ let test_bag_keyed_source_rejected () =
         ])
     bag_keyed_cases
 
+(* [Api.run] is total on programs a route cannot compile: a bag-keyed
+   groupBy fails type checking on every route, and a bag of scalars nested
+   in a tuple is beyond shredding (a dictionary needs tuple-valued inner
+   bags) while the routes that flatten answer it. Every such run ends as
+   [Error "compile: ..."] — never an exception. *)
+let test_compile_errors_typed () =
+  let group_by_bag =
+    List.find_map (fun (name, q, _, _) -> if name = "group" then Some q else None)
+      bag_keyed_cases
+    |> Option.get
+  in
+  let scalars_inside =
+    B.(for_ "b" (input "B") (fun b ->
+           sng
+             (record
+                [ ("g", b #. "g");
+                  ("xs", for_ "x" (b #. "s") (fun x -> sng (x #. "x"))) ])))
+  in
+  let shredded = function Trance.Api.Shredded _ -> true | _ -> false in
+  List.iter
+    (fun (name, q, fails) ->
+      let prog = Nrc.Program.of_expr ~inputs:bag_keyed_tenv ~name:"Q" q in
+      List.iter
+        (fun strategy ->
+          let what = Printf.sprintf "%s [%s]" name (Trance.Api.strategy_name strategy) in
+          match
+            Trance.Api.run ~config:api_config ~strategy prog bag_keyed_inputs
+          with
+          | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+          | { failure = Some (Trance.Api.Error msg); value = None; _ } when fails strategy ->
+            check (what ^ " names the phase: " ^ msg) true
+              (String.length msg > 9 && String.sub msg 0 9 = "compile: ")
+          | { failure = None; value = Some v; _ } when not (fails strategy) ->
+            Fixtures.check_bag_equal what (eval_bag_keyed q) v
+          | { failure; _ } ->
+            Alcotest.failf "%s: unexpected outcome %s" what
+              (Option.fold ~none:"(answered)" ~some:Trance.Api.failure_message failure))
+        strategies)
+    [ ("bag-keyed groupBy", group_by_bag, fun _ -> true);
+      ("scalar bag inside a tuple", scalars_inside, shredded) ]
+
 (* Type-correct queries whose plans group, shuffle and join rows that
    hold these bags: a nest under a bag-holding parent (its grouping key
    holds the parent's bag), nested groups whose items are bags, and a join
@@ -1180,6 +1221,8 @@ let () =
             test_bag_keyed_plans;
           Alcotest.test_case "source programs cannot key on bags" `Quick
             test_bag_keyed_source_rejected;
+          Alcotest.test_case "compile errors fail typed, every route" `Quick
+            test_compile_errors_typed;
           Alcotest.test_case "rows holding bags, every route" `Quick
             test_bag_carrying_routes;
         ] );

@@ -19,38 +19,44 @@ let eval_op ?(env = []) op =
 
 let tup fields = V.Tuple fields
 
+(* a row from (column, value) pairs, with a schema of its own *)
+let row_of fields =
+  Row.make (Array.of_list (List.map fst fields)) (Array.of_list (List.map snd fields))
+
+let fields_of (row : Row.t) = Array.to_list (Array.map2 (fun c v -> (c, v)) row.names row.vals)
+
 (* ------------------------------------------------------------------ *)
 (* Scalar expressions *)
 
 let test_sexpr_nulls () =
-  let row = [ ("x", V.Null); ("y", V.Int 3) ] in
-  check "proj through null" true (V.is_null (S.eval row (S.path "x" [ "a" ])));
+  let row = row_of [ ("x", V.Null); ("y", V.Int 3) ] in
+  check "proj through null" true (V.is_null (S.compile (S.path "x" [ "a" ]) row));
   check "prim with null" true
-    (V.is_null (S.eval row (S.Prim (Nrc.Expr.Add, S.col "x", S.col "y"))));
+    (V.is_null (S.compile (S.Prim (Nrc.Expr.Add, S.col "x", S.col "y")) row));
   check "cmp with null" true
-    (V.is_null (S.eval row (S.Cmp (Nrc.Expr.Eq, S.col "x", S.col "y"))));
+    (V.is_null (S.compile (S.Cmp (Nrc.Expr.Eq, S.col "x", S.col "y")) row));
   check "pred: null is false" false
-    (S.eval_pred row (S.Cmp (Nrc.Expr.Eq, S.col "x", S.col "y")));
+    (S.compile_pred (S.Cmp (Nrc.Expr.Eq, S.col "x", S.col "y")) row);
   check "isnull" true
-    (V.equal (S.eval row (S.IsNull (S.col "x"))) (V.Bool true));
+    (V.equal (S.compile (S.IsNull (S.col "x")) row) (V.Bool true));
   check "not null" true
-    (V.is_null (S.eval row (S.Not (S.IsNull (S.col "y")) |> fun e -> S.Logic (Nrc.Expr.And, e, S.col "x"))))
+    (V.is_null (S.compile (S.Not (S.IsNull (S.col "y")) |> fun e -> S.Logic (Nrc.Expr.And, e, S.col "x")) row))
 
 let test_sexpr_labels () =
-  let row = [ ("k", V.Int 7); ("s", V.Str "x") ] in
+  let row = row_of [ ("k", V.Int 7); ("s", V.Str "x") ] in
   let lbl = S.MkLabel { site = 3; args = [ S.col "k"; S.col "s" ] } in
-  let v = S.eval row lbl in
+  let v = S.compile lbl row in
   (match v with
   | V.Label { site = 3; args = [ V.Int 7; V.Str "x" ] } -> ()
   | _ -> Alcotest.failf "bad label %a" V.pp v);
-  let row2 = [ ("l", v) ] in
-  check "label arg" true (V.equal (S.eval row2 (S.LabelArg (S.col "l", 0))) (V.Int 7));
+  let row2 = row_of [ ("l", v) ] in
+  check "label arg" true (V.equal (S.compile (S.LabelArg (S.col "l", 0)) row2) (V.Int 7));
   check "label arg out of range is null" true
-    (V.is_null (S.eval row2 (S.LabelArg (S.col "l", 5))));
+    (V.is_null (S.compile (S.LabelArg (S.col "l", 5)) row2));
   check "site check" true
-    (V.equal (S.eval row2 (S.IsLabelSite (S.col "l", 3))) (V.Bool true));
+    (V.equal (S.compile (S.IsLabelSite (S.col "l", 3)) row2) (V.Bool true));
   check "site mismatch" true
-    (V.equal (S.eval row2 (S.IsLabelSite (S.col "l", 4))) (V.Bool false));
+    (V.equal (S.compile (S.IsLabelSite (S.col "l", 4)) row2) (V.Bool false));
   check "cols_used" true
     (List.sort compare (S.cols_used lbl) = [ "k"; "s" ])
 
@@ -190,7 +196,8 @@ let test_union_alignment () =
   let rows = eval_op plan in
   check_int "two rows" 2 (List.length rows);
   List.iter
-    (fun r -> check "columns ordered as the left side" true (Row.columns r = [ "a"; "b" ]))
+    (fun (r : Row.t) ->
+      check "columns ordered as the left side" true (r.names = [| "a"; "b" |]))
     rows
 
 let test_dedup_rows () =
@@ -274,8 +281,11 @@ let rec gen_value depth =
 let gen_row : Row.t QCheck.Gen.t =
   QCheck.Gen.(
     map
-      (List.mapi (fun i v -> (Printf.sprintf "c%d" i, v)))
+      (fun vs -> row_of (List.mapi (fun i v -> (Printf.sprintf "c%d" i, v)) vs))
       (list_size (int_bound 4) (gen_value 3)))
+
+(* the row with columns appended *)
+let append row cols = row_of (fields_of row @ cols)
 
 let print_row = Fmt.to_to_string Row.pp
 
@@ -286,7 +296,7 @@ let prop_append_column =
        ~print:(fun (row, v) -> print_row row ^ " + " ^ V.to_string v)
        QCheck.Gen.(pair gen_row (gen_value 3)))
     (fun (row, v) ->
-      Row.byte_size (row @ [ ("new", v) ])
+      Row.byte_size (append row [ ("new", v) ])
       = Row.byte_size row + 8 + V.byte_size v)
 
 let prop_index_column =
@@ -295,14 +305,15 @@ let prop_index_column =
        ~print:(fun (row, i) -> print_row row ^ Printf.sprintf " + %d" i)
        QCheck.Gen.(pair gen_row (oneof [ int; return min_int; return max_int ])))
     (fun (row, i) ->
-      Row.byte_size (row @ [ ("id", V.Int i) ]) = Row.byte_size row + 16)
+      Row.byte_size (append row [ ("id", V.Int i) ]) = Row.byte_size row + 16)
 
 let prop_join_rows =
   QCheck.Test.make ~name:"a joined row is the sum of its sides" ~count:(Fixtures.qcheck_count 300)
     (QCheck.make
        ~print:(fun (a, b) -> print_row a ^ " @ " ^ print_row b)
        QCheck.Gen.(pair gen_row gen_row))
-    (fun (a, b) -> Row.byte_size (a @ b) = Row.byte_size a + Row.byte_size b)
+    (fun (a, b) ->
+      Row.byte_size (append a (fields_of b)) = Row.byte_size a + Row.byte_size b)
 
 (* ------------------------------------------------------------------ *)
 (* The kernel size contract. The executor accounts every partition from
@@ -334,17 +345,20 @@ let gen_num =
         map (fun f -> V.Real f) (float_bound_inclusive 100.) ])
 
 (* a key, a bag to unnest (also one field down, for two-step paths), a
-   number to sum and an arbitrary value *)
+   number to sum and an arbitrary value; the rows of one side share their
+   schema, as the rows of one partition do *)
+let left_names = [| "k"; "b"; "t"; "n"; "v" |]
+let right_names = [| "rk"; "w" |]
+
 let gen_left_row =
   QCheck.Gen.(
     map
       (fun (k, b, t, n, v) ->
-        [ ("k", k); ("b", b); ("t", V.Tuple [ ("items", t); ("f", v) ]);
-          ("n", n); ("v", v) ])
+        Row.make left_names [| k; b; V.Tuple [ ("items", t); ("f", v) ]; n; v |])
       (tup5 gen_key gen_bag gen_bag gen_num (gen_value 2)))
 
 let gen_right_row =
-  QCheck.Gen.(map2 (fun k w -> [ ("rk", k); ("w", w) ]) gen_key (gen_value 2))
+  QCheck.Gen.(map2 (fun k w -> Row.make right_names [| k; w |]) gen_key (gen_value 2))
 
 let arbitrary_kernel_input =
   let print_rows rows = String.concat "\n" (List.map print_row (Array.to_list rows)) in
@@ -419,7 +433,7 @@ let prop_kernel_sizes =
 
 let same_rows a b =
   Array.length a = Array.length b
-  && Array.for_all2 (fun r s -> V.equal (V.Tuple r) (V.Tuple s)) a b
+  && Array.for_all2 (fun r s -> V.equal (V.Tuple (fields_of r)) (V.Tuple (fields_of s))) a b
 
 let prop_kernel_chunks =
   QCheck.Test.make
@@ -435,6 +449,65 @@ let prop_kernel_chunks =
           (same_rows whole (Array.append ra rb) && wbytes = ba + bb)
           || QCheck.Test.fail_reportf "%s differs on chunks" name)
         (row_kernels rrows))
+
+(* ------------------------------------------------------------------ *)
+(* Schema switches. Kernels and compiled expressions resolve columns once
+   per row schema and reuse that work while the schema stays the same
+   ([Row.by_schema]), so an input whose rows switch between column orders
+   must still be read by name. Every kernel but dedup — whose row
+   equality includes column order — returns the same rows, compared by
+   column name, with the same size, as on the input in one order. *)
+
+let reversed names = Array.of_list (List.rev (Array.to_list names))
+let left_reversed = reversed left_names
+let right_reversed = reversed right_names
+
+(* the rows whose flag is set, their columns reversed over a shared schema *)
+let mix names flags rows =
+  Array.mapi
+    (fun i (row : Row.t) -> if flags.(i) then Row.make names (reversed row.vals) else row)
+    rows
+
+let by_name row =
+  V.Tuple (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) (fields_of row))
+
+let same_by_name a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun r s -> V.equal (by_name r) (by_name s)) a b
+
+(* left rows number at most 12, right rows at most 8 *)
+let arbitrary_mixed_input =
+  QCheck.pair arbitrary_kernel_input
+    (QCheck.array_of_size (QCheck.Gen.return 12) QCheck.bool)
+
+let prop_kernel_schema_switch =
+  QCheck.Test.make ~name:"kernels read inputs mixing two column orders by name"
+    ~count:(Fixtures.qcheck_count 300) arbitrary_mixed_input
+    (fun ((lrows, rrows, _), flags) ->
+      let mixed_r = mix right_reversed flags rrows in
+      let kernels rrows = List.filter (fun (name, _) -> name <> "dedup") (all_kernels rrows) in
+      List.for_all2
+        (fun (name, uniform) (_, mixed) ->
+          let rows, bytes = uniform lrows
+          and mrows, mbytes = mixed (mix left_reversed flags lrows) in
+          (same_by_name rows mrows && bytes = mbytes)
+          || QCheck.Test.fail_reportf "%s differs on mixed column orders" name)
+        (kernels rrows) (kernels mixed_r))
+
+let prop_compiled_schema_switch =
+  QCheck.Test.make ~name:"one compiled expression = a fresh compile per row, over mixed orders"
+    ~count:(Fixtures.qcheck_count 300) arbitrary_mixed_input
+    (fun ((lrows, _, _), flags) ->
+      let rows = mix left_reversed flags lrows in
+      List.for_all
+        (fun e ->
+          let compiled = S.compile e in
+          Array.for_all (fun row -> V.equal (compiled row) (S.compile e row)) rows
+          || QCheck.Test.fail_reportf "%s differs" (Fmt.to_to_string S.pp e))
+        [ col "k"; col "v"; S.path "t" [ "items" ]; S.path "t" [ "f" ];
+          S.MkTuple [ ("v", col "v"); ("k", col "k"); ("n", col "n") ];
+          S.IsNull (col "b"); S.Cmp (Nrc.Expr.Eq, col "k", col "n");
+          S.MkLabel { site = 1; args = [ col "n"; col "k" ] } ])
 
 let () =
   Alcotest.run "plan"
@@ -466,5 +539,6 @@ let () =
           [ prop_append_column; prop_index_column; prop_join_rows ] );
       ( "kernels",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_kernel_sizes; prop_kernel_chunks ] );
+          [ prop_kernel_sizes; prop_kernel_chunks; prop_kernel_schema_switch;
+            prop_compiled_schema_switch ] );
     ]
