@@ -43,7 +43,7 @@ let eval_cmp op v1 v2 =
     | Expr.Gt -> c > 0
     | Expr.Ge -> c >= 0
   in
-  Value.Bool r
+  Value.of_bool r
 
 (* Grouping helper shared by groupBy/sumBy: returns groups in first-seen key
    order for determinism. *)

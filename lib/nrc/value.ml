@@ -24,6 +24,7 @@ and label = { site : int; args : t list }
 
 let unit_ = Tuple []
 let is_null = function Null -> true | _ -> false
+let of_bool b = if b then Bool true else Bool false
 
 (* ------------------------------------------------------------------ *)
 (* Total order, equality, hashing *)
@@ -91,17 +92,15 @@ let rec hash (v : t) =
 (* Accessors *)
 
 (* a monomorphic lookup: field names compare as strings, not through
-   polymorphic [compare] *)
+   polymorphic [compare]; top-level, so a lookup allocates no closure *)
+let rec find_field name = function
+  | (n, x) :: _ when String.equal n name -> x
+  | _ :: rest -> find_field name rest
+  | [] -> invalid_arg (Printf.sprintf "Value.field: no attribute %S in tuple" name)
+
 let field v name =
   match v with
-  | Tuple fields -> (
-    let rec find = function
-      | (n, x) :: _ when String.equal n name -> x
-      | _ :: rest -> find rest
-      | [] ->
-        invalid_arg (Printf.sprintf "Value.field: no attribute %S in tuple" name)
-    in
-    find fields)
+  | Tuple fields -> find_field name fields
   | Null -> Null (* null propagation through projections of outer tuples *)
   | _ -> invalid_arg (Printf.sprintf "Value.field %S: not a tuple" name)
 

@@ -23,6 +23,9 @@ and label = { site : int; args : t list }
 val unit_ : t
 val is_null : t -> bool
 
+val of_bool : bool -> t
+(** [Bool b], one shared value per truth value: allocates nothing. *)
+
 (** {2 Ordering, equality, hashing} *)
 
 val compare : t -> t -> int

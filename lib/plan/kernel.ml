@@ -10,10 +10,22 @@ module S = Sexpr
 
 type sized = Row.t array * int
 
+(* the key hash's fold, shared with the nest kernels' probe *)
+let hash_step acc v = (acc * 31) + V.hash v
+
 (* [land max_int], not [abs]: [abs min_int = min_int], whose [mod n] is
    negative and would index a partition array out of bounds. *)
-let hash_key (kv : V.t list) =
-  List.fold_left (fun acc v -> (acc * 31) + V.hash v) 17 kv land max_int
+let hash_key (kv : V.t list) = List.fold_left hash_step 17 kv land max_int
+
+(* [Value.equal], trying physical equality and the common scalars first:
+   rows unnested from one parent share its key values physically *)
+let key_equal (a : V.t) (b : V.t) =
+  a == b
+  ||
+  match a, b with
+  | Int x, Int y -> x = y
+  | Str x, Str y -> String.equal x y
+  | _ -> V.equal a b
 
 module KeyTbl = Hashtbl.Make (struct
   type t = V.t list
@@ -24,7 +36,7 @@ module KeyTbl = Hashtbl.Make (struct
     let rec go a b =
       match a, b with
       | [], [] -> true
-      | x :: a, y :: b -> V.equal x y && go a b
+      | x :: a, y :: b -> key_equal x y && go a b
       | _, _ -> false
     in
     go a b
@@ -296,74 +308,114 @@ let split_by_keys keys hk ((rows, bytes) : sized) : sized * sized =
 (* ------------------------------------------------------------------ *)
 (* Nest operators *)
 
-(* groups by evaluated key tuples, the most recently first-seen key first *)
-let group_by_keys ~size key (rows : Row.t list) =
-  let tbl = KeyTbl.create size in
-  List.fold_left
-    (fun groups row ->
-      let kv = key row in
-      match KeyTbl.find_opt tbl kv with
-      | Some cell ->
-        cell := row :: !cell;
-        groups
-      | None ->
-        let cell = ref [ row ] in
-        KeyTbl.add tbl kv cell;
-        (kv, cell) :: groups)
-    [] rows
-  |> List.map (fun (kv, cell) -> (kv, List.rev !cell))
+(* A group's [vals] is its output row: G-keys, aggregation keys (Null in
+   a G-group's placeholder), aggregates. Tables hash a group by [hash] and
+   compare its key slots only, so one probe, refilled per row, finds any. *)
+type group = {
+  mutable hash : int; (* rewritten per row in the probe only *)
+  vals : V.t array;
+  mutable items : V.t list; (* a bag's items, the newest first *)
+  mutable subs : group list; (* a G-group's aggregation groups, the newest first *)
+}
 
-(* The grouping skeleton shared by both nest operators: per G-group, the
-   aggregated row(s) over its present members. A G-group with none emits
-   one placeholder row (Null aggregation keys, [empty] aggregates) unless
-   the grouping is global; a global plain nest over no present rows emits
-   its aggregate over nothing only when [global_empty]. An output row is
-   one array: the G-key values, the aggregation-key values, then the
-   aggregates, which [aggregate] and [empty] write from the given slot. *)
-let nest ~keys ~agg_keys ~presence ~aggs ~(aggregate : Row.t list -> V.t array -> int -> unit)
-    ~(empty : V.t array -> int -> unit) ~global_empty (rows : Row.t array) =
-  let key = compile_keys (List.map snd keys)
-  and agg_key = compile_keys (List.map snd agg_keys)
+(* top-level, so that a comparison allocates no closure *)
+let rec same_keys a b i = i < 0 || (key_equal a.(i) b.(i) && same_keys a b (i - 1))
+
+module Groups (W : sig val width : int end) = Hashtbl.Make (struct
+  type t = group
+
+  let equal a b = same_keys a.vals b.vals (W.width - 1)
+  let hash g = g.hash
+end)
+
+(* The one grouping pass of both nest operators: [fold] adds a present row
+   to its group in row order, [close] finishes the aggregate slots from
+   [first_agg] on. A G-group with no present row emits its placeholder
+   unless the grouping is global; a global plain nest over no present rows
+   emits its aggregate over nothing only when [global_empty]. *)
+let nest ~keys ~agg_keys ~presence ~aggs ~empty ~(fold : group -> int -> Row.t -> unit)
+    ~(close : group -> int -> unit) ~global_empty (rows : Row.t array) =
+  let key = Array.of_list (List.map (fun (_, e) -> S.compile e) (keys @ agg_keys))
   and present = S.compile_pred presence in
   let names = Array.of_list (List.map fst keys @ List.map fst agg_keys @ aggs) in
-  let nk = List.length keys in
-  let first_agg = nk + List.length agg_keys in
-  let global = keys = [] in
-  let out kv akv fill =
-    let vals = Array.make (Array.length names) V.Null in
-    List.iteri (fun i v -> vals.(i) <- v) kv;
-    List.iteri (fun i v -> vals.(nk + i) <- v) akv;
-    fill vals first_agg;
-    Row.make names vals
+  let nk = List.length keys and first_agg = Array.length key in
+  let module G = Groups (struct let width = nk end) in
+  let module A = Groups (struct let width = first_agg end) in
+  let gtbl = G.create 64 and atbl = A.create 64 in
+  let probe = { hash = 0; vals = Array.make first_agg V.Null; items = []; subs = [] } in
+  let fresh width hash =
+    let vals = Array.make (Array.length names) empty in
+    Array.blit probe.vals 0 vals 0 width;
+    Array.fill vals width (first_agg - width) V.Null;
+    { hash; vals; items = []; subs = [] }
   in
-  group_by_keys ~size:64 key (Array.to_list rows)
-  |> List.concat_map (fun (kv, members) ->
-         match agg_keys, List.filter present members with
-         | [], [] when global && not global_empty -> []
-         | [], present -> [ out kv [] (aggregate present) ]
-         | _, [] -> if global then [] else [ out kv [] empty ]
-         | _, present ->
-           group_by_keys ~size:1 agg_key present
-           |> List.map (fun (akv, sub) -> out kv akv (aggregate sub)))
+  let groups = ref [] and any_present = ref false in
+  let g_group hash =
+    probe.hash <- hash;
+    match G.find_opt gtbl probe with
+    | Some g -> g
+    | None ->
+      let g = fresh nk hash in
+      G.add gtbl g g;
+      groups := g :: !groups;
+      g
+  in
+  (* the keys [lo, hi) of [row] into the probe, continuing the hash fold *)
+  let fill row lo hi h =
+    let h = ref h in
+    for i = lo to hi - 1 do
+      let v = key.(i) row in
+      probe.vals.(i) <- v;
+      h := hash_step !h v
+    done;
+    !h
+  in
+  Array.iter
+    (fun row ->
+      let gfold = fill row 0 nk 17 in
+      let gh = gfold land max_int in
+      if not (present row) then ignore (g_group gh)
+      else begin
+        any_present := true;
+        if first_agg = nk then fold (g_group gh) first_agg row
+        else begin
+          probe.hash <- fill row nk first_agg gfold land max_int;
+          match A.find_opt atbl probe with
+          | Some g -> fold g first_agg row
+          | None ->
+            let g = fresh first_agg probe.hash in
+            A.add atbl g g;
+            let parent = g_group gh in
+            parent.subs <- g :: parent.subs;
+            fold g first_agg row
+        end
+      end)
+    rows;
+  let global = nk = 0 and any_present = !any_present in
+  let emit g = close g first_agg; Row.make names g.vals in
+  List.concat_map
+    (fun g ->
+      match g.subs with
+      | [] when first_agg > nk -> if global then [] else [ emit g ]
+      | [] -> if global && not (global_empty || any_present) then [] else [ emit g ]
+      | subs -> List.map emit subs)
+    !groups
   |> Array.of_list |> sized
 
 let nest_bag ~keys ~agg_keys ~item ~presence ~out rows =
   let item = S.compile item in
-  nest ~keys ~agg_keys ~presence ~aggs:[ out ] rows ~global_empty:true
-    ~aggregate:(fun rs vals i -> vals.(i) <- V.Bag (List.map item rs))
-    ~empty:(fun vals i -> vals.(i) <- V.Bag [])
+  nest ~keys ~agg_keys ~presence ~aggs:[ out ] ~empty:(V.Bag []) ~global_empty:true rows
+    ~fold:(fun g _ row -> g.items <- item row :: g.items)
+    ~close:(fun g i -> match g.items with [] -> () | items -> g.vals.(i) <- V.Bag (List.rev items))
 
 (* Null aggregands are skipped (contribute 0) *)
-let sum_agg value rows =
-  List.fold_left
-    (fun acc row ->
-      match value row with
-      | V.Null -> acc
-      | v -> Nrc.Eval.add_values acc v)
-    (V.Int 0) rows
-
 let nest_sum ~keys ~agg_keys ~aggs ~presence rows =
-  let values = List.map (fun (_, e) -> S.compile e) aggs in
-  nest ~keys ~agg_keys ~presence ~aggs:(List.map fst aggs) rows ~global_empty:false
-    ~aggregate:(fun rs vals i -> List.iteri (fun j f -> vals.(i + j) <- sum_agg f rs) values)
-    ~empty:(fun vals i -> List.iteri (fun j _ -> vals.(i + j) <- V.Int 0) values)
+  let values = Array.of_list (List.map (fun (_, e) -> S.compile e) aggs) in
+  nest ~keys ~agg_keys ~presence ~aggs:(List.map fst aggs) ~empty:(V.Int 0)
+    ~global_empty:false rows ~close:(fun _ _ -> ())
+    ~fold:(fun g first row ->
+      for j = 0 to Array.length values - 1 do
+        match values.(j) row with
+        | V.Null -> ()
+        | v -> g.vals.(first + j) <- Nrc.Eval.add_values g.vals.(first + j) v
+      done)

@@ -13,7 +13,13 @@
     rows a call builds share one [names] array per input schema: an
     output schema is derived once, when a row's schema differs from the
     last one seen ({!Row.by_schema}). Column order is part of a row's
-    schema but not of its meaning: only {!align} and {!values} fix it. *)
+    schema but not of its meaning: only {!align} and {!values} fix it.
+
+    The nest kernels group in one pass: each row's keys fill one reusable
+    probe array, hashed once with {!hash_key}'s fold and looked up once (a
+    present row with aggregation keys probes the G-key table only when it
+    starts an aggregation group). A group's value array is its output row,
+    which aggregates accumulate into as rows stream. *)
 
 type sized = Row.t array * int
 
@@ -24,9 +30,11 @@ val hash_key : Nrc.Value.t list -> int
     a partitioning guarantee relies on. Never negative. *)
 
 module KeyTbl : Hashtbl.S with type key = Nrc.Value.t list
-(** Tables over evaluated key tuples, by {!hash_key} and [Value.equal] —
-    so key equality is order-sensitive on bags, and [Value.hash] ignoring
-    bag order only makes permutations collide. *)
+(** Tables over evaluated key tuples, by {!hash_key} and [Value.equal]
+    (tried after physical equality and the [Int]/[Str] cases) — so key
+    equality is order-sensitive on bags, and [Value.hash] ignoring bag
+    order only makes permutations collide. The nest kernels' tables use
+    the same hash and equality. *)
 
 val compile_keys : Sexpr.t list -> Row.t -> Nrc.Value.t list
 (** A key tuple's evaluator, compiled as {!Sexpr.compile} is: one per
@@ -107,7 +115,9 @@ val nest_bag :
   out:string ->
   Row.t array ->
   sized
-(** Gamma-union (see {!Op.NestBag}). *)
+(** Gamma-union (see {!Op.NestBag}). G-groups, and the aggregation groups
+    within one, come out the most recently first-seen first; a bag holds
+    its items in input order. *)
 
 val nest_sum :
   keys:(string * Sexpr.t) list ->
@@ -116,4 +126,6 @@ val nest_sum :
   presence:Sexpr.t ->
   Row.t array ->
   sized
-(** Gamma-plus (see {!Op.NestSum}); Null aggregands count as 0. *)
+(** Gamma-plus (see {!Op.NestSum}), grouped and ordered as {!nest_bag};
+    Null aggregands count as 0. Each sum folds [Nrc.Eval.add_values] from
+    [Int 0] over its group's rows in input order. *)

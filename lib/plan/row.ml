@@ -22,21 +22,26 @@ let get row col =
   | Some i -> row.vals.(i)
   | None -> invalid_arg (Printf.sprintf "Row.get: no column %S" col)
 
-let same_schema a b =
-  a == b
-  || (Array.length a = Array.length b && Array.for_all2 String.equal a b)
+(* top-level, so that a comparison allocates no closure *)
+let rec same_names a b i = i < 0 || (String.equal a.(i) b.(i) && same_names a b (i - 1))
 
+let same_schema a b =
+  a == b || (Array.length a = Array.length b && same_names a b (Array.length a - 1))
+
+(* rows a shuffle gathers switch between equal, unshared schemas every few
+   rows, so a switch allocates nothing *)
 let by_schema derive =
-  let last = ref None in
+  let last = ref None and last_names = ref [||] in
   fun row ->
     match !last with
-    | Some (names, d) when names == row.names -> d
-    | Some (names, d) when same_schema names row.names ->
-      last := Some (row.names, d);
+    | Some d when !last_names == row.names -> d
+    | Some d when same_schema !last_names row.names ->
+      last_names := row.names;
       d
     | _ ->
       let d = derive row.names in
-      last := Some (row.names, d);
+      last := Some d;
+      last_names := row.names;
       d
 
 let column_bytes v = 8 + Nrc.Value.byte_size v

@@ -53,18 +53,18 @@ let rec specialize names (e : t) : Nrc.Value.t array -> Nrc.Value.t =
       match a vals, b vals with
       | Nrc.Value.Null, _ | _, Nrc.Value.Null -> Nrc.Value.Null
       | Nrc.Value.Bool x, Nrc.Value.Bool y ->
-        Nrc.Value.Bool (match op with Nrc.Expr.And -> x && y | Nrc.Expr.Or -> x || y)
+        Nrc.Value.of_bool (match op with Nrc.Expr.And -> x && y | Nrc.Expr.Or -> x || y)
       | _ -> invalid_arg "Sexpr.compile: logic on non-boolean")
   | Not a ->
     let a = spec a in
     fun vals -> (
       match a vals with
       | Nrc.Value.Null -> Nrc.Value.Null
-      | Nrc.Value.Bool b -> Nrc.Value.Bool (not b)
+      | Nrc.Value.Bool b -> Nrc.Value.of_bool (not b)
       | _ -> invalid_arg "Sexpr.compile: not on non-boolean")
   | IsNull a ->
     let a = spec a in
-    fun vals -> Nrc.Value.Bool (Nrc.Value.is_null (a vals))
+    fun vals -> Nrc.Value.of_bool (Nrc.Value.is_null (a vals))
   | MkLabel { site; args } ->
     let args = List.map spec args in
     fun vals -> Nrc.Value.Label { site; args = List.map (fun a -> a vals) args }
@@ -86,8 +86,8 @@ let rec specialize names (e : t) : Nrc.Value.t array -> Nrc.Value.t =
     fun vals ->
       match a vals with
       | Nrc.Value.Null -> Nrc.Value.Null
-      | Nrc.Value.Label { site = s; _ } -> Nrc.Value.Bool (s = site)
-      | _ -> Nrc.Value.Bool false)
+      | Nrc.Value.Label { site = s; _ } -> Nrc.Value.of_bool (s = site)
+      | _ -> Nrc.Value.of_bool false)
   | MkTuple fields ->
     let fields = List.map (fun (n, x) -> (n, spec x)) fields in
     fun vals -> Nrc.Value.Tuple (List.map (fun (n, x) -> (n, x vals)) fields)

@@ -509,6 +509,171 @@ let prop_compiled_schema_switch =
           S.IsNull (col "b"); S.Cmp (Nrc.Expr.Eq, col "k", col "n");
           S.MkLabel { site = 1; args = [ col "n"; col "k" ] } ])
 
+(* ------------------------------------------------------------------ *)
+(* Allocation. Compiled column reads, null tests and comparisons run once
+   per row in every key, join and selection, so over rows of one schema
+   they allocate nothing per row: a field lookup builds no closure and a
+   boolean result is a shared constant. *)
+
+let test_compiled_allocation () =
+  let n = 10_000 in
+  let names = [| "t" |] in
+  let rows =
+    Array.init n (fun i ->
+        Row.make names [| tup [ ("a", V.Int i); ("b", V.Int (i mod 3)); ("f", V.Str "x") ] |])
+  in
+  List.iter
+    (fun e ->
+      let f = S.compile e in
+      ignore (f rows.(0));
+      let before = Gc.minor_words () in
+      Array.iter (fun row -> ignore (Sys.opaque_identity (f row))) rows;
+      let words = Gc.minor_words () -. before in
+      if words >= float_of_int n then
+        Alcotest.failf "%s: %.0f words over %d rows" (Fmt.to_to_string S.pp e) words n)
+    [ S.path "t" [ "f" ]; S.Not (S.IsNull (S.col "t"));
+      S.Cmp (Nrc.Expr.Eq, S.path "t" [ "a" ], S.path "t" [ "b" ]) ]
+
+(* ------------------------------------------------------------------ *)
+(* The one-pass nest kernels against the two-pass grouping they replaced,
+   kept here as the reference: group the rows by G-key, keep each group's
+   present members, group those again by the aggregation key, then
+   aggregate each member list. Rows, their order, byte sums and the bits
+   of every float sum must agree. *)
+
+(* groups by evaluated key tuples, the most recently first-seen key first *)
+let group_by_keys key (rows : Row.t list) =
+  let tbl = K.KeyTbl.create 16 in
+  List.fold_left
+    (fun groups row ->
+      let kv = key row in
+      match K.KeyTbl.find_opt tbl kv with
+      | Some cell ->
+        cell := row :: !cell;
+        groups
+      | None ->
+        let cell = ref [ row ] in
+        K.KeyTbl.add tbl kv cell;
+        (kv, cell) :: groups)
+    [] rows
+  |> List.map (fun (kv, cell) -> (kv, List.rev !cell))
+
+let reference_nest ~keys ~agg_keys ~presence ~aggs ~aggregate ~empty ~global_empty rows =
+  let key = K.compile_keys (List.map snd keys)
+  and agg_key = K.compile_keys (List.map snd agg_keys)
+  and present = S.compile_pred presence in
+  let names = Array.of_list (List.map fst keys @ List.map fst agg_keys @ aggs) in
+  let out kv akv vs = Row.make names (Array.of_list (kv @ akv @ vs)) in
+  let global = keys = [] in
+  group_by_keys key (Array.to_list rows)
+  |> List.concat_map (fun (kv, members) ->
+         match agg_keys, List.filter present members with
+         | [], [] when global && not global_empty -> []
+         | [], present -> [ out kv [] (aggregate present) ]
+         | _, [] -> if global then [] else [ out kv (List.map (fun _ -> V.Null) agg_keys) empty ]
+         | _, present ->
+           group_by_keys agg_key present
+           |> List.map (fun (akv, sub) -> out kv akv (aggregate sub)))
+  |> Array.of_list |> K.sized
+
+let reference_nest_bag ~keys ~agg_keys ~item ~presence ~out rows =
+  let item = S.compile item in
+  reference_nest ~keys ~agg_keys ~presence ~aggs:[ out ] ~global_empty:true rows
+    ~aggregate:(fun rs -> [ V.Bag (List.map item rs) ])
+    ~empty:[ V.Bag [] ]
+
+let reference_nest_sum ~keys ~agg_keys ~aggs ~presence rows =
+  let values = List.map (fun (_, e) -> S.compile e) aggs in
+  let sum value rs =
+    List.fold_left
+      (fun acc row -> match value row with V.Null -> acc | v -> Nrc.Eval.add_values acc v)
+      (V.Int 0) rs
+  in
+  reference_nest ~keys ~agg_keys ~presence ~aggs:(List.map fst aggs) ~global_empty:false rows
+    ~aggregate:(fun rs -> List.map (fun value -> sum value rs) values)
+    ~empty:(List.map (fun _ -> V.Int 0) values)
+
+(* equal, with reals compared bit for bit *)
+let rec identical (a : V.t) (b : V.t) =
+  match a, b with
+  | Real x, Real y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Tuple xs, Tuple ys ->
+    List.equal (fun (n, x) (m, y) -> String.equal n m && identical x y) xs ys
+  | Bag xs, Bag ys -> List.equal identical xs ys
+  | _ -> V.equal a b
+
+let identical_rows ((a, abytes) : K.sized) ((b, bbytes) : K.sized) =
+  abytes = bbytes
+  && Array.length a = Array.length b
+  && Array.for_all2
+       (fun (r : Row.t) (s : Row.t) ->
+         r.names = s.names && Array.for_all2 identical r.vals s.vals)
+       a b
+
+(* two key columns from the small domain (Null and permuted bags
+   included), a small int key, two aggregands mixing Int, Real and Null,
+   an item and a presence flag that is false or Null for a third of the
+   rows *)
+let nest_names = [| "k"; "a"; "m"; "n"; "r"; "v"; "p" |]
+
+let gen_nest_row =
+  QCheck.Gen.(
+    map
+      (fun ((k, a, m), (n, r), (v, p)) ->
+        Row.make nest_names [| k; a; V.Int m; n; r; v; p |])
+      (triple (triple gen_key gen_key (int_bound 2)) (pair gen_num gen_num)
+         (pair (gen_value 1)
+            (frequencyl [ (4, V.Bool true); (1, V.Bool false); (1, V.Null) ]))))
+
+(* (name, G-keys, aggregation keys); global nests with and without
+   aggregation keys included *)
+let nest_groupings =
+  [ ("k", [ "k" ], []); ("k / a", [ "k" ], [ "a" ]); ("k, m", [ "k"; "m" ], []);
+    ("k / a, m", [ "k" ], [ "a"; "m" ]); ("global", [], []); ("global / a", [], [ "a" ]) ]
+
+let prop_nest_oracle =
+  QCheck.Test.make ~name:"nest_bag and nest_sum = the two-pass reference grouping"
+    ~count:(Fixtures.qcheck_count 300)
+    (QCheck.make
+       ~print:(fun rows -> String.concat "\n" (List.map print_row (Array.to_list rows)))
+       QCheck.Gen.(
+         frequency [ (1, return [||]); (9, array_size (int_bound 30) gen_nest_row) ]))
+    (fun rows ->
+      let presence = col "p" and cols = List.map (fun c -> (c, col c)) in
+      List.for_all
+        (fun (name, keys, agg_keys) ->
+          let keys = cols keys and agg_keys = cols agg_keys in
+          let aggs = [ ("s", col "n"); ("t", col "r") ] in
+          (identical_rows
+             (K.nest_bag ~keys ~agg_keys ~item:(col "v") ~presence ~out:"vs" rows)
+             (reference_nest_bag ~keys ~agg_keys ~item:(col "v") ~presence ~out:"vs" rows)
+          || QCheck.Test.fail_reportf "nest_bag by %s differs" name)
+          && (identical_rows
+                (K.nest_sum ~keys ~agg_keys ~aggs ~presence rows)
+                (reference_nest_sum ~keys ~agg_keys ~aggs ~presence rows)
+             || QCheck.Test.fail_reportf "nest_sum by %s differs" name))
+        nest_groupings)
+
+(* [Value.hash] ignores bag order, so {1,2} and {2,1} meet in one table
+   bucket; key equality keeps them apart *)
+let test_nest_permuted_bag_keys () =
+  let b12 = V.Bag [ V.Int 1; V.Int 2 ] and b21 = V.Bag [ V.Int 2; V.Int 1 ] in
+  check_int "equal hash_key" (K.hash_key [ b12 ]) (K.hash_key [ b21 ]);
+  let names = [| "k"; "n" |] in
+  let rows = [| Row.make names [| b12; V.Int 1 |]; Row.make names [| b21; V.Int 2 |] |] in
+  let always = S.Const (V.Bool true) in
+  List.iter
+    (fun (name, (out, _)) ->
+      check_int (name ^ ": two groups") 2 (Array.length out);
+      check (name ^ ": keys in first-seen order, newest first") true
+        (V.equal (Row.get out.(0) "k") b21 && V.equal (Row.get out.(1) "k") b12))
+    [ ("nest_bag",
+        K.nest_bag ~keys:[ ("k", col "k") ] ~agg_keys:[] ~item:(col "n")
+          ~presence:always ~out:"ns" rows);
+      ("nest_sum",
+        K.nest_sum ~keys:[ ("k", col "k") ] ~agg_keys:[] ~aggs:[ ("s", col "n") ]
+          ~presence:always rows) ]
+
 let () =
   Alcotest.run "plan"
     [
@@ -527,6 +692,8 @@ let () =
           Alcotest.test_case "union alignment" `Quick test_union_alignment;
           Alcotest.test_case "dedup" `Quick test_dedup_rows;
           Alcotest.test_case "schema inference" `Quick test_schema_inference;
+          Alcotest.test_case "nest: permuted bag keys stay apart" `Quick
+            test_nest_permuted_bag_keys;
         ] );
       ( "optimizer",
         [
@@ -540,5 +707,8 @@ let () =
       ( "kernels",
         List.map QCheck_alcotest.to_alcotest
           [ prop_kernel_sizes; prop_kernel_chunks; prop_kernel_schema_switch;
-            prop_compiled_schema_switch ] );
+            prop_compiled_schema_switch; prop_nest_oracle ] );
+      ( "allocation",
+        [ Alcotest.test_case "compiled reads, null tests and comparisons" `Quick
+            test_compiled_allocation ] );
     ]
