@@ -384,13 +384,7 @@ let compile_shredded ?(config = default_config) (p : Nrc.Program.t) :
     List.exists
       (fun { Nrc.Program.target; _ } -> target = name)
       pipeline.Shred_pipeline.mat.Nrc.Program.assignments
-    && String.length name > 3
-    &&
-    let rec find i =
-      i + 3 <= String.length name
-      && (String.sub name i 3 = "_D_" || find (i + 1))
-    in
-    find 0
+    && Shred_type.is_dict_name name
   in
   let plans =
     List.map
@@ -438,15 +432,7 @@ let load_shredded_inputs ~cluster (types : (string * T.t) list)
   List.iter
     (fun (name, v) ->
       let ds =
-        if
-          String.length name > 3
-          &&
-          let rec find i =
-            i + 3 <= String.length name
-            && (String.sub name i 3 = "_D_" || find (i + 1))
-          in
-          find 0
-        then
+        if Shred_type.is_dict_name name then
           Exec.Dataset.of_bag_by ~partitions:cluster.Exec.Config.partitions
             ~key:[ [ "label" ] ] v
         else Exec.Dataset.of_bag ~partitions:cluster.Exec.Config.partitions v

@@ -226,24 +226,25 @@ and find_scan (op : Op.t) (binder : string) : string option =
 (* ------------------------------------------------------------------ *)
 (* Whole-route estimation *)
 
-(** Sum of operator costs over a sequence of assignments, threading each
-    result's estimated statistics into the environment for later plans.
-    The scalar objective mirrors the simulator's time model: cpu bytes
-    (weighted) + network bytes. *)
-let estimate_assignments (stats0 : stats) (plans : (string * Op.t) list) :
-    float * stats =
+(* Estimate each plan of an assignment sequence in turn, threading each
+   result's estimated statistics into the environment for later plans;
+   [f] folds the per-plan estimates. *)
+let fold_assignments f init (stats0 : stats) (plans : (string * Op.t) list) =
   List.fold_left
     (fun (acc, stats) (name, plan) ->
       let e = estimate stats plan in
       let table =
-        {
-          rows = max 1. e.out_rows;
-          row_bytes = avg_row e;
-          fanouts = [];
-        }
+        { rows = max 1. e.out_rows; row_bytes = avg_row e; fanouts = [] }
       in
-      (acc +. e.cpu +. (4. *. e.net), (name, table) :: stats))
-    (0., stats0) plans
+      (f acc e, (name, table) :: stats))
+    (init, stats0) plans
+
+(** Sum of operator costs over a sequence of assignments. The scalar
+    objective mirrors the simulator's time model: cpu bytes (weighted) +
+    network bytes. *)
+let estimate_assignments (stats0 : stats) (plans : (string * Op.t) list) :
+    float * stats =
+  fold_assignments (fun acc e -> acc +. e.cpu +. (4. *. e.net)) 0. stats0 plans
 
 type recommendation = {
   standard_cost : float;
@@ -271,17 +272,12 @@ type checkpoint_estimate = {
 
 let recommend_checkpoint_interval (cluster : Exec.Config.t)
     (stats0 : stats) (plans : (string * Op.t) list) : checkpoint_estimate =
-  let total_bytes, n_stages, _ =
-    List.fold_left
-      (fun (bytes, n, stats) (name, plan) ->
-        let e = estimate stats plan in
-        let table =
-          { rows = max 1. e.out_rows; row_bytes = avg_row e; fanouts = [] }
-        in
-        (bytes +. e.out_bytes, n + 1, (name, table) :: stats))
-      (0., 0, stats0) plans
+  let total_bytes, _ =
+    fold_assignments (fun bytes e -> bytes +. e.out_bytes) 0. stats0 plans
   in
-  let avg_stage_bytes = total_bytes /. float_of_int (max 1 n_stages) in
+  let avg_stage_bytes =
+    total_bytes /. float_of_int (max 1 (List.length plans))
+  in
   let stage_seconds = avg_stage_bytes *. cluster.Exec.Config.cpu_weight in
   let delta =
     avg_stage_bytes *. cluster.Exec.Config.disk_weight

@@ -25,6 +25,13 @@ let top_name base = base ^ "_F"
 let dict_name base path =
   String.concat "_" ((base ^ "_D") :: path)
 
+let is_dict_name name =
+  let n = String.length name in
+  let rec has_marker i =
+    i + 3 <= n && (String.sub name i 3 = "_D_" || has_marker (i + 1))
+  in
+  n > 3 && has_marker 0
+
 let domain_name base path =
   String.concat "_" ((base ^ "_Dom") :: path)
 

@@ -14,10 +14,7 @@ type write = {
 
 let make (cfg : Config.t) = { cfg; since_bytes = 0; since_stages = 0 }
 
-let observe (ot : t option) ~bytes =
-  match ot with
-  | None -> ()
-  | Some t -> t.since_bytes <- t.since_bytes + max 0 bytes
+let observe t ~bytes = t.since_bytes <- t.since_bytes + max 0 bytes
 
 let write_cost (cfg : Config.t) out_bytes =
   float_of_int out_bytes
@@ -43,22 +40,19 @@ let should_write t ~out_bytes =
     in
     expected_recompute >= write_cost t.cfg out_bytes
 
-let on_stage (ot : t option) ~out_bytes : write option =
-  match ot with
-  | None -> None
-  | Some t ->
-    t.since_stages <- t.since_stages + 1;
-    t.since_bytes <- t.since_bytes + max 0 out_bytes;
-    if out_bytes > 0 && should_write t ~out_bytes then begin
-      let truncated = t.since_bytes in
-      t.since_bytes <- 0;
-      t.since_stages <- 0;
-      Some
-        { ckpt_bytes = out_bytes;
-          io_seconds = write_cost t.cfg out_bytes;
-          truncated }
-    end
-    else None
+let on_stage t ~out_bytes : write option =
+  t.since_stages <- t.since_stages + 1;
+  t.since_bytes <- t.since_bytes + max 0 out_bytes;
+  if out_bytes > 0 && should_write t ~out_bytes then begin
+    let truncated = t.since_bytes in
+    t.since_bytes <- 0;
+    t.since_stages <- 0;
+    Some
+      { ckpt_bytes = out_bytes;
+        io_seconds = write_cost t.cfg out_bytes;
+        truncated }
+  end
+  else None
 
 (* The lineage a crash at the *current* stage forces the survivors to
    replay for [lost] of [parts] partitions: everything accrued since the
@@ -66,7 +60,4 @@ let on_stage (ot : t option) ~out_bytes : write option =
    lost share of the key space. The executor calls this before
    [on_stage], so the crashed stage's own output — recomputed anyway and
    charged separately — is not double-counted here. *)
-let replay_bytes (ot : t option) ~lost ~parts =
-  match ot with
-  | None -> 0
-  | Some t -> t.since_bytes * max 0 lost / max 1 parts
+let replay_bytes t ~lost ~parts = t.since_bytes * max 0 lost / max 1 parts

@@ -30,19 +30,18 @@ type write = {
 
 val make : Config.t -> t
 
-val observe : t option -> bytes:int -> unit
+val observe : t -> bytes:int -> unit
 (** Accrue lineage that is not stage output — shuffle movement, whose
     receipts would also have to be rebuilt when replaying from the last
-    checkpoint. [None] is a no-op. *)
+    checkpoint. *)
 
-val on_stage : t option -> out_bytes:int -> write option
+val on_stage : t -> out_bytes:int -> write option
 (** Account one finished compute stage with [out_bytes] of output: accrue
     it to lineage, then consult the policy. [Some w] means the executor
     must charge [w.io_seconds] to the stage and count the checkpoint;
-    lineage is already truncated. Stages with no output never checkpoint.
-    [None] manager is a no-op. *)
+    lineage is already truncated. Stages with no output never checkpoint. *)
 
-val replay_bytes : t option -> lost:int -> parts:int -> int
+val replay_bytes : t -> lost:int -> parts:int -> int
 (** Lineage bytes a crash at the current stage forces survivors to replay
     for [lost] of [parts] partitions: everything accrued since the last
     checkpoint, apportioned to the lost share. Call {e before}

@@ -21,13 +21,6 @@ let partition_count t = Array.length t.parts
 let total_rows t =
   Array.fold_left (fun acc p -> acc + Array.length p) 0 t.parts
 
-let part_bytes t =
-  Array.map
-    (fun p -> Array.fold_left (fun acc v -> acc + V.byte_size v) 0 p)
-    t.parts
-
-let total_bytes t = Array.fold_left ( + ) 0 (part_bytes t)
-
 (** Round-robin distribution of a bag's elements (no guarantee), mirroring
     block distribution of freshly loaded data. *)
 let of_bag ~partitions (v : V.t) : t =
@@ -58,7 +51,3 @@ let of_bag_by ~partitions ~key (v : V.t) : t =
 
 let to_bag t : V.t =
   V.Bag (Array.to_list t.parts |> List.concat_map Array.to_list)
-
-let map f t = { parts = Array.map (Array.map f) t.parts; key = None }
-
-let empty ~partitions = { parts = Array.make partitions [||]; key = None }

@@ -14,8 +14,6 @@ type t = {
 
 val partition_count : t -> int
 val total_rows : t -> int
-val part_bytes : t -> int array
-val total_bytes : t -> int
 
 val of_bag : partitions:int -> Nrc.Value.t -> t
 (** Round-robin distribution, no guarantee (freshly loaded data). *)
@@ -27,5 +25,3 @@ val of_bag_by : partitions:int -> key:string list list -> Nrc.Value.t -> t
     dictionaries with their label partitioning (Section 4). *)
 
 val to_bag : t -> Nrc.Value.t
-val map : (Nrc.Value.t -> Nrc.Value.t) -> t -> t
-val empty : partitions:int -> t

@@ -69,7 +69,7 @@ type state = {
   stats : Stats.t;
   trace : Trace.ctx option;
   faults : Faults.t option;
-  ckpt : Checkpoint.t option;
+  ckpt : Checkpoint.t;
   mem : Memory.t;
   env : env;
   pool : Pool.t; (* partition tasks run here; accounting stays outside *)
@@ -80,10 +80,10 @@ let unzip a = (Array.map fst a, Array.map snd a)
 (* Partition-wise evaluation goes through the pool. The task closures must
    not touch [st.stats]/[st.trace]/[st.mem]/[st.faults]: every hot loop
    below computes a pure per-partition result — its rows and their byte
-   size (plus, for the shuffle, a per-task accounting delta merged in
-   partition order) — and all shared accounting happens on the calling
-   domain after the barrier, reading the carried sizes. The sizes are pure
-   integer functions of the partitions, so a [domains = N] run stays
+   size (for the shuffle, the bytes sent to each destination) — and all
+   shared accounting happens on the calling domain after the barrier,
+   reading the carried sizes. The sizes are pure integer functions of the
+   partitions, summed in partition order, so a [domains = N] run stays
    bit-identical to [domains = 1], and no row is walked for sizing outside
    a task. *)
 let pool_parts st (f : int -> 'a -> Row.t array * int) (xs : 'a array) =
@@ -317,35 +317,37 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
       (* each task builds the destination lists for one *input* partition
          (reversed, as pushed); the merge below concatenates them in input
          partition order, which reproduces the sequential row order
-         exactly. Byte counters travel as per-task deltas. *)
-      let dests, (moved, received) =
-        Pool.map_parts st.pool
-          ~zero:(0, Array.make n 0)
-          ~merge:(fun (m1, r1) (m2, r2) -> (m1 + m2, Array.map2 ( + ) r1 r2))
+         exactly. Each task also returns the bytes it sends to each
+         destination; their sums in task order are the receipts, and all
+         receipts together are the bytes moved. *)
+      let tasks =
+        Pool.map st.pool
           (fun _ part ->
             let dest = Array.make n [] in
-            let received = Array.make n 0 in
-            let moved = ref 0 in
+            let sent = Array.make n 0 in
             let size = K.row_sizer () and key = K.compile_keys keys in
             Array.iter
               (fun row ->
                 let p = K.hash_key (key row) mod n in
                 dest.(p) <- row :: dest.(p);
-                let b = size row in
-                moved := !moved + b;
-                received.(p) <- received.(p) + b)
+                sent.(p) <- sent.(p) + size row)
               part;
-            (dest, (!moved, received)))
+            (dest, sent))
           r.parts
       in
-      let ntasks = Array.length dests in
+      let received = Array.make n 0 in
+      Array.iter
+        (fun (_, sent) ->
+          Array.iteri (fun q b -> received.(q) <- received.(q) + b) sent)
+        tasks;
+      let moved = Array.fold_left ( + ) 0 received in
       let dest =
         Array.init n (fun q ->
             let acc = ref [] in
             (* reversed per-task lists un-reverse as they are prepended;
                descending task order keeps earlier partitions first *)
-            for p = ntasks - 1 downto 0 do
-              acc := List.rev_append dests.(p).(q) !acc
+            for p = Array.length tasks - 1 downto 0 do
+              acc := List.rev_append (fst tasks.(p)).(q) !acc
             done;
             Array.of_list !acc)
       in
@@ -410,39 +412,44 @@ let charge_broadcast st rbytes =
 
 (* ------------------------------------------------------------------ *)
 (* Heavy-key detection (Section 5): per-partition sampling; a key is heavy
-   when it covers at least [heavy_threshold] of a partition's sample. *)
+   when it covers at least [heavy_threshold] of a partition's sample. The
+   set is taken from the incoming skew-triple instead when it is over the
+   same key (it "remains associated until the operator alters the key"). *)
 
-let heavy_keys st (r : rset) (keys : S.t list) : unit K.KeyTbl.t =
-  let cfg = st.cfg in
-  let heavy = K.KeyTbl.create 8 in
-  Array.iter
-    (fun part ->
-      let n = Array.length part in
-      if n > 0 then begin
-        let sample_n = min n cfg.Config.sample_per_partition in
-        let stride = max 1 (n / sample_n) in
-        let counts = K.KeyTbl.create 16 in
-        let key = K.compile_keys keys in
-        let sampled = ref 0 in
-        let i = ref 0 in
-        while !i < n do
-          let kv = key part.(!i) in
-          K.KeyTbl.replace counts kv
-            (1 + Option.value (K.KeyTbl.find_opt counts kv) ~default:0);
-          incr sampled;
-          i := !i + stride
-        done;
-        let cutoff =
-          max 2
-            (int_of_float
-               (ceil (cfg.Config.heavy_threshold *. float_of_int !sampled)))
-        in
-        K.KeyTbl.iter
-          (fun kv c -> if c >= cutoff then K.KeyTbl.replace heavy kv ())
-          counts
-      end)
-    r.parts;
-  heavy
+let heavy_set st (r : rset) (keys : S.t list) : unit K.KeyTbl.t =
+  match r.skew with
+  | Some (k, hk) when k = keys -> hk
+  | _ ->
+    let cfg = st.cfg in
+    let heavy = K.KeyTbl.create 8 in
+    Array.iter
+      (fun part ->
+        let n = Array.length part in
+        if n > 0 then begin
+          let sample_n = min n cfg.Config.sample_per_partition in
+          let stride = max 1 (n / sample_n) in
+          let counts = K.KeyTbl.create 16 in
+          let key = K.compile_keys keys in
+          let sampled = ref 0 in
+          let i = ref 0 in
+          while !i < n do
+            let kv = key part.(!i) in
+            K.KeyTbl.replace counts kv
+              (1 + Option.value (K.KeyTbl.find_opt counts kv) ~default:0);
+            incr sampled;
+            i := !i + stride
+          done;
+          let cutoff =
+            max 2
+              (int_of_float
+                 (ceil (cfg.Config.heavy_threshold *. float_of_int !sampled)))
+          in
+          K.KeyTbl.iter
+            (fun kv c -> if c >= cutoff then K.KeyTbl.replace heavy kv ())
+            counts
+        end)
+      r.parts;
+    heavy
 
 (* Each task splits one partition; the heavy-key set is shared read-only. *)
 let split_by_keys st (r : rset) (keys : S.t list) (hk : unit K.KeyTbl.t) :
@@ -517,16 +524,10 @@ let shuffle_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
   shuffle_stage st ~stage ~key:(Some lkey) l r ~lkey ~rkey
     (K.join ~lkey ~kind ~rcols)
 
-(* Figure 6: skew-aware join. The heavy-key set is taken from the incoming
-   skew-triple when it matches the join key (it "remains associated until
-   the operator alters the key"); otherwise it is regenerated by
-   sampling. The resulting skew-triple carries the keys forward. *)
+(* Figure 6: skew-aware join. The resulting skew-triple carries the heavy
+   keys forward. *)
 let skew_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols : rset =
-  let hk =
-    match l.skew with
-    | Some (k, hk) when k = lkey -> hk
-    | _ -> heavy_keys st l lkey
-  in
+  let hk = heavy_set st l lkey in
   if K.KeyTbl.length hk = 0 then
     { (shuffle_join st ~stage l r ~lkey ~rkey ~kind ~rcols) with
       skew = Some (lkey, hk) }
@@ -558,17 +559,10 @@ let has_unique_id keys =
       | _ -> false)
     keys
 
-let cols_subset exprs cols =
-  let module SS = Set.Make (String) in
-  let cs = SS.of_list cols in
-  List.for_all
-    (fun e -> List.for_all (fun c -> SS.mem c cs) (S.cols_used e))
-    exprs
-
 (* ------------------------------------------------------------------ *)
 (* Operator dispatch *)
 
-let map_parts st ~stage ?(key = fun k -> k) ?(keep_skew = false) f (r : rset)
+let map_stage st ~stage ?(key = fun k -> k) ?(keep_skew = false) f (r : rset)
     : rset =
   let out =
     mk_rset ~key:(key r.key)
@@ -578,15 +572,24 @@ let map_parts st ~stage ?(key = fun k -> k) ?(keep_skew = false) f (r : rset)
   account st ~stage [ r.bytes ] out;
   out
 
-(* the nest operators' shared tail: the output is partitioned by the
-   grouping columns, and its heavy-key set is null (Figure 6) *)
-let nested_by shuffle_keys parts =
-  mk_rset
-    ~key:
-      (match shuffle_keys with
-      | [] -> None
-      | sk -> Some (List.map (fun (n, _) -> S.Col [ n ]) sk))
-    parts
+(* The reduce side of both nest operators: bring each group to one
+   partition — everything to partition 0 when there is no grouping key —
+   and run [kernel] per partition. The grouping hash table is built over
+   the shuffled input, so that is the stage's spillable side (external
+   group-by). The output is partitioned by the grouping columns, and its
+   heavy-key set is null (Figure 6). *)
+let grouped st ~shuffle_at ~stage (r : rset) ~keys ~agg_keys kernel : rset =
+  let shuffle_keys = if keys = [] then agg_keys else keys in
+  let r', key =
+    match shuffle_keys with
+    | [] -> (gather st r, None)
+    | sk ->
+      ( ensure_partitioned st ~stage:shuffle_at r (List.map snd sk),
+        Some (List.map (fun (n, _) -> S.Col [ n ]) sk) )
+  in
+  let out = mk_rset ~key (pool_parts st (fun _ -> kernel) r'.parts) in
+  account st ~stage ~spill:(Spill_parts [ r'.bytes ]) [ r'.bytes ] out;
+  out
 
 let next_id_base = ref 0
 
@@ -624,7 +627,7 @@ and exec (st : state) (op : Op.t) : rset =
   | Op.Select (p, child) ->
     let r = run st child in
     trace_rows_in st [ r ];
-    map_parts st ~stage:"select" ~keep_skew:true (fun _ -> K.select p) r
+    map_stage st ~stage:"select" ~keep_skew:true (fun _ -> K.select p) r
   | Op.Project (fields, child) ->
     let r = run st child in
     trace_rows_in st [ r ];
@@ -641,7 +644,7 @@ and exec (st : state) (op : Op.t) : rset =
           Some (List.map (fun o -> S.Col [ fst (Option.get o) ]) mapped)
         else None
     in
-    map_parts st ~stage:"project" (fun _ -> K.project fields) r
+    map_stage st ~stage:"project" (fun _ -> K.project fields) r
       ~key:(fun _ -> new_key)
   | Op.Join { left; right; lkey; rkey; kind } ->
     let l = run st left in
@@ -663,7 +666,7 @@ and exec (st : state) (op : Op.t) : rset =
   | Op.Unnest { input; path; binder; outer; drop } ->
     let r = run st input in
     trace_rows_in st [ r ];
-    map_parts st ~stage:"unnest" ~keep_skew:true
+    map_stage st ~stage:"unnest" ~keep_skew:true
       (fun _ -> K.unnest ~path ~binder ~outer ~drop)
       r
   | Op.AddIndex { input; col } ->
@@ -671,7 +674,7 @@ and exec (st : state) (op : Op.t) : rset =
     trace_rows_in st [ r ];
     incr next_id_base;
     let base = !next_id_base * (1 lsl 50) in
-    map_parts st ~stage:"add_index" ~keep_skew:true
+    map_stage st ~stage:"add_index" ~keep_skew:true
       (fun p part ->
         ( K.add_index ~col (fun i -> base + (p lsl 28) + i) part,
           (* one column of 8 bytes holding an 8-byte int per row *)
@@ -681,8 +684,7 @@ and exec (st : state) (op : Op.t) : rset =
       { input = Op.Join { left; right; lkey; rkey; kind };
         keys; agg_keys = []; item; presence; out }
     when st.opts.cogroup && (not st.opts.skew_aware) && has_unique_id keys
-         && cols_subset (List.map snd keys) (Op.columns left)
-         && cols_subset lkey (Op.columns left) ->
+         && S.reads_only (Op.columns left) (List.map snd keys @ lkey) ->
     let l = run st left in
     let r = run st right in
     trace_rows_in st [ l; r ];
@@ -699,23 +701,8 @@ and exec (st : state) (op : Op.t) : rset =
   | Op.NestBag { input; keys; agg_keys; item; presence; out } ->
     let r = run st input in
     trace_rows_in st [ r ];
-    let shuffle_keys = if keys = [] then agg_keys else keys in
-    let r' =
-      match shuffle_keys with
-      | [] -> gather st r
-      | sk -> ensure_partitioned st ~stage:"nest" r (List.map snd sk)
-    in
-    let outp =
-      nested_by shuffle_keys
-        (pool_parts st
-           (fun _ -> K.nest_bag ~keys ~agg_keys ~item ~presence ~out)
-           r'.parts)
-    in
-    (* external group-by: the grouping hash table is built over the
-       shuffled input *)
-    account st ~stage:"nest_bag" ~spill:(Spill_parts [ r'.bytes ])
-      [ r'.bytes ] outp;
-    outp
+    grouped st ~shuffle_at:"nest" ~stage:"nest_bag" r ~keys ~agg_keys
+      (K.nest_bag ~keys ~agg_keys ~item ~presence ~out)
   | Op.NestSum { input; keys; agg_keys; aggs; presence } ->
     let r = run st input in
     trace_rows_in st [ r ];
@@ -737,30 +724,17 @@ and exec (st : state) (op : Op.t) : rset =
       | [] -> S.Const (V.Bool true)
       | (n, _) :: _ -> S.Not (S.IsNull (S.Col [ n ]))
     in
-    let shuffle_keys = if keys = [] then agg_keys' else keys' in
-    let r' =
-      match shuffle_keys with
-      | [] -> gather st partials
-      | sk -> ensure_partitioned st ~stage:"nest_sum" partials (List.map snd sk)
-    in
-    let outp =
-      nested_by shuffle_keys
-        (pool_parts st
-           (fun _ ->
-             K.nest_sum ~keys:keys' ~agg_keys:agg_keys' ~aggs:aggs'
-               ~presence:presence')
-           r'.parts)
-    in
-    account st ~stage:"nest_sum" ~spill:(Spill_parts [ r'.bytes ])
-      [ r'.bytes ] outp;
-    outp
+    grouped st ~shuffle_at:"nest_sum" ~stage:"nest_sum" partials ~keys:keys'
+      ~agg_keys:agg_keys'
+      (K.nest_sum ~keys:keys' ~agg_keys:agg_keys' ~aggs:aggs'
+         ~presence:presence')
   | Op.Dedup child ->
     let r = run st child in
     trace_rows_in st [ r ];
     let cols = Op.columns child in
     let key_exprs = List.map (fun c -> S.Col [ c ]) cols in
     let r' = ensure_partitioned st ~stage:"dedup" r key_exprs in
-    map_parts st ~stage:"dedup" (fun _ -> K.dedup) r'
+    map_stage st ~stage:"dedup" (fun _ -> K.dedup) r'
   | Op.UnionAll (left, right) ->
     let l = run st left in
     let r = run st right in
@@ -775,11 +749,7 @@ and exec (st : state) (op : Op.t) : rset =
     if st.opts.skew_aware then begin
       (* Figure 6: repartition only light labels; heavy labels stay put;
          the resulting dictionary is a skew-triple with known heavy keys *)
-      let hk =
-        match r.skew with
-        | Some (k, hk) when k = [ label ] -> hk
-        | _ -> heavy_keys st r [ label ]
-      in
+      let hk = heavy_set st r [ label ] in
       if K.KeyTbl.length hk = 0 then
         { (shuffle st ~stage:"bag_to_dict" r [ label ]) with
           skew = Some ([ label ], hk) }
@@ -829,7 +799,7 @@ let run_plan ?(options = default_options) ?trace ?faults ?checkpoint ?pool
   let go pool =
     let st =
       { cfg = config; opts = options; stats; trace; faults;
-        ckpt = Some ckpt; mem = Memory.create ?faults config; env; pool }
+        ckpt; mem = Memory.create ?faults config; env; pool }
     in
     rset_to_dataset (Op.columns plan) (run st plan)
   in

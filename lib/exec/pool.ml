@@ -9,9 +9,8 @@
     all worker lanes have retired from the current epoch.
 
     Determinism does not depend on which lane runs which index: tasks
-    must not touch shared mutable state, results land in per-index slots,
-    and deltas are folded in task-index order after the barrier — so any
-    interleaving produces bit-identical outputs. *)
+    must not touch shared mutable state and results land in per-index
+    slots — so any interleaving produces bit-identical outputs. *)
 
 type t = {
   size : int; (* lanes, including the calling domain *)
@@ -93,29 +92,23 @@ let with_pool ~domains f =
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* Post [body] over [0..limit-1], participate, and wait for the barrier.
-   [body] must not raise (map wrappers capture exceptions per index). *)
+   [body] must not raise ([map] captures exceptions per index). *)
 let run_job t limit body =
-  if t.size = 1 || limit <= 1 then
-    for i = 0 to limit - 1 do
-      body i
-    done
-  else begin
-    Mutex.lock t.m;
-    t.job <- body;
-    t.limit <- limit;
-    Atomic.set t.next 0;
-    t.active <- Array.length t.workers;
-    t.epoch <- t.epoch + 1;
-    Condition.broadcast t.work;
-    Mutex.unlock t.m;
-    drain t body limit;
-    Mutex.lock t.m;
-    while t.active > 0 do
-      Condition.wait t.idle t.m
-    done;
-    t.job <- no_job;
-    Mutex.unlock t.m
-  end
+  Mutex.lock t.m;
+  t.job <- body;
+  t.limit <- limit;
+  Atomic.set t.next 0;
+  t.active <- Array.length t.workers;
+  t.epoch <- t.epoch + 1;
+  Condition.broadcast t.work;
+  Mutex.unlock t.m;
+  drain t body limit;
+  Mutex.lock t.m;
+  while t.active > 0 do
+    Condition.wait t.idle t.m
+  done;
+  t.job <- no_job;
+  Mutex.unlock t.m
 
 (* First exception in task-index order wins, matching what the sequential
    path would have raised; later tasks may already have run, which is
@@ -127,23 +120,12 @@ let reraise_first errors =
       | None -> ())
     errors
 
-let map_parts t ~zero ~merge f arr =
+let map t f arr =
   let n = Array.length arr in
-  if n = 0 then ([||], zero)
-  else if t.size = 1 || n <= 1 then begin
-    (* sequential fast path: today's exact loop, exceptions propagate at
-       the raising index and later tasks never start *)
-    let delta = ref zero in
-    let out =
-      Array.mapi
-        (fun i x ->
-          let r, d = f i x in
-          delta := merge !delta d;
-          r)
-        arr
-    in
-    (out, !delta)
-  end
+  if t.size = 1 || n <= 1 then
+    (* sequential fast path: exceptions propagate at the raising index and
+       later tasks never start *)
+    Array.mapi f arr
   else begin
     let results = Array.make n None in
     let errors = Array.make n None in
@@ -153,21 +135,5 @@ let map_parts t ~zero ~merge f arr =
         | exception e ->
           errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
     reraise_first errors;
-    let out =
-      Array.map
-        (function Some (r, _) -> r | None -> assert false)
-        results
-    in
-    let delta =
-      Array.fold_left
-        (fun acc -> function Some (_, d) -> merge acc d | None -> acc)
-        zero results
-    in
-    (out, delta)
+    Array.map (function Some r -> r | None -> assert false) results
   end
-
-let map t f arr =
-  let out, () =
-    map_parts t ~zero:() ~merge:(fun () () -> ()) (fun i x -> (f i x, ())) arr
-  in
-  out

@@ -7,16 +7,16 @@
     real-hardware counterpart of the cluster the simulator models.
 
     Determinism contract: tasks must be pure with respect to shared state
-    (no [Stats]/[Trace]/[Memory]/[Faults] calls inside a task — all
-    accounting is returned as the task's delta). Results are stored in
-    per-index slots and deltas are folded left-to-right in task-index
-    order after the barrier, so for any [domains] the outcome —
-    results, merged deltas, and the exception raised, if any — is
-    bit-identical to the sequential run. [sim_seconds] therefore never
-    depends on [domains]; only wall-clock time does.
+    (no [Stats]/[Trace]/[Memory]/[Faults] calls inside a task — whatever
+    the caller accounts is part of the task's result). Results are stored
+    in per-index slots, so for any [domains] the outcome — results, and
+    the exception raised, if any — is bit-identical to the sequential
+    run; a caller that sums per-task quantities does so in task-index
+    order after the barrier. [sim_seconds] therefore never depends on
+    [domains]; only wall-clock time does.
 
     A pool with [domains = 1] spawns no domains at all and degenerates to
-    today's sequential loop. [map_parts] must not be called from inside a
+    the sequential [Array.mapi]. [map] must not be called from inside a
     task of the same pool (the executor never nests: tasks are leaf
     computations). *)
 
@@ -36,24 +36,9 @@ val shutdown : t -> unit
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [create], run, then [shutdown] — even if the callback raises. *)
 
-val map_parts :
-  t ->
-  zero:'d ->
-  merge:('d -> 'd -> 'd) ->
-  (int -> 'a -> 'b * 'd) ->
-  'a array ->
-  'b array * 'd
-(** [map_parts pool ~zero ~merge f arr] applies [f i arr.(i)] to every
-    index, each task returning its result plus a local accounting delta,
-    and returns the results in order together with the deltas folded as
-    [merge (... (merge zero d0) ...) dn-1] — strictly in task-index
-    order, so [merge] need not be commutative (it should be associative
-    for the fold to mean anything across runs, which the QCheck suite
-    checks for the executor's monoids). If tasks raise, the exception of
-    the {e lowest} raising index is re-raised with its backtrace after
-    the barrier — exactly the one the sequential loop would have
-    surfaced. *)
-
 val map : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
-(** [map_parts] without a delta: a parallel, order-preserving
-    [Array.mapi]. *)
+(** [map pool f arr] is a parallel, order-preserving [Array.mapi f arr]:
+    [f i arr.(i)] runs for every index and its result lands in slot [i].
+    If tasks raise, the exception of the {e lowest} raising index is
+    re-raised with its backtrace after the barrier — exactly the one the
+    sequential loop would have surfaced. *)

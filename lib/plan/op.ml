@@ -102,19 +102,6 @@ let rec columns = function
 (* ------------------------------------------------------------------ *)
 (* Datasets scanned by the plan *)
 
-let rec inputs = function
-  | Nil _ | UnitRow -> []
-  | Scan { input; _ } -> [ input ]
-  | Select (_, p) | Dedup p | Project (_, p) -> inputs p
-  | Join { left; right; _ } | Product (left, right) | UnionAll (left, right) ->
-    inputs left @ inputs right
-  | Unnest { input; _ }
-  | AddIndex { input; _ }
-  | NestBag { input; _ }
-  | NestSum { input; _ }
-  | BagToDict { input; _ } ->
-    inputs input
-
 let name = function
   | Nil _ -> "Nil"
   | UnitRow -> "UnitRow"
@@ -142,6 +129,24 @@ let children = function
   | NestSum { input; _ }
   | BagToDict { input; _ } ->
     [ input ]
+
+let map_children f = function
+  | (Nil _ | UnitRow | Scan _) as op -> op
+  | Select (p, c) -> Select (p, f c)
+  | Project (fields, c) -> Project (fields, f c)
+  | Dedup c -> Dedup (f c)
+  | Join j -> Join { j with left = f j.left; right = f j.right }
+  | Product (l, r) -> Product (f l, f r)
+  | UnionAll (l, r) -> UnionAll (f l, f r)
+  | Unnest u -> Unnest { u with input = f u.input }
+  | AddIndex a -> AddIndex { a with input = f a.input }
+  | NestBag n -> NestBag { n with input = f n.input }
+  | NestSum n -> NestSum { n with input = f n.input }
+  | BagToDict b -> BagToDict { b with input = f b.input }
+
+let rec inputs = function
+  | Scan { input; _ } -> [ input ]
+  | op -> List.concat_map inputs (children op)
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printing: indented operator tree *)

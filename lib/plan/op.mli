@@ -89,6 +89,12 @@ val inputs : t -> string list
 (** Datasets scanned (with duplicates). *)
 
 val children : t -> t list
+(** Direct inputs, left before right. *)
+
+val map_children : (t -> t) -> t -> t
+(** Rebuild the root operator over [f] applied to each direct input; every
+    other field is kept. [children (map_children f op)] is
+    [List.map f (children op)]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented operator-tree rendering (cf. Figure 3). *)

@@ -147,24 +147,18 @@ let prune_columns op = prune (whole_demands (Op.columns op)) op
 (* ------------------------------------------------------------------ *)
 (* Selection pushdown *)
 
-let cols_subset exprs cols =
-  let cs = SSet.of_list cols in
-  List.for_all
-    (fun e -> List.for_all (fun c -> SSet.mem c cs) (Sexpr.cols_used e))
-    exprs
-
 let rec push_select (op : Op.t) : Op.t =
   match op with
   | Op.Select (p, Op.Join ({ left; right; kind; _ } as j)) ->
-    if cols_subset [ p ] (Op.columns left) then
+    if Sexpr.reads_only (Op.columns left) [ p ] then
       push_select (Op.Join { j with left = Op.Select (p, left) })
-    else if kind = Op.Inner && cols_subset [ p ] (Op.columns right) then
+    else if kind = Op.Inner && Sexpr.reads_only (Op.columns right) [ p ] then
       push_select (Op.Join { j with right = Op.Select (p, right) })
     else Op.Select (p, push_select (Op.Join j))
   | Op.Select (p, Op.Product (l, r)) ->
-    if cols_subset [ p ] (Op.columns l) then
+    if Sexpr.reads_only (Op.columns l) [ p ] then
       push_select (Op.Product (Op.Select (p, l), r))
-    else if cols_subset [ p ] (Op.columns r) then
+    else if Sexpr.reads_only (Op.columns r) [ p ] then
       push_select (Op.Product (l, Op.Select (p, r)))
     else Op.Select (p, push_select (Op.Product (l, r)))
   | Op.Select (p, Op.Unnest ({ input; binder; _ } as u)) ->
@@ -173,20 +167,7 @@ let rec push_select (op : Op.t) : Op.t =
     else Op.Select (p, push_select (Op.Unnest u))
   | Op.Select (p, Op.Select (q, child)) ->
     push_select (Op.Select (Sexpr.Logic (Nrc.Expr.And, p, q), child))
-  (* recurse *)
-  | Op.Nil _ | Op.UnitRow | Op.Scan _ -> op
-  | Op.Select (p, c) -> Op.Select (p, push_select c)
-  | Op.Project (f, c) -> Op.Project (f, push_select c)
-  | Op.Join j ->
-    Op.Join { j with left = push_select j.left; right = push_select j.right }
-  | Op.Product (l, r) -> Op.Product (push_select l, push_select r)
-  | Op.Unnest u -> Op.Unnest { u with input = push_select u.input }
-  | Op.AddIndex a -> Op.AddIndex { a with input = push_select a.input }
-  | Op.NestBag n -> Op.NestBag { n with input = push_select n.input }
-  | Op.NestSum n -> Op.NestSum { n with input = push_select n.input }
-  | Op.Dedup c -> Op.Dedup (push_select c)
-  | Op.UnionAll (l, r) -> Op.UnionAll (push_select l, push_select r)
-  | Op.BagToDict b -> Op.BagToDict { b with input = push_select b.input }
+  | op -> Op.map_children push_select op
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation pushdown.
@@ -239,8 +220,8 @@ let rec push_agg unique_keys (op : Op.t) : Op.t =
         keys; agg_keys; aggs = [ (out, value) ]; presence }
     when scan_of_unique unique_keys right rkey ->
     let lcols = Op.columns left in
-    let left_sided e = cols_subset [ e ] lcols in
-    let right_sided e = cols_subset [ e ] (Op.columns right) in
+    let left_sided e = Sexpr.reads_only lcols [ e ] in
+    let right_sided e = Sexpr.reads_only (Op.columns right) [ e ] in
     (* A left-sided conjunct of the form not(isnull(x)) is implied by the
        right-sided presence whenever some join key references x: a Null x
        nulls the key, the (outer) join then cannot match, and the right side
@@ -304,24 +285,7 @@ let rec push_agg unique_keys (op : Op.t) : Op.t =
       Op.NestSum
         { input = push_agg unique_keys (Op.Join { left; right; lkey; rkey; kind });
           keys; agg_keys; aggs = [ (out, value) ]; presence })
-  (* recurse *)
-  | Op.Nil _ | Op.UnitRow | Op.Scan _ -> op
-  | Op.Select (p, c) -> Op.Select (p, push_agg unique_keys c)
-  | Op.Project (f, c) -> Op.Project (f, push_agg unique_keys c)
-  | Op.Join j ->
-    Op.Join
-      { j with
-        left = push_agg unique_keys j.left;
-        right = push_agg unique_keys j.right }
-  | Op.Product (l, r) -> Op.Product (push_agg unique_keys l, push_agg unique_keys r)
-  | Op.Unnest u -> Op.Unnest { u with input = push_agg unique_keys u.input }
-  | Op.AddIndex a -> Op.AddIndex { a with input = push_agg unique_keys a.input }
-  | Op.NestBag n -> Op.NestBag { n with input = push_agg unique_keys n.input }
-  | Op.NestSum n -> Op.NestSum { n with input = push_agg unique_keys n.input }
-  | Op.Dedup c -> Op.Dedup (push_agg unique_keys c)
-  | Op.UnionAll (l, r) ->
-    Op.UnionAll (push_agg unique_keys l, push_agg unique_keys r)
-  | Op.BagToDict b -> Op.BagToDict { b with input = push_agg unique_keys b.input }
+  | op -> Op.map_children (push_agg unique_keys) op
 
 (* ------------------------------------------------------------------ *)
 

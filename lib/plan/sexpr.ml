@@ -119,6 +119,9 @@ let rec cols_used (e : t) : string list =
   | MkLabel { args; _ } -> List.concat_map cols_used args
   | MkTuple fields -> List.concat_map (fun (_, x) -> cols_used x) fields
 
+let reads_only cols exprs =
+  List.for_all (fun e -> List.for_all (fun c -> List.mem c cols) (cols_used e)) exprs
+
 let rec pp ppf = function
   | Col p -> Fmt.string ppf (String.concat "." p)
   | Const v -> Nrc.Value.pp ppf v

@@ -41,4 +41,8 @@ val compile_pred : t -> Row.t -> bool
 val cols_used : t -> string list
 (** Columns referenced (for pushdown analyses). *)
 
+val reads_only : string list -> t list -> bool
+(** [reads_only cols exprs]: every column the [exprs] reference is in
+    [cols], so they can be evaluated over rows with just those columns. *)
+
 val pp : Format.formatter -> t -> unit

@@ -1,9 +1,8 @@
 (** Direct unit tests for the partitioner underneath the executor:
     round-robin placement of freshly loaded bags, the hash co-location
-    guarantee of [of_bag_by], the multiset round-trip through [to_bag],
-    and the byte / row accounting the cost model and the memory manager
-    both read. These invariants are what the shuffle-elision and recovery
-    layers silently rely on. *)
+    guarantee of [of_bag_by], and the multiset round-trip through
+    [to_bag] with its row count. These invariants are what the
+    shuffle-elision and recovery layers silently rely on. *)
 
 module V = Nrc.Value
 module D = Exec.Dataset
@@ -190,36 +189,11 @@ let prop_roundtrip =
       V.approx_bag_equal (D.to_bag d) v
       && D.total_rows d = List.length (V.bag_items v))
 
-(* total_bytes = sum of part_bytes = sum of element byte_size: the single
-   quantity the cost model, the memory manager and the checkpoint write
-   cost all read *)
-let test_byte_accounting () =
-  let v = bag 31 in
-  let d = D.of_bag ~partitions:4 v in
-  let per_part = D.part_bytes d in
-  check_int "partition array length" 4 (Array.length per_part);
-  check_int "total = sum of parts"
-    (Array.fold_left ( + ) 0 per_part)
-    (D.total_bytes d);
-  let expected =
-    List.fold_left (fun acc it -> acc + V.byte_size it) 0 (V.bag_items v)
-  in
-  check_int "total = sum of element sizes" expected (D.total_bytes d)
-
 let test_empty () =
-  let d = D.empty ~partitions:6 in
+  let d = D.of_bag ~partitions:6 (V.Bag []) in
   check_int "partitions" 6 (D.partition_count d);
   check_int "no rows" 0 (D.total_rows d);
-  check_int "no bytes" 0 (D.total_bytes d);
   check "empty bag" true (D.to_bag d = V.Bag [])
-
-(* map transforms every element and drops the guarantee (the transform may
-   rewrite the key fields) *)
-let test_map_drops_guarantee () =
-  let d = D.of_bag_by ~partitions:3 ~key:[ [ "k" ] ] (bag 12) in
-  let d' = D.map (fun v -> V.Tuple [ ("x", v) ]) d in
-  check "guarantee dropped" true (d'.D.key = None);
-  check_int "rows preserved" (D.total_rows d) (D.total_rows d')
 
 (* worker_of_partition is the round-robin placement the crash injector
    uses to decide which partitions die with a worker *)
@@ -253,11 +227,7 @@ let () =
       );
       ( "round-trip and accounting",
         [
-          Alcotest.test_case "bytes add up across partitions" `Quick
-            test_byte_accounting;
           Alcotest.test_case "empty dataset" `Quick test_empty;
-          Alcotest.test_case "map drops the guarantee" `Quick
-            test_map_drops_guarantee;
           Alcotest.test_case "worker_of_partition is round-robin" `Quick
             test_worker_of_partition;
         ]

@@ -242,6 +242,61 @@ let test_prune_keeps_whole_uses () =
        (function Op.Project (_, Op.Scan _) -> true | _ -> false)
        (match opt with Op.Project (_, inner) -> inner | p -> p))
 
+(* [Op.map_children] is the optimizer's one plan traversal: it must keep
+   every node it does not rewrite, and reach every child exactly once, in
+   [Op.children] order. Checked at every node of every corpus plan, both
+   routes, optimized and not. [Dedup] is an injective wrapper, so a child
+   that is dropped or swapped shows in the children list. *)
+let corpus_plans () =
+  List.concat_map
+    (fun (_, q) ->
+      let prog = Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" q in
+      List.concat_map
+        (fun optimizer ->
+          let config = { Trance.Api.default_config with optimizer } in
+          let sc = Trance.Api.compile_shredded ~config prog in
+          List.map snd (Trance.Api.compile_standard ~config prog)
+          @ List.map snd sc.Trance.Api.plans
+          @ Option.to_list sc.Trance.Api.unshred_plan)
+        [ Plan.Optimize.default; Plan.Optimize.none ])
+    Fixtures.corpus
+
+let test_map_children () =
+  let wrap c = Op.Dedup c in
+  let rec nodes p = p :: List.concat_map nodes (Op.children p) in
+  List.iter
+    (fun plan ->
+      List.iter
+        (fun p ->
+          check (Op.name p ^ ": identity keeps the node") true
+            (Op.map_children Fun.id p = p);
+          check (Op.name p ^ ": each child mapped, in order") true
+            (Op.children (Op.map_children wrap p)
+            = List.map wrap (Op.children p)))
+        (nodes plan))
+    (corpus_plans ())
+
+(* [Sexpr.reads_only] decides every pushdown past a join: it looks at
+   the top-level column of each referenced path only, holds vacuously on
+   no expressions, and fails as soon as one expression reads a column
+   outside the set. *)
+let test_reads_only () =
+  let lhs = [ "a"; "b" ] in
+  let both = S.Cmp (Nrc.Expr.Eq, S.path "a" [ "x"; "y" ], S.col "b") in
+  let nested =
+    S.MkTuple [ ("k", S.IsNull (S.col "a")); ("l", S.MkLabel { site = 1; args = [ S.col "b" ] }) ]
+  in
+  check "no expressions" true (S.reads_only [] []);
+  check "constants read nothing" true (S.reads_only [] [ S.Const (V.Int 1) ]);
+  check "tuple paths count by their column" true (S.reads_only lhs [ both ]);
+  check "nested expressions" true (S.reads_only lhs [ both; nested ]);
+  check "a field name is no column" false
+    (S.reads_only [ "x" ] [ S.path "a" [ "x" ] ]);
+  check "one foreign column fails the list" false
+    (S.reads_only lhs [ both; S.Not (S.col "c") ]);
+  check "label arguments are read" false
+    (S.reads_only [ "a" ] [ nested ])
+
 (* ------------------------------------------------------------------ *)
 (* Row sizes are additive over columns. The executor derives partition
    sizes from this instead of re-walking rows: an unnested row is its
@@ -700,6 +755,10 @@ let () =
           Alcotest.test_case "select fusion" `Quick test_select_fusion;
           Alcotest.test_case "prune respects whole uses" `Quick
             test_prune_keeps_whole_uses;
+          Alcotest.test_case "map_children: identity and children law" `Quick
+            test_map_children;
+          Alcotest.test_case "reads_only: top-level columns only" `Quick
+            test_reads_only;
         ] );
       ( "row sizes",
         List.map QCheck_alcotest.to_alcotest

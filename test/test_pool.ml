@@ -1,17 +1,16 @@
 (** The domain pool and its determinism contract.
 
     Two layers. First, properties of {!Exec.Pool} itself: [map] agrees
-    with [Array.mapi] at every domain count, per-task deltas are folded
-    strictly in task-index order (checked with a non-commutative monoid),
-    an associative merge reproduces the sequential left fold, and the
-    lowest-index exception is the one that propagates — with the pool
-    still usable afterwards. Second, the differential campaign behind the
-    [--domains] knob: for every corpus query, strategy and scenario
-    (clean, fault storm, tight-memory spilling, checkpointed storm), a
-    4-domain run must be bit-identical to the sequential run — same
-    value, same failure, same counters, same span tree — once the only
-    legitimately non-deterministic quantity, wall-clock time, is stripped
-    ({!Exec.Stats.strip_wall}, {!Exec.Trace.without_wall}). *)
+    with [Array.mapi] at every domain count, including empty and
+    singleton inputs, and the lowest-index exception is the one that
+    propagates — with the pool still usable afterwards. Second, the
+    differential campaign behind the [--domains] knob: for every corpus
+    query, strategy and scenario (clean, fault storm, tight-memory
+    spilling, checkpointed storm), a 4-domain run must be bit-identical to
+    the sequential run — same value, same failure, same counters, same
+    span tree — once the only legitimately non-deterministic quantity,
+    wall-clock time, is stripped ({!Exec.Stats.strip_wall},
+    {!Exec.Trace.without_wall}). *)
 
 module V = Nrc.Value
 module F = Exec.Faults
@@ -38,39 +37,6 @@ let prop_map_matches_sequential =
       let f i x = (i * 1031) lxor (x * 7) in
       Pool.with_pool ~domains (fun pool -> Pool.map pool f arr)
       = Array.mapi f arr)
-
-(* the delta monoid need not be commutative: list append keeps the
-   task-index order visible, so the folded delta spells out 0..n-1 *)
-let prop_delta_fold_order =
-  QCheck.Test.make
-    ~name:"map_parts: deltas fold in task-index order (non-commutative)"
-    ~count:(count 200) arbitrary_pool_case (fun (l, domains) ->
-      let arr = Array.of_list l in
-      let out, order =
-        Pool.with_pool ~domains (fun pool ->
-            Pool.map_parts pool ~zero:[] ~merge:( @ )
-              (fun i x -> (x + 1, [ i ]))
-              arr)
-      in
-      out = Array.map (fun x -> x + 1) arr
-      && order = List.init (Array.length arr) Fun.id)
-
-(* with an associative (but still non-commutative) merge, any grouping
-   the pool picks reproduces the sequential left fold exactly *)
-let prop_delta_merge_associative =
-  QCheck.Test.make
-    ~name:"map_parts: associative merge reproduces the sequential fold"
-    ~count:(count 200) arbitrary_pool_case (fun (l, domains) ->
-      let arr = Array.of_list l in
-      let _, d =
-        Pool.with_pool ~domains (fun pool ->
-            Pool.map_parts pool ~zero:"" ~merge:( ^ )
-              (fun i x -> ((), Printf.sprintf "<%d:%d>" i x))
-              arr)
-      in
-      d
-      = String.concat ""
-          (List.mapi (fun i x -> Printf.sprintf "<%d:%d>" i x) l))
 
 (* sequential semantics: the first (lowest-index) raising task is the one
    the caller observes, whatever order the domains actually ran in — and
@@ -99,13 +65,8 @@ let test_create_shutdown () =
 
 let test_empty_and_singleton () =
   Pool.with_pool ~domains:4 (fun pool ->
-      let out, d =
-        Pool.map_parts pool ~zero:"z" ~merge:( ^ )
-          (fun i x -> (x, string_of_int i))
-          [||]
-      in
-      check "empty input, empty output" true (out = [||]);
-      check "empty input keeps zero" true (d = "z");
+      check "empty input, empty output" true
+        (Pool.map pool (fun i x -> i + x) [||] = [||]);
       check "singleton" true (Pool.map pool (fun i x -> i + x) [| 9 |] = [| 9 |]))
 
 (* ------------------------------------------------------------------ *)
@@ -214,10 +175,6 @@ let () =
             test_empty_and_singleton;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [
-              prop_map_matches_sequential;
-              prop_delta_fold_order;
-              prop_delta_merge_associative;
-            ] );
+            [ prop_map_matches_sequential ] );
       ("sequential = parallel campaign", campaign_tests);
     ]

@@ -50,6 +50,56 @@ let test_shredded_inputs () =
       (rest = [ ("odate", T.date); ("oparts", T.TLabel) ])
   | _ -> Alcotest.fail "unexpected dict type")
 
+(* Dictionaries are told apart by name when inputs are loaded and plans
+   are cast: [is_dict_name] must accept every [dict_name] dataset of a
+   shredded input, and neither its [top_name] bag nor the label-domain
+   names ([domain_name]) of the same paths. *)
+let test_is_dict_name () =
+  let module ST = Trance.Shred_type in
+  let nested =
+    List.concat_map
+      (fun wide ->
+        List.init 5 (fun level ->
+            (Tpch.Queries.nested_name, Tpch.Queries.nested_input_ty ~wide ~level ())))
+      [ false; true ]
+  in
+  let dicts = ref 0 in
+  List.iter
+    (fun (base, ty) ->
+      let paths = ST.dict_paths (T.element ty) in
+      List.iter
+        (fun (n, _) ->
+          let is_dict = List.mem n (List.map (ST.dict_name base) paths) in
+          if is_dict then incr dicts;
+          check (n ^ " classified") is_dict (ST.is_dict_name n))
+        (ST.shredded_inputs base ty);
+      check (base ^ ": top bag is no dictionary") false
+        (ST.is_dict_name (ST.top_name base));
+      List.iter
+        (fun path ->
+          let d = ST.domain_name base path in
+          check (d ^ ": label domain is no dictionary") false (ST.is_dict_name d))
+        paths)
+    (Tpch.Schema.flat_inputs_ty @ nested @ Biomed.Schema.inputs_ty);
+  check "some dictionaries seen" true (!dicts > 0)
+
+(* [is_dict_name] is a name test, not a lookup: longer than three
+   characters with ["_D_"] anywhere. Pins the edges of that rule. *)
+let test_is_dict_name_edges () =
+  let module ST = Trance.Shred_type in
+  List.iter
+    (fun (n, expected) -> check (Printf.sprintf "%S" n) expected (ST.is_dict_name n))
+    [
+      ("", false);
+      ("_D_", false);
+      ("x_D_", true);
+      ("_D_x", true);
+      ("COP_D_orders_D_oparts", true);
+      ("_Dom_", false);
+      ("Lineitem", false);
+      ("a_d_b", false);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Value shredding *)
 
@@ -274,6 +324,9 @@ let () =
           Alcotest.test_case "dictionary paths" `Quick test_dict_paths;
           Alcotest.test_case "shredded input signature" `Quick
             test_shredded_inputs;
+          Alcotest.test_case "dictionary names" `Quick test_is_dict_name;
+          Alcotest.test_case "dictionary names: length and marker edges" `Quick
+            test_is_dict_name_edges;
         ] );
       ( "values",
         [
