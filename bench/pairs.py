@@ -12,8 +12,19 @@ itself (into its own .bench_build/) before its first timed run.
 For every end-to-end metric that CHANGE_DIR/BENCHMARK.json declares, the
 report lists each pair, the median/min/max per side, the interquartile
 range of the parent's runs and the number of pairs the change won (ties
-count for neither side). A run that fails, answers wrongly or fails a
-query stops the comparison.
+count for neither side), then a one-line verdict:
+
+  gain              the change won at least 9/10 of the pairs and its
+                    median beats the parent's by more than the parent's
+                    interquartile range;
+  worse than bound  the change's median is worse than the parent's by
+                    more than the metric's relative `bound`;
+  within bound      neither, and the parent's interquartile range is
+                    within the bound (or every change run beat every
+                    parent run);
+  unresolved        neither, and the runs spread wider than the bound.
+
+A run that fails, answers wrongly or fails a query stops the comparison.
 """
 
 import argparse
@@ -47,6 +58,23 @@ def quartile_spread(xs):
         return 0.0
     q1, _, q3 = statistics.quantiles(xs, n=4)
     return q3 - q1
+
+
+def verdict(parent, change, wins, bound, lower):
+    """The metric's verdict by the rule in the module docstring."""
+    pm, cm = statistics.median(parent), statistics.median(change)
+    spread = quartile_spread(parent)
+    gap = pm - cm if lower else cm - pm  # positive: the change is better
+    if wins * 10 >= 9 * len(parent) and gap > spread:
+        return "gain"
+    allowed = bound * abs(pm)
+    if -gap > allowed:
+        return "worse than bound"
+    all_better = (max(change) < min(parent) if lower
+                  else min(change) > max(parent))
+    if spread > allowed and not all_better:
+        return "unresolved"
+    return "within bound"
 
 
 def main():
@@ -95,6 +123,8 @@ def main():
                   % (side, statistics.median(xs), min(xs), max(xs)))
         print("  parent interquartile range %.4f" % quartile_spread(parent))
         print("  change better in %d/%d pairs" % (wins, args.pairs))
+        print("  verdict: %s (bound %g of the parent's median)"
+              % (verdict(parent, change, wins, m["bound"], lower), m["bound"]))
 
 
 if __name__ == "__main__":

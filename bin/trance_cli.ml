@@ -11,6 +11,26 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Shared arguments *)
 
+(* An integer in [lo, hi]: anything else is a usage error naming the
+   option, not an exception deep inside a verb. *)
+let int_in ?(lo = min_int) ?(hi = max_int) () =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when lo <= n && n <= hi -> Ok n
+    | Some _ when hi = max_int ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo))
+    | Some _ ->
+      Error
+        (`Msg
+           (Printf.sprintf "invalid value '%s', expected an integer from %d to %d" s
+              lo hi))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let level = int_in ~lo:0 ~hi:4 ()
+let count = int_in ~lo:0 ()
+
 let family_arg =
   let parse = function
     | "flat-to-nested" | "f2n" -> Ok Tpch.Queries.Flat_to_nested
@@ -29,7 +49,7 @@ let family_arg =
 
 let level_arg =
   Arg.(
-    value & opt int 2
+    value & opt level 2
     & info [ "level"; "l" ] ~docv:"LEVEL" ~doc:"Nesting level (0-4).")
 
 let wide_arg =
@@ -44,7 +64,7 @@ let skew_arg =
 
 let scale_arg =
   Arg.(
-    value & opt int 150
+    value & opt count 150
     & info [ "customers" ] ~docv:"N" ~doc:"Number of customers to generate.")
 
 let strategy_arg =
@@ -384,13 +404,13 @@ let query_arg =
 
 let nested_level_arg =
   Arg.(
-    value & opt int 2
+    value & opt level 2
     & info [ "cop-level" ] ~docv:"LEVEL"
-        ~doc:"Nesting level of the COP input made available to the query.")
+        ~doc:"Nesting level (0-4) of the COP input made available to the query.")
 
 let limit_arg =
   Arg.(
-    value & opt int 10
+    value & opt count 10
     & info [ "limit" ] ~docv:"N" ~doc:"Print at most N result rows.")
 
 let run_query qtext level skew customers strategy skew_aware mem limit =

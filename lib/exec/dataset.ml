@@ -21,6 +21,9 @@ let partition_count t = Array.length t.parts
 let total_rows t =
   Array.fold_left (fun acc p -> acc + Array.length p) 0 t.parts
 
+(* a partition's elements, pushed in reverse *)
+let of_rev_list l = Plan.Row.array_of_list V.Null (List.rev l)
+
 (** Round-robin distribution of a bag's elements (no guarantee), mirroring
     block distribution of freshly loaded data. *)
 let of_bag ~partitions (v : V.t) : t =
@@ -31,7 +34,7 @@ let of_bag ~partitions (v : V.t) : t =
       let p = i mod partitions in
       parts.(p) <- item :: parts.(p))
     items;
-  { parts = Array.map (fun l -> Array.of_list (List.rev l)) parts; key = None }
+  { parts = Array.map of_rev_list parts; key = None }
 
 (** Hash distribution by field paths: establishes the key guarantee. Used to
     pre-partition dictionaries by label. *)
@@ -45,7 +48,7 @@ let of_bag_by ~partitions ~key (v : V.t) : t =
       parts.(p) <- item :: parts.(p))
     items;
   {
-    parts = Array.map (fun l -> Array.of_list (List.rev l)) parts;
+    parts = Array.map of_rev_list parts;
     key = Some key;
   }
 

@@ -341,15 +341,18 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
           Array.iteri (fun q b -> received.(q) <- received.(q) + b) sent)
         tasks;
       let moved = Array.fold_left ( + ) 0 received in
+      (* one merge task per destination, reading every task's lists *)
       let dest =
-        Array.init n (fun q ->
+        Pool.map st.pool
+          (fun q _ ->
             let acc = ref [] in
             (* reversed per-task lists un-reverse as they are prepended;
                descending task order keeps earlier partitions first *)
             for p = Array.length tasks - 1 downto 0 do
               acc := List.rev_append (fst tasks.(p)).(q) !acc
             done;
-            Array.of_list !acc)
+            Row.array_of_list Row.empty !acc)
+          received
       in
       let max_recv = Array.fold_left max 0 received in
       let dt = float_of_int max_recv *. cfg.Config.net_weight in
@@ -766,7 +769,7 @@ and exec (st : state) (op : Op.t) : rset =
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-let rset_to_dataset (cols : string list) (r : rset) : Dataset.t =
+let rset_to_dataset pool (cols : string list) (r : rset) : Dataset.t =
   let key =
     match r.key with
     | None -> None
@@ -783,7 +786,7 @@ let rset_to_dataset (cols : string list) (r : rset) : Dataset.t =
         Some (List.map Option.get paths)
       else None
   in
-  { Dataset.parts = Array.map (K.values cols) r.parts; key }
+  { Dataset.parts = Pool.map pool (fun _ -> K.values cols) r.parts; key }
 
 (** Execute one plan against named datasets; returns the result dataset.
     The checkpoint manager is created here when not supplied, so lineage
@@ -801,7 +804,7 @@ let run_plan ?(options = default_options) ?trace ?faults ?checkpoint ?pool
       { cfg = config; opts = options; stats; trace; faults;
         ckpt; mem = Memory.create ?faults config; env; pool }
     in
-    rset_to_dataset (Op.columns plan) (run st plan)
+    rset_to_dataset pool (Op.columns plan) (run st plan)
   in
   match pool with
   | Some p -> go p

@@ -54,7 +54,10 @@ type rset = {
           something alters the key (Section 5) *)
 }
 
-val rset_to_dataset : string list -> rset -> Dataset.t
+val rset_to_dataset : Pool.t -> string list -> rset -> Dataset.t
+(** The rows as result values ({!Plan.Kernel.values} over the plan
+    columns), one pool task per partition; the row guarantee becomes the
+    matching field-path guarantee where it survives. *)
 
 val reset_ids : unit -> unit
 (** Reset the global [AddIndex] id counter. The ids feed

@@ -89,13 +89,18 @@ let snoc vals v =
   Array.blit vals 0 out 0 m;
   out
 
+(* rows built one per input element, in order *)
+let map_rows f a = Row.array_init Row.empty (Array.length a) (fun i -> f a.(i))
+
 let scan ~binder items =
   let names = [| binder |] in
-  sized (Array.map (fun v -> Row.make names [| v |]) items)
+  sized (map_rows (fun v -> Row.make names [| v |]) items)
 
 let add_index ~col id (rows : Row.t array) =
   let names = Row.by_schema (fun names -> snoc names col) in
-  Array.mapi (fun i (row : Row.t) -> Row.make (names row) (snoc row.vals (V.Int (id i)))) rows
+  Row.array_init Row.empty (Array.length rows) (fun i ->
+      let row = rows.(i) in
+      Row.make (names row) (snoc row.vals (V.Int (id i))))
 
 (* ------------------------------------------------------------------ *)
 (* Joins *)
@@ -156,7 +161,7 @@ let join ~lkey ~kind ~rcols index (lrows : Row.t array) : sized =
             bytes := !bytes + lb + rsize rrow)
           rrows)
     lrows;
-  (Array.of_list (List.rev !out), !bytes)
+  (Row.array_of_list Row.empty (List.rev !out), !bytes)
 
 let cogroup ~lkey ~kind ~rcols ~keys ~item ~presence ~out index
     (lrows : Row.t array) : sized =
@@ -165,7 +170,7 @@ let cogroup ~lkey ~kind ~rcols ~keys ~item ~presence ~out index
   let key = Array.of_list (List.map (fun (_, e) -> S.compile e) keys) in
   let names = snoc (Array.of_list (List.map fst keys)) out in
   sized
-    (Array.of_list
+    (Row.array_of_list Row.empty
        (List.filter_map
           (fun lrow ->
             match probe lrow with
@@ -184,21 +189,21 @@ let cogroup ~lkey ~kind ~rcols ~keys ~item ~presence ~out index
 (* every left row meets every right row *)
 let product ((lrows, lbytes) : sized) ((rrows, rbytes) : sized) : sized =
   let joined = joiner () in
-  ( Array.concat
-      (Array.to_list (Array.map (fun lrow -> Array.map (joined lrow) rrows) lrows)),
-    (Array.length rrows * lbytes) + (Array.length lrows * rbytes) )
+  let nl = Array.length lrows and nr = Array.length rrows in
+  ( Row.array_init Row.empty (nl * nr) (fun i -> joined lrows.(i / nr) rrows.(i mod nr)),
+    (nr * lbytes) + (nl * rbytes) )
 
 (* ------------------------------------------------------------------ *)
 (* Row-wise operators *)
 
 let select p rows =
   let p = S.compile_pred p in
-  sized (Array.of_list (List.filter p (Array.to_list rows)))
+  sized (Row.array_of_list Row.empty (List.filter p (Array.to_list rows)))
 
 let project fields rows =
   let names = Array.of_list (List.map fst fields) in
   let fs = Array.of_list (List.map (fun (_, e) -> S.compile e) fields) in
-  sized (Array.map (fun row -> Row.make names (Array.map (fun f -> f row) fs)) rows)
+  sized (map_rows (fun row -> Row.make names (Array.map (fun f -> f row) fs)) rows)
 
 (* the first field [attr] removed *)
 let rec remove_field attr = function
@@ -255,7 +260,7 @@ let unnest ~path ~binder ~outer ~drop (rows : Row.t array) : sized =
             items)
       (Array.to_list rows)
   in
-  (Array.of_list out, !bytes)
+  (Row.array_of_list Row.empty out, !bytes)
 
 module RowTbl = Hashtbl.Make (struct
   type t = Row.t
@@ -270,7 +275,7 @@ end)
 let dedup rows =
   let seen = RowTbl.create 64 in
   sized
-    (Array.of_list
+    (Row.array_of_list Row.empty
        (List.filter
           (fun row ->
             if RowTbl.mem seen row then false
@@ -288,22 +293,23 @@ let picker names =
 let align cols rows =
   let names = Array.of_list cols in
   let pick = picker names in
-  sized (Array.map (fun row -> Row.make names (pick row)) rows)
+  sized (map_rows (fun row -> Row.make names (pick row)) rows)
 
 let values cols (rows : Row.t array) =
+  let map f = Row.array_init V.Null (Array.length rows) (fun i -> f rows.(i)) in
   match cols with
-  | [ "item" ] -> Array.map (S.compile (S.col "item")) rows
+  | [ "item" ] -> map (S.compile (S.col "item"))
   | _ ->
     let pick = picker (Array.of_list cols) in
-    Array.map (fun row -> V.Tuple (List.combine cols (Array.to_list (pick row)))) rows
+    map (fun row -> V.Tuple (List.combine cols (Array.to_list (pick row))))
 
 let split_by_keys keys hk ((rows, bytes) : sized) : sized * sized =
   let key = compile_keys keys in
   let light, heavy =
     List.partition (fun row -> not (KeyTbl.mem hk (key row))) (Array.to_list rows)
   in
-  let heavy, hbytes = sized (Array.of_list heavy) in
-  ((Array.of_list light, bytes - hbytes), (heavy, hbytes))
+  let heavy, hbytes = sized (Row.array_of_list Row.empty heavy) in
+  ((Row.array_of_list Row.empty light, bytes - hbytes), (heavy, hbytes))
 
 (* ------------------------------------------------------------------ *)
 (* Nest operators *)
@@ -400,7 +406,7 @@ let nest ~keys ~agg_keys ~presence ~aggs ~empty ~(fold : group -> int -> Row.t -
       | [] -> if global && not (global_empty || any_present) then [] else [ emit g ]
       | subs -> List.map emit subs)
     !groups
-  |> Array.of_list |> sized
+  |> Row.array_of_list Row.empty |> sized
 
 let nest_bag ~keys ~agg_keys ~item ~presence ~out rows =
   let item = S.compile item in

@@ -14,6 +14,9 @@
     output schema is derived once, when a row's schema differs from the
     last one seen ({!Row.by_schema}). Column order is part of a row's
     schema but not of its meaning: only {!align} and {!values} fix it.
+    Every row or value array a kernel returns is built by
+    {!Row.array_init} or {!Row.array_of_list}, so no output, however
+    long, forces a minor collection.
 
     The nest kernels group in one pass: each row's keys fill one reusable
     probe array, hashed once with {!hash_key}'s fold and looked up once (a

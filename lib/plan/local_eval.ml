@@ -31,7 +31,7 @@ let rec eval (env : env) (op : Op.t) : Row.t array =
   | Op.Nil _ -> [||]
   | Op.UnitRow -> [| Row.empty |]
   | Op.Scan { input; binder } ->
-    fst (K.scan ~binder (Array.of_list (lookup env input)))
+    fst (K.scan ~binder (Row.array_of_list V.Null (lookup env input)))
   | Op.Select (p, child) -> fst (K.select p (eval env child))
   | Op.Project (fields, child) -> fst (K.project fields (eval env child))
   | Op.Join { left; right; lkey; rkey; kind } ->

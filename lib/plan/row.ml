@@ -10,6 +10,30 @@ let make names vals =
 
 let empty = { names = [||]; vals = [||] }
 
+(* OCaml 5's [Array.make n x] with [n] over 256 words and [x] still in the
+   minor heap first empties every domain's minor heap, all domains stopped
+   ([caml_make_vect]). [Array.of_list], [Array.map] and [Array.init] seed
+   their array with its first element, which a kernel has just built, so
+   every partition of more than 256 fresh rows would force a collection.
+   These seed it with a static [filler] instead and fill it afterwards. *)
+let array_init filler n f =
+  let a = Array.make n filler in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (f i)
+  done;
+  a
+
+let array_of_list filler l =
+  let a = Array.make (List.length l) filler in
+  let rec fill i = function
+    | [] -> ()
+    | x :: rest ->
+      Array.unsafe_set a i x;
+      fill (i + 1) rest
+  in
+  fill 0 l;
+  a
+
 let slot names col =
   let n = Array.length names in
   let rec go i =

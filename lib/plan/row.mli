@@ -16,6 +16,22 @@ val make : string array -> Nrc.Value.t array -> t
     @raise Invalid_argument when the lengths differ. *)
 
 val empty : t
+(** The row with no columns; statically allocated, so it is the filler of
+    every row array built with {!array_init} or {!array_of_list}. *)
+
+val array_init : 'a -> int -> (int -> 'a) -> 'a array
+(** [array_init filler n f] is [Array.init n f], [f] called in index order,
+    on an array first made from [filler]. With a static filler ({!empty}
+    for rows, [Nrc.Value.Null] for values) an array longer than 256 words
+    never forces the minor collection, with every domain stopped, that
+    [Array.make] runs when its initial value is young — which
+    [Array.init], [Array.map] and [Array.of_list] pass whenever they
+    build from freshly allocated elements. Every row and value array on
+    the query path is built with this or {!array_of_list}. *)
+
+val array_of_list : 'a -> 'a list -> 'a array
+(** [Array.of_list] on an array first made from [filler], as
+    {!array_init}. *)
 
 val get : t -> string -> Nrc.Value.t
 (** @raise Invalid_argument on missing columns. *)

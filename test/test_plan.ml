@@ -589,6 +589,86 @@ let test_compiled_allocation () =
     [ S.path "t" [ "f" ]; S.Not (S.IsNull (S.col "t"));
       S.Cmp (Nrc.Expr.Eq, S.path "t" [ "a" ], S.path "t" [ "b" ]) ]
 
+(* No kernel forces a minor collection. OCaml 5's [Array.make] promotes a
+   young initial value first when the array exceeds 256 words, emptying
+   every domain's minor heap; every row or value array a kernel builds is
+   seeded with a static filler instead ({!Row.array_init},
+   {!Row.array_of_list}). Each case builds its 1,000-row input right after
+   a collection, so the input is young, as a partition fresh from the
+   previous kernel is, and allocates far less than a minor heap. A major
+   cycle that ends mid-case also empties the minor heaps, so a case fails
+   only when three attempts in a row each saw a collection; a forced one
+   happens on every attempt. *)
+let test_no_forced_minor () =
+  let n = 1000 in
+  let always = S.Const (V.Bool true) in
+  let rows () =
+    let names = [| "k"; "n"; "b" |] in
+    Row.array_init Row.empty n (fun i ->
+        Row.make names [| V.Int (i mod 7); V.Int i; V.Bag [ V.Int i; V.Int (-i) ] |])
+  in
+  let right () =
+    let names = [| "rk"; "r" |] in
+    Row.array_init Row.empty 7 (fun k -> Row.make names [| V.Int k; V.Str "r" |])
+  in
+  let join_args () = K.index [ col "rk" ] (right ()) in
+  let lkey = [ col "k" ] and rcols = [ "rk"; "r" ] in
+  let items () = List.init n (fun i -> tup [ ("k", V.Int (i mod 7)); ("n", V.Int i) ]) in
+  let heavy = K.KeyTbl.create 1 in
+  K.KeyTbl.replace heavy [ V.Int 0 ] ();
+  let collections kernel =
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.minor_collections in
+    kernel ();
+    (Gc.quick_stat ()).Gc.minor_collections - before
+  in
+  List.iter
+    (fun (name, kernel) ->
+      let rec attempt k =
+        match collections kernel with
+        | 0 -> ()
+        | moved when k = 3 -> Alcotest.failf "%s: %d minor collections" name moved
+        | _ -> attempt (k + 1)
+      in
+      attempt 1)
+    [ ("scan", fun () -> ignore (K.scan ~binder:"x" (Row.array_init V.Null n (fun i -> V.Int i))));
+      ("add_index", fun () -> ignore (K.add_index ~col:"id" Fun.id (rows ())));
+      ("join", fun () ->
+        ignore (K.join ~lkey ~kind:Op.Inner ~rcols (join_args ()) (rows ())));
+      ("cogroup", fun () ->
+        ignore
+          (K.cogroup ~lkey ~kind:Op.Inner ~rcols ~keys:[ ("n", col "n") ] ~item:(col "r")
+             ~presence:always ~out:"rs" (join_args ()) (rows ())));
+      ("product", fun () -> ignore (K.product (rows (), 0) (right (), 0)));
+      ("select", fun () -> ignore (K.select always (rows ())));
+      ("project", fun () -> ignore (K.project [ ("m", col "n") ] (rows ())));
+      ("unnest", fun () ->
+        ignore (K.unnest ~path:[ "b" ] ~binder:"x" ~outer:false ~drop:true (rows ())));
+      ("dedup", fun () -> ignore (K.dedup (rows ())));
+      ("align", fun () -> ignore (K.align [ "n"; "k" ] (rows ())));
+      ("values", fun () -> ignore (K.values [ "n"; "k" ] (rows ())));
+      ("values of item", fun () ->
+        ignore (K.values [ "item" ] (K.project [ ("item", col "n") ] (rows ()) |> fst)));
+      ("split_by_keys", fun () ->
+        ignore (K.split_by_keys [ col "k" ] heavy (K.sized (rows ()))));
+      ("nest_bag", fun () ->
+        ignore
+          (K.nest_bag ~keys:[ ("n", col "n") ] ~agg_keys:[] ~item:(col "k")
+             ~presence:always ~out:"ks" (rows ())));
+      ("nest_sum", fun () ->
+        ignore
+          (K.nest_sum ~keys:[ ("n", col "n") ] ~agg_keys:[] ~aggs:[ ("s", col "k") ]
+             ~presence:always (rows ())));
+      ("Local_eval scan", fun () ->
+        ignore
+          (Plan.Local_eval.eval
+             (Plan.Local_eval.env_of_list [ ("R", V.Bag (items ())) ])
+             (Op.Scan { input = "R"; binder = "x" })));
+      ("Dataset.of_bag", fun () ->
+        ignore (Exec.Dataset.of_bag ~partitions:1 (V.Bag (items ()))));
+      ("Dataset.of_bag_by", fun () ->
+        ignore (Exec.Dataset.of_bag_by ~partitions:1 ~key:[ [ "k" ] ] (V.Bag (items ())))) ]
+
 (* ------------------------------------------------------------------ *)
 (* The one-pass nest kernels against the two-pass grouping they replaced,
    kept here as the reference: group the rows by G-key, keep each group's
@@ -769,5 +849,7 @@ let () =
             prop_compiled_schema_switch; prop_nest_oracle ] );
       ( "allocation",
         [ Alcotest.test_case "compiled reads, null tests and comparisons" `Quick
-            test_compiled_allocation ] );
+            test_compiled_allocation;
+          Alcotest.test_case "no kernel forces a minor collection" `Quick
+            test_no_forced_minor ] );
     ]

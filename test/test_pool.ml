@@ -161,6 +161,62 @@ let campaign_tests =
     Fixtures.corpus
 
 (* ------------------------------------------------------------------ *)
+(* Big partitions: a TPC-H Shred+Unshred cell on 2 partitions, so kernel
+   outputs, shuffle destinations and result conversions hold hundreds of
+   rows each, where the per-destination merge tasks and the pooled
+   conversion to datasets run. Every dataset the run produces (each
+   assignment's and the unshredded result) must have the same partitions,
+   element order included, and the same stripped counters at 1 and 4
+   domains. *)
+
+let test_big_partitions () =
+  let family = Tpch.Queries.Nested_to_nested and level = 2 in
+  let prog = Tpch.Queries.program ~family ~level () in
+  let inputs =
+    Tpch.Queries.input_values ~family ~level
+      (Tpch.Generator.generate { Tpch.Generator.default_scale with customers = 60 })
+  in
+  let config =
+    { Trance.Api.default_config with
+      cluster = { Exec.Config.unbounded with partitions = 2; workers = 2 } }
+  in
+  let run domains =
+    let cluster = { config.Trance.Api.cluster with Exec.Config.domains } in
+    Exec.Executor.reset_ids ();
+    Trance.Shred_type.reset_sites ();
+    let c = Trance.Api.compile_shredded ~config prog in
+    let env = Trance.Api.load_shredded_inputs ~cluster prog.Nrc.Program.inputs inputs in
+    let stats = Exec.Stats.create () and checkpoint = Exec.Checkpoint.make cluster in
+    Pool.with_pool ~domains (fun pool ->
+        let run_plan plan =
+          Exec.Executor.run_plan ~checkpoint ~pool ~config:cluster ~stats env plan
+        in
+        let outs =
+          List.map
+            (fun (name, plan) ->
+              let out = run_plan plan in
+              Hashtbl.replace env name out;
+              out)
+            c.Trance.Api.plans
+        in
+        let result = run_plan (Option.get c.Trance.Api.unshred_plan) in
+        (outs @ [ result ], Exec.Stats.strip_wall (Exec.Stats.snapshot stats)))
+  in
+  let outs1, stats1 = run 1 and outs4, stats4 = run 4 in
+  let widest =
+    List.fold_left
+      (fun acc (d : Exec.Dataset.t) -> Array.fold_left (fun acc p -> max acc (Array.length p)) acc d.parts)
+      0 outs1
+  in
+  check "some partition holds over 256 rows" true (widest > 256);
+  check "answer = Nrc.Eval" true
+    (V.approx_bag_equal
+       (Exec.Dataset.to_bag (List.nth outs1 (List.length outs1 - 1)))
+       (Nrc.Program.eval_result prog inputs));
+  check "same datasets, partition by partition" true (outs1 = outs4);
+  check "same counters once wall is stripped" true (stats1 = stats4)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "pool"
@@ -176,5 +232,8 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_map_matches_sequential ] );
-      ("sequential = parallel campaign", campaign_tests);
+      ( "sequential = parallel campaign",
+        campaign_tests
+        @ [ Alcotest.test_case "TPC-H Shred+Unshred on big partitions" `Quick
+              test_big_partitions ] );
     ]
