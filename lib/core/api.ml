@@ -69,8 +69,6 @@ type failure = Exec.Failure.t =
 
 let failure_message = Exec.Failure.message
 
-let pp_failure ppf f = Fmt.string ppf (failure_message f)
-
 (* How a run that did not answer entirely in memory got its answer: what
    spilled, and (after a route fallback) which route finally answered. *)
 type degradation = {
@@ -343,10 +341,15 @@ let run_json (r : run) : string =
 (* ------------------------------------------------------------------ *)
 (* Plan compilation *)
 
+(* The one place a route's plans are optimized, and the one place the
+   cogroup fusion is decided: it is off for skew-aware runs, whose joins
+   split heavy keys instead. *)
+let optimize cfg plan =
+  let plan = Plan.Optimize.optimize ~config:cfg.optimizer plan in
+  if cfg.cogroup && not cfg.skew_aware then Plan.Optimize.cogroup plan else plan
+
 let optimize_all cfg plans =
-  List.map
-    (fun (name, plan) -> (name, Plan.Optimize.optimize ~config:cfg.optimizer plan))
-    plans
+  List.map (fun (name, plan) -> (name, optimize cfg plan)) plans
 
 (** Standard route: one optimized plan per assignment. *)
 let compile_standard ?(config = default_config) (p : Nrc.Program.t) :
@@ -404,8 +407,7 @@ let compile_shredded ?(config = default_config) (p : Nrc.Program.t) :
         let tenv =
           Nrc.Typecheck.Env.fold (fun k v acc -> (k, v) :: acc) full_env []
         in
-        Plan.Optimize.optimize ~config:config.optimizer
-          (Unnest.translate ~tenv q))
+        optimize config (Unnest.translate ~tenv q))
       pipeline.Shred_pipeline.unshred_query
   in
   { pipeline; plans; unshred_plan }
@@ -511,13 +513,6 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
   in
   (* one manager per run attempt: recovery lineage spans every step *)
   let checkpoint = Exec.Checkpoint.make cluster in
-  let exec_options =
-    {
-      Exec.Executor.skew_aware = config.skew_aware;
-      cogroup =
-        (match strategy with SparkSQL_proxy -> false | _ -> config.cogroup);
-    }
-  in
   let config =
     match strategy with
     | SparkSQL_proxy ->
@@ -526,9 +521,13 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
          (Section 6, "SparkSQL does not support explode in the SELECT
          clause...") *)
       { config with
+        cogroup = false;
         optimizer =
           { config.optimizer with push_aggs = false; prune_columns = false } }
     | _ -> config
+  in
+  let options =
+    { Exec.Executor.skew_aware = config.skew_aware; cogroup = config.cogroup }
   in
   let targets =
     List.map (fun { Nrc.Program.target; _ } -> target) p.Nrc.Program.assignments
@@ -563,7 +562,7 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
       Exec.Pool.with_pool ~domains:cluster.Exec.Config.domains (fun pool ->
           timed (fun () ->
               catch_failure (fun () ->
-                  run_steps ~options:exec_options ~config:cluster ~stats ~trace
+                  run_steps ~options ~config:cluster ~stats ~trace
                     ~faults ~checkpoint ~pool ~targets ~steps_out env plans;
                   if config.collect then
                     Some (Exec.Dataset.to_bag (Hashtbl.find env result_name))

@@ -31,7 +31,10 @@ val strategy_name : strategy -> string
 type config = {
   cluster : Exec.Config.t;
   skew_aware : bool;  (** Section 5 operators *)
-  cogroup : bool;  (** join+nest fusion (Section 3, Optimization) *)
+  cogroup : bool;
+      (** join+nest fusion (Section 3, Optimization): {!Plan.Optimize.cogroup}
+          runs after the optimizer on every compiled plan, unless
+          [skew_aware]; a SparkSQL run turns it off *)
   optimizer : Plan.Optimize.config;
   materializer : Materialize.config;
   collect : bool;  (** gather the result back to the driver *)
@@ -63,8 +66,6 @@ type failure = Exec.Failure.t =
 
 val failure_message : failure -> string
 (** {!Exec.Failure.message}, e.g. ["Step2/unnest: 5.0MB > 4.0MB"]. *)
-
-val pp_failure : Format.formatter -> failure -> unit
 
 (** How a run that did not answer entirely in memory got its answer. *)
 type degradation = {
@@ -141,7 +142,8 @@ val run_json : run -> string
 
 val compile_standard :
   ?config:config -> Nrc.Program.t -> (string * Plan.Op.t) list
-(** One optimized plan per assignment. *)
+(** One optimized plan per assignment, with cogroups where
+    [config.cogroup] fuses them. *)
 
 type shredded_compiled = {
   pipeline : Shred_pipeline.t;

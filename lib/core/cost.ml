@@ -106,70 +106,69 @@ let group_ratio n_keys = Float.pow 0.35 (float_of_int (max 1 n_keys))
 
 let avg_row e = if e.out_rows <= 0. then 32. else e.out_bytes /. e.out_rows
 
+(* foreign-key assumption: each left row matches its partners in the
+   smaller side once on average *)
+let join_estimate kind l r =
+  let matched = max l.out_rows r.out_rows in
+  let out_rows =
+    match kind with Op.LeftOuter -> max matched l.out_rows | Op.Inner -> matched
+  in
+  let out_bytes = out_rows *. (avg_row l +. avg_row r) in
+  {
+    out_rows;
+    out_bytes;
+    cpu = l.cpu +. r.cpu +. out_bytes;
+    net = l.net +. r.net +. l.out_bytes +. r.out_bytes (* both sides move *);
+  }
+
+(* grouping keeps all item bytes, nested *)
+let nest_bag_estimate n_keys e =
+  let out_rows = max 1. (e.out_rows *. group_ratio n_keys) in
+  { out_rows; out_bytes = e.out_bytes; cpu = e.cpu +. e.out_bytes;
+    net = e.net +. e.out_bytes }
+
+(* Children first, then the operator over their estimates. A cogroup is
+   estimated as the join+nest it fuses, so fusing moves no estimate. *)
 let rec estimate (stats : stats) (op : Op.t) : estimate =
-  match op with
-  | Op.Nil _ -> zero
-  | Op.UnitRow -> { out_rows = 1.; out_bytes = 8.; cpu = 8.; net = 0. }
-  | Op.Scan { input; _ } -> (
+  match op, List.map (estimate stats) (Op.children op) with
+  | Op.Nil _, [] -> zero
+  | Op.UnitRow, [] -> { out_rows = 1.; out_bytes = 8.; cpu = 8.; net = 0. }
+  | Op.Scan { input; _ }, [] -> (
     match List.assoc_opt input stats with
     | None -> { out_rows = 100.; out_bytes = 3200.; cpu = 3200.; net = 0. }
     | Some t ->
       let b = t.rows *. t.row_bytes in
       { out_rows = t.rows; out_bytes = b; cpu = b; net = 0. })
-  | Op.Select (p, c) ->
-    let e = estimate stats c in
+  | Op.Select (p, _), [ e ] ->
     let s = selectivity p in
     { e with
       out_rows = e.out_rows *. s;
       out_bytes = e.out_bytes *. s;
       cpu = e.cpu +. e.out_bytes }
-  | Op.Project (fields, c) ->
-    let e = estimate stats c in
+  | Op.Project (fields, _), [ e ] ->
     (* projections mostly narrow; assume they keep 70% of the bytes per
        retained field list length vs input *)
     let keep = min 1. (0.25 *. float_of_int (List.length fields)) in
     { e with
       out_bytes = e.out_bytes *. keep;
       cpu = e.cpu +. e.out_bytes }
-  | Op.Join { left; right; kind; _ } ->
-    let l = estimate stats left and r = estimate stats right in
-    (* foreign-key assumption: each left row matches its partners in the
-       smaller side once on average *)
-    let matched = max l.out_rows r.out_rows in
-    let out_rows =
-      match kind with Op.LeftOuter -> max matched l.out_rows | Op.Inner -> matched
-    in
-    let out_bytes = out_rows *. (avg_row l +. avg_row r) in
-    {
-      out_rows;
-      out_bytes;
-      cpu = l.cpu +. r.cpu +. out_bytes;
-      net = l.net +. r.net +. l.out_bytes +. r.out_bytes (* both sides move *);
-    }
-  | Op.Product (l0, r0) ->
-    let l = estimate stats l0 and r = estimate stats r0 in
+  | Op.Join { kind; _ }, [ l; r ] -> join_estimate kind l r
+  | Op.Cogroup { kind; keys; _ }, [ l; r ] ->
+    nest_bag_estimate (List.length keys) (join_estimate kind l r)
+  | Op.Product _, [ l; r ] ->
     let out_rows = l.out_rows *. r.out_rows in
     let out_bytes = out_rows *. (avg_row l +. avg_row r) in
     { out_rows; out_bytes; cpu = l.cpu +. r.cpu +. out_bytes; net = l.net +. r.net +. r.out_bytes }
-  | Op.Unnest { input; path; outer; _ } ->
-    let e = estimate stats input in
+  | Op.Unnest { input; path; outer; _ }, [ e ] ->
     let fanout = fanout_of stats input path in
     let out_rows = e.out_rows *. if outer then max 1. fanout else fanout in
     let out_bytes = out_rows *. (avg_row e +. 24.) in
     { out_rows; out_bytes; cpu = e.cpu +. out_bytes; net = e.net }
-  | Op.AddIndex { input; _ } ->
-    let e = estimate stats input in
+  | Op.AddIndex _, [ e ] ->
     { e with out_bytes = e.out_bytes +. (8. *. e.out_rows); cpu = e.cpu +. e.out_bytes }
-  | Op.NestBag { input; keys; agg_keys; _ } ->
-    let e = estimate stats input in
-    let out_rows =
-      max 1. (e.out_rows *. group_ratio (List.length keys + List.length agg_keys))
-    in
-    (* grouping keeps all item bytes, nested *)
-    let out_bytes = e.out_bytes in
-    { out_rows; out_bytes; cpu = e.cpu +. e.out_bytes; net = e.net +. e.out_bytes }
-  | Op.NestSum { input; keys; agg_keys; aggs; _ } ->
-    let e = estimate stats input in
+  | Op.NestBag { keys; agg_keys; _ }, [ e ] ->
+    nest_bag_estimate (List.length keys + List.length agg_keys) e
+  | Op.NestSum { keys; agg_keys; aggs; _ }, [ e ] ->
     let out_rows =
       max 1. (e.out_rows *. group_ratio (List.length keys + List.length agg_keys))
     in
@@ -179,24 +178,22 @@ let rec estimate (stats : stats) (op : Op.t) : estimate =
     in
     (* map-side combine: only the combined partials shuffle *)
     { out_rows; out_bytes; cpu = e.cpu +. e.out_bytes; net = e.net +. out_bytes }
-  | Op.Dedup c ->
-    let e = estimate stats c in
+  | Op.Dedup _, [ e ] ->
     let out_rows = max 1. (e.out_rows *. 0.5) in
     { out_rows;
       out_bytes = out_rows *. avg_row e;
       cpu = e.cpu +. e.out_bytes;
       net = e.net +. e.out_bytes }
-  | Op.UnionAll (l0, r0) ->
-    let l = estimate stats l0 and r = estimate stats r0 in
+  | Op.UnionAll _, [ l; r ] ->
     {
       out_rows = l.out_rows +. r.out_rows;
       out_bytes = l.out_bytes +. r.out_bytes;
       cpu = l.cpu +. r.cpu;
       net = l.net +. r.net;
     }
-  | Op.BagToDict { input; _ } ->
-    let e = estimate stats input in
+  | Op.BagToDict _, [ e ] ->
     { e with net = e.net +. e.out_bytes; cpu = e.cpu +. e.out_bytes }
+  | op, _ -> invalid_arg ("Cost.estimate: arity of " ^ Op.name op)
 
 (* fanout of the bag at [path] under the given subplan: resolved against
    input statistics when the plan bottoms out in a scan binding the path's

@@ -22,9 +22,3 @@ let resolve (t : t) dataset path =
     [target_name] (an alias or a freshly materialized dataset). *)
 let record (t : t) dataset path target_name =
   Hashtbl.replace t.aliases (key dataset path) target_name
-
-(** Is this dictionary an alias (no materialization of its own)? *)
-let is_alias (t : t) dataset path =
-  match Hashtbl.find_opt t.aliases (key dataset path) with
-  | Some name -> name <> Shred_type.dict_name dataset path
-  | None -> false

@@ -15,5 +15,3 @@ val resolve : t -> string -> string list -> string
 val record : t -> string -> string list -> string -> unit
 (** Record that the dictionary of [dataset] at [path] lives in the given
     dataset (an alias, or a freshly materialized dictionary). *)
-
-val is_alias : t -> string -> string list -> bool

@@ -41,15 +41,10 @@ let domain_name base path =
    labels from different origins can never collide. *)
 
 let site_counter = ref 0
-let site_names : (int, string) Hashtbl.t = Hashtbl.create 64
 
-let fresh_site (description : string) : int =
+let fresh_site () : int =
   incr site_counter;
-  Hashtbl.replace site_names !site_counter description;
   !site_counter
-
-let site_description site =
-  Option.value (Hashtbl.find_opt site_names site) ~default:"?"
 
 (* one site per (dataset, path) for input value shredding, memoized so that
    re-shredding the same input reuses label identity *)
@@ -60,7 +55,7 @@ let input_site base path =
   match Hashtbl.find_opt input_sites key with
   | Some s -> s
   | None ->
-    let s = fresh_site ("input:" ^ key) in
+    let s = fresh_site () in
     Hashtbl.replace input_sites key s;
     s
 
@@ -68,7 +63,6 @@ let input_site base path =
    process would otherwise place dictionary rows differently run to run *)
 let reset_sites () =
   site_counter := 0;
-  Hashtbl.reset site_names;
   Hashtbl.reset input_sites
 
 (* ------------------------------------------------------------------ *)

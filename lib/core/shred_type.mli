@@ -28,10 +28,8 @@ val domain_name : string -> string list -> string
 
 (** {2 Label sites} *)
 
-val fresh_site : string -> int
-(** A new label-creation site with a description (for diagnostics). *)
-
-val site_description : int -> string
+val fresh_site : unit -> int
+(** A new label-creation site. *)
 
 val input_site : string -> string list -> int
 (** The memoized site used when value-shredding input [base] at [path]. *)

@@ -4,7 +4,8 @@
     layer, [explode]/[explode_outer] for the unnest operators,
     [monotonically_increasing_id] for the unique IDs, [groupBy] with
     [collect_list(struct(...))] or [sum(when(...))] for the Gamma
-    operators, and [repartition($"label")] for BagToDict.
+    operators, [groupByKey(...).cogroup(...)] for a cogroup, and
+    [repartition($"label")] for BagToDict.
 
     The emitted text cannot be executed in this sealed environment (that is
     the simulator's job — see DESIGN.md); it exists so the compilation
@@ -69,80 +70,57 @@ let named_cols fields =
   String.concat ", "
     (List.map (fun (n, e) -> Printf.sprintf "%s.as(\"%s\")" (col_expr e) n) fields)
 
-(** Emit the Scala for one plan; returns (lines, final val name). *)
+let join_type = function Op.Inner -> "inner" | Op.LeftOuter -> "left_outer"
+
+let key_cols keys = String.concat ", " (List.map col_expr keys)
+
+(** Emit the Scala for one plan: the children's [val]s first, left before
+    right, then one [val] for the operator; returns its name. *)
 let rec emit (buf : Buffer.t) (op : Op.t) : string =
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  match op with
-  | Op.Nil _ ->
-    let v = fresh_val () in
-    line "val %s = spark.emptyDataset  // Nil" v;
-    v
-  | Op.UnitRow ->
-    let v = fresh_val () in
-    line "val %s = spark.range(1).drop(\"id\")  // one empty row" v;
-    v
-  | Op.Scan { input; binder } ->
-    let v = fresh_val () in
-    line "val %s = %s.select(struct($\"*\").as(\"%s\"))" v input binder;
-    v
-  | Op.Select (p, c) ->
-    let c' = emit buf c in
-    let v = fresh_val () in
-    line "val %s = %s.filter(%s)" v c' (col_expr p);
-    v
-  | Op.Project (fields, c) ->
-    let c' = emit buf c in
-    let v = fresh_val () in
-    line "val %s = %s.select(%s)" v c' (named_cols fields);
-    v
-  | Op.Join { left; right; lkey; rkey; kind } ->
-    let l = emit buf left in
-    let r = emit buf right in
-    let v = fresh_val () in
+  let inputs = List.map (emit buf) (Op.children op) in
+  let v = fresh_val () in
+  let line fmt =
+    Printf.ksprintf (fun s -> Buffer.add_string buf ("val " ^ v ^ " = " ^ s ^ "\n")) fmt
+  in
+  (match op, inputs with
+  | Op.Nil _, [] -> line "spark.emptyDataset  // Nil"
+  | Op.UnitRow, [] -> line "spark.range(1).drop(\"id\")  // one empty row"
+  | Op.Scan { input; binder }, [] ->
+    line "%s.select(struct($\"*\").as(\"%s\"))" input binder
+  | Op.Select (p, _), [ c ] -> line "%s.filter(%s)" c (col_expr p)
+  | Op.Project (fields, _), [ c ] -> line "%s.select(%s)" c (named_cols fields)
+  | Op.Join { lkey; rkey; kind; _ }, [ l; r ] ->
     let cond =
       String.concat " && "
         (List.map2
            (fun a b -> Printf.sprintf "%s === %s" (col_expr a) (col_expr b))
            lkey rkey)
     in
-    line "val %s = %s.join(%s, %s, \"%s\")" v l r cond
-      (match kind with Op.Inner -> "inner" | Op.LeftOuter -> "left_outer");
-    v
-  | Op.Product (l0, r0) ->
-    let l = emit buf l0 in
-    let r = emit buf r0 in
-    let v = fresh_val () in
-    line "val %s = %s.crossJoin(broadcast(%s))" v l r;
-    v
-  | Op.Unnest { input; path; binder; outer; drop } ->
-    let c = emit buf input in
-    let v = fresh_val () in
+    line "%s.join(%s, %s, \"%s\")" l r cond (join_type kind)
+  | Op.Cogroup { lkey; rkey; kind; keys; item; presence; out; _ }, [ l; r ] ->
+    line
+      "%s.groupByKey(%s).cogroup(%s.groupByKey(%s))(nestJoin(\"%s\", \
+       Seq(%s), collect_list(when(%s, %s)).as(\"%s\")))  // cogroup: join + \
+       Gamma-union fused, no flattened intermediate"
+      l (key_cols lkey) r (key_cols rkey) (join_type kind) (named_cols keys)
+      (col_expr presence) (col_expr item) out
+  | Op.Product _, [ l; r ] -> line "%s.crossJoin(broadcast(%s))" l r
+  | Op.Unnest { path; binder; outer; drop; _ }, [ c ] ->
     let fn = if outer then "explode_outer" else "explode" in
     let dropped =
       if drop then Printf.sprintf ".drop($\"%s\")" (String.concat "." path)
       else ""
     in
-    line "val %s = %s.select($\"*\", %s($\"%s\").as(\"%s\"))%s" v c fn
-      (String.concat "." path) binder dropped;
-    v
-  | Op.AddIndex { input; col } ->
-    let c = emit buf input in
-    let v = fresh_val () in
-    line "val %s = %s.withColumn(\"%s\", monotonically_increasing_id())" v c col;
-    v
-  | Op.NestBag { input; keys; agg_keys; item; presence; out } ->
-    let c = emit buf input in
-    let v = fresh_val () in
-    let gb = named_cols (keys @ agg_keys) in
+    line "%s.select($\"*\", %s($\"%s\").as(\"%s\"))%s" c fn
+      (String.concat "." path) binder dropped
+  | Op.AddIndex { col; _ }, [ c ] ->
+    line "%s.withColumn(\"%s\", monotonically_increasing_id())" c col
+  | Op.NestBag { keys; agg_keys; item; presence; out; _ }, [ c ] ->
     line
-      "val %s = %s.groupBy(%s).agg(collect_list(when(%s, %s)).as(\"%s\"))  // \
+      "%s.groupBy(%s).agg(collect_list(when(%s, %s)).as(\"%s\"))  // \
        Gamma-union; NULL casts to empty bag"
-      v c gb (col_expr presence) (col_expr item) out;
-    v
-  | Op.NestSum { input; keys; agg_keys; aggs; presence } ->
-    let c = emit buf input in
-    let v = fresh_val () in
-    let gb = named_cols (keys @ agg_keys) in
+      c (named_cols (keys @ agg_keys)) (col_expr presence) (col_expr item) out
+  | Op.NestSum { keys; agg_keys; aggs; presence; _ }, [ c ] ->
     let sums =
       String.concat ", "
         (List.map
@@ -151,26 +129,15 @@ let rec emit (buf : Buffer.t) (op : Op.t) : string =
                (col_expr presence) (col_expr e) n)
            aggs)
     in
-    line "val %s = %s.groupBy(%s).agg(%s)  // Gamma-plus; NULL casts to 0" v c
-      gb sums;
-    v
-  | Op.Dedup c0 ->
-    let c = emit buf c0 in
-    let v = fresh_val () in
-    line "val %s = %s.distinct()" v c;
-    v
-  | Op.UnionAll (l0, r0) ->
-    let l = emit buf l0 in
-    let r = emit buf r0 in
-    let v = fresh_val () in
-    line "val %s = %s.unionByName(%s)" v l r;
-    v
-  | Op.BagToDict { input; label } ->
-    let c = emit buf input in
-    let v = fresh_val () in
-    line "val %s = %s.repartition(%s)  // BagToDict: label partitioning guarantee"
-      v c (col_expr label);
-    v
+    line "%s.groupBy(%s).agg(%s)  // Gamma-plus; NULL casts to 0" c
+      (named_cols (keys @ agg_keys)) sums
+  | Op.Dedup _, [ c ] -> line "%s.distinct()" c
+  | Op.UnionAll _, [ l; r ] -> line "%s.unionByName(%s)" l r
+  | Op.BagToDict { label; _ }, [ c ] ->
+    line "%s.repartition(%s)  // BagToDict: label partitioning guarantee" c
+      (col_expr label)
+  | op, _ -> invalid_arg ("Spark_codegen: arity of " ^ Op.name op));
+  v
 
 (** Render a whole plan as a Scala snippet assigning the result to [name]. *)
 let plan_to_scala ~name (op : Op.t) : string =

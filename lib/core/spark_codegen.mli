@@ -3,7 +3,8 @@
     operator, [explode]/[explode_outer] for unnests,
     [monotonically_increasing_id] for unique IDs, [groupBy] +
     [collect_list]/[sum(when(...))] for the Gamma operators,
-    [repartition($"label")] for BagToDict. Inspectable output only; the
+    [groupByKey(...).cogroup(...)] for a cogroup, [repartition($"label")]
+    for BagToDict. Inspectable output only; the
     simulator executes the plans (DESIGN.md substitution table). *)
 
 val col_expr : Plan.Sexpr.t -> string

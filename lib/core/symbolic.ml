@@ -350,7 +350,7 @@ and field_shred ctx (ei : E.t) =
       `Label (labelE, EAlias sub)
     | _ ->
       let eiF, di = shred ctx ei in
-      let site = fresh_site "tuple" in
+      let site = fresh_site () in
       let labelE, lam = close_body ctx ~site eiF in
       let item_ty =
         match flat_type_of ctx eiF with
@@ -419,7 +419,7 @@ and shred_groupby ctx ~input ~keys ~group_attr =
           n
       | _ -> ())
     rest;
-  let site = fresh_site "groupBy" in
+  let site = fresh_site () in
   let x = E.fresh ~hint:"g" () in
   (* the group dictionary: match l = NewLabel(k..., outer captures...) then
      for y in inF union if y.k == k then <rest> *)

@@ -11,9 +11,9 @@
       auto-broadcast) and shuffle hash join, honouring existing partitioning
       guarantees to skip shuffles;
     - nest operators shuffle by their grouping key first;
-    - join+nest pairs that build nested objects are fused into a cogroup
-      (Section 3, Optimization) when the nest key contains the unique row id,
-      avoiding the flattened intermediate;
+    - a cogroup ({!Plan.Op.Cogroup}, the join+nest fusion of Section 3 that
+      {!Plan.Optimize.cogroup} introduces) runs as one broadcast or shuffle
+      stage over both sides, without the flattened intermediate;
     - skew-aware mode implements Figure 6: per-partition sampling determines
       heavy keys; the light part follows the standard implementation while
       the heavy part keeps its location and receives broadcast partners;
@@ -38,7 +38,7 @@ module K = Plan.Kernel
 
 type options = {
   skew_aware : bool;
-  cogroup : bool; (* fuse join+nest into cogroup when safe *)
+  cogroup : bool; (* unread: fusion is the plan rewrite Optimize.cogroup *)
 }
 
 let default_options = { skew_aware = false; cogroup = true }
@@ -88,6 +88,8 @@ let unzip a = (Array.map fst a, Array.map snd a)
    a task. *)
 let pool_parts st (f : int -> 'a -> Row.t array * int) (xs : 'a array) =
   unzip (Pool.map st.pool f xs)
+
+let all_some l = if List.for_all Option.is_some l then Some (List.map Option.get l) else None
 
 let mk_rset ?(key = None) ?(skew = None) (parts, bytes) =
   { parts; bytes; key; skew }
@@ -549,20 +551,6 @@ let skew_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols : rset =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Cogroup fusion: NestBag directly over Join, one shuffle per side, no
-   flattened intermediate. Safe when the nest keys contain the unique row id
-   of the left side (each group is exactly one left row). *)
-
-let has_unique_id keys =
-  List.exists
-    (fun (_, e) ->
-      match e with
-      | S.Col [ c ] | S.Col (c :: _) ->
-        String.length c >= 3 && String.sub c 0 3 = "id%"
-      | _ -> false)
-    keys
-
-(* ------------------------------------------------------------------ *)
 (* Operator dispatch *)
 
 let map_stage st ~stage ?(key = fun k -> k) ?(keep_skew = false) f (r : rset)
@@ -601,96 +589,43 @@ let next_id_base = ref 0
    counter before each run. *)
 let reset_ids () = next_id_base := 0
 
-let rec run (st : state) (op : Op.t) : rset =
-  Trace.with_span st.trace ~op:(Op.name op) (fun () -> exec st op)
-
-and exec (st : state) (op : Op.t) : rset =
+(* One operator over its children's evaluated rsets, left before right. *)
+let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
   let cfg = st.cfg in
-  match op with
-  | Op.Nil _ -> empty_rset cfg.Config.partitions
-  | Op.UnitRow ->
+  match op, inputs with
+  | Op.Nil _, [] -> empty_rset cfg.Config.partitions
+  | Op.UnitRow, [] ->
     let r = empty_rset cfg.Config.partitions in
     r.parts.(0) <- [| Row.empty |];
     r
-  | Op.Scan { input; binder } -> (
+  | Op.Scan { input; binder }, [] -> (
     match Hashtbl.find_opt st.env input with
     | None -> invalid_arg (Printf.sprintf "Executor: unknown input %S" input)
     | Some ds ->
       Trace.set_stage st.trace input;
-      let r =
-        mk_rset
-          ~key:
-            (Option.map
-               (List.map (fun path -> S.Col (binder :: path)))
-               ds.Dataset.key)
-          (pool_parts st (fun _ -> K.scan ~binder) ds.Dataset.parts)
-      in
+      let key = Option.map (List.map (fun path -> S.Col (binder :: path))) ds.Dataset.key in
+      let r = mk_rset ~key (pool_parts st (fun _ -> K.scan ~binder) ds.Dataset.parts) in
       trace_rows_in st [ r ];
       r)
-  | Op.Select (p, child) ->
-    let r = run st child in
-    trace_rows_in st [ r ];
+  | Op.Select (p, _), [ r ] ->
     map_stage st ~stage:"select" ~keep_skew:true (fun _ -> K.select p) r
-  | Op.Project (fields, child) ->
-    let r = run st child in
-    trace_rows_in st [ r ];
-    let new_key =
-      match r.key with
-      | None -> None
-      | Some ks ->
-        (* the guarantee survives if every key expr is re-exposed verbatim *)
-        let find_col e =
-          List.find_opt (fun (_, fe) -> fe = e) fields
-        in
-        let mapped = List.map find_col ks in
-        if List.for_all Option.is_some mapped then
-          Some (List.map (fun o -> S.Col [ fst (Option.get o) ]) mapped)
-        else None
+  | Op.Project (fields, _), [ r ] ->
+    (* the guarantee survives if every key expr is re-exposed verbatim *)
+    let reexposed e =
+      Option.map (fun (n, _) -> S.Col [ n ]) (List.find_opt (fun (_, fe) -> fe = e) fields)
     in
+    let new_key = Option.bind r.key (fun ks -> all_some (List.map reexposed ks)) in
     map_stage st ~stage:"project" (fun _ -> K.project fields) r
       ~key:(fun _ -> new_key)
-  | Op.Join { left; right; lkey; rkey; kind } ->
-    let l = run st left in
-    let r = run st right in
-    trace_rows_in st [ l; r ];
+  | Op.Join { right; lkey; rkey; kind; _ }, [ l; r ] ->
     let rcols = Op.columns right in
     if st.opts.skew_aware then
       skew_join st ~stage:"join(skew)" l r ~lkey ~rkey ~kind ~rcols
     else if rset_total_bytes r <= cfg.Config.broadcast_limit then
       broadcast_join st ~stage:"join(broadcast)" l r ~lkey ~rkey ~kind ~rcols
     else shuffle_join st ~stage:"join(shuffle)" l r ~lkey ~rkey ~kind ~rcols
-  | Op.Product (left, right) ->
-    let l = run st left in
-    let r = run st right in
-    trace_rows_in st [ l; r ];
-    let rbytes = rset_total_bytes r in
-    broadcast_stage st ~stage:"product" ~key:l.key l r (fun all_right p lpart ->
-        K.product (lpart, l.bytes.(p)) (all_right, rbytes))
-  | Op.Unnest { input; path; binder; outer; drop } ->
-    let r = run st input in
-    trace_rows_in st [ r ];
-    map_stage st ~stage:"unnest" ~keep_skew:true
-      (fun _ -> K.unnest ~path ~binder ~outer ~drop)
-      r
-  | Op.AddIndex { input; col } ->
-    let r = run st input in
-    trace_rows_in st [ r ];
-    incr next_id_base;
-    let base = !next_id_base * (1 lsl 50) in
-    map_stage st ~stage:"add_index" ~keep_skew:true
-      (fun p part ->
-        ( K.add_index ~col (fun i -> base + (p lsl 28) + i) part,
-          (* one column of 8 bytes holding an 8-byte int per row *)
-          r.bytes.(p) + (16 * Array.length part) ))
-      r
-  | Op.NestBag
-      { input = Op.Join { left; right; lkey; rkey; kind };
-        keys; agg_keys = []; item; presence; out }
-    when st.opts.cogroup && (not st.opts.skew_aware) && has_unique_id keys
-         && S.reads_only (Op.columns left) (List.map snd keys @ lkey) ->
-    let l = run st left in
-    let r = run st right in
-    trace_rows_in st [ l; r ];
+  | Op.Cogroup { right; lkey; rkey; kind; keys; item; presence; out; _ }, [ l; r ]
+    ->
     let kernel =
       K.cogroup ~lkey ~kind ~rcols:(Op.columns right) ~keys ~item ~presence
         ~out
@@ -701,14 +636,27 @@ and exec (st : state) (op : Op.t) : rset =
           let index = K.index rkey all_right in
           fun _ -> kernel index)
     else shuffle_stage st ~stage:"cogroup" l r ~lkey ~rkey kernel
-  | Op.NestBag { input; keys; agg_keys; item; presence; out } ->
-    let r = run st input in
-    trace_rows_in st [ r ];
+  | Op.Product _, [ l; r ] ->
+    let rbytes = rset_total_bytes r in
+    broadcast_stage st ~stage:"product" ~key:l.key l r (fun all_right p lpart ->
+        K.product (lpart, l.bytes.(p)) (all_right, rbytes))
+  | Op.Unnest { path; binder; outer; drop; _ }, [ r ] ->
+    map_stage st ~stage:"unnest" ~keep_skew:true
+      (fun _ -> K.unnest ~path ~binder ~outer ~drop)
+      r
+  | Op.AddIndex { col; _ }, [ r ] ->
+    incr next_id_base;
+    let base = !next_id_base * (1 lsl 50) in
+    map_stage st ~stage:"add_index" ~keep_skew:true
+      (fun p part ->
+        ( K.add_index ~col (fun i -> base + (p lsl 28) + i) part,
+          (* one column of 8 bytes holding an 8-byte int per row *)
+          r.bytes.(p) + (16 * Array.length part) ))
+      r
+  | Op.NestBag { keys; agg_keys; item; presence; out; _ }, [ r ] ->
     grouped st ~shuffle_at:"nest" ~stage:"nest_bag" r ~keys ~agg_keys
       (K.nest_bag ~keys ~agg_keys ~item ~presence ~out)
-  | Op.NestSum { input; keys; agg_keys; aggs; presence } ->
-    let r = run st input in
-    trace_rows_in st [ r ];
+  | Op.NestSum { keys; agg_keys; aggs; presence; _ }, [ r ] ->
     (* map-side combine (Spark partial aggregation): pre-aggregate each
        partition before shuffling, so Gamma-plus "mitigates skew-effects by
        default by reducing the values of all keys" (Section 5) *)
@@ -731,24 +679,14 @@ and exec (st : state) (op : Op.t) : rset =
       ~agg_keys:agg_keys'
       (K.nest_sum ~keys:keys' ~agg_keys:agg_keys' ~aggs:aggs'
          ~presence:presence')
-  | Op.Dedup child ->
-    let r = run st child in
-    trace_rows_in st [ r ];
-    let cols = Op.columns child in
-    let key_exprs = List.map (fun c -> S.Col [ c ]) cols in
+  | Op.Dedup child, [ r ] ->
+    let key_exprs = List.map (fun c -> S.Col [ c ]) (Op.columns child) in
     let r' = ensure_partitioned st ~stage:"dedup" r key_exprs in
     map_stage st ~stage:"dedup" (fun _ -> K.dedup) r'
-  | Op.UnionAll (left, right) ->
-    let l = run st left in
-    let r = run st right in
-    trace_rows_in st [ l; r ];
+  | Op.UnionAll (left, _), [ l; r ] ->
     let cols = Op.columns left in
-    union_parts l
-      (mk_rset
-         (pool_parts st (fun _ -> K.align cols) r.parts))
-  | Op.BagToDict { input; label } ->
-    let r = run st input in
-    trace_rows_in st [ r ];
+    union_parts l (mk_rset (pool_parts st (fun _ -> K.align cols) r.parts))
+  | Op.BagToDict { label; _ }, [ r ] ->
     if st.opts.skew_aware then begin
       (* Figure 6: repartition only light labels; heavy labels stay put;
          the resulting dictionary is a skew-triple with known heavy keys *)
@@ -765,27 +703,28 @@ and exec (st : state) (op : Op.t) : rset =
       end
     end
     else shuffle st ~stage:"bag_to_dict" r [ label ]
+  | op, _ -> invalid_arg ("Executor: arity of " ^ Op.name op)
+
+(* Each operator is one span: its children run inside it, left before
+   right, and their rows are its rows in before its own stages run. *)
+let rec run (st : state) (op : Op.t) : rset =
+  Trace.with_span st.trace ~op:(Op.name op) (fun () ->
+      let inputs = List.map (run st) (Op.children op) in
+      trace_rows_in st inputs;
+      exec st op inputs)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
 let rset_to_dataset pool (cols : string list) (r : rset) : Dataset.t =
-  let key =
-    match r.key with
-    | None -> None
-    | Some ks ->
-      let path_of = function
-        | S.Col (c :: rest) -> (
-          match cols with
-          | [ "item" ] -> if c = "item" then Some rest else None
-          | _ -> Some (c :: rest))
-        | _ -> None
-      in
-      let paths = List.map path_of ks in
-      if List.for_all Option.is_some paths then
-        Some (List.map Option.get paths)
-      else None
+  let path_of = function
+    | S.Col (c :: rest) -> (
+      match cols with
+      | [ "item" ] -> if c = "item" then Some rest else None
+      | _ -> Some (c :: rest))
+    | _ -> None
   in
+  let key = Option.bind r.key (fun ks -> all_some (List.map path_of ks)) in
   { Dataset.parts = Pool.map pool (fun _ -> K.values cols) r.parts; key }
 
 (** Execute one plan against named datasets; returns the result dataset.

@@ -8,8 +8,9 @@
       join, honouring partitioning guarantees to skip shuffles;
     - Gamma-plus performs map-side partial aggregation before shuffling
       ("mitigates skew-effects by default", Section 5);
-    - join+nest pairs building nested objects fuse into a cogroup when the
-      nest key contains the unique row id (Section 3, Optimization);
+    - a {!Plan.Op.Cogroup} (the join+nest fusion of Section 3, which
+      {!Plan.Optimize.cogroup} decides) runs as one broadcast or shuffle
+      stage over both sides, with no flattened intermediate;
     - skew-aware mode implements Figure 6: per-partition sampling finds
       heavy keys; the light part follows the standard implementation while
       the heavy part keeps its location and receives broadcast partners;
@@ -25,18 +26,21 @@
     - each accounted quantity is one {!Trace.charge} of a {!Stats.snapshot}
       delta, feeding the run's {!Stats.t} and, when a {!Trace.ctx} is
       passed, the innermost span of a per-operator span tree (one span per
-      dispatched operator, shuffles as child spans) — the observability
-      layer of {!Trace}.
+      plan operator, named by {!Plan.Op.name}, its children's spans and
+      its shuffles inside) — the observability layer of {!Trace}.
 
     Every typed failure is raised as {!Failure.Failed}. *)
 
 type options = {
   skew_aware : bool;  (** the skew-resilient operators of Section 5 *)
-  cogroup : bool;  (** fuse join+nest into cogroup when safe *)
+  cogroup : bool;
+      (** read by nothing: the executor runs the cogroups the plan holds.
+          Kept only because the benchmark harness ([perfbench/main.ml])
+          builds this record literally. *)
 }
 
 val default_options : options
-(** Skew-unaware, cogroup fusion on. *)
+(** Skew-unaware. *)
 
 type env = (string, Dataset.t) Hashtbl.t
 

@@ -26,38 +26,38 @@ let lookup (env : env) name =
 
 let next_index = ref 0
 
+(* Children first, left before right, then the operator's kernel over
+   their rows. *)
 let rec eval (env : env) (op : Op.t) : Row.t array =
-  match op with
-  | Op.Nil _ -> [||]
-  | Op.UnitRow -> [| Row.empty |]
-  | Op.Scan { input; binder } ->
+  match op, List.map (eval env) (Op.children op) with
+  | Op.Nil _, [] -> [||]
+  | Op.UnitRow, [] -> [| Row.empty |]
+  | Op.Scan { input; binder }, [] ->
     fst (K.scan ~binder (Row.array_of_list V.Null (lookup env input)))
-  | Op.Select (p, child) -> fst (K.select p (eval env child))
-  | Op.Project (fields, child) -> fst (K.project fields (eval env child))
-  | Op.Join { left; right; lkey; rkey; kind } ->
-    let lrows = eval env left in
-    let index = K.index rkey (eval env right) in
-    fst (K.join ~lkey ~kind ~rcols:(Op.columns right) index lrows)
-  | Op.Product (left, right) ->
+  | Op.Select (p, _), [ rows ] -> fst (K.select p rows)
+  | Op.Project (fields, _), [ rows ] -> fst (K.project fields rows)
+  | Op.Join { right; lkey; rkey; kind; _ }, [ l; r ] ->
+    fst (K.join ~lkey ~kind ~rcols:(Op.columns right) (K.index rkey r) l)
+  | Op.Cogroup { right; lkey; rkey; kind; keys; item; presence; out; _ }, [ l; r ] ->
+    fst
+      (K.cogroup ~lkey ~kind ~rcols:(Op.columns right) ~keys ~item ~presence
+         ~out (K.index rkey r) l)
+  | Op.Product _, [ l; r ] ->
     (* one partition: the carried sizes are never read *)
-    fst (K.product (eval env left, 0) (eval env right, 0))
-  | Op.Unnest { input; path; binder; outer; drop } ->
-    fst (K.unnest ~path ~binder ~outer ~drop (eval env input))
-  | Op.AddIndex { input; col } ->
-    K.add_index ~col
-      (fun _ ->
-        incr next_index;
-        !next_index)
-      (eval env input)
-  | Op.NestBag { input; keys; agg_keys; item; presence; out } ->
-    fst (K.nest_bag ~keys ~agg_keys ~item ~presence ~out (eval env input))
-  | Op.NestSum { input; keys; agg_keys; aggs; presence } ->
-    fst (K.nest_sum ~keys ~agg_keys ~aggs ~presence (eval env input))
-  | Op.Dedup child -> fst (K.dedup (eval env child))
-  | Op.UnionAll (left, right) ->
-    let lrows = eval env left in
-    Array.append lrows (fst (K.align (Op.columns left) (eval env right)))
-  | Op.BagToDict { input; _ } -> eval env input
+    fst (K.product (l, 0) (r, 0))
+  | Op.Unnest { path; binder; outer; drop; _ }, [ rows ] ->
+    fst (K.unnest ~path ~binder ~outer ~drop rows)
+  | Op.AddIndex { col; _ }, [ rows ] ->
+    K.add_index ~col (fun _ -> incr next_index; !next_index) rows
+  | Op.NestBag { keys; agg_keys; item; presence; out; _ }, [ rows ] ->
+    fst (K.nest_bag ~keys ~agg_keys ~item ~presence ~out rows)
+  | Op.NestSum { keys; agg_keys; aggs; presence; _ }, [ rows ] ->
+    fst (K.nest_sum ~keys ~agg_keys ~aggs ~presence rows)
+  | Op.Dedup _, [ rows ] -> fst (K.dedup rows)
+  | Op.UnionAll (left, _), [ l; r ] ->
+    Array.append l (fst (K.align (Op.columns left) r))
+  | Op.BagToDict _, [ rows ] -> rows
+  | op, _ -> invalid_arg ("Local_eval: arity of " ^ Op.name op)
 
 (** Evaluate a plan and package the result rows as a bag, using the plan's
     column names as attributes ({!Kernel.values}). *)

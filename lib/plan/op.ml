@@ -77,6 +77,21 @@ type t =
           on rows, but fixes the label-based partitioning guarantee during
           distributed execution (Section 4, "Extensions for Shredded
           Compilation") *)
+  | Cogroup of {
+      left : t;
+      right : t;
+      lkey : Sexpr.t list;
+      rkey : Sexpr.t list;
+      kind : join_kind;
+      keys : (string * Sexpr.t) list;
+      item : Sexpr.t;
+      presence : Sexpr.t;
+      out : string;
+    }
+      (** a Gamma-union with no [agg_keys] directly over a join, fused so
+          the nested object is built without the flattened intermediate
+          (Section 3, Optimization); introduced by {!Optimize.cogroup} only
+          where each group is exactly one left row *)
 
 (* ------------------------------------------------------------------ *)
 (* Schema: output column names, in order. *)
@@ -98,6 +113,7 @@ let rec columns = function
   | Dedup p -> columns p
   | UnionAll (p, _) -> columns p
   | BagToDict { input; _ } -> columns input
+  | Cogroup { keys; out; _ } -> List.map fst keys @ [ out ]
 
 (* ------------------------------------------------------------------ *)
 (* Datasets scanned by the plan *)
@@ -117,11 +133,15 @@ let name = function
   | Dedup _ -> "Dedup"
   | UnionAll _ -> "UnionAll"
   | BagToDict _ -> "BagToDict"
+  | Cogroup _ -> "Cogroup"
 
 let children = function
   | Nil _ | UnitRow | Scan _ -> []
   | Select (_, c) | Project (_, c) | Dedup c -> [ c ]
-  | Join { left; right; _ } | Product (left, right) | UnionAll (left, right) ->
+  | Join { left; right; _ }
+  | Cogroup { left; right; _ }
+  | Product (left, right)
+  | UnionAll (left, right) ->
     [ left; right ]
   | Unnest { input; _ }
   | AddIndex { input; _ }
@@ -143,6 +163,7 @@ let map_children f = function
   | NestBag n -> NestBag { n with input = f n.input }
   | NestSum n -> NestSum { n with input = f n.input }
   | BagToDict b -> BagToDict { b with input = f b.input }
+  | Cogroup c -> Cogroup { c with left = f c.left; right = f c.right }
 
 let rec inputs = function
   | Scan { input; _ } -> [ input ]
@@ -152,6 +173,10 @@ let rec inputs = function
 (* Pretty printing: indented operator tree *)
 
 let pp_named ppf (n, e) = Fmt.pf ppf "%s:=%a" n Sexpr.pp e
+
+let pp_kind ppf = function
+  | Inner -> Fmt.string ppf "\u{22C8}"
+  | LeftOuter -> Fmt.string ppf "\u{27D5}"
 
 let rec pp ppf op =
   match op with
@@ -164,8 +189,7 @@ let rec pp ppf op =
       (Fmt.list ~sep:Fmt.comma pp_named)
       fields pp c
   | Join { left; right; lkey; rkey; kind } ->
-    Fmt.pf ppf "@[<v 2>%s[%a = %a]@,%a@,%a@]"
-      (match kind with Inner -> "\u{22C8}" | LeftOuter -> "\u{27D5}")
+    Fmt.pf ppf "@[<v 2>%a[%a = %a]@,%a@,%a@]" pp_kind kind
       (Fmt.list ~sep:Fmt.comma Sexpr.pp)
       lkey
       (Fmt.list ~sep:Fmt.comma Sexpr.pp)
@@ -197,6 +221,16 @@ let rec pp ppf op =
   | UnionAll (l, r) -> Fmt.pf ppf "@[<v 2>\u{228E}@,%a@,%a@]" pp l pp r
   | BagToDict { input; label } ->
     Fmt.pf ppf "@[<v 2>BagToDict[%a]@,%a@]" Sexpr.pp label pp input
+  | Cogroup { left; right; lkey; rkey; kind; keys; item; presence; out } ->
+    Fmt.pf ppf
+      "@[<v 2>cogroup[%s := %a by G=(%a) when %a over %a[%a = %a]]@,%a@,%a@]"
+      out Sexpr.pp item
+      (Fmt.list ~sep:Fmt.comma pp_named)
+      keys Sexpr.pp presence pp_kind kind
+      (Fmt.list ~sep:Fmt.comma Sexpr.pp)
+      lkey
+      (Fmt.list ~sep:Fmt.comma Sexpr.pp)
+      rkey pp left pp right
 
 let to_string op = Fmt.str "%a" pp op
 

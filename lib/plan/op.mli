@@ -75,6 +75,21 @@ type t =
       (** cast a bag to a dictionary keyed by [label]: logically the
           identity, but establishes the label partitioning guarantee during
           distributed execution (Section 4) *)
+  | Cogroup of {
+      left : t;
+      right : t;
+      lkey : Sexpr.t list;
+      rkey : Sexpr.t list;
+      kind : join_kind;
+      keys : (string * Sexpr.t) list;
+      item : Sexpr.t;
+      presence : Sexpr.t;
+      out : string;
+    }
+      (** [NestBag] with no [agg_keys] over [Join], fused (Section 3,
+          Optimization): one row per joining left row, its [keys] and the
+          bag [out] of [item] over its present joined rows, built without
+          the flattened intermediate. {!Optimize.cogroup} introduces it. *)
 
 val name : t -> string
 (** Constructor name of the root operator ("Join", "NestBag", ...): the

@@ -1,7 +1,8 @@
 (** Plan optimizations of Section 3: selection pushdown, column pruning
     (projection pushdown to scans), and aggregation pushdown past joins when
     the join key of the other side is known to be unique. The join+nest ->
-    cogroup fusion is a physical rewrite and lives in the code generator.
+    cogroup fusion is the separate pass {!cogroup}, run after these; it is
+    the one place that decides where a cogroup is safe.
 
     All rewrites are semantics-preserving and are validated against
     {!Local_eval} in the test suite. *)
@@ -70,6 +71,12 @@ let add_uses demands exprs =
 let whole_demands cols =
   List.fold_left (fun d c -> SMap.add c Whole d) SMap.empty cols
 
+(* the demands of a two-sided operator, split into its left side's and its
+   right side's *)
+let split_demands left demands =
+  let lcols = SSet.of_list (Op.columns left) in
+  SMap.partition (fun c _ -> SSet.mem c lcols) demands
+
 (** Rewrite the plan, inserting narrowing projections directly above scans
     whose binder is only ever used through a known set of fields. *)
 let rec prune (demands : demand SMap.t) (op : Op.t) : Op.t =
@@ -88,16 +95,15 @@ let rec prune (demands : demand SMap.t) (op : Op.t) : Op.t =
     let child_demands = add_uses SMap.empty (List.map snd fields) in
     Op.Project (fields, prune child_demands child)
   | Op.Join { left; right; lkey; rkey; kind } ->
-    let lcols = SSet.of_list (Op.columns left) in
-    let d = add_uses demands (lkey @ rkey) in
-    let dl = SMap.filter (fun c _ -> SSet.mem c lcols) d in
-    let dr = SMap.filter (fun c _ -> not (SSet.mem c lcols)) d in
+    let dl, dr = split_demands left (add_uses demands (lkey @ rkey)) in
     Op.Join { left = prune dl left; right = prune dr right; lkey; rkey; kind }
   | Op.Product (left, right) ->
-    let lcols = SSet.of_list (Op.columns left) in
-    let dl = SMap.filter (fun c _ -> SSet.mem c lcols) demands in
-    let dr = SMap.filter (fun c _ -> not (SSet.mem c lcols)) demands in
+    let dl, dr = split_demands left demands in
     Op.Product (prune dl left, prune dr right)
+  | Op.Cogroup c ->
+    let exprs = List.map snd c.keys @ [ c.item; c.presence ] @ c.lkey @ c.rkey in
+    let dl, dr = split_demands c.left (add_uses SMap.empty exprs) in
+    Op.Cogroup { c with left = prune dl c.left; right = prune dr c.right }
   | Op.Unnest { input; path; binder; outer; drop } ->
     let d = SMap.remove binder demands in
     (* the consumed bag attribute can be projected away (the paper's mu
@@ -286,6 +292,31 @@ let rec push_agg unique_keys (op : Op.t) : Op.t =
         { input = push_agg unique_keys (Op.Join { left; right; lkey; rkey; kind });
           keys; agg_keys; aggs = [ (out, value) ]; presence })
   | op -> Op.map_children (push_agg unique_keys) op
+
+(* ------------------------------------------------------------------ *)
+(* Cogroup fusion (Section 3, Optimization): a Gamma-union with no agg_keys
+   directly over a join becomes one cogroup, so the nested object is built
+   without the flattened intermediate. Safe when the nest keys contain a
+   unique row id ([id%] columns, added by the unnester's AddIndex) and read
+   only the left side, with the left join key: each group is then exactly
+   one left row. *)
+
+let has_unique_id keys =
+  List.exists
+    (function _, Sexpr.Col (c :: _) -> String.starts_with ~prefix:"id%" c | _ -> false)
+    keys
+
+let rec cogroup (op : Op.t) : Op.t =
+  match op with
+  | Op.NestBag
+      { input = Op.Join { left; right; lkey; rkey; kind };
+        keys; agg_keys = []; item; presence; out }
+    when has_unique_id keys
+         && Sexpr.reads_only (Op.columns left) (List.map snd keys @ lkey) ->
+    Op.Cogroup
+      { left = cogroup left; right = cogroup right; lkey; rkey; kind;
+        keys; item; presence; out }
+  | op -> Op.map_children cogroup op
 
 (* ------------------------------------------------------------------ *)
 

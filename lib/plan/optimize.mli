@@ -32,4 +32,11 @@ val push_agg : (string * string list) list -> Op.t -> Op.t
 (** Gamma-plus over a join against a unique-keyed scan: pre-aggregate the
     left side grouped by (left keys + join key), join, then combine. *)
 
+val cogroup : Op.t -> Op.t
+(** Fuse each Gamma-union with no [agg_keys] directly over a join into an
+    {!Op.Cogroup} (Section 3, Optimization), where that is safe: the nest
+    keys hold a unique row id ([id%] column) and read only the join's left
+    side, as does the left join key, so each group is one left row.
+    Idempotent; a separate pass run after {!optimize}. *)
+
 val optimize : ?config:config -> Op.t -> Op.t

@@ -65,6 +65,22 @@ let test_shredded_program_scala () =
   check "localized aggregation groups by label" true
     (contains scala "$\"label\"")
 
+(* a cogroup the optimizer introduced is one val, not a join and a
+   groupBy *)
+let test_cogroup_scala () =
+  let prog =
+    Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" Fixtures.flat_to_nested
+  in
+  let plan = List.assoc "Q" (Trance.Api.compile_standard prog) in
+  let scala = Trance.Spark_codegen.plan_to_scala ~name:"Q" plan in
+  check "plan holds a cogroup" true
+    (Plan.Op.count (function Plan.Op.Cogroup _ -> true | _ -> false) plan > 0);
+  check "groupByKey(...).cogroup(...)" true
+    (contains scala ".groupByKey(" && contains scala ".cogroup(");
+  check "no flattened join" false (contains scala ".join(");
+  check_int "one val per operator" (Plan.Op.count (fun _ -> true) plan)
+    (count_substring scala "val ds")
+
 let balanced s =
   let depth = ref 0 and ok = ref true in
   String.iter
@@ -135,5 +151,6 @@ let () =
           Alcotest.test_case "shredded program" `Quick
             test_shredded_program_scala;
           Alcotest.test_case "corpus well-formed" `Quick test_corpus_wellformed;
+          Alcotest.test_case "cogroup" `Quick test_cogroup_scala;
         ] );
     ]

@@ -1090,7 +1090,8 @@ let test_golden_counters () =
     ];
   List.iter
     (fun op -> reached op (fun sp -> sp.Exec.Trace.op = op))
-    [ "UnionAll"; "Unnest"; "AddIndex"; "NestSum"; "Dedup"; "BagToDict" ];
+    [ "UnionAll"; "Unnest"; "AddIndex"; "NestSum"; "Dedup"; "BagToDict";
+      "Cogroup" ];
   reached "a skew split with heavy keys" (fun sp ->
       match sp.Exec.Trace.strategy with
       | Some (Exec.Trace.Skew_split _) -> true
@@ -1138,6 +1139,18 @@ let test_validate_accepts () =
   check "a positive deadline is valid" true
     (Result.is_ok
        (Exec.Config.validate { cluster with Exec.Config.deadline = Some 1e-9 }))
+
+(* [run.config] is the configuration the run executed under: a SparkSQL
+   run has the cogroup fusion off, and its run_json says so. *)
+let test_effective_cogroup () =
+  List.iter
+    (fun (strategy, cogroup) ->
+      let r = run_strategy strategy Fixtures.flat_to_nested in
+      let what = Trance.Api.strategy_name strategy in
+      check (what ^ ": config.cogroup") cogroup r.Trance.Api.config.cogroup;
+      check (what ^ ": run_json config") true
+        (contains (Trance.Api.run_json r) (Printf.sprintf "\"cogroup\":%b" cogroup)))
+    [ (Trance.Api.SparkSQL_proxy, false); (Trance.Api.Standard, true) ]
 
 let with_env vars =
   Exec.Config.with_env (fun name -> List.assoc_opt name vars) cluster
@@ -1247,6 +1260,8 @@ let () =
         @ [
             Alcotest.test_case "accepts valid configurations" `Quick
               test_validate_accepts;
+            Alcotest.test_case "SparkSQL reports the cogroup fusion off"
+              `Quick test_effective_cogroup;
             Alcotest.test_case "env hooks parse" `Quick test_env_hooks_parse;
             Alcotest.test_case "env hooks reject malformed values" `Quick
               test_env_hooks_reject;

@@ -261,7 +261,11 @@ let corpus_plans () =
         [ Plan.Optimize.default; Plan.Optimize.none ])
     Fixtures.corpus
 
+let cogroups = Op.count (function Op.Cogroup _ -> true | _ -> false)
+
 let test_map_children () =
+  check "the corpus holds a cogroup, so the law covers it" true
+    (List.exists (fun p -> cogroups p > 0) (corpus_plans ()));
   let wrap c = Op.Dedup c in
   let rec nodes p = p :: List.concat_map nodes (Op.children p) in
   List.iter
@@ -809,6 +813,166 @@ let test_nest_permuted_bag_keys () =
         K.nest_sum ~keys:[ ("k", col "k") ] ~agg_keys:[] ~aggs:[ ("s", col "n") ]
           ~presence:always rows) ]
 
+(* ------------------------------------------------------------------ *)
+(* The cogroup rewrite *)
+
+module Q = Tpch.Queries
+
+(* every TPC-H cell on a tiny database: (name, family, level, program,
+   input values) *)
+let tpch_cells =
+  let db =
+    Tpch.Generator.generate
+      { Tpch.Generator.default_scale with customers = 4; parts = 12 }
+  in
+  List.concat_map
+    (fun family ->
+      List.concat_map
+        (fun level ->
+          List.map
+            (fun wide ->
+              ( Printf.sprintf "%s/%d/%s" (Q.family_name family) level
+                  (if wide then "wide" else "narrow"),
+                family, level,
+                Q.program ~wide ~family ~level (),
+                Q.input_values ~wide ~family ~level db ))
+            [ false; true ])
+        [ 0; 1; 2; 3; 4 ])
+    [ Q.Flat_to_nested; Q.Nested_to_nested; Q.Nested_to_flat ]
+
+(* Both routes' steps, compiled under [config], with the input values each
+   runs on: the shredded route's materialized assignments, then its
+   unshredding plan. *)
+let route_steps ~config prog inputs =
+  Trance.Shred_type.reset_sites ();
+  let std = Trance.Api.compile_standard ~config prog in
+  let sc = Trance.Api.compile_shredded ~config prog in
+  [ ("Standard", inputs, std);
+    ( "Shred+Unshred",
+      Trance.Shred_value.shred_env prog.Nrc.Program.inputs inputs,
+      sc.Trance.Api.plans
+      @ List.map (fun p -> ("Unshred", p)) (Option.to_list sc.Trance.Api.unshred_plan) ) ]
+
+let unfused = { Trance.Api.default_config with cogroup = false }
+
+(* Γ⊎ over L ⟕ R on k, where two L rows share k: fused only with the
+   unique row id among the keys and no key read from R. The near misses
+   would change the bag if fused. *)
+let near_miss_steps =
+  let tup = List.map (fun (f, i) -> (f, V.Int i)) in
+  let inputs =
+    [ ("L", V.Bag (List.map (fun r -> V.Tuple (tup r))
+                     [ [ ("k", 1); ("a", 1) ]; [ ("k", 1); ("a", 2) ]; [ ("k", 2); ("a", 3) ] ]));
+      ("R", V.Bag (List.map (fun r -> V.Tuple (tup r))
+                     [ [ ("k", 1); ("b", 10) ]; [ ("k", 1); ("b", 20) ]; [ ("k", 2); ("b", 30) ] ])) ]
+  in
+  let join =
+    Op.Join
+      { left = Op.AddIndex { input = Op.Scan { input = "L"; binder = "x" }; col = "id%1" };
+        right = Op.Scan { input = "R"; binder = "y" };
+        lkey = [ S.path "x" [ "k" ] ]; rkey = [ S.path "y" [ "k" ] ];
+        kind = Op.LeftOuter }
+  in
+  (* the ids differ run to run, so they are projected away *)
+  let nest keys =
+    let shown = List.filter (fun c -> c <> "id%1") (List.map fst keys) @ [ "bs" ] in
+    Op.Project
+      ( List.map (fun c -> (c, col c)) shown,
+        Op.NestBag
+          { input = join; keys; agg_keys = []; item = S.path "y" [ "b" ];
+            presence = S.Not (S.IsNull (col "y")); out = "bs" } )
+  in
+  ( "near misses",
+    inputs,
+    [ ("unique id", nest [ ("id%1", col "id%1"); ("a", S.path "x" [ "a" ]) ]);
+      ("no unique id", nest [ ("k", S.path "x" [ "k" ]) ]);
+      ("a key read from R", nest [ ("id%1", col "id%1"); ("b", S.path "y" [ "b" ]) ]) ] )
+
+(* (a) and (b): on every corpus program (optimized and not), every TPC-H
+   cell and the near misses, each step of each route gives the same bag on
+   the local interpreter with and without the rewrite (and with column
+   pruning over the fused plan), and the rewrite is idempotent. The
+   unfused step's rows feed later steps. *)
+let test_cogroup_keeps_meaning () =
+  let cases =
+    List.concat_map
+      (fun (name, q) ->
+        let prog = Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" q in
+        List.map
+          (fun (oname, optimizer) ->
+            (name ^ "/" ^ oname, prog, Fixtures.inputs_val, { unfused with optimizer }))
+          [ ("optimized", Plan.Optimize.default); ("unoptimized", Plan.Optimize.none) ])
+      Fixtures.corpus
+    @ List.map (fun (cell, _, _, prog, inputs) -> (cell, prog, inputs, unfused)) tpch_cells
+  in
+  let fused = ref 0 in
+  let check_route case (route, inputs, steps) =
+    let env = Plan.Local_eval.env_of_list inputs in
+    List.iter
+      (fun (step, plan) ->
+        let what = String.concat "/" [ case; route; step ] in
+        let plan' = Plan.Optimize.cogroup plan in
+        if plan' <> plan then incr fused;
+        check (what ^ ": idempotent") true (Plan.Optimize.cogroup plan' = plan');
+        let expected = Plan.Local_eval.eval_to_bag env plan in
+        Fixtures.check_bag_equal what expected
+          (Plan.Local_eval.eval_to_bag env plan');
+        Fixtures.check_bag_equal (what ^ ", pruned after fusing") expected
+          (Plan.Local_eval.eval_to_bag env (Plan.Optimize.prune_columns plan'));
+        Hashtbl.replace env step (V.bag_items expected))
+      steps
+  in
+  List.iter
+    (fun (case, prog, inputs, config) ->
+      List.iter (check_route case) (route_steps ~config prog inputs))
+    cases;
+  check_route "hand-built" near_miss_steps;
+  check "some step was fused" true (!fused > 0)
+
+(* (c): where the compiled routes hold a cogroup. Flat-to-nested builds its
+   nested output with one in the standard plan, and every nested output is
+   reassembled with one in the unshredding plan; nested-to-flat has none.
+   Skew-aware compilation and [cogroup = false] fuse nothing. *)
+let test_cogroup_placement () =
+  let sum = List.fold_left (fun acc (_, p) -> acc + cogroups p) 0 in
+  let counts config prog =
+    let sc = Trance.Api.compile_shredded ~config prog in
+    ( sum (Trance.Api.compile_standard ~config prog),
+      sum sc.Trance.Api.plans,
+      sum (List.map (fun p -> ("Unshred", p)) (Option.to_list sc.Trance.Api.unshred_plan)) )
+  in
+  let check_counts what expected actual =
+    Alcotest.(check (triple int int int)) (what ^ ": standard, shredded, unshred")
+      expected actual
+  in
+  List.iter
+    (fun (cell, family, level, prog, _) ->
+      let nested = level >= 1 in
+      check_counts cell
+        ( (if family = Q.Flat_to_nested && nested then 1 else 0),
+          0,
+          if family <> Q.Nested_to_flat && nested then 1 else 0 )
+        (counts Trance.Api.default_config prog);
+      check_counts (cell ^ " skew-aware") (0, 0, 0)
+        (counts { Trance.Api.default_config with skew_aware = true } prog);
+      check_counts (cell ^ " cogroup off") (0, 0, 0) (counts unfused prog))
+    tpch_cells;
+  (* a SparkSQL run executes no cogroup where a Standard run does *)
+  let _, _, _, prog, inputs =
+    List.find (fun (cell, _, _, _, _) -> cell = "flat-to-nested/2/narrow") tpch_cells
+  in
+  List.iter
+    (fun (strategy, expected) ->
+      let r =
+        Trance.Api.run
+          ~config:{ Trance.Api.default_config with trace = true }
+          ~strategy prog inputs
+      in
+      check_int (Trance.Api.strategy_name strategy ^ ": cogroup spans") expected
+        (List.length
+           (Exec.Trace.find_all (fun sp -> sp.Exec.Trace.op = "Cogroup") r.Trance.Api.trace)))
+    [ (Trance.Api.Standard, 1); (Trance.Api.SparkSQL_proxy, 0) ]
+
 let () =
   Alcotest.run "plan"
     [
@@ -839,6 +1003,10 @@ let () =
             test_map_children;
           Alcotest.test_case "reads_only: top-level columns only" `Quick
             test_reads_only;
+          Alcotest.test_case "cogroup: same bags, idempotent" `Quick
+            test_cogroup_keeps_meaning;
+          Alcotest.test_case "cogroup: placement" `Quick
+            test_cogroup_placement;
         ] );
       ( "row sizes",
         List.map QCheck_alcotest.to_alcotest
