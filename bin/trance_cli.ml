@@ -31,6 +31,23 @@ let int_in ?(lo = min_int) ?(hi = max_int) () =
 let level = int_in ~lo:0 ~hi:4 ()
 let count = int_in ~lo:0 ()
 
+(* A memory budget in MB whose byte count is a positive [int]: NaN, an
+   infinity, zero, a negative size or one past [max_int] bytes is a usage
+   error, not a budget that silently wraps to nothing. *)
+let megabytes =
+  let parse s =
+    match float_of_string_opt s with
+    | Some mb when mb *. 1048576. >= 1. && mb *. 1048576. < Float.of_int max_int ->
+      Ok mb
+    | _ ->
+      Error
+        (`Msg
+           (Printf.sprintf
+              "invalid value '%s', expected a positive number of MB below %d" s
+              ((max_int / 1048576) + 1)))
+  in
+  Arg.conv (parse, Fmt.float)
+
 let family_arg =
   let parse = function
     | "flat-to-nested" | "f2n" -> Ok Tpch.Queries.Flat_to_nested
@@ -59,7 +76,7 @@ let wide_arg =
 
 let skew_arg =
   Arg.(
-    value & opt int 0
+    value & opt (int_in ~lo:0 ~hi:4 ()) 0
     & info [ "skew" ] ~docv:"S" ~doc:"Zipf skew factor of the generated data (0-4).")
 
 let scale_arg =
@@ -89,7 +106,7 @@ let skew_aware_arg =
 
 let mem_arg =
   Arg.(
-    value & opt float 64.
+    value & opt megabytes 64.
     & info [ "mem" ] ~docv:"MB" ~doc:"Per-worker memory budget in MB.")
 
 let trace_arg =

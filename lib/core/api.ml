@@ -492,10 +492,10 @@ let not_run ~strategy ~config failure =
   }
 
 (* One route, one run; never raises a typed failure. Both routes take the
-   same path: compile to (name, plan) steps and load the inputs inside a
-   failure-catching region, then run the steps on one pool inside one
-   timed, failure-catching region. The Shred+Unshred reassembly is one
-   more step, named "Unshred". *)
+   same path: compile to (name, plan) steps, load the inputs and spawn the
+   pool inside a failure-catching region, then run the steps on that pool
+   inside one timed, failure-catching region. The Shred+Unshred reassembly
+   is one more step, named "Unshred". *)
 let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
     (input_values : (string * V.t) list) : run =
   (* AddIndex ids and label sites feed partition assignment: reset both so
@@ -537,29 +537,33 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
   in
   let prepared =
     catch_failure (fun () ->
-        match strategy with
-        | Standard | SparkSQL_proxy ->
-          let plans, result_name =
-            in_phase "compile" (fun () ->
-                (compile_standard ~config p, Nrc.Program.result_name p))
-          in
-          (plans, load load_inputs, result_name)
-        | Shredded { unshred } -> (
-          let compiled = in_phase "compile" (fun () -> compile_shredded ~config p) in
-          let env = load load_shredded_inputs in
-          match unshred, compiled.unshred_plan with
-          | true, Some uplan ->
-            (compiled.plans @ [ ("Unshred", uplan) ], env, "Unshred")
-          | _ -> (compiled.plans, env, compiled.pipeline.Shred_pipeline.top)))
+        let steps =
+          match strategy with
+          | Standard | SparkSQL_proxy ->
+            let plans, result_name =
+              in_phase "compile" (fun () ->
+                  (compile_standard ~config p, Nrc.Program.result_name p))
+            in
+            (plans, load load_inputs, result_name)
+          | Shredded { unshred } -> (
+            let compiled = in_phase "compile" (fun () -> compile_shredded ~config p) in
+            let env = load load_shredded_inputs in
+            match unshred, compiled.unshred_plan with
+            | true, Some uplan ->
+              (compiled.plans @ [ ("Unshred", uplan) ], env, "Unshred")
+            | _ -> (compiled.plans, env, compiled.pipeline.Shred_pipeline.top))
+        in
+        (* the pool is spawned once per run, outside the timed region, so
+           wall_seconds measures execution rather than domain startup *)
+        (steps, in_phase "pool" (fun () ->
+             Exec.Pool.create ~domains:cluster.Exec.Config.domains)))
   in
   match prepared with
   | Error f -> not_run ~strategy ~config f
-  | Ok (plans, env, result_name) ->
+  | Ok ((plans, env, result_name), pool) ->
     let steps_out = ref [] in
-    (* the pool is spawned once per run, outside the timed region, so
-       wall_seconds measures execution rather than domain startup *)
     let outcome, wall =
-      Exec.Pool.with_pool ~domains:cluster.Exec.Config.domains (fun pool ->
+      Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) (fun () ->
           timed (fun () ->
               catch_failure (fun () ->
                   run_steps ~options ~config:cluster ~stats ~trace

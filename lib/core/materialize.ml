@@ -11,11 +11,16 @@
     Domain elimination (Section 4) is applied per symbolic dictionary:
 
     - {b rule 1}: a dictionary whose body only dereferences its label in an
-      existing dictionary is computed by a direct scan of that dictionary
-      (with the sumBy/dedup extensions of Example 6);
+      existing dictionary is computed by a direct scan of that dictionary;
     - {b rule 2}: a dictionary whose label captures a scalar used only as an
       equality filter is computed from the filtered relation itself, turning
       the captured variable from free to bound.
+
+    The general path and both rules differ only in the generator that
+    supplies each label, so all three emit through one builder,
+    [dict_expr]. A body's sumBy or dedup (the extensions of Example 6) is
+    its [wrap]: peeled off before matching, put back around the flat
+    dictionary, with the label prepended to the sumBy keys.
 
     Output levels that alias an input dictionary (label reuse) are recorded
     in the {!Registry} and cost nothing. *)
@@ -50,38 +55,44 @@ let record_fields_of item_ty w =
       (Unsupported_shredding
          "shredded dictionaries require tuple-valued inner bags")
 
-(* <label := lbl, f1 := w.f1, ...> *)
-let dict_row lbl item_ty w = E.Record (("label", lbl) :: record_fields_of item_ty w)
+(* ------------------------------------------------------------------ *)
+(* The one dictionary builder *)
+
+(* What a dictionary body wraps around its comprehension: the sumBy/dedup
+   extension of Example 6. The builder puts it back around the flat
+   dictionary's comprehension. *)
+type wrap = Plain | Dedup | Sum of { keys : string list; values : string list }
+
+let unwrap : E.t -> wrap * E.t = function
+  | E.SumBy { input; keys; values } -> (Sum { keys; values }, input)
+  | E.Dedup input -> (Dedup, input)
+  | body -> (Plain, body)
+
+(* [wrap (for x in src union for w in body union sng(<label := label, ...>))]:
+   the row carries [w]'s item fields, or the sumBy keys and values *)
+let dict_expr wrap ~item_ty ~label (x, src) w body : E.t =
+  let fields =
+    match wrap with
+    | Sum { keys; values } -> List.map (fun k -> (k, E.Proj (E.Var w, k))) (keys @ values)
+    | Plain | Dedup -> record_fields_of item_ty w
+  in
+  let row = E.Singleton (E.Record (("label", label) :: fields)) in
+  let comp = E.ForUnion (x, src, E.ForUnion (w, body, row)) in
+  match wrap with
+  | Plain -> comp
+  | Dedup -> E.Dedup comp
+  | Sum { keys; values } -> E.SumBy { keys = "label" :: keys; values; input = comp }
 
 (* ------------------------------------------------------------------ *)
 (* Domain elimination rule 1: body dereferences only its own label *)
 
-type rule1_shape =
-  | R1_plain of { y : string; dict : string; rest : E.t }
-  | R1_sum of { y : string; dict : string; rest : E.t; keys : string list; values : string list }
-  | R1_dedup of { y : string; dict : string; rest : E.t }
+type rule1_shape = { y : string; dict : string; rest : E.t; wrap : wrap }
 
 let match_rule1 (lam : lam) : rule1_shape option =
-  match lam.params with
-  | [ (p, T.TLabel) ] -> (
-    let lookup_loop = function
-      | E.ForUnion (y, E.MatLookup (E.Var d, E.Var p'), rest)
-        when p' = p && (not (E.is_free p rest)) && not (uses_whole y rest) ->
-        Some (y, d, rest)
-      | _ -> None
-    in
-    match lam.body with
-    | E.SumBy { input; keys; values } ->
-      Option.map
-        (fun (y, dict, rest) -> R1_sum { y; dict; rest; keys; values })
-        (lookup_loop input)
-    | E.Dedup input ->
-      Option.map
-        (fun (y, dict, rest) -> R1_dedup { y; dict; rest })
-        (lookup_loop input)
-    | body ->
-      Option.map (fun (y, dict, rest) -> R1_plain { y; dict; rest }) (lookup_loop body)
-    )
+  match lam.params, unwrap lam.body with
+  | [ (p, T.TLabel) ], (wrap, E.ForUnion (y, E.MatLookup (E.Var dict, E.Var p'), rest))
+    when p' = p && (not (E.is_free p rest)) && not (uses_whole y rest) ->
+    Some { y; dict; rest; wrap }
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -93,9 +104,7 @@ type rule2_shape = {
   src : E.t;
   key_attrs : string list; (* y attributes equated with params, param order *)
   rest : E.t;
-  keys : string list; (* sumBy keys, [] when no aggregate *)
-  values : string list;
-  aggregate : bool;
+  wrap : wrap; (* never [Dedup] *)
 }
 
 let match_rule2 (lam : lam) : rule2_shape option =
@@ -108,43 +117,32 @@ let match_rule2 (lam : lam) : rule2_shape option =
       | E.Logic (E.And, a, b) -> conjuncts a @ conjuncts b
       | e -> [ e ]
     in
-    let match_loop = function
-      | E.ForUnion (y, src, E.If (cond, rest, None))
-        when List.for_all (fun (p, _) -> not (E.is_free p src)) lam.params
-             && List.for_all (fun (p, _) -> not (E.is_free p rest)) lam.params
-      -> (
-        (* each param must be equated with exactly one y attribute *)
-        let eqs = conjuncts cond in
-        let attr_of p =
-          List.find_map
-            (function
-              | E.Cmp (E.Eq, E.Proj (E.Var y', a), E.Var p') when y' = y && p' = p ->
-                Some a
-              | E.Cmp (E.Eq, E.Var p', E.Proj (E.Var y', a)) when y' = y && p' = p ->
-                Some a
-              | _ -> None)
-            eqs
-        in
-        match
-          List.map (fun (p, _) -> attr_of p) lam.params
-        with
-        | attrs when List.for_all Option.is_some attrs
-                     && List.length eqs = List.length lam.params ->
-          Some (y, src, List.map Option.get attrs, rest)
-        | _ -> None)
-      | _ -> None
-    in
-    match lam.body with
-    | E.SumBy { input; keys; values } ->
-      Option.map
-        (fun (y, src, key_attrs, rest) ->
-          { y; src; key_attrs; rest; keys; values; aggregate = true })
-        (match_loop input)
-    | body ->
-      Option.map
-        (fun (y, src, key_attrs, rest) ->
-          { y; src; key_attrs; rest; keys = []; values = []; aggregate = false })
-        (match_loop body)
+    match unwrap lam.body with
+    | wrap, E.ForUnion (y, src, E.If (cond, rest, None))
+      when wrap <> Dedup
+           && List.for_all (fun (p, _) -> not (E.is_free p src)) lam.params
+           && List.for_all (fun (p, _) -> not (E.is_free p rest)) lam.params
+    -> (
+      (* each param must be equated with exactly one y attribute *)
+      let eqs = conjuncts cond in
+      let attr_of p =
+        List.find_map
+          (function
+            | E.Cmp (E.Eq, E.Proj (E.Var y', a), E.Var p') when y' = y && p' = p ->
+              Some a
+            | E.Cmp (E.Eq, E.Var p', E.Proj (E.Var y', a)) when y' = y && p' = p ->
+              Some a
+            | _ -> None)
+          eqs
+      in
+      match
+        List.map (fun (p, _) -> attr_of p) lam.params
+      with
+      | attrs when List.for_all Option.is_some attrs
+                   && List.length eqs = List.length lam.params ->
+        Some { y; src; key_attrs = List.map Option.get attrs; rest; wrap }
+      | _ -> None)
+    | _ -> None
   end
 
 (* ------------------------------------------------------------------ *)
@@ -164,111 +162,32 @@ let emit st name e = st.acc <- (name, e) :: st.acc
 let general_lam_expr (lam : lam) (dom : string) (item_ty : T.t) : E.t =
   let l = E.fresh ~hint:"l" () in
   let w = E.fresh ~hint:"w" () in
-  let matched body =
+  let label = E.Proj (E.Var l, "label") in
+  let wrap, body = unwrap lam.body in
+  let body =
     if lam.identity then
       (* the domain labels ARE the captured labels: bind the single
          parameter directly, no site dispatch needed *)
       match lam.params with
-      | [ (p, _) ] -> E.subst p (E.Proj (E.Var l, "label")) body
+      | [ (p, _) ] -> E.subst p label body
       | _ -> assert false
-    else
-      E.MatchLabel
-        { label = E.Proj (E.Var l, "label"); site = lam.site;
-          params = lam.params; body }
+    else E.MatchLabel { label; site = lam.site; params = lam.params; body }
   in
-  let label_e = E.Proj (E.Var l, "label") in
-  match lam.body with
-  | E.SumBy { input; keys; values } ->
-    let row_fields =
-      List.map (fun k -> (k, E.Proj (E.Var w, k))) (keys @ values)
-    in
-    E.SumBy
-      { keys = "label" :: keys;
-        values;
-        input =
-          E.ForUnion
-            ( l,
-              E.Var dom,
-              E.ForUnion
-                (w, matched input, E.Singleton (E.Record (("label", label_e) :: row_fields)))
-            ) }
-  | E.Dedup input ->
-    E.Dedup
-      (E.ForUnion
-         ( l,
-           E.Var dom,
-           E.ForUnion (w, matched input, E.Singleton (dict_row label_e item_ty w)) ))
-  | body ->
-    E.ForUnion
-      ( l,
-        E.Var dom,
-        E.ForUnion (w, matched body, E.Singleton (dict_row label_e item_ty w)) )
+  dict_expr wrap ~item_ty ~label (l, E.Var dom) w body
 
-let rule1_expr (shape : rule1_shape) (item_ty : T.t) : E.t =
+let rule1_expr ({ y; dict; rest; wrap } : rule1_shape) (item_ty : T.t) : E.t =
   let z = E.fresh ~hint:"z" () in
   let w = E.fresh ~hint:"w" () in
-  match shape with
-  | R1_plain { y; dict; rest } ->
-    E.ForUnion
-      ( z,
-        E.Var dict,
-        E.ForUnion
-          ( w,
-            E.subst y (E.Var z) rest,
-            E.Singleton (dict_row (E.Proj (E.Var z, "label")) item_ty w) ) )
-  | R1_dedup { y; dict; rest } ->
-    E.Dedup
-      (E.ForUnion
-         ( z,
-           E.Var dict,
-           E.ForUnion
-             ( w,
-               E.subst y (E.Var z) rest,
-               E.Singleton (dict_row (E.Proj (E.Var z, "label")) item_ty w) ) ))
-  | R1_sum { y; dict; rest; keys; values } ->
-    let row_fields =
-      List.map (fun k -> (k, E.Proj (E.Var w, k))) (keys @ values)
-    in
-    E.SumBy
-      { keys = "label" :: keys;
-        values;
-        input =
-          E.ForUnion
-            ( z,
-              E.Var dict,
-              E.ForUnion
-                ( w,
-                  E.subst y (E.Var z) rest,
-                  E.Singleton
-                    (E.Record (("label", E.Proj (E.Var z, "label")) :: row_fields))
-                ) ) }
+  let body = E.subst y (E.Var z) rest in
+  dict_expr wrap ~item_ty ~label:(E.Proj (E.Var z, "label")) (z, E.Var dict) w body
 
-let rule2_expr ~site (shape : rule2_shape) (item_ty : T.t) : E.t =
+let rule2_expr ~site ({ y; src; key_attrs; rest; wrap } : rule2_shape)
+    (item_ty : T.t) : E.t =
   let w = E.fresh ~hint:"w" () in
-  let label_e =
-    E.NewLabel
-      { site;
-        args = List.map (fun a -> E.Proj (E.Var shape.y, a)) shape.key_attrs }
+  let label =
+    E.NewLabel { site; args = List.map (fun a -> E.Proj (E.Var y, a)) key_attrs }
   in
-  if shape.aggregate then
-    let row_fields =
-      List.map (fun k -> (k, E.Proj (E.Var w, k))) (shape.keys @ shape.values)
-    in
-    E.SumBy
-      { keys = "label" :: shape.keys;
-        values = shape.values;
-        input =
-          E.ForUnion
-            ( shape.y,
-              shape.src,
-              E.ForUnion
-                (w, shape.rest, E.Singleton (E.Record (("label", label_e) :: row_fields)))
-            ) }
-  else
-    E.ForUnion
-      ( shape.y,
-        shape.src,
-        E.ForUnion (w, shape.rest, E.Singleton (dict_row label_e item_ty w)) )
+  dict_expr wrap ~item_ty ~label (y, src) w rest
 
 (* collect the entries of a dictionary tree, merging unions *)
 let rec entries_of (d : dtree) : (string * entry list) list =

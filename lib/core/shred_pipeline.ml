@@ -8,15 +8,11 @@ module E = Nrc.Expr
 module T = Nrc.Types
 
 type t = {
-  source : Nrc.Program.t;
   mat : Nrc.Program.t;
       (** materialized program: inputs are the shredded datasets, one
           assignment per top bag / dictionary / label domain *)
-  registry : Registry.t;
-  result : string; (* the source program's result variable *)
   top : string; (* dataset holding the result's top bag *)
   dicts : (string list * string) list; (* result dict path -> dataset *)
-  output_ty : T.t; (* original type of the result *)
   unshred_query : E.t option; (* None when the output is flat *)
 }
 
@@ -58,17 +54,9 @@ let shred_program ?(config = Materialize.default) (p : Nrc.Program.t) : t =
     | _ -> None
   in
   {
-    source = p;
-    mat =
-      Nrc.Program.make ~inputs:mat_inputs
-        (List.map
-           (fun (n, e) -> (n, e))
-           (List.rev assignments_rev));
-    registry;
-    result;
+    mat = Nrc.Program.make ~inputs:mat_inputs (List.rev assignments_rev);
     top = last_mat.Materialize.top;
     dicts = last_mat.Materialize.dicts;
-    output_ty;
     unshred_query;
   }
 

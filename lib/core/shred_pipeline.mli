@@ -5,15 +5,11 @@
     the standard route. *)
 
 type t = {
-  source : Nrc.Program.t;
   mat : Nrc.Program.t;
       (** materialized program: inputs are the shredded datasets; one
           assignment per top bag / dictionary / label domain *)
-  registry : Registry.t;
-  result : string;  (** the source program's result variable *)
   top : string;  (** dataset holding the result's top bag *)
   dicts : (string list * string) list;  (** result dict path -> dataset *)
-  output_ty : Nrc.Types.t;  (** original type of the result *)
   unshred_query : Nrc.Expr.t option;  (** [None] when the output is flat *)
 }
 

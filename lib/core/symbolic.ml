@@ -162,21 +162,17 @@ let subst_path v a e' (e : E.t) : E.t =
   in
   go e
 
-(** Build the label for a dictionary body: returns the [NewLabel] expression
-    (to embed in F) and the lambda closing the body over the captured
-    values. *)
-let close_body ctx ~site (body : E.t) : E.t * lam =
-  let bound = SSet.of_list (List.map fst ctx.ftenv) in
-  let usage = used_paths bound body in
-  (* one captured argument per used path, in a deterministic order *)
+(* Close [body] over the used attribute paths of the generator variables
+   in scope, sorted by variable: path [i] becomes parameter [param i].
+   Returns the captured paths with their flat types, the parameters and the
+   closed body. With [~flat], a non-flat capture is rejected before
+   anything is substituted. *)
+let capture ctx ~flat ~param (body : E.t) =
+  let usage = used_paths (SSet.of_list (List.map fst ctx.ftenv)) body in
   let captures =
     List.concat_map
       (fun (v, u) ->
-        let vty =
-          match List.assoc_opt v ctx.ftenv with
-          | Some t -> t
-          | None -> unsupported "no flat type for %s" v
-        in
+        let vty = List.assoc v ctx.ftenv in
         match u with
         | Whole -> [ (E.Var v, vty) ]
         | Attrs attrs ->
@@ -185,17 +181,14 @@ let close_body ctx ~site (body : E.t) : E.t * lam =
             (SSet.elements attrs))
       (List.sort (fun (a, _) (b, _) -> String.compare a b) usage)
   in
-  List.iter
-    (fun (_, t) ->
-      if not (T.is_flat t) then
-        unsupported "label would capture a non-flat value of type %a" T.pp t)
-    captures;
-  let params =
-    List.mapi
-      (fun i (_, t) -> (Printf.sprintf "cap%%%d_%d" site i, t))
-      captures
-  in
-  let closed_body =
+  if flat then
+    List.iter
+      (fun (_, t) ->
+        if not (T.is_flat t) then
+          unsupported "label would capture a non-flat value of type %a" T.pp t)
+      captures;
+  let params = List.mapi (fun i (_, t) -> (param i, t)) captures in
+  let closed =
     List.fold_left2
       (fun b (path_expr, _) (p, _) ->
         match path_expr with
@@ -204,26 +197,28 @@ let close_body ctx ~site (body : E.t) : E.t * lam =
         | _ -> assert false)
       body captures params
   in
+  (captures, params, closed)
+
+(** Build the label for a dictionary body: returns the [NewLabel] expression
+    (to embed in F) and the lambda closing the body over the captured
+    values. *)
+let close_body ctx ~site (body : E.t) : E.t * lam =
+  let captures, params, body =
+    capture ctx ~flat:true ~param:(Printf.sprintf "cap%%%d_%d" site) body
+  in
   match captures with
   | [ (path_expr, T.TLabel) ] ->
     (* single label capture: the new label would be a bijective wrapper
        around the inner label — use the inner label itself, which is what
        makes rule-1 domain elimination (Example 6) produce dictionaries
        keyed consistently with the top bag *)
-    (path_expr, { site; params; body = closed_body; identity = true })
+    (path_expr, { site; params; body; identity = true })
   | _ ->
     let label = E.NewLabel { site; args = List.map fst captures } in
-    (label, { site; params; body = closed_body; identity = false })
+    (label, { site; params; body; identity = false })
 
 (* ------------------------------------------------------------------ *)
 (* F / D translation *)
-
-let rec rooted_path (e : E.t) : (string * string list) option =
-  match e with
-  | E.Var v -> Some (v, [])
-  | E.Proj (e1, a) ->
-    Option.map (fun (v, p) -> (v, p @ [ a ])) (rooted_path e1)
-  | _ -> None
 
 let rec shred (ctx : ctx) (e : E.t) : E.t * dtree =
   match e with
@@ -334,7 +329,7 @@ and field_shred ctx (ei : E.t) =
     `Scalar eF
   | `Bag -> (
     (* label reuse: a bag-valued path copies the existing label *)
-    match rooted_path ei with
+    match E.rooted_path ei with
     | Some (v, path) when List.mem_assoc v ctx.denv && path <> [] ->
       let d0 = List.assoc v ctx.denv in
       let rec nav d = function
@@ -374,7 +369,7 @@ and shred_field_kind ctx (ei : E.t) =
     | T.TBag _ -> `Bag
     | T.TLabel -> (
       (* a label-typed flat value corresponds to a bag in the source *)
-      match rooted_path ei with Some _ -> `Bag | None -> `Scalar)
+      match E.rooted_path ei with Some _ -> `Bag | None -> `Scalar)
     | _ -> `Scalar)
   | _ -> `Scalar
 
@@ -451,33 +446,8 @@ and shred_groupby ctx ~input ~keys ~group_attr =
   (* the body may reference enclosing generator variables (e.g. a groupBy
      over cop.corders inside a tuple constructor): close over their used
      paths, extending the label's captures beyond the grouping keys *)
-  let bound = SSet.of_list (List.map fst ctx.ftenv) in
-  let usage = used_paths bound raw_body in
-  let extra_captures =
-    List.concat_map
-      (fun (v, u) ->
-        let vty = List.assoc v ctx.ftenv in
-        match u with
-        | Whole -> [ (E.Var v, vty) ]
-        | Attrs attrs ->
-          List.map
-            (fun a -> (E.Proj (E.Var v, a), T.field vty a))
-            (SSet.elements attrs))
-      (List.sort (fun (a, _) (b, _) -> String.compare a b) usage)
-  in
-  let extra_params =
-    List.mapi
-      (fun i (_, t) -> (Printf.sprintf "cap%%%d_x%d" site i, t))
-      extra_captures
-  in
-  let body =
-    List.fold_left2
-      (fun b (path_expr, _) (prm, _) ->
-        match path_expr with
-        | E.Var v -> E.subst v (E.Var prm) b
-        | E.Proj (E.Var v, a) -> subst_path v a (E.Var prm) b
-        | _ -> assert false)
-      raw_body extra_captures extra_params
+  let extra_captures, extra_params, body =
+    capture ctx ~flat:false ~param:(Printf.sprintf "cap%%%d_x%d" site) raw_body
   in
   let label_args x_expr =
     List.map (fun k -> E.Proj (x_expr, k)) keys @ List.map fst extra_captures

@@ -52,9 +52,6 @@ type use = Whole | Attrs of SSet.t
 val used_paths : SSet.t -> Nrc.Expr.t -> (string * use) list
 (** How each bound variable is used: whole, or through which attributes. *)
 
-val subst_path : string -> string -> Nrc.Expr.t -> Nrc.Expr.t -> Nrc.Expr.t
-(** Replace occurrences of [Proj (Var v, a)]. *)
-
 (** {2 Entry point} *)
 
 val shred_expr :

@@ -60,7 +60,7 @@ let rec comps_of (bound : E.VSet.t) (e : E.t) : comp list =
     let x = E.fresh ~hint:"it" () in
     [ { quals = [ Gen (x, SInput r) ]; head = E.Var x } ]
   | E.Proj _ -> (
-    match rooted_path e with
+    match E.rooted_path e with
     | Some (v, fields) when E.VSet.mem v bound ->
       let x = E.fresh ~hint:"it" () in
       [ { quals = [ Gen (x, SPath (v, fields)) ]; head = E.Var x } ]
@@ -88,7 +88,7 @@ and gen_of bound x src body : comp list =
   match src with
   | E.Var r when not (E.VSet.mem r bound) -> continue_with (SInput r)
   | E.Proj _ -> (
-    match rooted_path src with
+    match E.rooted_path src with
     | Some (v, fields) when E.VSet.mem v bound ->
       continue_with (SPath (v, fields))
     | _ -> unsupported "generator over unrooted projection: %a" E.pp src)
@@ -132,14 +132,6 @@ and gen_of bound x src body : comp list =
     prepend (Pred c) (gen_of bound x s1 body)
   | _ -> unsupported "unsupported generator source: %a" E.pp src
 
-and rooted_path (e : E.t) : (string * string list) option =
-  let rec go acc = function
-    | E.Var v -> Some (v, acc)
-    | E.Proj (e1, a) -> go (a :: acc) e1
-    | _ -> None
-  in
-  go [] e
-
 (* ------------------------------------------------------------------ *)
 (* Scalar expression compilation *)
 
@@ -153,7 +145,7 @@ let rec compile_sexpr (e : E.t) : S.t =
     | Some inner -> compile_sexpr inner
     | None -> unsupported "projection %s missing from record" a)
   | E.Proj _ -> (
-    match rooted_path e with
+    match E.rooted_path e with
     | Some (v, fields) -> S.Col (v :: fields)
     | None -> unsupported "projection not rooted at a variable: %a" E.pp e)
   | E.Prim (op, a, b) -> S.Prim (op, compile_sexpr a, compile_sexpr b)
@@ -203,8 +195,18 @@ let head_fields tenv (head : E.t) : (string * E.t) list =
     | _ -> unsupported "head %a is not a tuple" E.pp head)
   | _ -> unsupported "cannot enumerate fields of head %a" E.pp head
 
+let fresh_id () = E.fresh ~hint:"id" ()
+
+(* Split head record fields into scalar-valued and bag-valued ones. Only
+   Record heads are decomposed; Var/Proj heads pass whole values through. *)
+let split_head_fields tenv genv head =
+  match head with
+  | E.Record fields ->
+    Some (List.partition (fun (_, e) -> not (is_bag_expr (tenv @ genv) e)) fields)
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
-(* Qualifier compilation *)
+(* Qualifier, head and level compilation *)
 
 type quals_result = {
   plan : Op.t;
@@ -239,8 +241,8 @@ let rec split_join_preds have x (e : E.t) : (S.t * S.t) list * E.t list =
 let pred_ready bound (e : E.t) =
   E.VSet.subset (E.free_vars e) (E.VSet.of_list bound)
 
-let compile_quals ~outer ~tenv (start : (Op.t * tenv) option)
-    (quals : qual list) (sub_translate : E.t -> Op.t) : quals_result =
+let rec compile_quals ~outer ~tenv (start : (Op.t * tenv) option)
+    (quals : qual list) : quals_result =
   let plan, genv =
     match start with Some (p, g) -> (Some p, g) | None -> (None, [])
   in
@@ -276,7 +278,7 @@ let compile_quals ~outer ~tenv (start : (Op.t * tenv) option)
             | T.TBag elem -> elem
             | t -> unsupported "subquery is not a bag: %a" T.pp t
           in
-          let p = sub_translate sub in
+          let p = translate_bag ~tenv sub in
           let p =
             match Op.columns p with
             | [ c ] when c = x -> p
@@ -381,27 +383,10 @@ let compile_quals ~outer ~tenv (start : (Op.t * tenv) option)
   | Some p -> { plan = p; genv; presence_parts = List.rev !presence }
   | None -> { plan = Op.UnitRow; genv; presence_parts = List.rev !presence }
 
-(* ------------------------------------------------------------------ *)
-(* Head and level compilation *)
-
-let fresh_id () = E.fresh ~hint:"id" ()
-
-(* Split head record fields into scalar-valued and bag-valued ones. Only
-   Record heads are decomposed; Var/Proj heads pass whole values through. *)
-let split_head_fields tenv genv head =
-  match head with
-  | E.Record fields ->
-    Some (List.partition (fun (_, e) -> not (is_bag_expr (tenv @ genv) e)) fields)
-  | _ -> None
-
-let rec translate_root ~(tenv : tenv) (e : E.t) : Op.t =
-  let e = Nrc.Norm.simplify e in
-  translate_bag ~tenv e
-
 and translate_bag ~tenv (e : E.t) : Op.t =
   match e with
   | E.SumBy { input; keys; values } ->
-    translate_agg ~tenv ~g:[] ~start:None input (fun r hf ->
+    translate_agg ~tenv ~start:None input (fun r hf ->
         Op.NestSum
           { input = r.plan;
             keys = [];
@@ -409,7 +394,7 @@ and translate_bag ~tenv (e : E.t) : Op.t =
             aggs = List.map (fun v -> (v, hf v)) values;
             presence = conj r.presence_parts })
   | E.GroupBy { input; keys; group_attr } ->
-    translate_agg ~tenv ~g:[] ~start:None input (fun r hf ->
+    translate_agg ~tenv ~start:None input (fun r hf ->
         let rest =
           rest_fields ~tenv r input keys
         in
@@ -444,37 +429,26 @@ and rest_fields ~tenv r input keys =
    and a head-field accessor. A union of comprehensions at the root is
    compiled branch-per-branch, aligned by projection, and aggregated once
    over the union. *)
-and translate_agg ~tenv ~g ~start input finish =
+and translate_agg ~tenv ~start input finish =
   match comps_of (E.VSet.of_list (List.map fst (match start with Some (_, ge) -> ge | None -> []))) input with
   | [ c ] ->
     let outer = Option.is_some start in
-    let r =
-      compile_quals ~outer ~tenv start c.quals (fun sub ->
-          translate_bag ~tenv sub)
-    in
-    ignore g;
-    let hf field = compile_sexpr (head_field c.head field) in
+    let r = compile_quals ~outer ~tenv start c.quals in
     let hf field =
       match c.head with
       | E.Var x when not (List.mem_assoc x r.genv) ->
         unsupported "aggregate head variable %s unbound" x
-      | _ -> hf field
+      | _ -> compile_sexpr (head_field c.head field)
     in
     finish r hf
   | [] -> Op.Nil [ "item" ]
   | c0 :: _ as comps when start = None ->
     (* aggregate over a union at the root: project each branch to the head
        fields, union, aggregate the union *)
-    let r0 =
-      compile_quals ~outer:false ~tenv None c0.quals (fun sub ->
-          translate_bag ~tenv sub)
-    in
+    let r0 = compile_quals ~outer:false ~tenv None c0.quals in
     let field_names = List.map fst (head_fields (tenv @ r0.genv) c0.head) in
     let branch (c : comp) =
-      let r =
-        compile_quals ~outer:false ~tenv None c.quals (fun sub ->
-            translate_bag ~tenv sub)
-      in
+      let r = compile_quals ~outer:false ~tenv None c.quals in
       Op.Project
         ( List.map (fun f -> (f, compile_sexpr (head_field c.head f))) field_names,
           r.plan )
@@ -490,10 +464,7 @@ and translate_agg ~tenv ~g ~start input finish =
   | _ -> unsupported "aggregate over a union inside a nested attribute"
 
 and compile_comp_root ~tenv (c : comp) : Op.t =
-  let r =
-    compile_quals ~outer:false ~tenv None c.quals (fun sub ->
-        translate_bag ~tenv sub)
-  in
+  let r = compile_quals ~outer:false ~tenv None c.quals in
   match split_head_fields tenv r.genv c.head with
   | None -> Op.Project ([ ("item", compile_sexpr c.head) ], r.plan)
   | Some (fields, []) ->
@@ -557,8 +528,8 @@ and compile_bag_field ~tenv ~genv ~g plan out (bexpr : E.t) : Op.t =
   let refreshed = List.map (fun (n, _) -> (n, S.Col [ n ])) g in
   match bexpr with
   (* shortcut: copying an existing bag column (or a path into one) *)
-  | E.Proj _ when rooted_path bexpr <> None ->
-    let v, fields = Option.get (rooted_path bexpr) in
+  | E.Proj _ when E.rooted_path bexpr <> None ->
+    let v, fields = Option.get (E.rooted_path bexpr) in
     if List.mem_assoc v genv then
       Op.Project
         (List.map (fun (n, e) -> (n, e)) g @ [ (out, S.Col (v :: fields)) ], plan)
@@ -566,7 +537,7 @@ and compile_bag_field ~tenv ~genv ~g plan out (bexpr : E.t) : Op.t =
   | E.Empty _ ->
     Op.Project (g @ [ (out, S.Const (Nrc.Value.Bag [])) ], plan)
   | E.SumBy { input; keys; values } ->
-    translate_agg ~tenv ~g ~start:(Some (plan, genv)) input (fun r hf ->
+    translate_agg ~tenv ~start:(Some (plan, genv)) input (fun r hf ->
         let nest1 =
           Op.NestSum
             { input = r.plan;
@@ -587,7 +558,7 @@ and compile_bag_field ~tenv ~genv ~g plan out (bexpr : E.t) : Op.t =
             presence = S.Not (S.IsNull (S.Col [ first_key ]));
             out })
   | E.GroupBy { input; keys; group_attr } ->
-    translate_agg ~tenv ~g ~start:(Some (plan, genv)) input (fun r hf ->
+    translate_agg ~tenv ~start:(Some (plan, genv)) input (fun r hf ->
         let rest = rest_fields ~tenv r input keys in
         let nest1 =
           Op.NestBag
@@ -617,10 +588,7 @@ and compile_bag_field ~tenv ~genv ~g plan out (bexpr : E.t) : Op.t =
 
 (* one comprehension producing the items of a nested bag attribute *)
 and compile_level_comp ~tenv ~genv ~g ~refreshed plan out (c : comp) : Op.t =
-  let r =
-    compile_quals ~outer:true ~tenv (Some (plan, genv)) c.quals (fun sub ->
-        translate_bag ~tenv sub)
-  in
+  let r = compile_quals ~outer:true ~tenv (Some (plan, genv)) c.quals in
   let presence = conj r.presence_parts in
   match split_head_fields tenv r.genv c.head with
   | None ->
@@ -658,7 +626,7 @@ and compile_level_comp ~tenv ~genv ~g ~refreshed plan out (c : comp) : Op.t =
 (** Translate a bag-typed NRC expression to a plan. [tenv] gives the types of
     named datasets (program inputs and previously assigned variables). *)
 let translate ~(tenv : (string * T.t) list) (e : E.t) : Op.t =
-  translate_root ~tenv e
+  translate_bag ~tenv (Nrc.Norm.simplify e)
 
 (** Translate every assignment of a program; the type environment grows with
     each assignment. Returns the per-assignment plans in order. *)

@@ -59,6 +59,14 @@ let rec worker_loop t seen =
     worker_loop t epoch
   end
 
+let shutdown t =
+  Mutex.lock t.m;
+  let already = t.stop in
+  t.stop <- true;
+  Condition.broadcast t.work;
+  Mutex.unlock t.m;
+  if not already then Array.iter Domain.join t.workers
+
 let create ~domains =
   let size = max 1 domains in
   let t =
@@ -76,16 +84,19 @@ let create ~domains =
       stop = false;
     }
   in
-  t.workers <- Array.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
+  let spawned = ref [] in
+  (try
+     for _ = 2 to size do
+       spawned := Domain.spawn (fun () -> worker_loop t 0) :: !spawned
+     done
+   with exn ->
+     (* the runtime caps live domains: join the lanes already spawned *)
+     t.workers <- Array.of_list !spawned;
+     shutdown t;
+     let reason = match exn with Failure m -> m | e -> Printexc.to_string e in
+     failwith (Printf.sprintf "cannot start %d domains: %s" size reason));
+  t.workers <- Array.of_list !spawned;
   t
-
-let shutdown t =
-  Mutex.lock t.m;
-  let already = t.stop in
-  t.stop <- true;
-  Condition.broadcast t.work;
-  Mutex.unlock t.m;
-  if not already then Array.iter Domain.join t.workers
 
 let with_pool ~domains f =
   let t = create ~domains in

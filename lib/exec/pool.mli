@@ -24,7 +24,9 @@ type t
 
 val create : domains:int -> t
 (** Spawn a pool of [max 1 domains] lanes ([domains - 1] domains plus the
-    caller). The domains idle on a condition variable between jobs. *)
+    caller). The domains idle on a condition variable between jobs.
+    @raise Failure naming the lane count when the runtime cannot start
+    that many domains; the domains already spawned are joined first. *)
 
 val size : t -> int
 (** Number of lanes, including the calling domain. *)

@@ -29,7 +29,6 @@ let let_ x e body = Expr.Let (x, e, body (Expr.Var x))
 let union = List.fold_left (fun a b -> Expr.Union (a, b)) (* with seed *)
 let ( ++ ) a b = Expr.Union (a, b)
 let where c e = Expr.If (c, e, None)
-let if_ c th el = Expr.If (c, th, Some el)
 let ( == ) a b = Expr.Cmp (Expr.Eq, a, b)
 let ( <> ) a b = Expr.Cmp (Expr.Ne, a, b)
 let ( < ) a b = Expr.Cmp (Expr.Lt, a, b)
@@ -38,7 +37,6 @@ let ( > ) a b = Expr.Cmp (Expr.Gt, a, b)
 let ( >= ) a b = Expr.Cmp (Expr.Ge, a, b)
 let ( && ) a b = Expr.Logic (Expr.And, a, b)
 let ( || ) a b = Expr.Logic (Expr.Or, a, b)
-let not_ a = Expr.Not a
 let ( + ) a b = Expr.Prim (Expr.Add, a, b)
 let ( - ) a b = Expr.Prim (Expr.Sub, a, b)
 let ( * ) a b = Expr.Prim (Expr.Mul, a, b)
@@ -54,7 +52,6 @@ let sum_by ~keys ~values e = Expr.SumBy { input = e; keys; values }
 let t_int = Types.int_
 let t_real = Types.real
 let t_str = Types.string_
-let t_bool = Types.bool_
 let t_date = Types.date
 let t_bag t = Types.TBag t
 let t_tup fields = Types.TTuple fields

@@ -45,7 +45,6 @@ val ( ++ ) : Expr.t -> Expr.t -> Expr.t
 val where : Expr.t -> Expr.t -> Expr.t
 (** [where c e]: bag-typed [if c then e]. *)
 
-val if_ : Expr.t -> Expr.t -> Expr.t -> Expr.t
 
 (** {2 Comparisons and logic (shadow the stdlib!)} *)
 
@@ -57,7 +56,6 @@ val ( > ) : Expr.t -> Expr.t -> Expr.t
 val ( >= ) : Expr.t -> Expr.t -> Expr.t
 val ( && ) : Expr.t -> Expr.t -> Expr.t
 val ( || ) : Expr.t -> Expr.t -> Expr.t
-val not_ : Expr.t -> Expr.t
 
 (** {2 Arithmetic (shadow the stdlib!)} *)
 
@@ -77,7 +75,6 @@ val sum_by : keys:string list -> values:string list -> Expr.t -> Expr.t
 val t_int : Types.t
 val t_real : Types.t
 val t_str : Types.t
-val t_bool : Types.t
 val t_date : Types.t
 val t_bag : Types.t -> Types.t
 val t_tup : (string * Types.t) list -> Types.t

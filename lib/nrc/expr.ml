@@ -65,11 +65,18 @@ let proj e a = Proj (e, a)
 (** [path x [a; b]] is [x.a.b]. *)
 let path x attrs = List.fold_left proj (Var x) attrs
 
+(** [rooted_path e] is [Some (x, [a; b])] when [e] is [x.a.b]. *)
+let rooted_path e =
+  let rec go acc = function
+    | Var v -> Some (v, acc)
+    | Proj (e1, a) -> go (a :: acc) e1
+    | _ -> None
+  in
+  go [] e
+
 let record fields = Record fields
 let sng e = Singleton e
-let for_union x src body = ForUnion (x, src, body)
 let eq a b = Cmp (Eq, a, b)
-let if_then c e = If (c, e, None)
 
 let const_value = function
   | CInt i -> Value.Int i
@@ -206,10 +213,6 @@ let rec subst x e' e =
         MatchLabel { label; site; params; body = subst x e' body }
     end
   | _ -> map_children (subst x e') e
-
-(** Simultaneous substitution of several variables. *)
-let subst_many bindings e =
-  List.fold_left (fun acc (x, e') -> subst x e' acc) e bindings
 
 (* ------------------------------------------------------------------ *)
 (* Structural equality (alpha-insensitive equality is not needed; generated

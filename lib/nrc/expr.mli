@@ -65,11 +65,12 @@ val proj : t -> string -> t
 val path : var -> string list -> t
 (** [path x [a; b]] is [x.a.b]. *)
 
+val rooted_path : t -> (var * string list) option
+(** The inverse of {!path}: [Some (x, [a; b])] when the argument is [x.a.b]. *)
+
 val record : (string * t) list -> t
 val sng : t -> t
-val for_union : var -> t -> t -> t
 val eq : t -> t -> t
-val if_then : t -> t -> t
 
 val const_value : const -> Value.t
 val const_type : const -> Types.t
@@ -92,8 +93,6 @@ val fresh_counter : int ref
 
 val subst : var -> t -> t -> t
 (** [subst x e' e]: capture-avoiding substitution of [e'] for [x] in [e]. *)
-
-val subst_many : (var * t) list -> t -> t
 
 val equal : t -> t -> bool
 

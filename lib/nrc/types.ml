@@ -47,8 +47,6 @@ let rec is_flat = function
   | TTuple fields -> List.for_all (fun (_, t) -> is_flat t) fields
   | TBag _ | TDict _ -> false
 
-let is_scalar = function TScalar _ -> true | TTuple _ | TBag _ | TLabel | TDict _ -> false
-
 (** A flat bag: a bag of scalars or of tuples with flat attributes. *)
 let is_flat_bag = function TBag t -> is_flat t | _ -> false
 

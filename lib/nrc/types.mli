@@ -37,8 +37,6 @@ val equal : t -> t -> bool
 val is_flat : t -> bool
 (** A type is flat when it contains no bag (labels and scalars are flat). *)
 
-val is_scalar : t -> bool
-
 val is_flat_bag : t -> bool
 (** A bag of scalars or of tuples with flat attributes — the only legal
     input to [dedup] (Section 2). *)

@@ -22,7 +22,6 @@ type t =
 
 and label = { site : int; args : t list }
 
-let unit_ = Tuple []
 let is_null = function Null -> true | _ -> false
 let of_bool b = if b then Bool true else Bool false
 
@@ -109,7 +108,6 @@ let bag_items = function
   | Null -> [] (* outer operators treat null as the empty bag *)
   | _ -> invalid_arg "Value.bag_items: not a bag"
 
-let as_int = function Int i -> i | v -> invalid_arg ("Value.as_int: " ^ string_of_int (tag_rank v))
 let as_real = function Real r -> r | Int i -> float_of_int i | _ -> invalid_arg "Value.as_real"
 let as_bool = function Bool b -> b | _ -> invalid_arg "Value.as_bool"
 let as_string = function Str s -> s | _ -> invalid_arg "Value.as_string"

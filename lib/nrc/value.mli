@@ -20,7 +20,6 @@ type t =
 
 and label = { site : int; args : t list }
 
-val unit_ : t
 val is_null : t -> bool
 
 val of_bool : bool -> t
@@ -44,7 +43,6 @@ val bag_items : t -> t list
 (** Contents of a bag; [Null] counts as the empty bag (outer-operator
     semantics). @raise Invalid_argument on other non-bags. *)
 
-val as_int : t -> int
 val as_real : t -> float
 (** Accepts [Int] too (numeric promotion). *)
 

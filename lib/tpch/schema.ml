@@ -92,10 +92,6 @@ let levels =
     };
   |]
 
-(* FK attribute in the child entity pointing at the parent level:
-   Lineitem.okey, Orders.ckey, Customer.nkey, Nation.rkey *)
-let child_fk = [| "okey"; "ckey"; "nkey"; "rkey" |]
-
 let leaf_attrs_narrow = [ "pkey"; "lqty" ]
 let leaf_attrs_wide = [ "pkey"; "lqty"; "eprice"; "ldiscount"; "lcomment" ]
 

@@ -21,7 +21,6 @@ type level_info = {
 val levels : level_info array
 (** [levels.(0)] is Orders (children: lineitems) ... [levels.(3)] Region. *)
 
-val child_fk : string array
 val leaf_attrs_narrow : string list
 val leaf_attrs_wide : string list
 val flat_inputs_ty : (string * Nrc.Types.t) list

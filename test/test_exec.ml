@@ -1133,6 +1133,26 @@ let test_validate_rejects (what, c) () =
     check (what ^ ": nothing ran") true (r.Trance.Api.steps = [])
   | _ -> Alcotest.failf "%s: expected a typed Error" what
 
+(* More domains than the runtime can start (OCaml 5.1 caps live domains
+   at 128) ends the run typed, naming the count; the lanes spawned before
+   the runtime refused are joined, so a pool still starts afterwards. *)
+let test_domain_limit () =
+  let r =
+    Trance.Api.run
+      ~config:
+        { Trance.Api.default_config with cluster = { cluster with domains = 129 } }
+      ~strategy:Trance.Api.Standard
+      (Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" Fixtures.example1)
+      Fixtures.inputs_val
+  in
+  (match r.Trance.Api.failure with
+  | Some (Trance.Api.Error msg) ->
+    check "the failure names the domain count" true (contains msg "129 domains");
+    check "nothing ran" true (r.Trance.Api.steps = [])
+  | _ -> Alcotest.fail "expected a typed Error");
+  Exec.Pool.with_pool ~domains:8 (fun pool ->
+      Alcotest.(check int) "a pool starts afterwards" 8 (Exec.Pool.size pool))
+
 let test_validate_accepts () =
   check "the default configuration is valid" true
     (Exec.Config.validate Exec.Config.default = Ok Exec.Config.default);
@@ -1260,6 +1280,8 @@ let () =
         @ [
             Alcotest.test_case "accepts valid configurations" `Quick
               test_validate_accepts;
+            Alcotest.test_case "domains past the runtime limit fail typed"
+              `Quick test_domain_limit;
             Alcotest.test_case "SparkSQL reports the cogroup fusion off"
               `Quick test_effective_cogroup;
             Alcotest.test_case "env hooks parse" `Quick test_env_hooks_parse;

@@ -269,6 +269,78 @@ let test_localized_aggregation () =
        sp.Trance.Shred_pipeline.mat.Nrc.Program.assignments)
 
 (* ------------------------------------------------------------------ *)
+(* The two materialization shapes no corpus, TPC-H or biomed program
+   reaches: rule 1 over a dedup body and rule 2 over a sumBy body. The
+   inputs gain a customer with two orders on one day and a second row for
+   pid 2, so neither the dedup nor the sum is the identity. *)
+
+let rare_shapes =
+  [
+    ( "rule 1 over dedup",
+      "days",
+      (function E.Dedup _ -> true | _ -> false),
+      "for c in COP union sng(cname := c.cname, days := dedup(for o in \
+       c.corders union sng(odate := o.odate)))" );
+    ( "rule 2 over sumBy",
+      "same",
+      (function E.SumBy { keys = "label" :: _; _ } -> true | _ -> false),
+      "for p in Part union sng(pname := p.pname, same := sumBy(pname; \
+       price)(for q in Part union if q.pid == p.pid then sng(pname := \
+       q.pname, price := q.price)))" );
+  ]
+
+let rare_inputs =
+  let extend extra = function V.Bag items -> V.Bag (items @ extra) | v -> v in
+  [
+    ( "COP",
+      extend
+        [ Fixtures.customer "erin"
+            [ Fixtures.corder 105 []; Fixtures.corder 105 [ Fixtures.opart 1 1.0 ] ] ]
+        Fixtures.cop_value );
+    ("Part", extend [ Fixtures.part 2 "gadget" 5.0 ] Fixtures.part_value);
+  ]
+
+let test_rare_shape (_, attr, wrapped, src) domain_elimination () =
+  let q = Nrc.Parser.expr_of_string src in
+  let prog = Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" q in
+  let expected = Nrc.Eval.eval (Nrc.Eval.env_of_list rare_inputs) q in
+  let config = { Trance.Materialize.domain_elimination } in
+  let sp, _, actual = Trance.Shred_pipeline.eval_shredded ~config prog rare_inputs in
+  Fixtures.check_bag_equal "eval_shredded" expected actual;
+  let r =
+    Trance.Api.run
+      ~config:
+        { Trance.Api.default_config with
+          cluster = Exec.Config.unbounded;
+          materializer = config }
+      ~strategy:(Trance.Api.Shredded { unshred = true })
+      prog rare_inputs
+  in
+  (match r.Trance.Api.failure, r.Trance.Api.value with
+  | None, Some actual -> Fixtures.check_bag_equal "Shred+Unshred" expected actual
+  | Some f, _ -> Alcotest.fail (Trance.Api.failure_message f)
+  | None, None -> Alcotest.fail "no value collected");
+  let assigned =
+    List.map
+      (fun { Nrc.Program.target; body } -> (target, body))
+      sp.Trance.Shred_pipeline.mat.Nrc.Program.assignments
+  in
+  check "the dictionary keeps its dedup or sumBy" true
+    (wrapped (List.assoc ("Q_D_" ^ attr) assigned));
+  check "a label domain exactly without elimination" (not domain_elimination)
+    (List.mem_assoc ("Q_Dom_" ^ attr) assigned)
+
+let rare_shape_tests =
+  List.concat_map
+    (fun ((name, _, _, _) as shape) ->
+      [
+        Alcotest.test_case name `Quick (test_rare_shape shape true);
+        Alcotest.test_case (name ^ ", no domain elim") `Quick
+          (test_rare_shape shape false);
+      ])
+    rare_shapes
+
+(* ------------------------------------------------------------------ *)
 (* Multi-assignment pipelines through the shredded route *)
 
 let test_pipeline_program () =
@@ -350,6 +422,7 @@ let () =
           Alcotest.test_case "rule 2 (filter labels)" `Quick
             test_rule2_fires_for_groupby;
         ] );
+      ("rare shapes", rare_shape_tests);
       ( "pipelines",
         [ Alcotest.test_case "two-step program" `Quick test_pipeline_program ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_shredded_random_inputs ]);
