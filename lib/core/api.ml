@@ -95,8 +95,8 @@ type run = {
   wall_seconds : float;
   failure : failure option;
   steps : step_report list;
-      (* one report per source step (shredded dictionary assignments are
-         folded into their step by name prefix); the trailing "Unshred"
+      (* one report per source step (shredded assignments are folded into
+         the step they were materialized for); the trailing "Unshred"
          report covers result reassembly *)
   trace : Exec.Trace.span list;
       (* root spans, one per executed assignment; [] unless tracing *)
@@ -128,23 +128,6 @@ let outcome (r : run) : outcome =
       || s.spilled_bytes > 0 || r.degradation <> None
     then Degraded
     else Completed
-
-(* attribute an assignment name to its source step: Step1_D_genes -> Step1 *)
-let step_of_target targets name =
-  match List.find_opt (fun t -> t = name) targets with
-  | Some t -> t
-  | None -> (
-    match
-      List.find_opt
-        (fun t ->
-          let tl = String.length t in
-          String.length name > tl
-          && String.sub name 0 tl = t
-          && name.[tl] = '_')
-        targets
-    with
-    | Some t -> t
-    | None -> name)
 
 (* Per-step accumulator: (step, stats slice, assignment spans in reverse).
    Survives a mid-run memory failure because it lives in a ref the caller
@@ -183,16 +166,16 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* run assignments one at a time, slicing the stats (and trace) per step;
+(* run (step, assignment, plan) triples one at a time, slicing the stats
+   (and trace) per step;
    one pool and one checkpoint manager span all of them so domains are
    spawned once and recovery lineage is run-wide. Each assignment is
    charged its real wall-clock, failed or not, like any other counter. *)
 let run_steps ~options ~config ~stats ~trace ~faults ~checkpoint ~pool
-    ~targets ~steps_out env plans =
+    ~steps_out env plans =
   List.iter
-    (fun (name, plan) ->
+    (fun (step, name, plan) ->
       let before = Exec.Stats.snapshot stats in
-      let step = step_of_target targets name in
       let ds =
         try
           Exec.Trace.with_span trace ~op:"Assignment" ~stage:name (fun () ->
@@ -381,21 +364,14 @@ let compile_shredded ?(config = default_config) (p : Nrc.Program.t) :
   let pipeline =
     Shred_pipeline.shred_program ~config:config.materializer p
   in
-  let plans = Unnest.translate_program pipeline.Shred_pipeline.mat in
-  let is_dict name =
-    (* every materialized dictionary registered for any assignment *)
-    List.exists
-      (fun { Nrc.Program.target; _ } -> target = name)
-      pipeline.Shred_pipeline.mat.Nrc.Program.assignments
-    && Shred_type.is_dict_name name
-  in
   let plans =
-    List.map
-      (fun (name, plan) ->
-        if is_dict name then
+    List.map2
+      (fun (name, plan) (_, { Shred_pipeline.dict; _ }) ->
+        if dict then
           (name, Plan.Op.BagToDict { input = plan; label = S.Col [ "label" ] })
         else (name, plan))
-      plans
+      (Unnest.translate_program pipeline.Shred_pipeline.mat)
+      pipeline.Shred_pipeline.origins
   in
   let plans = optimize_all config plans in
   let unshred_plan =
@@ -434,13 +410,13 @@ let load_shredded_inputs ~cluster (types : (string * T.t) list)
   List.iter
     (fun (name, v) ->
       let ds =
-        if Shred_type.is_dict_name name then
+        if List.mem name shredded.Shred_value.dicts then
           Exec.Dataset.of_bag_by ~partitions:cluster.Exec.Config.partitions
             ~key:[ [ "label" ] ] v
         else Exec.Dataset.of_bag ~partitions:cluster.Exec.Config.partitions v
       in
       Hashtbl.replace env name ds)
-    shredded;
+    shredded.Shred_value.datasets;
   env
 
 (* [fell_back] exactly when an earlier route's failure was abandoned *)
@@ -529,9 +505,6 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
   let options =
     { Exec.Executor.skew_aware = config.skew_aware; cogroup = config.cogroup }
   in
-  let targets =
-    List.map (fun { Nrc.Program.target; _ } -> target) p.Nrc.Program.assignments
-  in
   let load load =
     in_phase "load" (fun () -> load ~cluster p.Nrc.Program.inputs input_values)
   in
@@ -544,14 +517,22 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
               in_phase "compile" (fun () ->
                   (compile_standard ~config p, Nrc.Program.result_name p))
             in
-            (plans, load load_inputs, result_name)
+            ( List.map (fun (name, plan) -> (name, name, plan)) plans,
+              load load_inputs,
+              result_name )
           | Shredded { unshred } -> (
             let compiled = in_phase "compile" (fun () -> compile_shredded ~config p) in
             let env = load load_shredded_inputs in
+            let plans =
+              List.map2
+                (fun (name, plan) (_, { Shred_pipeline.step; _ }) ->
+                  (step, name, plan))
+                compiled.plans compiled.pipeline.Shred_pipeline.origins
+            in
             match unshred, compiled.unshred_plan with
             | true, Some uplan ->
-              (compiled.plans @ [ ("Unshred", uplan) ], env, "Unshred")
-            | _ -> (compiled.plans, env, compiled.pipeline.Shred_pipeline.top))
+              (plans @ [ ("Unshred", "Unshred", uplan) ], env, "Unshred")
+            | _ -> (plans, env, compiled.pipeline.Shred_pipeline.top))
         in
         (* the pool is spawned once per run, outside the timed region, so
            wall_seconds measures execution rather than domain startup *)
@@ -567,7 +548,7 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
           timed (fun () ->
               catch_failure (fun () ->
                   run_steps ~options ~config:cluster ~stats ~trace
-                    ~faults ~checkpoint ~pool ~targets ~steps_out env plans;
+                    ~faults ~checkpoint ~pool ~steps_out env plans;
                   if config.collect then
                     Some (Exec.Dataset.to_bag (Hashtbl.find env result_name))
                   else None)))

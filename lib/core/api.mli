@@ -81,8 +81,10 @@ type degradation = {
 
 type step_report = {
   step : string;
-      (** source assignment name; shredded dictionary assignments fold into
-          their step by name prefix; ["Unshred"] covers reassembly *)
+      (** source assignment name; each materialized assignment of the
+          shredded route folds into the step it was made for (recorded in
+          {!Shred_pipeline.t.origins}), so every route reports the same
+          steps; ["Unshred"] covers reassembly *)
   sim_seconds : float;
   stats : Exec.Stats.snapshot;
       (** this step's slice of the run counters; slices
@@ -148,8 +150,9 @@ val compile_standard :
 type shredded_compiled = {
   pipeline : Shred_pipeline.t;
   plans : (string * Plan.Op.t) list;
-      (** materialized assignments; dictionary outputs wrapped in
-          [BagToDict] to establish the label partitioning guarantee *)
+      (** materialized assignments; the dictionaries among them (recorded
+          in {!Shred_pipeline.t.origins}) wrapped in [BagToDict] to
+          establish the label partitioning guarantee *)
   unshred_plan : Plan.Op.t option;
 }
 
@@ -168,8 +171,9 @@ val load_shredded_inputs :
   (string * Nrc.Types.t) list ->
   (string * Nrc.Value.t) list ->
   Exec.Executor.env
-(** Value-shred nested inputs; dictionaries loaded with their label
-    partitioning guarantee. *)
+(** Value-shred nested inputs; the dictionaries the shredder made
+    ({!Shred_value.env.dicts}) are loaded with their label partitioning
+    guarantee, every other dataset without one, whatever its name. *)
 
 (** {2 Execution} *)
 

@@ -305,10 +305,8 @@ let recommend ?(config = Api.default_config) ?(unshred = false)
   let std_plans = Api.compile_standard ~config p in
   let standard_cost, _ = estimate_assignments base_stats std_plans in
   let sc = Api.compile_shredded ~config p in
-  let shredded_inputs =
-    Shred_value.shred_env p.Nrc.Program.inputs inputs
-  in
-  let shred_stats = stats_of_inputs shredded_inputs in
+  let shredded = Shred_value.shred_env p.Nrc.Program.inputs inputs in
+  let shred_stats = stats_of_inputs shredded.Shred_value.datasets in
   let shredded_cost, stats' =
     estimate_assignments shred_stats sc.Api.plans
   in

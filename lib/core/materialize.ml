@@ -113,10 +113,6 @@ let match_rule2 (lam : lam) : rule2_shape option =
   in
   if not scalar_params || lam.params = [] then None
   else begin
-    let rec conjuncts = function
-      | E.Logic (E.And, a, b) -> conjuncts a @ conjuncts b
-      | e -> [ e ]
-    in
     match unwrap lam.body with
     | wrap, E.ForUnion (y, src, E.If (cond, rest, None))
       when wrap <> Dedup
@@ -124,7 +120,7 @@ let match_rule2 (lam : lam) : rule2_shape option =
            && List.for_all (fun (p, _) -> not (E.is_free p rest)) lam.params
     -> (
       (* each param must be equated with exactly one y attribute *)
-      let eqs = conjuncts cond in
+      let eqs = E.conjuncts cond in
       let attr_of p =
         List.find_map
           (function

@@ -7,10 +7,16 @@
 module E = Nrc.Expr
 module T = Nrc.Types
 
+type origin = {
+  step : string; (* the source assignment it was materialized for *)
+  dict : bool; (* a dictionary: label column + item columns *)
+}
+
 type t = {
   mat : Nrc.Program.t;
       (** materialized program: inputs are the shredded datasets, one
           assignment per top bag / dictionary / label domain *)
+  origins : (string * origin) list; (* per assignment of [mat], in order *)
   top : string; (* dataset holding the result's top bag *)
   dicts : (string list * string) list; (* result dict path -> dataset *)
   unshred_query : E.t option; (* None when the output is flat *)
@@ -27,8 +33,12 @@ let shred_program ?(config = Materialize.default) (p : Nrc.Program.t) : t =
         let shredded = Symbolic.shred_expr ~registry ~dtenv body in
         let mat = Materialize.materialize ~config ~registry ~target shredded in
         let ty = Nrc.Typecheck.Env.find target type_env in
+        let origin (name, e) =
+          let dict = List.exists (fun (_, d) -> d = name) mat.Materialize.dicts in
+          ((name, e), (name, { step = target; dict }))
+        in
         ( (target, ty) :: dtenv,
-          List.rev_append mat.Materialize.assignments acc,
+          List.rev_append (List.map origin mat.Materialize.assignments) acc,
           Some (target, mat) ))
       (dtenv0, [], None)
       p.Nrc.Program.assignments
@@ -53,8 +63,10 @@ let shred_program ?(config = Materialize.default) (p : Nrc.Program.t) : t =
       Some (Unshred.query ~registry ~dataset:result elem)
     | _ -> None
   in
+  let assignments, origins = List.split (List.rev assignments_rev) in
   {
-    mat = Nrc.Program.make ~inputs:mat_inputs (List.rev assignments_rev);
+    mat = Nrc.Program.make ~inputs:mat_inputs assignments;
+    origins;
     top = last_mat.Materialize.top;
     dicts = last_mat.Materialize.dicts;
     unshred_query;
@@ -67,10 +79,8 @@ let eval_shredded ?config (p : Nrc.Program.t)
     (input_values : (string * Nrc.Value.t) list) :
     t * Nrc.Eval.env * Nrc.Value.t =
   let sp = shred_program ?config p in
-  let shredded_inputs =
-    Shred_value.shred_env p.Nrc.Program.inputs input_values
-  in
-  let env = Nrc.Program.eval sp.mat shredded_inputs in
+  let shredded = Shred_value.shred_env p.Nrc.Program.inputs input_values in
+  let env = Nrc.Program.eval sp.mat shredded.Shred_value.datasets in
   let result_value =
     match sp.unshred_query with
     | Some q -> Nrc.Eval.eval env q

@@ -4,10 +4,18 @@
     shredded datasets, ready for the same unnesting / execution stages as
     the standard route. *)
 
+(** What the pipeline made one materialized assignment for. *)
+type origin = {
+  step : string;  (** the source assignment it was materialized for *)
+  dict : bool;  (** a dictionary: label column + item columns *)
+}
+
 type t = {
   mat : Nrc.Program.t;
       (** materialized program: inputs are the shredded datasets; one
           assignment per top bag / dictionary / label domain *)
+  origins : (string * origin) list;
+      (** one per assignment of [mat], in order *)
   top : string;  (** dataset holding the result's top bag *)
   dicts : (string list * string) list;  (** result dict path -> dataset *)
   unshred_query : Nrc.Expr.t option;  (** [None] when the output is flat *)

@@ -25,13 +25,6 @@ let top_name base = base ^ "_F"
 let dict_name base path =
   String.concat "_" ((base ^ "_D") :: path)
 
-let is_dict_name name =
-  let n = String.length name in
-  let rec has_marker i =
-    i + 3 <= n && (String.sub name i 3 = "_D_" || has_marker (i + 1))
-  in
-  n > 3 && has_marker 0
-
 let domain_name base path =
   String.concat "_" ((base ^ "_Dom") :: path)
 
@@ -81,7 +74,6 @@ let rec flat_of (ty : T.t) : T.t =
            | _ -> (n, flat_of t))
          fields)
   | T.TBag t -> T.TBag (flat_of t)
-  | T.TDict _ -> error "flat_of: unexpected dictionary type"
 
 (** Element type at a path of bag-valued attributes: [elem_at cop_elem
     ["corders"; "oparts"]] is the oparts item type. *)

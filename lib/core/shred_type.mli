@@ -19,10 +19,6 @@ val top_name : string -> string
 val dict_name : string -> string list -> string
 (** [dict_name "COP" ["corders"; "oparts"] = "COP_D_corders_oparts"]. *)
 
-val is_dict_name : string -> bool
-(** Does the name carry the dictionary marker ["_D_"] that {!dict_name}
-    puts after the base name? Top bags ({!top_name}) never do. *)
-
 val domain_name : string -> string list -> string
 (** Name of a label-domain assignment (general materialization path). *)
 

@@ -76,24 +76,32 @@ let shred_bag (base : string) (elem_ty : T.t) (v : V.t) : shredded =
         paths;
   }
 
-(** Named datasets of a shredded input, ready for an evaluation environment:
-    [("COP_F", ...); ("COP_D_corders", ...); ...]. *)
-let to_datasets (base : string) (s : shredded) : (string * V.t) list =
-  (top_name base, s.top)
-  :: List.map (fun (path, bag) -> (dict_name base path, bag)) s.dicts
+type env = {
+  datasets : (string * V.t) list; (* in input order, each top before its dicts *)
+  dicts : string list; (* the dictionaries among [datasets] *)
+}
 
-(** Shred every nested input of an environment; flat inputs pass through
-    under their [_F] name with no dictionaries. *)
+(** Shred every nested input of an environment into named datasets
+    ([COP_F], [COP_D_corders], ...), recording which are dictionaries; flat
+    inputs pass through under their [_F] name with no dictionaries. *)
 let shred_env (types : (string * T.t) list) (values : (string * V.t) list) :
-    (string * V.t) list =
-  List.concat_map
-    (fun (name, v) ->
-      match List.assoc_opt name types with
-      | Some (T.TBag elem) when not (T.is_flat elem) ->
-        to_datasets name (shred_bag name elem v)
-      | Some (T.TBag _) -> [ (top_name name, v) ]
-      | _ -> [ (name, v) ])
-    values
+    env =
+  let shredded =
+    List.map
+      (fun (name, v) ->
+        match List.assoc_opt name types with
+        | Some (T.TBag elem) when not (T.is_flat elem) ->
+          let s = shred_bag name elem v in
+          ( (top_name name, s.top),
+            List.map (fun (path, bag) -> (dict_name name path, bag)) s.dicts )
+        | Some (T.TBag _) -> ((top_name name, v), [])
+        | _ -> ((name, v), []))
+      values
+  in
+  {
+    datasets = List.concat_map (fun (top, dicts) -> top :: dicts) shredded;
+    dicts = List.concat_map (fun (_, dicts) -> List.map fst dicts) shredded;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Unshredding *)

@@ -13,13 +13,14 @@ val shred_bag : string -> Nrc.Types.t -> Nrc.Value.t -> shredded
 (** [shred_bag base elem_ty v]: shred one nested bag, drawing label sites
     from {!Shred_type.input_site}[ base]. *)
 
-val to_datasets : string -> shredded -> (string * Nrc.Value.t) list
-(** Named datasets ([COP_F], [COP_D_corders], ...). *)
+type env = {
+  datasets : (string * Nrc.Value.t) list;
+      (** named datasets ([COP_F], [COP_D_corders], ...), in input order *)
+  dicts : string list;  (** the names of the dictionaries among [datasets] *)
+}
 
 val shred_env :
-  (string * Nrc.Types.t) list ->
-  (string * Nrc.Value.t) list ->
-  (string * Nrc.Value.t) list
+  (string * Nrc.Types.t) list -> (string * Nrc.Value.t) list -> env
 (** Shred every nested input of an environment; flat bags pass through
     under their [_F] name; non-bag inputs unchanged. *)
 

@@ -5,7 +5,7 @@
 
     Dictionary trees are kept as a structured OCaml value rather than
     lambda-bearing expressions: the paper's [let varD := D(e1) in ...]
-    bindings are resolved eagerly through an environment, and [Lookup] on the
+    bindings are resolved eagerly through an environment, and a lookup in the
     dictionary of an already-materialized dataset becomes [MatLookup] on its
     named flat dictionary immediately. This fuses the normalization step of
     Figure 5 (line 3) into the translation; the semantics is that of [28]
@@ -303,8 +303,7 @@ let rec shred (ctx : ctx) (e : E.t) : E.t * dtree =
     (E.SumBy { input = inF; keys; values }, DEmpty)
   | E.GroupBy { input; keys; group_attr } ->
     shred_groupby ctx ~input ~keys ~group_attr
-  | E.NewLabel _ | E.MatchLabel _ | E.Lookup _ | E.MatLookup _ | E.Lambda _
-  | E.DictTreeUnion _ ->
+  | E.NewLabel _ | E.MatchLabel _ | E.MatLookup _ ->
     unsupported "source expression already contains shredding constructs"
 
 (* how does attribute [a] of a value described by [d] behave? *)
@@ -425,13 +424,10 @@ and shred_groupby ctx ~input ~keys ~group_attr =
   in
   let y = E.fresh ~hint:"g" () in
   let cond =
-    match
-      List.map2
-        (fun k (p, _) -> E.Cmp (E.Eq, E.Proj (E.Var y, k), E.Var p))
-        keys key_params
-    with
-    | [] -> E.bool_ true
-    | c :: cs -> List.fold_left (fun a b -> E.Logic (E.And, a, b)) c cs
+    E.conj
+      (List.map2
+         (fun k (p, _) -> E.Cmp (E.Eq, E.Proj (E.Var y, k), E.Var p))
+         keys key_params)
   in
   let raw_body =
     E.ForUnion

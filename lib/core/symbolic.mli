@@ -3,12 +3,14 @@
     computing the top-level bag with labels in place of inner collections
     and (b) a dictionary tree describing how each label dereferences.
 
-    Dictionary trees are structured values rather than lambda-bearing
-    expressions: the paper's [let varD := D(e1) in ...] bindings are
-    resolved eagerly through an environment, and [Lookup] on an
-    already-materialized dictionary becomes [MatLookup] on its named flat
-    dataset immediately — fusing Figure 5's normalization step into the
-    translation. The Section 4 label refinement is implemented: labels
+    Dictionary trees are an OCaml value ({!dtree}), not the paper's
+    NRC^{Lbl+lambda} expressions: there is no lambda, symbolic lookup or
+    dictionary-tree union in {!Nrc.Expr}. The paper's
+    [let varD := D(e1) in ...] bindings are resolved eagerly through an
+    environment, and a lookup in an already-materialized dictionary becomes
+    [MatLookup] on its named flat dataset immediately — fusing Figure 5's
+    normalization step into the translation. A union of dictionary trees
+    is [DUnion], merged per attribute by materialization. The Section 4 label refinement is implemented: labels
     capture only the used attribute paths of free variables, and a label
     that would capture exactly one label {e is} that label ([identity]). *)
 

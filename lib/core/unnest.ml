@@ -214,10 +214,6 @@ type quals_result = {
   presence_parts : S.t list; (* outer mode: residual predicates + witnesses *)
 }
 
-let conj = function
-  | [] -> S.Const (Nrc.Value.Bool true)
-  | p :: ps -> List.fold_left (fun a b -> S.Logic (E.And, a, b)) p ps
-
 (* split a predicate into equality conjuncts usable as join keys between the
    existing columns [have] and the new binder [x], plus a residual *)
 let rec split_join_preds have x (e : E.t) : (S.t * S.t) list * E.t list =
@@ -385,26 +381,8 @@ let rec compile_quals ~outer ~tenv (start : (Op.t * tenv) option)
 
 and translate_bag ~tenv (e : E.t) : Op.t =
   match e with
-  | E.SumBy { input; keys; values } ->
-    translate_agg ~tenv ~start:None input (fun r hf ->
-        Op.NestSum
-          { input = r.plan;
-            keys = [];
-            agg_keys = List.map (fun k -> (k, hf k)) keys;
-            aggs = List.map (fun v -> (v, hf v)) values;
-            presence = conj r.presence_parts })
-  | E.GroupBy { input; keys; group_attr } ->
-    translate_agg ~tenv ~start:None input (fun r hf ->
-        let rest =
-          rest_fields ~tenv r input keys
-        in
-        Op.NestBag
-          { input = r.plan;
-            keys = [];
-            agg_keys = List.map (fun k -> (k, hf k)) keys;
-            item = S.MkTuple (List.map (fun f -> (f, hf f)) rest);
-            presence = conj r.presence_parts;
-            out = group_attr })
+  | E.SumBy _ | E.GroupBy _ ->
+    translate_aggregate ~tenv ~start:None ~g:[] ~wrap:(fun _ _ nest -> nest) e
   | E.Dedup inner -> Op.Dedup (translate_bag ~tenv (Nrc.Norm.simplify inner))
   | E.Union (a, b) ->
     Op.UnionAll (translate_bag ~tenv a, translate_bag ~tenv b)
@@ -416,6 +394,33 @@ and translate_bag ~tenv (e : E.t) : Op.t =
     | [] -> Op.Nil [ "item" ]
     | [ p ] -> p
     | p :: ps -> List.fold_left (fun a b -> Op.UnionAll (a, b)) p ps)
+
+(* sumBy / groupBy: one nest keyed by [g] (empty at the root) and the
+   aggregate keys, passed to [wrap] with those keys and the columns it
+   aggregates (the sumBy values, or the group attribute) *)
+and translate_aggregate ~tenv ~start ~g ~wrap (e : E.t) : Op.t =
+  match e with
+  | E.SumBy { input; keys; values } ->
+    translate_agg ~tenv ~start input (fun r hf ->
+        wrap keys values
+          (Op.NestSum
+             { input = r.plan;
+               keys = g;
+               agg_keys = List.map (fun k -> (k, hf k)) keys;
+               aggs = List.map (fun v -> (v, hf v)) values;
+               presence = S.conj r.presence_parts }))
+  | E.GroupBy { input; keys; group_attr } ->
+    translate_agg ~tenv ~start input (fun r hf ->
+        let rest = rest_fields ~tenv r input keys in
+        wrap keys [ group_attr ]
+          (Op.NestBag
+             { input = r.plan;
+               keys = g;
+               agg_keys = List.map (fun k -> (k, hf k)) keys;
+               item = S.MkTuple (List.map (fun f -> (f, hf f)) rest);
+               presence = S.conj r.presence_parts;
+               out = group_attr }))
+  | _ -> assert false
 
 (* the non-key attributes of the head of an aggregate input *)
 and rest_fields ~tenv r input keys =
@@ -536,49 +541,16 @@ and compile_bag_field ~tenv ~genv ~g plan out (bexpr : E.t) : Op.t =
     else unsupported "bag field path on unbound %s" v
   | E.Empty _ ->
     Op.Project (g @ [ (out, S.Const (Nrc.Value.Bag [])) ], plan)
-  | E.SumBy { input; keys; values } ->
-    translate_agg ~tenv ~start:(Some (plan, genv)) input (fun r hf ->
-        let nest1 =
-          Op.NestSum
-            { input = r.plan;
-              keys = g;
-              agg_keys = List.map (fun k -> (k, hf k)) keys;
-              aggs = List.map (fun v -> (v, hf v)) values;
-              presence = conj r.presence_parts }
-        in
-        let first_key = List.hd keys in
+  | E.SumBy _ | E.GroupBy _ ->
+    (* regroup the aggregate's rows under the enclosing level's keys *)
+    translate_aggregate ~tenv ~start:(Some (plan, genv)) ~g bexpr
+      ~wrap:(fun keys cols nest ->
         Op.NestBag
-          { input = nest1;
+          { input = nest;
             keys = refreshed;
             agg_keys = [];
-            item =
-              S.MkTuple
-                (List.map (fun k -> (k, S.Col [ k ])) keys
-                @ List.map (fun v -> (v, S.Col [ v ])) values);
-            presence = S.Not (S.IsNull (S.Col [ first_key ]));
-            out })
-  | E.GroupBy { input; keys; group_attr } ->
-    translate_agg ~tenv ~start:(Some (plan, genv)) input (fun r hf ->
-        let rest = rest_fields ~tenv r input keys in
-        let nest1 =
-          Op.NestBag
-            { input = r.plan;
-              keys = g;
-              agg_keys = List.map (fun k -> (k, hf k)) keys;
-              item = S.MkTuple (List.map (fun f -> (f, hf f)) rest);
-              presence = conj r.presence_parts;
-              out = group_attr }
-        in
-        let first_key = List.hd keys in
-        Op.NestBag
-          { input = nest1;
-            keys = refreshed;
-            agg_keys = [];
-            item =
-              S.MkTuple
-                (List.map (fun k -> (k, S.Col [ k ])) keys
-                @ [ (group_attr, S.Col [ group_attr ]) ]);
-            presence = S.Not (S.IsNull (S.Col [ first_key ]));
+            item = S.MkTuple (List.map (fun c -> (c, S.Col [ c ])) (keys @ cols));
+            presence = S.Not (S.IsNull (S.Col [ List.hd keys ]));
             out })
   | _ -> (
     match comps_of (E.VSet.of_list (List.map fst genv)) bexpr with
@@ -589,7 +561,7 @@ and compile_bag_field ~tenv ~genv ~g plan out (bexpr : E.t) : Op.t =
 (* one comprehension producing the items of a nested bag attribute *)
 and compile_level_comp ~tenv ~genv ~g ~refreshed plan out (c : comp) : Op.t =
   let r = compile_quals ~outer:true ~tenv (Some (plan, genv)) c.quals in
-  let presence = conj r.presence_parts in
+  let presence = S.conj r.presence_parts in
   match split_head_fields tenv r.genv c.head with
   | None ->
     Op.NestBag

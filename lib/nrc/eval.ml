@@ -1,11 +1,7 @@
-(** Reference interpreter for NRC and for the lambda-free fragment of
-    NRC^{Lbl+lambda} that materialization produces. This is the semantic
-    oracle against which the unnesting, shredding and distributed execution
-    routes are tested.
-
-    [Lambda], [Lookup] (symbolic) and [DictTreeUnion] are intermediate-only
-    constructs of the symbolic shredding phase and are rejected here: they
-    are eliminated by materialization before any program is run. *)
+(** Reference interpreter for NRC and for the NRC^{Lbl} programs (labels
+    and materialized-dictionary lookups) that materialization produces. This
+    is the semantic oracle against which the unnesting, shredding and
+    distributed execution routes are tested. *)
 
 exception Eval_error of string
 
@@ -177,10 +173,6 @@ let rec eval (env : env) (e : Expr.t) : Value.t =
         entries
     in
     Value.Bag matching
-  | Expr.Lookup _ -> error "symbolic Lookup cannot be evaluated (materialize first)"
-  | Expr.Lambda _ -> error "lambda cannot be evaluated (materialize first)"
-  | Expr.DictTreeUnion _ ->
-    error "DictTreeUnion cannot be evaluated (materialize first)"
 
 (** Evaluate a program: a sequence of assignments extending the environment,
     returning the final environment. *)

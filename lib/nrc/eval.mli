@@ -1,7 +1,7 @@
-(** Reference interpreter for NRC and the lambda-free fragment of
-    NRC^{Lbl+lambda} produced by materialization: the semantic oracle that
-    the unnesting, shredding, and distributed execution routes are tested
-    against. *)
+(** Reference interpreter for NRC and the NRC^{Lbl} programs (labels and
+    materialized-dictionary lookups) produced by materialization: the
+    semantic oracle that the unnesting, shredding, and distributed execution
+    routes are tested against. *)
 
 exception Eval_error of string
 
@@ -20,8 +20,7 @@ val add_values : Value.t -> Value.t -> Value.t
 (** The commutative monoid used by [sumBy] / Gamma-plus. *)
 
 val eval : env -> Expr.t -> Value.t
-(** @raise Eval_error on unbound variables, type confusion, or the
-    symbolic-only constructs ([Lookup], [Lambda], [DictTreeUnion]). *)
+(** @raise Eval_error on unbound variables or type confusion. *)
 
 val eval_program : env -> (string * Expr.t) list -> env
 (** Evaluate assignments in order, extending the environment. *)

@@ -1,6 +1,7 @@
-(** Abstract syntax of NRC (Figure 1) and of the shredding extension
-    NRC^{Lbl+lambda} (Section 4). A single AST covers both: source programs
-    are checked to be label-free by {!Typecheck.check_source}.
+(** Abstract syntax of NRC (Figure 1) and of the label constructs of
+    shredded programs (Section 4): [NewLabel], [MatchLabel] and [MatLookup].
+    Source programs are checked to be label-free by
+    {!Typecheck.check_source}.
 
     Conventions:
     - [ForUnion (x, e1, e2)] is [for x in e1 union e2].
@@ -43,13 +44,10 @@ type t =
   | Dedup of t
   | GroupBy of { input : t; keys : string list; group_attr : string }
   | SumBy of { input : t; keys : string list; values : string list }
-  (* --- NRC^{Lbl+lambda} --- *)
+  (* --- labels and materialized dictionaries (Section 4) --- *)
   | NewLabel of { site : int; args : t list }
   | MatchLabel of { label : t; site : int; params : (var * Types.t) list; body : t }
-  | Lookup of t * t (* symbolic dictionary lookup *)
   | MatLookup of t * t (* materialized dictionary lookup *)
-  | Lambda of { param : var; body : t }
-  | DictTreeUnion of t * t
 
 (* ------------------------------------------------------------------ *)
 (* Constructors and helpers *)
@@ -77,6 +75,14 @@ let rooted_path e =
 let record fields = Record fields
 let sng e = Singleton e
 let eq a b = Cmp (Eq, a, b)
+
+let conj = function
+  | [] -> bool_ true
+  | c :: cs -> List.fold_left (fun a b -> Logic (And, a, b)) c cs
+
+let rec conjuncts = function
+  | Logic (And, a, b) -> conjuncts a @ conjuncts b
+  | e -> [ e ]
 
 let const_value = function
   | CInt i -> Value.Int i
@@ -116,10 +122,7 @@ let map_children f e =
   | SumBy s -> SumBy { s with input = f s.input }
   | NewLabel { site; args } -> NewLabel { site; args = List.map f args }
   | MatchLabel m -> MatchLabel { m with label = f m.label; body = f m.body }
-  | Lookup (e1, e2) -> Lookup (f e1, f e2)
   | MatLookup (e1, e2) -> MatLookup (f e1, f e2)
-  | Lambda { param; body } -> Lambda { param; body = f body }
-  | DictTreeUnion (e1, e2) -> DictTreeUnion (f e1, f e2)
 
 (* ------------------------------------------------------------------ *)
 (* Free variables *)
@@ -139,7 +142,6 @@ let rec free_vars e : VSet.t =
       List.fold_left (fun s (p, _) -> VSet.remove p s) (free_vars body) params
     in
     VSet.union (free_vars label) body_fv
-  | Lambda { param; body } -> VSet.remove param (free_vars body)
   | _ ->
     let acc = ref VSet.empty in
     let collect sub =
@@ -181,13 +183,6 @@ let rec subst x e' e =
       Let (y', e1, subst x e' (subst y (Var y') e2))
     end
     else Let (y, e1, subst x e' e2)
-  | Lambda { param = y; body } ->
-    if String.equal x y then e
-    else if VSet.mem y (free_vars e') then begin
-      let y' = fresh ~hint:y () in
-      Lambda { param = y'; body = subst x e' (subst y (Var y') body) }
-    end
-    else Lambda { param = y; body = subst x e' body }
   | MatchLabel { label; site; params; body } ->
     let label = subst x e' label in
     if List.exists (fun (p, _) -> String.equal x p) params then
@@ -269,16 +264,12 @@ let rec pp ppf e =
   | MatchLabel { label; site; params; body } ->
     Fmt.pf ppf "@[<hv 2>match %a = NewLabel_%d(%s) then@ %a@]" pp label site
       (String.concat "," (List.map fst params)) pp body
-  | Lookup (e1, e2) -> Fmt.pf ppf "Lookup(%a, %a)" pp e1 pp e2
   | MatLookup (e1, e2) -> Fmt.pf ppf "MatLookup(%a, %a)" pp e1 pp e2
-  | Lambda { param; body } -> Fmt.pf ppf "@[<hv 2>\u{03BB}%s.@ %a@]" param pp body
-  | DictTreeUnion (e1, e2) ->
-    Fmt.pf ppf "@[<hv 0>%a@ DictTreeUnion %a@]" pp e1 pp e2
 
 and pp_atom ppf e =
   match e with
   | Const _ | Var _ | Proj _ | Record _ | Singleton _ | Get _ | Empty _
-  | Dedup _ | GroupBy _ | SumBy _ | NewLabel _ | Lookup _ | MatLookup _ ->
+  | Dedup _ | GroupBy _ | SumBy _ | NewLabel _ | MatLookup _ ->
     pp ppf e
   | _ -> Fmt.pf ppf "(%a)" pp e
 

@@ -1,6 +1,10 @@
-(** Abstract syntax of NRC (Figure 1) and of the shredding extension
-    NRC^{Lbl+lambda} (Section 4). A single AST covers both; source programs
-    are checked label-free by {!Typecheck.check_source}. *)
+(** Abstract syntax of NRC (Figure 1) and of the label constructs that
+    shredded programs add (Section 4): [NewLabel], [MatchLabel] and
+    [MatLookup] on a materialized flat dictionary. The paper's symbolic
+    NRC^{Lbl+lambda} constructs (lambda-dictionaries, symbolic lookups,
+    dictionary-tree unions) are not in this AST: symbolic shredding keeps
+    dictionaries as an OCaml value ([Symbolic.dtree] in the core library).
+    Source programs are checked label-free by {!Typecheck.check_source}. *)
 
 type var = string
 type prim = Add | Sub | Mul | Div
@@ -46,12 +50,9 @@ type t =
       (** [match l = NewLabel(params) then body]: binds the captured values
           positionally when [label] was created by [site], else the empty
           bag *)
-  | Lookup of t * t  (** symbolic dictionary lookup (pre-materialization) *)
   | MatLookup of t * t
       (** lookup in a materialized flat dictionary [<label, f1...fk>]:
           yields the rows of one label, label column stripped *)
-  | Lambda of { param : var; body : t }  (** symbolic dictionaries only *)
-  | DictTreeUnion of t * t
 
 (** {2 Smart constructors} *)
 
@@ -71,6 +72,12 @@ val rooted_path : t -> (var * string list) option
 val record : (string * t) list -> t
 val sng : t -> t
 val eq : t -> t -> t
+
+val conj : t list -> t
+(** [conj [a; b; c]] is [(a && b) && c]; [conj []] is [true]. *)
+
+val conjuncts : t -> t list
+(** The inverse of {!conj}: the operands of nested [&&], left to right. *)
 
 val const_value : const -> Value.t
 val const_type : const -> Types.t

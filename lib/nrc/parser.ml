@@ -375,7 +375,7 @@ let rec type_to_source (t : Types.t) : string =
     Printf.sprintf "tuple(%s)"
       (String.concat ", "
          (List.map (fun (n, ft) -> Printf.sprintf "%s: %s" n (type_to_source ft)) fields))
-  | Types.TLabel | Types.TDict _ ->
+  | Types.TLabel ->
     invalid_arg "type_to_source: shredding types have no surface syntax"
 
 let rec to_source (e : Expr.t) : string =
@@ -432,8 +432,7 @@ let rec to_source (e : Expr.t) : string =
   | Expr.SumBy { input; keys; values } ->
     Printf.sprintf "sumBy(%s; %s)(%s)" (String.concat ", " keys)
       (String.concat ", " values) (to_source input)
-  | Expr.NewLabel _ | Expr.MatchLabel _ | Expr.Lookup _ | Expr.MatLookup _
-  | Expr.Lambda _ | Expr.DictTreeUnion _ ->
+  | Expr.NewLabel _ | Expr.MatchLabel _ | Expr.MatLookup _ ->
     invalid_arg "to_source: shredding constructs have no surface syntax"
 
 and operand e =

@@ -1,4 +1,5 @@
-(** Type checker for NRC and NRC^{Lbl+lambda}.
+(** Type checker for NRC and its shredding extension NRC^{Lbl} (labels and
+    lookups in materialized dictionaries).
 
     Implements the typing discipline of Figure 1 with the paper's
     restrictions: the input of [dedup] must be a flat bag, and [groupBy] /
@@ -31,7 +32,6 @@ let join_numeric a b =
     bags). *)
 let check_bag_element = function
   | Types.TBag _ -> error "bags of bags are not allowed (Figure 1)"
-  | Types.TDict _ -> error "bags of dictionaries are not allowed"
   | Types.TScalar _ | Types.TTuple _ | Types.TLabel -> ()
 
 let rec infer (env : env) (e : Expr.t) : Types.t =
@@ -181,12 +181,6 @@ let rec infer (env : env) (e : Expr.t) : Types.t =
     if not (Types.is_bag t) then
       error "match body must have bag type, got %a" Types.pp t;
     t
-  | Expr.Lookup (d, l) -> (
-    if not (Types.equal (infer env l) Types.TLabel) then
-      error "Lookup key must be a label";
-    match infer env d with
-    | Types.TDict t -> Types.TBag t
-    | t -> error "Lookup on non-dictionary %a" Types.pp t)
   | Expr.MatLookup (d, l) -> (
     if not (Types.equal (infer env l) Types.TLabel) then
       error "MatLookup key must be a label";
@@ -196,14 +190,6 @@ let rec infer (env : env) (e : Expr.t) : Types.t =
     | t ->
       error "MatLookup input must be a flat dictionary (label column first), got %a"
         Types.pp t)
-  | Expr.Lambda { param; body } ->
-    let t = infer (Env.add param Types.TLabel env) body in
-    Types.TDict (match t with Types.TBag e -> e | other -> other)
-  | Expr.DictTreeUnion (e1, e2) ->
-    let t1 = infer env e1 and t2 = infer env e2 in
-    if not (Types.equal t1 t2) then
-      error "DictTreeUnion of different types %a vs %a" Types.pp t1 Types.pp t2;
-    t1
 
 and split_keys ~keys fields =
   let key_fields =
@@ -223,8 +209,7 @@ and split_keys ~keys fields =
 (** Reject shredding-extension constructs in user-facing source programs. *)
 let rec check_label_free (e : Expr.t) =
   match e with
-  | Expr.NewLabel _ | Expr.MatchLabel _ | Expr.Lookup _ | Expr.MatLookup _
-  | Expr.Lambda _ | Expr.DictTreeUnion _ ->
+  | Expr.NewLabel _ | Expr.MatchLabel _ | Expr.MatLookup _ ->
     error "source NRC programs may not use shredding constructs: %a" Expr.pp e
   | _ ->
     ignore

@@ -1,4 +1,5 @@
-(** Type checker for NRC and NRC^{Lbl+lambda}, implementing the typing
+(** Type checker for NRC and its shredding extension NRC^{Lbl} (labels and
+    materialized-dictionary lookups), implementing the typing
     discipline of Figure 1 with the paper's restrictions: [dedup] takes a
     flat bag, [groupBy]/[sumBy] keys are flat, bags never contain bags. *)
 
@@ -11,7 +12,7 @@ type env = Types.t Env.t
 val env_of_list : (string * Types.t) list -> env
 
 val infer : env -> Expr.t -> Types.t
-(** Infer the type of an expression (labels and dictionaries allowed).
+(** Infer the type of an expression (labels and [MatLookup] allowed).
     @raise Type_error on ill-typed input. *)
 
 val check_label_free : Expr.t -> unit

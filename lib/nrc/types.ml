@@ -1,14 +1,13 @@
 (** Types of the nested relational calculus (Figure 1 of the paper) plus the
-    label and dictionary types of the shredding extension NRC^{Lbl+lambda}
-    (Section 4).
+    label type of the shredding extension (Section 4).
 
     The grammar restricts bag contents to flat tuples or scalars:
     {v
       T ::= S | C           C ::= Bag(F)
       F ::= <a1:T,...,an:T> | S      S ::= int | real | string | bool | date
     v}
-    Labels behave as an extra scalar-like atomic type; a dictionary type
-    [Label -> Bag(F)] is [TDict f] where [f] is the bag-element type. *)
+    Labels behave as an extra scalar-like atomic type. A materialized
+    dictionary is an ordinary flat bag [Bag(<label, f1...fk>)]. *)
 
 type scalar = TInt | TReal | TString | TBool | TDate
 
@@ -17,7 +16,6 @@ type t =
   | TTuple of (string * t) list
   | TBag of t
   | TLabel (* atomic label type; runtime labels carry their own payload *)
-  | TDict of t (* Label -> Bag(t) *)
 
 let int_ = TScalar TInt
 let real = TScalar TReal
@@ -27,7 +25,6 @@ let date = TScalar TDate
 let tuple fields = TTuple fields
 let bag t = TBag t
 let label = TLabel
-let dict t = TDict t
 
 let rec equal a b =
   match a, b with
@@ -37,15 +34,14 @@ let rec equal a b =
      with Invalid_argument _ -> false)
   | TBag t1, TBag t2 -> equal t1 t2
   | TLabel, TLabel -> true
-  | TDict t1, TDict t2 -> equal t1 t2
-  | (TScalar _ | TTuple _ | TBag _ | TLabel | TDict _), _ -> false
+  | (TScalar _ | TTuple _ | TBag _ | TLabel), _ -> false
 
 (** A type is flat when it contains no bag type (labels and scalars are
-    flat; dictionaries are not). *)
+    flat). *)
 let rec is_flat = function
   | TScalar _ | TLabel -> true
   | TTuple fields -> List.for_all (fun (_, t) -> is_flat t) fields
-  | TBag _ | TDict _ -> false
+  | TBag _ -> false
 
 (** A flat bag: a bag of scalars or of tuples with flat attributes. *)
 let is_flat_bag = function TBag t -> is_flat t | _ -> false
@@ -73,7 +69,7 @@ let element = function
 let rec depth = function
   | TScalar _ | TLabel -> 0
   | TTuple fields -> List.fold_left (fun acc (_, t) -> max acc (depth t)) 0 fields
-  | TBag t | TDict t -> 1 + depth t
+  | TBag t -> 1 + depth t
 
 let scalar_to_string = function
   | TInt -> "int"
@@ -90,6 +86,5 @@ let rec pp ppf = function
       fields
   | TBag t -> Fmt.pf ppf "Bag(%a)" pp t
   | TLabel -> Fmt.string ppf "Label"
-  | TDict t -> Fmt.pf ppf "Label \u{2192} Bag(%a)" pp t
 
 let to_string t = Fmt.str "%a" pp t

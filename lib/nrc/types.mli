@@ -1,6 +1,7 @@
 (** Types of the nested relational calculus (Figure 1 of the paper) plus the
-    label and dictionary types of the shredding extension NRC^{Lbl+lambda}
-    (Section 4).
+    label type of the shredding extension (Section 4). A materialized
+    dictionary is an ordinary flat bag of [<label, f1...fk>] tuples, so no
+    separate dictionary type is needed.
 
     The grammar restricts bags to contain flat scalars or tuples (whose
     attributes may themselves be bags — but never bags of bags):
@@ -16,7 +17,6 @@ type t =
   | TTuple of (string * t) list
   | TBag of t
   | TLabel  (** atomic label type; runtime labels carry their own payload *)
-  | TDict of t  (** [Label -> Bag t], used only during symbolic shredding *)
 
 (** {2 Constructors} *)
 
@@ -28,7 +28,6 @@ val date : t
 val tuple : (string * t) list -> t
 val bag : t -> t
 val label : t
-val dict : t -> t
 
 (** {2 Predicates and accessors} *)
 

@@ -112,10 +112,6 @@ let as_real = function Real r -> r | Int i -> float_of_int i | _ -> invalid_arg 
 let as_bool = function Bool b -> b | _ -> invalid_arg "Value.as_bool"
 let as_string = function Str s -> s | _ -> invalid_arg "Value.as_string"
 
-let as_label = function
-  | Label l -> l
-  | _ -> invalid_arg "Value.as_label: not a label"
-
 (* ------------------------------------------------------------------ *)
 (* Size estimation: drives shuffle accounting and worker memory budgets in
    the cluster simulator. Numbers are rough per-value byte costs mirroring a
@@ -145,7 +141,7 @@ let rec default_of_type (ty : Types.t) : t =
   | Types.TLabel -> Label { site = -1; args = [] }
   | Types.TTuple fields ->
     Tuple (List.map (fun (n, t) -> (n, default_of_type t)) fields)
-  | Types.TBag _ | Types.TDict _ -> Bag []
+  | Types.TBag _ -> Bag []
 
 (* ------------------------------------------------------------------ *)
 (* Type inference of a closed value (used in tests and for value shredding

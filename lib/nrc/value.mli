@@ -48,7 +48,6 @@ val as_real : t -> float
 
 val as_bool : t -> bool
 val as_string : t -> string
-val as_label : t -> label
 
 (** {2 Size and defaults} *)
 

@@ -40,19 +40,6 @@ let demand_of_use = function
   | [] -> Whole
   | f :: _ -> Fields (SSet.singleton f)
 
-(* (col, field-path) uses of an sexpr *)
-let rec uses (e : Sexpr.t) : (string * string list) list =
-  match e with
-  | Sexpr.Col (c :: rest) -> [ (c, rest) ]
-  | Sexpr.Col [] -> []
-  | Sexpr.Const _ -> []
-  | Sexpr.Prim (_, a, b) | Sexpr.Cmp (_, a, b) | Sexpr.Logic (_, a, b) ->
-    uses a @ uses b
-  | Sexpr.Not a | Sexpr.IsNull a | Sexpr.LabelArg (a, _) | Sexpr.IsLabelSite (a, _) ->
-    uses a
-  | Sexpr.MkLabel { args; _ } -> List.concat_map uses args
-  | Sexpr.MkTuple fields -> List.concat_map (fun (_, x) -> uses x) fields
-
 let add_uses demands exprs =
   List.fold_left
     (fun d e ->
@@ -65,7 +52,7 @@ let add_uses demands exprs =
                    (Option.value cur ~default:(Fields SSet.empty))
                    (demand_of_use path)))
             d)
-        d (uses e))
+        d (Sexpr.uses e))
     demands exprs
 
 let whole_demands cols =
@@ -210,15 +197,6 @@ let scan_of_unique unique_keys (right : Op.t) (rkey : Sexpr.t list) : bool =
       List.length joined_fields = List.length rkey
       && List.for_all (fun f -> List.mem f joined_fields) ufields)
 
-(* decompose a conjunction into its conjuncts *)
-let rec conjuncts = function
-  | Sexpr.Logic (Nrc.Expr.And, a, b) -> conjuncts a @ conjuncts b
-  | e -> [ e ]
-
-let conj_of = function
-  | [] -> Sexpr.Const (Nrc.Value.Bool true)
-  | c :: cs -> List.fold_left (fun a b -> Sexpr.Logic (Nrc.Expr.And, a, b)) c cs
-
 let rec push_agg unique_keys (op : Op.t) : Op.t =
   match op with
   | Op.NestSum
@@ -239,10 +217,10 @@ let rec push_agg unique_keys (op : Op.t) : Op.t =
       | _ -> false
     in
     let right_conjs, left_conjs =
-      List.partition right_sided (conjuncts presence)
+      List.partition right_sided (Sexpr.conjuncts presence)
     in
     let presence_splittable = List.for_all implied_by_join left_conjs in
-    let presence_right = conj_of right_conjs in
+    let presence_right = Sexpr.conj right_conjs in
     let split_value =
       if left_sided value then Some (value, None)
       else

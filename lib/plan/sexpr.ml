@@ -107,17 +107,27 @@ let compile_pred e =
       invalid_arg
         (Printf.sprintf "Sexpr.compile_pred: non-boolean %s" (Nrc.Value.to_string v))
 
-(** Columns referenced by an expression (for pushdown analyses). *)
-let rec cols_used (e : t) : string list =
+(** (column, field path) of every column reference (for pushdown
+    analyses). *)
+let rec uses (e : t) : (string * string list) list =
   match e with
-  | Col (c :: _) -> [ c ]
+  | Col (c :: rest) -> [ (c, rest) ]
   | Col [] -> []
   | Const _ -> []
-  | Prim (_, a, b) | Cmp (_, a, b) | Logic (_, a, b) ->
-    cols_used a @ cols_used b
-  | Not a | IsNull a | LabelArg (a, _) | IsLabelSite (a, _) -> cols_used a
-  | MkLabel { args; _ } -> List.concat_map cols_used args
-  | MkTuple fields -> List.concat_map (fun (_, x) -> cols_used x) fields
+  | Prim (_, a, b) | Cmp (_, a, b) | Logic (_, a, b) -> uses a @ uses b
+  | Not a | IsNull a | LabelArg (a, _) | IsLabelSite (a, _) -> uses a
+  | MkLabel { args; _ } -> List.concat_map uses args
+  | MkTuple fields -> List.concat_map (fun (_, x) -> uses x) fields
+
+let cols_used e = List.map fst (uses e)
+
+let conj = function
+  | [] -> Const (Nrc.Value.Bool true)
+  | c :: cs -> List.fold_left (fun a b -> Logic (Nrc.Expr.And, a, b)) c cs
+
+let rec conjuncts = function
+  | Logic (Nrc.Expr.And, a, b) -> conjuncts a @ conjuncts b
+  | e -> [ e ]
 
 let reads_only cols exprs =
   List.for_all (fun e -> List.for_all (fun c -> List.mem c cols) (cols_used e)) exprs

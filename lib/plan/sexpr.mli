@@ -38,8 +38,18 @@ val compile : t -> Row.t -> Nrc.Value.t
 val compile_pred : t -> Row.t -> bool
 (** {!compile} with truthiness for selections: Null counts as false. *)
 
+val uses : t -> (string * string list) list
+(** (column, field path) of every column reference, in order (for pushdown
+    analyses). *)
+
 val cols_used : t -> string list
-(** Columns referenced (for pushdown analyses). *)
+(** The columns of {!uses}. *)
+
+val conj : t list -> t
+(** [conj [a; b; c]] is [(a && b) && c]; [conj []] is [true]. *)
+
+val conjuncts : t -> t list
+(** The inverse of {!conj}: the operands of nested [&&], left to right. *)
 
 val reads_only : string list -> t list -> bool
 (** [reads_only cols exprs]: every column the [exprs] reference is in

@@ -245,7 +245,7 @@ let group_in_nested =
            ]))
 
 (** Union of two nested-producing branches at the root (exercises
-    DictTreeUnion merging in the shredded route: the output dictionary has
+    dictionary-tree union in the shredded route: the output dictionary has
     one lambda per branch site). *)
 let union_nested =
   (for_ "cop" (input "COP") (fun cop ->

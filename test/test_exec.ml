@@ -7,6 +7,7 @@
     and a golden table of the simulated counters. *)
 
 module B = Nrc.Builder
+module T = Nrc.Types
 module V = Nrc.Value
 module S = Plan.Sexpr
 module Op = Plan.Op
@@ -574,6 +575,65 @@ let test_bag_carrying_routes () =
               expected (Option.get r.Trance.Api.value))
         strategies)
     bag_carrying_queries
+
+(* ------------------------------------------------------------------ *)
+(* User names that look like generated ones *)
+
+(* The shredded route once told dictionaries and steps apart by parsing
+   the names it generates: a target named like a dictionary was cast to
+   one, a flat input named like one was loaded as one, and a target whose
+   name extends another's folded into that step. Each case must answer
+   like the reference interpreter on every route, with the source steps
+   the Standard route reports. *)
+let test_generated_name_lookalikes () =
+  let flat_ty = T.TBag (T.TTuple [ ("x", T.int_) ]) in
+  let flat_val = V.Bag (List.init 5 (fun i -> V.Tuple [ ("x", V.Int i) ])) in
+  let cases =
+    [
+      ( "dictionary-like target",
+        Fixtures.inputs_ty,
+        Fixtures.inputs_val,
+        "Q_D_x <- for c in COP union sng(cname := c.cname);" );
+      ( "dictionary-like flat input",
+        [ ("A_D_B", flat_ty) ],
+        [ ("A_D_B", flat_val) ],
+        "Q <- for a in A_D_B union if a.x > 1 then sng(x := a.x);" );
+      ( "target extending another target",
+        Fixtures.inputs_ty,
+        Fixtures.inputs_val,
+        "Q <- for c in COP union sng(cname := c.cname, corders := for o in \
+         c.corders union sng(odate := o.odate)); Q_big <- for q in Q union \
+         for o in q.corders union sng(cname := q.cname, odate := o.odate);" );
+    ]
+  in
+  List.iter
+    (fun (name, inputs, values, text) ->
+      let prog = Nrc.Parser.program_of_string ~inputs text in
+      let expected = Nrc.Program.eval_result prog values in
+      let targets =
+        List.map (fun { Nrc.Program.target; _ } -> target) prog.assignments
+      in
+      List.iter
+        (fun strategy ->
+          let what =
+            Printf.sprintf "%s [%s]" name (Trance.Api.strategy_name strategy)
+          in
+          let r = Trance.Api.run ~config:api_config ~strategy prog values in
+          (match r.failure with
+          | Some f -> Alcotest.failf "%s failed: %s" what (Trance.Api.failure_message f)
+          | None -> Fixtures.check_bag_equal what expected (Option.get r.value));
+          Alcotest.(check (list string))
+            (what ^ " steps") targets
+            (List.filter_map
+               (fun (s : Trance.Api.step_report) ->
+                 if s.step = "Unshred" then None else Some s.step)
+               r.steps))
+        [
+          Trance.Api.Standard;
+          Trance.Api.Shredded { unshred = false };
+          Trance.Api.Shredded { unshred = true };
+        ])
+    cases
 
 (* ------------------------------------------------------------------ *)
 (* Broadcast vs shuffle decisions *)
@@ -1258,6 +1318,8 @@ let () =
             test_compile_errors_typed;
           Alcotest.test_case "rows holding bags, every route" `Quick
             test_bag_carrying_routes;
+          Alcotest.test_case "user names like generated ones, every route"
+            `Quick test_generated_name_lookalikes;
         ] );
       ( "decisions",
         [

@@ -849,7 +849,7 @@ let route_steps ~config prog inputs =
   let sc = Trance.Api.compile_shredded ~config prog in
   [ ("Standard", inputs, std);
     ( "Shred+Unshred",
-      Trance.Shred_value.shred_env prog.Nrc.Program.inputs inputs,
+      (Trance.Shred_value.shred_env prog.Nrc.Program.inputs inputs).datasets,
       sc.Trance.Api.plans
       @ List.map (fun p -> ("Unshred", p)) (Option.to_list sc.Trance.Api.unshred_plan) ) ]
 

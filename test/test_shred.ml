@@ -50,11 +50,13 @@ let test_shredded_inputs () =
       (rest = [ ("odate", T.date); ("oparts", T.TLabel) ])
   | _ -> Alcotest.fail "unexpected dict type")
 
-(* Dictionaries are told apart by name when inputs are loaded and plans
-   are cast: [is_dict_name] must accept every [dict_name] dataset of a
-   shredded input, and neither its [top_name] bag nor the label-domain
-   names ([domain_name]) of the same paths. *)
-let test_is_dict_name () =
+(* The shredder records which datasets are dictionaries where it makes
+   them, and the loader and the shredded compiler read that record:
+   every input dictionary of the ten TPC-H nested inputs and of biomed is
+   loaded with the label guarantee, every materialized dictionary is cast
+   by [BagToDict], and no top bag or label domain is either. The expected
+   roles come from the naming scheme of [Shred_type]. *)
+let test_recorded_roles () =
   let module ST = Trance.Shred_type in
   let nested =
     List.concat_map
@@ -63,42 +65,71 @@ let test_is_dict_name () =
             (Tpch.Queries.nested_name, Tpch.Queries.nested_input_ty ~wide ~level ())))
       [ false; true ]
   in
-  let dicts = ref 0 in
+  let dict_names base = function
+    | T.TBag elem -> List.map (ST.dict_name base) (ST.dict_paths elem)
+    | _ -> []
+  in
+  let input_dicts = ref 0 in
   List.iter
-    (fun (base, ty) ->
-      let paths = ST.dict_paths (T.element ty) in
-      List.iter
-        (fun (n, _) ->
-          let is_dict = List.mem n (List.map (ST.dict_name base) paths) in
-          if is_dict then incr dicts;
-          check (n ^ " classified") is_dict (ST.is_dict_name n))
-        (ST.shredded_inputs base ty);
-      check (base ^ ": top bag is no dictionary") false
-        (ST.is_dict_name (ST.top_name base));
-      List.iter
-        (fun path ->
-          let d = ST.domain_name base path in
-          check (d ^ ": label domain is no dictionary") false (ST.is_dict_name d))
-        paths)
-    (Tpch.Schema.flat_inputs_ty @ nested @ Biomed.Schema.inputs_ty);
-  check "some dictionaries seen" true (!dicts > 0)
-
-(* [is_dict_name] is a name test, not a lookup: longer than three
-   characters with ["_D_"] anywhere. Pins the edges of that rule. *)
-let test_is_dict_name_edges () =
-  let module ST = Trance.Shred_type in
+    (fun inputs ->
+      let env =
+        Trance.Api.load_shredded_inputs ~cluster:Exec.Config.default inputs
+          (List.map (fun (n, _) -> (n, V.Bag [])) inputs)
+      in
+      let dicts = List.concat_map (fun (n, ty) -> dict_names n ty) inputs in
+      input_dicts := !input_dicts + List.length dicts;
+      Hashtbl.iter
+        (fun n (ds : Exec.Dataset.t) ->
+          check (n ^ " loaded with the label guarantee") (List.mem n dicts)
+            (ds.key = Some [ [ "label" ] ]))
+        env)
+    (List.map (fun i -> [ i ]) nested @ [ Biomed.Schema.inputs_ty ]);
+  (* levels 0-4 nest 0-4 deep, narrow and wide; biomed nests three bags *)
+  check_int "every input dictionary seen" 23 !input_dicts;
+  let programs =
+    List.concat_map
+      (fun family ->
+        List.concat_map
+          (fun level ->
+            List.map
+              (fun wide -> Tpch.Queries.program ~wide ~family ~level ())
+              [ false; true ])
+          [ 0; 1; 2; 3; 4 ])
+      Tpch.Queries.[ Flat_to_nested; Nested_to_nested; Nested_to_flat ]
+    @ [ Biomed.Pipeline.program ]
+    @ List.map
+        (fun (_, q) -> Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty q)
+        Fixtures.corpus
+  in
+  let mat_dicts = ref 0 in
   List.iter
-    (fun (n, expected) -> check (Printf.sprintf "%S" n) expected (ST.is_dict_name n))
-    [
-      ("", false);
-      ("_D_", false);
-      ("x_D_", true);
-      ("_D_x", true);
-      ("COP_D_orders_D_oparts", true);
-      ("_Dom_", false);
-      ("Lineitem", false);
-      ("a_d_b", false);
-    ]
+    (fun (p : Nrc.Program.t) ->
+      let c = Trance.Api.compile_shredded p in
+      let types = Nrc.Program.typecheck p in
+      let targets =
+        List.map (fun { Nrc.Program.target; _ } -> target) p.assignments
+      in
+      let dicts =
+        List.concat_map
+          (fun t -> dict_names t (Nrc.Typecheck.Env.find t types))
+          targets
+      in
+      List.iter2
+        (fun (n, plan) (n', (o : Trance.Shred_pipeline.origin)) ->
+          check_str "origins follow the assignments" n n';
+          check (n ^ " materialized for a source step") true
+            (List.mem o.step targets);
+          let cast = match plan with Plan.Op.BagToDict _ -> true | _ -> false in
+          let dict = List.mem n dicts in
+          if dict then incr mat_dicts
+          else
+            check (n ^ " is a top bag or a label domain") true
+              (n = ST.top_name o.step
+              || String.starts_with ~prefix:(ST.domain_name o.step []) n);
+          check (n ^ " cast by BagToDict") dict cast)
+        c.plans c.pipeline.origins)
+    programs;
+  check "some materialized dictionaries seen" true (!mat_dicts > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Value shredding *)
@@ -396,9 +427,8 @@ let () =
           Alcotest.test_case "dictionary paths" `Quick test_dict_paths;
           Alcotest.test_case "shredded input signature" `Quick
             test_shredded_inputs;
-          Alcotest.test_case "dictionary names" `Quick test_is_dict_name;
-          Alcotest.test_case "dictionary names: length and marker edges" `Quick
-            test_is_dict_name_edges;
+          Alcotest.test_case "recorded dataset roles" `Quick
+            test_recorded_roles;
         ] );
       ( "values",
         [
