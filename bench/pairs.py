@@ -2,9 +2,11 @@
 """Compare two checkouts on one perfbench workload with alternating runs.
 
     python3 bench/pairs.py PARENT_DIR CHANGE_DIR --workload nested-standard \\
-        --seed 1 --pairs 10 --seconds 10
+        --seed 1 --seed 11 --pairs 10 --seconds 10
 
-Each pair runs `python3 perfbench/run.py --trace 0` once in each checkout,
+`--seed` may be given more than once (default: 1); the pairs run at each
+seed in turn, and each seed gets its own report and verdicts. Each pair
+runs `python3 perfbench/run.py --trace 0` once in each checkout,
 the parent first in odd pairs and the change first in even ones, so slow
 stretches on a shared host fall on both sides alike. Each checkout builds
 itself (into its own .bench_build/) before its first timed run.
@@ -35,9 +37,9 @@ import subprocess
 import sys
 
 
-def run_once(checkout, args):
+def run_once(checkout, args, seed):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
-           "--workload", args.workload, "--seed", str(args.seed),
+           "--workload", args.workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
@@ -82,7 +84,8 @@ def main():
     ap.add_argument("parent", metavar="PARENT_DIR")
     ap.add_argument("change", metavar="CHANGE_DIR")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", type=int, action="append",
+                    help="workload seed; repeat to compare at several")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args()
@@ -94,17 +97,23 @@ def main():
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         metrics = json.load(f)["end_to_end"]
 
+    for seed in args.seed or [1]:
+        compare(args, metrics, seed)
+
+
+def compare(args, metrics, seed):
+    """Run the alternating pairs at one seed and report each metric."""
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            runs[side].append(run_once(sides[side], args))
-        print("pair %d/%d done (%s first)" % (i + 1, args.pairs, order[0]),
-              file=sys.stderr, flush=True)
+            runs[side].append(run_once(sides[side], args, seed))
+        print("seed %d: pair %d/%d done (%s first)"
+              % (seed, i + 1, args.pairs, order[0]), file=sys.stderr, flush=True)
 
     print("workload %s, seed %d, %d pairs of %g s runs"
-          % (args.workload, args.seed, args.pairs, args.seconds))
+          % (args.workload, seed, args.pairs, args.seconds))
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         parent = [r[name]["value"] for r in runs["parent"]]
@@ -123,8 +132,10 @@ def main():
                   % (side, statistics.median(xs), min(xs), max(xs)))
         print("  parent interquartile range %.4f" % quartile_spread(parent))
         print("  change better in %d/%d pairs" % (wins, args.pairs))
-        print("  verdict: %s (bound %g of the parent's median)"
-              % (verdict(parent, change, wins, m["bound"], lower), m["bound"]))
+        print("  seed %d verdict: %s (bound %g of the parent's median)"
+              % (seed, verdict(parent, change, wins, m["bound"], lower),
+                 m["bound"]))
+    print()
 
 
 if __name__ == "__main__":

@@ -17,8 +17,6 @@ type table_stats = {
 
 type stats = (string * table_stats) list
 
-val default_fanout : float
-
 val stats_of_bag : Nrc.Value.t -> table_stats
 val stats_of_inputs : (string * Nrc.Value.t) list -> stats
 
@@ -30,12 +28,6 @@ type estimate = {
 }
 
 val estimate : stats -> Plan.Op.t -> estimate
-val selectivity : Plan.Sexpr.t -> float
-
-val estimate_assignments :
-  stats -> (string * Plan.Op.t) list -> float * stats
-(** Total scalar cost of an assignment sequence; each result's estimated
-    statistics feed later plans. Returns the extended statistics too. *)
 
 type recommendation = {
   standard_cost : float;

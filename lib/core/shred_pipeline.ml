@@ -50,11 +50,12 @@ let shred_program ?(config = Materialize.default) (p : Nrc.Program.t) : t =
   in
   let output_ty = Nrc.Typecheck.Env.find result type_env in
   let mat_inputs =
-    List.concat_map
+    List.map
       (fun (name, ty) ->
         match ty with
-        | T.TBag _ -> Shred_type.shredded_inputs name ty
-        | _ -> [ (name, ty) ])
+        | T.TBag _ ->
+          (Printf.sprintf "the shredded input %s" name, Shred_type.shredded_inputs name ty)
+        | _ -> (Printf.sprintf "the input %s" name, [ (name, ty) ]))
       p.Nrc.Program.inputs
   in
   let unshred_query =
@@ -64,8 +65,28 @@ let shred_program ?(config = Materialize.default) (p : Nrc.Program.t) : t =
     | _ -> None
   in
   let assignments, origins = List.split (List.rev assignments_rev) in
+  (* Generated names are not injective across targets (a dictionary [F]
+     of [T] and the top bag of a target [T_D] are both [T_D_F]): a later
+     dataset of the same name would silently overwrite the first. *)
+  let producers =
+    List.concat_map (fun (who, ds) -> List.map (fun (name, _) -> (name, who)) ds) mat_inputs
+    @ List.map
+        (fun (name, o) ->
+          (name, Printf.sprintf "%s of %s" (if o.dict then "a dictionary" else "a bag") o.step))
+        origins
+  in
+  ignore
+    (List.fold_left
+       (fun seen (name, who) ->
+         match List.assoc_opt name seen with
+         | Some first ->
+           raise
+             (Shred_type.Shred_error
+                (Printf.sprintf "shredding names two datasets %s: %s and %s" name first who))
+         | None -> (name, who) :: seen)
+       [] producers);
   {
-    mat = Nrc.Program.make ~inputs:mat_inputs assignments;
+    mat = Nrc.Program.make ~inputs:(List.concat_map snd mat_inputs) assignments;
     origins;
     top = last_mat.Materialize.top;
     dicts = last_mat.Materialize.dicts;

@@ -50,10 +50,5 @@ val dict_paths : Nrc.Types.t -> string list list
 (** All dictionary paths of a nested element type, pre-order:
     [[["corders"]; ["corders"; "oparts"]]] for COP. *)
 
-val dict_dataset_ty : Nrc.Types.t -> Nrc.Types.t
-(** Dataset type of a materialized dictionary with the given original item
-    type: a flat bag of label + flat item fields.
-    @raise Shred_error for non-tuple items. *)
-
 val shredded_inputs : string -> Nrc.Types.t -> (string * Nrc.Types.t) list
 (** Names and types of a dataset's shredded form: top bag + dictionaries. *)

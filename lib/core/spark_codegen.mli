@@ -7,8 +7,5 @@
     for BagToDict. Inspectable output only; the
     simulator executes the plans (DESIGN.md substitution table). *)
 
-val col_expr : Plan.Sexpr.t -> string
-(** Spark column expression for one scalar expression. *)
-
 val plan_to_scala : name:string -> Plan.Op.t -> string
 val assignments_to_scala : (string * Plan.Op.t) list -> string

@@ -52,9 +52,9 @@ let env_of_list l : env =
 
 type rset = {
   parts : Row.t array array;
-  bytes : int array;
-      (* [Row.byte_size] summed over each partition, computed by the task
-         that built the partition (or derived exactly from its inputs) *)
+  sizes : int array array;
+      (* each row's [Row.byte_size], returned by the kernel that built it *)
+  bytes : int array; (* the sizes summed per partition *)
   key : S.t list option; (* partitioning guarantee over rows *)
   skew : (S.t list * unit K.KeyTbl.t) option;
       (* heavy keys of a skew-triple, carried between operators until
@@ -77,24 +77,33 @@ type state = {
 
 let unzip a = (Array.map fst a, Array.map snd a)
 
-(* Partition-wise evaluation goes through the pool. The task closures must
-   not touch [st.stats]/[st.trace]/[st.mem]/[st.faults]: every hot loop
-   below computes a pure per-partition result — its rows and their byte
-   size (for the shuffle, the bytes sent to each destination) — and all
-   shared accounting happens on the calling domain after the barrier,
-   reading the carried sizes. The sizes are pure integer functions of the
-   partitions, summed in partition order, so a [domains = N] run stays
-   bit-identical to [domains = 1], and no row is walked for sizing outside
-   a task. *)
-let pool_parts st (f : int -> 'a -> Row.t array * int) (xs : 'a array) =
-  unzip (Pool.map st.pool f xs)
-
 let all_some l = if List.for_all Option.is_some l then Some (List.map Option.get l) else None
 
-let mk_rset ?(key = None) ?(skew = None) (parts, bytes) =
-  { parts; bytes; key; skew }
+let mk_rset ?(key = None) ?(skew = None) (parts, sizes) =
+  { parts; sizes; bytes = Array.map K.total sizes; key; skew }
 
-let empty_rset n = mk_rset (Array.make n [||], Array.make n 0)
+let empty_rset n = mk_rset (Array.make n [||], Array.make n [||])
+
+(* Partition-wise evaluation goes through the pool. The task closures must
+   not touch [st.stats]/[st.trace]/[st.mem]/[st.faults]: every hot loop
+   below computes a pure per-partition result — its rows and their sizes
+   (for the shuffle, the bytes sent to each destination) — and all shared
+   accounting happens on the calling domain after the barrier, reading the
+   carried sizes. The sizes are pure integer functions of the partitions,
+   summed in partition order, so a [domains = N] run stays bit-identical
+   to [domains = 1], and no row is walked for sizing outside a kernel. *)
+let pool_map st f xs = unzip (Pool.map st.pool f xs)
+
+(* [f p] over each partition of [r] with its sizes *)
+let pool_parts st (f : int -> K.sized -> K.sized) (r : rset) =
+  pool_map st (fun p part -> f p (part, r.sizes.(p))) r.parts
+
+(* a partition with its sizes *)
+let part (r : rset) p : K.sized = (r.parts.(p), r.sizes.(p))
+
+(* every partition in one, as gathered or broadcast *)
+let concat (r : rset) : K.sized =
+  (Array.concat (Array.to_list r.parts), Array.concat (Array.to_list r.sizes))
 
 (* ------------------------------------------------------------------ *)
 (* Accounting *)
@@ -316,44 +325,62 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
   Trace.with_span st.trace ~op:"Shuffle" ~stage (fun () ->
       let cfg = st.cfg in
       let n = cfg.Config.partitions in
-      (* each task builds the destination lists for one *input* partition
-         (reversed, as pushed); the merge below concatenates them in input
-         partition order, which reproduces the sequential row order
-         exactly. Each task also returns the bytes it sends to each
-         destination; their sums in task order are the receipts, and all
-         receipts together are the bytes moved. *)
+      (* each task sorts the rows of one *input* partition by destination,
+         stably: [order] lists its row positions destination by
+         destination, the run of destination [q] starting at [start.(q)].
+         The merge below reads the runs in input partition order, which
+         reproduces the sequential row order exactly. Each task also
+         returns the bytes it sends to each destination, read from the
+         carried row sizes; their sums in task order are the receipts, and
+         all receipts together are the bytes moved. *)
       let tasks =
         Pool.map st.pool
-          (fun _ part ->
-            let dest = Array.make n [] in
-            let sent = Array.make n 0 in
-            let size = K.row_sizer () and key = K.compile_keys keys in
-            Array.iter
-              (fun row ->
-                let p = K.hash_key (key row) mod n in
-                dest.(p) <- row :: dest.(p);
-                sent.(p) <- sent.(p) + size row)
-              part;
-            (dest, sent))
+          (fun p part ->
+            let sizes = r.sizes.(p) and hash = K.key_hasher keys in
+            let dest = Array.map (fun row -> hash row mod n) part in
+            let start = Array.make (n + 1) 0 and sent = Array.make n 0 in
+            Array.iteri
+              (fun i q ->
+                start.(q + 1) <- start.(q + 1) + 1;
+                sent.(q) <- sent.(q) + sizes.(i))
+              dest;
+            for q = 1 to n do
+              start.(q) <- start.(q) + start.(q - 1)
+            done;
+            let next = Array.sub start 0 n and order = Array.make (Array.length part) 0 in
+            Array.iteri
+              (fun i q ->
+                order.(next.(q)) <- i;
+                next.(q) <- next.(q) + 1)
+              dest;
+            (order, start, sent))
           r.parts
       in
       let received = Array.make n 0 in
       Array.iter
-        (fun (_, sent) ->
+        (fun (_, _, sent) ->
           Array.iteri (fun q b -> received.(q) <- received.(q) + b) sent)
         tasks;
       let moved = Array.fold_left ( + ) 0 received in
-      (* one merge task per destination, reading every task's lists *)
+      (* one merge task per destination, reading every task's run *)
       let dest =
         Pool.map st.pool
           (fun q _ ->
-            let acc = ref [] in
-            (* reversed per-task lists un-reverse as they are prepended;
-               descending task order keeps earlier partitions first *)
-            for p = Array.length tasks - 1 downto 0 do
-              acc := List.rev_append (fst tasks.(p)).(q) !acc
-            done;
-            Row.array_of_list Row.empty !acc)
+            let len =
+              Array.fold_left (fun acc (_, start, _) -> acc + start.(q + 1) - start.(q)) 0 tasks
+            in
+            let rows = Array.make len Row.empty and sizes = Array.make len 0 in
+            let k = ref 0 in
+            Array.iteri
+              (fun p (order, start, _) ->
+                for j = start.(q) to start.(q + 1) - 1 do
+                  let i = order.(j) in
+                  rows.(!k) <- r.parts.(p).(i);
+                  sizes.(!k) <- r.sizes.(p).(i);
+                  incr k
+                done)
+              tasks;
+            (rows, sizes))
           received
       in
       let max_recv = Array.fold_left max 0 received in
@@ -389,7 +416,7 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
          checkpoint would have to re-move them *)
       Checkpoint.observe st.ckpt ~bytes:moved;
       check_deadline st ~stage;
-      mk_rset ~key:(Some keys) (dest, received))
+      mk_rset ~key:(Some keys) (unzip dest))
 
 (* shuffle only if the guarantee does not already hold *)
 let ensure_partitioned st ?stage (r : rset) (keys : S.t list) : rset =
@@ -405,7 +432,9 @@ let gather st (r : rset) : rset =
       let total = rset_total_bytes r in
       charge st { Stats.zero with shuffled_bytes = total; stages = 1 };
       let g = empty_rset st.cfg.Config.partitions in
-      g.parts.(0) <- Array.concat (Array.to_list r.parts);
+      let rows, sizes = concat r in
+      g.parts.(0) <- rows;
+      g.sizes.(0) <- sizes;
       g.bytes.(0) <- total;
       g)
 
@@ -461,7 +490,7 @@ let split_by_keys st (r : rset) (keys : S.t list) (hk : unit K.KeyTbl.t) :
     rset * rset =
   let halves =
     Pool.map st.pool
-      (fun p part -> K.split_by_keys keys hk (part, r.bytes.(p)))
+      (fun p _ -> K.split_by_keys keys hk (part r p))
       r.parts
   in
   ( mk_rset ~key:r.key (unzip (Array.map fst halves)),
@@ -469,8 +498,7 @@ let split_by_keys st (r : rset) (keys : S.t list) (hk : unit K.KeyTbl.t) :
 
 let union_parts ?(skew = None) a b =
   mk_rset ~skew
-    ( Array.map2 Array.append a.parts b.parts,
-      Array.map2 ( + ) a.bytes b.bytes )
+    (Array.map2 Array.append a.parts b.parts, Array.map2 Array.append a.sizes b.sizes)
 
 (* ------------------------------------------------------------------ *)
 (* Join strategies *)
@@ -487,8 +515,7 @@ let broadcast_stage st ~stage ?key (l : rset) (r : rset) task : rset =
   charge_broadcast st rbytes;
   (* tasks share the replica (and any index over it) read-only, which is
      safe across domains *)
-  let all_right = Array.concat (Array.to_list r.parts) in
-  let out = mk_rset ?key (pool_parts st (task all_right) l.parts) in
+  let out = mk_rset ?key (pool_parts st (task (concat r)) l) in
   Memory.pin st.mem rbytes;
   Fun.protect
     ~finally:(fun () -> Memory.unpin st.mem rbytes)
@@ -508,9 +535,7 @@ let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey kernel :
   let r' = ensure_partitioned st ~stage r rkey in
   let out =
     mk_rset ?key
-      (pool_parts st
-         (fun p lpart -> kernel (K.index rkey r'.parts.(p)) lpart)
-         l'.parts)
+      (pool_parts st (fun p lpart -> kernel (K.index rkey (part r' p)) lpart) l')
   in
   (* external hash join: the per-partition build table over the right side
      is what can stage through disk *)
@@ -558,7 +583,7 @@ let map_stage st ~stage ?(key = fun k -> k) ?(keep_skew = false) f (r : rset)
   let out =
     mk_rset ~key:(key r.key)
       ~skew:(if keep_skew then r.skew else None)
-      (pool_parts st f r.parts)
+      (pool_parts st f r)
   in
   account st ~stage [ r.bytes ] out;
   out
@@ -578,7 +603,7 @@ let grouped st ~shuffle_at ~stage (r : rset) ~keys ~agg_keys kernel : rset =
       ( ensure_partitioned st ~stage:shuffle_at r (List.map snd sk),
         Some (List.map (fun (n, _) -> S.Col [ n ]) sk) )
   in
-  let out = mk_rset ~key (pool_parts st (fun _ -> kernel) r'.parts) in
+  let out = mk_rset ~key (pool_parts st (fun _ -> kernel) r') in
   account st ~stage ~spill:(Spill_parts [ r'.bytes ]) [ r'.bytes ] out;
   out
 
@@ -597,6 +622,7 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
   | Op.UnitRow, [] ->
     let r = empty_rset cfg.Config.partitions in
     r.parts.(0) <- [| Row.empty |];
+    r.sizes.(0) <- [| 0 |];
     r
   | Op.Scan { input; binder }, [] -> (
     match Hashtbl.find_opt st.env input with
@@ -604,7 +630,7 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
     | Some ds ->
       Trace.set_stage st.trace input;
       let key = Option.map (List.map (fun path -> S.Col (binder :: path))) ds.Dataset.key in
-      let r = mk_rset ~key (pool_parts st (fun _ -> K.scan ~binder) ds.Dataset.parts) in
+      let r = mk_rset ~key (pool_map st (fun _ -> K.scan ~binder) ds.Dataset.parts) in
       trace_rows_in st [ r ];
       r)
   | Op.Select (p, _), [ r ] ->
@@ -637,9 +663,8 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
           fun _ -> kernel index)
     else shuffle_stage st ~stage:"cogroup" l r ~lkey ~rkey kernel
   | Op.Product _, [ l; r ] ->
-    let rbytes = rset_total_bytes r in
-    broadcast_stage st ~stage:"product" ~key:l.key l r (fun all_right p lpart ->
-        K.product (lpart, l.bytes.(p)) (all_right, rbytes))
+    broadcast_stage st ~stage:"product" ~key:l.key l r (fun all_right _ lpart ->
+        K.product lpart all_right)
   | Op.Unnest { path; binder; outer; drop; _ }, [ r ] ->
     map_stage st ~stage:"unnest" ~keep_skew:true
       (fun _ -> K.unnest ~path ~binder ~outer ~drop)
@@ -648,25 +673,22 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
     incr next_id_base;
     let base = !next_id_base * (1 lsl 50) in
     map_stage st ~stage:"add_index" ~keep_skew:true
-      (fun p part ->
-        ( K.add_index ~col (fun i -> base + (p lsl 28) + i) part,
-          (* one column of 8 bytes holding an 8-byte int per row *)
-          r.bytes.(p) + (16 * Array.length part) ))
+      (fun p -> K.add_index ~col (fun i -> base + (p lsl 28) + i))
       r
-  | Op.NestBag { keys; agg_keys; item; presence; out; _ }, [ r ] ->
+  | Op.NestBag { input; keys; agg_keys; item; presence; out }, [ r ] ->
     grouped st ~shuffle_at:"nest" ~stage:"nest_bag" r ~keys ~agg_keys
-      (K.nest_bag ~keys ~agg_keys ~item ~presence ~out)
-  | Op.NestSum { keys; agg_keys; aggs; presence; _ }, [ r ] ->
+      (K.nest_bag ~ids:(Op.ids input) ~keys ~agg_keys ~item ~presence ~out)
+  | Op.NestSum { input; keys; agg_keys; aggs; presence }, [ r ] ->
     (* map-side combine (Spark partial aggregation): pre-aggregate each
        partition before shuffling, so Gamma-plus "mitigates skew-effects by
        default by reducing the values of all keys" (Section 5) *)
-    let partials =
-      mk_rset
-        (pool_parts st (fun _ -> K.nest_sum ~keys ~agg_keys ~aggs ~presence) r.parts)
-    in
+    let combine = K.nest_sum ~ids:(Op.ids input) ~keys ~agg_keys ~aggs ~presence in
+    let partials = mk_rset (pool_parts st (fun _ -> combine) r) in
     account st ~stage:"nest_sum(combine)" ~spill:(Spill_parts [ r.bytes ])
       [ r.bytes ] partials;
-    (* reduce side: sum the partial sums *)
+    (* reduce side: sum the partial sums. Its keys are the combine's
+       output columns, so the combine's own facts say which id stands
+       for which of them. *)
     let keys' = List.map (fun (n, _) -> (n, S.Col [ n ])) keys in
     let agg_keys' = List.map (fun (n, _) -> (n, S.Col [ n ])) agg_keys in
     let aggs' = List.map (fun (n, _) -> (n, S.Col [ n ])) aggs in
@@ -677,7 +699,7 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
     in
     grouped st ~shuffle_at:"nest_sum" ~stage:"nest_sum" partials ~keys:keys'
       ~agg_keys:agg_keys'
-      (K.nest_sum ~keys:keys' ~agg_keys:agg_keys' ~aggs:aggs'
+      (K.nest_sum ~ids:(Op.ids op) ~keys:keys' ~agg_keys:agg_keys' ~aggs:aggs'
          ~presence:presence')
   | Op.Dedup child, [ r ] ->
     let key_exprs = List.map (fun c -> S.Col [ c ]) (Op.columns child) in
@@ -685,7 +707,7 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
     map_stage st ~stage:"dedup" (fun _ -> K.dedup) r'
   | Op.UnionAll (left, _), [ l; r ] ->
     let cols = Op.columns left in
-    union_parts l (mk_rset (pool_parts st (fun _ -> K.align cols) r.parts))
+    union_parts l (mk_rset (pool_parts st (fun _ -> K.align cols) r))
   | Op.BagToDict { label; _ }, [ r ] ->
     if st.opts.skew_aware then begin
       (* Figure 6: repartition only light labels; heavy labels stay put;
@@ -727,23 +749,27 @@ let rset_to_dataset pool (cols : string list) (r : rset) : Dataset.t =
   let key = Option.bind r.key (fun ks -> all_some (List.map path_of ks)) in
   { Dataset.parts = Pool.map pool (fun _ -> K.values cols) r.parts; key }
 
+let run_rows ?(options = default_options) ?trace ?faults ?checkpoint ~pool ~config
+    ~stats (env : env) (plan : Op.t) : rset =
+  let ckpt =
+    match checkpoint with Some c -> c | None -> Checkpoint.make config
+  in
+  run
+    { cfg = config; opts = options; stats; trace; faults;
+      ckpt; mem = Memory.create ?faults config; env; pool }
+    plan
+
 (** Execute one plan against named datasets; returns the result dataset.
     The checkpoint manager is created here when not supplied, so lineage
     accrues (and recovery is charged) even under [No_checkpoints]. The
     pool is spawned once per run: a driver that executes several plans
     passes one in; a bare call creates a pool sized by [config.domains]
     and shuts it down on exit. *)
-let run_plan ?(options = default_options) ?trace ?faults ?checkpoint ?pool
-    ~config ~stats (env : env) (plan : Op.t) : Dataset.t =
-  let ckpt =
-    match checkpoint with Some c -> c | None -> Checkpoint.make config
-  in
+let run_plan ?options ?trace ?faults ?checkpoint ?pool ~config ~stats (env : env)
+    (plan : Op.t) : Dataset.t =
   let go pool =
-    let st =
-      { cfg = config; opts = options; stats; trace; faults;
-        ckpt; mem = Memory.create ?faults config; env; pool }
-    in
-    rset_to_dataset pool (Op.columns plan) (run st plan)
+    rset_to_dataset pool (Op.columns plan)
+      (run_rows ?options ?trace ?faults ?checkpoint ~pool ~config ~stats env plan)
   in
   match pool with
   | Some p -> go p

@@ -48,20 +48,16 @@ val env_of_list : (string * Dataset.t) list -> env
 
 type rset = {
   parts : Plan.Row.t array array;
-  bytes : int array;
-      (** {!Plan.Row.byte_size} summed over each partition — computed by
-          the pool task that built the partition, or derived exactly from
-          the operator's inputs, never by re-walking rows on the driver *)
+  sizes : int array array;
+      (** each row's {!Plan.Row.byte_size}, beside its partition — returned
+          by the kernel that built the row ({!Plan.Kernel.sized}), never
+          re-walked on the driver or by a consumer *)
+  bytes : int array;  (** the sizes summed per partition *)
   key : Plan.Sexpr.t list option;  (** partitioning guarantee over rows *)
   skew : (Plan.Sexpr.t list * unit Plan.Kernel.KeyTbl.t) option;
       (** heavy keys of a skew-triple, carried between operators until
           something alters the key (Section 5) *)
 }
-
-val rset_to_dataset : Pool.t -> string list -> rset -> Dataset.t
-(** The rows as result values ({!Plan.Kernel.values} over the plan
-    columns), one pool task per partition; the row guarantee becomes the
-    matching field-path guarantee where it survives. *)
 
 val reset_ids : unit -> unit
 (** Reset the global [AddIndex] id counter. The ids feed
@@ -69,6 +65,20 @@ val reset_ids : unit -> unit
     therefore partition assignment, so callers that need run-for-run
     determinism (fault-injection replay; {!Trance.Api.run} calls this)
     reset before each run. *)
+
+val run_rows :
+  ?options:options ->
+  ?trace:Trace.ctx ->
+  ?faults:Faults.t ->
+  ?checkpoint:Checkpoint.t ->
+  pool:Pool.t ->
+  config:Config.t ->
+  stats:Stats.t ->
+  env ->
+  Plan.Op.t ->
+  rset
+(** {!run_plan} on the given pool, before the rows become result values:
+    the plan's rows, partition by partition. *)
 
 val run_plan :
   ?options:options ->

@@ -43,6 +43,8 @@ let mean_partition_bytes m =
   if m.partitions = 0 then 0.
   else float_of_int m.sum_partition_bytes /. float_of_int m.partitions
 
+(* the paper's load-imbalance factor; 1.0 when no partitions were
+   observed *)
 let load_imbalance m =
   let mean = mean_partition_bytes m in
   if mean <= 0. then 1. else float_of_int m.max_partition_bytes /. mean

@@ -49,18 +49,6 @@ type metrics = {
   partitions : int;  (** partitions observed (for the mean) *)
 }
 
-val zero_metrics : metrics
-
-val merge_metrics : metrics -> metrics -> metrics
-(** {!Stats.merge} on the counters; [rows_in], [sum_partition_bytes] and
-    [partitions] add, [max_partition_bytes] merges by [max]. *)
-
-val mean_partition_bytes : metrics -> float
-
-val load_imbalance : metrics -> float
-(** [max_partition_bytes /. mean_partition_bytes]; [1.0] when no partitions
-    were observed. The paper's load-imbalance factor. *)
-
 type span = {
   id : int;  (** unique within one [ctx], in open order *)
   op : string;  (** operator name ({!Plan.Op.name}) or synthetic label *)
@@ -74,7 +62,9 @@ val total : span -> metrics
 (** Inclusive metrics: [metrics] merged with every descendant's. *)
 
 val agg : span list -> metrics
-(** [merge_metrics] over the inclusive totals of a span forest. *)
+(** The inclusive totals of a span forest, merged: {!Stats.merge} on the
+    counters; [rows_in], [sum_partition_bytes] and [partitions] add,
+    [max_partition_bytes] merges by [max]. *)
 
 val agrees : span list -> Stats.snapshot -> bool
 (** Whether a span forest's {!agg} counters equal a run total: every
@@ -134,8 +124,6 @@ val without_wall : span -> span
     settings (wall-clock is real time and varies run to run). *)
 
 (** {2 Rendering} *)
-
-val pp_metrics : Format.formatter -> metrics -> unit
 
 val pp_tree : Format.formatter -> span -> unit
 (** Indented per-operator tree with inclusive metrics per line. *)

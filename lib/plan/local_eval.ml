@@ -27,37 +27,37 @@ let lookup (env : env) name =
 let next_index = ref 0
 
 (* Children first, left before right, then the operator's kernel over
-   their rows. *)
-let rec eval (env : env) (op : Op.t) : Row.t array =
-  match op, List.map (eval env) (Op.children op) with
-  | Op.Nil _, [] -> [||]
-  | Op.UnitRow, [] -> [| Row.empty |]
+   their rows, with the facts the executor gives it. *)
+let rec sized (env : env) (op : Op.t) : K.sized =
+  match op, List.map (sized env) (Op.children op) with
+  | Op.Nil _, [] -> ([||], [||])
+  | Op.UnitRow, [] -> K.sized [| Row.empty |]
   | Op.Scan { input; binder }, [] ->
-    fst (K.scan ~binder (Row.array_of_list V.Null (lookup env input)))
-  | Op.Select (p, _), [ rows ] -> fst (K.select p rows)
-  | Op.Project (fields, _), [ rows ] -> fst (K.project fields rows)
+    K.scan ~binder (Row.array_of_list V.Null (lookup env input))
+  | Op.Select (p, _), [ rows ] -> K.select p rows
+  | Op.Project (fields, _), [ rows ] -> K.project fields rows
   | Op.Join { right; lkey; rkey; kind; _ }, [ l; r ] ->
-    fst (K.join ~lkey ~kind ~rcols:(Op.columns right) (K.index rkey r) l)
+    K.join ~lkey ~kind ~rcols:(Op.columns right) (K.index rkey r) l
   | Op.Cogroup { right; lkey; rkey; kind; keys; item; presence; out; _ }, [ l; r ] ->
-    fst
-      (K.cogroup ~lkey ~kind ~rcols:(Op.columns right) ~keys ~item ~presence
-         ~out (K.index rkey r) l)
-  | Op.Product _, [ l; r ] ->
-    (* one partition: the carried sizes are never read *)
-    fst (K.product (l, 0) (r, 0))
+    K.cogroup ~lkey ~kind ~rcols:(Op.columns right) ~keys ~item ~presence ~out
+      (K.index rkey r) l
+  | Op.Product _, [ l; r ] -> K.product l r
   | Op.Unnest { path; binder; outer; drop; _ }, [ rows ] ->
-    fst (K.unnest ~path ~binder ~outer ~drop rows)
+    K.unnest ~path ~binder ~outer ~drop rows
   | Op.AddIndex { col; _ }, [ rows ] ->
     K.add_index ~col (fun _ -> incr next_index; !next_index) rows
-  | Op.NestBag { keys; agg_keys; item; presence; out; _ }, [ rows ] ->
-    fst (K.nest_bag ~keys ~agg_keys ~item ~presence ~out rows)
-  | Op.NestSum { keys; agg_keys; aggs; presence; _ }, [ rows ] ->
-    fst (K.nest_sum ~keys ~agg_keys ~aggs ~presence rows)
-  | Op.Dedup _, [ rows ] -> fst (K.dedup rows)
-  | Op.UnionAll (left, _), [ l; r ] ->
-    Array.append l (fst (K.align (Op.columns left) r))
+  | Op.NestBag { input; keys; agg_keys; item; presence; out }, [ rows ] ->
+    K.nest_bag ~ids:(Op.ids input) ~keys ~agg_keys ~item ~presence ~out rows
+  | Op.NestSum { input; keys; agg_keys; aggs; presence }, [ rows ] ->
+    K.nest_sum ~ids:(Op.ids input) ~keys ~agg_keys ~aggs ~presence rows
+  | Op.Dedup _, [ rows ] -> K.dedup rows
+  | Op.UnionAll (left, _), [ (l, ls); r ] ->
+    let r, rs = K.align (Op.columns left) r in
+    (Array.append l r, Array.append ls rs)
   | Op.BagToDict _, [ rows ] -> rows
   | op, _ -> invalid_arg ("Local_eval: arity of " ^ Op.name op)
+
+let eval env op = fst (sized env op)
 
 (** Evaluate a plan and package the result rows as a bag, using the plan's
     column names as attributes ({!Kernel.values}). *)

@@ -170,6 +170,91 @@ let rec inputs = function
   | op -> List.concat_map inputs (children op)
 
 (* ------------------------------------------------------------------ *)
+(* Row ids: what an AddIndex column tells about the rows above it *)
+
+type ids = { unique : string list; determines : (string * string list) list }
+
+let no_ids = { unique = []; determines = [] }
+
+(* [e] reads only the id [id] and columns of [det] *)
+let reads_within id det e = List.for_all (fun c -> c = id || List.mem c det) (Sexpr.cols_used e)
+
+(* the names of [fields] that do *)
+let determined id det fields =
+  List.filter_map (fun (n, e) -> if reads_within id det e then Some n else None) fields
+
+(* facts over columns that [fields] rebuild (a projection, Gamma's G): a
+   field copying an id is that id, determining the fields it determined *)
+let rebuilt f fields =
+  let copies = List.filter_map (function n, Sexpr.Col [ c ] -> Some (n, c) | _ -> None) fields in
+  { unique = List.filter_map (fun (n, c) -> if List.mem c f.unique then Some n else None) copies;
+    determines =
+      List.filter_map
+        (fun (n, c) ->
+          Option.map
+            (fun det -> (n, List.filter (( <> ) n) (determined c det fields)))
+            (List.assoc_opt c f.determines))
+        copies }
+
+(* a column [names] (re)binds is determined by no older id *)
+let rebinding names f =
+  let kept c = not (List.mem c names) in
+  { unique = List.filter kept f.unique;
+    determines =
+      List.filter_map
+        (fun (id, det) -> if kept id then Some (id, List.filter kept det) else None)
+        f.determines }
+
+let rec ids = function
+  | Nil _ | UnitRow | Scan _ | UnionAll _ -> no_ids
+  | Select (_, c) | Dedup c | BagToDict { input = c; _ } -> ids c
+  | Project (fields, c) -> rebuilt (ids c) fields
+  | Join { left; right; _ } | Product (left, right) ->
+    { (rebinding (columns right) (ids left)) with unique = [] }
+  | Unnest { input; path; binder; drop; _ } ->
+    let gone = match path with [ c ] when drop -> [ c ] | _ -> [] in
+    { (rebinding (binder :: gone) (ids input)) with unique = [] }
+  | AddIndex { input; col } ->
+    let f = rebinding [ col ] (ids input) in
+    { unique = [ col ];
+      determines = (col, List.filter (( <> ) col) (columns input)) :: f.determines }
+  | NestBag { input; keys; agg_keys; _ } | NestSum { input; keys; agg_keys; _ } ->
+    (* one row per G-group when there are no aggregation keys: an id
+       that determines every other G-key tells the groups apart *)
+    let f = rebuilt (ids input) keys in
+    let stands_for_all (id, det) =
+      agg_keys = [] && List.for_all (fun (n, _) -> n = id || List.mem n det) keys
+    in
+    { f with unique = List.map fst (List.filter stands_for_all f.determines) }
+  | Cogroup { left; right; keys; _ } ->
+    (* at most one row per left row: a copied unique column stays so *)
+    rebuilt (rebinding (columns right) (ids left)) keys
+
+(* One id among the [keys] stands for the keys it determines, so a
+   grouping over them need hash and compare only the id and the others:
+   the id determining the most keys, if it determines any but itself. *)
+let probe_keys f keys =
+  let keys = Array.of_list keys in
+  let all = Array.make (Array.length keys) true in
+  let best = ref all and saved = ref 0 in
+  Array.iteri
+    (fun s (_, e) ->
+      match e with
+      | Sexpr.Col [ id ] -> (
+        match List.assoc_opt id f.determines with
+        | Some det ->
+          let probed = Array.mapi (fun i (_, e) -> i = s || not (reads_within id det e)) keys in
+          let n = Array.fold_left (fun n p -> if p then n else n + 1) 0 probed in
+          if n > !saved then begin
+            best := probed;
+            saved := n
+          end
+        | None -> ())
+      | _ -> ())
+    keys;
+  !best
+
+(* ------------------------------------------------------------------ *)
 (* Pretty printing: indented operator tree *)
 
 let pp_named ppf (n, e) = Fmt.pf ppf "%s:=%a" n Sexpr.pp e

@@ -111,6 +111,38 @@ val map_children : (t -> t) -> t -> t
     other field is kept. [children (map_children f op)] is
     [List.map f (children op)]. *)
 
+type ids = {
+  unique : string list;  (** columns holding a different value in every row *)
+  determines : (string * string list) list;
+      (** [(id, cols)]: rows equal in column [id] are equal in every column
+          of [cols] *)
+}
+(** What the ids of {!AddIndex} tell about an operator's output rows. An
+    AddIndex column is unique per row and determines every column of its
+    input. Uniqueness survives only selections, projections (and the
+    row-preserving [Dedup] and [BagToDict]) and a cogroup's keys, which
+    hold one row per left row; a nest without aggregation keys, one row
+    per G-group, makes unique a G-key id that determines all its other
+    G-keys. Determination also survives
+    unnests, a join's or product's left side, projections and the G
+    columns of a nest or cogroup — where a field copying an id determines
+    the fields that read only columns it determined. A column bound above
+    an AddIndex (an unnest binder, a join's right side, a later id) is
+    determined by none of its ids. Derived from the plan, never printed. *)
+
+val no_ids : ids
+
+val ids : t -> ids
+(** The facts over the operator's output columns. *)
+
+val probe_keys : ids -> (string * Sexpr.t) list -> bool array
+(** Which of a grouping's [keys], over rows with these facts, it must hash
+    and compare: an id among the keys (a plain column read) stands for
+    every key that reads only the id and columns it determines, so those
+    are left out — for the id that leaves out the most; all of them when
+    no id leaves any out. Rows equal in the probed keys are equal in all
+    of them. *)
+
 val pp : Format.formatter -> t -> unit
 (** Indented operator-tree rendering (cf. Figure 3). *)
 

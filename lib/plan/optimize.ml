@@ -274,22 +274,21 @@ let rec push_agg unique_keys (op : Op.t) : Op.t =
 (* ------------------------------------------------------------------ *)
 (* Cogroup fusion (Section 3, Optimization): a Gamma-union with no agg_keys
    directly over a join becomes one cogroup, so the nested object is built
-   without the flattened intermediate. Safe when the nest keys contain a
-   unique row id ([id%] columns, added by the unnester's AddIndex) and read
-   only the left side, with the left join key: each group is then exactly
-   one left row. *)
+   without the flattened intermediate. Safe when a nest key reads a column
+   unique on the join's left input (an AddIndex id, {!Op.ids}) and the
+   keys read only the left side, with the left join key: each group is
+   then exactly one left row. *)
 
-let has_unique_id keys =
-  List.exists
-    (function _, Sexpr.Col (c :: _) -> String.starts_with ~prefix:"id%" c | _ -> false)
-    keys
+let key_unique_on left keys =
+  let unique = (Op.ids left).Op.unique in
+  List.exists (function _, Sexpr.Col [ c ] -> List.mem c unique | _ -> false) keys
 
 let rec cogroup (op : Op.t) : Op.t =
   match op with
   | Op.NestBag
       { input = Op.Join { left; right; lkey; rkey; kind };
         keys; agg_keys = []; item; presence; out }
-    when has_unique_id keys
+    when key_unique_on left keys
          && Sexpr.reads_only (Op.columns left) (List.map snd keys @ lkey) ->
     Op.Cogroup
       { left = cogroup left; right = cogroup right; lkey; rkey; kind;

@@ -34,9 +34,10 @@ val push_agg : (string * string list) list -> Op.t -> Op.t
 
 val cogroup : Op.t -> Op.t
 (** Fuse each Gamma-union with no [agg_keys] directly over a join into an
-    {!Op.Cogroup} (Section 3, Optimization), where that is safe: the nest
-    keys hold a unique row id ([id%] column) and read only the join's left
-    side, as does the left join key, so each group is one left row.
+    {!Op.Cogroup} (Section 3, Optimization), where that is safe: a nest
+    key reads a column unique on the join's left input ({!Op.ids}) and the
+    keys read only the left side, as does the left join key, so each group
+    is one left row.
     Idempotent; a separate pass run after {!optimize}. *)
 
 val optimize : ?config:config -> Op.t -> Op.t

@@ -46,22 +46,26 @@ let get row col =
   | Some i -> row.vals.(i)
   | None -> invalid_arg (Printf.sprintf "Row.get: no column %S" col)
 
-(* top-level, so that a comparison allocates no closure *)
-let rec same_names a b i = i < 0 || (String.equal a.(i) b.(i) && same_names a b (i - 1))
+(* Equal schemas are one array: a weak set, so a schema no row holds any
+   more can be collected, behind a mutex, since kernels run on every
+   domain of the pool. Callers intern once per kernel call or per derived
+   schema, never per row. *)
+module Schemas = Weak.Make (struct
+  type t = string array
 
-let same_schema a b =
-  a == b || (Array.length a = Array.length b && same_names a b (Array.length a - 1))
+  let equal (a : t) b = a = b
+  let hash (a : t) = Hashtbl.hash a
+end)
 
-(* rows a shuffle gathers switch between equal, unshared schemas every few
-   rows, so a switch allocates nothing *)
+let schemas = Schemas.create 64
+let schemas_lock = Mutex.create ()
+let schema names = Mutex.protect schemas_lock (fun () -> Schemas.merge schemas names)
+
 let by_schema derive =
   let last = ref None and last_names = ref [||] in
   fun row ->
     match !last with
     | Some d when !last_names == row.names -> d
-    | Some d when same_schema !last_names row.names ->
-      last_names := row.names;
-      d
     | _ ->
       let d = derive row.names in
       last := Some d;

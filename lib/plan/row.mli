@@ -3,8 +3,8 @@
     whole generator variables (tuples), index columns (ints), or nested
     bags produced by {!Op.NestBag}.
 
-    Rows built by one kernel call share one [names] array, so a row costs
-    its values array and nothing per column beyond it. Code that resolves
+    Rows share one interned [names] array per schema ({!schema}), so a row
+    costs its values array and nothing per column beyond it. Code that resolves
     columns by name does so once per schema, not once per row: see
     {!by_schema}. A column name may repeat (a join of two rows binding the
     same name); lookups find its first slot. *)
@@ -39,16 +39,22 @@ val get : t -> string -> Nrc.Value.t
 val slot : string array -> string -> int option
 (** The first position of a column in a schema. *)
 
-val same_schema : string array -> string array -> bool
-(** Physically the same array, or the same names in the same order. *)
+val schema : string array -> string array
+(** The one shared array holding these names: equal schemas interned
+    here are physically equal, across kernel calls, partitions and
+    domains. Every names array a kernel builds goes through it once —
+    per call, or per schema it derives — never per row; the result must
+    never be mutated. Thread-safe (a mutex around a weak set, so a schema
+    that no row holds any more is collected). *)
 
 val by_schema : (string array -> 'a) -> t -> 'a
 (** [by_schema derive] memoises [derive] on the schema of the rows it is
-    applied to: it derives again only when a row's [names] is neither
-    physically nor by {!same_schema} the last one seen, and keeps one
-    derived value across schemas that are equal but not shared (rows of
-    one partition that different tasks built). The memo is mutable:
-    create one per kernel call and never share it across domains. *)
+    applied to: it derives again only when a row's [names] is not
+    physically the last one seen. Since kernels intern their schemas
+    ({!schema}), rows of one partition that different tasks built share
+    one [names] array, so a shuffled partition switches schema no more
+    often than its content does. The memo is mutable: create one per
+    kernel call and never share it across domains. *)
 
 val column_bytes : Nrc.Value.t -> int
 (** One column holding the value: 8 bytes plus {!Nrc.Value.byte_size}. *)

@@ -96,6 +96,12 @@ let compile e =
   let spec = Row.by_schema (fun names -> specialize names e) in
   fun (row : Row.t) -> spec row row.vals
 
+type reader = Nrc.Value.t array -> Nrc.Value.t
+
+let compile_vec es =
+  let es = Array.of_list es in
+  Row.by_schema (fun names -> Array.map (specialize names) es)
+
 (** Truthiness for selections: Null counts as false (outer-join semantics). *)
 let compile_pred e =
   let f = compile e in

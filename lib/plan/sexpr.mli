@@ -3,7 +3,8 @@
 
     An expression runs only compiled: {!compile} turns it into a closure
     over rows that resolves each column to its slot once per row schema
-    ({!Row.by_schema}) and then reads values by position. A kernel compiles
+    ({!Row.by_schema}) and then reads values by position; {!compile_vec}
+    does so for a list of expressions at once (a row's key vector). A kernel compiles
     its expressions once per call; a compiled closure holds a mutable memo,
     so it is never shared between pool tasks.
 
@@ -34,6 +35,19 @@ val compile : t -> Row.t -> Nrc.Value.t
 (** [compile e] is [e]'s evaluator. Partially apply it once and run the
     result over many rows.
     @raise Invalid_argument when applied to a row lacking a column of [e]. *)
+
+type reader = Nrc.Value.t array -> Nrc.Value.t
+(** An expression specialized to one schema: it reads a row's [vals] by
+    position. *)
+
+val compile_vec : t list -> Row.t -> reader array
+(** [compile_vec es] resolves all of [es] at once: applied to a row, it
+    returns their readers for the row's schema, position by position, at
+    the cost of one {!Row.by_schema} check — not one per expression, as
+    separate {!compile}s would pay. Apply reader [i] to the row's [vals]
+    to evaluate [es]'s [i]-th expression, and only those a caller needs.
+    Partially apply it once per kernel call, as {!compile}.
+    @raise Invalid_argument when applied to a row lacking a column. *)
 
 val compile_pred : t -> Row.t -> bool
 (** {!compile} with truthiness for selections: Null counts as false. *)

@@ -375,11 +375,14 @@ let prop_join_rows =
       Row.byte_size (append a (fields_of b)) = Row.byte_size a + Row.byte_size b)
 
 (* ------------------------------------------------------------------ *)
-(* The kernel size contract. The executor accounts every partition from
-   the size its kernel returns, never re-walking rows, so each kernel's
-   size must be the [Row.byte_size] sum of its rows — both halves of a
-   skew split included. Row-wise kernels must also run the same on any
-   split of their input, as partitions split it. *)
+(* The kernel size contract. Rows travel with their sizes and the
+   executor accounts every partition from the sizes its kernel returns,
+   never re-walking rows, so each size a kernel returns must be
+   [Row.byte_size] of its row — on both halves of a skew split, through
+   an unnest that drops its bag (whole or one attribute down), an outer
+   one and one over a Null bag, and a nest whose item is a tuple of whole
+   columns. Row-wise kernels must also run the same on any split of their
+   input, as partitions split it. *)
 
 module K = Plan.Kernel
 
@@ -433,11 +436,14 @@ let arbitrary_kernel_input =
 
 (* the kernels that work row by row, over a fixed build side *)
 let row_kernels rrows =
-  let index = K.index [ col "rk" ] rrows in
+  let index = K.index [ col "rk" ] (K.sized rrows) in
   let join kind = K.join ~lkey:[ col "k" ] ~kind ~rcols:[ "rk"; "w" ] index in
   [
     ("select", K.select (S.Not (S.IsNull (col "v"))));
     ("project", K.project [ ("k", col "k"); ("x", S.MkTuple [ ("v", col "v") ]) ]);
+    ("project whole columns", K.project [ ("v", col "v"); ("k2", col "k"); ("k", col "k") ]);
+    ("project narrowing a tuple",
+      K.project [ ("k", col "k"); ("t", S.MkTuple [ ("g", S.path "t" [ "f" ]) ]) ]);
     ("join", join Op.Inner);
     ("left-outer join", join Op.LeftOuter);
     ("unnest", K.unnest ~path:[ "b" ] ~binder:"i" ~outer:false ~drop:false);
@@ -448,10 +454,10 @@ let row_kernels rrows =
   ]
 
 let all_kernels rrows =
-  let index = K.index [ col "rk" ] rrows in
+  let index = K.index [ col "rk" ] (K.sized rrows) in
   let heavy = K.KeyTbl.create 4 in
-  List.iter (fun k -> K.KeyTbl.replace heavy [ k ] ()) [ V.Int 1; V.Bag [ V.Int 1; V.Int 2 ] ];
-  let split rows = K.split_by_keys [ col "k" ] heavy (K.sized rows) in
+  List.iter (fun k -> K.KeyTbl.replace heavy [| k |] ()) [ V.Int 1; V.Bag [ V.Int 1; V.Int 2 ] ];
+  let split rows = K.split_by_keys [ col "k" ] heavy rows in
   let present = S.Not (S.IsNull (col "v")) in
   row_kernels rrows
   @ [
@@ -459,35 +465,56 @@ let all_kernels rrows =
         K.cogroup ~lkey:[ col "k" ] ~kind:Op.LeftOuter ~rcols:[ "rk"; "w" ]
           ~keys:[ ("k", col "k") ] ~item:(col "w")
           ~presence:(S.Not (S.IsNull (col "w"))) ~out:"ws" index);
-      ("product", fun rows -> K.product (K.sized rows) (K.sized rrows));
+      ("product", fun rows -> K.product rows (K.sized rrows));
       ("dedup", K.dedup);
       ("split, light side", fun rows -> fst (split rows));
       ("split, heavy side", fun rows -> snd (split rows));
       ("nest_bag",
-        K.nest_bag ~keys:[ ("k", col "k") ] ~agg_keys:[] ~item:(col "v")
+        K.nest_bag ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[] ~item:(col "v")
           ~presence:present ~out:"vs");
       ("nest_bag by key",
-        K.nest_bag ~keys:[ ("k", col "k") ] ~agg_keys:[ ("b", col "b") ]
+        K.nest_bag ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[ ("b", col "b") ]
           ~item:(col "v") ~presence:present ~out:"vs");
+      ("nest_bag of whole columns",
+        K.nest_bag ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[]
+          ~item:(S.MkTuple [ ("v", col "v"); ("n", col "n"); ("t", col "t") ])
+          ~presence:present ~out:"vs");
+      ("nest_bag of whole flat columns",
+        K.nest_bag ~ids:Op.no_ids ~keys:[ ("v", col "v") ] ~agg_keys:[]
+          ~item:(S.MkTuple [ ("b", col "b"); ("t", col "t") ])
+          ~presence:present ~out:"vs");
       ("nest_sum",
-        K.nest_sum ~keys:[ ("k", col "k") ] ~agg_keys:[ ("b", col "b") ]
+        K.nest_sum ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[ ("b", col "b") ]
           ~aggs:[ ("s", col "n") ] ~presence:present);
       ("global nest_sum",
-        K.nest_sum ~keys:[] ~agg_keys:[] ~aggs:[ ("s", col "n") ] ~presence:present);
+        K.nest_sum ~ids:Op.no_ids ~keys:[] ~agg_keys:[] ~aggs:[ ("s", col "n") ]
+          ~presence:present);
     ]
 
-let bytes_of rows = Array.fold_left (fun acc r -> acc + Row.byte_size r) 0 rows
+(* the first row whose carried size is not its size *)
+let wrong_size ((rows, sizes) : K.sized) =
+  if Array.length rows <> Array.length sizes then Some (-1)
+  else
+    let rec go i =
+      if i = Array.length rows then None
+      else if sizes.(i) <> Row.byte_size rows.(i) then Some i
+      else go (i + 1)
+    in
+    go 0
 
 let prop_kernel_sizes =
-  QCheck.Test.make ~name:"every kernel returns the byte-size sum of its rows"
+  QCheck.Test.make ~name:"every kernel returns each row's byte size"
     ~count:(Fixtures.qcheck_count 300) arbitrary_kernel_input
     (fun (lrows, rrows, _) ->
       List.for_all
         (fun (name, kernel) ->
-          let rows, bytes = kernel lrows in
-          bytes = bytes_of rows
-          || QCheck.Test.fail_reportf "%s: returned %d, rows sum to %d" name
-               bytes (bytes_of rows))
+          let ((rows, sizes) as out) = kernel (K.sized lrows) in
+          match wrong_size out with
+          | None -> true
+          | Some -1 -> QCheck.Test.fail_reportf "%s: row and size counts differ" name
+          | Some i ->
+            QCheck.Test.fail_reportf "%s: row %d %s carries %d, is %d" name i
+              (print_row rows.(i)) sizes.(i) (Row.byte_size rows.(i)))
         (all_kernels rrows))
 
 let same_rows a b =
@@ -503,9 +530,9 @@ let prop_kernel_chunks =
       and b = Array.sub lrows cut (Array.length lrows - cut) in
       List.for_all
         (fun (name, kernel) ->
-          let whole, wbytes = kernel lrows in
-          let ra, ba = kernel a and rb, bb = kernel b in
-          (same_rows whole (Array.append ra rb) && wbytes = ba + bb)
+          let whole, wsizes = kernel (K.sized lrows) in
+          let ra, sa = kernel (K.sized a) and rb, sb = kernel (K.sized b) in
+          (same_rows whole (Array.append ra rb) && wsizes = Array.append sa sb)
           || QCheck.Test.fail_reportf "%s differs on chunks" name)
         (row_kernels rrows))
 
@@ -547,8 +574,8 @@ let prop_kernel_schema_switch =
       let kernels rrows = List.filter (fun (name, _) -> name <> "dedup") (all_kernels rrows) in
       List.for_all2
         (fun (name, uniform) (_, mixed) ->
-          let rows, bytes = uniform lrows
-          and mrows, mbytes = mixed (mix left_reversed flags lrows) in
+          let rows, bytes = uniform (K.sized lrows)
+          and mrows, mbytes = mixed (K.sized (mix left_reversed flags lrows)) in
           (same_by_name rows mrows && bytes = mbytes)
           || QCheck.Test.fail_reportf "%s differs on mixed column orders" name)
         (kernels rrows) (kernels mixed_r))
@@ -608,18 +635,19 @@ let test_no_forced_minor () =
   let always = S.Const (V.Bool true) in
   let rows () =
     let names = [| "k"; "n"; "b" |] in
-    Row.array_init Row.empty n (fun i ->
-        Row.make names [| V.Int (i mod 7); V.Int i; V.Bag [ V.Int i; V.Int (-i) ] |])
+    K.sized
+      (Row.array_init Row.empty n (fun i ->
+           Row.make names [| V.Int (i mod 7); V.Int i; V.Bag [ V.Int i; V.Int (-i) ] |]))
   in
   let right () =
     let names = [| "rk"; "r" |] in
     Row.array_init Row.empty 7 (fun k -> Row.make names [| V.Int k; V.Str "r" |])
   in
-  let join_args () = K.index [ col "rk" ] (right ()) in
+  let join_args () = K.index [ col "rk" ] (K.sized (right ())) in
   let lkey = [ col "k" ] and rcols = [ "rk"; "r" ] in
   let items () = List.init n (fun i -> tup [ ("k", V.Int (i mod 7)); ("n", V.Int i) ]) in
   let heavy = K.KeyTbl.create 1 in
-  K.KeyTbl.replace heavy [ V.Int 0 ] ();
+  K.KeyTbl.replace heavy [| V.Int 0 |] ();
   let collections kernel =
     Gc.minor ();
     let before = (Gc.quick_stat ()).Gc.minor_collections in
@@ -643,26 +671,26 @@ let test_no_forced_minor () =
         ignore
           (K.cogroup ~lkey ~kind:Op.Inner ~rcols ~keys:[ ("n", col "n") ] ~item:(col "r")
              ~presence:always ~out:"rs" (join_args ()) (rows ())));
-      ("product", fun () -> ignore (K.product (rows (), 0) (right (), 0)));
+      ("product", fun () -> ignore (K.product (rows ()) (K.sized (right ()))));
       ("select", fun () -> ignore (K.select always (rows ())));
       ("project", fun () -> ignore (K.project [ ("m", col "n") ] (rows ())));
       ("unnest", fun () ->
         ignore (K.unnest ~path:[ "b" ] ~binder:"x" ~outer:false ~drop:true (rows ())));
       ("dedup", fun () -> ignore (K.dedup (rows ())));
       ("align", fun () -> ignore (K.align [ "n"; "k" ] (rows ())));
-      ("values", fun () -> ignore (K.values [ "n"; "k" ] (rows ())));
+      ("values", fun () -> ignore (K.values [ "n"; "k" ] (fst (rows ()))));
       ("values of item", fun () ->
         ignore (K.values [ "item" ] (K.project [ ("item", col "n") ] (rows ()) |> fst)));
       ("split_by_keys", fun () ->
-        ignore (K.split_by_keys [ col "k" ] heavy (K.sized (rows ()))));
+        ignore (K.split_by_keys [ col "k" ] heavy (rows ())));
       ("nest_bag", fun () ->
         ignore
-          (K.nest_bag ~keys:[ ("n", col "n") ] ~agg_keys:[] ~item:(col "k")
+          (K.nest_bag ~ids:Op.no_ids ~keys:[ ("n", col "n") ] ~agg_keys:[] ~item:(col "k")
              ~presence:always ~out:"ks" (rows ())));
       ("nest_sum", fun () ->
         ignore
-          (K.nest_sum ~keys:[ ("n", col "n") ] ~agg_keys:[] ~aggs:[ ("s", col "k") ]
-             ~presence:always (rows ())));
+          (K.nest_sum ~ids:Op.no_ids ~keys:[ ("n", col "n") ] ~agg_keys:[]
+             ~aggs:[ ("s", col "k") ] ~presence:always (rows ())));
       ("Local_eval scan", fun () ->
         ignore
           (Plan.Local_eval.eval
@@ -702,14 +730,15 @@ let reference_nest ~keys ~agg_keys ~presence ~aggs ~aggregate ~empty ~global_emp
   and agg_key = K.compile_keys (List.map snd agg_keys)
   and present = S.compile_pred presence in
   let names = Array.of_list (List.map fst keys @ List.map fst agg_keys @ aggs) in
-  let out kv akv vs = Row.make names (Array.of_list (kv @ akv @ vs)) in
+  let out kv akv vs = Row.make names (Array.concat [ kv; akv; Array.of_list vs ]) in
   let global = keys = [] in
   group_by_keys key (Array.to_list rows)
   |> List.concat_map (fun (kv, members) ->
          match agg_keys, List.filter present members with
          | [], [] when global && not global_empty -> []
-         | [], present -> [ out kv [] (aggregate present) ]
-         | _, [] -> if global then [] else [ out kv (List.map (fun _ -> V.Null) agg_keys) empty ]
+         | [], present -> [ out kv [||] (aggregate present) ]
+         | _, [] ->
+           if global then [] else [ out kv (Array.map (fun _ -> V.Null) (Array.of_list agg_keys)) empty ]
          | _, present ->
            group_by_keys agg_key present
            |> List.map (fun (akv, sub) -> out kv akv (aggregate sub)))
@@ -779,19 +808,33 @@ let prop_nest_oracle =
          frequency [ (1, return [||]); (9, array_size (int_bound 30) gen_nest_row) ]))
     (fun rows ->
       let presence = col "p" and cols = List.map (fun c -> (c, col c)) in
-      List.for_all
-        (fun (name, keys, agg_keys) ->
-          let keys = cols keys and agg_keys = cols agg_keys in
-          let aggs = [ ("s", col "n"); ("t", col "r") ] in
-          (identical_rows
-             (K.nest_bag ~keys ~agg_keys ~item:(col "v") ~presence ~out:"vs" rows)
-             (reference_nest_bag ~keys ~agg_keys ~item:(col "v") ~presence ~out:"vs" rows)
-          || QCheck.Test.fail_reportf "nest_bag by %s differs" name)
-          && (identical_rows
-                (K.nest_sum ~keys ~agg_keys ~aggs ~presence rows)
-                (reference_nest_sum ~keys ~agg_keys ~aggs ~presence rows)
-             || QCheck.Test.fail_reportf "nest_sum by %s differs" name))
-        nest_groupings)
+      let check ids rows (name, keys, agg_keys) =
+        let keys = cols keys and agg_keys = cols agg_keys and rows = K.sized rows in
+        let aggs = [ ("s", col "n"); ("t", col "r") ] in
+        (identical_rows
+           (K.nest_bag ~ids ~keys ~agg_keys ~item:(col "v") ~presence ~out:"vs" rows)
+           (reference_nest_bag ~keys ~agg_keys ~item:(col "v") ~presence ~out:"vs" (fst rows))
+        || QCheck.Test.fail_reportf "nest_bag by %s differs" name)
+        && (identical_rows
+              (K.nest_sum ~ids ~keys ~agg_keys ~aggs ~presence rows)
+              (reference_nest_sum ~keys ~agg_keys ~aggs ~presence (fst rows))
+           || QCheck.Test.fail_reportf "nest_sum by %s differs" name)
+      in
+      (* the same rows with [k] and [a] functions of [m], which so
+         determines them and stands for them where it is a G-key *)
+      let by_m =
+        Array.map
+          (fun (r : Row.t) ->
+            let m = r.vals.(2) in
+            Row.make nest_names
+              (Array.mapi (fun i v -> match i with 0 -> V.Bag [ m ] | 1 -> V.Tuple [ ("m", m) ] | _ -> v) r.vals))
+          rows
+      in
+      let m_determines = { Op.unique = [ "m" ]; determines = [ ("m", [ "k"; "a" ]) ] } in
+      List.for_all (check Op.no_ids rows) nest_groupings
+      && List.for_all (check m_determines by_m)
+           [ ("k, m by m", [ "k"; "m" ], []); ("m, a / k by m", [ "m"; "a" ], [ "k" ]);
+             ("k, m, v by m", [ "k"; "m"; "v" ], []); ("k / a, m", [ "k" ], [ "a"; "m" ]) ])
 
 (* [Value.hash] ignores bag order, so {1,2} and {2,1} meet in one table
    bucket; key equality keeps them apart *)
@@ -807,11 +850,63 @@ let test_nest_permuted_bag_keys () =
       check (name ^ ": keys in first-seen order, newest first") true
         (V.equal (Row.get out.(0) "k") b21 && V.equal (Row.get out.(1) "k") b12))
     [ ("nest_bag",
-        K.nest_bag ~keys:[ ("k", col "k") ] ~agg_keys:[] ~item:(col "n")
-          ~presence:always ~out:"ns" rows);
+        K.nest_bag ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[] ~item:(col "n")
+          ~presence:always ~out:"ns" (K.sized rows));
       ("nest_sum",
-        K.nest_sum ~keys:[ ("k", col "k") ] ~agg_keys:[] ~aggs:[ ("s", col "n") ]
-          ~presence:always rows) ]
+        K.nest_sum ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[]
+          ~aggs:[ ("s", col "n") ] ~presence:always (K.sized rows)) ]
+
+(* ------------------------------------------------------------------ *)
+(* The key hash. [hash_key kv mod partitions] places every shuffled row
+   and every input row of a keyed dataset, so it is part of the simulated
+   model: pinned on a fixed key of each kind, and for a 12-key G tuple
+   like the nested-standard query's. The shuffle hashes a row's key vector
+   without building the list, by the same fold. *)
+
+let test_hash_key_pins () =
+  let g12 =
+    [ V.Int 1125899906842625; V.Str "AFRICA"; V.Int 2251799813685249; V.Bool true;
+      V.Str "KENYA"; V.Int 3377699720527873; V.Bool true; V.Str "Customer#000000007";
+      V.Int 4503599627370497; V.Bool false; V.Date 9131; V.Str "almond antique" ]
+  in
+  List.iter
+    (fun (name, key, expected) -> check_int ("hash_key of " ^ name) expected (K.hash_key key))
+    [ ("Int", [ V.Int 42 ], 395479322);
+      ("negative Int", [ V.Int (-7) ], 175192444);
+      ("Str", [ V.Str "ABC" ], 637696375);
+      ("Date", [ V.Date 9131 ], 25386199930);
+      ("Bool", [ V.Bool true ], 883721962);
+      ("Null", [ V.Null ], 544);
+      ("Label", [ V.Label { site = 3; args = [ V.Int 1; V.Str "x" ] } ], 28176063441);
+      ("Tuple", [ V.Tuple [ ("a", V.Int 1); ("b", V.Str "x") ] ], 50791709848);
+      ("Bag", [ V.Bag [ V.Int 1; V.Int 2 ] ], 1531740859);
+      ("Int, Str", [ V.Int 42; V.Str "ABC" ], 12897554830);
+      ("12-key G tuple", g12, 3402342390727925159) ]
+
+let prop_vector_hash =
+  QCheck.Test.make ~name:"the shuffle's key-vector hash = hash_key of the key list"
+    ~count:(Fixtures.qcheck_count 200)
+    (QCheck.make
+       ~print:(Fmt.to_to_string (Fmt.list (fun ppf (n, v) -> Fmt.pf ppf "%s = %a@." n V.pp v)))
+       Qgen.gen_inputs)
+    (fun inputs ->
+      List.for_all
+        (fun (name, bag) ->
+          let rows, _ = K.scan ~binder:"x" (Array.of_list (V.bag_items bag)) in
+          let fields =
+            match V.bag_items bag with
+            | V.Tuple fs :: _ -> List.map (fun (f, _) -> S.path "x" [ f ]) fs
+            | _ -> []
+          in
+          List.for_all
+            (fun keys ->
+              let hash = K.key_hasher keys and key = K.compile_keys keys in
+              Array.for_all
+                (fun row -> hash row = K.hash_key (Array.to_list (key row)))
+                rows
+              || QCheck.Test.fail_reportf "%s by %d keys" name (List.length keys))
+            [ fields; S.col "x" :: fields; List.rev fields; [] ])
+        inputs)
 
 (* ------------------------------------------------------------------ *)
 (* The cogroup rewrite *)
@@ -973,6 +1068,121 @@ let test_cogroup_placement () =
            (Exec.Trace.find_all (fun sp -> sp.Exec.Trace.op = "Cogroup") r.Trance.Api.trace)))
     [ (Trance.Api.Standard, 1); (Trance.Api.SparkSQL_proxy, 0) ]
 
+(* ------------------------------------------------------------------ *)
+(* Row-id facts. Every operator's {!Op.ids} must hold of the rows the
+   local interpreter gives it: a unique column holds a different value in
+   every row, and rows equal in an id are equal in every column the id
+   determines. The nest kernels hash and compare only the id that
+   {!Op.probe_keys} picks, so over every Gamma's input, rows equal in that
+   id must also agree on every G-key it stands for; the cogroup rewrite
+   needs its key id unique on its left input. Checked on every operator
+   of every step of both routes, for the TPC-H cells, the corpus
+   (optimized and not), biomed and random programs. *)
+
+let fail_ids what op fmt =
+  Format.kasprintf (fun m -> Alcotest.failf "%s, at %s: %s" what (Op.name op) m) fmt
+
+(* rows by the value of one column, in a table: the first row's [value] *)
+let agree what op (rows : Row.t array) ~by ~value ~describe =
+  let first = K.KeyTbl.create 16 in
+  Array.iter
+    (fun (row : Row.t) ->
+      match by row with
+      | None -> ()
+      | Some id -> (
+        let v = value row in
+        match K.KeyTbl.find_opt first [| id |] with
+        | None -> K.KeyTbl.add first [| id |] v
+        | Some w ->
+          if not (V.equal (V.Tuple w) (V.Tuple v)) then
+            fail_ids what op "%s: rows equal in %a differ" describe V.pp id))
+    rows
+
+let slot_value (row : Row.t) c = Option.map (fun i -> row.vals.(i)) (Row.slot row.names c)
+
+let check_facts what env (op : Op.t) =
+  let rows = Plan.Local_eval.eval env op and f = Op.ids op in
+  List.iter
+    (fun c ->
+      let seen = K.KeyTbl.create 16 in
+      Array.iter
+        (fun row ->
+          Option.iter
+            (fun v ->
+              if K.KeyTbl.mem seen [| v |] then fail_ids what op "%s repeats %a" c V.pp v;
+              K.KeyTbl.add seen [| v |] ())
+            (slot_value row c))
+        rows)
+    f.Op.unique;
+  List.iter
+    (fun (id, det) ->
+      agree what op rows ~by:(fun row -> slot_value row id)
+        ~value:(fun row ->
+          List.filter_map (fun c -> Option.map (fun v -> (c, v)) (slot_value row c)) det)
+        ~describe:(id ^ " determines " ^ String.concat "," det))
+    f.Op.determines;
+  match op with
+  | Op.NestBag { input; keys; _ } | Op.NestSum { input; keys; _ } ->
+    let probed = Op.probe_keys (Op.ids input) keys in
+    let key = List.map (fun (n, e) -> (n, S.compile e)) keys in
+    let part p row = List.filteri (fun j _ -> probed.(j) = p) (List.map (fun (n, k) -> (n, k row)) key) in
+    if Array.exists not probed then
+      agree what op (Plan.Local_eval.eval env input)
+        ~by:(fun row -> Some (V.Tuple (part true row)))
+        ~value:(part false) ~describe:"the G-keys left out of the probe"
+  | Op.Cogroup { left; keys; _ } ->
+    let unique = (Op.ids left).Op.unique in
+    if not (List.exists (function _, S.Col [ c ] -> List.mem c unique | _ -> false) keys) then
+      fail_ids what op "no key unique on the left input"
+  | _ -> ()
+
+let rec all_ops op = op :: List.concat_map all_ops (Op.children op)
+
+let check_route_facts case (route, inputs, steps) =
+  let env = Plan.Local_eval.env_of_list inputs in
+  List.iter
+    (fun (step, plan) ->
+      let what = String.concat "/" [ case; route; step ] in
+      List.iter (check_facts what env) (all_ops plan);
+      Hashtbl.replace env step (V.bag_items (Plan.Local_eval.eval_to_bag env plan)))
+    steps
+
+let test_id_facts () =
+  let config = Trance.Api.default_config in
+  let corpus =
+    List.concat_map
+      (fun (name, q) ->
+        let prog = Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" q in
+        List.map
+          (fun (oname, optimizer) ->
+            (name ^ "/" ^ oname, prog, Fixtures.inputs_val, { config with optimizer }))
+          [ ("optimized", Plan.Optimize.default); ("unoptimized", Plan.Optimize.none) ])
+      Fixtures.corpus
+  in
+  let biomed =
+    let db =
+      Biomed.Generator.generate
+        { Biomed.Generator.small_scale with
+          samples = 3; mutations_per_sample = 4; candidates_per_mutation = 2; genes = 20;
+          edges_per_gene = 3 }
+    in
+    ("biomed", Biomed.Pipeline.program, Biomed.Generator.inputs db, config)
+  in
+  List.iter
+    (fun (case, prog, inputs, config) ->
+      List.iter (check_route_facts case) (route_steps ~config prog inputs))
+    (corpus
+    @ List.map (fun (cell, _, _, prog, inputs) -> (cell, prog, inputs, config)) tpch_cells
+    @ [ biomed ])
+
+let prop_id_facts =
+  QCheck.Test.make ~name:"random programs: every operator's row-id facts hold"
+    ~count:(Fixtures.qcheck_count 100) Qgen.arbitrary_case (fun (q, inputs) ->
+      let prog = Nrc.Program.of_expr ~inputs:Qgen.inputs_ty ~name:"Q" q in
+      List.iter (check_route_facts "qgen")
+        (route_steps ~config:Trance.Api.default_config prog inputs);
+      true)
+
 let () =
   Alcotest.run "plan"
     [
@@ -1007,14 +1217,18 @@ let () =
             test_cogroup_keeps_meaning;
           Alcotest.test_case "cogroup: placement" `Quick
             test_cogroup_placement;
+          Alcotest.test_case "row-id facts hold on every operator" `Quick
+            test_id_facts;
+          QCheck_alcotest.to_alcotest prop_id_facts;
         ] );
       ( "row sizes",
         List.map QCheck_alcotest.to_alcotest
           [ prop_append_column; prop_index_column; prop_join_rows ] );
       ( "kernels",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_kernel_sizes; prop_kernel_chunks; prop_kernel_schema_switch;
-            prop_compiled_schema_switch; prop_nest_oracle ] );
+        Alcotest.test_case "hash_key pins" `Quick test_hash_key_pins
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_kernel_sizes; prop_kernel_chunks; prop_kernel_schema_switch;
+               prop_compiled_schema_switch; prop_nest_oracle; prop_vector_hash ] );
       ( "allocation",
         [ Alcotest.test_case "compiled reads, null tests and comparisons" `Quick
             test_compiled_allocation;

@@ -217,6 +217,71 @@ let test_big_partitions () =
   check "same counters once wall is stripped" true (stats1 = stats4)
 
 (* ------------------------------------------------------------------ *)
+(* Schema sharing. Kernels intern every names array they build
+   ({!Plan.Row.schema}), so rows of one schema hold one physical array
+   whichever task and domain built them, and {!Plan.Row.by_schema} needs
+   no structural comparison. Each plan shuffles rows that tasks on two
+   domains built from four source partitions, then runs the kernel at
+   its root per partition: every row of every output partition must hold
+   the same interned array. A kernel site that skips interning gives each
+   task's rows their own array, and fails this. *)
+
+let test_schema_sharing () =
+  let module Op = Plan.Op in
+  let module S = Plan.Sexpr in
+  let col c = S.Col [ c ] and path f = S.Col [ "x"; f ] in
+  let items =
+    List.init 200 (fun i ->
+        V.Tuple
+          [ ("k", V.Int (i mod 13)); ("a", V.Int i);
+            ("b", V.Bag (List.init (i mod 3) (fun j -> V.Tuple [ ("c", V.Int j) ]))) ])
+  in
+  let config =
+    { Exec.Config.unbounded with partitions = 4; workers = 2; broadcast_limit = 0; domains = 2 }
+  in
+  let env = Exec.Executor.env_of_list [ ("R", Exec.Dataset.of_bag ~partitions:4 (V.Bag items)) ] in
+  let scan = Op.Scan { input = "R"; binder = "x" } in
+  (* a shuffle by [x.k]: the rows of each destination come from every
+     source partition *)
+  let shuffled = Op.BagToDict { input = scan; label = path "k" } in
+  let indexed = Op.AddIndex { input = shuffled; col = "id" } in
+  let join right = Op.Join { left = shuffled; right; lkey = [ path "k" ]; rkey = [ S.Col [ "y"; "k" ] ]; kind = Op.LeftOuter } in
+  let y = Op.Scan { input = "R"; binder = "y" } in
+  let g = [ ("id", col "id"); ("k", path "k") ] in
+  let plans =
+    [ ("project", Op.Project ([ ("k", path "k"); ("x", col "x") ], shuffled));
+      ("add_index", indexed);
+      ("join", join y);
+      ("product", Op.Product (shuffled, Op.Select (S.Cmp (Nrc.Expr.Eq, S.Col [ "y"; "a" ], S.Const (V.Int 1)), y)));
+      ("unnest", Op.Unnest { input = shuffled; path = [ "x"; "b" ]; binder = "z"; outer = true; drop = true });
+      ("unnest, column dropped",
+        Op.Unnest { input = Op.Project ([ ("bs", path "b"); ("k", path "k") ], shuffled);
+                    path = [ "bs" ]; binder = "z"; outer = false; drop = true });
+      ("nest_bag", Op.NestBag { input = indexed; keys = g; agg_keys = []; item = path "a";
+                                presence = S.Const (V.Bool true); out = "as" });
+      ("nest_sum", Op.NestSum { input = indexed; keys = g; agg_keys = [ ("a", path "a") ];
+                                aggs = [ ("n", path "a") ]; presence = S.Const (V.Bool true) });
+      ("cogroup", Op.Cogroup { left = indexed; right = y; lkey = [ path "k" ]; rkey = [ S.Col [ "y"; "k" ] ];
+                               kind = Op.LeftOuter; keys = g; item = S.Col [ "y"; "a" ];
+                               presence = S.Const (V.Bool true); out = "as" });
+      ("union", Op.UnionAll (Op.Project ([ ("k", path "k") ], scan), Op.Project ([ ("k", path "a") ], shuffled)));
+      ("dedup", Op.Project ([ ("k", path "k") ], Op.Dedup shuffled)) ]
+  in
+  Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun (name, plan) ->
+          let r =
+            Exec.Executor.run_rows ~pool ~config ~stats:(Exec.Stats.create ()) env plan
+          in
+          let rows = Array.concat (Array.to_list r.Exec.Executor.parts) in
+          check (name ^ ": rows out") true (Array.length rows > 0);
+          let names = rows.(0).Plan.Row.names in
+          check (name ^ ": the schema is interned") true (Plan.Row.schema names == names);
+          check (name ^ ": one names array in every partition") true
+            (Array.for_all (fun (row : Plan.Row.t) -> row.names == names) rows))
+        plans)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "pool"
@@ -235,5 +300,7 @@ let () =
       ( "sequential = parallel campaign",
         campaign_tests
         @ [ Alcotest.test_case "TPC-H Shred+Unshred on big partitions" `Quick
-              test_big_partitions ] );
+              test_big_partitions;
+            Alcotest.test_case "shuffled rows share one interned schema" `Quick
+              test_schema_sharing ] );
     ]
