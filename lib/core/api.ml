@@ -402,22 +402,33 @@ let load_inputs ~cluster (types : (string * T.t) list)
     values;
   env
 
-(** Load shredded inputs: dictionaries get a label partitioning guarantee. *)
-let load_shredded_inputs ~cluster (types : (string * T.t) list)
+(* Shred the nested inputs on [pool] straight onto the cluster's
+   partitions ({!Shred_value.place}): each top bag round-robin, each
+   dictionary by label, with its label guarantee. Flat inputs load
+   round-robin under their [_F] name, others under their own. *)
+let load_shredded ~pool ~cluster (types : (string * T.t) list)
     (values : (string * V.t) list) : Exec.Executor.env =
-  let shredded = Shred_value.shred_env types values in
+  let partitions = cluster.Exec.Config.partitions in
   let env = Hashtbl.create 16 in
   List.iter
-    (fun (name, v) ->
-      let ds =
-        if List.mem name shredded.Shred_value.dicts then
-          Exec.Dataset.of_bag_by ~partitions:cluster.Exec.Config.partitions
-            ~key:[ [ "label" ] ] v
-        else Exec.Dataset.of_bag ~partitions:cluster.Exec.Config.partitions v
-      in
-      Hashtbl.replace env name ds)
-    shredded.Shred_value.datasets;
+    (fun (name, v, shredded) ->
+      match shredded, List.assoc_opt name types with
+      | Some datasets, _ ->
+        List.iter
+          (fun (d : Shred_value.placed) ->
+            Hashtbl.replace env d.name
+              { Exec.Dataset.parts = d.parts;
+                key = (if d.dict then Some [ [ "label" ] ] else None) })
+          datasets
+      | None, Some (T.TBag _) ->
+        Hashtbl.replace env (Shred_type.top_name name) (Exec.Dataset.of_bag ~partitions v)
+      | None, _ -> Hashtbl.replace env name (Exec.Dataset.of_bag ~partitions v))
+    (Shred_value.place pool ~partitions types values);
   env
+
+let load_shredded_inputs ~cluster types values =
+  Exec.Pool.with_pool ~domains:cluster.Exec.Config.domains (fun pool ->
+      load_shredded ~pool ~cluster types values)
 
 (* [fell_back] exactly when an earlier route's failure was abandoned *)
 let degradation_of (s : Exec.Stats.snapshot) ~answered_by ~first_failure =
@@ -505,43 +516,47 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
   let options =
     { Exec.Executor.skew_aware = config.skew_aware; cogroup = config.cogroup }
   in
-  let load load =
-    in_phase "load" (fun () -> load ~cluster p.Nrc.Program.inputs input_values)
-  in
   let prepared =
     catch_failure (fun () ->
-        let steps =
+        let steps, load =
           match strategy with
           | Standard | SparkSQL_proxy ->
             let plans, result_name =
               in_phase "compile" (fun () ->
                   (compile_standard ~config p, Nrc.Program.result_name p))
             in
-            ( List.map (fun (name, plan) -> (name, name, plan)) plans,
-              load load_inputs,
-              result_name )
+            ( (List.map (fun (name, plan) -> (name, name, plan)) plans, result_name),
+              fun ~pool:_ -> load_inputs )
           | Shredded { unshred } -> (
             let compiled = in_phase "compile" (fun () -> compile_shredded ~config p) in
-            let env = load load_shredded_inputs in
             let plans =
               List.map2
                 (fun (name, plan) (_, { Shred_pipeline.step; _ }) ->
                   (step, name, plan))
                 compiled.plans compiled.pipeline.Shred_pipeline.origins
             in
-            match unshred, compiled.unshred_plan with
-            | true, Some uplan ->
-              (plans @ [ ("Unshred", "Unshred", uplan) ], env, "Unshred")
-            | _ -> (plans, env, compiled.pipeline.Shred_pipeline.top))
+            ( (match unshred, compiled.unshred_plan with
+              | true, Some uplan -> (plans @ [ ("Unshred", "Unshred", uplan) ], "Unshred")
+              | _ -> (plans, compiled.pipeline.Shred_pipeline.top)),
+              load_shredded ))
         in
-        (* the pool is spawned once per run, outside the timed region, so
-           wall_seconds measures execution rather than domain startup *)
-        (steps, in_phase "pool" (fun () ->
-             Exec.Pool.create ~domains:cluster.Exec.Config.domains)))
+        (* the pool is spawned once per run, before loading, which runs on
+           it too, and outside the timed region, so wall_seconds measures
+           execution rather than domain startup *)
+        let pool =
+          in_phase "pool" (fun () -> Exec.Pool.create ~domains:cluster.Exec.Config.domains)
+        in
+        match
+          in_phase "load" (fun () -> load ~pool ~cluster p.Nrc.Program.inputs input_values)
+        with
+        | env -> (steps, env, pool)
+        | exception e ->
+          Exec.Pool.shutdown pool;
+          raise e)
   in
   match prepared with
   | Error f -> not_run ~strategy ~config f
-  | Ok ((plans, env, result_name), pool) ->
+  | Ok ((plans, result_name), env, pool) ->
     let steps_out = ref [] in
     let outcome, wall =
       Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) (fun () ->

@@ -171,9 +171,11 @@ val load_shredded_inputs :
   (string * Nrc.Types.t) list ->
   (string * Nrc.Value.t) list ->
   Exec.Executor.env
-(** Value-shred nested inputs; the dictionaries the shredder made
-    ({!Shred_value.env.dicts}) are loaded with their label partitioning
-    guarantee, every other dataset without one, whatever its name. *)
+(** Value-shred nested inputs straight onto [cluster]'s partitions
+    ({!Shred_value.place}), on a temporary pool of [cluster.domains]
+    lanes — {!run} loads on its run's pool the same way. The dictionaries
+    the shredder made are loaded with their label partitioning guarantee,
+    every other dataset without one, whatever its name. *)
 
 (** {2 Execution} *)
 

@@ -306,7 +306,7 @@ let recommend ?(config = Api.default_config) ?(unshred = false)
   let standard_cost, _ = estimate_assignments base_stats std_plans in
   let sc = Api.compile_shredded ~config p in
   let shredded = Shred_value.shred_env p.Nrc.Program.inputs inputs in
-  let shred_stats = stats_of_inputs shredded.Shred_value.datasets in
+  let shred_stats = stats_of_inputs shredded in
   let shredded_cost, stats' =
     estimate_assignments shred_stats sc.Api.plans
   in
@@ -323,16 +323,3 @@ let recommend ?(config = Api.default_config) ?(unshred = false)
     pick = (if shredded_cost <= standard_cost then `Shredded else `Standard);
   }
 
-(** Cost-based execution: estimate both routes, run the cheaper one (the
-    "application of such estimates to optimization decisions" the paper
-    names as ongoing work). The chosen route is visible in the returned
-    run's [strategy]. *)
-let run_auto ?(config = Api.default_config) ?(unshred = true)
-    (p : Nrc.Program.t) (inputs : (string * V.t) list) : recommendation * Api.run =
-  let r = recommend ~config ~unshred p inputs in
-  let strategy =
-    match r.pick with
-    | `Standard -> Api.Standard
-    | `Shredded -> Api.Shredded { unshred }
-  in
-  (r, Api.run ~config ~strategy p inputs)

@@ -61,10 +61,3 @@ val recommend :
 (** Estimate both routes and pick the cheaper; with [unshred] the shredded
     estimate includes reassembling the nested output. *)
 
-val run_auto :
-  ?config:Api.config ->
-  ?unshred:bool ->
-  Nrc.Program.t ->
-  (string * Nrc.Value.t) list ->
-  recommendation * Api.run
-(** Cost-based execution: estimate, then run the recommended route. *)

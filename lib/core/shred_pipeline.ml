@@ -101,7 +101,7 @@ let eval_shredded ?config (p : Nrc.Program.t)
     t * Nrc.Eval.env * Nrc.Value.t =
   let sp = shred_program ?config p in
   let shredded = Shred_value.shred_env p.Nrc.Program.inputs input_values in
-  let env = Nrc.Program.eval sp.mat shredded.Shred_value.datasets in
+  let env = Nrc.Program.eval sp.mat shredded in
   let result_value =
     match sp.unshred_query with
     | Some q -> Nrc.Eval.eval env q

@@ -1,8 +1,8 @@
 (** Value shredding and unshredding (Section 4): convert nested values to
     their shredded representation — a flat top bag plus one flat dictionary
-    dataset per nesting level — and back. Used to prepare inputs for the
-    shredded pipeline and as the semantic reference for query shredding
-    tests. *)
+    dataset per nesting level — and back. The input loader of the shredded
+    route shreds straight onto the cluster's partitions, in parallel;
+    {!shred_bag} and {!shred_env} are the same walk on one partition. *)
 
 module T = Nrc.Types
 module V = Nrc.Value
@@ -14,94 +14,343 @@ type shredded = {
   dicts : (string list * V.t) list; (* path -> flat dict bag (label + fields) *)
 }
 
+(* ------------------------------------------------------------------ *)
+(* One input's type, resolved once: per type level, its fields in type
+   order and which of them are bags, and per bag its dictionary and label
+   site, so the walk over the values derives nothing per item. *)
+
+type level = {
+  path : string list; (* for error messages *)
+  tuple : bool; (* items at this level must be tuples *)
+  names : string array; (* the tuple's fields, in type order *)
+  bags : bag option array; (* per field: the bag it holds, if any *)
+  flat : bool; (* no field is a bag *)
+}
+
+and bag = {
+  bag_path : string list;
+  dict : int; (* the dictionary's position among the input's, pre-order *)
+  inner : level;
+  mutable site : int; (* -1 until the walk first meets the path *)
+}
+
+let rec resolve_level next path (ty : T.t) : level =
+  match ty with
+  | T.TTuple fields ->
+    let fields = Array.of_list fields in
+    let bags = Array.make (Array.length fields) None in
+    Array.iteri
+      (fun k (n, ft) ->
+        match ft with
+        | T.TBag inner_ty ->
+          (* the dictionary's number before its inner ones: pre-order *)
+          let bag_path = path @ [ n ] and dict = !next in
+          incr next;
+          bags.(k) <- Some { bag_path; dict; inner = resolve_level next bag_path inner_ty; site = -1 }
+        | _ -> ())
+      fields;
+    { path; tuple = true; names = Array.map fst fields; bags;
+      flat = Array.for_all Option.is_none bags }
+  | _ -> { path; tuple = false; names = [||]; bags = [||]; flat = true }
+
+
+let mismatch lv = error "shred_bag: element type mismatch at %s" (String.concat "." lv.path)
+
+let rec lookup name = function
+  | (n, v) :: _ when String.equal n name -> v
+  | _ :: rest -> lookup name rest
+  | [] -> error "shred_bag: missing attribute %s" name
+
+(* [vfields] holds exactly the level's fields, in type order *)
+let rec exact (names : string array) k = function
+  | [] -> k = Array.length names
+  | (n, _) :: rest -> k < Array.length names && String.equal n names.(k) && exact names (k + 1) rest
+
+(* ------------------------------------------------------------------ *)
+(* Label sites are numbered in the order a depth-first walk over the
+   values first meets each path: at the first tuple of its parent level.
+   This walk visits the values in that order, skipping what holds no
+   path still unmet, and stops at the first malformed value, which the
+   counting walk reports. *)
+
+let rec met lv =
+  Array.for_all (function None -> true | Some b -> b.site >= 0 && met b.inner) lv.bags
+
+let items_or_exit = function V.Bag items -> items | V.Null -> [] | _ -> raise Exit
+
+let rec register base lv (item : V.t) =
+  match item with
+  | V.Tuple vfields when lv.tuple ->
+    Array.iteri
+      (fun k bag ->
+        let v = match List.assoc_opt lv.names.(k) vfields with Some v -> v | None -> raise Exit in
+        match bag with
+        | None -> ()
+        | Some b ->
+          if b.site < 0 then b.site <- input_site base b.bag_path;
+          register_items base b.inner (items_or_exit v))
+      lv.bags
+  | _ -> raise Exit
+
+and register_items base lv = function
+  | item :: rest when not (met lv) ->
+    register base lv item;
+    register_items base lv rest
+  | _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* The counting walk: the bags — one label each — under some items, with
+   the errors of the walk that shreds them. Allocates nothing. *)
+
+let rec count lv (item : V.t) acc =
+  match item with
+  | V.Tuple vfields when lv.tuple -> count_fields lv vfields vfields 0 acc
+  | _ -> mismatch lv
+
+(* field [k] on, [rest] the value's fields from the one expected there *)
+and count_fields lv vfields rest k acc =
+  if k = Array.length lv.names then acc
+  else
+    let name = lv.names.(k) in
+    match rest with
+    | (n, v) :: rest when String.equal n name -> count_field lv vfields rest k acc v
+    | _ -> count_field lv vfields rest k acc (lookup name vfields)
+
+and count_field lv vfields rest k acc v =
+  let acc =
+    match lv.bags.(k) with
+    | None -> acc
+    | Some b -> count_items b.inner (V.bag_items v) (acc + 1)
+  in
+  count_fields lv vfields rest (k + 1) acc
+
+and count_items lv items acc =
+  match items with [] -> acc | item :: rest -> count_items lv rest (count lv item acc)
+
+(* ------------------------------------------------------------------ *)
+(* The shredding walk over a chunk of the top items: each bag gets the
+   next label, and its items, flattened, go to the partition of its
+   label's hash, in walk order. *)
+
+(* values appended in order *)
+type buf = { mutable vals : V.t array; mutable n : int }
+
+let buf () = { vals = [||]; n = 0 }
+
+let push b v =
+  if b.n = Array.length b.vals then begin
+    let vals = Array.make (max 8 (2 * b.n)) V.Null in
+    Array.blit b.vals 0 vals 0 b.n;
+    b.vals <- vals
+  end;
+  b.vals.(b.n) <- v;
+  b.n <- b.n + 1
+
+type chunk = {
+  partitions : int;
+  top : buf array; (* per partition *)
+  dicts : buf array array; (* per dictionary, per partition *)
+  mutable label : int; (* the last label's number *)
+}
+
+let rec flatten ch lv (item : V.t) =
+  match item with
+  | V.Tuple vfields when lv.tuple ->
+    (* a flat level whose tuples hold its fields in order keeps them *)
+    if lv.flat && exact lv.names 0 vfields then vfields else flat_fields ch lv vfields vfields 0
+  | _ -> mismatch lv
+
+and flat_fields ch lv vfields rest k =
+  if k = Array.length lv.names then []
+  else
+    let name = lv.names.(k) in
+    match rest with
+    | ((n, v) as field) :: rest when String.equal n name -> flat_field ch lv vfields rest k field v
+    | _ ->
+      let v = lookup name vfields in
+      flat_field ch lv vfields rest k (name, v) v
+
+and flat_field ch lv vfields rest k field v =
+  match lv.bags.(k) with
+  | None -> field :: flat_fields ch lv vfields rest (k + 1)
+  | Some b ->
+    let label = shred_items ch b (V.bag_items v) in
+    let field = (lv.names.(k), label) in
+    field :: flat_fields ch lv vfields rest (k + 1)
+
+and shred_items ch b items =
+  ch.label <- ch.label + 1;
+  let label = V.Label { site = b.site; args = [ V.Int ch.label ] } in
+  let rows = ch.dicts.(b.dict).(Plan.Kernel.hash_key [ label ] mod ch.partitions) in
+  let labelled = ("label", label) in
+  List.iter
+    (fun item ->
+      let fields = flatten ch b.inner item in
+      push rows (V.Tuple (labelled :: fields)))
+    items;
+  label
+
+(* the chunk [items.(lo) .. items.(hi - 1)], its labels numbered from
+   [base + 1]: top item [i] goes to partition [i mod partitions] *)
+let shred_chunk ~partitions ~dicts top_level (items : V.t array) ~lo ~hi ~base =
+  let ch =
+    { partitions; top = Array.init partitions (fun _ -> buf ());
+      dicts = Array.init dicts (fun _ -> Array.init partitions (fun _ -> buf ()));
+      label = base }
+  in
+  for i = lo to hi - 1 do
+    push ch.top.(i mod partitions) (V.Tuple (flatten ch top_level items.(i)))
+  done;
+  ch
+
+(* one partition of a dataset: the chunks' pieces in chunk order *)
+let gather (pieces : buf array) =
+  let out = Array.make (Array.fold_left (fun acc b -> acc + b.n) 0 pieces) V.Null in
+  let at = ref 0 in
+  Array.iter
+    (fun b ->
+      Array.blit b.vals 0 out !at b.n;
+      at := !at + b.n)
+    pieces;
+  out
+
+(* ------------------------------------------------------------------ *)
+(* Shredding onto partitions *)
+
+type placed = {
+  name : string;
+  parts : V.t array array;
+  dict : bool; (* a dictionary, partitioned by its label *)
+}
+
+(* One nested input, resolved and its sites registered, to be shredded in
+   chunks: its top bag, its dictionaries in pre-order. *)
+type input = {
+  base : string;
+  level : level;
+  paths : string list list;
+  items : V.t array;
+}
+
+let prepare base elem_ty v =
+  let level = resolve_level (ref 0) [] elem_ty and items = V.bag_items v in
+  (try register_items base level items with Exit -> ());
+  { base; level; paths = dict_paths elem_ty; items = Plan.Row.array_of_list V.Null items }
+
+(* [n] items in at most [k] contiguous chunks *)
+let chunk_bounds n k =
+  let k = max 1 (min n k) in
+  Array.init k (fun c -> (c * n / k, (c + 1) * n / k))
+
+(* Shred the nested inputs on [pool]: each input in contiguous chunks of
+   its top items, a few per lane; a counting walk gives each chunk the
+   number of labels before it, so every label, and so every placement, is
+   the one a single walk over the whole input gives. *)
+let shred_on pool ~partitions (inputs : input list) : placed list list =
+  let chunks_per_input = if Exec.Pool.size pool = 1 then 1 else 4 * Exec.Pool.size pool in
+  let bounds = List.map (fun inp -> chunk_bounds (Array.length inp.items) chunks_per_input) inputs in
+  let tasks =
+    Array.of_list
+      (List.concat
+         (List.map2 (fun inp b -> Array.to_list (Array.map (fun b -> (inp, b)) b)) inputs bounds))
+  in
+  let counts =
+    Exec.Pool.map pool
+      (fun _ (inp, (lo, hi)) ->
+        let acc = ref 0 in
+        for i = lo to hi - 1 do
+          acc := count inp.level inp.items.(i) !acc
+        done;
+        !acc)
+      tasks
+  in
+  (* label bases: the counts of the same input's earlier chunks *)
+  let bases = Array.make (Array.length tasks) 0 in
+  Array.iteri
+    (fun t (inp, _) ->
+      if t > 0 && fst tasks.(t - 1) == inp then bases.(t) <- bases.(t - 1) + counts.(t - 1))
+    tasks;
+  let chunks =
+    Exec.Pool.map pool
+      (fun t (inp, (lo, hi)) ->
+        shred_chunk ~partitions ~dicts:(List.length inp.paths) inp.level inp.items ~lo ~hi
+          ~base:bases.(t))
+      tasks
+  in
+  (* each input's datasets, every partition gathered from its chunks *)
+  let first = ref 0 in
+  List.map2
+    (fun inp bounds ->
+      let mine = Array.sub chunks !first (Array.length bounds) in
+      first := !first + Array.length bounds;
+      let datasets =
+        (top_name inp.base, false, fun (c : chunk) -> c.top)
+        :: List.mapi
+             (fun d path -> (dict_name inp.base path, true, fun (c : chunk) -> c.dicts.(d)))
+             inp.paths
+      in
+      List.map
+        (fun (name, dict, of_chunk) ->
+          let parts =
+            Exec.Pool.map pool
+              (fun p () -> gather (Array.map (fun c -> (of_chunk c).(p)) mine))
+              (Array.make partitions ())
+          in
+          { name; parts; dict })
+        datasets)
+    inputs bounds
+
+let nested types name =
+  match List.assoc_opt name types with
+  | Some (T.TBag elem) when not (T.is_flat elem) -> Some elem
+  | _ -> None
+
+(** Shred every nested input onto [partitions], on [pool]: its top bag
+    round-robin by item, each dictionary by its label's
+    {!Plan.Kernel.hash_key}. Label sites are registered for all inputs,
+    in input order, before any is shredded. Other inputs come back as
+    [None], in place. *)
+let place pool ~partitions (types : (string * T.t) list) (values : (string * V.t) list) :
+    (string * V.t * placed list option) list =
+  let prepared =
+    List.map
+      (fun (name, v) -> (name, v, Option.map (fun elem -> prepare name elem v) (nested types name)))
+      values
+  in
+  let shredded = ref (shred_on pool ~partitions (List.filter_map (fun (_, _, i) -> i) prepared)) in
+  List.map
+    (fun (name, v, inp) ->
+      match inp, !shredded with
+      | Some _, datasets :: rest ->
+        shredded := rest;
+        (name, v, Some datasets)
+      | _ -> (name, v, None))
+    prepared
+
+(* one partition's values as a bag *)
+let bag_of (p : placed) = V.Bag (Array.to_list p.parts.(0))
+
 (** Shred one nested bag value of element type [elem_ty], using the label
     sites registered for [base]. Fresh label ids are drawn per call, so two
     shreddings of the same value produce distinct but isomorphic labels. *)
 let shred_bag (base : string) (elem_ty : T.t) (v : V.t) : shredded =
-  let counter = ref 0 in
-  let dicts : (string, V.t list ref) Hashtbl.t = Hashtbl.create 16 in
-  let dict_rows path =
-    let key = String.concat "/" path in
-    match Hashtbl.find_opt dicts key with
-    | Some cell -> cell
-    | None ->
-      let cell = ref [] in
-      Hashtbl.replace dicts key cell;
-      cell
-  in
-  (* flatten one item at [path]; recursively registers inner bags *)
-  let rec flatten_item path (ty : T.t) (item : V.t) : V.t =
-    match ty, item with
-    | T.TTuple fields, V.Tuple vfields ->
-      V.Tuple
-        (List.map
-           (fun (n, ft) ->
-             let fv =
-               match List.assoc_opt n vfields with
-               | Some x -> x
-               | None -> error "shred_bag: missing attribute %s" n
-             in
-             match ft with
-             | T.TBag inner_ty ->
-               let sub_path = path @ [ n ] in
-               let site = input_site base sub_path in
-               incr counter;
-               let label = V.Label { site; args = [ V.Int !counter ] } in
-               let rows = dict_rows sub_path in
-               List.iter
-                 (fun inner_item ->
-                   let flat = flatten_item sub_path inner_ty inner_item in
-                   match flat with
-                   | V.Tuple fs -> rows := V.Tuple (("label", label) :: fs) :: !rows
-                   | _ ->
-                     error
-                       "shred_bag: inner bags must contain tuples (path %s)"
-                       (String.concat "." sub_path))
-                 (V.bag_items fv);
-               (n, label)
-             | _ -> (n, fv))
-           fields)
-    | _, _ ->
-      error "shred_bag: element type mismatch at %s" (String.concat "." path)
-  in
-  let top_items =
-    List.map (fun item -> flatten_item [] elem_ty item) (V.bag_items v)
-  in
-  let paths = dict_paths elem_ty in
-  {
-    top = V.Bag top_items;
-    dicts =
-      List.map
-        (fun p -> (p, V.Bag (List.rev !(dict_rows p))))
-        paths;
-  }
-
-type env = {
-  datasets : (string * V.t) list; (* in input order, each top before its dicts *)
-  dicts : string list; (* the dictionaries among [datasets] *)
-}
+  let inp = prepare base elem_ty v in
+  match Exec.Pool.with_pool ~domains:1 (fun pool -> shred_on pool ~partitions:1 [ inp ]) with
+  | [ top :: dicts ] ->
+    { top = bag_of top; dicts = List.map2 (fun path d -> (path, bag_of d)) inp.paths dicts }
+  | _ -> assert false
 
 (** Shred every nested input of an environment into named datasets
-    ([COP_F], [COP_D_corders], ...), recording which are dictionaries; flat
-    inputs pass through under their [_F] name with no dictionaries. *)
+    ([COP_F], [COP_D_corders], ...), in input order, each top before its
+    dictionaries; flat inputs pass through under their [_F] name. *)
 let shred_env (types : (string * T.t) list) (values : (string * V.t) list) :
-    env =
-  let shredded =
-    List.map
-      (fun (name, v) ->
-        match List.assoc_opt name types with
-        | Some (T.TBag elem) when not (T.is_flat elem) ->
-          let s = shred_bag name elem v in
-          ( (top_name name, s.top),
-            List.map (fun (path, bag) -> (dict_name name path, bag)) s.dicts )
-        | Some (T.TBag _) -> ((top_name name, v), [])
-        | _ -> ((name, v), []))
-      values
-  in
-  {
-    datasets = List.concat_map (fun (top, dicts) -> top :: dicts) shredded;
-    dicts = List.concat_map (fun (_, dicts) -> List.map fst dicts) shredded;
-  }
+    (string * V.t) list =
+  Exec.Pool.with_pool ~domains:1 (fun pool -> place pool ~partitions:1 types values)
+  |> List.concat_map (fun (name, v, shredded) ->
+         match shredded, List.assoc_opt name types with
+         | Some ds, _ -> List.map (fun p -> (p.name, bag_of p)) ds
+         | None, Some (T.TBag _) -> [ (top_name name, v) ]
+         | None, _ -> [ (name, v) ])
 
 (* ------------------------------------------------------------------ *)
 (* Unshredding *)

@@ -51,12 +51,13 @@ let env_of_list l : env =
   h
 
 type rset = {
+  names : K.names; (* the schema of every row of every partition *)
   parts : Row.t array array;
   sizes : int array array;
       (* each row's [Row.byte_size], returned by the kernel that built it *)
   bytes : int array; (* the sizes summed per partition *)
   key : S.t list option; (* partitioning guarantee over rows *)
-  skew : (S.t list * unit K.KeyTbl.t) option;
+  skew : (S.t list * K.key_set) option;
       (* heavy keys of a skew-triple, carried between operators until
          something alters the key (Section 5: "This set of heavy keys
          remains associated to that skew-triple until the operator does
@@ -79,10 +80,10 @@ let unzip a = (Array.map fst a, Array.map snd a)
 
 let all_some l = if List.for_all Option.is_some l then Some (List.map Option.get l) else None
 
-let mk_rset ?(key = None) ?(skew = None) (parts, sizes) =
-  { parts; sizes; bytes = Array.map K.total sizes; key; skew }
+let mk_rset ?(key = None) ?(skew = None) names (parts, sizes) =
+  { names; parts; sizes; bytes = Array.map K.total sizes; key; skew }
 
-let empty_rset n = mk_rset (Array.make n [||], Array.make n [||])
+let empty_rset n names = mk_rset names (Array.make n [||], Array.make n [||])
 
 (* Partition-wise evaluation goes through the pool. The task closures must
    not touch [st.stats]/[st.trace]/[st.mem]/[st.faults]: every hot loop
@@ -333,10 +334,11 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
          returns the bytes it sends to each destination, read from the
          carried row sizes; their sums in task order are the receipts, and
          all receipts together are the bytes moved. *)
+      let hash = K.key_hasher keys r.names in
       let tasks =
         Pool.map st.pool
           (fun p part ->
-            let sizes = r.sizes.(p) and hash = K.key_hasher keys in
+            let sizes = r.sizes.(p) in
             let dest = Array.map (fun row -> hash row mod n) part in
             let start = Array.make (n + 1) 0 and sent = Array.make n 0 in
             Array.iteri
@@ -416,7 +418,7 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
          checkpoint would have to re-move them *)
       Checkpoint.observe st.ckpt ~bytes:moved;
       check_deadline st ~stage;
-      mk_rset ~key:(Some keys) (unzip dest))
+      mk_rset ~key:(Some keys) r.names (unzip dest))
 
 (* shuffle only if the guarantee does not already hold *)
 let ensure_partitioned st ?stage (r : rset) (keys : S.t list) : rset =
@@ -431,7 +433,7 @@ let gather st (r : rset) : rset =
   Trace.with_span st.trace ~op:"Gather" ~stage:"gather" (fun () ->
       let total = rset_total_bytes r in
       charge st { Stats.zero with shuffled_bytes = total; stages = 1 };
-      let g = empty_rset st.cfg.Config.partitions in
+      let g = empty_rset st.cfg.Config.partitions r.names in
       let rows, sizes = concat r in
       g.parts.(0) <- rows;
       g.sizes.(0) <- sizes;
@@ -450,54 +452,23 @@ let charge_broadcast st rbytes =
    set is taken from the incoming skew-triple instead when it is over the
    same key (it "remains associated until the operator alters the key"). *)
 
-let heavy_set st (r : rset) (keys : S.t list) : unit K.KeyTbl.t =
+let heavy_set st (r : rset) (keys : S.t list) : K.key_set =
   match r.skew with
   | Some (k, hk) when k = keys -> hk
   | _ ->
-    let cfg = st.cfg in
-    let heavy = K.KeyTbl.create 8 in
-    Array.iter
-      (fun part ->
-        let n = Array.length part in
-        if n > 0 then begin
-          let sample_n = min n cfg.Config.sample_per_partition in
-          let stride = max 1 (n / sample_n) in
-          let counts = K.KeyTbl.create 16 in
-          let key = K.compile_keys keys in
-          let sampled = ref 0 in
-          let i = ref 0 in
-          while !i < n do
-            let kv = key part.(!i) in
-            K.KeyTbl.replace counts kv
-              (1 + Option.value (K.KeyTbl.find_opt counts kv) ~default:0);
-            incr sampled;
-            i := !i + stride
-          done;
-          let cutoff =
-            max 2
-              (int_of_float
-                 (ceil (cfg.Config.heavy_threshold *. float_of_int !sampled)))
-          in
-          K.KeyTbl.iter
-            (fun kv c -> if c >= cutoff then K.KeyTbl.replace heavy kv ())
-            counts
-        end)
-      r.parts;
-    heavy
+    K.heavy_keys ~sample:st.cfg.Config.sample_per_partition
+      ~threshold:st.cfg.Config.heavy_threshold keys r.names r.parts
 
 (* Each task splits one partition; the heavy-key set is shared read-only. *)
-let split_by_keys st (r : rset) (keys : S.t list) (hk : unit K.KeyTbl.t) :
-    rset * rset =
-  let halves =
-    Pool.map st.pool
-      (fun p _ -> K.split_by_keys keys hk (part r p))
-      r.parts
-  in
-  ( mk_rset ~key:r.key (unzip (Array.map fst halves)),
-    mk_rset (unzip (Array.map snd halves)) )
+let split_by_keys st (r : rset) (keys : S.t list) (hk : K.key_set) : rset * rset =
+  let split = K.split_by_keys keys r.names hk in
+  let halves = Pool.map st.pool (fun p _ -> split (part r p)) r.parts in
+  ( mk_rset ~key:r.key r.names (unzip (Array.map fst halves)),
+    mk_rset r.names (unzip (Array.map snd halves)) )
 
+(* [b]'s rows hold [a]'s columns *)
 let union_parts ?(skew = None) a b =
-  mk_rset ~skew
+  mk_rset ~skew a.names
     (Array.map2 Array.append a.parts b.parts, Array.map2 Array.append a.sizes b.sizes)
 
 (* ------------------------------------------------------------------ *)
@@ -505,17 +476,18 @@ let union_parts ?(skew = None) a b =
 
 (* A stage whose right side is replicated to every worker (broadcast join,
    broadcast cogroup, product): [task all_right] builds the per-partition
-   task over the replica's rows. The replica is pinned on every worker for
-   the duration of the stage; it is also the stage's build side, so it can
-   spill (external broadcast join). *)
-let broadcast_stage st ~stage ?key (l : rset) (r : rset) task : rset =
+   task over the replica's rows, whose output has the schema [names]. The
+   replica is pinned on every worker for the duration of the stage; it is
+   also the stage's build side, so it can spill (external broadcast
+   join). *)
+let broadcast_stage st ~stage ?key ~names (l : rset) (r : rset) task : rset =
   Trace.set_strategy st.trace Trace.Broadcast;
   Trace.set_stage st.trace stage;
   let rbytes = rset_total_bytes r in
   charge_broadcast st rbytes;
   (* tasks share the replica (and any index over it) read-only, which is
      safe across domains *)
-  let out = mk_rset ?key (pool_parts st (task (concat r)) l) in
+  let out = mk_rset ?key names (pool_parts st (task (concat r)) l) in
   Memory.pin st.mem rbytes;
   Fun.protect
     ~finally:(fun () -> Memory.unpin st.mem rbytes)
@@ -524,8 +496,8 @@ let broadcast_stage st ~stage ?key (l : rset) (r : rset) task : rset =
 
 (* A stage over both sides hash-partitioned on their keys (shuffle join,
    shuffle cogroup): each task indexes its right partition and probes it
-   with [kernel]. *)
-let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey kernel :
+   with [kernel], whose output has the schema [names]. *)
+let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey (names, kernel) :
     rset =
   Trace.set_strategy st.trace
     (if l.key = Some lkey && r.key = Some rkey then Trace.Guarantee_skipped
@@ -533,9 +505,9 @@ let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey kernel :
   Trace.set_stage st.trace stage;
   let l' = ensure_partitioned st ~stage l lkey in
   let r' = ensure_partitioned st ~stage r rkey in
+  let index = K.index rkey r'.names in
   let out =
-    mk_rset ?key
-      (pool_parts st (fun p lpart -> kernel (K.index rkey (part r' p)) lpart) l')
+    mk_rset ?key names (pool_parts st (fun p lpart -> kernel (index (part r' p)) lpart) l')
   in
   (* external hash join: the per-partition build table over the right side
      is what can stage through disk *)
@@ -543,47 +515,47 @@ let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey kernel :
     [ l'.bytes; r'.bytes ] out;
   out
 
-let broadcast_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
-    rset =
-  broadcast_stage st ~stage ~key:l.key l r (fun all_right ->
-      let index = K.index rkey all_right in
-      fun _ -> K.join ~lkey ~kind ~rcols index)
+let broadcast_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind : rset =
+  let names, join = K.join ~lkey ~kind l.names r.names in
+  broadcast_stage st ~stage ~key:l.key ~names l r (fun all_right ->
+      let index = K.index rkey r.names all_right in
+      fun _ -> join index)
 
-let shuffle_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols :
-    rset =
+let shuffle_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind : rset =
   shuffle_stage st ~stage ~key:(Some lkey) l r ~lkey ~rkey
-    (K.join ~lkey ~kind ~rcols)
+    (K.join ~lkey ~kind l.names r.names)
 
 (* Figure 6: skew-aware join. The resulting skew-triple carries the heavy
    keys forward. *)
-let skew_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind ~rcols : rset =
+let skew_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind : rset =
   let hk = heavy_set st l lkey in
-  if K.KeyTbl.length hk = 0 then
-    { (shuffle_join st ~stage l r ~lkey ~rkey ~kind ~rcols) with
+  if K.key_count hk = 0 then
+    { (shuffle_join st ~stage l r ~lkey ~rkey ~kind) with
       skew = Some (lkey, hk) }
   else begin
     Trace.set_strategy st.trace
-      (Trace.Skew_split { heavy_keys = K.KeyTbl.length hk });
+      (Trace.Skew_split { heavy_keys = K.key_count hk });
     Trace.set_stage st.trace stage;
     let x_l, x_h = split_by_keys st l lkey hk in
     let y_l, y_h = split_by_keys st r rkey hk in
-    let light = shuffle_join st ~stage:(stage ^ ":light") x_l y_l ~lkey ~rkey ~kind ~rcols in
+    let light = shuffle_join st ~stage:(stage ^ ":light") x_l y_l ~lkey ~rkey ~kind in
     (* heavy side: X_H keeps its location; Y_H is broadcast *)
-    let heavy =
-      broadcast_join st ~stage:(stage ^ ":heavy") x_h y_h ~lkey ~rkey ~kind ~rcols
-    in
+    let heavy = broadcast_join st ~stage:(stage ^ ":heavy") x_h y_h ~lkey ~rkey ~kind in
     union_parts ~skew:(Some (lkey, hk)) light heavy
   end
 
 (* ------------------------------------------------------------------ *)
 (* Operator dispatch *)
 
-let map_stage st ~stage ?(key = fun k -> k) ?(keep_skew = false) f (r : rset)
+(* [kernel] applied to [r]'s schema gives the output's and the task *)
+let map_stage st ~stage ?(key = fun k -> k) ?(keep_skew = false) kernel (r : rset)
     : rset =
+  let names, f = kernel r.names in
   let out =
     mk_rset ~key:(key r.key)
       ~skew:(if keep_skew then r.skew else None)
-      (pool_parts st f r)
+      names
+      (pool_parts st (fun _ -> f) r)
   in
   account st ~stage [ r.bytes ] out;
   out
@@ -603,7 +575,8 @@ let grouped st ~shuffle_at ~stage (r : rset) ~keys ~agg_keys kernel : rset =
       ( ensure_partitioned st ~stage:shuffle_at r (List.map snd sk),
         Some (List.map (fun (n, _) -> S.Col [ n ]) sk) )
   in
-  let out = mk_rset ~key (pool_parts st (fun _ -> kernel) r') in
+  let names, kernel = kernel r'.names in
+  let out = mk_rset ~key names (pool_parts st (fun _ -> kernel) r') in
   account st ~stage ~spill:(Spill_parts [ r'.bytes ]) [ r'.bytes ] out;
   out
 
@@ -618,9 +591,9 @@ let reset_ids () = next_id_base := 0
 let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
   let cfg = st.cfg in
   match op, inputs with
-  | Op.Nil _, [] -> empty_rset cfg.Config.partitions
+  | Op.Nil cols, [] -> empty_rset cfg.Config.partitions (Array.of_list cols)
   | Op.UnitRow, [] ->
-    let r = empty_rset cfg.Config.partitions in
+    let r = empty_rset cfg.Config.partitions [||] in
     r.parts.(0) <- [| Row.empty |];
     r.sizes.(0) <- [| 0 |];
     r
@@ -630,51 +603,51 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
     | Some ds ->
       Trace.set_stage st.trace input;
       let key = Option.map (List.map (fun path -> S.Col (binder :: path))) ds.Dataset.key in
-      let r = mk_rset ~key (pool_map st (fun _ -> K.scan ~binder) ds.Dataset.parts) in
+      let names, scan = K.scan ~binder in
+      let r = mk_rset ~key names (pool_map st (fun _ -> scan) ds.Dataset.parts) in
       trace_rows_in st [ r ];
       r)
   | Op.Select (p, _), [ r ] ->
-    map_stage st ~stage:"select" ~keep_skew:true (fun _ -> K.select p) r
+    map_stage st ~stage:"select" ~keep_skew:true (K.select p) r
   | Op.Project (fields, _), [ r ] ->
     (* the guarantee survives if every key expr is re-exposed verbatim *)
     let reexposed e =
       Option.map (fun (n, _) -> S.Col [ n ]) (List.find_opt (fun (_, fe) -> fe = e) fields)
     in
     let new_key = Option.bind r.key (fun ks -> all_some (List.map reexposed ks)) in
-    map_stage st ~stage:"project" (fun _ -> K.project fields) r
+    map_stage st ~stage:"project" (K.project fields) r
       ~key:(fun _ -> new_key)
-  | Op.Join { right; lkey; rkey; kind; _ }, [ l; r ] ->
-    let rcols = Op.columns right in
-    if st.opts.skew_aware then
-      skew_join st ~stage:"join(skew)" l r ~lkey ~rkey ~kind ~rcols
+  | Op.Join { lkey; rkey; kind; _ }, [ l; r ] ->
+    if st.opts.skew_aware then skew_join st ~stage:"join(skew)" l r ~lkey ~rkey ~kind
     else if rset_total_bytes r <= cfg.Config.broadcast_limit then
-      broadcast_join st ~stage:"join(broadcast)" l r ~lkey ~rkey ~kind ~rcols
-    else shuffle_join st ~stage:"join(shuffle)" l r ~lkey ~rkey ~kind ~rcols
-  | Op.Cogroup { right; lkey; rkey; kind; keys; item; presence; out; _ }, [ l; r ]
-    ->
-    let kernel =
-      K.cogroup ~lkey ~kind ~rcols:(Op.columns right) ~keys ~item ~presence
-        ~out
+      broadcast_join st ~stage:"join(broadcast)" l r ~lkey ~rkey ~kind
+    else shuffle_join st ~stage:"join(shuffle)" l r ~lkey ~rkey ~kind
+  | Op.Cogroup { lkey; rkey; kind; keys; item; presence; out; _ }, [ l; r ] ->
+    let ((names, cogroup) as kernel) =
+      K.cogroup ~lkey ~kind ~keys ~item ~presence ~out l.names r.names
     in
     if rset_total_bytes r <= cfg.Config.broadcast_limit then
       (* broadcast cogroup: no shuffle at all *)
-      broadcast_stage st ~stage:"cogroup(broadcast)" l r (fun all_right ->
-          let index = K.index rkey all_right in
-          fun _ -> kernel index)
+      broadcast_stage st ~stage:"cogroup(broadcast)" ~names l r (fun all_right ->
+          let index = K.index rkey r.names all_right in
+          fun _ -> cogroup index)
     else shuffle_stage st ~stage:"cogroup" l r ~lkey ~rkey kernel
   | Op.Product _, [ l; r ] ->
-    broadcast_stage st ~stage:"product" ~key:l.key l r (fun all_right _ lpart ->
-        K.product lpart all_right)
+    let names, product = K.product l.names r.names in
+    broadcast_stage st ~stage:"product" ~key:l.key ~names l r (fun all_right _ lpart ->
+        product lpart all_right)
   | Op.Unnest { path; binder; outer; drop; _ }, [ r ] ->
-    map_stage st ~stage:"unnest" ~keep_skew:true
-      (fun _ -> K.unnest ~path ~binder ~outer ~drop)
-      r
+    map_stage st ~stage:"unnest" ~keep_skew:true (K.unnest ~path ~binder ~outer ~drop) r
   | Op.AddIndex { col; _ }, [ r ] ->
     incr next_id_base;
     let base = !next_id_base * (1 lsl 50) in
-    map_stage st ~stage:"add_index" ~keep_skew:true
-      (fun p -> K.add_index ~col (fun i -> base + (p lsl 28) + i))
-      r
+    let names, add = K.add_index ~col r.names in
+    let out =
+      mk_rset ~key:r.key ~skew:r.skew names
+        (pool_parts st (fun p -> add (fun i -> base + (p lsl 28) + i)) r)
+    in
+    account st ~stage:"add_index" [ r.bytes ] out;
+    out
   | Op.NestBag { input; keys; agg_keys; item; presence; out }, [ r ] ->
     grouped st ~shuffle_at:"nest" ~stage:"nest_bag" r ~keys ~agg_keys
       (K.nest_bag ~ids:(Op.ids input) ~keys ~agg_keys ~item ~presence ~out)
@@ -682,8 +655,8 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
     (* map-side combine (Spark partial aggregation): pre-aggregate each
        partition before shuffling, so Gamma-plus "mitigates skew-effects by
        default by reducing the values of all keys" (Section 5) *)
-    let combine = K.nest_sum ~ids:(Op.ids input) ~keys ~agg_keys ~aggs ~presence in
-    let partials = mk_rset (pool_parts st (fun _ -> combine) r) in
+    let names, combine = K.nest_sum ~ids:(Op.ids input) ~keys ~agg_keys ~aggs ~presence r.names in
+    let partials = mk_rset names (pool_parts st (fun _ -> combine) r) in
     account st ~stage:"nest_sum(combine)" ~spill:(Spill_parts [ r.bytes ])
       [ r.bytes ] partials;
     (* reduce side: sum the partial sums. Its keys are the combine's
@@ -704,21 +677,22 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
   | Op.Dedup child, [ r ] ->
     let key_exprs = List.map (fun c -> S.Col [ c ]) (Op.columns child) in
     let r' = ensure_partitioned st ~stage:"dedup" r key_exprs in
-    map_stage st ~stage:"dedup" (fun _ -> K.dedup) r'
-  | Op.UnionAll (left, _), [ l; r ] ->
-    let cols = Op.columns left in
-    union_parts l (mk_rset (pool_parts st (fun _ -> K.align cols) r))
+    map_stage st ~stage:"dedup" K.dedup r'
+  | Op.UnionAll _, [ l; r ] ->
+    (* the right side takes the left side's columns, as they are *)
+    let names, align = K.align l.names r.names in
+    union_parts l (mk_rset names (pool_parts st (fun _ -> align) r))
   | Op.BagToDict { label; _ }, [ r ] ->
     if st.opts.skew_aware then begin
       (* Figure 6: repartition only light labels; heavy labels stay put;
          the resulting dictionary is a skew-triple with known heavy keys *)
       let hk = heavy_set st r [ label ] in
-      if K.KeyTbl.length hk = 0 then
+      if K.key_count hk = 0 then
         { (shuffle st ~stage:"bag_to_dict" r [ label ]) with
           skew = Some ([ label ], hk) }
       else begin
         Trace.set_strategy st.trace
-          (Trace.Skew_split { heavy_keys = K.KeyTbl.length hk });
+          (Trace.Skew_split { heavy_keys = K.key_count hk });
         let light, heavy = split_by_keys st r [ label ] hk in
         let light' = shuffle st ~stage:"bag_to_dict(light)" light [ label ] in
         union_parts ~skew:(Some ([ label ], hk)) light' heavy
@@ -747,7 +721,8 @@ let rset_to_dataset pool (cols : string list) (r : rset) : Dataset.t =
     | _ -> None
   in
   let key = Option.bind r.key (fun ks -> all_some (List.map path_of ks)) in
-  { Dataset.parts = Pool.map pool (fun _ -> K.values cols) r.parts; key }
+  let values = K.values cols r.names in
+  { Dataset.parts = Pool.map pool (fun _ -> values) r.parts; key }
 
 let run_rows ?(options = default_options) ?trace ?faults ?checkpoint ~pool ~config
     ~stats (env : env) (plan : Op.t) : rset =

@@ -47,6 +47,9 @@ type env = (string, Dataset.t) Hashtbl.t
 val env_of_list : (string * Dataset.t) list -> env
 
 type rset = {
+  names : Plan.Kernel.names;
+      (** the schema of every row of every partition, empty ones included:
+          the kernel that built the rows returned it beside them *)
   parts : Plan.Row.t array array;
   sizes : int array array;
       (** each row's {!Plan.Row.byte_size}, beside its partition — returned
@@ -54,7 +57,7 @@ type rset = {
           re-walked on the driver or by a consumer *)
   bytes : int array;  (** the sizes summed per partition *)
   key : Plan.Sexpr.t list option;  (** partitioning guarantee over rows *)
-  skew : (Plan.Sexpr.t list * unit Plan.Kernel.KeyTbl.t) option;
+  skew : (Plan.Sexpr.t list * Plan.Kernel.key_set) option;
       (** heavy keys of a skew-triple, carried between operators until
           something alters the key (Section 5) *)
 }

@@ -1,14 +1,17 @@
 (** Per-partition row code: one kernel per plan operator, run by the
     single-node interpreter on its one partition and by the distributed
-    executor in each pool task. A kernel takes and returns rows with each
-    row's {!Row.byte_size}, derived from the size model's additivity where
-    that saves walking rows. Each call compiles its expressions afresh and
-    gives the rows it builds one interned schema per input schema. *)
+    executor in each pool task. A kernel is applied to its input's schema
+    once per operator — resolving every column there — and returns its
+    output's schema with the function it runs on each partition's rows and
+    their {!Row.byte_size}s, derived from the size model's additivity where
+    that saves walking rows. Keyed kernels find keys through one
+    {!Key_table} of positions. *)
 
 module V = Nrc.Value
 module S = Sexpr
 
 type sized = Row.t array * int array
+type names = string array
 
 let total (sizes : int array) = Array.fold_left ( + ) 0 sizes
 
@@ -18,7 +21,6 @@ let hash_step acc v = (acc * 31) + V.hash v
 (* [land max_int], not [abs]: [abs min_int = min_int], whose [mod n] is
    negative and would index a partition array out of bounds. *)
 let hash_key (kv : V.t list) = List.fold_left hash_step 17 kv land max_int
-let hash_vec (kv : V.t array) = Array.fold_left hash_step 17 kv land max_int
 
 (* [Value.equal], trying physical equality and the common scalars first:
    rows unnested from one parent share its key values physically *)
@@ -35,32 +37,40 @@ let rec same_slots a b (slots : int array) i =
   i < 0
   || (key_equal a.(slots.(i)) b.(slots.(i)) && same_slots a b slots (i - 1))
 
-let rec same_keys a b i = i < 0 || (key_equal a.(i) b.(i) && same_keys a b (i - 1))
+(* [a.(i) .. a.(i + k - 1)] and [b.(j) .. b.(j + k - 1)] are equal keys *)
+let rec same_run (a : V.t array) i (b : V.t array) j k =
+  k = 0 || (key_equal a.(i) b.(j) && same_run a (i + 1) b (j + 1) (k - 1))
 
-module KeyTbl = Hashtbl.Make (struct
-  type t = V.t array
+(* the readers' values over [row], in order *)
+let read_all (rd : S.reader array) (row : Row.t) =
+  let vals = Array.make (Array.length rd) V.Null in
+  for j = 0 to Array.length rd - 1 do
+    vals.(j) <- rd.(j) row
+  done;
+  vals
 
-  let equal a b = Array.length a = Array.length b && same_keys a b (Array.length a - 1)
-  let hash = hash_vec
-end)
+let hash_run (a : V.t array) off w =
+  let h = ref 17 in
+  for j = off to off + w - 1 do
+    h := hash_step !h a.(j)
+  done;
+  !h land max_int
 
-let compile_keys keys =
-  let vec = S.compile_vec keys in
+(* the key [rd] of [row] into [kb], and its hash *)
+let read_key (rd : S.reader array) (kb : V.t array) (row : Row.t) =
+  for j = 0 to Array.length rd - 1 do
+    kb.(j) <- rd.(j) row
+  done;
+  hash_run kb 0 (Array.length rd)
+
+let has_null (kb : V.t array) = Array.exists V.is_null kb
+
+let key_hasher keys names =
+  let rd = S.compile_vec names keys in
   fun (row : Row.t) ->
-    let rd = vec row in
-    let kv = Array.make (Array.length rd) V.Null in
-    for i = 0 to Array.length rd - 1 do
-      kv.(i) <- rd.(i) row.vals
-    done;
-    kv
-
-let key_hasher keys =
-  let vec = S.compile_vec keys in
-  fun (row : Row.t) ->
-    let rd = vec row in
     let h = ref 17 in
     for i = 0 to Array.length rd - 1 do
-      h := hash_step !h (rd.(i) row.vals)
+      h := hash_step !h (rd.(i) row)
     done;
     !h land max_int
 
@@ -205,9 +215,11 @@ let rec remove_first n = function
 
 (* the bytes a tuple loses keeping only the first field of each of [names]
    (a field costs 4 bytes plus its value) *)
+let rec mem_name n = function [] -> false | m :: rest -> String.equal m n || mem_name n rest
+
 let rec dropped_bytes names = function
   | [] -> 0
-  | (n, _) :: rest when List.mem n names -> dropped_bytes (remove_first n names) rest
+  | (n, _) :: rest when mem_name n names -> dropped_bytes (remove_first n names) rest
   | (_, v) :: rest -> 4 + V.byte_size v + dropped_bytes names rest
 
 (* the size of [out], built from the input row [vals] of [size] as [c]
@@ -234,109 +246,196 @@ let rebuilt_size c vals size (out : V.t array) =
 (* rows built one per input element, in order *)
 let map_rows f a = Row.array_init Row.empty (Array.length a) (fun i -> f a.(i))
 
-let scan ~binder items : sized =
-  let names = Row.schema [| binder |] in
-  (map_rows (fun v -> Row.make names [| v |]) items, Array.map Row.column_bytes items)
+let scan ~binder =
+  ([| binder |], fun items -> (map_rows (fun v -> [| v |]) items, Array.map Row.column_bytes items))
 
 (* one column of 8 bytes holding an 8-byte int per row *)
-let add_index ~col id ((rows, sizes) : sized) : sized =
-  let names = Row.by_schema (fun names -> Row.schema (snoc names col)) in
-  ( Row.array_init Row.empty (Array.length rows) (fun i ->
-        let row = rows.(i) in
-        Row.make (names row) (snoc row.vals (V.Int (id i)))),
-    Array.map (fun b -> b + 16) sizes )
+let add_index ~col names =
+  ( snoc names col,
+    fun id ((rows, sizes) : sized) ->
+      ( Row.array_init Row.empty (Array.length rows) (fun i -> snoc rows.(i) (V.Int (id i))),
+        Array.map (fun b -> b + 16) sizes ) )
+
+(* ------------------------------------------------------------------ *)
+(* Key sets *)
+
+(* Distinct key vectors of [width] values, stored back to back in [keys],
+   the [p]-th entered at [p * width]. *)
+type key_set = { width : int; mutable keys : V.t array; tbl : Key_table.t }
+
+let empty_keys width = { width; keys = [||]; tbl = Key_table.create () }
+let key_count ks = Key_table.length ks.tbl
+
+(* the position of the key [src.(off) ..] of hash [h], entered if new *)
+let add_key ks (src : V.t array) off h =
+  let w = ks.width and p = Key_table.length ks.tbl in
+  match Key_table.find_or_add ks.tbl h (fun q -> same_run src off ks.keys (q * w) w) p with
+  | -1 ->
+    if (p + 1) * w > Array.length ks.keys then begin
+      let keys = Array.make (max (8 * w) (2 * Array.length ks.keys)) V.Null in
+      Array.blit ks.keys 0 keys 0 (p * w);
+      ks.keys <- keys
+    end;
+    Array.blit src off ks.keys (p * w) w;
+    p
+  | q -> q
+
+(* Per partition, a strided sample of at most [sample] rows; a key is
+   heavy when it covers at least [threshold] of its partition's sample,
+   and at least two rows. *)
+let heavy_keys ~sample ~threshold keys names (parts : Row.t array array) =
+  let rd = S.compile_vec names keys in
+  let w = Array.length rd in
+  let heavy = empty_keys w and kb = Array.make w V.Null in
+  Array.iter
+    (fun part ->
+      let n = Array.length part in
+      if n > 0 then begin
+        let sample_n = min n sample in
+        let stride = max 1 (n / sample_n) in
+        let seen = empty_keys w and counts = Array.make ((n + stride - 1) / stride) 0 in
+        let sampled = ref 0 and i = ref 0 in
+        while !i < n do
+          let p = add_key seen kb 0 (read_key rd kb part.(!i)) in
+          counts.(p) <- counts.(p) + 1;
+          incr sampled;
+          i := !i + stride
+        done;
+        let cutoff =
+          max 2 (int_of_float (ceil (threshold *. float_of_int !sampled)))
+        in
+        for p = 0 to key_count seen - 1 do
+          if counts.(p) >= cutoff then
+            ignore (add_key heavy seen.keys (p * w) (hash_run seen.keys (p * w) w))
+        done
+      end)
+    parts;
+  heavy
 
 (* ------------------------------------------------------------------ *)
 (* Joins *)
 
-type index = { rrows : Row.t array; rsizes : int array; tbl : int list ref KeyTbl.t }
+(* The build side: its rows and sizes, each row's key at [row * width] in
+   [keys], the table from the non-null keys to the first row holding
+   each, and [next], each row's next with the same key, in build order. *)
+type index = {
+  rows : Row.t array;
+  rsizes : int array;
+  width : int;
+  keys : V.t array;
+  next : int array;
+  tbl : Key_table.t;
+}
 
-(* filled back to front, so each key's rows come out in build order *)
-let index rkey ((rows, sizes) : sized) : index =
-  let key = compile_keys rkey in
-  let tbl = KeyTbl.create 64 in
-  for i = Array.length rows - 1 downto 0 do
-    let kv = key rows.(i) in
-    if not (Array.exists V.is_null kv) then begin
-      match KeyTbl.find_opt tbl kv with
-      | Some cell -> cell := i :: !cell
-      | None -> KeyTbl.add tbl kv (ref [ i ])
-    end
-  done;
-  { rrows = rows; rsizes = sizes; tbl }
+let index rkey rnames =
+  let rd = S.compile_vec rnames rkey in
+  let w = Array.length rd in
+  fun ((rows, rsizes) : sized) ->
+    let n = Array.length rows in
+    let keys = Array.make (n * w) V.Null and kb = Array.make w V.Null in
+    let next = Array.make n (-1) and tbl = Key_table.create () in
+    let equal p = same_run kb 0 keys (p * w) w in
+    (* back to front: each row displaces the next one with its key *)
+    for i = n - 1 downto 0 do
+      let h = read_key rd kb rows.(i) in
+      Array.blit kb 0 keys (i * w) w;
+      if not (has_null kb) then next.(i) <- Key_table.push tbl h equal i
+    done;
+    { rows; rsizes; width = w; keys; next; tbl }
 
-(* A left row's matches as positions in the build side, in build order; a
-   left-outer miss is the one position -1, the all-null row over [rcols]. *)
-type prober = { probe : Row.t -> int list; right : int -> Row.t; right_size : int -> int }
+(* A left row's first match in the build side, or -1: a null key matches
+   nothing. One probe per call, reading the key into its own buffer. *)
+let prober lkey lnames =
+  let rd = S.compile_vec lnames lkey in
+  let w = Array.length rd in
+  fun (ix : index) ->
+    let kb = Array.make w V.Null in
+    let equal p = same_run kb 0 ix.keys (p * w) w in
+    fun (row : Row.t) ->
+      let h = read_key rd kb row in
+      if has_null kb || w <> ix.width then -1 else Key_table.find ix.tbl h equal
 
-let prober ~lkey ~kind ~rcols (index : index) =
-  let key = compile_keys lkey in
-  let null_row =
-    Row.make (Row.schema (Array.of_list rcols)) (Array.make (List.length rcols) V.Null)
-  in
+(* a joined row is its sides' values; its size is the sum of theirs *)
+let join ~lkey ~kind lnames rnames =
+  let prober = prober lkey lnames in
+  let null_row = Array.make (Array.length rnames) V.Null in
   let null_size = Row.byte_size null_row in
-  let miss = match kind with Op.Inner -> [] | Op.LeftOuter -> [ -1 ] in
-  { probe =
-      (fun lrow ->
-        let kv = key lrow in
-        if Array.exists V.is_null kv then miss
-        else match KeyTbl.find_opt index.tbl kv with Some cell -> !cell | None -> miss);
-    right = (fun j -> if j < 0 then null_row else index.rrows.(j));
-    right_size = (fun j -> if j < 0 then null_size else index.rsizes.(j)) }
+  ( Array.append lnames rnames,
+    fun (ix : index) ((lrows, lsizes) : sized) ->
+      let probe = prober ix and out = buf () in
+      Array.iteri
+        (fun i lrow ->
+          match probe lrow with
+          | -1 -> (
+            match kind with
+            | Op.Inner -> ()
+            | Op.LeftOuter -> push out (Array.append lrow null_row) (lsizes.(i) + null_size))
+          | head ->
+            let j = ref head in
+            while !j >= 0 do
+              push out (Array.append lrow ix.rows.(!j)) (lsizes.(i) + ix.rsizes.(!j));
+              j := ix.next.(!j)
+            done)
+        lrows;
+      contents out )
 
-(* the joined schema is derived once per pair of side schemas *)
-let joiner () =
-  let names =
-    Row.by_schema (fun lnames ->
-        Row.by_schema (fun rnames -> Row.schema (Array.append lnames rnames)))
-  in
-  fun (l : Row.t) (r : Row.t) -> Row.make (names l r) (Array.append l.vals r.vals)
-
-(* a joined row's size is the sum of its sides' *)
-let join ~lkey ~kind ~rcols index ((lrows, lsizes) : sized) : sized =
-  let p = prober ~lkey ~kind ~rcols index and joined = joiner () in
-  let out = buf () in
-  Array.iteri
-    (fun i lrow ->
-      List.iter
-        (fun j -> push out (joined lrow (p.right j)) (lsizes.(i) + p.right_size j))
-        (p.probe lrow))
-    lrows;
-  contents out
-
-let cogroup ~lkey ~kind ~rcols ~keys ~item ~presence ~out index
-    ((lrows, _) : sized) : sized =
-  let p = prober ~lkey ~kind ~rcols index and joined = joiner () in
-  let present = S.compile_pred presence and item = S.compile item in
-  let key = compile_keys (List.map snd keys) in
-  let names = Row.schema (snoc (Array.of_list (List.map fst keys)) out) in
-  let keys_size = prefix_sizer (List.length keys) in
-  let rows = buf () in
-  Array.iter
-    (fun lrow ->
-      match p.probe lrow with
-      | [] -> ()
-      | js ->
-        let items =
-          List.filter_map
-            (fun j ->
-              let jrow = joined lrow (p.right j) in
-              if present jrow then Some (item jrow) else None)
-            js
-        in
-        let vals = snoc (key lrow) (V.Bag items) in
-        (* a column holding a bag: 8 + 16 + its items *)
-        let bag = List.fold_left (fun acc v -> acc + V.byte_size v) 24 items in
-        push rows (Row.make names vals) (keys_size vals + bag))
-    lrows;
-  contents rows
+(* [presence] and [item] read each match's two sides in place: no joined
+   row is built *)
+let cogroup ~lkey ~kind ~keys ~item ~presence ~out lnames rnames =
+  let prober = prober lkey lnames in
+  let present = S.compile_pair lnames rnames presence
+  and item = S.compile_pair lnames rnames item in
+  let key = S.compile_vec lnames (List.map snd keys) in
+  let nk = Array.length key in
+  let null_row = Array.make (Array.length rnames) V.Null in
+  let outer = match kind with Op.LeftOuter -> true | Op.Inner -> false in
+  ( snoc (Array.of_list (List.map fst keys)) out,
+    fun (ix : index) ((lrows, _) : sized) ->
+      let probe = prober ix and side = S.pair () and keys_size = prefix_sizer nk in
+      let rows = buf () in
+      let add acc =
+        if S.truth (present side) then begin
+          let v = item side in
+          acc := v :: !acc
+        end
+      in
+      Array.iter
+        (fun lrow ->
+          let head = probe lrow in
+          if head >= 0 || outer then begin
+            side.left <- lrow;
+            let items = ref [] in
+            if head < 0 then begin
+              side.right <- null_row;
+              add items
+            end
+            else begin
+              let j = ref head in
+              while !j >= 0 do
+                side.right <- ix.rows.(!j);
+                add items;
+                j := ix.next.(!j)
+              done
+            end;
+            let items = List.rev !items in
+            let vals = Array.make (nk + 1) (V.Bag items) in
+            for k = 0 to nk - 1 do
+              vals.(k) <- key.(k) lrow
+            done;
+            (* a column holding a bag: 8 + 16 + its items *)
+            let bag = List.fold_left (fun acc v -> acc + V.byte_size v) 24 items in
+            push rows vals (keys_size vals + bag)
+          end)
+        lrows;
+      contents rows )
 
 (* every left row meets every right row *)
-let product ((lrows, lsizes) : sized) ((rrows, rsizes) : sized) : sized =
-  let joined = joiner () in
-  let nl = Array.length lrows and nr = Array.length rrows in
-  ( Row.array_init Row.empty (nl * nr) (fun i -> joined lrows.(i / nr) rrows.(i mod nr)),
-    Array.init (nl * nr) (fun i -> lsizes.(i / nr) + rsizes.(i mod nr)) )
+let product lnames rnames =
+  ( Array.append lnames rnames,
+    fun ((lrows, lsizes) : sized) ((rrows, rsizes) : sized) ->
+      let nl = Array.length lrows and nr = Array.length rrows in
+      ( Row.array_init Row.empty (nl * nr) (fun i -> Array.append lrows.(i / nr) rrows.(i mod nr)),
+        Array.init (nl * nr) (fun i -> lsizes.(i / nr) + rsizes.(i mod nr)) ) )
 
 (* ------------------------------------------------------------------ *)
 (* Row-wise operators *)
@@ -347,25 +446,22 @@ let filter keep ((rows, sizes) : sized) : sized =
   Array.iteri (fun i row -> if keep row then push out row sizes.(i)) rows;
   contents out
 
-let select p rows = filter (S.compile_pred p) rows
+let select p names = (names, filter (S.compile_pred names p))
 
 (* a projected row is sized from its input where it copies whole columns *)
-let project fields ((rows, sizes) : sized) : sized =
-  let names = Row.schema (Array.of_list (List.map fst fields)) in
+let project fields names =
   let exprs = List.map snd fields in
-  let fs = S.compile_vec exprs in
-  let shape =
-    Row.by_schema (fun src ->
-        carrying (Array.length src) (Array.of_list (List.map (source src) exprs)))
-  in
-  let out_sizes = Array.make (Array.length rows) 0 in
-  ( Row.array_init Row.empty (Array.length rows) (fun i ->
-        let row = rows.(i) in
-        let rd = fs row in
-        let vals = Array.map (fun f -> f row.vals) rd in
-        out_sizes.(i) <- rebuilt_size (shape row) row.vals sizes.(i) vals;
-        Row.make names vals),
-    out_sizes )
+  let fs = S.compile_vec names exprs in
+  let shape = carrying (Array.length names) (Array.of_list (List.map (source names) exprs)) in
+  ( Array.of_list (List.map fst fields),
+    fun ((rows, sizes) : sized) ->
+      let out_sizes = Array.make (Array.length rows) 0 in
+      ( Row.array_init Row.empty (Array.length rows) (fun i ->
+            let row = rows.(i) in
+            let vals = read_all fs row in
+            out_sizes.(i) <- rebuilt_size shape row sizes.(i) vals;
+            vals),
+        out_sizes ) )
 
 (* the first field [attr] removed *)
 let rec remove_field attr = function
@@ -380,15 +476,15 @@ type cut = Keep | Drop_column of int | Drop_field of int * string
 (* [a] without its [i]-th element (a row's width: short) *)
 let without i a = Array.init (Array.length a - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
 
-(* Per input schema: the cut — made when the consumed bag attribute of
-   the source column is dropped; deeper paths keep it (rare, and dropping
-   is only an optimization) — and the output schema. *)
+(* The cut — made when the consumed bag attribute of the source column is
+   dropped; deeper paths keep it (rare, and dropping is only an
+   optimization) — and the output schema. *)
 let unnest_schema ~path ~binder ~drop names =
   let slot = match path with col :: _ when drop -> Row.slot names col | _ -> None in
   match slot, path with
-  | Some i, [ _ ] -> (Drop_column i, Row.schema (snoc (without i names) binder))
-  | Some i, [ _; attr ] -> (Drop_field (i, attr), Row.schema (snoc names binder))
-  | _ -> (Keep, Row.schema (snoc names binder))
+  | Some i, [ _ ] -> (Drop_column i, snoc (without i names) binder)
+  | Some i, [ _; attr ] -> (Drop_field (i, attr), snoc names binder)
+  | _ -> (Keep, snoc names binder)
 
 (* the parent values once the cut is made *)
 let cut_parent cut (vals : V.t array) =
@@ -414,132 +510,149 @@ let cut_bytes cut (vals : V.t array) bag_bytes =
 (* An output row is its parent plus one column. The parent's size is the
    input row's minus what the cut removes — the consumed bag, whose size
    follows from its items, each walked once for its own row. *)
-let unnest ~path ~binder ~outer ~drop ((rows, sizes) : sized) : sized =
-  let bag = S.compile (S.Col path) in
-  let schema = Row.by_schema (unnest_schema ~path ~binder ~drop) in
-  let out = buf () in
-  let item_bytes = ref (Array.make 16 0) in
-  Array.iteri
-    (fun r (row : Row.t) ->
-      let bagv = bag row in
-      let items = V.bag_items bagv in
-      let cut, names = schema row in
-      let pvals = cut_parent cut row.vals in
-      let n = List.length items in
-      if Array.length !item_bytes < n then item_bytes := Array.make (2 * n) 0;
-      let ib = !item_bytes in
-      let bag_bytes =
-        match bagv with
-        | V.Bag _ ->
-          let acc = ref 16 in
-          List.iteri
-            (fun i v ->
-              ib.(i) <- V.byte_size v;
-              acc := !acc + ib.(i))
-            items;
-          !acc
-        | v -> V.byte_size v
+let unnest ~path ~binder ~outer ~drop names =
+  let bag = S.compile names (S.Col path) in
+  let cut, out_names = unnest_schema ~path ~binder ~drop names in
+  ( out_names,
+    fun ((rows, sizes) : sized) ->
+      let out = buf () in
+      let item_bytes = ref (Array.make 16 0) in
+      Array.iteri
+        (fun r (row : Row.t) ->
+          let bagv = bag row in
+          let items = V.bag_items bagv in
+          let pvals = cut_parent cut row in
+          let n = List.length items in
+          if Array.length !item_bytes < n then item_bytes := Array.make (2 * n) 0;
+          let ib = !item_bytes in
+          let bag_bytes =
+            match bagv with
+            | V.Bag _ ->
+              let acc = ref 16 in
+              List.iteri
+                (fun i v ->
+                  ib.(i) <- V.byte_size v;
+                  acc := !acc + ib.(i))
+                items;
+              !acc
+            | v -> V.byte_size v
+          in
+          let parent = sizes.(r) - cut_bytes cut row bag_bytes + 8 in
+          match items with
+          | [] -> if outer then push out (snoc pvals V.Null) (parent + V.byte_size V.Null)
+          | items -> List.iteri (fun i v -> push out (snoc pvals v) (parent + ib.(i))) items)
+        rows;
+      contents out )
+
+(* the first of equal rows (equal values, column by column) stays *)
+let dedup names =
+  ( names,
+    fun ((rows, sizes) : sized) ->
+      let tbl = Key_table.create () and cur = ref Row.empty in
+      let equal p =
+        let b = rows.(p) in
+        Array.length b = Array.length !cur && same_run !cur 0 b 0 (Array.length b)
       in
-      let parent = sizes.(r) - cut_bytes cut row.vals bag_bytes + 8 in
-      match items with
-      | [] ->
-        if outer then push out (Row.make names (snoc pvals V.Null)) (parent + V.byte_size V.Null)
-      | items ->
-        List.iteri (fun i v -> push out (Row.make names (snoc pvals v)) (parent + ib.(i))) items)
-    rows;
-  contents out
+      let out = buf () in
+      Array.iteri
+        (fun i row ->
+          cur := row;
+          if Key_table.find_or_add tbl (hash_run row 0 (Array.length row)) equal i < 0
+          then push out row sizes.(i))
+        rows;
+      contents out )
 
-module RowTbl = Hashtbl.Make (struct
-  type t = Row.t
-
-  let equal (a : t) (b : t) =
-    (a.names == b.names || a.names = b.names) && Array.for_all2 V.equal a.vals b.vals
-
-  let hash (r : t) = Array.fold_left (fun acc v -> (acc * 31) + V.hash v) 17 r.vals
-end)
-
-(* the first of equal rows (same columns in order, equal values) stays *)
-let dedup rows =
-  let seen = RowTbl.create 64 in
-  filter
-    (fun row ->
-      if RowTbl.mem seen row then false
-      else (
-        RowTbl.add seen row ();
-        true))
-    rows
-
-(* the values of the columns [names] in order, missing ones Null *)
-let picker names =
-  let slots = Row.by_schema (fun src -> Array.map (Row.slot src) names) in
-  fun (row : Row.t) ->
-    Array.map (function Some i -> row.vals.(i) | None -> V.Null) (slots row)
-
-let align cols ((rows, sizes) : sized) : sized =
-  let names = Row.schema (Array.of_list cols) in
-  let shape =
-    Row.by_schema (fun src ->
-        let slots = Array.map (Row.slot src) names in
-        ( slots,
-          carrying (Array.length src)
-            (Array.map (function Some s -> Column s | None -> Computed) slots) ))
+let align cols names =
+  let slots = Array.map (Row.slot names) cols in
+  let c =
+    carrying (Array.length names)
+      (Array.map (function Some s -> Column s | None -> Computed) slots)
   in
-  let out_sizes = Array.make (Array.length rows) 0 in
-  ( Row.array_init Row.empty (Array.length rows) (fun i ->
-        let row = rows.(i) in
-        let slots, c = shape row in
-        let vals = Array.map (function Some s -> row.vals.(s) | None -> V.Null) slots in
-        out_sizes.(i) <- rebuilt_size c row.vals sizes.(i) vals;
-        Row.make names vals),
-    out_sizes )
+  ( cols,
+    fun ((rows, sizes) : sized) ->
+      let out_sizes = Array.make (Array.length rows) 0 in
+      ( Row.array_init Row.empty (Array.length rows) (fun i ->
+            let row = rows.(i) in
+            let vals = Array.make (Array.length slots) V.Null in
+            for j = 0 to Array.length slots - 1 do
+              match slots.(j) with Some s -> vals.(j) <- row.(s) | None -> ()
+            done;
+            out_sizes.(i) <- rebuilt_size c row sizes.(i) vals;
+            vals),
+        out_sizes ) )
 
-let values cols (rows : Row.t array) =
-  let map f = Row.array_init V.Null (Array.length rows) (fun i -> f rows.(i)) in
+let values cols names =
   match cols with
-  | [ "item" ] -> map (S.compile (S.col "item"))
+  | [ "item" ] ->
+    let item = S.compile names (S.col "item") in
+    fun (rows : Row.t array) -> Row.array_init V.Null (Array.length rows) (fun i -> item rows.(i))
   | _ ->
-    let pick = picker (Array.of_list cols) in
-    map (fun row -> V.Tuple (List.combine cols (Array.to_list (pick row))))
+    let slots = List.map (fun c -> (c, Row.slot names c)) cols in
+    let rec tuple (row : Row.t) = function
+      | [] -> []
+      | (c, s) :: rest ->
+        let v = match s with Some s -> row.(s) | None -> V.Null in
+        (c, v) :: tuple row rest
+    in
+    fun rows ->
+      Row.array_init V.Null (Array.length rows) (fun i -> V.Tuple (tuple rows.(i) slots))
 
-let split_by_keys keys hk ((rows, sizes) : sized) : sized * sized =
-  let key = compile_keys keys in
-  let light = buf () and heavy = buf () in
-  Array.iteri
-    (fun i row -> push (if KeyTbl.mem hk (key row) then heavy else light) row sizes.(i))
-    rows;
-  (contents light, contents heavy)
+let split_by_keys keys names =
+  let rd = S.compile_vec names keys in
+  let w = Array.length rd in
+  fun (hk : key_set) ((rows, sizes) : sized) ->
+    let kb = Array.make w V.Null in
+    let equal p = same_run kb 0 hk.keys (p * w) w in
+    let light = buf () and heavy = buf () in
+    Array.iteri
+      (fun i row ->
+        let h = read_key rd kb row in
+        let is_heavy = w = hk.width && Key_table.find hk.tbl h equal >= 0 in
+        push (if is_heavy then heavy else light) row sizes.(i))
+      rows;
+    (contents light, contents heavy)
 
 (* ------------------------------------------------------------------ *)
 (* Nest operators *)
 
 (* A group's [vals] is its output row: G-keys, aggregation keys (Null in
-   a G-group's placeholder), aggregates. Tables hash a group by [hash] and
-   compare only the key slots they probe, so one probe, refilled per row,
-   finds any. *)
+   a G-group's placeholder), aggregates. [link] chains a G-group's
+   aggregation groups by position: in a G-group, its newest one; in an
+   aggregation group, the next older one; -1 ends the chain. *)
 type group = {
-  mutable hash : int; (* rewritten per row in the probe only *)
   vals : V.t array;
   mutable items : V.t list; (* a bag's items, the newest first *)
   mutable items_bytes : int; (* their byte sizes, summed *)
-  mutable subs : group list; (* a G-group's aggregation groups, the newest first *)
   key_bytes : int; (* the key columns' bytes, -1 until they are walked *)
+  mutable link : int;
 }
 
-module Groups (P : sig val slots : int array end) = Hashtbl.Make (struct
-  type t = group
+let no_group = { vals = Row.empty; items = []; items_bytes = 0; key_bytes = -1; link = -1 }
 
-  let equal a b = same_slots a.vals b.vals P.slots (Array.length P.slots - 1)
-  let hash g = g.hash
-end)
+(* groups in a growable array, by position *)
+type groups = { mutable all : group array; mutable n : int }
+
+let groups () = { all = Array.make 16 no_group; n = 0 }
+
+(* the next group, its position *)
+let add_group gs vals key_bytes =
+  if gs.n = Array.length gs.all then begin
+    let all = Array.make (2 * gs.n) no_group in
+    Array.blit gs.all 0 all 0 gs.n;
+    gs.all <- all
+  end;
+  gs.all.(gs.n) <- { vals; items = []; items_bytes = 0; key_bytes; link = -1 };
+  gs.n <- gs.n + 1;
+  gs.n - 1
 
 let slots_where p n = Array.of_list (List.filter p (List.init n Fun.id))
 
 (* The one grouping pass of both nest operators: [fold] adds a present row
    (by its position) to its group in row order, [close] finishes the
-   aggregate slots from [first_agg] on and returns their bytes. A G-group
-   with no present row emits its placeholder unless the grouping is
-   global; a global plain nest over no present rows emits its aggregate
-   over nothing only when [global_empty].
+   aggregate slots from the first after the keys and returns their bytes.
+   A G-group with no present row emits its placeholder unless the
+   grouping is global; a global plain nest over no present rows emits its
+   aggregate over nothing only when [global_empty].
 
    A row is found its group by the G-keys {!Op.probe_keys} picks from
    [ids] — an id standing for the keys it determines — and its
@@ -547,10 +660,10 @@ let slots_where p n = Array.of_list (List.filter p (List.init n Fun.id))
    the other G-keys are read when the row opens a group. When the keys
    are whole columns, a group's key bytes are its opening row's size less
    the other columns, if those are flat. *)
-let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty =
-  (* derived once per operator; immutable, so every call shares it *)
+let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
   let exprs = List.map snd keys @ List.map snd agg_keys in
-  let names = Row.schema (Array.of_list (List.map fst keys @ List.map fst agg_keys @ aggs)) in
+  let out_names = Array.of_list (List.map fst keys @ List.map fst agg_keys @ aggs) in
+  let width = Array.length out_names in
   let nk = List.length keys in
   let first_agg = nk + List.length agg_keys in
   let probed = Op.probe_keys ids keys in
@@ -558,187 +671,195 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty =
   and later = slots_where (fun i -> not probed.(i)) nk in
   let aslots = Array.append gslots (Array.init (first_agg - nk) (fun i -> nk + i)) in
   let agg_slots = Array.sub aslots (Array.length gslots) (first_agg - nk) in
-  fun ~(fold : group -> int -> int -> Row.t -> unit) ~(close : group -> int -> int)
-    ((rows, sizes) : sized) : sized ->
-  let key = S.compile_vec exprs and present = S.compile_pred presence in
-  let module G = Groups (struct let slots = gslots end) in
-  let module A = Groups (struct let slots = aslots end) in
-  let gtbl = G.create 64 and atbl = A.create 64 in
-  let probe =
-    { hash = 0; vals = Array.make first_agg V.Null; items = []; items_bytes = 0; subs = [];
-      key_bytes = -1 }
-  in
-  (* per input schema and group width: the slots outside the first
-     [width] keys, when those are whole, distinct columns *)
+  let key = S.compile_vec names exprs and present = S.compile_pred names presence in
+  (* the input slots outside the first [w] keys, when those are whole,
+     distinct columns *)
   let outside =
-    Row.by_schema (fun src ->
-        let c = carrying (Array.length src) (Array.of_list (List.map (source src) exprs)) in
-        let for_width width =
-          let used = Array.make (Array.length src) false in
-          let whole k =
-            match c.sources.(k) with Column s -> used.(s) <- true; true | _ -> false
-          in
-          if List.for_all whole (List.init width Fun.id) then
-            Some (slots_where (fun s -> not used.(s)) (Array.length src))
-          else None
-        in
-        (for_width nk, for_width first_agg))
+    let c = carrying (Array.length names) (Array.of_list (List.map (source names) exprs)) in
+    fun w ->
+      let used = Array.make (Array.length names) false in
+      let whole k = match c.sources.(k) with Column s -> used.(s) <- true; true | _ -> false in
+      if List.for_all whole (List.init w Fun.id) then
+        Some (slots_where (fun s -> not used.(s)) (Array.length names))
+      else None
   in
+  let g_outside = outside nk and a_outside = outside first_agg in
   let null_bytes = Row.column_bytes V.Null in
-  let fresh width hash r (row : Row.t) =
-    let vals = Array.make (Array.length names) empty in
-    Array.blit probe.vals 0 vals 0 width;
-    Array.fill vals width (first_agg - width) V.Null;
-    let key_bytes =
-      match (if width = nk then fst else snd) (outside row) with
-      | Some unused -> (
-        match kept_bytes unused row.vals sizes.(r) with
-        | -1 -> -1
-        | kept -> kept + ((first_agg - width) * null_bytes))
-      | None -> -1
-    in
-    { hash; vals; items = []; items_bytes = 0; subs = []; key_bytes }
-  in
-  (* the G-keys no table compares, read into the probe for a new group *)
-  let complete rd (row : Row.t) =
-    for j = 0 to Array.length later - 1 do
-      let i = later.(j) in
-      probe.vals.(i) <- rd.(i) row.vals
-    done
-  in
-  let groups = ref [] and any_present = ref false in
-  (* The G-group of the probe. [sub] is the aggregation group that opens
-     it, if any — such a G-group is never emitted and keys the table by
-     [sub]'s values — or the probe itself when [row] opens it. Lookups
-     raise rather than allocate an option per row. *)
-  let g_group ~sub rd r row hash =
-    probe.hash <- hash;
-    match G.find gtbl probe with
-    | g -> g
-    | exception Not_found ->
-      let g =
-        if sub == probe then begin
-          complete rd row;
-          fresh nk hash r row
-        end
-        else { sub with hash; items = []; subs = []; key_bytes = -1 }
+  ( out_names,
+    fun ~(fold : group -> int -> Row.t -> unit) ~(close : group -> int) ((rows, sizes) : sized) ->
+      let gs = groups () and ags = groups () in
+      let gtbl = Key_table.create () and atbl = Key_table.create () in
+      let probe = Array.make first_agg V.Null in
+      let g_equal g = same_slots probe gs.all.(g).vals gslots (Array.length gslots - 1)
+      and a_equal a = same_slots probe ags.all.(a).vals aslots (Array.length aslots - 1) in
+      (* a new group's output row: the probe's first [w] keys, Null up to
+         the aggregates *)
+      let fresh s w r (row : Row.t) =
+        let vals = Array.make width empty in
+        Array.blit probe 0 vals 0 w;
+        Array.fill vals w (first_agg - w) V.Null;
+        add_group s vals
+          (match if w = nk then g_outside else a_outside with
+          | Some unused -> (
+            match kept_bytes unused row sizes.(r) with
+            | -1 -> -1
+            | kept -> kept + ((first_agg - w) * null_bytes))
+          | None -> -1)
       in
-      G.add gtbl g g;
-      groups := g :: !groups;
-      g
-  in
-  (* the key [slots] of [row] into the probe, continuing the hash fold *)
-  let fill rd (row : Row.t) slots h =
-    let h = ref h in
-    for j = 0 to Array.length slots - 1 do
-      let i = slots.(j) in
-      let v = rd.(i) row.vals in
-      probe.vals.(i) <- v;
-      h := hash_step !h v
-    done;
-    !h
-  in
-  Array.iteri
-    (fun r row ->
-      let rd = key row in
-      let gfold = fill rd row gslots 17 in
-      let gh = gfold land max_int in
-      if not (present row) then ignore (g_group ~sub:probe rd r row gh)
-      else begin
-        any_present := true;
-        if first_agg = nk then fold (g_group ~sub:probe rd r row gh) first_agg r row
-        else begin
-          probe.hash <- fill rd row agg_slots gfold land max_int;
-          match A.find atbl probe with
-          | g -> fold g first_agg r row
-          | exception Not_found ->
-            complete rd row;
-            let g = fresh first_agg probe.hash r row in
-            A.add atbl g g;
-            let parent = g_group ~sub:g rd r row gh in
-            parent.subs <- g :: parent.subs;
-            fold g first_agg r row
-        end
-      end)
-    rows;
-  let global = nk = 0 and any_present = !any_present in
-  let out = buf () and keys_size = prefix_sizer first_agg in
-  let emit g =
-    let bytes = close g first_agg in
-    let keys = if g.key_bytes >= 0 then g.key_bytes else keys_size g.vals in
-    push out (Row.make names g.vals) (keys + bytes)
-  in
-  List.iter
-    (fun g ->
-      match g.subs with
-      | [] when first_agg > nk -> if not global then emit g
-      | [] -> if not (global && not (global_empty || any_present)) then emit g
-      | subs -> List.iter emit subs)
-    !groups;
-  contents out
+      (* the G-keys no table compares, read into the probe for a new group *)
+      let complete (row : Row.t) =
+        for j = 0 to Array.length later - 1 do
+          let i = later.(j) in
+          probe.(i) <- key.(i) row
+        done
+      in
+      (* the key [slots] of [row] into the probe, continuing the hash fold *)
+      let fill (row : Row.t) slots h =
+        let h = ref h in
+        for j = 0 to Array.length slots - 1 do
+          let i = slots.(j) in
+          let v = key.(i) row in
+          probe.(i) <- v;
+          h := hash_step !h v
+        done;
+        !h
+      in
+      (* The G-group of the probe. [sub] is the aggregation group that
+         opens it, if any — such a G-group is never emitted and holds
+         [sub]'s values — or -1 when [row] opens it. *)
+      let g_group ~sub r row hash =
+        match Key_table.find_or_add gtbl hash g_equal gs.n with
+        | -1 ->
+          if sub < 0 then begin
+            complete row;
+            fresh gs nk r row
+          end
+          else add_group gs ags.all.(sub).vals (-1)
+        | g -> g
+      in
+      let any_present = ref false in
+      Array.iteri
+        (fun r row ->
+          let gfold = fill row gslots 17 in
+          let gh = gfold land max_int in
+          if not (present row) then ignore (g_group ~sub:(-1) r row gh)
+          else begin
+            any_present := true;
+            if first_agg = nk then fold gs.all.(g_group ~sub:(-1) r row gh) r row
+            else
+              let ah = fill row agg_slots gfold land max_int in
+              match Key_table.find_or_add atbl ah a_equal ags.n with
+              | -1 ->
+                complete row;
+                let a = fresh ags first_agg r row in
+                let g = gs.all.(g_group ~sub:a r row gh) and sub = ags.all.(a) in
+                sub.link <- g.link;
+                g.link <- a;
+                fold sub r row
+              | a -> fold ags.all.(a) r row
+          end)
+        rows;
+      let global = nk = 0 and any_present = !any_present in
+      (* G-groups the newest first; within one, its aggregation groups the
+         newest first *)
+      let emits_placeholder =
+        if first_agg > nk then not global else not (global && not (global_empty || any_present))
+      in
+      let count = ref 0 in
+      for g = gs.n - 1 downto 0 do
+        let a = ref gs.all.(g).link in
+        if !a < 0 then (if emits_placeholder then incr count)
+        else
+          while !a >= 0 do
+            incr count;
+            a := ags.all.(!a).link
+          done
+      done;
+      let out = Array.make !count Row.empty and out_sizes = Array.make !count 0 in
+      let keys_size = prefix_sizer first_agg and at = ref 0 in
+      let emit g =
+        let bytes = close g in
+        let keys = if g.key_bytes >= 0 then g.key_bytes else keys_size g.vals in
+        out.(!at) <- g.vals;
+        out_sizes.(!at) <- keys + bytes;
+        incr at
+      in
+      for g = gs.n - 1 downto 0 do
+        let a = ref gs.all.(g).link in
+        if !a < 0 then (if emits_placeholder then emit gs.all.(g))
+        else
+          while !a >= 0 do
+            let sub = ags.all.(!a) in
+            emit sub;
+            a := sub.link
+          done
+      done;
+      (out, out_sizes) )
 
 (* An item that is a tuple of whole, distinct columns of its row is sized
    from those columns (a tuple field costs 4 bytes where a column costs 8)
    when they are flat, else from the row's size minus the columns it
    leaves out, when those are flat; any other item is walked. *)
-let item_sizer item sizes =
+let item_sizer item names =
   let shape =
     match item with
     | S.MkTuple fields ->
-      Row.by_schema (fun src ->
-          let c =
-            carrying (Array.length src)
-              (Array.of_list (List.map (fun (_, e) -> source src e) fields))
-          in
-          let column = function Column s -> Some s | _ -> None in
-          if Array.for_all (fun x -> column x <> None) c.sources then
-            Some (Array.map (fun x -> Option.get (column x)) c.sources, c.unused)
-          else None)
-    | _ -> fun _ -> None
+      let c =
+        carrying (Array.length names)
+          (Array.of_list (List.map (fun (_, e) -> source names e) fields))
+      in
+      let column = function Column s -> Some s | _ -> None in
+      if Array.for_all (fun x -> column x <> None) c.sources then
+        Some (Array.map (fun x -> Option.get (column x)) c.sources, c.unused)
+      else None
+    | _ -> None
   in
-  fun r (row : Row.t) v ->
-    match shape row with
+  fun sizes r (row : Row.t) v ->
+    match shape with
     | Some (used, unused) ->
       let columns =
         match
-          if Array.length used <= Array.length unused then flat_bytes used row.vals else -1
+          if Array.length used <= Array.length unused then flat_bytes used row else -1
         with
-        | -1 -> kept_bytes unused row.vals sizes.(r)
+        | -1 -> kept_bytes unused row sizes.(r)
         | walked -> walked
       in
       if columns < 0 then V.byte_size v else 8 - (4 * Array.length used) + columns
     | None -> V.byte_size v
 
-let nest_bag ~ids ~keys ~agg_keys ~item ~presence ~out =
-  let nest =
-    nest ~ids ~keys ~agg_keys ~presence ~aggs:[ out ] ~empty:(V.Bag []) ~global_empty:true
+let nest_bag ~ids ~keys ~agg_keys ~item ~presence ~out names =
+  let out_names, nest =
+    nest ~ids ~keys ~agg_keys ~presence ~aggs:[ out ] ~empty:(V.Bag []) ~global_empty:true names
   in
-  fun ((_, sizes) as rows : sized) ->
-  let size = item_sizer item sizes and item = S.compile item in
-  nest rows
-    ~fold:(fun g _ r row ->
-      let v = item row in
-      g.items <- v :: g.items;
-      g.items_bytes <- g.items_bytes + size r row v)
-    ~close:(fun g i ->
-      (match g.items with [] -> () | items -> g.vals.(i) <- V.Bag (List.rev items));
-      (* a column holding a bag: 8 + 16 + its items *)
-      24 + g.items_bytes)
+  let size = item_sizer item names and item = S.compile names item in
+  let first = List.length keys + List.length agg_keys in
+  ( out_names,
+    fun ((_, sizes) as rows : sized) ->
+      nest rows
+        ~fold:(fun g r row ->
+          let v = item row in
+          g.items <- v :: g.items;
+          g.items_bytes <- g.items_bytes + size sizes r row v)
+        ~close:(fun g ->
+          (match g.items with [] -> () | items -> g.vals.(first) <- V.Bag (List.rev items));
+          (* a column holding a bag: 8 + 16 + its items *)
+          24 + g.items_bytes) )
 
 (* Null aggregands are skipped (contribute 0) *)
-let nest_sum ~ids ~keys ~agg_keys ~aggs ~presence =
-  let nest =
+let nest_sum ~ids ~keys ~agg_keys ~aggs ~presence names =
+  let out_names, nest =
     nest ~ids ~keys ~agg_keys ~presence ~aggs:(List.map fst aggs) ~empty:(V.Int 0)
-      ~global_empty:false
+      ~global_empty:false names
   in
-  fun rows ->
-  let values = S.compile_vec (List.map snd aggs) in
-  nest rows
-    ~close:(fun g first -> range_bytes g.vals first (Array.length g.vals))
-    ~fold:(fun g first _ (row : Row.t) ->
-      let rd = values row in
-      for j = 0 to Array.length rd - 1 do
-        match rd.(j) row.vals with
-        | V.Null -> ()
-        | v -> g.vals.(first + j) <- Nrc.Eval.add_values g.vals.(first + j) v
-      done)
+  let values = S.compile_vec names (List.map snd aggs) in
+  let first = List.length keys + List.length agg_keys in
+  ( out_names,
+    nest
+      ~close:(fun g -> range_bytes g.vals first (Array.length g.vals))
+      ~fold:(fun g _ (row : Row.t) ->
+        let vals = g.vals in
+        for j = 0 to Array.length values - 1 do
+          match values.(j) row with
+          | V.Null -> ()
+          | v -> vals.(first + j) <- Nrc.Eval.add_values vals.(first + j) v
+        done) )

@@ -2,6 +2,16 @@
     single-node interpreter ({!Local_eval}) on its one partition and by the
     distributed executor in each pool task.
 
+    {b Schemas.} Rows are bare value arrays ({!Row.t}); the column names
+    travel beside them, one array per set of rows. A kernel is applied to
+    its input's names once per operator, returning its output's names and
+    the function it runs on each partition. Every column is resolved to
+    its slot there, once ({!Sexpr.compile}), so no row is checked against
+    a schema and the compiled readers, holding no state, serve every
+    partition and pool task; a partition function makes its own scratch
+    state per call. Column order is part of a schema but not of its
+    meaning: only {!align} and {!values} fix it.
+
     {b Row sizes.} Rows travel {!sized}: beside each row array, one
     unboxed [int] per row, its {!Row.byte_size}. Every kernel takes its
     input rows' sizes and returns its output rows', each equal to
@@ -19,18 +29,17 @@
     computed are walked, reusing a slot's size while consecutive groups
     hold physically the same value there. Only values a kernel computes
     are walked, so the executor never sizes a row it did not just
-    build.
+    build. Every row or value array a kernel returns is built from a
+    static filler ({!Row.array_init}), so no output, however long, forces
+    a minor collection.
 
-    {b Key vectors.} Each call compiles its expressions afresh, several
-    keys at once with {!Sexpr.compile_vec} — one schema check per row,
-    not one per key — so a compiled closure never outlives the call or
-    crosses a pool task. The rows a call builds share one interned
-    [names] array per schema ({!Row.schema}), derived once when a row's
-    schema differs from the last one seen ({!Row.by_schema}). Column
-    order is part of a row's schema but not of its meaning: only {!align}
-    and {!values} fix it. Every row or value array a kernel returns is
-    built from a static filler ({!Row.array_init}), so no output, however
-    long, forces a minor collection.
+    {b Keys.} Every keyed kernel finds keys through one {!Key_table} from
+    a key's hash — {!hash_key}'s fold — to positions, comparing keys in
+    place by [Value.equal] (tried after physical equality and the
+    [Int]/[Str] cases): a join's build rows, whose keys it stores back to
+    back with a next-row chain in build order; dedup's rows; a nest's
+    groups; a {!key_set}'s keys. Key equality is order-sensitive on bags,
+    and [Value.hash] ignoring bag order only makes permutations collide.
 
     {b Nesting by row id.} The nest kernels group in one pass: each row's
     probed keys fill one reusable probe array, hashed once with
@@ -38,12 +47,17 @@
     aggregation keys probes the G-key table only when it starts an
     aggregation group). Given the facts {!Op.ids} of their input, they
     probe by {!Op.probe_keys}: an id among the G-keys stands for the keys
-    it determines, which are read only when a row opens a group. A
-    group's value array is its output row, which aggregates accumulate
-    into as rows stream. *)
+    it determines, which are read only when a row opens a group. Groups
+    live in growable arrays, a G-group's aggregation groups chained by
+    position; a group's value array is its output row, which aggregates
+    accumulate into as rows stream, and the output is allocated at the
+    exact count of rows emitted. *)
 
 type sized = Row.t array * int array
 (** Rows and each row's {!Row.byte_size}, position by position. *)
+
+type names = string array
+(** A schema: the column names of a set of rows. *)
 
 val total : int array -> int
 (** The sum of a partition's row sizes. *)
@@ -54,83 +68,89 @@ val hash_key : Nrc.Value.t list -> int
     [Exec.Dataset.of_bag_by] alike, which a join skipping its shuffle on
     a partitioning guarantee relies on. Never negative. *)
 
-val key_hasher : Sexpr.t list -> Row.t -> int
-(** [key_hasher keys row] is [hash_key] of [keys] evaluated over [row],
-    by the same fold over its key vector, with no list built. One per
-    task or call, as {!Sexpr.compile}. *)
-
-module KeyTbl : Hashtbl.S with type key = Nrc.Value.t array
-(** Tables over evaluated key vectors, hashed by {!hash_key}'s fold and
-    compared by [Value.equal] (tried after physical equality and the
-    [Int]/[Str] cases) — so key equality is order-sensitive on bags, and
-    [Value.hash] ignoring bag order only makes permutations collide. The
-    nest kernels' tables use the same hash and equality. *)
-
-val compile_keys : Sexpr.t list -> Row.t -> Nrc.Value.t array
-(** A key vector's evaluator, compiled as {!Sexpr.compile_vec} is: one
-    per task or call. *)
+val key_hasher : Sexpr.t list -> names -> Row.t -> int
+(** [key_hasher keys names row] is [hash_key] of [keys] evaluated over
+    [row], by the same fold over its key vector, with no list built. *)
 
 val sized : Row.t array -> sized
 (** Rows with their sizes, walked. *)
 
-val scan : binder:string -> Nrc.Value.t array -> sized
+val scan : binder:string -> names * (Nrc.Value.t array -> sized)
 (** One single-column row [binder] per item. *)
 
-val add_index : col:string -> (int -> int) -> sized -> sized
+val add_index : col:string -> names -> names * ((int -> int) -> sized -> sized)
 (** Append the column [col] holding [Int (id i)] to the [i]-th row; [id]
     is called in row order. *)
+
+type key_set
+(** A set of key vectors of one width. *)
+
+val key_count : key_set -> int
+
+val heavy_keys :
+  sample:int -> threshold:float -> Sexpr.t list -> names -> Row.t array array -> key_set
+(** The skew sampler (Section 5): in each partition of [n] rows, every
+    [max 1 (n / min n sample)]-th row from the first; a key is heavy when
+    at least [threshold] of its partition's sampled rows, and at least
+    two, hold it. *)
+
+val split_by_keys : Sexpr.t list -> names -> key_set -> sized -> sized * sized
+(** Rows whose key is not / is in the set: light and heavy sides. *)
 
 type index
 (** A join's build side: its rows and sizes, and the non-null right keys
     to their rows, in build order. *)
 
-val index : Sexpr.t list -> sized -> index
+val index : Sexpr.t list -> names -> sized -> index
+(** [index rkey rnames]: the build side's indexer over rows of [rnames]. *)
 
 val join :
-  lkey:Sexpr.t list -> kind:Op.join_kind -> rcols:string list -> index ->
-  sized -> sized
-(** Probe each left row, its matches in build order: a null key matches
-    nothing, and a left-outer miss joins one all-null row over [rcols]. *)
+  lkey:Sexpr.t list -> kind:Op.join_kind -> names -> names -> names * (index -> sized -> sized)
+(** [join ~lkey ~kind lnames rnames]: probe each left row, its matches in
+    build order, each joined row the left values then the right ones: a
+    null key matches nothing, and a left-outer miss joins one all-null
+    row as wide as [rnames]. *)
 
 val cogroup :
   lkey:Sexpr.t list ->
   kind:Op.join_kind ->
-  rcols:string list ->
   keys:(string * Sexpr.t) list ->
   item:Sexpr.t ->
   presence:Sexpr.t ->
   out:string ->
-  index ->
-  sized ->
-  sized
+  names ->
+  names ->
+  names * (index -> sized -> sized)
 (** Join then nest fused: one row per left row that joins, its [keys] plus
-    the bag [out] of [item] over its present joined rows. *)
+    the bag [out] of [item] over its present matches. [presence] and
+    [item] read a match's two sides in place ({!Sexpr.compile_pair}). *)
 
-val product : sized -> sized -> sized
+val product : names -> names -> names * (sized -> sized -> sized)
 (** Every left row with every right row. *)
 
-val select : Sexpr.t -> sized -> sized
-val project : (string * Sexpr.t) list -> sized -> sized
+val select : Sexpr.t -> names -> names * (sized -> sized)
+val project : (string * Sexpr.t) list -> names -> names * (sized -> sized)
 
 val unnest :
-  path:string list -> binder:string -> outer:bool -> drop:bool -> sized -> sized
-(** See {!Op.Unnest}. *)
+  path:string list -> binder:string -> outer:bool -> drop:bool -> names ->
+  names * (sized -> sized)
+(** See {!Op.Unnest}. A dropped column is gone from the output schema,
+    which so differs from {!Op.columns}. *)
 
-val dedup : sized -> sized
-(** Keeps the first of equal rows (the same columns in order and equal
-    values), in input order, as {!Nrc.Value.dedup} does. *)
+val dedup : names -> names * (sized -> sized)
+(** Keeps the first of equal rows (equal values, column by column), in
+    input order, as {!Nrc.Value.dedup} does. *)
 
-val align : string list -> sized -> sized
-(** Restrict to the columns in order, missing ones Null (union branches). *)
+val align : names -> names -> names * (sized -> sized)
+(** [align cols names]: restrict rows of [names] to the columns [cols] in
+    order, missing ones Null (union branches). *)
 
-val values : string list -> Row.t array -> Nrc.Value.t array
-(** Rows as the elements of a result bag over the plan columns [cols]: a
-    tuple of those columns, missing ones Null — except that the reserved
-    single column ["item"] marks rows carrying whole bag elements (scalars
-    or pass-through tuples), which are unwrapped. *)
-
-val split_by_keys : Sexpr.t list -> unit KeyTbl.t -> sized -> sized * sized
-(** Rows whose key is not / is in the set: light and heavy sides. *)
+val values : string list -> names -> Row.t array -> Nrc.Value.t array
+(** [values cols names]: rows of [names] as the elements of a result bag
+    over the plan columns [cols]: a tuple of those columns, missing ones
+    Null — except that the reserved single column ["item"] marks rows
+    carrying whole bag elements (scalars or pass-through tuples), which
+    are unwrapped. *)
 
 val nest_bag :
   ids:Op.ids ->
@@ -139,13 +159,11 @@ val nest_bag :
   item:Sexpr.t ->
   presence:Sexpr.t ->
   out:string ->
-  sized ->
-  sized
+  names ->
+  names * (sized -> sized)
 (** Gamma-union (see {!Op.NestBag}) over rows with the facts [ids]. G-groups,
     and the aggregation groups within one, come out the most recently
-    first-seen first; a bag holds its items in input order. Applied to
-    all but the rows once per operator, it derives its probe once and
-    shares it, read-only, with every partition's call. *)
+    first-seen first; a bag holds its items in input order. *)
 
 val nest_sum :
   ids:Op.ids ->
@@ -153,8 +171,8 @@ val nest_sum :
   agg_keys:(string * Sexpr.t) list ->
   aggs:(string * Sexpr.t) list ->
   presence:Sexpr.t ->
-  sized ->
-  sized
+  names ->
+  names * (sized -> sized)
 (** Gamma-plus (see {!Op.NestSum}), grouped and ordered as {!nest_bag};
     Null aggregands count as 0. Each sum folds [Nrc.Eval.add_values] from
     [Int 0] over its group's rows in input order. *)

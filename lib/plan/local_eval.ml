@@ -27,39 +27,49 @@ let lookup (env : env) name =
 let next_index = ref 0
 
 (* Children first, left before right, then the operator's kernel over
-   their rows, with the facts the executor gives it. *)
-let rec sized (env : env) (op : Op.t) : K.sized =
+   their rows and schemas, with the facts the executor gives it. *)
+let rec sized (env : env) (op : Op.t) : K.names * K.sized =
+  let unary (names, kernel) rows = (names, kernel rows) in
   match op, List.map (sized env) (Op.children op) with
-  | Op.Nil _, [] -> ([||], [||])
-  | Op.UnitRow, [] -> K.sized [| Row.empty |]
+  | Op.Nil cols, [] -> (Array.of_list cols, ([||], [||]))
+  | Op.UnitRow, [] -> ([||], K.sized [| Row.empty |])
   | Op.Scan { input; binder }, [] ->
-    K.scan ~binder (Row.array_of_list V.Null (lookup env input))
-  | Op.Select (p, _), [ rows ] -> K.select p rows
-  | Op.Project (fields, _), [ rows ] -> K.project fields rows
-  | Op.Join { right; lkey; rkey; kind; _ }, [ l; r ] ->
-    K.join ~lkey ~kind ~rcols:(Op.columns right) (K.index rkey r) l
-  | Op.Cogroup { right; lkey; rkey; kind; keys; item; presence; out; _ }, [ l; r ] ->
-    K.cogroup ~lkey ~kind ~rcols:(Op.columns right) ~keys ~item ~presence ~out
-      (K.index rkey r) l
-  | Op.Product _, [ l; r ] -> K.product l r
-  | Op.Unnest { path; binder; outer; drop; _ }, [ rows ] ->
-    K.unnest ~path ~binder ~outer ~drop rows
-  | Op.AddIndex { col; _ }, [ rows ] ->
-    K.add_index ~col (fun _ -> incr next_index; !next_index) rows
-  | Op.NestBag { input; keys; agg_keys; item; presence; out }, [ rows ] ->
-    K.nest_bag ~ids:(Op.ids input) ~keys ~agg_keys ~item ~presence ~out rows
-  | Op.NestSum { input; keys; agg_keys; aggs; presence }, [ rows ] ->
-    K.nest_sum ~ids:(Op.ids input) ~keys ~agg_keys ~aggs ~presence rows
-  | Op.Dedup _, [ rows ] -> K.dedup rows
-  | Op.UnionAll (left, _), [ (l, ls); r ] ->
-    let r, rs = K.align (Op.columns left) r in
-    (Array.append l r, Array.append ls rs)
+    unary (K.scan ~binder) (Row.array_of_list V.Null (lookup env input))
+  | Op.Select (p, _), [ (names, rows) ] -> unary (K.select p names) rows
+  | Op.Project (fields, _), [ (names, rows) ] -> unary (K.project fields names) rows
+  | Op.Join { lkey; rkey; kind; _ }, [ (lnames, l); (rnames, r) ] ->
+    let names, join = K.join ~lkey ~kind lnames rnames in
+    (names, join (K.index rkey rnames r) l)
+  | Op.Cogroup { lkey; rkey; kind; keys; item; presence; out; _ },
+    [ (lnames, l); (rnames, r) ] ->
+    let names, cogroup = K.cogroup ~lkey ~kind ~keys ~item ~presence ~out lnames rnames in
+    (names, cogroup (K.index rkey rnames r) l)
+  | Op.Product _, [ (lnames, l); (rnames, r) ] ->
+    let names, product = K.product lnames rnames in
+    (names, product l r)
+  | Op.Unnest { path; binder; outer; drop; _ }, [ (names, rows) ] ->
+    unary (K.unnest ~path ~binder ~outer ~drop names) rows
+  | Op.AddIndex { col; _ }, [ (names, rows) ] ->
+    let names, add = K.add_index ~col names in
+    (names, add (fun _ -> incr next_index; !next_index) rows)
+  | Op.NestBag { input; keys; agg_keys; item; presence; out }, [ (names, rows) ] ->
+    unary (K.nest_bag ~ids:(Op.ids input) ~keys ~agg_keys ~item ~presence ~out names) rows
+  | Op.NestSum { input; keys; agg_keys; aggs; presence }, [ (names, rows) ] ->
+    unary (K.nest_sum ~ids:(Op.ids input) ~keys ~agg_keys ~aggs ~presence names) rows
+  | Op.Dedup _, [ (names, rows) ] -> unary (K.dedup names) rows
+  | Op.UnionAll _, [ (names, (l, ls)); (rnames, r) ] ->
+    (* the right side takes the left side's columns, as they are *)
+    let _, (r, rs) = unary (K.align names rnames) r in
+    (names, (Array.append l r, Array.append ls rs))
   | Op.BagToDict _, [ rows ] -> rows
   | op, _ -> invalid_arg ("Local_eval: arity of " ^ Op.name op)
 
-let eval env op = fst (sized env op)
+let eval env op =
+  let names, (rows, _) = sized env op in
+  (names, rows)
 
 (** Evaluate a plan and package the result rows as a bag, using the plan's
     column names as attributes ({!Kernel.values}). *)
 let eval_to_bag (env : env) (op : Op.t) : V.t =
-  V.Bag (Array.to_list (K.values (Op.columns op) (eval env op)))
+  let names, (rows, _) = sized env op in
+  V.Bag (Array.to_list (K.values (Op.columns op) names rows))

@@ -9,7 +9,9 @@ type env = (string, Nrc.Value.t list) Hashtbl.t
 
 val env_of_list : (string * Nrc.Value.t) list -> env
 val lookup : env -> string -> Nrc.Value.t list
-val eval : env -> Op.t -> Row.t array
+val eval : env -> Op.t -> Kernel.names * Row.t array
+(** The plan's rows, with their schema: its runtime columns, which differ
+    from {!Op.columns} above an unnest that drops its bag column. *)
 
 val eval_to_bag : env -> Op.t -> Nrc.Value.t
 (** Package result rows as a bag of tuples named by the plan's columns; the

@@ -1,14 +1,9 @@
-(** Rows flowing through plan operators: a shared schema of column names and
-    the values position by position; see row.mli. *)
+(** Rows flowing through plan operators: the values position by position,
+    under a schema that the whole set of rows shares; see row.mli. *)
 
-type t = { names : string array; vals : Nrc.Value.t array }
+type t = Nrc.Value.t array
 
-let make names vals =
-  if Array.length names <> Array.length vals then
-    invalid_arg "Row.make: names and values differ in length";
-  { names; vals }
-
-let empty = { names = [||]; vals = [||] }
+let empty : t = [||]
 
 (* OCaml 5's [Array.make n x] with [n] over 256 words and [x] still in the
    minor heap first empties every domain's minor heap, all domains stopped
@@ -41,42 +36,16 @@ let slot names col =
   in
   go 0
 
-let get row col =
-  match slot row.names col with
-  | Some i -> row.vals.(i)
+let get names (row : t) col =
+  match slot names col with
+  | Some i -> row.(i)
   | None -> invalid_arg (Printf.sprintf "Row.get: no column %S" col)
 
-(* Equal schemas are one array: a weak set, so a schema no row holds any
-   more can be collected, behind a mutex, since kernels run on every
-   domain of the pool. Callers intern once per kernel call or per derived
-   schema, never per row. *)
-module Schemas = Weak.Make (struct
-  type t = string array
-
-  let equal (a : t) b = a = b
-  let hash (a : t) = Hashtbl.hash a
-end)
-
-let schemas = Schemas.create 64
-let schemas_lock = Mutex.create ()
-let schema names = Mutex.protect schemas_lock (fun () -> Schemas.merge schemas names)
-
-let by_schema derive =
-  let last = ref None and last_names = ref [||] in
-  fun row ->
-    match !last with
-    | Some d when !last_names == row.names -> d
-    | _ ->
-      let d = derive row.names in
-      last := Some d;
-      last_names := row.names;
-      d
-
 let column_bytes v = 8 + Nrc.Value.byte_size v
-let byte_size row = Array.fold_left (fun acc v -> acc + column_bytes v) 0 row.vals
+let byte_size (row : t) = Array.fold_left (fun acc v -> acc + column_bytes v) 0 row
 
-let pp ppf row =
+let pp names ppf (row : t) =
   Fmt.pf ppf "@[<h>[%a]@]"
     (Fmt.array ~sep:(Fmt.any "; ")
        (fun ppf (c, v) -> Fmt.pf ppf "%s=%a" c Nrc.Value.pp v))
-    (Array.map2 (fun c v -> (c, v)) row.names row.vals)
+    (Array.map2 (fun c v -> (c, v)) names row)

@@ -1,19 +1,17 @@
-(** Rows flowing through plan operators: a schema of column names and the
-    values in those columns, position by position. Columns typically hold
-    whole generator variables (tuples), index columns (ints), or nested
-    bags produced by {!Op.NestBag}.
+(** Rows flowing through plan operators: the values of a row's columns,
+    position by position. Columns typically hold whole generator variables
+    (tuples), index columns (ints), or nested bags produced by
+    {!Op.NestBag}.
 
-    Rows share one interned [names] array per schema ({!schema}), so a row
-    costs its values array and nothing per column beyond it. Code that resolves
-    columns by name does so once per schema, not once per row: see
-    {!by_schema}. A column name may repeat (a join of two rows binding the
-    same name); lookups find its first slot. *)
+    A row carries no column names. A set of rows — a partition, or all
+    partitions of an executor result — shares one [names] array, its
+    schema, which the kernel that built the rows returned beside them, so
+    a row costs its values array and nothing more. Code that resolves
+    columns by name does so once per schema, never per row. A column name
+    may repeat (a join of two rows binding the same name); lookups find
+    its first slot. *)
 
-type t = private { names : string array; vals : Nrc.Value.t array }
-
-val make : string array -> Nrc.Value.t array -> t
-(** The row with these columns; [names] is shared, not copied.
-    @raise Invalid_argument when the lengths differ. *)
+type t = Nrc.Value.t array
 
 val empty : t
 (** The row with no columns; statically allocated, so it is the filler of
@@ -33,28 +31,12 @@ val array_of_list : 'a -> 'a list -> 'a array
 (** [Array.of_list] on an array first made from [filler], as
     {!array_init}. *)
 
-val get : t -> string -> Nrc.Value.t
-(** @raise Invalid_argument on missing columns. *)
-
 val slot : string array -> string -> int option
 (** The first position of a column in a schema. *)
 
-val schema : string array -> string array
-(** The one shared array holding these names: equal schemas interned
-    here are physically equal, across kernel calls, partitions and
-    domains. Every names array a kernel builds goes through it once —
-    per call, or per schema it derives — never per row; the result must
-    never be mutated. Thread-safe (a mutex around a weak set, so a schema
-    that no row holds any more is collected). *)
-
-val by_schema : (string array -> 'a) -> t -> 'a
-(** [by_schema derive] memoises [derive] on the schema of the rows it is
-    applied to: it derives again only when a row's [names] is not
-    physically the last one seen. Since kernels intern their schemas
-    ({!schema}), rows of one partition that different tasks built share
-    one [names] array, so a shuffled partition switches schema no more
-    often than its content does. The memo is mutable: create one per
-    kernel call and never share it across domains. *)
+val get : string array -> t -> string -> Nrc.Value.t
+(** [get names row col]: the column [col] of [row] over the schema [names].
+    @raise Invalid_argument on missing columns. *)
 
 val column_bytes : Nrc.Value.t -> int
 (** One column holding the value: 8 bytes plus {!Nrc.Value.byte_size}. *)
@@ -64,4 +46,5 @@ val byte_size : t -> int
     built by appending columns or joining rows is sized from its parts.
     Used by the executor's shuffle and memory accounting. *)
 
-val pp : Format.formatter -> t -> unit
+val pp : string array -> Format.formatter -> t -> unit
+(** [pp names]: a row over the schema [names]. *)

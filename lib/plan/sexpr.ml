@@ -1,5 +1,6 @@
 (** Scalar expressions evaluated per row inside plan operators (selections,
-    projections, join keys, nest keys and aggregands).
+    projections, join keys, nest keys and aggregands). Each compiles over
+    a schema, which resolves every column to its slot once.
 
     Null semantics mirror the paper's outer operators: projecting a field of
     a Null tuple yields Null; any primitive or comparison with a Null operand
@@ -22,56 +23,72 @@ type t =
 let col c = Col [ c ]
 let path c fields = Col (c :: fields)
 
-(* [e] over rows of the schema [names]: each column is resolved to its slot
-   here, once, so the closure reads values by position *)
-let rec specialize names (e : t) : Nrc.Value.t array -> Nrc.Value.t =
-  let spec = specialize names in
+(* the first pair named [n] in [vfields], as [Value.field] finds it *)
+let rec find_pair n = function
+  | ((m, _) as pair) :: _ when String.equal m n -> pair
+  | _ :: more -> find_pair n more
+  | [] -> invalid_arg (Printf.sprintf "Value.field: no attribute %S in tuple" n)
+
+(* the pairs of [names] in [vfields], in order *)
+let rec pairs names vfields =
+  match names with
+  | [] -> []
+  | n :: rest ->
+    let pair = find_pair n vfields in
+    pair :: pairs rest vfields
+
+(* [e] over environments whose columns [column] resolves — here, once —
+   to their readers *)
+let rec specialize (column : string -> ('a -> Nrc.Value.t) option) (e : t) :
+    'a -> Nrc.Value.t =
+  let spec = specialize column in
   match e with
   | Col [] -> invalid_arg "Sexpr.compile: empty path"
   | Col (c :: fields) -> (
-    match Row.slot names c, fields with
+    match column c, fields with
     | None, _ -> invalid_arg (Printf.sprintf "Sexpr.compile: no column %S" c)
-    | Some i, [] -> fun vals -> vals.(i)
+    | Some read, [] -> read
     (* [Value.field] passes Null through *)
-    | Some i, _ -> fun vals -> List.fold_left Nrc.Value.field vals.(i) fields)
+    | Some read, [ f ] -> fun env -> Nrc.Value.field (read env) f
+    | Some read, _ -> fun env -> List.fold_left Nrc.Value.field (read env) fields)
   | Const v -> fun _ -> v
   | Prim (op, a, b) ->
     let a = spec a and b = spec b in
-    fun vals -> (
-      match a vals, b vals with
+    fun env -> (
+      match a env, b env with
       | Nrc.Value.Null, _ | _, Nrc.Value.Null -> Nrc.Value.Null
       | va, vb -> Nrc.Eval.eval_prim op va vb)
   | Cmp (op, a, b) ->
     let a = spec a and b = spec b in
-    fun vals -> (
-      match a vals, b vals with
+    fun env -> (
+      match a env, b env with
       | Nrc.Value.Null, _ | _, Nrc.Value.Null -> Nrc.Value.Null
       | va, vb -> Nrc.Eval.eval_cmp op va vb)
   | Logic (op, a, b) ->
     let a = spec a and b = spec b in
-    fun vals -> (
-      match a vals, b vals with
+    fun env -> (
+      match a env, b env with
       | Nrc.Value.Null, _ | _, Nrc.Value.Null -> Nrc.Value.Null
       | Nrc.Value.Bool x, Nrc.Value.Bool y ->
         Nrc.Value.of_bool (match op with Nrc.Expr.And -> x && y | Nrc.Expr.Or -> x || y)
       | _ -> invalid_arg "Sexpr.compile: logic on non-boolean")
   | Not a ->
     let a = spec a in
-    fun vals -> (
-      match a vals with
+    fun env -> (
+      match a env with
       | Nrc.Value.Null -> Nrc.Value.Null
       | Nrc.Value.Bool b -> Nrc.Value.of_bool (not b)
       | _ -> invalid_arg "Sexpr.compile: not on non-boolean")
   | IsNull a ->
     let a = spec a in
-    fun vals -> Nrc.Value.of_bool (Nrc.Value.is_null (a vals))
+    fun env -> Nrc.Value.of_bool (Nrc.Value.is_null (a env))
   | MkLabel { site; args } ->
     let args = List.map spec args in
-    fun vals -> Nrc.Value.Label { site; args = List.map (fun a -> a vals) args }
+    fun env -> Nrc.Value.Label { site; args = List.map (fun a -> a env) args }
   | LabelArg (a, i) -> (
     let a = spec a in
-    fun vals ->
-      match a vals with
+    fun env ->
+      match a env with
       | Nrc.Value.Null -> Nrc.Value.Null
       | Nrc.Value.Label { args; _ } -> (
         (* out-of-bounds yields Null: rows from a foreign-site label are
@@ -83,35 +100,60 @@ let rec specialize names (e : t) : Nrc.Value.t array -> Nrc.Value.t =
              (Nrc.Value.to_string v)))
   | IsLabelSite (a, site) -> (
     let a = spec a in
-    fun vals ->
-      match a vals with
+    fun env ->
+      match a env with
       | Nrc.Value.Null -> Nrc.Value.Null
       | Nrc.Value.Label { site = s; _ } -> Nrc.Value.of_bool (s = site)
       | _ -> Nrc.Value.of_bool false)
-  | MkTuple fields ->
-    let fields = List.map (fun (n, x) -> (n, spec x)) fields in
-    fun vals -> Nrc.Value.Tuple (List.map (fun (n, x) -> (n, x vals)) fields)
+  | MkTuple ((_, Col [ c; _ ]) :: _ as fields) when narrows c fields -> (
+    (* a narrowing of the tuple in [c] keeps that tuple's fields *)
+    let whole = tuple (List.map (fun (n, x) -> (n, spec x)) fields) and read = spec (Col [ c ]) in
+    let names = List.map fst fields in
+    fun env ->
+      match read env with Nrc.Value.Tuple vfields -> Nrc.Value.Tuple (pairs names vfields) | _ -> whole env)
+  | MkTuple fields -> tuple (List.map (fun (n, x) -> (n, spec x)) fields)
 
-let compile e =
-  let spec = Row.by_schema (fun names -> specialize names e) in
-  fun (row : Row.t) -> spec row row.vals
+and tuple fields env = Nrc.Value.Tuple (List.map (fun (n, x) -> (n, x env)) fields)
 
-type reader = Nrc.Value.t array -> Nrc.Value.t
+(* every field is [n := c.n] *)
+and narrows c =
+  List.for_all (function n, Col [ c'; f ] -> String.equal c c' && String.equal n f | _ -> false)
 
-let compile_vec es =
-  let es = Array.of_list es in
-  Row.by_schema (fun names -> Array.map (specialize names) es)
 
-(** Truthiness for selections: Null counts as false (outer-join semantics). *)
-let compile_pred e =
-  let f = compile e in
-  fun row ->
-    match f row with
-    | Nrc.Value.Bool b -> b
-    | Nrc.Value.Null -> false
-    | v ->
-      invalid_arg
-        (Printf.sprintf "Sexpr.compile_pred: non-boolean %s" (Nrc.Value.to_string v))
+type reader = Row.t -> Nrc.Value.t
+
+(* a column of one row, by its slot in [names] *)
+let in_row names c = Option.map (fun i (row : Row.t) -> row.(i)) (Row.slot names c)
+
+let compile names e : reader = specialize (in_row names) e
+let compile_vec names es = Array.of_list (List.map (compile names) es)
+
+(* Truthiness for selections: Null counts as false (outer-join semantics). *)
+let truth = function
+  | Nrc.Value.Bool b -> b
+  | Nrc.Value.Null -> false
+  | v ->
+    invalid_arg
+      (Printf.sprintf "Sexpr.compile_pred: non-boolean %s" (Nrc.Value.to_string v))
+
+let compile_pred names e =
+  let f = compile names e in
+  fun row -> truth (f row)
+
+type pair = { mutable left : Row.t; mutable right : Row.t }
+
+let pair () = { left = Row.empty; right = Row.empty }
+
+(* a column of the joined row: the left side's first, as in the schema
+   [lnames] followed by [rnames] *)
+let compile_pair lnames rnames e =
+  specialize
+    (fun c ->
+      match Row.slot lnames c, Row.slot rnames c with
+      | Some i, _ -> Some (fun p -> p.left.(i))
+      | None, Some i -> Some (fun p -> p.right.(i))
+      | None, None -> None)
+    e
 
 (** (column, field path) of every column reference (for pushdown
     analyses). *)

@@ -2,11 +2,11 @@
     projections, join keys, nest keys and aggregands).
 
     An expression runs only compiled: {!compile} turns it into a closure
-    over rows that resolves each column to its slot once per row schema
-    ({!Row.by_schema}) and then reads values by position; {!compile_vec}
-    does so for a list of expressions at once (a row's key vector). A kernel compiles
-    its expressions once per call; a compiled closure holds a mutable memo,
-    so it is never shared between pool tasks.
+    over the rows of one schema that reads values by position; a kernel
+    compiles its expressions once per operator, over its input's schema,
+    and shares the closures with every partition. A tuple built only of
+    fields [n := c.n] of one column [c] keeps the pairs of the tuple in
+    [c], allocating just the list that holds them.
 
     Null semantics mirror the paper's outer operators: projecting through a
     Null tuple yields Null; primitives and comparisons with a Null operand
@@ -31,26 +31,36 @@ type t =
 val col : string -> t
 val path : string -> string list -> t
 
-val compile : t -> Row.t -> Nrc.Value.t
-(** [compile e] is [e]'s evaluator. Partially apply it once and run the
-    result over many rows.
-    @raise Invalid_argument when applied to a row lacking a column of [e]. *)
+type reader = Row.t -> Nrc.Value.t
 
-type reader = Nrc.Value.t array -> Nrc.Value.t
-(** An expression specialized to one schema: it reads a row's [vals] by
-    position. *)
+val compile : string array -> t -> reader
+(** [compile names e] is [e]'s evaluator over rows of the schema [names]:
+    each column is resolved to its slot here, once, so the reader reads
+    values by position and checks nothing per row. Readers hold no state,
+    so one compile serves every partition and pool task.
+    @raise Invalid_argument when [names] lacks a column of [e]. *)
 
-val compile_vec : t list -> Row.t -> reader array
-(** [compile_vec es] resolves all of [es] at once: applied to a row, it
-    returns their readers for the row's schema, position by position, at
-    the cost of one {!Row.by_schema} check — not one per expression, as
-    separate {!compile}s would pay. Apply reader [i] to the row's [vals]
-    to evaluate [es]'s [i]-th expression, and only those a caller needs.
-    Partially apply it once per kernel call, as {!compile}.
-    @raise Invalid_argument when applied to a row lacking a column. *)
+val compile_vec : string array -> t list -> reader array
+(** {!compile} of each expression, position by position (a key vector). *)
 
-val compile_pred : t -> Row.t -> bool
-(** {!compile} with truthiness for selections: Null counts as false. *)
+val truth : Nrc.Value.t -> bool
+(** Truthiness for selections: Null counts as false.
+    @raise Invalid_argument on a non-boolean. *)
+
+val compile_pred : string array -> t -> Row.t -> bool
+(** {!compile} with {!truth}. *)
+
+type pair = { mutable left : Row.t; mutable right : Row.t }
+(** The two sides of a joined row, not joined. *)
+
+val pair : unit -> pair
+(** A pair holding two empty rows; one per task, refilled per match. *)
+
+val compile_pair : string array -> string array -> t -> pair -> Nrc.Value.t
+(** [compile_pair lnames rnames e]: [e] over the row joining a left row of
+    [lnames] to a right row of [rnames] — the schema [lnames] followed by
+    [rnames] — read from its two sides, so no joined row is built.
+    @raise Invalid_argument when both lack a column of [e]. *)
 
 val uses : t -> (string * string list) list
 (** (column, field path) of every column reference, in order (for pushdown

@@ -118,25 +118,6 @@ let test_recommendation_matches_simulator () =
   (* the estimator must rank correctly on a clear majority of the cells *)
   check "recommendation agrees on most cells" true (!agree * 3 >= !total * 2)
 
-let test_run_auto () =
-  let prog =
-    Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" Fixtures.example1
-  in
-  let rec_, run =
-    Trance.Cost.run_auto
-      ~config:{ Trance.Api.default_config with cluster = Exec.Config.unbounded }
-      prog Fixtures.inputs_val
-  in
-  check "auto run succeeds" true (run.Trance.Api.failure = None);
-  check "auto result correct" true
-    (V.approx_bag_equal
-       (Option.get run.Trance.Api.value)
-       (Fixtures.eval_ref Fixtures.example1));
-  check "strategy follows recommendation" true
-    (match rec_.Trance.Cost.pick with
-    | `Shredded -> run.Trance.Api.strategy = "Shred+Unshred"
-    | `Standard -> run.Trance.Api.strategy = "Standard")
-
 let test_recommend_shape () =
   let prog =
     Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" Fixtures.example1
@@ -162,6 +143,5 @@ let () =
           Alcotest.test_case "matches simulator ranking" `Slow
             test_recommendation_matches_simulator;
           Alcotest.test_case "shape" `Quick test_recommend_shape;
-          Alcotest.test_case "cost-based execution" `Quick test_run_auto;
         ] );
     ]

@@ -460,6 +460,56 @@ let test_bag_keyed_plans () =
         configs)
     bag_keyed_cases
 
+(* A union's right side takes the left side's columns as the rows hold
+   them. The left branch here unnests a bag column and drops it, so its
+   rows lack a column that [Op.columns] still lists, and that the right
+   branch supplies; above them, a projection reads the common columns. *)
+let test_union_over_dropping_unnest () =
+  let item a = V.Tuple [ ("a", V.Int a) ] in
+  let inputs =
+    [ ( "N",
+        V.Bag
+          [ V.Tuple [ ("k", V.Int 1); ("items", V.Bag [ item 10; item 11 ]) ];
+            V.Tuple [ ("k", V.Int 2); ("items", V.Bag []) ];
+            V.Tuple [ ("k", V.Int 3); ("items", V.Bag [ item 30 ]) ] ] );
+      ("M", V.Bag [ V.Tuple [ ("k", V.Int 4); ("a", V.Int 40) ]; V.Tuple [ ("k", V.Int 5); ("a", V.Int 50) ] ]) ]
+  in
+  let q =
+    B.(
+      for_ "n" (input "N") (fun n ->
+          for_ "i" (n #. "items") (fun i -> sng (record [ ("k", n #. "k"); ("a", i #. "a") ])))
+      ++ for_ "m" (input "M") (fun m -> sng (record [ ("k", m #. "k"); ("a", m #. "a") ])))
+  in
+  let scan input binder = Op.Scan { input; binder } in
+  let left =
+    Op.Unnest
+      { input = Op.Project ([ ("xs", S.path "n" [ "items" ]); ("k", S.path "n" [ "k" ]) ], scan "N" "n");
+        path = [ "xs" ]; binder = "i"; outer = false; drop = true }
+  and right =
+    Op.Project
+      ( [ ("xs", S.Const (V.Bag [])); ("k", S.path "m" [ "k" ]); ("i", S.MkTuple [ ("a", S.path "m" [ "a" ]) ]) ],
+        scan "M" "m" )
+  in
+  let plan = Op.Project ([ ("k", S.Col [ "k" ]); ("a", S.path "i" [ "a" ]) ], Op.UnionAll (left, right)) in
+  check "the left side drops a column its plan columns list" true
+    (List.mem "xs" (Op.columns left)
+    && not (Array.mem "xs" (fst (Plan.Local_eval.eval (Plan.Local_eval.env_of_list inputs) left))));
+  let expected = Nrc.Eval.eval (Nrc.Eval.env_of_list inputs) q in
+  Fixtures.check_bag_equal "local" expected
+    (Plan.Local_eval.eval_to_bag (Plan.Local_eval.env_of_list inputs) plan);
+  List.iter
+    (fun (cname, config) ->
+      let env =
+        Exec.Executor.env_of_list
+          (List.map
+             (fun (n, v) -> (n, Exec.Dataset.of_bag ~partitions:config.Exec.Config.partitions v))
+             inputs)
+      in
+      Fixtures.check_bag_equal ("executor, " ^ cname) expected
+        (Exec.Dataset.to_bag
+           (Exec.Executor.run_plan ~config ~stats:(Exec.Stats.create ()) env plan)))
+    [ ("7 partitions", cluster); ("1 partition", { cluster with partitions = 1; workers = 1 }) ]
+
 (* A source program cannot key on a bag (Figure 1 keeps comparisons,
    dedup and grouping keys flat): every route rejects these queries when
    compiling, before any of them could observe bag order. *)
@@ -1312,6 +1362,8 @@ let () =
         [
           Alcotest.test_case "plans keyed by bags agree with Nrc.Eval" `Quick
             test_bag_keyed_plans;
+          Alcotest.test_case "a union over a dropping unnest agrees with Nrc.Eval" `Quick
+            test_union_over_dropping_unnest;
           Alcotest.test_case "source programs cannot key on bags" `Quick
             test_bag_keyed_source_rejected;
           Alcotest.test_case "compile errors fail typed, every route" `Quick

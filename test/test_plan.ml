@@ -14,49 +14,56 @@ module Row = Plan.Row
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let eval_op ?(env = []) op =
-  Array.to_list (Plan.Local_eval.eval (Plan.Local_eval.env_of_list env) op)
+(* a row with its schema *)
+type named = string array * Row.t
 
+let eval_op ?(env = []) op : named list =
+  let names, rows = Plan.Local_eval.eval (Plan.Local_eval.env_of_list env) op in
+  List.map (fun row -> (names, row)) (Array.to_list rows)
+
+let get ((names, row) : named) c = Row.get names row c
 let tup fields = V.Tuple fields
 
 (* a row from (column, value) pairs, with a schema of its own *)
-let row_of fields =
-  Row.make (Array.of_list (List.map fst fields)) (Array.of_list (List.map snd fields))
+let row_of fields : named =
+  (Array.of_list (List.map fst fields), Array.of_list (List.map snd fields))
 
-let fields_of (row : Row.t) = Array.to_list (Array.map2 (fun c v -> (c, v)) row.names row.vals)
+let fields_of ((names, row) : named) = Array.to_list (Array.map2 (fun c v -> (c, v)) names row)
+let compile e ((names, row) : named) = S.compile names e row
+let compile_pred e ((names, row) : named) = S.compile_pred names e row
 
 (* ------------------------------------------------------------------ *)
 (* Scalar expressions *)
 
 let test_sexpr_nulls () =
   let row = row_of [ ("x", V.Null); ("y", V.Int 3) ] in
-  check "proj through null" true (V.is_null (S.compile (S.path "x" [ "a" ]) row));
+  check "proj through null" true (V.is_null (compile (S.path "x" [ "a" ]) row));
   check "prim with null" true
-    (V.is_null (S.compile (S.Prim (Nrc.Expr.Add, S.col "x", S.col "y")) row));
+    (V.is_null (compile (S.Prim (Nrc.Expr.Add, S.col "x", S.col "y")) row));
   check "cmp with null" true
-    (V.is_null (S.compile (S.Cmp (Nrc.Expr.Eq, S.col "x", S.col "y")) row));
+    (V.is_null (compile (S.Cmp (Nrc.Expr.Eq, S.col "x", S.col "y")) row));
   check "pred: null is false" false
-    (S.compile_pred (S.Cmp (Nrc.Expr.Eq, S.col "x", S.col "y")) row);
+    (compile_pred (S.Cmp (Nrc.Expr.Eq, S.col "x", S.col "y")) row);
   check "isnull" true
-    (V.equal (S.compile (S.IsNull (S.col "x")) row) (V.Bool true));
+    (V.equal (compile (S.IsNull (S.col "x")) row) (V.Bool true));
   check "not null" true
-    (V.is_null (S.compile (S.Not (S.IsNull (S.col "y")) |> fun e -> S.Logic (Nrc.Expr.And, e, S.col "x")) row))
+    (V.is_null (compile (S.Not (S.IsNull (S.col "y")) |> fun e -> S.Logic (Nrc.Expr.And, e, S.col "x")) row))
 
 let test_sexpr_labels () =
   let row = row_of [ ("k", V.Int 7); ("s", V.Str "x") ] in
   let lbl = S.MkLabel { site = 3; args = [ S.col "k"; S.col "s" ] } in
-  let v = S.compile lbl row in
+  let v = compile lbl row in
   (match v with
   | V.Label { site = 3; args = [ V.Int 7; V.Str "x" ] } -> ()
   | _ -> Alcotest.failf "bad label %a" V.pp v);
   let row2 = row_of [ ("l", v) ] in
-  check "label arg" true (V.equal (S.compile (S.LabelArg (S.col "l", 0)) row2) (V.Int 7));
+  check "label arg" true (V.equal (compile (S.LabelArg (S.col "l", 0)) row2) (V.Int 7));
   check "label arg out of range is null" true
-    (V.is_null (S.compile (S.LabelArg (S.col "l", 5)) row2));
+    (V.is_null (compile (S.LabelArg (S.col "l", 5)) row2));
   check "site check" true
-    (V.equal (S.compile (S.IsLabelSite (S.col "l", 3)) row2) (V.Bool true));
+    (V.equal (compile (S.IsLabelSite (S.col "l", 3)) row2) (V.Bool true));
   check "site mismatch" true
-    (V.equal (S.compile (S.IsLabelSite (S.col "l", 4)) row2) (V.Bool false));
+    (V.equal (compile (S.IsLabelSite (S.col "l", 4)) row2) (V.Bool false));
   check "cols_used" true
     (List.sort compare (S.cols_used lbl) = [ "k"; "s" ])
 
@@ -78,9 +85,9 @@ let test_outer_join () =
   in
   let rows = eval_op ~env:[ rbag "L" left; rbag "R" right ] plan in
   check_int "two rows" 2 (List.length rows);
-  let unmatched = List.find (fun r -> V.is_null (Row.get r "r")) rows in
+  let unmatched = List.find (fun r -> V.is_null (get r "r")) rows in
   check "left side kept" true
-    (V.equal (Row.get unmatched "l") (tup [ ("k", V.Int 2) ]));
+    (V.equal (get unmatched "l") (tup [ ("k", V.Int 2) ]));
   (* null keys never match *)
   let rows2 =
     eval_op
@@ -93,7 +100,7 @@ let test_outer_join () =
            kind = Op.LeftOuter })
   in
   check "null key padded, not joined" true
-    (List.for_all (fun r -> V.is_null (Row.get r "r")) rows2)
+    (List.for_all (fun r -> V.is_null (get r "r")) rows2)
 
 let test_unnest_variants () =
   let data =
@@ -114,12 +121,12 @@ let test_unnest_variants () =
   let orows = eval_op ~env:[ rbag "N" data ] outer in
   check_int "outer keeps empty" 3 (List.length orows);
   check_int "one null binder" 1
-    (List.length (List.filter (fun r -> V.is_null (Row.get r "i")) orows));
+    (List.length (List.filter (fun r -> V.is_null (get r "i")) orows));
   (* drop removes the consumed attribute from the source column *)
   let drows = eval_op ~env:[ rbag "N" data ] dropping in
   List.iter
     (fun r ->
-      match Row.get r "n" with
+      match get r "n" with
       | V.Tuple fields -> check "items dropped" false (List.mem_assoc "items" fields)
       | _ -> Alcotest.fail "not a tuple")
     drows
@@ -141,11 +148,11 @@ let test_nest_bag_presence () =
   in
   let out = eval_op ~env:[ rbag "T" rows ] plan in
   check_int "both groups appear" 2 (List.length out);
-  let g2 = List.find (fun r -> V.equal (Row.get r "g") (V.Int 2)) out in
-  check "absent rows give empty bag" true (V.equal (Row.get g2 "xs") (V.Bag []));
-  let g1 = List.find (fun r -> V.equal (Row.get r "g") (V.Int 1)) out in
+  let g2 = List.find (fun r -> V.equal (get r "g") (V.Int 2)) out in
+  check "absent rows give empty bag" true (V.equal (get g2 "xs") (V.Bag []));
+  let g1 = List.find (fun r -> V.equal (get r "g") (V.Int 1)) out in
   check "present rows contribute" true
-    (V.bag_equal (Row.get g1 "xs") (V.Bag [ V.Int 10 ]))
+    (V.bag_equal (get g1 "xs") (V.Bag [ V.Int 10 ]))
 
 let test_nest_sum_placeholders () =
   (* keys + agg_keys: a G-group with no present rows emits one placeholder
@@ -168,11 +175,11 @@ let test_nest_sum_placeholders () =
       (plan (S.Not (S.IsNull (S.path "t" [ "k" ]))))
   in
   check_int "two output rows" 2 (List.length out);
-  let g1 = List.find (fun r -> V.equal (Row.get r "g") (V.Int 1)) out in
-  check "sum over present" true (V.equal (Row.get g1 "total") (V.Int 12));
-  let g2 = List.find (fun r -> V.equal (Row.get r "g") (V.Int 2)) out in
-  check "placeholder agg key is null" true (V.is_null (Row.get g2 "k"));
-  check "placeholder sum is zero" true (V.equal (Row.get g2 "total") (V.Int 0));
+  let g1 = List.find (fun r -> V.equal (get r "g") (V.Int 1)) out in
+  check "sum over present" true (V.equal (get g1 "total") (V.Int 12));
+  let g2 = List.find (fun r -> V.equal (get r "g") (V.Int 2)) out in
+  check "placeholder agg key is null" true (V.is_null (get g2 "k"));
+  check "placeholder sum is zero" true (V.equal (get g2 "total") (V.Int 0));
   (* with keys = [] there are no placeholders *)
   let global =
     Op.NestSum
@@ -196,8 +203,8 @@ let test_union_alignment () =
   let rows = eval_op plan in
   check_int "two rows" 2 (List.length rows);
   List.iter
-    (fun (r : Row.t) ->
-      check "columns ordered as the left side" true (r.names = [| "a"; "b" |]))
+    (fun ((names, _) : named) ->
+      check "columns ordered as the left side" true (names = [| "a"; "b" |]))
     rows
 
 let test_dedup_rows () =
@@ -337,7 +344,7 @@ let rec gen_value depth =
             map (fun vs -> V.Bag vs) (list_size (int_bound 4) sub);
           ]))
 
-let gen_row : Row.t QCheck.Gen.t =
+let gen_row : named QCheck.Gen.t =
   QCheck.Gen.(
     map
       (fun vs -> row_of (List.mapi (fun i v -> (Printf.sprintf "c%d" i, v)) vs))
@@ -346,7 +353,8 @@ let gen_row : Row.t QCheck.Gen.t =
 (* the row with columns appended *)
 let append row cols = row_of (fields_of row @ cols)
 
-let print_row = Fmt.to_to_string Row.pp
+let print_row ((names, row) : named) = Fmt.to_to_string (Row.pp names) row
+let byte_size ((_, row) : named) = Row.byte_size row
 
 let prop_append_column =
   QCheck.Test.make ~name:"appending a column adds 8 + its value's size"
@@ -355,8 +363,8 @@ let prop_append_column =
        ~print:(fun (row, v) -> print_row row ^ " + " ^ V.to_string v)
        QCheck.Gen.(pair gen_row (gen_value 3)))
     (fun (row, v) ->
-      Row.byte_size (append row [ ("new", v) ])
-      = Row.byte_size row + 8 + V.byte_size v)
+      byte_size (append row [ ("new", v) ])
+      = byte_size row + 8 + V.byte_size v)
 
 let prop_index_column =
   QCheck.Test.make ~name:"an index column adds 16" ~count:(Fixtures.qcheck_count 300)
@@ -364,7 +372,7 @@ let prop_index_column =
        ~print:(fun (row, i) -> print_row row ^ Printf.sprintf " + %d" i)
        QCheck.Gen.(pair gen_row (oneof [ int; return min_int; return max_int ])))
     (fun (row, i) ->
-      Row.byte_size (append row [ ("id", V.Int i) ]) = Row.byte_size row + 16)
+      byte_size (append row [ ("id", V.Int i) ]) = byte_size row + 16)
 
 let prop_join_rows =
   QCheck.Test.make ~name:"a joined row is the sum of its sides" ~count:(Fixtures.qcheck_count 300)
@@ -372,7 +380,7 @@ let prop_join_rows =
        ~print:(fun (a, b) -> print_row a ^ " @ " ^ print_row b)
        QCheck.Gen.(pair gen_row gen_row))
     (fun (a, b) ->
-      Row.byte_size (append a (fields_of b)) = Row.byte_size a + Row.byte_size b)
+      byte_size (append a (fields_of b)) = byte_size a + byte_size b)
 
 (* ------------------------------------------------------------------ *)
 (* The kernel size contract. Rows travel with their sizes and the
@@ -415,80 +423,92 @@ let right_names = [| "rk"; "w" |]
 let gen_left_row =
   QCheck.Gen.(
     map
-      (fun (k, b, t, n, v) ->
-        Row.make left_names [| k; b; V.Tuple [ ("items", t); ("f", v) ]; n; v |])
+      (fun (k, b, t, n, v) -> [| k; b; V.Tuple [ ("items", t); ("f", v) ]; n; v |])
       (tup5 gen_key gen_bag gen_bag gen_num (gen_value 2)))
 
-let gen_right_row =
-  QCheck.Gen.(map2 (fun k w -> Row.make right_names [| k; w |]) gen_key (gen_value 2))
+let gen_right_row = QCheck.Gen.(map2 (fun k w -> [| k; w |]) gen_key (gen_value 2))
 
 let arbitrary_kernel_input =
-  let print_rows rows = String.concat "\n" (List.map print_row (Array.to_list rows)) in
+  let print_rows names rows =
+    String.concat "\n" (List.map (fun row -> print_row (names, row)) (Array.to_list rows))
+  in
   QCheck.make
     ~print:(fun (l, r, cut) ->
-      Printf.sprintf "left:\n%s\nright:\n%s\nsplit at %d" (print_rows l)
-        (print_rows r) cut)
+      Printf.sprintf "left:\n%s\nright:\n%s\nsplit at %d" (print_rows left_names l)
+        (print_rows right_names r) cut)
     QCheck.Gen.(
       let* l = array_size (int_bound 12) gen_left_row in
       let* r = array_size (int_bound 8) gen_right_row in
       let* cut = int_bound (Array.length l) in
       return (l, r, cut))
 
-(* the kernels that work row by row, over a fixed build side *)
-let row_kernels rrows =
-  let index = K.index [ col "rk" ] (K.sized rrows) in
-  let join kind = K.join ~lkey:[ col "k" ] ~kind ~rcols:[ "rk"; "w" ] index in
+(* the kernels that work row by row, over a fixed build side, applied to
+   the two sides' schemas: (name, (output schema, partition function)) *)
+let row_kernels ?(lnames = left_names) ?(rnames = right_names) rrows =
+  let index = K.index [ col "rk" ] rnames (K.sized rrows) in
+  let join kind =
+    let names, join = K.join ~lkey:[ col "k" ] ~kind lnames rnames in
+    (names, join index)
+  in
   [
-    ("select", K.select (S.Not (S.IsNull (col "v"))));
-    ("project", K.project [ ("k", col "k"); ("x", S.MkTuple [ ("v", col "v") ]) ]);
-    ("project whole columns", K.project [ ("v", col "v"); ("k2", col "k"); ("k", col "k") ]);
+    ("select", K.select (S.Not (S.IsNull (col "v"))) lnames);
+    ("project", K.project [ ("k", col "k"); ("x", S.MkTuple [ ("v", col "v") ]) ] lnames);
+    ("project whole columns", K.project [ ("v", col "v"); ("k2", col "k"); ("k", col "k") ] lnames);
     ("project narrowing a tuple",
-      K.project [ ("k", col "k"); ("t", S.MkTuple [ ("g", S.path "t" [ "f" ]) ]) ]);
+      K.project [ ("k", col "k"); ("t", S.MkTuple [ ("g", S.path "t" [ "f" ]) ]) ] lnames);
     ("join", join Op.Inner);
     ("left-outer join", join Op.LeftOuter);
-    ("unnest", K.unnest ~path:[ "b" ] ~binder:"i" ~outer:false ~drop:false);
-    ("outer unnest, drop", K.unnest ~path:[ "b" ] ~binder:"i" ~outer:true ~drop:true);
+    ("unnest", K.unnest ~path:[ "b" ] ~binder:"i" ~outer:false ~drop:false lnames);
+    ("outer unnest, drop", K.unnest ~path:[ "b" ] ~binder:"i" ~outer:true ~drop:true lnames);
     ("unnest a field, drop",
-      K.unnest ~path:[ "t"; "items" ] ~binder:"i" ~outer:true ~drop:true);
-    ("align", K.align [ "v"; "k"; "missing" ]);
+      K.unnest ~path:[ "t"; "items" ] ~binder:"i" ~outer:true ~drop:true lnames);
+    ("align", K.align [| "v"; "k"; "missing" |] lnames);
   ]
 
-let all_kernels rrows =
-  let index = K.index [ col "rk" ] (K.sized rrows) in
-  let heavy = K.KeyTbl.create 4 in
-  List.iter (fun k -> K.KeyTbl.replace heavy [| k |] ()) [ V.Int 1; V.Bag [ V.Int 1; V.Int 2 ] ];
-  let split rows = K.split_by_keys [ col "k" ] heavy rows in
+let all_kernels ?(lnames = left_names) ?(rnames = right_names) rrows =
+  let index = K.index [ col "rk" ] rnames (K.sized rrows) in
+  (* the keys [1] and [{1, 2}], each sampled twice: heavy *)
+  let heavy =
+    let row k = Array.map (fun c -> if c = "k" then k else V.Null) lnames in
+    let sample = List.concat_map (fun k -> [ row k; row k ]) [ V.Int 1; V.Bag [ V.Int 1; V.Int 2 ] ] in
+    K.heavy_keys ~sample:4 ~threshold:0. [ col "k" ] lnames [| Array.of_list sample |]
+  in
+  let split = K.split_by_keys [ col "k" ] lnames heavy in
   let present = S.Not (S.IsNull (col "v")) in
-  row_kernels rrows
+  let applied (names, f) arg = (names, f arg) in
+  row_kernels ~lnames ~rnames rrows
   @ [
       ("cogroup",
-        K.cogroup ~lkey:[ col "k" ] ~kind:Op.LeftOuter ~rcols:[ "rk"; "w" ]
-          ~keys:[ ("k", col "k") ] ~item:(col "w")
-          ~presence:(S.Not (S.IsNull (col "w"))) ~out:"ws" index);
-      ("product", fun rows -> K.product rows (K.sized rrows));
-      ("dedup", K.dedup);
-      ("split, light side", fun rows -> fst (split rows));
-      ("split, heavy side", fun rows -> snd (split rows));
+        applied
+          (K.cogroup ~lkey:[ col "k" ] ~kind:Op.LeftOuter ~keys:[ ("k", col "k") ]
+             ~item:(col "w") ~presence:(S.Not (S.IsNull (col "w"))) ~out:"ws" lnames rnames)
+          index);
+      ("product",
+        let names, product = K.product lnames rnames in
+        (names, fun rows -> product rows (K.sized rrows)));
+      ("dedup", K.dedup lnames);
+      ("split, light side", (lnames, fun rows -> fst (split rows)));
+      ("split, heavy side", (lnames, fun rows -> snd (split rows)));
       ("nest_bag",
         K.nest_bag ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[] ~item:(col "v")
-          ~presence:present ~out:"vs");
+          ~presence:present ~out:"vs" lnames);
       ("nest_bag by key",
         K.nest_bag ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[ ("b", col "b") ]
-          ~item:(col "v") ~presence:present ~out:"vs");
+          ~item:(col "v") ~presence:present ~out:"vs" lnames);
       ("nest_bag of whole columns",
         K.nest_bag ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[]
           ~item:(S.MkTuple [ ("v", col "v"); ("n", col "n"); ("t", col "t") ])
-          ~presence:present ~out:"vs");
+          ~presence:present ~out:"vs" lnames);
       ("nest_bag of whole flat columns",
         K.nest_bag ~ids:Op.no_ids ~keys:[ ("v", col "v") ] ~agg_keys:[]
           ~item:(S.MkTuple [ ("b", col "b"); ("t", col "t") ])
-          ~presence:present ~out:"vs");
+          ~presence:present ~out:"vs" lnames);
       ("nest_sum",
         K.nest_sum ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[ ("b", col "b") ]
-          ~aggs:[ ("s", col "n") ] ~presence:present);
+          ~aggs:[ ("s", col "n") ] ~presence:present lnames);
       ("global nest_sum",
         K.nest_sum ~ids:Op.no_ids ~keys:[] ~agg_keys:[] ~aggs:[ ("s", col "n") ]
-          ~presence:present);
+          ~presence:present lnames);
     ]
 
 (* the first row whose carried size is not its size *)
@@ -507,19 +527,17 @@ let prop_kernel_sizes =
     ~count:(Fixtures.qcheck_count 300) arbitrary_kernel_input
     (fun (lrows, rrows, _) ->
       List.for_all
-        (fun (name, kernel) ->
+        (fun (name, (names, kernel)) ->
           let ((rows, sizes) as out) = kernel (K.sized lrows) in
           match wrong_size out with
           | None -> true
           | Some -1 -> QCheck.Test.fail_reportf "%s: row and size counts differ" name
           | Some i ->
             QCheck.Test.fail_reportf "%s: row %d %s carries %d, is %d" name i
-              (print_row rows.(i)) sizes.(i) (Row.byte_size rows.(i)))
+              (print_row (names, rows.(i))) sizes.(i) (Row.byte_size rows.(i)))
         (all_kernels rrows))
 
-let same_rows a b =
-  Array.length a = Array.length b
-  && Array.for_all2 (fun r s -> V.equal (V.Tuple (fields_of r)) (V.Tuple (fields_of s))) a b
+let same_rows a b = Array.length a = Array.length b && Array.for_all2 (Array.for_all2 V.equal) a b
 
 let prop_kernel_chunks =
   QCheck.Test.make
@@ -529,7 +547,7 @@ let prop_kernel_chunks =
       let a = Array.sub lrows 0 cut
       and b = Array.sub lrows cut (Array.length lrows - cut) in
       List.for_all
-        (fun (name, kernel) ->
+        (fun (name, (_, kernel)) ->
           let whole, wsizes = kernel (K.sized lrows) in
           let ra, sa = kernel (K.sized a) and rb, sb = kernel (K.sized b) in
           (same_rows whole (Array.append ra rb) && wsizes = Array.append sa sb)
@@ -537,58 +555,49 @@ let prop_kernel_chunks =
         (row_kernels rrows))
 
 (* ------------------------------------------------------------------ *)
-(* Schema switches. Kernels and compiled expressions resolve columns once
-   per row schema and reuse that work while the schema stays the same
-   ([Row.by_schema]), so an input whose rows switch between column orders
-   must still be read by name. Every kernel but dedup — whose row
-   equality includes column order — returns the same rows, compared by
-   column name, with the same size, as on the input in one order. *)
+(* Column order. Kernels and compiled expressions resolve columns by name,
+   once per schema, and then read by position, so inputs whose columns
+   come in another order must still be read by name. Every kernel but
+   dedup — whose row equality includes column order — returns the same
+   rows, compared by column name, with the same sizes, on both sides'
+   columns reversed as in their original order. *)
 
-let reversed names = Array.of_list (List.rev (Array.to_list names))
+let reversed a = Array.of_list (List.rev (Array.to_list a))
 let left_reversed = reversed left_names
 let right_reversed = reversed right_names
 
-(* the rows whose flag is set, their columns reversed over a shared schema *)
-let mix names flags rows =
-  Array.mapi
-    (fun i (row : Row.t) -> if flags.(i) then Row.make names (reversed row.vals) else row)
-    rows
+let by_name names row =
+  V.Tuple
+    (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) (fields_of (names, row)))
 
-let by_name row =
-  V.Tuple (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) (fields_of row))
-
-let same_by_name a b =
+let same_by_name (anames, a) (bnames, b) =
   Array.length a = Array.length b
-  && Array.for_all2 (fun r s -> V.equal (by_name r) (by_name s)) a b
+  && Array.for_all2 (fun r s -> V.equal (by_name anames r) (by_name bnames s)) a b
 
-(* left rows number at most 12, right rows at most 8 *)
-let arbitrary_mixed_input =
-  QCheck.pair arbitrary_kernel_input
-    (QCheck.array_of_size (QCheck.Gen.return 12) QCheck.bool)
-
-let prop_kernel_schema_switch =
-  QCheck.Test.make ~name:"kernels read inputs mixing two column orders by name"
-    ~count:(Fixtures.qcheck_count 300) arbitrary_mixed_input
-    (fun ((lrows, rrows, _), flags) ->
-      let mixed_r = mix right_reversed flags rrows in
-      let kernels rrows = List.filter (fun (name, _) -> name <> "dedup") (all_kernels rrows) in
+let prop_kernel_column_order =
+  QCheck.Test.make ~name:"kernels read inputs in any column order by name"
+    ~count:(Fixtures.qcheck_count 300) arbitrary_kernel_input
+    (fun (lrows, rrows, _) ->
+      let kernels ~lnames ~rnames rrows =
+        List.filter (fun (name, _) -> name <> "dedup") (all_kernels ~lnames ~rnames rrows)
+      in
       List.for_all2
-        (fun (name, uniform) (_, mixed) ->
+        (fun (name, (names, uniform)) (_, (rnames, reordered)) ->
           let rows, bytes = uniform (K.sized lrows)
-          and mrows, mbytes = mixed (K.sized (mix left_reversed flags lrows)) in
-          (same_by_name rows mrows && bytes = mbytes)
-          || QCheck.Test.fail_reportf "%s differs on mixed column orders" name)
-        (kernels rrows) (kernels mixed_r))
+          and rrows', rbytes = reordered (K.sized (Array.map reversed lrows)) in
+          (same_by_name (names, rows) (rnames, rrows') && bytes = rbytes)
+          || QCheck.Test.fail_reportf "%s differs on reversed columns" name)
+        (kernels ~lnames:left_names ~rnames:right_names rrows)
+        (kernels ~lnames:left_reversed ~rnames:right_reversed (Array.map reversed rrows)))
 
-let prop_compiled_schema_switch =
-  QCheck.Test.make ~name:"one compiled expression = a fresh compile per row, over mixed orders"
-    ~count:(Fixtures.qcheck_count 300) arbitrary_mixed_input
-    (fun ((lrows, _, _), flags) ->
-      let rows = mix left_reversed flags lrows in
+let prop_compiled_column_order =
+  QCheck.Test.make ~name:"one compiled expression reads by name, in any column order"
+    ~count:(Fixtures.qcheck_count 300) arbitrary_kernel_input
+    (fun (lrows, _, _) ->
       List.for_all
         (fun e ->
-          let compiled = S.compile e in
-          Array.for_all (fun row -> V.equal (compiled row) (S.compile e row)) rows
+          let compiled = S.compile left_names e and back = S.compile left_reversed e in
+          Array.for_all (fun row -> V.equal (compiled row) (back (reversed row))) lrows
           || QCheck.Test.fail_reportf "%s differs" (Fmt.to_to_string S.pp e))
         [ col "k"; col "v"; S.path "t" [ "items" ]; S.path "t" [ "f" ];
           S.MkTuple [ ("v", col "v"); ("k", col "k"); ("n", col "n") ];
@@ -597,20 +606,19 @@ let prop_compiled_schema_switch =
 
 (* ------------------------------------------------------------------ *)
 (* Allocation. Compiled column reads, null tests and comparisons run once
-   per row in every key, join and selection, so over rows of one schema
-   they allocate nothing per row: a field lookup builds no closure and a
-   boolean result is a shared constant. *)
+   per row in every key, join and selection, so they allocate nothing per
+   row: a field lookup builds no closure and a boolean result is a shared
+   constant. *)
 
 let test_compiled_allocation () =
   let n = 10_000 in
   let names = [| "t" |] in
   let rows =
-    Array.init n (fun i ->
-        Row.make names [| tup [ ("a", V.Int i); ("b", V.Int (i mod 3)); ("f", V.Str "x") ] |])
+    Array.init n (fun i -> [| tup [ ("a", V.Int i); ("b", V.Int (i mod 3)); ("f", V.Str "x") ] |])
   in
   List.iter
     (fun e ->
-      let f = S.compile e in
+      let f = S.compile names e in
       ignore (f rows.(0));
       let before = Gc.minor_words () in
       Array.iter (fun row -> ignore (Sys.opaque_identity (f row))) rows;
@@ -624,36 +632,45 @@ let test_compiled_allocation () =
    young initial value first when the array exceeds 256 words, emptying
    every domain's minor heap; every row or value array a kernel builds is
    seeded with a static filler instead ({!Row.array_init},
-   {!Row.array_of_list}). Each case builds its 1,000-row input right after
-   a collection, so the input is young, as a partition fresh from the
-   previous kernel is, and allocates far less than a minor heap. A major
-   cycle that ends mid-case also empties the minor heaps, so a case fails
-   only when three attempts in a row each saw a collection; a forced one
-   happens on every attempt. *)
+   {!Row.array_of_list}), and so is every array a key table, a nest's
+   group store or the input loader grows. Each case builds its 1,000-row
+   input right after a collection, so the input is young, as a partition
+   fresh from the previous kernel is, and allocates far less than a minor
+   heap. A major cycle that ends mid-case also empties the minor heaps,
+   so a case fails only when three attempts in a row each saw a
+   collection; a forced one happens on every attempt. The loader runs on
+   a two-lane pool spawned beforehand. *)
 let test_no_forced_minor () =
   let n = 1000 in
   let always = S.Const (V.Bool true) in
+  let names = [| "k"; "n"; "b" |] and rnames = [| "rk"; "r" |] in
   let rows () =
-    let names = [| "k"; "n"; "b" |] in
     K.sized
-      (Row.array_init Row.empty n (fun i ->
-           Row.make names [| V.Int (i mod 7); V.Int i; V.Bag [ V.Int i; V.Int (-i) ] |]))
+      (Row.array_init Row.empty n (fun i -> [| V.Int (i mod 7); V.Int i; V.Bag [ V.Int i; V.Int (-i) ] |]))
   in
-  let right () =
-    let names = [| "rk"; "r" |] in
-    Row.array_init Row.empty 7 (fun k -> Row.make names [| V.Int k; V.Str "r" |])
-  in
-  let join_args () = K.index [ col "rk" ] (K.sized (right ())) in
-  let lkey = [ col "k" ] and rcols = [ "rk"; "r" ] in
+  let right () = Row.array_init Row.empty 7 (fun k -> [| V.Int k; V.Str "r" |]) in
+  let join_args () = K.index [ col "rk" ] rnames (K.sized (right ())) in
+  let lkey = [ col "k" ] in
   let items () = List.init n (fun i -> tup [ ("k", V.Int (i mod 7)); ("n", V.Int i) ]) in
-  let heavy = K.KeyTbl.create 1 in
-  K.KeyTbl.replace heavy [| V.Int 0 |] ();
+  let nested () =
+    List.init n (fun i ->
+        tup [ ("k", V.Int i); ("xs", V.Bag (List.init (i mod 3) (fun j -> tup [ ("x", V.Int j) ]))) ])
+  in
+  let nested_ty =
+    Nrc.Types.(TBag (TTuple [ ("k", TScalar TInt); ("xs", TBag (TTuple [ ("x", TScalar TInt) ])) ]))
+  in
+  let heavy =
+    K.heavy_keys ~sample:2 ~threshold:0. [ col "k" ] names
+      [| [| [| V.Int 0; V.Null; V.Null |]; [| V.Int 0; V.Null; V.Null |] |] |]
+  in
+  let run (_, f) arg = ignore (f arg) in
   let collections kernel =
     Gc.minor ();
     let before = (Gc.quick_stat ()).Gc.minor_collections in
     kernel ();
     (Gc.quick_stat ()).Gc.minor_collections - before
   in
+  Exec.Pool.with_pool ~domains:2 @@ fun pool ->
   List.iter
     (fun (name, kernel) ->
       let rec attempt k =
@@ -663,34 +680,45 @@ let test_no_forced_minor () =
         | _ -> attempt (k + 1)
       in
       attempt 1)
-    [ ("scan", fun () -> ignore (K.scan ~binder:"x" (Row.array_init V.Null n (fun i -> V.Int i))));
-      ("add_index", fun () -> ignore (K.add_index ~col:"id" Fun.id (rows ())));
+    [ ("scan", fun () -> run (K.scan ~binder:"x") (Row.array_init V.Null n (fun i -> V.Int i)));
+      ("add_index", fun () -> ignore (snd (K.add_index ~col:"id" names) Fun.id (rows ())));
       ("join", fun () ->
-        ignore (K.join ~lkey ~kind:Op.Inner ~rcols (join_args ()) (rows ())));
+        ignore (snd (K.join ~lkey ~kind:Op.Inner names rnames) (join_args ()) (rows ())));
       ("cogroup", fun () ->
         ignore
-          (K.cogroup ~lkey ~kind:Op.Inner ~rcols ~keys:[ ("n", col "n") ] ~item:(col "r")
-             ~presence:always ~out:"rs" (join_args ()) (rows ())));
-      ("product", fun () -> ignore (K.product (rows ()) (K.sized (right ()))));
-      ("select", fun () -> ignore (K.select always (rows ())));
-      ("project", fun () -> ignore (K.project [ ("m", col "n") ] (rows ())));
+          (snd
+             (K.cogroup ~lkey ~kind:Op.Inner ~keys:[ ("n", col "n") ] ~item:(col "r")
+                ~presence:always ~out:"rs" names rnames)
+             (join_args ()) (rows ())));
+      ("product", fun () -> ignore (snd (K.product names rnames) (rows ()) (K.sized (right ()))));
+      ("select", fun () -> run (K.select always names) (rows ()));
+      ("project", fun () -> run (K.project [ ("m", col "n") ] names) (rows ()));
       ("unnest", fun () ->
-        ignore (K.unnest ~path:[ "b" ] ~binder:"x" ~outer:false ~drop:true (rows ())));
-      ("dedup", fun () -> ignore (K.dedup (rows ())));
-      ("align", fun () -> ignore (K.align [ "n"; "k" ] (rows ())));
-      ("values", fun () -> ignore (K.values [ "n"; "k" ] (fst (rows ()))));
+        run (K.unnest ~path:[ "b" ] ~binder:"x" ~outer:false ~drop:true names) (rows ()));
+      ("dedup", fun () -> run (K.dedup names) (rows ()));
+      ("align", fun () -> run (K.align [| "n"; "k" |] names) (rows ()));
+      ("values", fun () -> ignore (K.values [ "n"; "k" ] names (fst (rows ()))));
       ("values of item", fun () ->
-        ignore (K.values [ "item" ] (K.project [ ("item", col "n") ] (rows ()) |> fst)));
-      ("split_by_keys", fun () ->
-        ignore (K.split_by_keys [ col "k" ] heavy (rows ())));
+        let inames, project = K.project [ ("item", col "n") ] names in
+        ignore (K.values [ "item" ] inames (fst (project (rows ())))));
+      ("split_by_keys", fun () -> ignore (K.split_by_keys [ col "k" ] names heavy (rows ())));
+      ("heavy_keys", fun () ->
+        ignore (K.heavy_keys ~sample:n ~threshold:0.01 [ col "n" ] names [| fst (rows ()) |]));
       ("nest_bag", fun () ->
-        ignore
+        run
           (K.nest_bag ~ids:Op.no_ids ~keys:[ ("n", col "n") ] ~agg_keys:[] ~item:(col "k")
-             ~presence:always ~out:"ks" (rows ())));
+             ~presence:always ~out:"ks" names)
+          (rows ()));
       ("nest_sum", fun () ->
-        ignore
+        run
           (K.nest_sum ~ids:Op.no_ids ~keys:[ ("n", col "n") ] ~agg_keys:[]
-             ~aggs:[ ("s", col "k") ] ~presence:always (rows ())));
+             ~aggs:[ ("s", col "k") ] ~presence:always names)
+          (rows ()));
+      ("key table growth", fun () ->
+        let t = Plan.Key_table.create () in
+        for i = 0 to n - 1 do
+          ignore (Plan.Key_table.find_or_add t i (fun _ -> false) i)
+        done);
       ("Local_eval scan", fun () ->
         ignore
           (Plan.Local_eval.eval
@@ -699,7 +727,12 @@ let test_no_forced_minor () =
       ("Dataset.of_bag", fun () ->
         ignore (Exec.Dataset.of_bag ~partitions:1 (V.Bag (items ()))));
       ("Dataset.of_bag_by", fun () ->
-        ignore (Exec.Dataset.of_bag_by ~partitions:1 ~key:[ [ "k" ] ] (V.Bag (items ())))) ]
+        ignore (Exec.Dataset.of_bag_by ~partitions:1 ~key:[ [ "k" ] ] (V.Bag (items ()))));
+      ("2-lane load", fun () ->
+        Trance.Shred_type.reset_sites ();
+        ignore
+          (Trance.Shred_value.place pool ~partitions:3 [ ("N", nested_ty) ]
+             [ ("N", V.Bag (nested ())) ])) ]
 
 (* ------------------------------------------------------------------ *)
 (* The one-pass nest kernels against the two-pass grouping they replaced,
@@ -708,29 +741,46 @@ let test_no_forced_minor () =
    aggregate each member list. Rows, their order, byte sums and the bits
    of every float sum must agree. *)
 
+(* the nest rows' schema: two key columns, a small int key, two aggregands,
+   an item and a presence flag *)
+let nest_names = [| "k"; "a"; "m"; "n"; "r"; "v"; "p" |]
+
+(* tables over evaluated key vectors, by [hash_key] and [Value.equal] *)
+module KeyTbl = Hashtbl.Make (struct
+  type t = V.t array
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 V.equal a b
+  let hash kv = K.hash_key (Array.to_list kv)
+end)
+
 (* groups by evaluated key tuples, the most recently first-seen key first *)
 let group_by_keys key (rows : Row.t list) =
-  let tbl = K.KeyTbl.create 16 in
+  let tbl = KeyTbl.create 16 in
   List.fold_left
     (fun groups row ->
       let kv = key row in
-      match K.KeyTbl.find_opt tbl kv with
+      match KeyTbl.find_opt tbl kv with
       | Some cell ->
         cell := row :: !cell;
         groups
       | None ->
         let cell = ref [ row ] in
-        K.KeyTbl.add tbl kv cell;
+        KeyTbl.add tbl kv cell;
         (kv, cell) :: groups)
     [] rows
   |> List.map (fun (kv, cell) -> (kv, List.rev !cell))
 
+(* a key vector's evaluator over rows of [names] *)
+let compile_keys keys names =
+  let rd = S.compile_vec names keys in
+  fun row -> Array.map (fun f -> f row) rd
+
 let reference_nest ~keys ~agg_keys ~presence ~aggs ~aggregate ~empty ~global_empty rows =
-  let key = K.compile_keys (List.map snd keys)
-  and agg_key = K.compile_keys (List.map snd agg_keys)
-  and present = S.compile_pred presence in
+  let key = compile_keys (List.map snd keys) nest_names
+  and agg_key = compile_keys (List.map snd agg_keys) nest_names
+  and present = S.compile_pred nest_names presence in
   let names = Array.of_list (List.map fst keys @ List.map fst agg_keys @ aggs) in
-  let out kv akv vs = Row.make names (Array.concat [ kv; akv; Array.of_list vs ]) in
+  let out kv akv vs = Array.concat [ kv; akv; Array.of_list vs ] in
   let global = keys = [] in
   group_by_keys key (Array.to_list rows)
   |> List.concat_map (fun (kv, members) ->
@@ -742,16 +792,16 @@ let reference_nest ~keys ~agg_keys ~presence ~aggs ~aggregate ~empty ~global_emp
          | _, present ->
            group_by_keys agg_key present
            |> List.map (fun (akv, sub) -> out kv akv (aggregate sub)))
-  |> Array.of_list |> K.sized
+  |> Array.of_list |> K.sized |> fun rows -> (names, rows)
 
 let reference_nest_bag ~keys ~agg_keys ~item ~presence ~out rows =
-  let item = S.compile item in
+  let item = S.compile nest_names item in
   reference_nest ~keys ~agg_keys ~presence ~aggs:[ out ] ~global_empty:true rows
     ~aggregate:(fun rs -> [ V.Bag (List.map item rs) ])
     ~empty:[ V.Bag [] ]
 
 let reference_nest_sum ~keys ~agg_keys ~aggs ~presence rows =
-  let values = List.map (fun (_, e) -> S.compile e) aggs in
+  let values = List.map (fun (_, e) -> S.compile nest_names e) aggs in
   let sum value rs =
     List.fold_left
       (fun acc row -> match value row with V.Null -> acc | v -> Nrc.Eval.add_values acc v)
@@ -770,25 +820,22 @@ let rec identical (a : V.t) (b : V.t) =
   | Bag xs, Bag ys -> List.equal identical xs ys
   | _ -> V.equal a b
 
-let identical_rows ((a, abytes) : K.sized) ((b, bbytes) : K.sized) =
-  abytes = bbytes
+let identical_rows ((anames, (a, abytes)) : K.names * K.sized) (bnames, ((b, bbytes) : K.sized)) =
+  anames = bnames
+  && abytes = bbytes
   && Array.length a = Array.length b
-  && Array.for_all2
-       (fun (r : Row.t) (s : Row.t) ->
-         r.names = s.names && Array.for_all2 identical r.vals s.vals)
-       a b
+  && Array.for_all2 (fun (r : Row.t) (s : Row.t) -> Array.for_all2 identical r s) a b
 
 (* two key columns from the small domain (Null and permuted bags
    included), a small int key, two aggregands mixing Int, Real and Null,
    an item and a presence flag that is false or Null for a third of the
    rows *)
-let nest_names = [| "k"; "a"; "m"; "n"; "r"; "v"; "p" |]
 
 let gen_nest_row =
   QCheck.Gen.(
     map
       (fun ((k, a, m), (n, r), (v, p)) ->
-        Row.make nest_names [| k; a; V.Int m; n; r; v; p |])
+        [| k; a; V.Int m; n; r; v; p |])
       (triple (triple gen_key gen_key (int_bound 2)) (pair gen_num gen_num)
          (pair (gen_value 1)
             (frequencyl [ (4, V.Bool true); (1, V.Bool false); (1, V.Null) ]))))
@@ -803,7 +850,8 @@ let prop_nest_oracle =
   QCheck.Test.make ~name:"nest_bag and nest_sum = the two-pass reference grouping"
     ~count:(Fixtures.qcheck_count 300)
     (QCheck.make
-       ~print:(fun rows -> String.concat "\n" (List.map print_row (Array.to_list rows)))
+       ~print:(fun rows ->
+         String.concat "\n" (List.map (fun row -> print_row (nest_names, row)) (Array.to_list rows)))
        QCheck.Gen.(
          frequency [ (1, return [||]); (9, array_size (int_bound 30) gen_nest_row) ]))
     (fun rows ->
@@ -811,12 +859,13 @@ let prop_nest_oracle =
       let check ids rows (name, keys, agg_keys) =
         let keys = cols keys and agg_keys = cols agg_keys and rows = K.sized rows in
         let aggs = [ ("s", col "n"); ("t", col "r") ] in
+        let apply (names, f) = (names, f rows) in
         (identical_rows
-           (K.nest_bag ~ids ~keys ~agg_keys ~item:(col "v") ~presence ~out:"vs" rows)
+           (apply (K.nest_bag ~ids ~keys ~agg_keys ~item:(col "v") ~presence ~out:"vs" nest_names))
            (reference_nest_bag ~keys ~agg_keys ~item:(col "v") ~presence ~out:"vs" (fst rows))
         || QCheck.Test.fail_reportf "nest_bag by %s differs" name)
         && (identical_rows
-              (K.nest_sum ~ids ~keys ~agg_keys ~aggs ~presence rows)
+              (apply (K.nest_sum ~ids ~keys ~agg_keys ~aggs ~presence nest_names))
               (reference_nest_sum ~keys ~agg_keys ~aggs ~presence (fst rows))
            || QCheck.Test.fail_reportf "nest_sum by %s differs" name)
       in
@@ -825,9 +874,8 @@ let prop_nest_oracle =
       let by_m =
         Array.map
           (fun (r : Row.t) ->
-            let m = r.vals.(2) in
-            Row.make nest_names
-              (Array.mapi (fun i v -> match i with 0 -> V.Bag [ m ] | 1 -> V.Tuple [ ("m", m) ] | _ -> v) r.vals))
+            let m = r.(2) in
+            Array.mapi (fun i v -> match i with 0 -> V.Bag [ m ] | 1 -> V.Tuple [ ("m", m) ] | _ -> v) r)
           rows
       in
       let m_determines = { Op.unique = [ "m" ]; determines = [ ("m", [ "k"; "a" ]) ] } in
@@ -842,19 +890,34 @@ let test_nest_permuted_bag_keys () =
   let b12 = V.Bag [ V.Int 1; V.Int 2 ] and b21 = V.Bag [ V.Int 2; V.Int 1 ] in
   check_int "equal hash_key" (K.hash_key [ b12 ]) (K.hash_key [ b21 ]);
   let names = [| "k"; "n" |] in
-  let rows = [| Row.make names [| b12; V.Int 1 |]; Row.make names [| b21; V.Int 2 |] |] in
+  let rows = [| [| b12; V.Int 1 |]; [| b21; V.Int 2 |] |] in
   let always = S.Const (V.Bool true) in
   List.iter
-    (fun (name, (out, _)) ->
+    (fun (name, (onames, f)) ->
+      let out, _ = f (K.sized rows) in
       check_int (name ^ ": two groups") 2 (Array.length out);
       check (name ^ ": keys in first-seen order, newest first") true
-        (V.equal (Row.get out.(0) "k") b21 && V.equal (Row.get out.(1) "k") b12))
+        (V.equal (Row.get onames out.(0) "k") b21 && V.equal (Row.get onames out.(1) "k") b12))
     [ ("nest_bag",
         K.nest_bag ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[] ~item:(col "n")
-          ~presence:always ~out:"ns" (K.sized rows));
+          ~presence:always ~out:"ns" names);
       ("nest_sum",
         K.nest_sum ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[]
-          ~aggs:[ ("s", col "n") ] ~presence:always (K.sized rows)) ]
+          ~aggs:[ ("s", col "n") ] ~presence:always names) ]
+
+(* The skew sampler takes every [n / sample]-th row, which can be one
+   more row than [sample]: 10 rows at a sample of 3 are rows 0, 3, 6 and
+   9. A key is heavy when it holds at least two of them. *)
+let test_heavy_keys_sample () =
+  let names = [| "k" |] in
+  let heavy keys =
+    K.key_count
+      (K.heavy_keys ~sample:3 ~threshold:0.5 [ col "k" ] names
+         [| Array.of_list (List.map (fun k -> [| V.Int k |]) keys) |])
+  in
+  check_int "four distinct sampled keys: none heavy" 0 (heavy (List.init 10 Fun.id));
+  check_int "rows 0, 3, 6, 9 share a key: heavy" 1
+    (heavy (List.init 10 (fun i -> if i mod 3 = 0 then 7 else i)))
 
 (* ------------------------------------------------------------------ *)
 (* The key hash. [hash_key kv mod partitions] places every shuffled row
@@ -892,7 +955,7 @@ let prop_vector_hash =
     (fun inputs ->
       List.for_all
         (fun (name, bag) ->
-          let rows, _ = K.scan ~binder:"x" (Array.of_list (V.bag_items bag)) in
+          let rows, _ = snd (K.scan ~binder:"x") (Array.of_list (V.bag_items bag)) in
           let fields =
             match V.bag_items bag with
             | V.Tuple fs :: _ -> List.map (fun (f, _) -> S.path "x" [ f ]) fs
@@ -900,7 +963,7 @@ let prop_vector_hash =
           in
           List.for_all
             (fun keys ->
-              let hash = K.key_hasher keys and key = K.compile_keys keys in
+              let hash = K.key_hasher keys [| "x" |] and key = compile_keys keys [| "x" |] in
               Array.for_all
                 (fun row -> hash row = K.hash_key (Array.to_list (key row)))
                 rows
@@ -944,7 +1007,7 @@ let route_steps ~config prog inputs =
   let sc = Trance.Api.compile_shredded ~config prog in
   [ ("Standard", inputs, std);
     ( "Shred+Unshred",
-      (Trance.Shred_value.shred_env prog.Nrc.Program.inputs inputs).datasets,
+      Trance.Shred_value.shred_env prog.Nrc.Program.inputs inputs,
       sc.Trance.Api.plans
       @ List.map (fun p -> ("Unshred", p)) (Option.to_list sc.Trance.Api.unshred_plan) ) ]
 
@@ -1084,33 +1147,34 @@ let fail_ids what op fmt =
 
 (* rows by the value of one column, in a table: the first row's [value] *)
 let agree what op (rows : Row.t array) ~by ~value ~describe =
-  let first = K.KeyTbl.create 16 in
+  let first = KeyTbl.create 16 in
   Array.iter
     (fun (row : Row.t) ->
       match by row with
       | None -> ()
       | Some id -> (
         let v = value row in
-        match K.KeyTbl.find_opt first [| id |] with
-        | None -> K.KeyTbl.add first [| id |] v
+        match KeyTbl.find_opt first [| id |] with
+        | None -> KeyTbl.add first [| id |] v
         | Some w ->
           if not (V.equal (V.Tuple w) (V.Tuple v)) then
             fail_ids what op "%s: rows equal in %a differ" describe V.pp id))
     rows
 
-let slot_value (row : Row.t) c = Option.map (fun i -> row.vals.(i)) (Row.slot row.names c)
+let slot_value names (row : Row.t) c = Option.map (fun i -> row.(i)) (Row.slot names c)
 
 let check_facts what env (op : Op.t) =
-  let rows = Plan.Local_eval.eval env op and f = Op.ids op in
+  let (names, rows), f = (Plan.Local_eval.eval env op, Op.ids op) in
+  let slot_value = slot_value names in
   List.iter
     (fun c ->
-      let seen = K.KeyTbl.create 16 in
+      let seen = KeyTbl.create 16 in
       Array.iter
         (fun row ->
           Option.iter
             (fun v ->
-              if K.KeyTbl.mem seen [| v |] then fail_ids what op "%s repeats %a" c V.pp v;
-              K.KeyTbl.add seen [| v |] ())
+              if KeyTbl.mem seen [| v |] then fail_ids what op "%s repeats %a" c V.pp v;
+              KeyTbl.add seen [| v |] ())
             (slot_value row c))
         rows)
     f.Op.unique;
@@ -1124,10 +1188,11 @@ let check_facts what env (op : Op.t) =
   match op with
   | Op.NestBag { input; keys; _ } | Op.NestSum { input; keys; _ } ->
     let probed = Op.probe_keys (Op.ids input) keys in
-    let key = List.map (fun (n, e) -> (n, S.compile e)) keys in
+    let inames, irows = Plan.Local_eval.eval env input in
+    let key = List.map (fun (n, e) -> (n, S.compile inames e)) keys in
     let part p row = List.filteri (fun j _ -> probed.(j) = p) (List.map (fun (n, k) -> (n, k row)) key) in
     if Array.exists not probed then
-      agree what op (Plan.Local_eval.eval env input)
+      agree what op irows
         ~by:(fun row -> Some (V.Tuple (part true row)))
         ~value:(part false) ~describe:"the G-keys left out of the probe"
   | Op.Cogroup { left; keys; _ } ->
@@ -1226,9 +1291,10 @@ let () =
           [ prop_append_column; prop_index_column; prop_join_rows ] );
       ( "kernels",
         Alcotest.test_case "hash_key pins" `Quick test_hash_key_pins
+        :: Alcotest.test_case "heavy keys: the sample's last row" `Quick test_heavy_keys_sample
         :: List.map QCheck_alcotest.to_alcotest
-             [ prop_kernel_sizes; prop_kernel_chunks; prop_kernel_schema_switch;
-               prop_compiled_schema_switch; prop_nest_oracle; prop_vector_hash ] );
+             [ prop_kernel_sizes; prop_kernel_chunks; prop_kernel_column_order;
+               prop_compiled_column_order; prop_nest_oracle; prop_vector_hash ] );
       ( "allocation",
         [ Alcotest.test_case "compiled reads, null tests and comparisons" `Quick
             test_compiled_allocation;

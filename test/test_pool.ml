@@ -217,16 +217,15 @@ let test_big_partitions () =
   check "same counters once wall is stripped" true (stats1 = stats4)
 
 (* ------------------------------------------------------------------ *)
-(* Schema sharing. Kernels intern every names array they build
-   ({!Plan.Row.schema}), so rows of one schema hold one physical array
-   whichever task and domain built them, and {!Plan.Row.by_schema} needs
-   no structural comparison. Each plan shuffles rows that tasks on two
-   domains built from four source partitions, then runs the kernel at
-   its root per partition: every row of every output partition must hold
-   the same interned array. A kernel site that skips interning gives each
-   task's rows their own array, and fails this. *)
+(* One schema per rset. Rows carry no names: an rset holds one names
+   array for all its partitions, which each kernel returns beside the rows
+   it builds. Each plan shuffles rows that tasks on two domains built from
+   four source partitions, then runs the kernel at its root per
+   partition: every row of every partition must be as wide as the rset's
+   schema, and the schema must be the one the local interpreter derives
+   for the same plan. *)
 
-let test_schema_sharing () =
+let test_one_schema () =
   let module Op = Plan.Op in
   let module S = Plan.Sexpr in
   let col c = S.Col [ c ] and path f = S.Col [ "x"; f ] in
@@ -275,10 +274,15 @@ let test_schema_sharing () =
           in
           let rows = Array.concat (Array.to_list r.Exec.Executor.parts) in
           check (name ^ ": rows out") true (Array.length rows > 0);
-          let names = rows.(0).Plan.Row.names in
-          check (name ^ ": the schema is interned") true (Plan.Row.schema names == names);
-          check (name ^ ": one names array in every partition") true
-            (Array.for_all (fun (row : Plan.Row.t) -> row.names == names) rows))
+          let local_names, _ =
+            Plan.Local_eval.eval (Plan.Local_eval.env_of_list [ ("R", V.Bag items) ]) plan
+          in
+          check (name ^ ": the local interpreter's schema") true
+            (r.Exec.Executor.names = local_names);
+          check (name ^ ": every row as wide as the schema") true
+            (Array.for_all
+               (fun (row : Plan.Row.t) -> Array.length row = Array.length local_names)
+               rows))
         plans)
 
 (* ------------------------------------------------------------------ *)
@@ -301,6 +305,6 @@ let () =
         campaign_tests
         @ [ Alcotest.test_case "TPC-H Shred+Unshred on big partitions" `Quick
               test_big_partitions;
-            Alcotest.test_case "shuffled rows share one interned schema" `Quick
-              test_schema_sharing ] );
+            Alcotest.test_case "shuffled rows fit their rset's one schema" `Quick
+              test_one_schema ] );
     ]
