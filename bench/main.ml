@@ -749,10 +749,14 @@ let scale_domains () =
                 (if identical then "yes" else "NO");
               if not !first then Buffer.add_char buf ',';
               first := false;
+              Buffer.add_string buf "{\"cell\":";
+              Exec.Trace.json_string buf cname;
+              Buffer.add_string buf ",\"strategy\":";
+              Exec.Trace.json_string buf r.Trance.Api.strategy;
               Buffer.add_string buf
                 (Printf.sprintf
-                   "{\"cell\":\"%s\",\"strategy\":\"%s\",\"domains\":%d,\"wall_seconds\":%.6f,\"sim_seconds\":%.6f,\"speedup\":%.4f,\"sim_identical\":%b}"
-                   cname r.Trance.Api.strategy domains wall
+                   ",\"domains\":%d,\"wall_seconds\":%.6f,\"sim_seconds\":%.6f,\"speedup\":%.4f,\"sim_identical\":%b}"
+                   domains wall
                    (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds
                    speedup identical))
             domain_counts)
@@ -848,15 +852,9 @@ let write_json path =
   List.iteri
     (fun i (label, r) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"label\":\"";
-      String.iter
-        (fun c ->
-          match c with
-          | '"' -> Buffer.add_string b "\\\""
-          | '\\' -> Buffer.add_string b "\\\\"
-          | c -> Buffer.add_char b c)
-        label;
-      Buffer.add_string b "\",\"run\":";
+      Buffer.add_string b "{\"label\":";
+      Exec.Trace.json_string b label;
+      Buffer.add_string b ",\"run\":";
       Buffer.add_string b (Trance.Api.run_json r);
       Buffer.add_char b '}')
     (List.rev !recorded);

@@ -351,6 +351,7 @@ type shredded_compiled = {
 let compile_shredded ?(config = default_config) (p : Nrc.Program.t) :
     shredded_compiled =
   (* uniqueness hints carry over to the shredded top bags (R -> R_F) *)
+  let inputs = Registry.of_inputs p.Nrc.Program.inputs in
   let config =
     { config with
       optimizer =
@@ -358,7 +359,7 @@ let compile_shredded ?(config = default_config) (p : Nrc.Program.t) :
           unique_keys =
             config.optimizer.unique_keys
             @ List.map
-                (fun (r, fields) -> (Shred_type.top_name r, fields))
+                (fun (r, fields) -> (Registry.name inputs (Top r), fields))
                 config.optimizer.unique_keys } }
   in
   let pipeline =
@@ -404,25 +405,23 @@ let load_inputs ~cluster (types : (string * T.t) list)
 
 (* Shred the nested inputs on [pool] straight onto the cluster's
    partitions ({!Shred_value.place}): each top bag round-robin, each
-   dictionary by label, with its label guarantee. Flat inputs load
-   round-robin under their [_F] name, others under their own. *)
+   dictionary by label, with its label guarantee. Other inputs load
+   round-robin under the name the registry gives them. *)
 let load_shredded ~pool ~cluster (types : (string * T.t) list)
     (values : (string * V.t) list) : Exec.Executor.env =
   let partitions = cluster.Exec.Config.partitions in
   let env = Hashtbl.create 16 in
   List.iter
     (fun (name, v, shredded) ->
-      match shredded, List.assoc_opt name types with
-      | Some datasets, _ ->
+      match shredded with
+      | Some datasets ->
         List.iter
           (fun (d : Shred_value.placed) ->
             Hashtbl.replace env d.name
               { Exec.Dataset.parts = d.parts;
                 key = (if d.dict then Some [ [ "label" ] ] else None) })
           datasets
-      | None, Some (T.TBag _) ->
-        Hashtbl.replace env (Shred_type.top_name name) (Exec.Dataset.of_bag ~partitions v)
-      | None, _ -> Hashtbl.replace env name (Exec.Dataset.of_bag ~partitions v))
+      | None -> Hashtbl.replace env name (Exec.Dataset.of_bag ~partitions v))
     (Shred_value.place pool ~partitions types values);
   env
 
@@ -454,9 +453,7 @@ let in_phase phase f =
     let msg =
       match exn with
       | Nrc.Typecheck.Type_error m
-      | Symbolic.Unsupported_shredding m
       | Unnest.Unsupported m
-      | Shred_type.Shred_error m
       | Invalid_argument m
       | Failure m ->
         m

@@ -51,9 +51,7 @@ let record_fields_of item_ty w =
   match item_ty with
   | T.TTuple fields -> List.map (fun (n, _) -> (n, E.Proj (E.Var w, n))) fields
   | _ ->
-    raise
-      (Unsupported_shredding
-         "shredded dictionaries require tuple-valued inner bags")
+    Unnest.unsupported "shredded dictionaries require tuple-valued inner bags"
 
 (* ------------------------------------------------------------------ *)
 (* The one dictionary builder *)
@@ -214,14 +212,12 @@ let alias_subtree st path (sub : dtree) =
   | DRef { dataset; path = ipath; elem_ty } ->
     List.iter
       (fun p ->
-        let resolved = Registry.resolve st.registry dataset (ipath @ p) in
-        Registry.record st.registry st.target (path @ p) resolved;
+        let resolved = Registry.name st.registry (Dict (dataset, ipath @ p)) in
+        Registry.alias st.registry (Dict (st.target, path @ p)) resolved;
         st.dict_map <- (path @ p, resolved) :: st.dict_map)
       (dict_paths elem_ty)
   | _ ->
-    raise
-      (Unsupported_shredding
-         "aliased dictionary does not refer to a materialized dataset")
+    Unnest.unsupported "aliased dictionary does not refer to a materialized dataset"
 
 let rec mat_dicts st ~parent path (d : dtree) : unit =
   match entries_of d with
@@ -235,12 +231,11 @@ let rec mat_dicts st ~parent path (d : dtree) : unit =
           let resolved =
             match sub with
             | DRef { dataset; path = ipath; _ } ->
-              Registry.resolve st.registry dataset ipath
+              Registry.name st.registry (Dict (dataset, ipath))
             | _ ->
-              raise
-                (Unsupported_shredding "alias to non-materialized dictionary")
+              Unnest.unsupported "alias to non-materialized dictionary"
           in
-          Registry.record st.registry st.target sub_path resolved;
+          Registry.alias st.registry (Dict (st.target, sub_path)) resolved;
           st.dict_map <- (sub_path, resolved) :: st.dict_map;
           alias_subtree st sub_path sub
         | es ->
@@ -249,9 +244,7 @@ let rec mat_dicts st ~parent path (d : dtree) : unit =
               (function
                 | ELams { lams; child; item_ty } -> (lams, child, item_ty)
                 | EAlias _ ->
-                  raise
-                    (Unsupported_shredding
-                       "cannot union an aliased dictionary with a computed one"))
+                  Unnest.unsupported "cannot union an aliased dictionary with a computed one")
               es
           in
           let item_ty =
@@ -265,11 +258,8 @@ let rec mat_dicts st ~parent path (d : dtree) : unit =
              single pass-through among site-dispatched lambdas is fine: a
              foreign-site label simply misses in its source dictionary. *)
           if List.length (List.filter (fun l -> l.identity) lams) > 1 then
-            raise
-              (Unsupported_shredding
-                 "union of dictionaries with pass-through labels is ambiguous");
-          let name = dict_name st.target sub_path in
-          Registry.record st.registry st.target sub_path name;
+            Unnest.unsupported "union of dictionaries with pass-through labels is ambiguous";
+          let name = Registry.fresh st.registry (Dict (st.target, sub_path)) in
           st.dict_map <- (sub_path, name) :: st.dict_map;
           emit_dict st ~parent ~name ~sub_path ~item_ty lams;
           let child =
@@ -288,9 +278,7 @@ and emit_dict st ~parent ~name ~sub_path ~item_ty (lams : lam list) : unit =
       match item_ty with
       | T.TTuple fields -> T.TTuple (("label", T.TLabel) :: fields)
       | _ ->
-        raise
-          (Unsupported_shredding
-             "shredded dictionaries require tuple-valued inner bags")
+        Unnest.unsupported "shredded dictionaries require tuple-valued inner bags"
     in
     emit st name (E.Empty elem)
   | lams ->
@@ -312,7 +300,7 @@ and emit_dict st ~parent ~name ~sub_path ~item_ty (lams : lam list) : unit =
     | None ->
       (* general path: label domain from the parent, then one per-label loop
          per lambda *)
-      let dom = domain_name st.target sub_path in
+      let dom = Registry.fresh st.registry (Dom (st.target, sub_path)) in
       let x = E.fresh ~hint:"x" () in
       emit st dom
         (E.Dedup
@@ -331,12 +319,12 @@ and emit_dict st ~parent ~name ~sub_path ~item_ty (lams : lam list) : unit =
 (* ------------------------------------------------------------------ *)
 
 (** Materialize one shredded assignment. [target] is the assignment variable;
-    the flat top bag is emitted as [<target>_F] and each symbolic dictionary
-    as [<target>_D_<path>] (or recorded as an alias). *)
+    the registry names its flat top bag and each symbolic dictionary (or
+    records the dictionary as an alias). *)
 let materialize ?(config = default) ~registry ~target ((eF, dt) : E.t * dtree) :
     result =
   let st = { acc = []; dict_map = []; registry; config; target } in
-  let top = top_name target in
+  let top = Registry.fresh registry (Top target) in
   emit st top eF;
   (match dt with
   | DRef _ -> alias_subtree st [] dt

@@ -28,5 +28,6 @@ val materialize :
   target:string ->
   Nrc.Expr.t * Symbolic.dtree ->
   result
-(** Materialize one shredded assignment: the top bag as [<target>_F], each
-    dictionary as [<target>_D_<path>] or an alias. *)
+(** Materialize one shredded assignment: the registry names the top bag
+    ([Top target]) and each dictionary ([Dict (target, path)]), or records
+    the dictionary as an alias. *)

@@ -24,23 +24,26 @@ type t = {
 
 (** Shred and materialize a whole program. *)
 let shred_program ?(config = Materialize.default) (p : Nrc.Program.t) : t =
-  let registry = Registry.create () in
-  let dtenv0 = p.Nrc.Program.inputs in
+  let registry = Registry.of_inputs p.Nrc.Program.inputs in
+  let inputs =
+    List.concat_map (fun (n, ty) -> Registry.datasets registry n ty) p.Nrc.Program.inputs
+  in
   let type_env = Nrc.Program.typecheck p in
   let _, assignments_rev, last =
     List.fold_left
       (fun (dtenv, acc, _last) { Nrc.Program.target; body } ->
         let shredded = Symbolic.shred_expr ~registry ~dtenv body in
         let mat = Materialize.materialize ~config ~registry ~target shredded in
-        let ty = Nrc.Typecheck.Env.find target type_env in
+        (* this assignment's type: a target may be assigned again *)
+        let ty = Nrc.Typecheck.infer (Nrc.Typecheck.env_of_list dtenv) body in
         let origin (name, e) =
           let dict = List.exists (fun (_, d) -> d = name) mat.Materialize.dicts in
           ((name, e), (name, { step = target; dict }))
         in
-        ( (target, ty) :: dtenv,
+        ( (target, ty) :: List.remove_assoc target dtenv,
           List.rev_append (List.map origin mat.Materialize.assignments) acc,
           Some (target, mat) ))
-      (dtenv0, [], None)
+      (p.Nrc.Program.inputs, [], None)
       p.Nrc.Program.assignments
   in
   let result, last_mat =
@@ -49,15 +52,6 @@ let shred_program ?(config = Materialize.default) (p : Nrc.Program.t) : t =
     | None -> invalid_arg "shred_program: empty program"
   in
   let output_ty = Nrc.Typecheck.Env.find result type_env in
-  let mat_inputs =
-    List.map
-      (fun (name, ty) ->
-        match ty with
-        | T.TBag _ ->
-          (Printf.sprintf "the shredded input %s" name, Shred_type.shredded_inputs name ty)
-        | _ -> (Printf.sprintf "the input %s" name, [ (name, ty) ]))
-      p.Nrc.Program.inputs
-  in
   let unshred_query =
     match output_ty with
     | T.TBag elem when not (T.is_flat elem) ->
@@ -65,28 +59,8 @@ let shred_program ?(config = Materialize.default) (p : Nrc.Program.t) : t =
     | _ -> None
   in
   let assignments, origins = List.split (List.rev assignments_rev) in
-  (* Generated names are not injective across targets (a dictionary [F]
-     of [T] and the top bag of a target [T_D] are both [T_D_F]): a later
-     dataset of the same name would silently overwrite the first. *)
-  let producers =
-    List.concat_map (fun (who, ds) -> List.map (fun (name, _) -> (name, who)) ds) mat_inputs
-    @ List.map
-        (fun (name, o) ->
-          (name, Printf.sprintf "%s of %s" (if o.dict then "a dictionary" else "a bag") o.step))
-        origins
-  in
-  ignore
-    (List.fold_left
-       (fun seen (name, who) ->
-         match List.assoc_opt name seen with
-         | Some first ->
-           raise
-             (Shred_type.Shred_error
-                (Printf.sprintf "shredding names two datasets %s: %s and %s" name first who))
-         | None -> (name, who) :: seen)
-       [] producers);
   {
-    mat = Nrc.Program.make ~inputs:(List.concat_map snd mat_inputs) assignments;
+    mat = Nrc.Program.make ~inputs assignments;
     origins;
     top = last_mat.Materialize.top;
     dicts = last_mat.Materialize.dicts;

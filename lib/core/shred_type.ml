@@ -1,11 +1,12 @@
-(** Shredded types and naming conventions (Section 4).
+(** Shredded types and dataset identities (Section 4).
 
     The shredded representation of a nested bag of type [T] is a flat bag of
     type [T^F] — bag-valued attributes replaced by labels — together with a
     dictionary per nesting level associating labels with flat bags. We store
     each materialized dictionary as a flat dataset of tuples
     [<label, f1, ..., fk>] ("a Dataset[T] where T contains a label column",
-    Section 4), naming them by attribute path:
+    Section 4). Each such dataset is identified by what it holds, an {!id};
+    {!Registry} gives it its name, by default the attribute path rendered:
 
     {v
       COP  ~~>  COP_F, COP_D_corders, COP_D_corders_oparts
@@ -13,20 +14,18 @@
 
 module T = Nrc.Types
 
-exception Shred_error of string
-
-let error fmt = Fmt.kstr (fun s -> raise (Shred_error s)) fmt
-
 (* ------------------------------------------------------------------ *)
-(* Naming *)
+(* Dataset identities *)
 
-let top_name base = base ^ "_F"
+type id =
+  | Top of string
+  | Dict of string * string list
+  | Dom of string * string list
 
-let dict_name base path =
-  String.concat "_" ((base ^ "_D") :: path)
-
-let domain_name base path =
-  String.concat "_" ((base ^ "_Dom") :: path)
+let render = function
+  | Top base -> base ^ "_F"
+  | Dict (base, path) -> String.concat "_" ((base ^ "_D") :: path)
+  | Dom (base, path) -> String.concat "_" ((base ^ "_Dom") :: path)
 
 (* ------------------------------------------------------------------ *)
 (* Label sites: unique identifiers for label creation points. Sites created
@@ -41,10 +40,10 @@ let fresh_site () : int =
 
 (* one site per (dataset, path) for input value shredding, memoized so that
    re-shredding the same input reuses label identity *)
-let input_sites : (string, int) Hashtbl.t = Hashtbl.create 64
+let input_sites : (string * string list, int) Hashtbl.t = Hashtbl.create 64
 
 let input_site base path =
-  let key = dict_name base path in
+  let key = (base, path) in
   match Hashtbl.find_opt input_sites key with
   | Some s -> s
   | None ->
@@ -85,9 +84,9 @@ let rec elem_at (elem_ty : T.t) (path : string list) : T.t =
     | T.TTuple fields -> (
       match List.assoc_opt a fields with
       | Some (T.TBag inner) -> elem_at inner rest
-      | Some t -> error "elem_at: attribute %s is not a bag (%a)" a T.pp t
-      | None -> error "elem_at: no attribute %s" a)
-    | _ -> error "elem_at: not a tuple type")
+      | Some t -> Unnest.unsupported "elem_at: attribute %s is not a bag (%a)" a T.pp t
+      | None -> Unnest.unsupported "elem_at: no attribute %s" a)
+    | _ -> Unnest.unsupported "elem_at: not a tuple type")
 
 (** Bag-valued attributes of a tuple element type. *)
 let bag_attrs (elem_ty : T.t) : (string * T.t) list =
@@ -113,18 +112,7 @@ let dict_dataset_ty (item_ty : T.t) : T.t =
   match flat_of item_ty with
   | T.TTuple fields -> T.TBag (T.TTuple (("label", T.TLabel) :: fields))
   | t ->
-    error
+    Unnest.unsupported
       "shredded dictionaries require tuple-valued inner bags, got items of \
        type %a"
       T.pp t
-
-(** Shredded input signature of a dataset: the names and types of its top
-    bag and dictionaries. *)
-let shredded_inputs (base : string) (ty : T.t) : (string * T.t) list =
-  match ty with
-  | T.TBag elem ->
-    (top_name base, T.TBag (flat_of elem))
-    :: List.map
-         (fun path -> (dict_name base path, dict_dataset_ty (elem_at elem path)))
-         (dict_paths elem)
-  | _ -> error "shredded_inputs: %s is not a bag" base

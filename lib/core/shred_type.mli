@@ -1,26 +1,29 @@
-(** Shredded types and naming conventions (Section 4).
+(** Shredded types and dataset identities (Section 4).
 
     The shredded representation of a nested bag of type [T] is a flat bag
     of type [T^F] — bag-valued attributes replaced by labels — together
     with one flat dictionary dataset per nesting level, stored as
-    [<label, f1, ..., fk>] rows and named by attribute path:
-    [COP ~~> COP_F, COP_D_corders, COP_D_corders_oparts]. *)
+    [<label, f1, ..., fk>] rows. Each shredded dataset is identified by
+    what it holds, an {!id}; only {!Registry} turns an id into a dataset
+    name, by default its {!render}ing:
+    [COP ~~> COP_F, COP_D_corders, COP_D_corders_oparts]. Types outside
+    the shredded fragment raise {!Unnest.Unsupported}. *)
 
-exception Shred_error of string
+(** {2 Dataset identities} *)
 
-val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** Raise {!Shred_error} with a formatted message. *)
+(** What a shredded dataset holds. *)
+type id =
+  | Top of string  (** the flat top bag of a dataset *)
+  | Dict of string * string list
+      (** the dictionary of a dataset at an attribute path *)
+  | Dom of string * string list
+      (** the label domain of a dataset's dictionary at a path (general
+          materialization, without domain elimination) *)
 
-(** {2 Naming} *)
-
-val top_name : string -> string
-(** [top_name "COP" = "COP_F"]. *)
-
-val dict_name : string -> string list -> string
-(** [dict_name "COP" ["corders"; "oparts"] = "COP_D_corders_oparts"]. *)
-
-val domain_name : string -> string list -> string
-(** Name of a label-domain assignment (general materialization path). *)
+val render : id -> string
+(** The default name: [render (Top "COP") = "COP_F"],
+    [render (Dict ("COP", ["corders"; "oparts"])) = "COP_D_corders_oparts"],
+    [render (Dom ("Q", ["corders"])) = "Q_Dom_corders"]. *)
 
 (** {2 Label sites} *)
 
@@ -50,5 +53,6 @@ val dict_paths : Nrc.Types.t -> string list list
 (** All dictionary paths of a nested element type, pre-order:
     [[["corders"]; ["corders"; "oparts"]]] for COP. *)
 
-val shredded_inputs : string -> Nrc.Types.t -> (string * Nrc.Types.t) list
-(** Names and types of a dataset's shredded form: top bag + dictionaries. *)
+val dict_dataset_ty : Nrc.Types.t -> Nrc.Types.t
+(** The dataset type of a dictionary whose items have the given (original)
+    type: a flat bag of label + flat item fields. *)

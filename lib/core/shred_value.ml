@@ -54,12 +54,12 @@ let rec resolve_level next path (ty : T.t) : level =
   | _ -> { path; tuple = false; names = [||]; bags = [||]; flat = true }
 
 
-let mismatch lv = error "shred_bag: element type mismatch at %s" (String.concat "." lv.path)
+let mismatch lv = Unnest.unsupported "shred_bag: element type mismatch at %s" (String.concat "." lv.path)
 
 let rec lookup name = function
   | (n, v) :: _ when String.equal n name -> v
   | _ :: rest -> lookup name rest
-  | [] -> error "shred_bag: missing attribute %s" name
+  | [] -> Unnest.unsupported "shred_bag: missing attribute %s" name
 
 (* [vfields] holds exactly the level's fields, in type order *)
 let rec exact (names : string array) k = function
@@ -245,8 +245,9 @@ let chunk_bounds n k =
 (* Shred the nested inputs on [pool]: each input in contiguous chunks of
    its top items, a few per lane; a counting walk gives each chunk the
    number of labels before it, so every label, and so every placement, is
-   the one a single walk over the whole input gives. *)
-let shred_on pool ~partitions (inputs : input list) : placed list list =
+   the one a single walk over the whole input gives. [registry] names the
+   datasets. *)
+let shred_on pool ~registry ~partitions (inputs : input list) : placed list list =
   let chunks_per_input = if Exec.Pool.size pool = 1 then 1 else 4 * Exec.Pool.size pool in
   let bounds = List.map (fun inp -> chunk_bounds (Array.length inp.items) chunks_per_input) inputs in
   let tasks =
@@ -284,9 +285,10 @@ let shred_on pool ~partitions (inputs : input list) : placed list list =
       let mine = Array.sub chunks !first (Array.length bounds) in
       first := !first + Array.length bounds;
       let datasets =
-        (top_name inp.base, false, fun (c : chunk) -> c.top)
+        (Registry.name registry (Top inp.base), false, fun (c : chunk) -> c.top)
         :: List.mapi
-             (fun d path -> (dict_name inp.base path, true, fun (c : chunk) -> c.dicts.(d)))
+             (fun d path ->
+               (Registry.name registry (Dict (inp.base, path)), true, fun (c : chunk) -> c.dicts.(d)))
              inp.paths
       in
       List.map
@@ -309,21 +311,25 @@ let nested types name =
     round-robin by item, each dictionary by its label's
     {!Plan.Kernel.hash_key}. Label sites are registered for all inputs,
     in input order, before any is shredded. Other inputs come back as
-    [None], in place. *)
+    [None], in place, under the name of their dataset. *)
 let place pool ~partitions (types : (string * T.t) list) (values : (string * V.t) list) :
     (string * V.t * placed list option) list =
+  let registry = Registry.of_inputs types in
   let prepared =
     List.map
       (fun (name, v) -> (name, v, Option.map (fun elem -> prepare name elem v) (nested types name)))
       values
   in
-  let shredded = ref (shred_on pool ~partitions (List.filter_map (fun (_, _, i) -> i) prepared)) in
+  let shredded =
+    ref (shred_on pool ~registry ~partitions (List.filter_map (fun (_, _, i) -> i) prepared))
+  in
   List.map
     (fun (name, v, inp) ->
-      match inp, !shredded with
-      | Some _, datasets :: rest ->
+      match inp, !shredded, List.assoc_opt name types with
+      | Some _, datasets :: rest, _ ->
         shredded := rest;
         (name, v, Some datasets)
+      | _, _, Some (T.TBag _) -> (Registry.name registry (Top name), v, None)
       | _ -> (name, v, None))
     prepared
 
@@ -335,7 +341,8 @@ let bag_of (p : placed) = V.Bag (Array.to_list p.parts.(0))
     shreddings of the same value produce distinct but isomorphic labels. *)
 let shred_bag (base : string) (elem_ty : T.t) (v : V.t) : shredded =
   let inp = prepare base elem_ty v in
-  match Exec.Pool.with_pool ~domains:1 (fun pool -> shred_on pool ~partitions:1 [ inp ]) with
+  let registry = Registry.of_inputs [ (base, T.TBag elem_ty) ] in
+  match Exec.Pool.with_pool ~domains:1 (fun pool -> shred_on pool ~registry ~partitions:1 [ inp ]) with
   | [ top :: dicts ] ->
     { top = bag_of top; dicts = List.map2 (fun path d -> (path, bag_of d)) inp.paths dicts }
   | _ -> assert false
@@ -347,10 +354,9 @@ let shred_env (types : (string * T.t) list) (values : (string * V.t) list) :
     (string * V.t) list =
   Exec.Pool.with_pool ~domains:1 (fun pool -> place pool ~partitions:1 types values)
   |> List.concat_map (fun (name, v, shredded) ->
-         match shredded, List.assoc_opt name types with
-         | Some ds, _ -> List.map (fun p -> (p.name, bag_of p)) ds
-         | None, Some (T.TBag _) -> [ (top_name name, v) ]
-         | None, _ -> [ (name, v) ])
+         match shredded with
+         | Some ds -> List.map (fun p -> (p.name, bag_of p)) ds
+         | None -> [ (name, v) ])
 
 (* ------------------------------------------------------------------ *)
 (* Unshredding *)
@@ -378,14 +384,14 @@ let unshred_bag (elem_ty : T.t) (top : V.t)
                   c
               in
               cell := V.Tuple fields :: !cell
-            | _ -> error "unshred_bag: malformed dictionary row")
+            | _ -> Unnest.unsupported "unshred_bag: malformed dictionary row")
           (V.bag_items bag);
         (path, tbl))
       dicts
   in
   let lookup path label =
     match List.assoc_opt path index with
-    | None -> error "unshred_bag: no dictionary at %s" (String.concat "." path)
+    | None -> Unnest.unsupported "unshred_bag: no dictionary at %s" (String.concat "." path)
     | Some tbl -> (
       match Hashtbl.find_opt tbl label with
       | Some cell -> List.rev !cell
@@ -400,7 +406,7 @@ let unshred_bag (elem_ty : T.t) (top : V.t)
              let fv =
                match List.assoc_opt n vfields with
                | Some x -> x
-               | None -> error "unshred_bag: missing attribute %s" n
+               | None -> Unnest.unsupported "unshred_bag: missing attribute %s" n
              in
              match ft with
              | T.TBag inner_ty ->
@@ -410,6 +416,6 @@ let unshred_bag (elem_ty : T.t) (top : V.t)
              | _ -> (n, fv))
            fields)
     | _, _ ->
-      error "unshred_bag: element type mismatch at %s" (String.concat "." path)
+      Unnest.unsupported "unshred_bag: element type mismatch at %s" (String.concat "." path)
   in
   V.Bag (List.map (rebuild_item [] elem_ty) (V.bag_items top))

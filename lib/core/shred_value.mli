@@ -38,7 +38,8 @@ val place :
   (string * Nrc.Value.t) list ->
   (string * Nrc.Value.t * placed list option) list
 (** [place pool ~partitions types values]: every input in order, and for
-    each nested bag its shredded datasets on [partitions] — the top bag
+    each nested bag its shredded datasets on [partitions], named by
+    [Registry.of_inputs types] — the top bag
     round-robin by item, each dictionary row in partition
     [Plan.Kernel.hash_key [label] mod partitions], in walk order within
     each partition, exactly as [Exec.Dataset.of_bag] and [of_bag_by] place
@@ -47,16 +48,18 @@ val place :
     are then shredded in contiguous chunks on [pool], a few per lane: a
     counting walk per chunk, which allocates nothing, gives each chunk the
     number of labels before it, so every label and placement is that of
-    one walk over the whole input, whatever the pool's size. Malformed
-    values raise {!Shred_type.Shred_error} (or [Invalid_argument] for a
-    bag field holding no bag), the first in walk order, before any chunk
-    is shredded. *)
+    one walk over the whole input, whatever the pool's size. Any other
+    input comes back with [None], under the name of its dataset: a flat
+    bag under its top bag's, anything else under its own. Malformed values
+    raise {!Unnest.Unsupported} (or [Invalid_argument] for a bag field
+    holding no bag), the first in walk order, before any chunk is
+    shredded. *)
 
 val shred_env :
   (string * Nrc.Types.t) list -> (string * Nrc.Value.t) list -> (string * Nrc.Value.t) list
 (** Shred every nested input of an environment into named datasets
     ([COP_F], [COP_D_corders], ...), in input order, each top bag before
-    its dictionaries; flat bags pass through under their [_F] name,
+    its dictionaries; flat bags pass through under their top bag's name,
     non-bag inputs unchanged. *)
 
 val unshred_bag :

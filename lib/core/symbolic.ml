@@ -49,9 +49,7 @@ and lam = {
          label through unchanged instead of wrapping it *)
 }
 
-exception Unsupported_shredding of string
-
-let unsupported fmt = Fmt.kstr (fun s -> raise (Unsupported_shredding s)) fmt
+let unsupported = Unnest.unsupported
 
 (* ------------------------------------------------------------------ *)
 (* Context *)
@@ -70,12 +68,7 @@ let flat_type_of ctx (e : E.t) : T.t =
   Nrc.Typecheck.infer
     (Nrc.Typecheck.env_of_list
        (ctx.ftenv
-       @ List.concat_map
-           (fun (name, ty) ->
-             match ty with
-             | T.TBag _ -> shredded_inputs name ty
-             | _ -> [ (name, ty) ])
-           ctx.dtenv))
+       @ List.concat_map (fun (name, ty) -> Registry.datasets ctx.registry name ty) ctx.dtenv))
     e
 
 (* the dictionary subtree for elements of the bag attribute [a] *)
@@ -96,7 +89,7 @@ let rec child_of ctx (d : dtree) (a : string) : dtree =
    only resolvable for already-materialized dictionaries *)
 let rec dict_dataset_of ctx (d : dtree) (a : string) : string =
   match d with
-  | DRef { dataset; path; _ } -> Registry.resolve ctx.registry dataset (path @ [ a ])
+  | DRef { dataset; path; _ } -> Registry.name ctx.registry (Dict (dataset, path @ [ a ]))
   | DNode entries -> (
     match List.assoc_opt a entries with
     | Some (EAlias sub) -> dict_dataset_root ctx sub
@@ -109,7 +102,7 @@ let rec dict_dataset_of ctx (d : dtree) (a : string) : string =
   | DEmpty -> unsupported "dictionary lookup on empty tree"
 
 and dict_dataset_root ctx = function
-  | DRef { dataset; path; _ } -> Registry.resolve ctx.registry dataset path
+  | DRef { dataset; path; _ } -> Registry.name ctx.registry (Dict (dataset, path))
   | _ -> unsupported "alias to a non-materialized dictionary"
 
 (* ------------------------------------------------------------------ *)
@@ -230,7 +223,7 @@ let rec shred (ctx : ctx) (e : E.t) : E.t * dtree =
       (* a named dataset *)
       match List.assoc_opt x ctx.dtenv with
       | Some (T.TBag elem) ->
-        (E.Var (top_name x), DRef { dataset = x; path = []; elem_ty = elem })
+        (E.Var (Registry.name ctx.registry (Top x)), DRef { dataset = x; path = []; elem_ty = elem })
       | Some _ -> (E.Var x, DEmpty)
       | None -> unsupported "unbound variable %s" x))
   | E.Proj (e1, a) -> (

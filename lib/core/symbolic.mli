@@ -40,8 +40,6 @@ and lam = {
           the inner label through unchanged *)
 }
 
-exception Unsupported_shredding of string
-
 val union_dtree : dtree -> dtree -> dtree
 (** Union of dictionary trees ([DEmpty] is the unit). *)
 
@@ -63,4 +61,4 @@ val shred_expr :
   Nrc.Expr.t * dtree
 (** Shred one assignment body against the dataset environment (original
     types). Returns F(e) and D(e).
-    @raise Unsupported_shredding outside the supported fragment. *)
+    @raise Unnest.Unsupported outside the supported fragment. *)

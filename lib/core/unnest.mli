@@ -11,10 +11,15 @@
     NULL-casting behaviour of Section 2). *)
 
 exception Unsupported of string
-(** Raised on constructs outside the supported fragment (multiple
+(** The compilers' one refusal of a program outside the supported
+    fragment, with a descriptive message. Unnesting raises it on multiple
     bag-valued attributes per level, unions inside nested attributes,
-    correlated subquery generators, [get] at bag positions) with a
-    descriptive message. *)
+    correlated subquery generators and [get] at bag positions; shredding,
+    materialization and unshredding on what they cannot shred; the
+    shredded loader on a value that does not match its input's type. *)
+
+val unsupported : ('a, Format.formatter, unit, 'b) format4 -> 'a
+(** Raise {!Unsupported} with a formatted message. *)
 
 val translate : tenv:(string * Nrc.Types.t) list -> Nrc.Expr.t -> Plan.Op.t
 (** Translate a bag-typed expression; [tenv] types the named datasets

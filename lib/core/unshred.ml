@@ -22,7 +22,7 @@ let query ~registry ~dataset (elem_ty : T.t) : E.t =
              match ft with
              | T.TBag inner ->
                let sub_path = path @ [ n ] in
-               let dict = Registry.resolve registry dataset sub_path in
+               let dict = Registry.name registry (Dict (dataset, sub_path)) in
                let z = E.fresh ~hint:"u" () in
                ( n,
                  E.ForUnion
@@ -34,13 +34,10 @@ let query ~registry ~dataset (elem_ty : T.t) : E.t =
                          None ) ) )
              | _ -> (n, E.Proj (E.Var var, n)))
            fields)
-    | _ ->
-      raise
-        (Symbolic.Unsupported_shredding
-           "unshredding requires tuple-valued bag elements")
+    | _ -> Unnest.unsupported "unshredding requires tuple-valued bag elements"
   in
   let x = E.fresh ~hint:"u" () in
   E.ForUnion
     ( x,
-      E.Var (Shred_type.top_name dataset),
+      E.Var (Registry.name registry (Top dataset)),
       E.Singleton (rebuild_fields [] x elem_ty) )

@@ -75,9 +75,15 @@ let validate t =
       at_least_one "partitions" t.partitions;
       at_least_one "domains" t.domains;
       at_least_one "max_task_attempts" t.max_task_attempts;
+      at_least_one "sample_per_partition" t.sample_per_partition;
       weight "cpu_weight" t.cpu_weight;
       weight "net_weight" t.net_weight;
       weight "disk_weight" t.disk_weight;
+      weight "fault_rate" t.fault_rate;
+      (if Float.is_finite t.heavy_threshold && t.heavy_threshold >= 0. && t.heavy_threshold <= 1.
+       then None
+       else
+         Some (Printf.sprintf "heavy_threshold must be finite and in [0, 1] (got %g)" t.heavy_threshold));
       (match t.deadline with
       | Some d when not (d > 0.) ->
         Some (Printf.sprintf "deadline must be > 0 (got %g)" d)

@@ -79,9 +79,10 @@ val checkpoint_name : checkpoint -> string
 
 val validate : t -> (t, string) result
 (** Accept a configuration the simulator can run: [workers], [partitions],
-    [domains] and [max_task_attempts] at least 1; [cpu_weight],
-    [net_weight] and [disk_weight] finite and non-negative; a [deadline],
-    if set, above 0. The error names every offending field. *)
+    [domains], [max_task_attempts] and [sample_per_partition] at least 1;
+    [cpu_weight], [net_weight], [disk_weight] and [fault_rate] finite and
+    non-negative; [heavy_threshold] finite and in [0, 1]; a [deadline], if
+    set, above 0. The error names every offending field. *)
 
 val with_env : (string -> string option) -> t -> (t, string) result
 (** [with_env getenv t] applies the CI matrix hooks read through [getenv]:

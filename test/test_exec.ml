@@ -632,12 +632,24 @@ let test_bag_carrying_routes () =
 (* The shredded route once told dictionaries and steps apart by parsing
    the names it generates: a target named like a dictionary was cast to
    one, a flat input named like one was loaded as one, and a target whose
-   name extends another's folded into that step. Each case must answer
-   like the reference interpreter on every route, with the source steps
-   the Standard route reports. *)
+   name extends another's folded into that step. Generated names also
+   rendered alike: [T]'s dictionary for [F] and the top bag of [T_D] are
+   both T_D_F, whether [T_D] is a target or an input. Each case must
+   answer like the reference interpreter on every route, with the source
+   steps the Standard route reports. *)
 let test_generated_name_lookalikes () =
   let flat_ty = T.TBag (T.TTuple [ ("x", T.int_) ]) in
   let flat_val = V.Bag (List.init 5 (fun i -> V.Tuple [ ("x", V.Int i) ])) in
+  let nested_ty =
+    T.TBag (T.TTuple [ ("c", T.int_); ("F", T.TBag (T.TTuple [ ("d", T.int_) ])) ])
+  in
+  let nested_val =
+    V.Bag
+      (List.init 4 (fun c ->
+           V.Tuple
+             [ ("c", V.Int c);
+               ("F", V.Bag (List.init c (fun d -> V.Tuple [ ("d", V.Int (c + d)) ]))) ]))
+  in
   let cases =
     [
       ( "dictionary-like target",
@@ -654,14 +666,42 @@ let test_generated_name_lookalikes () =
         "Q <- for c in COP union sng(cname := c.cname, corders := for o in \
          c.corders union sng(odate := o.odate)); Q_big <- for q in Q union \
          for o in q.corders union sng(cname := q.cname, odate := o.odate);" );
+      ( "a target named like a dictionary of another",
+        Fixtures.inputs_ty,
+        Fixtures.inputs_val,
+        "T <- for c in COP union sng(cname := c.cname, F := for o in c.corders \
+         union sng(d := o.odate)); T_D <- for t in T union sng(n := t.cname); \
+         T2 <- for t in T union for f in t.F union sng(d := f.d);" );
+      ( "an input named like a dictionary of another",
+        [ ("T", nested_ty); ("T_D", flat_ty) ],
+        [ ("T", nested_val); ("T_D", flat_val) ],
+        "Q <- for t in T union for f in t.F union for u in T_D union if f.d == u.x \
+         then sng(c := t.c, d := f.d);" );
+      ( "a target assigned twice",
+        Fixtures.inputs_ty,
+        Fixtures.inputs_val,
+        "Q <- for c in COP union sng(cname := c.cname, corders := for o in c.corders \
+         union sng(odate := o.odate, n := 1)); Q <- for q in Q union sng(cname := q.cname, \
+         corders := for o in q.corders union if o.n == 1 then sng(odate := o.odate)); \
+         R <- for q in Q union for o in q.corders union sng(cname := q.cname, odate := o.odate);" );
+      ( "a target named like an input",
+        Fixtures.inputs_ty,
+        Fixtures.inputs_val,
+        "COP <- for c in COP union sng(cname := c.cname, corders := for o in c.corders \
+         union sng(odate := o.odate)); Q <- for c in COP union for o in c.corders \
+         union sng(cname := c.cname, odate := o.odate);" );
     ]
   in
   List.iter
     (fun (name, inputs, values, text) ->
       let prog = Nrc.Parser.program_of_string ~inputs text in
       let expected = Nrc.Program.eval_result prog values in
+      (* one step per target, however often it is assigned *)
       let targets =
-        List.map (fun { Nrc.Program.target; _ } -> target) prog.assignments
+        List.fold_left
+          (fun acc { Nrc.Program.target; _ } ->
+            if List.mem target acc then acc else acc @ [ target ])
+          [] prog.assignments
       in
       List.iter
         (fun strategy ->
@@ -1219,6 +1259,9 @@ let invalid_configs =
     ("partitions = 0", { c with partitions = 0 });
     ("domains = 0", { c with domains = 0 });
     ("max_task_attempts = 0", { c with max_task_attempts = 0 });
+    ("sample_per_partition = 0", { c with sample_per_partition = 0 });
+    ("heavy_threshold = nan", { c with heavy_threshold = Float.nan });
+    ("fault_rate = nan", { c with fault_rate = Float.nan });
     ("cpu_weight = nan", { c with cpu_weight = Float.nan });
     ("net_weight = -1", { c with net_weight = -1. });
     ("disk_weight = inf", { c with disk_weight = Float.infinity });

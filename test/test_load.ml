@@ -223,7 +223,7 @@ let test_malformed () =
               Trance.Api.load_shredded_inputs ~cluster Qgen.inputs_ty [ ("N", V.Bag items) ]
             with
             | _ -> "loaded"
-            | exception Trance.Shred_type.Shred_error m -> m
+            | exception Trance.Unnest.Unsupported m -> m
             | exception Invalid_argument m -> m
           in
           Alcotest.(check string) (Printf.sprintf "%s, %d lanes" what domains) expected message)

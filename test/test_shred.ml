@@ -39,7 +39,8 @@ let test_dict_paths () =
     (List.length (Trance.Shred_type.dict_paths (T.element Fixtures.part_ty)))
 
 let test_shredded_inputs () =
-  let sigs = Trance.Shred_type.shredded_inputs "COP" Fixtures.cop_ty in
+  let inputs = [ ("COP", Fixtures.cop_ty) ] in
+  let sigs = Trance.Registry.(datasets (of_inputs inputs)) "COP" Fixtures.cop_ty in
   check_int "three shredded datasets for COP" 3 (List.length sigs);
   check_str "top name" "COP_F" (fst (List.nth sigs 0));
   check_str "level-1 dict" "COP_D_corders" (fst (List.nth sigs 1));
@@ -55,7 +56,8 @@ let test_shredded_inputs () =
    every input dictionary of the ten TPC-H nested inputs and of biomed is
    loaded with the label guarantee, every materialized dictionary is cast
    by [BagToDict], and no top bag or label domain is either. The expected
-   roles come from the naming scheme of [Shred_type]. *)
+   roles come from the default renderings of [Shred_type]: none of these
+   programs has a name that clashes. *)
 let test_recorded_roles () =
   let module ST = Trance.Shred_type in
   let nested =
@@ -65,8 +67,8 @@ let test_recorded_roles () =
             (Tpch.Queries.nested_name, Tpch.Queries.nested_input_ty ~wide ~level ())))
       [ false; true ]
   in
-  let dict_names base = function
-    | T.TBag elem -> List.map (ST.dict_name base) (ST.dict_paths elem)
+  let dicts_of base = function
+    | T.TBag elem -> List.map (fun p -> ST.render (Dict (base, p))) (ST.dict_paths elem)
     | _ -> []
   in
   let input_dicts = ref 0 in
@@ -76,7 +78,7 @@ let test_recorded_roles () =
         Trance.Api.load_shredded_inputs ~cluster:Exec.Config.default inputs
           (List.map (fun (n, _) -> (n, V.Bag [])) inputs)
       in
-      let dicts = List.concat_map (fun (n, ty) -> dict_names n ty) inputs in
+      let dicts = List.concat_map (fun (n, ty) -> dicts_of n ty) inputs in
       input_dicts := !input_dicts + List.length dicts;
       Hashtbl.iter
         (fun n (ds : Exec.Dataset.t) ->
@@ -111,7 +113,7 @@ let test_recorded_roles () =
       in
       let dicts =
         List.concat_map
-          (fun t -> dict_names t (Nrc.Typecheck.Env.find t types))
+          (fun t -> dicts_of t (Nrc.Typecheck.Env.find t types))
           targets
       in
       List.iter2
@@ -124,8 +126,8 @@ let test_recorded_roles () =
           if dict then incr mat_dicts
           else
             check (n ^ " is a top bag or a label domain") true
-              (n = ST.top_name o.step
-              || String.starts_with ~prefix:(ST.domain_name o.step []) n);
+              (n = ST.render (Top o.step)
+              || String.starts_with ~prefix:(ST.render (Dom (o.step, []))) n);
           check (n ^ " cast by BagToDict") dict cast)
         c.plans c.pipeline.origins)
     programs;
@@ -173,7 +175,7 @@ let gen_nested_value =
 
 let prop_shred_roundtrip =
   QCheck.Test.make ~name:"random COP values: shred/unshred roundtrip"
-    ~count:100
+    ~count:(Fixtures.qcheck_count 100)
     (QCheck.make ~print:V.to_string gen_nested_value)
     (fun v ->
       let elem = T.element Fixtures.cop_ty in
@@ -404,7 +406,7 @@ let test_pipeline_program () =
 let prop_shredded_random_inputs =
   QCheck.Test.make
     ~name:"random COP values: shredded example1 agrees with reference"
-    ~count:40
+    ~count:(Fixtures.qcheck_count 40)
     (QCheck.make ~print:V.to_string gen_nested_value)
     (fun cop ->
       let inputs = [ ("COP", cop); ("Part", Fixtures.part_value) ] in
@@ -417,6 +419,105 @@ let prop_shredded_random_inputs =
       in
       let _, _, actual = Trance.Shred_pipeline.eval_shredded prog inputs in
       V.approx_bag_equal expected actual)
+
+(* ------------------------------------------------------------------ *)
+(* Property: names that look like generated ones *)
+
+(* rename attribute [a] to [b] everywhere in a type, a value, a query *)
+let rename a b n = if n = a then b else n
+
+let rec rename_ty a b : T.t -> T.t = function
+  | T.TTuple fs -> T.TTuple (List.map (fun (n, t) -> (rename a b n, rename_ty a b t)) fs)
+  | T.TBag t -> T.TBag (rename_ty a b t)
+  | t -> t
+
+let rec rename_val a b : V.t -> V.t = function
+  | V.Tuple fs -> V.Tuple (List.map (fun (n, v) -> (rename a b n, rename_val a b v)) fs)
+  | V.Bag vs -> V.Bag (List.map (rename_val a b) vs)
+  | v -> v
+
+let rec rename_expr a b (e : E.t) : E.t =
+  match E.map_children (rename_expr a b) e with
+  | E.Proj (x, n) -> E.Proj (x, rename a b n)
+  | E.Record fs -> E.Record (List.map (fun (n, x) -> (rename a b n, x)) fs)
+  | e -> e
+
+(* [x] and names that look like those of [x]'s shredded datasets *)
+let shapes field x = [ x; x ^ "_D"; x ^ "_F"; x ^ "_D_" ^ field; x ^ "_Dom" ]
+
+(* ["N_D_F"] -> ["N"; "N_D"] *)
+let prefixes name =
+  let parts = String.split_on_char '_' name in
+  List.init (List.length parts - 1) (fun k ->
+      String.concat "_" (List.filteri (fun i _ -> i <= k) parts))
+
+(* A program of one to three Qgen queries over Qgen's inputs, with N's bag
+   attribute named [items] or [F] and the flat inputs and the targets named
+   after each other's shredded datasets: [N_D] for S makes S's top bag
+   render as N's dictionary for [F], a target [Q_D] after a target [Q] with
+   an [F] attribute does the same, a target may take an input's name or an
+   earlier target's. *)
+let gen_lookalike =
+  let open QCheck.Gen in
+  let* field = oneofl [ "items"; "F" ] in
+  let like_n = List.tl (shapes field "N") in
+  let* s_name = oneofl ("S" :: like_n) in
+  let* r_name = oneofl ("R" :: List.filter (( <> ) s_name) like_n) in
+  let names = [ ("R", r_name); ("S", s_name); ("N", "N") ] in
+  let inputs_ty = List.map (fun (n, ty) -> (List.assoc n names, rename_ty "items" field ty)) Qgen.inputs_ty in
+  let query q =
+    List.fold_left (fun q (n, n') -> E.subst n (E.Var n') q) (rename_expr "items" field q) names
+  in
+  let* steps = int_range 1 3 in
+  let rec assignments targets k =
+    if k = 0 then return []
+    else
+      let bases = "X" :: List.map snd names @ targets @ List.concat_map (fun (_, n) -> prefixes n) names in
+      let* target = oneofl (List.concat_map (shapes field) bases) in
+      let* q = Qgen.gen_root_query in
+      let+ rest = assignments (target :: targets) (k - 1) in
+      (target, query q) :: rest
+  in
+  let* assignments = assignments [] steps in
+  let+ values = Qgen.gen_inputs in
+  ( Nrc.Program.make ~inputs:inputs_ty assignments,
+    List.map (fun (n, v) -> (List.assoc n names, rename_val "items" field v)) values )
+
+let print_lookalike (p, values) =
+  Fmt.str "%s@.inputs:@.%a" (Nrc.Program.to_string p)
+    (Fmt.list ~sep:Fmt.cut (fun ppf (n, v) -> Fmt.pf ppf "%s = %a" n V.pp v))
+    values
+
+let distinct names = List.length (List.sort_uniq compare names) = List.length names
+
+(* Every dataset the shredded route materializes or loads has a name of
+   its own, the loader names the inputs as the compiler does, and
+   Shred+Unshred answers like Nrc.Eval. *)
+let prop_lookalike_names =
+  QCheck.Test.make ~name:"names like generated ones: distinct datasets, Shred+Unshred = Nrc.Eval"
+    ~count:(Fixtures.qcheck_count 100)
+    (QCheck.make ~print:print_lookalike gen_lookalike)
+    (fun (p, values) ->
+      (* a target that takes an input's name changes its type for later
+         queries *)
+      QCheck.assume
+        (match Nrc.Program.typecheck p with _ -> true | exception Nrc.Typecheck.Type_error _ -> false);
+      let expected = Nrc.Program.eval_result p values in
+      let mat = (Trance.Api.compile_shredded p).pipeline.mat in
+      let inputs = List.map fst mat.inputs in
+      let env = Trance.Api.load_shredded_inputs ~cluster:Exec.Config.default p.inputs values in
+      let r = Trance.Api.run ~strategy:(Trance.Api.Shredded { unshred = true }) p values in
+      let loaded = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) env []) in
+      let targets = List.map (fun (a : Nrc.Program.assignment) -> a.target) mat.assignments in
+      if not (distinct (inputs @ targets)) then
+        QCheck.Test.fail_reportf "two datasets share a name:@.%s" (Nrc.Program.to_string mat);
+      if loaded <> List.sort compare inputs then
+        QCheck.Test.fail_reportf "loaded %s, compiled for %s" (String.concat ", " loaded)
+          (String.concat ", " inputs);
+      match r.failure, r.value with
+      | None, Some v -> V.approx_bag_equal expected v
+      | Some f, _ -> QCheck.Test.fail_reportf "failed: %s" (Trance.Api.failure_message f)
+      | None, None -> false)
 
 let () =
   Alcotest.run "shred"
@@ -455,5 +556,7 @@ let () =
       ("rare shapes", rare_shape_tests);
       ( "pipelines",
         [ Alcotest.test_case "two-step program" `Quick test_pipeline_program ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_shredded_random_inputs ]);
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest prop_shredded_random_inputs;
+          QCheck_alcotest.to_alcotest prop_lookalike_names ] );
     ]
