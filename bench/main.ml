@@ -78,6 +78,11 @@ let api_run ~label ~(config : Trance.Api.config) ~strategy prog inputs =
     recorded := (!current_target ^ "/" ^ label, r) :: !recorded;
   r
 
+let write_file path (json : Exec.Json.t) =
+  match open_out path with
+  | exception Sys_error msg -> Error msg
+  | oc -> output_string oc (Exec.Json.to_string json ^ "\n"); close_out oc; Ok ()
+
 (* ------------------------------------------------------------------ *)
 (* Row printing *)
 
@@ -700,9 +705,7 @@ let scale_domains () =
       (cores :: List.filter (fun d -> d <= cores) [ 1; 2; 4; 8 ])
   in
   Printf.printf "host cores (Domain.recommended_domain_count): %d\n" cores;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "{\"host_cores\":%d,\"runs\":[" cores);
-  let first = ref true in
+  let runs = ref [] in
   Printf.printf "%-18s %-16s %7s %9s %9s %8s %6s\n" "cell" "strategy" "domains"
     "wall(s)" "sim(s)" "speedup" "sim=";
   Printf.printf "%s\n" (String.make 82 '-');
@@ -742,33 +745,26 @@ let scale_domains () =
                 | Some (w1, s1) ->
                   ((if wall > 0. then w1 /. wall else 0.), s1 = snap)
               in
+              let sim = snap.Exec.Stats.sim_seconds in
               Printf.printf "%-18s %-16s %7d %9.3f %9.3f %7.2fx %6s\n" cname
-                r.Trance.Api.strategy domains wall
-                (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds
-                speedup
+                r.Trance.Api.strategy domains wall sim speedup
                 (if identical then "yes" else "NO");
-              if not !first then Buffer.add_char buf ',';
-              first := false;
-              Buffer.add_string buf "{\"cell\":";
-              Exec.Trace.json_string buf cname;
-              Buffer.add_string buf ",\"strategy\":";
-              Exec.Trace.json_string buf r.Trance.Api.strategy;
-              Buffer.add_string buf
-                (Printf.sprintf
-                   ",\"domains\":%d,\"wall_seconds\":%.6f,\"sim_seconds\":%.6f,\"speedup\":%.4f,\"sim_identical\":%b}"
-                   domains wall
-                   (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.sim_seconds
-                   speedup identical))
+              runs :=
+                Exec.Json.Obj
+                  [ ("cell", String cname); ("strategy", String r.Trance.Api.strategy);
+                    ("domains", Int domains); ("wall_seconds", Float wall);
+                    ("sim_seconds", Float sim); ("speedup", Float speedup);
+                    ("sim_identical", Bool identical) ]
+                :: !runs)
             domain_counts)
         strategies)
     cells;
-  Buffer.add_string buf "]}\n";
-  (match open_out "BENCH_parallel.json" with
-  | exception Sys_error msg -> Fmt.epr "cannot write BENCH_parallel.json: %s@." msg
-  | oc ->
-    Buffer.output_buffer oc buf;
-    close_out oc;
-    Printf.printf "\nwrote BENCH_parallel.json\n")
+  match
+    write_file "BENCH_parallel.json"
+      (Obj [ ("host_cores", Int cores); ("runs", List (List.rev !runs)) ])
+  with
+  | Error msg -> Fmt.epr "cannot write BENCH_parallel.json: %s@." msg
+  | Ok () -> Printf.printf "\nwrote BENCH_parallel.json\n"
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks *)
@@ -847,25 +843,14 @@ let all_targets =
   ]
 
 let write_json path =
-  let b = Buffer.create 65536 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i (label, r) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"label\":";
-      Exec.Trace.json_string b label;
-      Buffer.add_string b ",\"run\":";
-      Buffer.add_string b (Trance.Api.run_json r);
-      Buffer.add_char b '}')
-    (List.rev !recorded);
-  Buffer.add_string b "]\n";
-  match open_out path with
-  | exception Sys_error msg ->
+  let run (label, r) =
+    Exec.Json.Obj [ ("label", String label); ("run", Trance.Api.run_report r) ]
+  in
+  match write_file path (List (List.rev_map run !recorded)) with
+  | Error msg ->
       Fmt.epr "cannot write JSON report: %s@." msg;
       exit 1
-  | oc ->
-      Buffer.output_buffer oc b;
-      close_out oc
+  | Ok () -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Command line *)

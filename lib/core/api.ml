@@ -226,100 +226,47 @@ let pp_run ppf r =
       Exec.Stats.pp r.stats
 
 (* ------------------------------------------------------------------ *)
-(* JSON reporting (hand-rolled; the image has no JSON library) *)
+(* JSON reporting *)
 
-(* Schema-stable: every counter appears in every run, zero-valued or not,
-   so downstream diffing of run_json never sees keys come and go. *)
-let snapshot_json b (s : Exec.Stats.snapshot) =
-  Buffer.add_char b '{';
-  Exec.Stats.buffer_json_fields b s;
-  Buffer.add_char b '}'
+(* The effective configuration, embedded in the report so an exported run
+   is self-describing and replayable from the JSON alone. It stays flat:
+   readers may cut it at its first '}'. *)
+let config_json (c : config) =
+  Exec.Json.Obj
+    (Exec.Config.json_fields c.cluster
+    @ [ ("skew_aware", Bool c.skew_aware); ("cogroup", Bool c.cogroup);
+        ("collect", Bool c.collect); ("trace", Bool c.trace);
+        ("route_fallback", Bool c.route_fallback);
+        ( "faults",
+          if c.faults = [] then Null else String (Exec.Faults.schedule_to_string c.faults) ) ])
 
-(* The effective configuration, embedded in run_json so an exported run is
-   self-describing and replayable from the JSON alone. [worker_mem] is -1
-   for an unbounded budget (max_int is not a useful JSON number). *)
-let config_json b (c : config) =
-  let cl = c.cluster in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"workers\":%d,\"partitions\":%d,\"worker_mem\":%d,\"broadcast_limit\":%d,\"seed\":%d,\"max_task_attempts\":%d,\"speculation\":%b,\"spill\":\"%s\",\"max_spill_rounds\":%d,\"checkpoint\":\"%s\",\"checkpoint_replication\":%d,\"fault_rate\":%s,\"deadline\":%s,\"domains\":%d,\"skew_aware\":%b,\"cogroup\":%b,\"collect\":%b,\"trace\":%b,\"route_fallback\":%b,\"faults\":"
-       cl.Exec.Config.workers cl.Exec.Config.partitions
-       (if cl.Exec.Config.worker_mem = max_int then -1
-        else cl.Exec.Config.worker_mem)
-       cl.Exec.Config.broadcast_limit cl.Exec.Config.seed
-       cl.Exec.Config.max_task_attempts cl.Exec.Config.speculation
-       (Exec.Config.spill_name cl.Exec.Config.spill)
-       cl.Exec.Config.max_spill_rounds
-       (Exec.Config.checkpoint_name cl.Exec.Config.checkpoint)
-       cl.Exec.Config.checkpoint_replication
-       (Exec.Stats.json_float cl.Exec.Config.fault_rate)
-       (match cl.Exec.Config.deadline with
-       | None -> "null"
-       | Some d -> Exec.Stats.json_float d)
-       cl.Exec.Config.domains c.skew_aware c.cogroup c.collect c.trace
-       c.route_fallback);
-  (match c.faults with
-  | [] -> Buffer.add_string b "null"
-  | sch ->
-    Buffer.add_char b '"';
-    Buffer.add_string b (Exec.Faults.schedule_to_string sch);
-    Buffer.add_char b '"');
-  Buffer.add_char b '}'
+let run_report (r : run) : Exec.Json.t =
+  let failure = function None -> Exec.Json.Null | Some f -> String (failure_message f) in
+  let step (s : step_report) =
+    Exec.Json.Obj
+      [ ("step", String s.step); ("sim_seconds", Float s.sim_seconds);
+        ("stats", Exec.Stats.json s.stats);
+        ("trace", match s.trace with None -> Null | Some sp -> Exec.Trace.json sp) ]
+  in
+  Obj
+    [ ("strategy", String r.strategy); ("wall_seconds", Float r.wall_seconds);
+      ("outcome", String (outcome_name (outcome r))); ("failure", failure r.failure);
+      ( "degradation",
+        match r.degradation with
+        | None -> Null
+        | Some d ->
+          Obj
+            [ ("spilled_bytes", Int d.spilled_bytes);
+              ("spill_partitions", Int d.spill_partitions);
+              ("spill_rounds", Int d.spill_rounds); ("fell_back", Bool d.fell_back);
+              ("answered_by", String d.answered_by);
+              ("first_failure", failure d.first_failure) ] );
+      ("config", config_json r.config);
+      ("totals", Exec.Stats.json (Exec.Stats.snapshot r.stats));
+      ("steps", List (List.map step r.steps));
+      ("trace", List (List.map Exec.Trace.json r.trace)) ]
 
-let run_json (r : run) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"strategy\":";
-  Exec.Trace.json_string b r.strategy;
-  Buffer.add_string b
-    (",\"wall_seconds\":" ^ Exec.Stats.json_float r.wall_seconds);
-  Buffer.add_string b ",\"outcome\":";
-  Exec.Trace.json_string b (outcome_name (outcome r));
-  Buffer.add_string b ",\"failure\":";
-  (match r.failure with
-  | None -> Buffer.add_string b "null"
-  | Some f -> Exec.Trace.json_string b (failure_message f));
-  Buffer.add_string b ",\"degradation\":";
-  (match r.degradation with
-  | None -> Buffer.add_string b "null"
-  | Some d ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"spilled_bytes\":%d,\"spill_partitions\":%d,\"spill_rounds\":%d,\"fell_back\":%b,\"answered_by\":"
-         d.spilled_bytes d.spill_partitions d.spill_rounds d.fell_back);
-    Exec.Trace.json_string b d.answered_by;
-    Buffer.add_string b ",\"first_failure\":";
-    (match d.first_failure with
-    | None -> Buffer.add_string b "null"
-    | Some f -> Exec.Trace.json_string b (failure_message f));
-    Buffer.add_char b '}');
-  Buffer.add_string b ",\"config\":";
-  config_json b r.config;
-  Buffer.add_string b ",\"totals\":";
-  snapshot_json b (Exec.Stats.snapshot r.stats);
-  Buffer.add_string b ",\"steps\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"step\":";
-      Exec.Trace.json_string b s.step;
-      Buffer.add_string b
-        (Printf.sprintf ",\"sim_seconds\":%s,\"stats\":"
-           (Exec.Stats.json_float s.sim_seconds));
-      snapshot_json b s.stats;
-      Buffer.add_string b ",\"trace\":";
-      (match s.trace with
-      | None -> Buffer.add_string b "null"
-      | Some sp -> Exec.Trace.buffer_json b sp);
-      Buffer.add_char b '}')
-    r.steps;
-  Buffer.add_string b "],\"trace\":[";
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char b ',';
-      Exec.Trace.buffer_json b sp)
-    r.trace;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+let run_json r = Exec.Json.to_string (run_report r)
 
 (* ------------------------------------------------------------------ *)
 (* Plan compilation *)

@@ -13,7 +13,8 @@
     task, a missed deadline, an invalid configuration — is reported as a
     failed run, never an exception. With [config.trace] on, every run additionally
     carries per-operator {!Exec.Trace} span trees, and each
-    {!step_report} points at its step's span tree. *)
+    {!step_report} points at its step's span tree. A finished run exports
+    as one {!Exec.Json.t}, {!run_report}; {!run_json} prints it. *)
 
 type strategy =
   | Standard
@@ -131,14 +132,17 @@ val outcome_name : outcome -> string
 
 val pp_run : Format.formatter -> run -> unit
 
+val run_report : run -> Exec.Json.t
+(** The whole run as a JSON object: strategy, wall seconds, outcome,
+    failure, degradation, the effective ["config"] (flat: the
+    {!Exec.Config.json_fields}, this module's five switches and the fault
+    schedule — enough to replay the run), totals and per-step slices as
+    {!Exec.Stats.json}, span trees as {!Exec.Trace.json}. Every counter key
+    and the ["degradation"] key appear in every run, so downstream diffs
+    never see keys come and go. {!run} itself builds no JSON. *)
+
 val run_json : run -> string
-(** The whole run as a JSON object — strategy, wall seconds, failure,
-    degradation, the effective ["config"] (workers, partitions, worker_mem,
-    seed, spill, checkpoint, deadline, fault schedule — enough to replay
-    the run from the JSON alone), totals, per-step reports (with span
-    trees), root spans. Schema-stable: every counter key (including the
-    spill and checkpoint counters) and the ["degradation"] key appear in
-    every run, so downstream diffs never see keys come and go. *)
+(** {!run_report}, printed by {!Exec.Json.to_string}. *)
 
 (** {2 Compilation} *)
 

@@ -41,6 +41,8 @@ let rec col_expr (e : S.t) : string =
     Printf.sprintf "(%s || %s)" (col_expr a) (col_expr b)
   | S.Not a -> Printf.sprintf "!%s" (col_expr a)
   | S.IsNull a -> Printf.sprintf "%s.isNull" (col_expr a)
+  | S.If (c, a, b) ->
+    Printf.sprintf "when(%s, %s).otherwise(%s)" (col_expr c) (col_expr a) (col_expr b)
   | S.MkLabel { site; args } ->
     Printf.sprintf "struct(lit(%d).as(\"site\")%s)" site
       (String.concat ""

@@ -156,13 +156,7 @@ let rec compile_sexpr (e : E.t) : S.t =
     S.MkLabel { site; args = List.map compile_sexpr args }
   | E.Record fields ->
     S.MkTuple (List.map (fun (n, x) -> (n, compile_sexpr x)) fields)
-  | E.If (c, a, Some b) ->
-    (* scalar conditional: encode as presence-free case split is not
-       available in the plan sexprs; supported only for boolean scalars *)
-    S.Logic
-      ( E.Or,
-        S.Logic (E.And, compile_sexpr c, compile_sexpr a),
-        S.Logic (E.And, S.Not (compile_sexpr c), compile_sexpr b) )
+  | E.If (c, a, Some b) -> S.If (compile_sexpr c, compile_sexpr a, compile_sexpr b)
   | _ -> unsupported "not a flat scalar expression: %a" E.pp e
 
 (* ------------------------------------------------------------------ *)

@@ -17,9 +17,8 @@ let make (cfg : Config.t) = { cfg; since_bytes = 0; since_stages = 0 }
 let observe t ~bytes = t.since_bytes <- t.since_bytes + max 0 bytes
 
 let write_cost (cfg : Config.t) out_bytes =
-  float_of_int out_bytes
-  *. cfg.Config.disk_weight
-  *. float_of_int (max 1 cfg.Config.checkpoint_replication)
+  float_of_int out_bytes *. cfg.Config.disk_weight
+  *. float_of_int cfg.Config.checkpoint_replication
 
 (* Break-even test for Auto placement: checkpoint when the expected
    recompute cost of the lineage accumulated since the last checkpoint —

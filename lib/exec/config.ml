@@ -60,6 +60,20 @@ let checkpoint_name = function
   | Every k -> Printf.sprintf "every=%d" k
   | Auto -> "auto"
 
+(* [worker_mem] is -1 for an unbounded budget: max_int is not a useful
+   JSON number *)
+let json_fields t : (string * Json.t) list =
+  [ ("workers", Int t.workers); ("partitions", Int t.partitions);
+    ("worker_mem", Int (if t.worker_mem = max_int then -1 else t.worker_mem));
+    ("broadcast_limit", Int t.broadcast_limit); ("seed", Int t.seed);
+    ("max_task_attempts", Int t.max_task_attempts); ("speculation", Bool t.speculation);
+    ("spill", String (spill_name t.spill)); ("max_spill_rounds", Int t.max_spill_rounds);
+    ("checkpoint", String (checkpoint_name t.checkpoint));
+    ("checkpoint_replication", Int t.checkpoint_replication);
+    ("fault_rate", Float t.fault_rate);
+    ("deadline", match t.deadline with None -> Null | Some d -> Float d);
+    ("domains", Int t.domains) ]
+
 let validate t =
   let at_least_one name v =
     if v >= 1 then None
@@ -88,6 +102,9 @@ let validate t =
       | Some d when not (d > 0.) ->
         Some (Printf.sprintf "deadline must be > 0 (got %g)" d)
       | _ -> None);
+      (match t.checkpoint with Every k -> at_least_one "checkpoint every=K" k | _ -> None);
+      at_least_one "checkpoint_replication" t.checkpoint_replication;
+      (if t.spill = On then at_least_one "max_spill_rounds" t.max_spill_rounds else None);
     ]
   in
   match List.filter_map Fun.id problems with

@@ -7,7 +7,8 @@
     saturation into {!Failure.Out_of_memory} — the paper's FAIL bars.
 
     A configuration runs only if {!validate} accepts it; {!Trance.Api.run}
-    reports a rejected one as a failed run. *)
+    reports a rejected one as a failed run. {!json_fields} is the part of
+    a run report's ["config"] object this module owns. *)
 
 type spill =
   | Off  (** deny over-budget reservations: the paper's FAIL bars *)
@@ -77,12 +78,21 @@ val checkpoint_of_string : string -> (checkpoint, string) result
 val checkpoint_name : checkpoint -> string
 (** Canonical round-trippable form of {!checkpoint_of_string}. *)
 
+val json_fields : t -> (string * Json.t) list
+(** The fields that make a run report replayable, in declaration order
+    (from [workers] to [domains], without the skew and cost constants);
+    [worker_mem] is -1 when unbounded, [deadline] [null] when unset. *)
+
 val validate : t -> (t, string) result
 (** Accept a configuration the simulator can run: [workers], [partitions],
     [domains], [max_task_attempts] and [sample_per_partition] at least 1;
     [cpu_weight], [net_weight], [disk_weight] and [fault_rate] finite and
     non-negative; [heavy_threshold] finite and in [0, 1]; a [deadline], if
-    set, above 0. The error names every offending field. *)
+    set, above 0; an [Every k] [checkpoint] with [k] at least 1;
+    [checkpoint_replication] at least 1; and, with [spill = On],
+    [max_spill_rounds] at least 1. Each of these would otherwise run as a
+    different setting than the one asked for. The error names every
+    offending field. *)
 
 val with_env : (string -> string option) -> t -> (t, string) result
 (** [with_env getenv t] applies the CI matrix hooks read through [getenv]:

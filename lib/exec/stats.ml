@@ -111,19 +111,19 @@ let pp_snapshot ppf (s : snapshot) =
 
 let pp ppf t = pp_snapshot ppf t.total
 
-(* Hand-rolled JSON (no JSON dependency in the toolchain image). JSON has
-   no nan or infinity: such a value is written as [null], never as a
-   plausible number. *)
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+(* Every counter in every snapshot, zero-valued or not, so downstream
+   diffing of the JSON never sees keys come and go. *)
+let json_fields (s : snapshot) : (string * Json.t) list =
+  [ ("shuffled_bytes", Int s.shuffled_bytes); ("broadcast_bytes", Int s.broadcast_bytes);
+    ("peak_worker_bytes", Int s.peak_worker_bytes); ("rows_processed", Int s.rows_processed);
+    ("stages", Int s.stages); ("sim_seconds", Float s.sim_seconds);
+    ("task_retries", Int s.task_retries); ("retried_tasks", Int s.retried_tasks);
+    ("speculative_tasks", Int s.speculative_tasks);
+    ("recomputed_bytes", Int s.recomputed_bytes); ("spilled_bytes", Int s.spilled_bytes);
+    ("spill_partitions", Int s.spill_partitions); ("spill_rounds", Int s.spill_rounds);
+    ("checkpoints_written", Int s.checkpoints_written);
+    ("checkpoint_bytes", Int s.checkpoint_bytes);
+    ("lineage_truncated", Int s.lineage_truncated);
+    ("recovery_seconds", Float s.recovery_seconds); ("wall_seconds", Float s.wall_seconds) ]
 
-let buffer_json_fields b (s : snapshot) =
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"shuffled_bytes\":%d,\"broadcast_bytes\":%d,\"peak_worker_bytes\":%d,\"rows_processed\":%d,\"stages\":%d,\"sim_seconds\":%s,\"task_retries\":%d,\"retried_tasks\":%d,\"speculative_tasks\":%d,\"recomputed_bytes\":%d,\"spilled_bytes\":%d,\"spill_partitions\":%d,\"spill_rounds\":%d,\"checkpoints_written\":%d,\"checkpoint_bytes\":%d,\"lineage_truncated\":%d,\"recovery_seconds\":%s,\"wall_seconds\":%s"
-       s.shuffled_bytes s.broadcast_bytes s.peak_worker_bytes s.rows_processed
-       s.stages (json_float s.sim_seconds) s.task_retries s.retried_tasks
-       s.speculative_tasks s.recomputed_bytes s.spilled_bytes
-       s.spill_partitions s.spill_rounds s.checkpoints_written
-       s.checkpoint_bytes s.lineage_truncated
-       (json_float s.recovery_seconds)
-       (json_float s.wall_seconds))
+let json s = Json.Obj (json_fields s)

@@ -7,7 +7,10 @@
     records a quantity builds a delta of that record and {!charge}s it:
     the executor charges each accounted quantity once, through
     {!Trace.charge}, which feeds both the run's {!t} and the innermost
-    span. Per-step slices are computed with {!snapshot} + {!diff}. *)
+    span. Per-step slices are computed with {!snapshot} + {!diff}.
+
+    A snapshot's JSON is {!json}, a {!Json.t} that the run report, the step
+    slices and the span metrics all embed; {!Json} prints it. *)
 
 (** The run counters at one instant, or a delta of them. *)
 type snapshot = {
@@ -72,11 +75,11 @@ val pp_snapshot : Format.formatter -> snapshot -> unit
 
 (** {2 JSON} *)
 
-val json_float : float -> string
-(** [%.6g]; a nan or infinite value is written as [null] — JSON has no
-    such numbers, and a plausible stand-in would hide the error. *)
+val json_fields : snapshot -> (string * Json.t) list
+(** The 18 counters as fields, in declaration order: the one list behind
+    the run totals, step slices and span metrics of
+    [Trance.Api.run_json]. Every counter appears in every snapshot, so the
+    schema never loses a key. *)
 
-val buffer_json_fields : Buffer.t -> snapshot -> unit
-(** The 18 counters as ["key":value] pairs, comma-separated and without
-    the enclosing braces: the one writer behind the run totals, step
-    slices and span metrics of [run_json]. *)
+val json : snapshot -> Json.t
+(** {!json_fields} as an object. *)

@@ -233,68 +233,18 @@ let pp_tree ppf sp =
   in
   go "" sp
 
-(* Hand-rolled JSON (no JSON dependency in the toolchain image). *)
-
-let json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 (* [rows_out] repeats [rows_processed] under the span schema's name *)
-let buffer_metrics b m =
-  Buffer.add_char b '{';
-  Stats.buffer_json_fields b m.counters;
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\"rows_in\":%d,\"rows_out\":%d,\"max_partition_bytes\":%d,\"mean_partition_bytes\":%s,\"load_imbalance\":%s}"
-       m.rows_in m.counters.rows_processed m.max_partition_bytes
-       (Stats.json_float (mean_partition_bytes m))
-       (Stats.json_float (load_imbalance m)))
+let metrics_json m =
+  Json.Obj
+    (Stats.json_fields m.counters
+    @ [ ("rows_in", Int m.rows_in); ("rows_out", Int m.counters.rows_processed);
+        ("max_partition_bytes", Int m.max_partition_bytes);
+        ("mean_partition_bytes", Float (mean_partition_bytes m));
+        ("load_imbalance", Float (load_imbalance m)) ])
 
-let rec buffer_json b sp =
-  Buffer.add_string b (Printf.sprintf "{\"id\":%d,\"op\":" sp.id);
-  json_string b sp.op;
-  Buffer.add_string b ",\"stage\":";
-  json_string b sp.stage;
-  Buffer.add_string b ",\"strategy\":";
-  (match sp.strategy with
-  | None -> Buffer.add_string b "null"
-  | Some s -> json_string b (strategy_name s));
-  Buffer.add_string b ",\"metrics\":";
-  buffer_metrics b sp.metrics;
-  Buffer.add_string b ",\"total\":";
-  buffer_metrics b (total sp);
-  Buffer.add_string b ",\"children\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      buffer_json b c)
-    sp.children;
-  Buffer.add_string b "]}"
-
-let to_json sp =
-  let b = Buffer.create 1024 in
-  buffer_json b sp;
-  Buffer.contents b
-
-let spans_json spans =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char b ',';
-      buffer_json b sp)
-    spans;
-  Buffer.add_char b ']';
-  Buffer.contents b
+let rec json sp =
+  Json.Obj
+    [ ("id", Int sp.id); ("op", String sp.op); ("stage", String sp.stage);
+      ("strategy", match sp.strategy with None -> Null | Some s -> String (strategy_name s));
+      ("metrics", metrics_json sp.metrics); ("total", metrics_json (total sp));
+      ("children", List (List.map json sp.children)) ]

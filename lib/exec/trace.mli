@@ -17,7 +17,10 @@
 
     Tracing is opt-in: every recording entry point takes a [ctx option];
     on [None] the span side is a no-op and {!charge} only charges the
-    total. *)
+    total.
+
+    A tree is rendered as text by {!pp_tree} and as a {!Json.t} by {!json},
+    which the run report embeds per step and per assignment. *)
 
 (** How a join (or cogroup) moved its inputs. *)
 type join_strategy =
@@ -128,15 +131,8 @@ val without_wall : span -> span
 val pp_tree : Format.formatter -> span -> unit
 (** Indented per-operator tree with inclusive metrics per line. *)
 
-val json_string : Buffer.t -> string -> unit
-(** A JSON string literal: quoted, with quotes, backslashes and control
-    characters escaped. *)
-
-val buffer_json : Buffer.t -> span -> unit
-
-val to_json : span -> string
-(** Span tree as a JSON object: [{"id", "op", "stage", "strategy",
-    "metrics" (exclusive), "total" (inclusive), "children"}]. *)
-
-val spans_json : span list -> string
-(** JSON array of {!to_json} objects. *)
+val json : span -> Json.t
+(** The span tree as an object: [{"id", "op", "stage", "strategy",
+    "metrics" (exclusive), "total" (inclusive), "children"}]; each metrics
+    object is {!Stats.json_fields} plus [rows_in], [rows_out],
+    [max_partition_bytes], [mean_partition_bytes] and [load_imbalance]. *)

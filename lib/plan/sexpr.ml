@@ -3,9 +3,9 @@
     a schema, which resolves every column to its slot once.
 
     Null semantics mirror the paper's outer operators: projecting a field of
-    a Null tuple yields Null; any primitive or comparison with a Null operand
-    yields Null, which selections treat as false and {!Op.NestSum} casts
-    to 0. *)
+    a Null tuple yields Null; any primitive, comparison or conditional with
+    a Null operand (or condition) yields Null, which selections treat as
+    false and {!Op.NestSum} casts to 0. *)
 
 type t =
   | Col of string list (* column name followed by tuple-field path *)
@@ -15,6 +15,7 @@ type t =
   | Logic of Nrc.Expr.logic * t * t
   | Not of t
   | IsNull of t
+  | If of t * t * t
   | MkLabel of { site : int; args : t list }
   | LabelArg of t * int (* extract i-th captured value of a label *)
   | IsLabelSite of t * int (* true iff the label was created by this site *)
@@ -82,6 +83,14 @@ let rec specialize (column : string -> ('a -> Nrc.Value.t) option) (e : t) :
   | IsNull a ->
     let a = spec a in
     fun env -> Nrc.Value.of_bool (Nrc.Value.is_null (a env))
+  | If (c, a, b) ->
+    let c = spec c and a = spec a and b = spec b in
+    fun env -> (
+      match c env with
+      | Nrc.Value.Null -> Nrc.Value.Null
+      | Nrc.Value.Bool true -> a env
+      | Nrc.Value.Bool false -> b env
+      | _ -> invalid_arg "Sexpr.compile: if on non-boolean")
   | MkLabel { site; args } ->
     let args = List.map spec args in
     fun env -> Nrc.Value.Label { site; args = List.map (fun a -> a env) args }
@@ -164,6 +173,7 @@ let rec uses (e : t) : (string * string list) list =
   | Const _ -> []
   | Prim (_, a, b) | Cmp (_, a, b) | Logic (_, a, b) -> uses a @ uses b
   | Not a | IsNull a | LabelArg (a, _) | IsLabelSite (a, _) -> uses a
+  | If (c, a, b) -> uses c @ uses a @ uses b
   | MkLabel { args; _ } -> List.concat_map uses args
   | MkTuple fields -> List.concat_map (fun (_, x) -> uses x) fields
 
@@ -191,6 +201,7 @@ let rec pp ppf = function
     Fmt.pf ppf "(%a %s %a)" pp a (Nrc.Expr.logic_to_string op) pp b
   | Not a -> Fmt.pf ppf "\u{00AC}%a" pp a
   | IsNull a -> Fmt.pf ppf "isnull(%a)" pp a
+  | If (c, a, b) -> Fmt.pf ppf "(if %a then %a else %a)" pp c pp a pp b
   | MkLabel { site; args } ->
     Fmt.pf ppf "NewLabel_%d(%a)" site (Fmt.list ~sep:Fmt.comma pp) args
   | LabelArg (a, i) -> Fmt.pf ppf "%a#%d" pp a i

@@ -9,8 +9,8 @@
     [c], allocating just the list that holds them.
 
     Null semantics mirror the paper's outer operators: projecting through a
-    Null tuple yields Null; primitives and comparisons with a Null operand
-    yield Null; selections treat Null as false; {!Op.NestSum} casts Null
+    Null tuple yields Null; primitives, comparisons and conditionals with a
+    Null operand (or condition) yield Null; selections treat Null as false; {!Op.NestSum} casts Null
     aggregands to 0. *)
 
 type t =
@@ -21,6 +21,9 @@ type t =
   | Logic of Nrc.Expr.logic * t * t
   | Not of t
   | IsNull of t
+  | If of t * t * t
+      (** scalar conditional: the first branch on true, the second on
+          false, Null on a Null condition *)
   | MkLabel of { site : int; args : t list }
   | LabelArg of t * int
       (** extract the i-th captured value of a label (Null when out of

@@ -2,7 +2,8 @@
 
     Queries are drawn from a grammar of the supported fragment (selections,
     equi-joins, navigation, nested reconstruction, sumBy/groupBy at the root
-    and inside nested attributes, dedup, unions of compatible branches) over
+    and inside nested attributes, dedup, unions of compatible branches,
+    scalar conditionals in heads) over
     a fixed pair of flat relations and one nested relation, with random
     constants, projections, key choices and data. Input relations and
     nested [items] bags are generated empty with boosted probability, so
@@ -395,11 +396,39 @@ let gen_root_query : E.t G.t =
                      );
                    ]) )))
   in
+  (* scalar conditionals in a head: int and string branches at the top,
+     a real one inside the nested level *)
+  let cond_head =
+    let n = fresh "n" and it = fresh "i" in
+    map2
+      (fun top inner ->
+        E.ForUnion
+          ( n,
+            E.Var "N",
+            E.Singleton
+              (E.Record
+                 [
+                   ("k", E.If (top, E.Proj (E.Var n, "k"), Some (E.int_ 9)));
+                   ("name", E.If (top, E.str "hit", Some (E.Proj (E.Var n, "name"))));
+                   ( "items",
+                     E.ForUnion
+                       ( it,
+                         E.Proj (E.Var n, "items"),
+                         E.Singleton
+                           (E.Record
+                              [
+                                ("a", E.Proj (E.Var it, "a"));
+                                ("q", E.If (inner, E.Proj (E.Var it, "q"), Some (E.real 0.5)));
+                              ]) ) );
+                 ]) ))
+      (gen_int_pred (E.Var n) "k")
+      (gen_int_pred (E.Var it) "a")
+  in
   frequency
     [
       (3, base); (1, unioned); (2, summed); (1, grouped); (1, deduped);
       (2, nest_join); (2, rebuild_filter); (2, rebuild_aggregate);
-      (2, nest_two); (1, nest_union);
+      (2, nest_two); (1, nest_union); (2, cond_head);
     ]
 
 (* ------------------------------------------------------------------ *)

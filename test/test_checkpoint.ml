@@ -63,7 +63,8 @@ let run ~config ~faults strategy q =
 (* wall-clock time is the one legitimately non-deterministic quantity a
    run reports; strip it before any replay comparison *)
 let det_spans (r : Trance.Api.run) =
-  Trace.spans_json (List.map Trace.without_wall r.Trance.Api.trace)
+  Exec.Json.to_string
+    (List (List.map (fun sp -> Trace.json (Trace.without_wall sp)) r.Trance.Api.trace))
 
 let det_stats (r : Trance.Api.run) =
   Exec.Stats.strip_wall (Exec.Stats.snapshot r.Trance.Api.stats)

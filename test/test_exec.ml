@@ -4,7 +4,9 @@
     NRC reference interpreter; plus unit tests for datasets, shuffling
     guarantees, heavy-key detection, broadcast decisions, cogroup fusion,
     memory-budget failures, stray executor exceptions as typed failures,
-    and a golden table of the simulated counters. *)
+    a golden table of the simulated counters, scalar conditionals on every
+    route, and a property that [Api.run] is total on boundary
+    configurations. *)
 
 module B = Nrc.Builder
 module T = Nrc.Types
@@ -1248,6 +1250,132 @@ let test_golden_counters () =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Scalar conditionals *)
+
+(* A scalar [if] in a head, with string and int branches at the top
+   levels and a real one inside the innermost: every route answers like
+   Nrc.Eval. Shred's answer holds labels, so it must only complete. *)
+let scalar_if =
+  let if_ c a b = Nrc.Expr.If (c, a, Some b) in
+  B.(
+    for_ "cop" (input "COP") (fun cop ->
+        sng
+          (record
+             [
+               ("cname", cop #. "cname");
+               ("who", if_ (cop #. "cname" == str "alice") (str "A") (str "other"));
+               ( "corders",
+                 for_ "co" (cop #. "corders") (fun co ->
+                     sng
+                       (record
+                          [
+                            ("early", if_ (co #. "odate" < date 102) (int_ 1) (int_ 0));
+                            ( "oparts",
+                              for_ "op" (co #. "oparts") (fun op ->
+                                  sng
+                                    (record
+                                       [
+                                         ("pid", op #. "pid");
+                                         ( "qty",
+                                           if_ (op #. "qty" > real 1.5) (op #. "qty")
+                                             (real 0.) );
+                                       ])) );
+                          ])) );
+             ])))
+
+let test_scalar_if () =
+  List.iter
+    (fun strategy ->
+      let sname = Trance.Api.strategy_name strategy in
+      let r = run_strategy strategy scalar_if in
+      match r.Trance.Api.failure, strategy with
+      | Some f, _ -> Alcotest.failf "%s failed: %s" sname (Trance.Api.failure_message f)
+      | None, Trance.Api.Shredded { unshred = false } -> ()
+      | None, _ ->
+        Fixtures.check_bag_equal sname (Fixtures.eval_ref scalar_if)
+          (Option.get r.Trance.Api.value))
+    (Trance.Api.Shredded { unshred = false } :: strategies)
+
+(* ------------------------------------------------------------------ *)
+(* Total entry point: Api.run on boundary configurations *)
+
+let gen_boundary_config : Trance.Api.config QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* workers = oneofl [ 1; 3 ]
+  and* partitions = oneofl [ 1; 7 ]
+  and* broadcast_limit = oneofl [ 0; Exec.Config.default.broadcast_limit ]
+  and* worker_mem = oneofl [ 1024; 16 * 1024; 1024 * 1024; max_int ]
+  and* spill = oneofl Exec.Config.[ On; Off ]
+  and* checkpoint = oneofl Exec.Config.[ No_checkpoints; Every 1; Every 2; Auto ]
+  and* deadline = oneofl [ None; Some 1e-9 ]
+  and* faults =
+    oneof
+      [
+        return [];
+        map
+          (fun (kind, stage) -> [ { (Exec.Faults.default_spec kind) with stage } ])
+          (pair
+             (oneofl
+                Exec.Faults.
+                  [ Worker_crash; Task_failure; Fetch_failure; Straggler; Mem_squeeze ])
+             (int_bound 4));
+        map (fun n -> Exec.Faults.storm n) (int_range 2 4);
+      ]
+  and* domains = oneofl [ 1; 2 ]
+  and* skew_aware = bool
+  and* cogroup = bool
+  and* optimizer = oneofl Plan.Optimize.[ default; none ]
+  and* domain_elimination = bool in
+  return
+    { Trance.Api.default_config with
+      cluster =
+        { Exec.Config.default with
+          workers; partitions; broadcast_limit; worker_mem; spill; checkpoint;
+          deadline; domains };
+      skew_aware; cogroup; optimizer; faults;
+      materializer = { Trance.Materialize.domain_elimination } }
+
+let route_strategies =
+  Trance.Api.
+    [ Standard; Shredded { unshred = false }; Shredded { unshred = true }; SparkSQL_proxy ]
+
+let print_boundary_run ((case, (c : Trance.Api.config)), strategy) =
+  Fmt.str "%s@.%s on %s@.faults [%s] skew_aware %b cogroup %b optimizer %s \
+           domain_elimination %b"
+    (Qgen.print_case case) (Trance.Api.strategy_name strategy)
+    (Exec.Json.to_string (Obj (Exec.Config.json_fields c.cluster)))
+    (Exec.Faults.schedule_to_string c.faults)
+    c.skew_aware c.cogroup
+    (if c.optimizer = Plan.Optimize.none then "none" else "default")
+    c.materializer.domain_elimination
+
+let arbitrary_boundary_run =
+  QCheck.make ~print:print_boundary_run
+    QCheck.Gen.(
+      pair (pair (QCheck.gen Qgen.arbitrary_case) gen_boundary_config)
+        (oneofl route_strategies))
+
+(* Any program, configuration and route either answers like Nrc.Eval or
+   fails typed on memory, a task or the deadline: Api.run never raises and
+   never reports [Error] for a valid configuration. *)
+let prop_run_total =
+  QCheck.Test.make ~name:"Api.run is total on boundary configurations"
+    ~count:(Fixtures.qcheck_count 300) arbitrary_boundary_run
+    (fun (((q, inputs), config), strategy) ->
+      let prog = Nrc.Program.of_expr ~inputs:Qgen.inputs_ty ~name:"Q" q in
+      match Trance.Api.run ~config ~strategy prog inputs with
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | r -> (
+        match r.Trance.Api.failure, r.Trance.Api.value, strategy with
+        | Some (Trance.Api.Out_of_memory _ | Task_failed _ | Deadline_missed _), _, _ ->
+          true
+        | Some (Trance.Api.Error msg), _, _ -> QCheck.Test.fail_reportf "Error: %s" msg
+        | None, _, Trance.Api.Shredded { unshred = false } -> true
+        | None, Some v, _ ->
+          V.approx_bag_equal (Nrc.Eval.eval (Nrc.Eval.env_of_list inputs) q) v
+        | None, None, _ -> QCheck.Test.fail_report "no answer and no failure"))
+
+(* ------------------------------------------------------------------ *)
 (* Configuration: validation and the environment hooks *)
 
 (* one rejected value per validated field: each is refused by
@@ -1266,6 +1394,13 @@ let invalid_configs =
     ("net_weight = -1", { c with net_weight = -1. });
     ("disk_weight = inf", { c with disk_weight = Float.infinity });
     ("deadline = 0", { c with deadline = Some 0. });
+    (* each would otherwise run as a different setting than asked for *)
+    ("checkpoint = every=0", { c with checkpoint = Exec.Config.Every 0 });
+    ("checkpoint = every=-5", { c with checkpoint = Exec.Config.Every (-5) });
+    ("checkpoint_replication = 0", { c with checkpoint_replication = 0 });
+    ("checkpoint_replication = -2", { c with checkpoint_replication = -2 });
+    ("max_spill_rounds = 0", { c with spill = Exec.Config.On; max_spill_rounds = 0 });
+    ("max_spill_rounds = -1", { c with spill = Exec.Config.On; max_spill_rounds = -1 });
   ]
 
 let test_validate_rejects (what, c) () =
@@ -1428,6 +1563,10 @@ let () =
           Alcotest.test_case "simulated counters match the recorded table"
             `Quick test_golden_counters;
         ] );
+      ( "scalar conditionals",
+        [ Alcotest.test_case "every route agrees with Nrc.Eval" `Quick test_scalar_if ] );
+      ( "total entry point",
+        [ QCheck_alcotest.to_alcotest prop_run_total ] );
       ( "config",
         List.map
           (fun (what, c) ->

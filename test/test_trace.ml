@@ -3,7 +3,8 @@
     bytes of their own, guarantee-skipped joins emit no shuffle span at
     all), agreement between aggregated span metrics and the flat
     {!Exec.Stats} totals, per-step report slices merging back to the run
-    totals, and JSON export sanity. *)
+    totals, and the JSON export: its shape, its exact text (pinned in
+    [golden/]) and the escaping of names. *)
 
 module B = Nrc.Builder
 module V = Nrc.Value
@@ -482,12 +483,76 @@ let test_json_export () =
   match r.Trance.Api.trace with
   | [] -> Alcotest.fail "no spans"
   | sp :: _ ->
-    let sj = Trace.to_json sp in
+    let sj = Exec.Json.to_string (Trace.json sp) in
     check "span json is brace-balanced" true (balanced sj);
     List.iter
       (fun key ->
         check ("span json has " ^ key) true (contains sj ("\"" ^ key ^ "\":")))
       [ "id"; "op"; "stage"; "strategy"; "metrics"; "total"; "children" ]
+
+(* The exact report text, wall-clock masked: every [wall_seconds] value
+   reads 0. *)
+let mask_wall j =
+  let key = "\"wall_seconds\":" in
+  let nk = String.length key and b = Buffer.create (String.length j) in
+  let rec go i =
+    if i >= String.length j then ()
+    else if i + nk <= String.length j && String.sub j i nk = key then begin
+      Buffer.add_string b key;
+      Buffer.add_char b '0';
+      let k = ref (i + nk) in
+      while !k < String.length j && j.[!k] <> ',' && j.[!k] <> '}' do incr k done;
+      go !k
+    end
+    else begin
+      Buffer.add_char b j.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* every setting the CI matrix sweeps through the environment is pinned,
+   so the pinned text holds in every cell *)
+let pinned_config =
+  { api_config with
+    cluster =
+      { cluster with
+        worker_mem = max_int; spill = Exec.Config.Off;
+        checkpoint = Exec.Config.No_checkpoints; domains = 1 } }
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* golden/<name>.json holds the report text of example1 down one route *)
+let test_json_pinned (name, strategy) () =
+  let r = run_traced ~config:pinned_config strategy Fixtures.example1 in
+  Alcotest.(check string)
+    (name ^ ": run_json, wall masked")
+    (String.trim (read_file ("golden/" ^ name ^ ".json")))
+    (mask_wall (Trance.Api.run_json r))
+
+(* Names are data: a target and an input named with a quote, a backslash,
+   a newline and a control character come out escaped wherever they
+   appear, and never raw. *)
+let test_json_escapes () =
+  let odd c = c ^ "\"\\\n\x01" and escaped c = c ^ "\\\"\\\\\\n\\u0001\"" in
+  let q = B.(for_ "x" (input (odd "I")) (fun x -> sng (record [ ("k", x #. "k") ]))) in
+  let prog =
+    Nrc.Program.of_expr
+      ~inputs:[ (odd "I", Nrc.Types.(TBag (TTuple [ ("k", TScalar TInt) ]))) ]
+      ~name:(odd "T") q
+  in
+  let r =
+    Trance.Api.run ~config:pinned_config ~strategy:Trance.Api.Standard prog
+      [ (odd "I", V.Bag [ V.Tuple [ ("k", V.Int 1) ] ]) ]
+  in
+  check "the run answers" true (r.Trance.Api.failure = None);
+  let j = Trance.Api.run_json r in
+  check "the target's step is escaped" true (contains j ("\"step\":\"" ^ escaped "T"));
+  check "the input's scan is escaped" true (contains j ("\"stage\":\"" ^ escaped "I"));
+  String.iter
+    (fun c -> check "no raw control character" true (Char.code c >= 0x20))
+    j
 
 (* ------------------------------------------------------------------ *)
 
@@ -519,5 +584,13 @@ let () =
       ( "stats snapshots",
         [ Alcotest.test_case "snapshot/diff/merge" `Quick test_snapshot_diff ] );
       ( "json",
-        [ Alcotest.test_case "export sanity" `Quick test_json_export ] );
+        [
+          Alcotest.test_case "export sanity" `Quick test_json_export;
+          Alcotest.test_case "run_json pinned: Standard" `Quick
+            (test_json_pinned ("example1_standard", Trance.Api.Standard));
+          Alcotest.test_case "run_json pinned: Shred+Unshred" `Quick
+            (test_json_pinned
+               ("example1_shred_unshred", Trance.Api.Shredded { unshred = true }));
+          Alcotest.test_case "names are escaped" `Quick test_json_escapes;
+        ] );
     ]
