@@ -602,7 +602,8 @@ let translate_program (p : Nrc.Program.t) : (string * Op.t) list =
       (fun (tenv, acc) { Nrc.Program.target; body } ->
         let plan = translate ~tenv body in
         let ty = infer tenv body in
-        ((target, ty) :: tenv, (target, plan) :: acc))
+        (* a target shadows the input or target of its name *)
+        ((target, ty) :: List.remove_assoc target tenv, (target, plan) :: acc))
       (p.Nrc.Program.inputs, [])
       p.Nrc.Program.assignments
   in

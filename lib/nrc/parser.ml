@@ -249,6 +249,13 @@ and parse_atom st =
   match peek st with
   | INT i, _ -> advance st; Expr.int_ i
   | REAL r, _ -> advance st; Expr.real r
+  (* a negative literal, as [to_source] prints one *)
+  | MINUS, _ -> (
+    advance st;
+    match peek st with
+    | INT i, _ -> advance st; Expr.int_ (-i)
+    | REAL r, _ -> advance st; Expr.real (-.r)
+    | t, _ -> error st "unexpected %s after -" (token_to_string t))
   | STRING s, _ -> advance st; Expr.str s
   | DATE d, _ -> advance st; Expr.date d
   | TRUE, _ -> advance st; Expr.bool_ true

@@ -95,7 +95,6 @@ let rec infer (env : env) (e : Expr.t) : Types.t =
     let t1 = infer env e1 and t2 = infer env e2 in
     let comparable =
       match t1, t2 with
-      | Types.TScalar (TInt | TReal), Types.TScalar (TInt | TReal) -> true
       | Types.TLabel, Types.TLabel -> op = Expr.Eq || op = Expr.Ne
       | _ -> Types.equal t1 t2 && Types.is_flat t1
     in

@@ -645,6 +645,52 @@ let add_group gs vals key_bytes =
   gs.n <- gs.n + 1;
   gs.n - 1
 
+(* The nest pass's tables, group stores and probe array: one set per
+   domain, under the three rules of kernel.mli's "Borrowed scratch". A
+   partition of a few hundred rows grows each table past the minor heap's
+   256-word limit, so tables made per call would be garbage allocated
+   straight into the major heap. *)
+type scratch = {
+  gs : groups;
+  ags : groups;
+  gtbl : Key_table.t;
+  atbl : Key_table.t;
+  mutable probe : V.t array;
+  mutable lent : bool;
+}
+
+let new_scratch () =
+  { gs = groups (); ags = groups (); gtbl = Key_table.create (); atbl = Key_table.create ();
+    probe = [||]; lent = false }
+
+let scratch_key = Domain.DLS.new_key new_scratch
+
+(* a store far larger than [rows] groups need is replaced *)
+let reset_groups gs rows =
+  if Array.length gs.all > 4 * max 16 rows then gs.all <- Array.make 16 no_group
+
+(* the references a call left, dropped *)
+let release s =
+  Array.fill s.gs.all 0 s.gs.n no_group;
+  Array.fill s.ags.all 0 s.ags.n no_group;
+  Array.fill s.probe 0 (Array.length s.probe) V.Null;
+  s.gs.n <- 0;
+  s.ags.n <- 0;
+  s.lent <- false
+
+(* [f] with this domain's scratch, reset for [rows] rows and a probe of
+   [width] keys; a call made while it is lent gets a fresh one *)
+let with_scratch ~rows ~width f =
+  let s = Domain.DLS.get scratch_key in
+  let s = if s.lent then new_scratch () else s in
+  s.lent <- true;
+  reset_groups s.gs rows;
+  reset_groups s.ags rows;
+  Key_table.reset s.gtbl ~keys:rows;
+  Key_table.reset s.atbl ~keys:rows;
+  if Array.length s.probe < width then s.probe <- Array.make width V.Null;
+  Fun.protect ~finally:(fun () -> release s) (fun () -> f s)
+
 let slots_where p n = Array.of_list (List.filter p (List.init n Fun.id))
 
 (* The one grouping pass of both nest operators: [fold] adds a present row
@@ -687,9 +733,8 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
   let null_bytes = Row.column_bytes V.Null in
   ( out_names,
     fun ~(fold : group -> int -> Row.t -> unit) ~(close : group -> int) ((rows, sizes) : sized) ->
-      let gs = groups () and ags = groups () in
-      let gtbl = Key_table.create () and atbl = Key_table.create () in
-      let probe = Array.make first_agg V.Null in
+      with_scratch ~rows:(Array.length rows) ~width:first_agg
+      @@ fun { gs; ags; gtbl; atbl; probe; _ } ->
       let g_equal g = same_slots probe gs.all.(g).vals gslots (Array.length gslots - 1)
       and a_equal a = same_slots probe ags.all.(a).vals aslots (Array.length aslots - 1) in
       (* a new group's output row: the probe's first [w] keys, Null up to

@@ -9,7 +9,8 @@
     its slot there, once ({!Sexpr.compile}), so no row is checked against
     a schema and the compiled readers, holding no state, serve every
     partition and pool task; a partition function makes its own scratch
-    state per call. Column order is part of a schema but not of its
+    state per call, except that the nest kernels borrow theirs from their
+    domain (below). Column order is part of a schema but not of its
     meaning: only {!align} and {!values} fix it.
 
     {b Row sizes.} Rows travel {!sized}: beside each row array, one
@@ -51,7 +52,16 @@
     live in growable arrays, a G-group's aggregation groups chained by
     position; a group's value array is its output row, which aggregates
     accumulate into as rows stream, and the output is allocated at the
-    exact count of rows emitted. *)
+    exact count of rows emitted.
+
+    {b Borrowed scratch.} The two key tables, the two group stores and
+    the probe array of that pass belong to the domain, not to the call,
+    so a partition of a few hundred rows leaves no grown table behind in
+    the major heap. Three rules hold: a domain lends them to one
+    partition call at a time (a call made while they are lent gets its
+    own); a call resets them in time proportional to its rows, replacing
+    a table or store far larger than they can need; and a call keeps no
+    reference to a value of its rows once it returns or raises. *)
 
 type sized = Row.t array * int array
 (** Rows and each row's {!Row.byte_size}, position by position. *)

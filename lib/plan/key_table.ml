@@ -4,8 +4,21 @@
    or -1 when free; probing is linear from [hash land mask] *)
 type t = { mutable slots : int array; mutable mask : int; mutable count : int }
 
-let create () = { slots = Array.make 32 (-1); mask = 15; count = 0 }
+let initial_mask = 15
+let create () = { slots = Array.make (2 * (initial_mask + 1)) (-1); mask = initial_mask; count = 0 }
 let length t = t.count
+
+(* more than 4 times the slots [keys] keys grow a table to: at most
+   [4 * keys], and at least the initial 16 *)
+let far_larger t keys = t.mask + 1 > 4 * max (initial_mask + 1) (4 * keys)
+
+let reset t ~keys =
+  if far_larger t keys then begin
+    t.slots <- Array.make (2 * (initial_mask + 1)) (-1);
+    t.mask <- initial_mask
+  end
+  else if t.count > 0 then Array.fill t.slots 0 (Array.length t.slots) (-1);
+  t.count <- 0
 
 (* the slot holding an equal key, or the free slot where it goes, encoded
    as [-1 - i] *)

@@ -17,6 +17,11 @@ val create : unit -> t
 val length : t -> int
 (** The keys entered. *)
 
+val reset : t -> keys:int -> unit
+(** Empty [t] for a use entering at most about [keys] keys, in time
+    proportional to [keys]: its slots are cleared in place, or, when they
+    are far more than [keys] keys need, replaced by a new table's. *)
+
 val find : t -> int -> (int -> bool) -> int
 (** [find t hash equal]: the position [p] entered with [hash] for which
     [equal p] holds, or [-1]. *)

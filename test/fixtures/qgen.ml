@@ -10,7 +10,9 @@
     the differential suites cover the empty-partition / empty-group edge
     cases that fault recovery and shuffling love to expose. Every generated
     query is checked across all evaluation routes against the reference
-    interpreter (see test_random.ml). *)
+    interpreter (see test_random.ml). {!gen_lookalike} draws programs of
+    such queries whose input and target names look like the names
+    shredding generates. *)
 
 module E = Nrc.Expr
 module T = Nrc.Types
@@ -408,7 +410,7 @@ let gen_root_query : E.t G.t =
             E.Singleton
               (E.Record
                  [
-                   ("k", E.If (top, E.Proj (E.Var n, "k"), Some (E.int_ 9)));
+                   ("k", E.If (top, E.Proj (E.Var n, "k"), Some (E.int_ (-1))));
                    ("name", E.If (top, E.str "hit", Some (E.Proj (E.Var n, "name"))));
                    ( "items",
                      E.ForUnion
@@ -441,3 +443,71 @@ let print_case (q, inputs) =
 
 let arbitrary_case : (E.t * (string * V.t) list) QCheck.arbitrary =
   QCheck.make ~print:print_case (G.pair gen_root_query gen_inputs)
+
+(* ------------------------------------------------------------------ *)
+(* Programs whose names look like generated ones *)
+
+(* rename attribute [a] to [b] everywhere in a type, a value, a query *)
+let rename a b n = if n = a then b else n
+
+let rec rename_ty a b : T.t -> T.t = function
+  | T.TTuple fs -> T.TTuple (List.map (fun (n, t) -> (rename a b n, rename_ty a b t)) fs)
+  | T.TBag t -> T.TBag (rename_ty a b t)
+  | t -> t
+
+let rec rename_val a b : V.t -> V.t = function
+  | V.Tuple fs -> V.Tuple (List.map (fun (n, v) -> (rename a b n, rename_val a b v)) fs)
+  | V.Bag vs -> V.Bag (List.map (rename_val a b) vs)
+  | v -> v
+
+let rec rename_expr a b (e : E.t) : E.t =
+  match E.map_children (rename_expr a b) e with
+  | E.Proj (x, n) -> E.Proj (x, rename a b n)
+  | E.Record fs -> E.Record (List.map (fun (n, x) -> (rename a b n, x)) fs)
+  | e -> e
+
+(* [x] and names that look like those of [x]'s shredded datasets *)
+let shapes field x = [ x; x ^ "_D"; x ^ "_F"; x ^ "_D_" ^ field; x ^ "_Dom" ]
+
+(* ["N_D_F"] -> ["N"; "N_D"] *)
+let prefixes name =
+  let parts = String.split_on_char '_' name in
+  List.init (List.length parts - 1) (fun k ->
+      String.concat "_" (List.filteri (fun i _ -> i <= k) parts))
+
+(* A program of one to three Qgen queries over Qgen's inputs, with N's bag
+   attribute named [items] or [F] and the flat inputs and the targets named
+   after each other's shredded datasets: [N_D] for S makes S's top bag
+   render as N's dictionary for [F], a target [Q_D] after a target [Q] with
+   an [F] attribute does the same, a target may take an input's name or an
+   earlier target's. *)
+let gen_lookalike =
+  let open QCheck.Gen in
+  let* field = oneofl [ "items"; "F" ] in
+  let like_n = List.tl (shapes field "N") in
+  let* s_name = oneofl ("S" :: like_n) in
+  let* r_name = oneofl ("R" :: List.filter (( <> ) s_name) like_n) in
+  let names = [ ("R", r_name); ("S", s_name); ("N", "N") ] in
+  let inputs_ty = List.map (fun (n, ty) -> (List.assoc n names, rename_ty "items" field ty)) inputs_ty in
+  let query q =
+    List.fold_left (fun q (n, n') -> E.subst n (E.Var n') q) (rename_expr "items" field q) names
+  in
+  let* steps = int_range 1 3 in
+  let rec assignments targets k =
+    if k = 0 then return []
+    else
+      let bases = "X" :: List.map snd names @ targets @ List.concat_map (fun (_, n) -> prefixes n) names in
+      let* target = oneofl (List.concat_map (shapes field) bases) in
+      let* q = gen_root_query in
+      let+ rest = assignments (target :: targets) (k - 1) in
+      (target, query q) :: rest
+  in
+  let* assignments = assignments [] steps in
+  let+ values = gen_inputs in
+  ( Nrc.Program.make ~inputs:inputs_ty assignments,
+    List.map (fun (n, v) -> (List.assoc n names, rename_val "items" field v)) values )
+
+let print_lookalike (p, values) =
+  Fmt.str "%s@.inputs:@.%a" (Nrc.Program.to_string p)
+    (Fmt.list ~sep:Fmt.cut (fun ppf (n, v) -> Fmt.pf ppf "%s = %a" n V.pp v))
+    values

@@ -631,6 +631,10 @@ let test_bag_carrying_routes () =
 (* ------------------------------------------------------------------ *)
 (* User names that look like generated ones *)
 
+let route_strategies =
+  Trance.Api.
+    [ Standard; Shredded { unshred = false }; Shredded { unshred = true }; SparkSQL_proxy ]
+
 (* The shredded route once told dictionaries and steps apart by parsing
    the names it generates: a target named like a dictionary was cast to
    one, a flat input named like one was loaded as one, and a target whose
@@ -725,7 +729,25 @@ let test_generated_name_lookalikes () =
           Trance.Api.Shredded { unshred = false };
           Trance.Api.Shredded { unshred = true };
         ])
-    cases
+    cases;
+  (* a target shadows the input of its name for the queries after it, in
+     the Standard routes' type environment too: a later read of a field
+     only the input has fails to compile on every route, never at run
+     time *)
+  let prog =
+    Nrc.Parser.program_of_string ~inputs:Fixtures.inputs_ty
+      "Part <- for p in Part union sng(pid := p.pid); \
+       Q <- for p in Part union if p.price > 1.0 then sng(pid := p.pid);"
+  in
+  List.iter
+    (fun strategy ->
+      let what = "shadowed input [" ^ Trance.Api.strategy_name strategy ^ "]" in
+      match (Trance.Api.run ~config:api_config ~strategy prog Fixtures.inputs_val).failure with
+      | Some (Trance.Api.Error msg) ->
+        check (what ^ ": " ^ msg) true (String.starts_with ~prefix:"compile: " msg)
+      | Some f -> Alcotest.failf "%s failed: %s" what (Trance.Api.failure_message f)
+      | None -> Alcotest.failf "%s ran" what)
+    route_strategies
 
 (* ------------------------------------------------------------------ *)
 (* Broadcast vs shuffle decisions *)
@@ -1335,14 +1357,10 @@ let gen_boundary_config : Trance.Api.config QCheck.Gen.t =
       skew_aware; cogroup; optimizer; faults;
       materializer = { Trance.Materialize.domain_elimination } }
 
-let route_strategies =
-  Trance.Api.
-    [ Standard; Shredded { unshred = false }; Shredded { unshred = true }; SparkSQL_proxy ]
-
 let print_boundary_run ((case, (c : Trance.Api.config)), strategy) =
   Fmt.str "%s@.%s on %s@.faults [%s] skew_aware %b cogroup %b optimizer %s \
            domain_elimination %b"
-    (Qgen.print_case case) (Trance.Api.strategy_name strategy)
+    (Qgen.print_lookalike case) (Trance.Api.strategy_name strategy)
     (Exec.Json.to_string (Obj (Exec.Config.json_fields c.cluster)))
     (Exec.Faults.schedule_to_string c.faults)
     c.skew_aware c.cogroup
@@ -1352,27 +1370,37 @@ let print_boundary_run ((case, (c : Trance.Api.config)), strategy) =
 let arbitrary_boundary_run =
   QCheck.make ~print:print_boundary_run
     QCheck.Gen.(
-      pair (pair (QCheck.gen Qgen.arbitrary_case) gen_boundary_config)
+      pair (pair Qgen.gen_lookalike gen_boundary_config)
         (oneofl route_strategies))
 
 (* Any program, configuration and route either answers like Nrc.Eval or
    fails typed on memory, a task or the deadline: Api.run never raises and
-   never reports [Error] for a valid configuration. *)
+   never reports [Error] for a valid configuration and a well-typed
+   program. The programs' target and input names look like the names
+   shredding generates; a target that takes an input's name can leave a
+   later query ill-typed, which must fail as [Error]. *)
 let prop_run_total =
   QCheck.Test.make ~name:"Api.run is total on boundary configurations"
     ~count:(Fixtures.qcheck_count 300) arbitrary_boundary_run
-    (fun (((q, inputs), config), strategy) ->
-      let prog = Nrc.Program.of_expr ~inputs:Qgen.inputs_ty ~name:"Q" q in
+    (fun (((prog, inputs), config), strategy) ->
+      let well_typed =
+        match Nrc.Program.typecheck prog with
+        | _ -> true
+        | exception Nrc.Typecheck.Type_error _ -> false
+      in
       match Trance.Api.run ~config ~strategy prog inputs with
       | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
       | r -> (
         match r.Trance.Api.failure, r.Trance.Api.value, strategy with
+        | Some (Trance.Api.Error _), _, _ when not well_typed -> true
+        | failure, _, _ when not well_typed ->
+          QCheck.Test.fail_reportf "an ill-typed program did not fail on its type: %s"
+            (match failure with Some f -> Trance.Api.failure_message f | None -> "it ran")
         | Some (Trance.Api.Out_of_memory _ | Task_failed _ | Deadline_missed _), _, _ ->
           true
         | Some (Trance.Api.Error msg), _, _ -> QCheck.Test.fail_reportf "Error: %s" msg
         | None, _, Trance.Api.Shredded { unshred = false } -> true
-        | None, Some v, _ ->
-          V.approx_bag_equal (Nrc.Eval.eval (Nrc.Eval.env_of_list inputs) q) v
+        | None, Some v, _ -> V.approx_bag_equal (Nrc.Program.eval_result prog inputs) v
         | None, None, _ -> QCheck.Test.fail_report "no answer and no failure"))
 
 (* ------------------------------------------------------------------ *)

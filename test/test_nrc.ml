@@ -100,6 +100,31 @@ let flatten_ty =
     (T.tuple
        [ ("cname", T.string_); ("odate", T.date); ("pid", T.int_); ("qty", T.real) ])
 
+(* [Value.compare] orders an [Int] and a [Real] by constructor, not by
+   magnitude, so a comparison between them is a type error; same-typed
+   numeric comparisons stay well typed *)
+let test_mixed_compare () =
+  let price_above c =
+    E.ForUnion
+      ( "p", E.Var "Part",
+        E.If (E.Cmp (E.Gt, E.Proj (E.Var "p", "price"), c),
+              E.Singleton (E.Record [ ("pid", E.Proj (E.Var "p", "pid")) ]), None) )
+  in
+  List.iter
+    (fun op ->
+      tc_fail "int with real" [] (E.Cmp (op, E.int_ 5, E.real 2.0)) ();
+      tc_fail "real with int" [] (E.Cmp (op, E.real 2.0, E.int_ 5)) ())
+    E.[ Eq; Ne; Lt; Le; Gt; Ge ];
+  (match
+     Nrc.Typecheck.check_source (Nrc.Typecheck.env_of_list Fixtures.inputs_ty)
+       (price_above (E.int_ 5))
+   with
+  | _ -> Alcotest.fail "price > 5: expected Type_error"
+  | exception Nrc.Typecheck.Type_error m -> check_str "message" "cannot compare real with int" m);
+  tc_ok "price > 5.0" Fixtures.inputs_ty (price_above (E.real 5.0))
+    (T.bag (T.tuple [ ("pid", T.int_) ])) ();
+  tc_ok "int with int" [] (E.Cmp (E.Lt, E.int_ 1, E.int_ (-1))) T.bool_ ()
+
 let typecheck_tests =
   [
     Alcotest.test_case "example1 types" `Quick
@@ -129,6 +154,7 @@ let typecheck_tests =
       (tc_fail "labels in source" [] (E.NewLabel { site = 0; args = [] }));
     Alcotest.test_case "if branches must agree" `Quick
       (tc_fail "if mismatch" [] (E.If (E.bool_ true, E.int_ 1, Some (E.str "x"))));
+    Alcotest.test_case "int compared with real rejected" `Quick test_mixed_compare;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -296,21 +322,25 @@ let rec gen_value depth =
 let arbitrary_value = QCheck.make ~print:V.to_string (gen_value 3)
 
 let prop_compare_total =
-  QCheck.Test.make ~name:"Value.compare is antisymmetric" ~count:200
+  QCheck.Test.make ~name:"Value.compare is antisymmetric"
+    ~count:(Fixtures.qcheck_count 200)
     (QCheck.pair arbitrary_value arbitrary_value) (fun (a, b) ->
       let c1 = V.compare a b and c2 = V.compare b a in
       (c1 = 0) = (c2 = 0) && (c1 > 0) = (c2 < 0))
 
 let prop_canonicalize_idempotent =
-  QCheck.Test.make ~name:"canonicalize is idempotent" ~count:200 arbitrary_value
+  QCheck.Test.make ~name:"canonicalize is idempotent"
+    ~count:(Fixtures.qcheck_count 200) arbitrary_value
     (fun v -> V.equal (V.canonicalize (V.canonicalize v)) (V.canonicalize v))
 
 let prop_compare_reflexive =
-  QCheck.Test.make ~name:"compare v v = 0 and hash is stable" ~count:200
+  QCheck.Test.make ~name:"compare v v = 0 and hash is stable"
+    ~count:(Fixtures.qcheck_count 200)
     arbitrary_value (fun v -> V.compare v v = 0 && V.hash v = V.hash v)
 
 let prop_default_inhabits =
-  QCheck.Test.make ~name:"default_of_type is not Null" ~count:100
+  QCheck.Test.make ~name:"default_of_type is not Null"
+    ~count:(Fixtures.qcheck_count 100)
     arbitrary_value (fun v ->
       match V.default_of_type (V.type_of v) with V.Null -> false | _ -> true)
 

@@ -169,6 +169,27 @@ let test_parse_errors () =
   | exception Nrc.Parser.Parse_error { pos; _ } ->
     check_int "error position" 4 pos
 
+(* A negative literal stands wherever a constant may, so [to_source]'s
+   [-1] reads back; a minus after an operand stays a subtraction. *)
+let test_negative_literals () =
+  let module E = Nrc.Expr in
+  let same src e = check src true (parse src = e) in
+  same "-1" (E.int_ (-1));
+  same "-2.5" (E.real (-2.5));
+  same "1 - -2" (E.Prim (E.Sub, E.int_ 1, E.int_ (-2)));
+  same "1 -2" (E.Prim (E.Sub, E.int_ 1, E.int_ 2));
+  same "x.a > -1" (E.Cmp (E.Gt, E.Proj (E.Var "x", "a"), E.int_ (-1)));
+  same "-3 * 2" (E.Prim (E.Mul, E.int_ (-3), E.int_ 2));
+  check "evaluates" true (V.equal (eval_str "-3 + 1") (V.Int (-2)));
+  List.iter
+    (fun q -> check (Nrc.Parser.to_source q) true (parse (Nrc.Parser.to_source q) = q))
+    [ E.int_ (-1); E.real (-2.5); E.real (-0.125);
+      E.Cmp (E.Le, E.int_ (-7), E.Prim (E.Sub, E.int_ 0, E.int_ (-7)));
+      E.If (E.Cmp (E.Gt, E.Proj (E.Var "x", "a"), E.int_ (-1)), E.int_ (-1), Some (E.int_ 9)) ];
+  match parse "- x" with
+  | _ -> Alcotest.fail "expected parse error for - x"
+  | exception Nrc.Parser.Parse_error { pos; _ } -> check_int "error position" 2 pos
+
 (* property: pretty-printed builder queries of a simple shape re-parse *)
 let test_pp_parse_roundtrip_flat () =
   (* the flat corpus queries use only constructs whose printer output is
@@ -201,7 +222,8 @@ let test_to_source_corpus () =
     Fixtures.corpus
 
 let prop_to_source_roundtrip =
-  QCheck.Test.make ~name:"random query: parse (to_source q) = q" ~count:200
+  QCheck.Test.make ~name:"random query: parse (to_source q) = q"
+    ~count:(Fixtures.qcheck_count 200)
     Qgen.arbitrary_case (fun (q, inputs) ->
       let q' = parse (Nrc.Parser.to_source q) in
       V.approx_bag_equal
@@ -239,6 +261,7 @@ let () =
           Alcotest.test_case "precedence" `Quick test_precedence;
           Alcotest.test_case "collections" `Quick test_collections;
           Alcotest.test_case "aggregates" `Quick test_aggregates;
+          Alcotest.test_case "negative literals" `Quick test_negative_literals;
         ] );
       ( "end to end",
         [

@@ -905,6 +905,97 @@ let test_nest_permuted_bag_keys () =
         K.nest_sum ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[]
           ~aggs:[ ("s", col "n") ] ~presence:always names) ]
 
+(* ------------------------------------------------------------------ *)
+(* The nest kernels borrow their tables, group stores and probe array
+   from their domain, one partition call at a time. *)
+
+let nest_kernels =
+  let presence = col "p" and cols = List.map (fun c -> (c, col c)) in
+  List.concat_map
+    (fun (name, keys, agg_keys) ->
+      let keys = cols keys and agg_keys = cols agg_keys in
+      [ ( "nest_bag by " ^ name,
+          K.nest_bag ~ids:Op.no_ids ~keys ~agg_keys ~item:(col "v") ~presence ~out:"vs"
+            nest_names );
+        ( "nest_sum by " ^ name,
+          K.nest_sum ~ids:Op.no_ids ~keys ~agg_keys
+            ~aggs:[ ("s", col "n"); ("t", col "r") ] ~presence nest_names ) ])
+    nest_groupings
+
+(* [n] nest rows whose [m] pairs them up, so that grouping by it opens
+   [n / 2] groups *)
+let nest_partition n =
+  let rows = QCheck.Gen.generate ~rand:(Random.State.make [| n |]) ~n gen_nest_row in
+  Array.of_list (List.mapi (fun i (r : Row.t) -> r.(2) <- V.Int (i / 2); r) rows)
+
+(* a call on a new domain, whose scratch nothing has used *)
+let fresh_call f rows = Domain.join (Domain.spawn (fun () -> f rows))
+
+(* a big partition, a tiny one and a middling one in turn: each call
+   resets what the one before left, shrinking a table far too big *)
+let test_nest_scratch_in_turn () =
+  List.iter
+    (fun n ->
+      let rows = K.sized (nest_partition n) in
+      List.iter
+        (fun (name, (names, f)) ->
+          check (Printf.sprintf "%s over %d rows" name n) true
+            (identical_rows (names, f rows) (names, fresh_call f rows)))
+        nest_kernels)
+    [ 2000; 3; 500 ]
+
+(* [f] over rows whose first and last rows' keys and item are one fresh
+   string, which nothing else holds; with [raising], a string aggregand
+   in row 200 makes a sum raise there *)
+let[@inline never] nest_and_drop w f ~raising =
+  let rows = nest_partition 300 in
+  let v = V.Str (String.init 8 (fun i -> Char.chr (97 + i))) in
+  let mark (r : Row.t) =
+    r.(0) <- v;
+    r.(1) <- v;
+    r.(5) <- v;
+    r.(6) <- V.Bool true
+  in
+  mark rows.(0);
+  mark rows.(299);
+  if raising then begin
+    rows.(200).(3) <- V.Str "x";
+    rows.(200).(6) <- V.Bool true
+  end;
+  Weak.set w 0 (Some v);
+  match f (K.sized rows) with
+  | _ when raising -> Alcotest.fail "a string aggregand summed"
+  | out -> ignore (Sys.opaque_identity out)
+  | exception Invalid_argument _ when raising -> ()
+
+let test_nest_scratch_keeps_nothing () =
+  List.iter
+    (fun (name, (_, f)) ->
+      let w = Weak.create 1 in
+      nest_and_drop w f ~raising:false;
+      Gc.full_major ();
+      check (name ^ ": the rows' value is collected") true (Weak.get w 0 = None))
+    nest_kernels
+
+(* A sum raises mid-partition, with groups open; the next call answers as
+   a fresh one, and the raised call's rows are collected. Each kernel runs
+   on a domain of its own, whose scratch no earlier call left lent. *)
+let test_nest_scratch_after_raise () =
+  let rows = K.sized (nest_partition 600) in
+  List.iter
+    (fun (name, (names, f)) ->
+      if String.starts_with ~prefix:"nest_sum" name then
+        Domain.join
+          (Domain.spawn (fun () ->
+               let w = Weak.create 1 in
+               nest_and_drop w f ~raising:true;
+               check (name ^ " after a raise") true
+                 (identical_rows (names, f rows) (names, fresh_call f rows));
+               Gc.full_major ();
+               check (name ^ ": the raised call's rows are collected") true
+                 (Weak.get w 0 = None))))
+    nest_kernels
+
 (* The skew sampler takes every [n / sample]-th row, which can be one
    more row than [sample]: 10 rows at a sample of 3 are rows 0, 3, 6 and
    9. A key is heavy when it holds at least two of them. *)
@@ -1268,6 +1359,12 @@ let () =
           Alcotest.test_case "schema inference" `Quick test_schema_inference;
           Alcotest.test_case "nest: permuted bag keys stay apart" `Quick
             test_nest_permuted_bag_keys;
+          Alcotest.test_case "nest scratch: partitions of 2000, 3, 500 rows in turn" `Quick
+            test_nest_scratch_in_turn;
+          Alcotest.test_case "nest scratch: a call after one that raised" `Quick
+            test_nest_scratch_after_raise;
+          Alcotest.test_case "nest scratch: keeps no value once a call ends" `Quick
+            test_nest_scratch_keeps_nothing;
         ] );
       ( "optimizer",
         [
