@@ -180,7 +180,7 @@ and flat_field ch lv vfields rest k field v =
 
 and shred_items ch b items =
   ch.label <- ch.label + 1;
-  let label = V.Label { site = b.site; args = [ V.Int ch.label ] } in
+  let label = V.label ~site:b.site [ V.Int ch.label ] in
   let rows = ch.dicts.(b.dict).(Plan.Kernel.hash_key [ label ] mod ch.partitions) in
   let labelled = ("label", label) in
   List.iter

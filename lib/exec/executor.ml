@@ -321,8 +321,12 @@ let account st ~stage ?(spill = Spill_all) (input_bytes : int array list)
 (* Redistribute rows by key hash; counts shuffle bytes and simulated network
    time (bounded by the most-loaded receiving partition — the skew
    bottleneck). Emits its own trace span, so operators that avoid shuffling
-   (broadcast joins, guarantee-skipped joins) visibly have none. *)
-let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
+   (broadcast joins, guarantee-skipped joins) visibly have none. Given
+   [hashes], each row's [Kernel.hash_key] of [keys] partition by partition,
+   it reads destinations from them instead of hashing the keys, and moves
+   them with their rows. *)
+let shuffle_carrying st ?(stage = "shuffle") ?hashes (r : rset) (keys : S.t list) :
+    rset * int array array option =
   Trace.with_span st.trace ~op:"Shuffle" ~stage (fun () ->
       let cfg = st.cfg in
       let n = cfg.Config.partitions in
@@ -339,22 +343,24 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
         Pool.map st.pool
           (fun p part ->
             let sizes = r.sizes.(p) in
-            let dest = Array.map (fun row -> hash row mod n) part in
+            let hs = match hashes with Some h -> h.(p) | None -> Array.map hash part in
             let start = Array.make (n + 1) 0 and sent = Array.make n 0 in
             Array.iteri
-              (fun i q ->
+              (fun i h ->
+                let q = h mod n in
                 start.(q + 1) <- start.(q + 1) + 1;
                 sent.(q) <- sent.(q) + sizes.(i))
-              dest;
+              hs;
             for q = 1 to n do
               start.(q) <- start.(q) + start.(q - 1)
             done;
             let next = Array.sub start 0 n and order = Array.make (Array.length part) 0 in
             Array.iteri
-              (fun i q ->
+              (fun i h ->
+                let q = h mod n in
                 order.(next.(q)) <- i;
                 next.(q) <- next.(q) + 1)
-              dest;
+              hs;
             (order, start, sent))
           r.parts
       in
@@ -372,6 +378,7 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
               Array.fold_left (fun acc (_, start, _) -> acc + start.(q + 1) - start.(q)) 0 tasks
             in
             let rows = Array.make len Row.empty and sizes = Array.make len 0 in
+            let moved = Array.make (match hashes with Some _ -> len | None -> 0) 0 in
             let k = ref 0 in
             Array.iteri
               (fun p (order, start, _) ->
@@ -379,10 +386,11 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
                   let i = order.(j) in
                   rows.(!k) <- r.parts.(p).(i);
                   sizes.(!k) <- r.sizes.(p).(i);
+                  (match hashes with Some h -> moved.(!k) <- h.(p).(i) | None -> ());
                   incr k
                 done)
               tasks;
-            (rows, sizes))
+            ((rows, sizes), moved))
           received
       in
       let max_recv = Array.fold_left max 0 received in
@@ -418,13 +426,17 @@ let shuffle st ?(stage = "shuffle") (r : rset) (keys : S.t list) : rset =
          checkpoint would have to re-move them *)
       Checkpoint.observe st.ckpt ~bytes:moved;
       check_deadline st ~stage;
-      mk_rset ~key:(Some keys) r.names (unzip dest))
+      ( mk_rset ~key:(Some keys) r.names (unzip (Array.map fst dest)),
+        Option.map (fun _ -> Array.map snd dest) hashes ))
 
-(* shuffle only if the guarantee does not already hold *)
-let ensure_partitioned st ?stage (r : rset) (keys : S.t list) : rset =
+let shuffle st ?stage r keys = fst (shuffle_carrying st ?stage r keys)
+
+(* shuffle only if the guarantee does not already hold; [hashes] as for
+   [shuffle_carrying], returned as they are when no row moves *)
+let ensure_partitioned st ?stage ?hashes (r : rset) (keys : S.t list) =
   match r.key with
-  | Some k when k = keys -> r
-  | _ -> shuffle st ?stage r keys
+  | Some k when k = keys -> (r, hashes)
+  | _ -> shuffle_carrying st ?stage ?hashes r keys
 
 let rset_total_bytes r = Array.fold_left ( + ) 0 r.bytes
 
@@ -503,8 +515,8 @@ let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey (names, kerne
     (if l.key = Some lkey && r.key = Some rkey then Trace.Guarantee_skipped
      else Trace.Shuffle);
   Trace.set_stage st.trace stage;
-  let l' = ensure_partitioned st ~stage l lkey in
-  let r' = ensure_partitioned st ~stage r rkey in
+  let l', _ = ensure_partitioned st ~stage l lkey in
+  let r', _ = ensure_partitioned st ~stage r rkey in
   let index = K.index rkey r'.names in
   let out =
     mk_rset ?key names (pool_parts st (fun p lpart -> kernel (index (part r' p)) lpart) l')
@@ -565,18 +577,21 @@ let map_stage st ~stage ?(key = fun k -> k) ?(keep_skew = false) kernel (r : rse
    and run [kernel] per partition. The grouping hash table is built over
    the shuffled input, so that is the stage's spillable side (external
    group-by). The output is partitioned by the grouping columns, and its
-   heavy-key set is null (Figure 6). *)
-let grouped st ~shuffle_at ~stage (r : rset) ~keys ~agg_keys kernel : rset =
+   heavy-key set is null (Figure 6). [hashes], each row's hash under the
+   shuffle keys, move with the rows and reach [kernel] partition by
+   partition; a gather moves none, nor does a shuffle not given them. *)
+let grouped st ~shuffle_at ~stage ?hashes (r : rset) ~keys ~agg_keys kernel : rset =
   let shuffle_keys = if keys = [] then agg_keys else keys in
-  let r', key =
+  let r', key, moved =
     match shuffle_keys with
-    | [] -> (gather st r, None)
+    | [] -> (gather st r, None, None)
     | sk ->
-      ( ensure_partitioned st ~stage:shuffle_at r (List.map snd sk),
-        Some (List.map (fun (n, _) -> S.Col [ n ]) sk) )
+      let r', moved = ensure_partitioned st ~stage:shuffle_at ?hashes r (List.map snd sk) in
+      (r', Some (List.map (fun (n, _) -> S.Col [ n ]) sk), moved)
   in
   let names, kernel = kernel r'.names in
-  let out = mk_rset ~key names (pool_parts st (fun _ -> kernel) r') in
+  let hashes p = match moved with Some m -> m.(p) | None -> [||] in
+  let out = mk_rset ~key names (pool_parts st (fun p -> kernel (hashes p)) r') in
   account st ~stage ~spill:(Spill_parts [ r'.bytes ]) [ r'.bytes ] out;
   out
 
@@ -649,19 +664,26 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
     account st ~stage:"add_index" [ r.bytes ] out;
     out
   | Op.NestBag { input; keys; agg_keys; item; presence; out }, [ r ] ->
-    grouped st ~shuffle_at:"nest" ~stage:"nest_bag" r ~keys ~agg_keys
-      (K.nest_bag ~ids:(Op.ids input) ~keys ~agg_keys ~item ~presence ~out)
+    grouped st ~shuffle_at:"nest" ~stage:"nest_bag" r ~keys ~agg_keys (fun names ->
+        let names, nest =
+          K.nest_bag ~ids:(Op.ids input) ~keys ~agg_keys ~item ~presence ~out names
+        in
+        (names, fun _ -> nest))
   | Op.NestSum { input; keys; agg_keys; aggs; presence }, [ r ] ->
     (* map-side combine (Spark partial aggregation): pre-aggregate each
        partition before shuffling, so Gamma-plus "mitigates skew-effects by
        default by reducing the values of all keys" (Section 5) *)
-    let names, combine = K.nest_sum ~ids:(Op.ids input) ~keys ~agg_keys ~aggs ~presence r.names in
-    let partials = mk_rset names (pool_parts st (fun _ -> combine) r) in
+    let names, combine =
+      K.nest_sum_combine ~ids:(Op.ids input) ~keys ~agg_keys ~aggs ~presence r.names
+    in
+    let combined = Pool.map st.pool (fun p rows -> combine (rows, r.sizes.(p))) r.parts in
+    let partials = mk_rset names (unzip (Array.map fst combined)) in
     account st ~stage:"nest_sum(combine)" ~spill:(Spill_parts [ r.bytes ])
       [ r.bytes ] partials;
-    (* reduce side: sum the partial sums. Its keys are the combine's
-       output columns, so the combine's own facts say which id stands
-       for which of them. *)
+    (* reduce side: sum the partial sums, each partial row carrying its
+       shuffle hash from the combine. Its keys are the combine's output
+       columns, so the combine's own facts say which id stands for which
+       of them. *)
     let keys' = List.map (fun (n, _) -> (n, S.Col [ n ])) keys in
     let agg_keys' = List.map (fun (n, _) -> (n, S.Col [ n ])) agg_keys in
     let aggs' = List.map (fun (n, _) -> (n, S.Col [ n ])) aggs in
@@ -670,13 +692,13 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
       | [] -> S.Const (V.Bool true)
       | (n, _) :: _ -> S.Not (S.IsNull (S.Col [ n ]))
     in
-    grouped st ~shuffle_at:"nest_sum" ~stage:"nest_sum" partials ~keys:keys'
-      ~agg_keys:agg_keys'
-      (K.nest_sum ~ids:(Op.ids op) ~keys:keys' ~agg_keys:agg_keys' ~aggs:aggs'
+    grouped st ~shuffle_at:"nest_sum" ~stage:"nest_sum" ~hashes:(Array.map snd combined)
+      partials ~keys:keys' ~agg_keys:agg_keys'
+      (K.nest_sum_reduce ~ids:(Op.ids op) ~keys:keys' ~agg_keys:agg_keys' ~aggs:aggs'
          ~presence:presence')
   | Op.Dedup child, [ r ] ->
     let key_exprs = List.map (fun c -> S.Col [ c ]) (Op.columns child) in
-    let r' = ensure_partitioned st ~stage:"dedup" r key_exprs in
+    let r', _ = ensure_partitioned st ~stage:"dedup" r key_exprs in
     map_stage st ~stage:"dedup" K.dedup r'
   | Op.UnionAll _, [ l; r ] ->
     (* the right side takes the left side's columns, as they are *)

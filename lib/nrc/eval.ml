@@ -143,7 +143,7 @@ let rec eval (env : env) (e : Expr.t) : Value.t =
            Value.Tuple (List.combine keys kvs @ sums))
          groups)
   | Expr.NewLabel { site; args } ->
-    Value.Label { site; args = List.map (eval env) args }
+    Value.label ~site (List.map (eval env) args)
   | Expr.MatchLabel { label; site; params; body } -> (
     match eval env label with
     | Value.Label l when l.site = site && List.length l.args = List.length params ->

@@ -58,6 +58,10 @@ let tokenize (src : string) : (token * int) list =
   let n = String.length src in
   let toks = ref [] in
   let push pos t = toks := (t, pos) :: !toks in
+  let rec digits j = if j < n && is_digit src.[j] then digits (j + 1) else j in
+  let out_of_range pos what text =
+    raise (Lex_error { pos; message = Printf.sprintf "%s literal %s out of range" what text })
+  in
   let rec go i =
     if i >= n then push i EOF
     else
@@ -112,22 +116,37 @@ let tokenize (src : string) : (token * int) list =
         go j
       | '@' when i + 1 < n && is_digit src.[i + 1] ->
         (* @123 date literal *)
-        let rec num j = if j < n && is_digit src.[j] then num (j + 1) else j in
-        let j = num (i + 1) in
-        push i (DATE (int_of_string (String.sub src (i + 1) (j - i - 1))));
+        let j = digits (i + 1) in
+        (match int_of_string_opt (String.sub src (i + 1) (j - i - 1)) with
+        | Some d -> push i (DATE d)
+        | None -> out_of_range i "date" (String.sub src i (j - i)));
         go j
       | c when is_digit c ->
-        let rec num j = if j < n && is_digit src.[j] then num (j + 1) else j in
-        let j = num i in
-        if j < n && src.[j] = '.' && j + 1 < n && is_digit src.[j + 1] then begin
-          let k = num (j + 1) in
-          push i (REAL (float_of_string (String.sub src i (k - i))));
-          go k
+        (* d[.d][(e|E)[+|-]d] *)
+        let j = digits i in
+        let at j c = j < n && src.[j] = c in
+        let frac = if at j '.' && j + 1 < n && is_digit src.[j + 1] then digits (j + 1) else j in
+        let exp =
+          if at frac 'e' || at frac 'E' then
+            let k = if at (frac + 1) '+' || at (frac + 1) '-' then frac + 2 else frac + 1 in
+            if k < n && is_digit src.[k] then digits k else frac
+          else frac
+        in
+        let text = String.sub src i (exp - i) in
+        if exp > j then begin
+          let r = float_of_string text in
+          if Float.is_finite r then push i (REAL r) else out_of_range i "real" text
         end
         else begin
-          push i (INT (int_of_string (String.sub src i (j - i))));
-          go j
-        end
+          match int_of_string_opt text with
+          | Some k -> push i (INT k)
+          | None ->
+            (* the magnitude of [min_int] reads as [min_int], which the
+               parser takes only after a unary minus *)
+            if int_of_string_opt ("-" ^ text) = Some min_int then push i (INT min_int)
+            else out_of_range i "integer" text
+        end;
+        go exp
       | c when is_ident_start c ->
         let rec idend j = if j < n && is_ident_char src.[j] then idend (j + 1) else j in
         let j = idend i in

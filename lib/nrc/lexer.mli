@@ -21,6 +21,11 @@ exception Lex_error of { pos : int; message : string }
 
 val tokenize : string -> (token * int) list
 (** Tokens with their byte offsets; comments run from [--] to end of line.
-    @raise Lex_error on unterminated strings or stray characters. *)
+    A number is [d[.d][(e|E)[+|-]d]]: a [REAL] when it has a fraction or an
+    exponent, else an [INT]. The digits of [-min_int], one past [max_int],
+    read as [INT min_int], which only a unary minus makes a literal (see
+    {!Parser}).
+    @raise Lex_error on unterminated strings, stray characters, and
+    integer, date or real literals out of range. *)
 
 val token_to_string : token -> string

@@ -27,7 +27,7 @@
       mul      := unary ( ( "*" | "/" ) unary )*
       unary    := not unary | postfix
       postfix  := atom ( . ident )*
-      atom     := literal | ident | "(" expr ")"
+      atom     := [-] literal | ident | "(" expr ")"
                 | sng "(" (expr | fields) ")"          -- singleton / record
                 | get "(" expr ")" | dedup "(" expr ")"
                 | sumBy "(" idents ";" idents ")" "(" expr ")"
@@ -36,6 +36,7 @@
       type     := int|real|string|bool|date
                 | bag "(" type ")" | tuple "(" (ident ":" type),* ")"
       program  := (ident "<-" expr ";")+ | expr
+      literal  := d | d[.d][(e|E)[+|-]d] | "string" | @d | true | false
     v}
 
     [sng(a := e, ...)] builds a singleton bag of a record; a record by
@@ -247,7 +248,11 @@ and parse_ident_list st =
 
 and parse_atom st =
   match peek st with
-  | INT i, _ -> advance st; Expr.int_ i
+  | INT i, _ ->
+    (* only [-min_int]'s digits read negative; they need a unary minus *)
+    if i < 0 then error st "integer literal out of range";
+    advance st;
+    Expr.int_ i
   | REAL r, _ -> advance st; Expr.real r
   (* a negative literal, as [to_source] prints one *)
   | MINUS, _ -> (
@@ -389,11 +394,17 @@ let rec to_source (e : Expr.t) : string =
   match e with
   | Expr.Const (Expr.CInt i) -> string_of_int i
   | Expr.Const (Expr.CReal r) ->
-    let s = Printf.sprintf "%.12g" r in
-    if String.contains s '.' || String.contains s 'e' then
-      (* the lexer only accepts d.d float syntax *)
-      if String.contains s 'e' then Printf.sprintf "(%s * 1.0)" s else s
-    else s ^ ".0"
+    (* the shortest of 15, 16 and 17 significant digits that reads back *)
+    let s =
+      match Printf.sprintf "%.15g" r with
+      | s when float_of_string s = r -> s
+      | _ -> (
+        match Printf.sprintf "%.16g" r with
+        | s when float_of_string s = r -> s
+        | _ -> Printf.sprintf "%.17g" r)
+    in
+    (* a real without fraction or exponent would read as an integer *)
+    if String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s then s ^ ".0" else s
   | Expr.Const (Expr.CString s) -> Printf.sprintf "%S" s
   | Expr.Const (Expr.CBool b) -> string_of_bool b
   | Expr.Const (Expr.CDate d) -> Printf.sprintf "@%d" d

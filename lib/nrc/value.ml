@@ -20,7 +20,7 @@ type t =
   | Tuple of (string * t) list
   | Bag of t list
 
-and label = { site : int; args : t list }
+and label = { site : int; args : t list; hash : int }
 
 let is_null = function Null -> true | _ -> false
 let of_bool b = if b then Bool true else Bool false
@@ -79,13 +79,17 @@ let rec hash (v : t) =
   | Str x -> Hashtbl.hash x
   | Bool x -> Hashtbl.hash x
   | Date x -> 31 * Hashtbl.hash x + 5
-  | Label { site; args } ->
-    List.fold_left (fun acc a -> (acc * 31) + hash a) (site + 193) args
+  | Label l -> l.hash
   | Tuple fields ->
     List.fold_left
       (fun acc (n, x) -> (acc * 31) + Hashtbl.hash n + hash x)
       7 fields
   | Bag items -> List.fold_left (fun acc x -> acc + hash x) 977 items
+
+(* every label is built here, so its hash is folded once *)
+let label ~site args =
+  let hash = List.fold_left (fun acc a -> (acc * 31) + hash a) (site + 193) args in
+  Label { site; args; hash }
 
 (* ------------------------------------------------------------------ *)
 (* Accessors *)
@@ -138,7 +142,7 @@ let rec default_of_type (ty : Types.t) : t =
   | Types.TScalar TString -> Str ""
   | Types.TScalar TBool -> Bool false
   | Types.TScalar TDate -> Date 0
-  | Types.TLabel -> Label { site = -1; args = [] }
+  | Types.TLabel -> label ~site:(-1) []
   | Types.TTuple fields ->
     Tuple (List.map (fun (n, t) -> (n, default_of_type t)) fields)
   | Types.TBag _ -> Bag []
@@ -168,7 +172,7 @@ let rec type_of = function
 let rec canonicalize = function
   | Bag items -> Bag (List.sort compare (List.map canonicalize items))
   | Tuple fields -> Tuple (List.map (fun (n, v) -> (n, canonicalize v)) fields)
-  | Label { site; args } -> Label { site; args = List.map canonicalize args }
+  | Label { site; args; _ } -> label ~site (List.map canonicalize args)
   | (Null | Int _ | Real _ | Str _ | Bool _ | Date _) as v -> v
 
 (** Bag equality up to element order (bags are unordered collections). *)
@@ -183,7 +187,7 @@ let rec round_reals ?(digits = 6) = function
     Real (Float.round (r *. m) /. m)
   | Tuple fields -> Tuple (List.map (fun (n, v) -> (n, round_reals ~digits v)) fields)
   | Bag items -> Bag (List.map (round_reals ~digits) items)
-  | Label { site; args } -> Label { site; args = List.map (round_reals ~digits) args }
+  | Label { site; args; _ } -> label ~site (List.map (round_reals ~digits) args)
   | (Null | Int _ | Str _ | Bool _ | Date _) as v -> v
 
 (** Structural equality with a relative tolerance on reals. *)
@@ -238,7 +242,7 @@ let rec pp ppf = function
   | Str s -> Fmt.pf ppf "%S" s
   | Bool b -> Fmt.bool ppf b
   | Date d -> Fmt.pf ppf "d%d" d
-  | Label { site; args } ->
+  | Label { site; args; _ } ->
     Fmt.pf ppf "L%d(%a)" site (Fmt.list ~sep:Fmt.comma pp) args
   | Tuple fields ->
     Fmt.pf ppf "@[<hov 1>\u{27E8}%a\u{27E9}@]"

@@ -18,12 +18,20 @@ type t =
   | Tuple of (string * t) list
   | Bag of t list
 
-and label = { site : int; args : t list }
+and label = { site : int; args : t list; hash : int }
+(** A label's [hash] is {!hash} of the label, folded once from [site] and
+    [args] by {!label}, which builds every label. A label made any other
+    way — a copy [{ l with args }] included — must go back through {!label}
+    with its new [args], or it carries a stale hash. *)
 
 val is_null : t -> bool
 
 val of_bool : bool -> t
 (** [Bool b], one shared value per truth value: allocates nothing. *)
+
+val label : site:int -> t list -> t
+(** The label of [site] capturing [args], its hash folded once: [hash] of
+    it reads that field. *)
 
 (** {2 Ordering, equality, hashing} *)
 
@@ -31,7 +39,9 @@ val compare : t -> t -> int
 (** Total structural order (used for grouping, dedup, canonicalization). *)
 
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** Agrees with {!equal}; a label's is the field its {!label} folded. *)
 
 (** {2 Accessors} *)
 

@@ -625,9 +625,11 @@ type group = {
   mutable items_bytes : int; (* their byte sizes, summed *)
   key_bytes : int; (* the key columns' bytes, -1 until they are walked *)
   mutable link : int;
+  hash : int; (* its shuffle hash, when the pass emits them (below) *)
 }
 
-let no_group = { vals = Row.empty; items = []; items_bytes = 0; key_bytes = -1; link = -1 }
+let no_group =
+  { vals = Row.empty; items = []; items_bytes = 0; key_bytes = -1; link = -1; hash = 0 }
 
 (* groups in a growable array, by position *)
 type groups = { mutable all : group array; mutable n : int }
@@ -635,13 +637,13 @@ type groups = { mutable all : group array; mutable n : int }
 let groups () = { all = Array.make 16 no_group; n = 0 }
 
 (* the next group, its position *)
-let add_group gs vals key_bytes =
+let add_group gs vals key_bytes hash =
   if gs.n = Array.length gs.all then begin
     let all = Array.make (2 * gs.n) no_group in
     Array.blit gs.all 0 all 0 gs.n;
     gs.all <- all
   end;
-  gs.all.(gs.n) <- { vals; items = []; items_bytes = 0; key_bytes; link = -1 };
+  gs.all.(gs.n) <- { vals; items = []; items_bytes = 0; key_bytes; link = -1; hash };
   gs.n <- gs.n + 1;
   gs.n - 1
 
@@ -693,6 +695,11 @@ let with_scratch ~rows ~width f =
 
 let slots_where p n = Array.of_list (List.filter p (List.init n Fun.id))
 
+(* How the nest pass hashes a row's G-keys: by its own fold over the keys
+   it probes; the same, also emitting each output row's shuffle hash; or
+   taking the shuffle hash each row carries in, position by position. *)
+type hashing = Own | Emit | Carried of int array
+
 (* The one grouping pass of both nest operators: [fold] adds a present row
    (by its position) to its group in row order, [close] finishes the
    aggregate slots from the first after the keys and returns their bytes.
@@ -705,7 +712,16 @@ let slots_where p n = Array.of_list (List.filter p (List.init n Fun.id))
    aggregation keys: only those are read, hashed and compared per row;
    the other G-keys are read when the row opens a group. When the keys
    are whole columns, a group's key bytes are its opening row's size less
-   the other columns, if those are flat. *)
+   the other columns, if those are flat.
+
+   The shuffle hash of a group is [hash_key] of its G-keys, or of its
+   aggregation keys when there are no G-keys. When every G-key is probed,
+   the probe's G-key fold is that hash, and with no G-keys the aggregation
+   fold is; otherwise [Emit] hashes a G-group's keys once, when it opens.
+   With [Carried] hashes, the G-table probes with a row's hash, which equal
+   probed keys give equal G-keys and so equal hashes, and the aggregation
+   table folds only the aggregation keys onto it, or with no G-keys probes
+   with the hash itself. *)
 let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
   let exprs = List.map snd keys @ List.map snd agg_keys in
   let out_names = Array.of_list (List.map fst keys @ List.map fst agg_keys @ aggs) in
@@ -732,14 +748,15 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
   let g_outside = outside nk and a_outside = outside first_agg in
   let null_bytes = Row.column_bytes V.Null in
   ( out_names,
-    fun ~(fold : group -> int -> Row.t -> unit) ~(close : group -> int) ((rows, sizes) : sized) ->
+    fun ~(fold : group -> int -> Row.t -> unit) ~(close : group -> int) hashing
+      ((rows, sizes) : sized) ->
       with_scratch ~rows:(Array.length rows) ~width:first_agg
       @@ fun { gs; ags; gtbl; atbl; probe; _ } ->
       let g_equal g = same_slots probe gs.all.(g).vals gslots (Array.length gslots - 1)
       and a_equal a = same_slots probe ags.all.(a).vals aslots (Array.length aslots - 1) in
       (* a new group's output row: the probe's first [w] keys, Null up to
          the aggregates *)
-      let fresh s w r (row : Row.t) =
+      let fresh s w r (row : Row.t) hash =
         let vals = Array.make width empty in
         Array.blit probe 0 vals 0 w;
         Array.fill vals w (first_agg - w) V.Null;
@@ -750,6 +767,7 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
             | -1 -> -1
             | kept -> kept + ((first_agg - w) * null_bytes))
           | None -> -1)
+          hash
       in
       (* the G-keys no table compares, read into the probe for a new group *)
       let complete (row : Row.t) =
@@ -769,6 +787,21 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
         done;
         !h
       in
+      (* the same, keeping a carried hash [h] *)
+      let keep (row : Row.t) slots h =
+        for j = 0 to Array.length slots - 1 do
+          let i = slots.(j) in
+          probe.(i) <- key.(i) row
+        done;
+        h
+      in
+      (* the shuffle hash of a G-group opened under the G-key hash [gh],
+         its G-keys in the probe *)
+      let g_hash =
+        match hashing with
+        | Emit when Array.length later > 0 -> fun _ -> hash_run probe 0 nk
+        | _ -> Fun.id
+      in
       (* The G-group of the probe. [sub] is the aggregation group that
          opens it, if any — such a G-group is never emitted and holds
          [sub]'s values — or -1 when [row] opens it. *)
@@ -777,26 +810,34 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
         | -1 ->
           if sub < 0 then begin
             complete row;
-            fresh gs nk r row
+            fresh gs nk r row (g_hash hash)
           end
-          else add_group gs ags.all.(sub).vals (-1)
+          else add_group gs ags.all.(sub).vals (-1) (g_hash hash)
         | g -> g
       in
       let any_present = ref false in
       Array.iteri
         (fun r row ->
-          let gfold = fill row gslots 17 in
+          let gfold =
+            match hashing with
+            | Carried h when nk > 0 -> keep row gslots h.(r)
+            | _ -> fill row gslots 17
+          in
           let gh = gfold land max_int in
           if not (present row) then ignore (g_group ~sub:(-1) r row gh)
           else begin
             any_present := true;
             if first_agg = nk then fold gs.all.(g_group ~sub:(-1) r row gh) r row
             else
-              let ah = fill row agg_slots gfold land max_int in
+              let ah =
+                match hashing with
+                | Carried h when nk = 0 -> keep row agg_slots h.(r)
+                | _ -> fill row agg_slots gfold land max_int
+              in
               match Key_table.find_or_add atbl ah a_equal ags.n with
               | -1 ->
                 complete row;
-                let a = fresh ags first_agg r row in
+                let a = fresh ags first_agg r row ah in
                 let g = gs.all.(g_group ~sub:a r row gh) and sub = ags.all.(a) in
                 sub.link <- g.link;
                 g.link <- a;
@@ -821,25 +862,29 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
           done
       done;
       let out = Array.make !count Row.empty and out_sizes = Array.make !count 0 in
+      let emitting = match hashing with Emit -> true | Own | Carried _ -> false in
+      let out_hashes = Array.make (if emitting then !count else 0) 0 in
       let keys_size = prefix_sizer first_agg and at = ref 0 in
-      let emit g =
+      (* an aggregation group's shuffle hash is its G-group's, if any *)
+      let emit g hash =
         let bytes = close g in
         let keys = if g.key_bytes >= 0 then g.key_bytes else keys_size g.vals in
         out.(!at) <- g.vals;
         out_sizes.(!at) <- keys + bytes;
+        if emitting then out_hashes.(!at) <- (if nk > 0 then hash else g.hash);
         incr at
       in
       for g = gs.n - 1 downto 0 do
-        let a = ref gs.all.(g).link in
-        if !a < 0 then (if emits_placeholder then emit gs.all.(g))
+        let hash = gs.all.(g).hash and a = ref gs.all.(g).link in
+        if !a < 0 then (if emits_placeholder then emit gs.all.(g) hash)
         else
           while !a >= 0 do
             let sub = ags.all.(!a) in
-            emit sub;
+            emit sub hash;
             a := sub.link
           done
       done;
-      (out, out_sizes) )
+      (out, out_sizes, out_hashes) )
 
 (* An item that is a tuple of whole, distinct columns of its row is sized
    from those columns (a tuple field costs 4 bytes where a column costs 8)
@@ -880,18 +925,21 @@ let nest_bag ~ids ~keys ~agg_keys ~item ~presence ~out names =
   let first = List.length keys + List.length agg_keys in
   ( out_names,
     fun ((_, sizes) as rows : sized) ->
-      nest rows
-        ~fold:(fun g r row ->
-          let v = item row in
-          g.items <- v :: g.items;
-          g.items_bytes <- g.items_bytes + size sizes r row v)
-        ~close:(fun g ->
-          (match g.items with [] -> () | items -> g.vals.(first) <- V.Bag (List.rev items));
-          (* a column holding a bag: 8 + 16 + its items *)
-          24 + g.items_bytes) )
+      let out, out_sizes, _ =
+        nest Own rows
+          ~fold:(fun g r row ->
+            let v = item row in
+            g.items <- v :: g.items;
+            g.items_bytes <- g.items_bytes + size sizes r row v)
+          ~close:(fun g ->
+            (match g.items with [] -> () | items -> g.vals.(first) <- V.Bag (List.rev items));
+            (* a column holding a bag: 8 + 16 + its items *)
+            24 + g.items_bytes)
+      in
+      (out, out_sizes) )
 
 (* Null aggregands are skipped (contribute 0) *)
-let nest_sum ~ids ~keys ~agg_keys ~aggs ~presence names =
+let sum_pass ~ids ~keys ~agg_keys ~aggs ~presence names =
   let out_names, nest =
     nest ~ids ~keys ~agg_keys ~presence ~aggs:(List.map fst aggs) ~empty:(V.Int 0)
       ~global_empty:false names
@@ -908,3 +956,15 @@ let nest_sum ~ids ~keys ~agg_keys ~aggs ~presence names =
           | V.Null -> ()
           | v -> vals.(first + j) <- Nrc.Eval.add_values vals.(first + j) v
         done) )
+
+let nest_sum ~ids ~keys ~agg_keys ~aggs ~presence names =
+  let out_names, pass = sum_pass ~ids ~keys ~agg_keys ~aggs ~presence names in
+  (out_names, fun rows -> let out, sizes, _ = pass Own rows in (out, sizes))
+
+let nest_sum_combine ~ids ~keys ~agg_keys ~aggs ~presence names =
+  let out_names, pass = sum_pass ~ids ~keys ~agg_keys ~aggs ~presence names in
+  (out_names, fun rows -> let out, sizes, hashes = pass Emit rows in ((out, sizes), hashes))
+
+let nest_sum_reduce ~ids ~keys ~agg_keys ~aggs ~presence names =
+  let out_names, pass = sum_pass ~ids ~keys ~agg_keys ~aggs ~presence names in
+  (out_names, fun hashes rows -> let out, sizes, _ = pass (Carried hashes) rows in (out, sizes))

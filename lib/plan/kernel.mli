@@ -52,7 +52,10 @@
     live in growable arrays, a G-group's aggregation groups chained by
     position; a group's value array is its output row, which aggregates
     accumulate into as rows stream, and the output is allocated at the
-    exact count of rows emitted.
+    exact count of rows emitted. Run as a map-side combine and a reduce,
+    Γ+ hashes each key once: the combine returns each partial row's
+    shuffle hash ({!nest_sum_combine}), and the reduce probes with it
+    ({!nest_sum_reduce}).
 
     {b Borrowed scratch.} The two key tables, the two group stores and
     the probe array of that pass belong to the domain, not to the call,
@@ -186,3 +189,34 @@ val nest_sum :
 (** Gamma-plus (see {!Op.NestSum}), grouped and ordered as {!nest_bag};
     Null aggregands count as 0. Each sum folds [Nrc.Eval.add_values] from
     [Int 0] over its group's rows in input order. *)
+
+val nest_sum_combine :
+  ids:Op.ids ->
+  keys:(string * Sexpr.t) list ->
+  agg_keys:(string * Sexpr.t) list ->
+  aggs:(string * Sexpr.t) list ->
+  presence:Sexpr.t ->
+  names ->
+  names * (sized -> sized * int array)
+(** {!nest_sum} as the map-side combine: its rows, and each row's shuffle
+    hash, {!hash_key} of its G-keys, or of its aggregation keys when
+    [keys] is empty (unused when both are: a global aggregate is
+    gathered). When the pass probes every G-key, or there are none, its
+    probe's fold already is that hash; otherwise it hashes each G-group's
+    keys once, when the group opens. *)
+
+val nest_sum_reduce :
+  ids:Op.ids ->
+  keys:(string * Sexpr.t) list ->
+  agg_keys:(string * Sexpr.t) list ->
+  aggs:(string * Sexpr.t) list ->
+  presence:Sexpr.t ->
+  names ->
+  names * (int array -> sized -> sized)
+(** {!nest_sum} as the reduce, over partial rows that arrive with their
+    {!nest_sum_combine} hashes, position by position (unread when there
+    are no keys): the G-key table probes with a row's hash, which equal
+    probed keys give equal G-keys and so equal hashes, and the
+    aggregation table folds only the aggregation keys onto it (with no
+    G-keys, it probes with the hash itself). Rows, sizes and order are
+    {!nest_sum}'s. *)

@@ -93,7 +93,7 @@ let rec specialize (column : string -> ('a -> Nrc.Value.t) option) (e : t) :
       | _ -> invalid_arg "Sexpr.compile: if on non-boolean")
   | MkLabel { site; args } ->
     let args = List.map spec args in
-    fun env -> Nrc.Value.Label { site; args = List.map (fun a -> a env) args }
+    fun env -> Nrc.Value.label ~site (List.map (fun a -> a env) args)
   | LabelArg (a, i) -> (
     let a = spec a in
     fun env ->

@@ -1224,6 +1224,97 @@ let golden_table =
      "sh=48 peak=2910 rows=15 st=1 in=21 maxp=1716 sump=3563 np=28 sim=0x1.b9a90399e873fp-15");
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Gamma-plus carries each partial row's shuffle hash from its combine
+   through the shuffle into its reduce. Four shapes: every G-key probed;
+   an id probing for the G-key it determines, which the combine hashes
+   once per G-group; no G-keys, shuffled by the aggregation key; and a
+   global aggregate, gathered with nothing carried. Each must answer as
+   the local interpreter does and charge the counters recorded before the
+   hashes were carried, at every domain count. *)
+
+let gamma_plus_inputs =
+  [ ( "R",
+      V.Bag
+        (List.init 60 (fun i ->
+             V.Tuple
+               [ ("k", V.Int (i mod 5));
+                 ( "items",
+                   V.Bag
+                     (List.init (i mod 4) (fun j ->
+                          V.Tuple
+                            [ ("m", V.Int ((i + j) mod 5)); ("n", V.Int ((i * j) + 1)) ])) ) ]))
+    ) ]
+
+let gamma_plus_shapes =
+  let unnested =
+    Op.Unnest
+      { input = Op.AddIndex { input = Op.Scan { input = "R"; binder = "r" }; col = "id" };
+        path = [ "r"; "items" ]; binder = "i"; outer = true; drop = false }
+  in
+  let nest_sum keys agg_keys =
+    Op.NestSum
+      { input = unnested; keys; agg_keys; aggs = [ ("s", S.path "i" [ "n" ]) ];
+        presence = S.Not (S.IsNull (S.Col [ "i" ])) }
+  in
+  let k = ("k", S.path "r" [ "k" ]) and m = ("m", S.path "i" [ "m" ]) in
+  let without_id op =
+    Op.Project (List.map (fun c -> (c, S.Col [ c ])) [ "k"; "m"; "s" ], op)
+  in
+  (* each with its counters, recorded on the executor that hashed every
+     key in the combine, the shuffle and the reduce *)
+  [ ( "all G-keys probed",
+      nest_sum [ k; m ] [],
+      "sh=4071 peak=10455 rows=272 st=1 in=285 maxp=2890 sump=32962 np=35 sim=0x1.2cc606b4faf4p-13" );
+    ( "an id probes for k",
+      without_id (nest_sum [ ("id", S.Col [ "id" ]); k ] [ m ]),
+      "sh=6615 peak=10455 rows=480 st=1 in=390 maxp=2890 sump=48675 np=42 sim=0x1.edb6266d271fep-13" );
+    ( "no G-keys",
+      nest_sum [] [ m ],
+      "sh=1120 peak=10455 rows=205 st=1 in=285 maxp=2890 sump=26295 np=35 sim=0x1.d89d3a8df06e2p-14" );
+    ( "global",
+      nest_sum [] [],
+      "sh=112 peak=10455 rows=173 st=1 in=285 maxp=2890 sump=24023 np=28 sim=0x1.774e6b1d0472bp-14" ) ]
+
+let test_gamma_plus_carried () =
+  let expected plan =
+    Plan.Local_eval.eval_to_bag (Plan.Local_eval.env_of_list gamma_plus_inputs) plan
+  in
+  let config =
+    { cluster with checkpoint = Exec.Config.No_checkpoints; spill = Exec.Config.Off }
+  in
+  let lines =
+    List.concat_map
+      (fun (name, plan, line) ->
+        List.map
+          (fun domains ->
+            let config = { config with domains } in
+            let env =
+              Exec.Executor.env_of_list
+                (List.map
+                   (fun (n, v) -> (n, Exec.Dataset.of_bag ~partitions:config.partitions v))
+                   gamma_plus_inputs)
+            in
+            let stats = Exec.Stats.create () and trace = Exec.Trace.create () in
+            Exec.Executor.reset_ids ();
+            let ds = Exec.Executor.run_plan ~trace ~config ~stats env plan in
+            Fixtures.check_bag_equal
+              (Printf.sprintf "%s, %d domains" name domains)
+              (expected plan) (Exec.Dataset.to_bag ds);
+            ( name, domains, line,
+              golden_line
+                (Exec.Stats.strip_wall (Exec.Stats.snapshot stats))
+                (Exec.Trace.agg (Exec.Trace.roots trace)) ))
+          [ 1; 2; 4 ])
+      gamma_plus_shapes
+  in
+  let bad = List.filter (fun (_, _, line, actual) -> line <> actual) lines in
+  if bad <> [] then
+    Alcotest.failf "%d of %d counter lines differ; actual:@.%s" (List.length bad)
+      (List.length lines)
+      (String.concat "\n"
+         (List.map (fun (n, d, _, l) -> Printf.sprintf "    %s, %d domains: %S" n d l) bad))
+
 let test_golden_counters () =
   let runs = golden_runs () in
   let actual =
@@ -1590,6 +1681,8 @@ let () =
         [
           Alcotest.test_case "simulated counters match the recorded table"
             `Quick test_golden_counters;
+          Alcotest.test_case "Gamma-plus carrying its hashes: answers and counters"
+            `Quick test_gamma_plus_carried;
         ] );
       ( "scalar conditionals",
         [ Alcotest.test_case "every route agrees with Nrc.Eval" `Quick test_scalar_if ] );

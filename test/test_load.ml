@@ -43,6 +43,33 @@ let cases =
   in
   [ ("biomed", Biomed.Pipeline.program.Nrc.Program.inputs, Biomed.Generator.inputs db) ]
 
+(* [Value.t] without a label's hash, which is a function of its site and
+   arguments: the same constructors in the same order, so it marshals as
+   a value whose labels hold only those two *)
+type value =
+  | Null
+  | Int of int
+  | Real of float
+  | Str of string
+  | Bool of bool
+  | Date of int
+  | Label of label
+  | Tuple of (string * value) list
+  | Bag of value list
+
+and label = { site : int; args : value list }
+
+let rec value : V.t -> value = function
+  | V.Null -> Null
+  | V.Int i -> Int i
+  | V.Real r -> Real r
+  | V.Str s -> Str s
+  | V.Bool b -> Bool b
+  | V.Date d -> Date d
+  | V.Label { site; args; _ } -> Label { site; args = List.map value args }
+  | V.Tuple fs -> Tuple (List.map (fun (n, v) -> (n, value v)) fs)
+  | V.Bag items -> Bag (List.map value items)
+
 (* every dataset of one load, in name order: its key, then each partition's
    values; marshalled without sharing, so only structure counts *)
 let digest ~domains ~partitions (_, types, values) =
@@ -52,7 +79,8 @@ let digest ~domains ~partitions (_, types, values) =
   let datasets =
     List.sort compare
       (Hashtbl.fold
-         (fun name (d : Exec.Dataset.t) acc -> (name, d.key, d.parts) :: acc)
+         (fun name (d : Exec.Dataset.t) acc ->
+           (name, d.key, Array.map (Array.map value) d.parts) :: acc)
          env [])
   in
   Digest.to_hex (Digest.string (Marshal.to_string datasets [ Marshal.No_sharing ]))

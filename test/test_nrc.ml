@@ -36,12 +36,12 @@ let test_value_compare () =
     (V.bag_equal (V.Bag [ V.Int 1; V.Int 1 ]) (V.Bag [ V.Int 1 ]));
   check "label equality by site+args" true
     (V.equal
-       (V.Label { site = 3; args = [ V.Int 7 ] })
-       (V.Label { site = 3; args = [ V.Int 7 ] }));
+       (V.label ~site:3 [ V.Int 7 ])
+       (V.label ~site:3 [ V.Int 7 ]));
   check "label site distinguishes" false
     (V.equal
-       (V.Label { site = 3; args = [ V.Int 7 ] })
-       (V.Label { site = 4; args = [ V.Int 7 ] }))
+       (V.label ~site:3 [ V.Int 7 ])
+       (V.label ~site:4 [ V.Int 7 ]))
 
 let test_value_dedup () =
   let items = [ V.Int 1; V.Int 2; V.Int 1; V.Int 3; V.Int 2 ] in

@@ -31,6 +31,23 @@ let test_lexer () =
   check "strings with escapes" true
     (toks {|"a\"b"|} = Nrc.Lexer.[ STRING {|a"b|}; EOF ]);
   check "comments" true (toks "1 -- two\n3" = Nrc.Lexer.[ INT 1; INT 3; EOF ]);
+  check "reals with exponents" true
+    (toks "1.5e3 2E-2 1e+2 7e0"
+    = Nrc.Lexer.[ REAL 1500.; REAL 0.02; REAL 100.; REAL 7.; EOF ]);
+  check "an e without digits ends the number" true
+    (toks "1e 1.5e+ 2ex"
+    = Nrc.Lexer.[ INT 1; IDENT "e"; REAL 1.5; IDENT "e"; PLUS; INT 2; IDENT "ex"; EOF ]);
+  check "max_int, and min_int's digits" true
+    (toks "4611686018427387903 4611686018427387904"
+    = Nrc.Lexer.[ INT max_int; INT min_int; EOF ]);
+  (* a literal out of range is an error at its offset *)
+  List.iter
+    (fun (src, at) ->
+      match Nrc.Lexer.tokenize src with
+      | _ -> Alcotest.failf "%s: expected Lex_error" src
+      | exception Nrc.Lexer.Lex_error { pos; _ } -> check_int (src ^ ": error position") at pos)
+    [ ("99999999999999999999", 0); ("1 + 4611686018427387905", 4);
+      ("x == @99999999999999999999", 5); ("2.5 * 1e400", 6); ("-1.8e308", 1) ];
   (match Nrc.Lexer.tokenize "a # b" with
   | _ -> Alcotest.fail "expected Lex_error"
   | exception Nrc.Lexer.Lex_error { pos; _ } -> check_int "error position" 2 pos)
@@ -186,9 +203,31 @@ let test_negative_literals () =
     [ E.int_ (-1); E.real (-2.5); E.real (-0.125);
       E.Cmp (E.Le, E.int_ (-7), E.Prim (E.Sub, E.int_ 0, E.int_ (-7)));
       E.If (E.Cmp (E.Gt, E.Proj (E.Var "x", "a"), E.int_ (-1)), E.int_ (-1), Some (E.int_ 9)) ];
-  match parse "- x" with
+  (match parse "- x" with
   | _ -> Alcotest.fail "expected parse error for - x"
-  | exception Nrc.Parser.Parse_error { pos; _ } -> check_int "error position" 2 pos
+  | exception Nrc.Parser.Parse_error { pos; _ } -> check_int "error position" 2 pos);
+  (* min_int prints as its digits after a minus, which read back only so *)
+  check "min_int prints" true (Nrc.Parser.to_source (E.int_ min_int) = "-4611686018427387904");
+  List.iter
+    (fun n -> check (string_of_int n) true (parse (Nrc.Parser.to_source (E.int_ n)) = E.int_ n))
+    [ min_int; max_int; min_int + 1; -max_int ];
+  List.iter
+    (fun (src, at) ->
+      match parse src with
+      | _ -> Alcotest.failf "%s: expected a parse error" src
+      | exception Nrc.Parser.Parse_error { pos; _ } -> check_int (src ^ ": error position") at pos)
+    [ ("4611686018427387904", 0); ("1 - 4611686018427387904", 4) ]
+
+(* Reals print with the fewest of 15, 16 and 17 significant digits that
+   read back to the same float, in exponent form where [%g] picks it. *)
+let test_real_literals () =
+  List.iter
+    (fun (r, src) ->
+      check (src ^ " prints") true (Nrc.Parser.to_source (E.real r) = src);
+      check (src ^ " reads back") true (parse src = E.real r))
+    [ (1e-5, "1e-05"); (-1e-5, "-1e-05"); (0.1, "0.1"); (0.1 +. 0.2, "0.30000000000000004");
+      (2.5, "2.5"); (3., "3.0"); (-0., "-0.0"); (1e15, "1e+15"); (123456789012345., "123456789012345.0");
+      (Float.max_float, "1.7976931348623157e+308"); (5e-324, "4.94065645841247e-324") ]
 
 (* property: pretty-printed builder queries of a simple shape re-parse *)
 let test_pp_parse_roundtrip_flat () =
@@ -221,14 +260,24 @@ let test_to_source_corpus () =
         (Fixtures.eval_ref q) (Fixtures.eval_ref q'))
     Fixtures.corpus
 
+(* a real from 1e-300 to 1e300, of either sign *)
+let gen_real =
+  QCheck.Gen.(
+    map3
+      (fun sign m e -> sign *. m *. (10. ** float_of_int e))
+      (oneofl [ 1.; -1. ]) (float_range 1. 10.) (int_range (-300) 299))
+
 let prop_to_source_roundtrip =
-  QCheck.Test.make ~name:"random query: parse (to_source q) = q"
+  QCheck.Test.make ~name:"random query and real: parse (to_source q) = q"
     ~count:(Fixtures.qcheck_count 200)
-    Qgen.arbitrary_case (fun (q, inputs) ->
+    (QCheck.pair Qgen.arbitrary_case (QCheck.make ~print:(Printf.sprintf "%h") gen_real))
+    (fun ((q, inputs), r) ->
       let q' = parse (Nrc.Parser.to_source q) in
       V.approx_bag_equal
         (Nrc.Eval.eval (Nrc.Eval.env_of_list inputs) q)
-        (Nrc.Eval.eval (Nrc.Eval.env_of_list inputs) q'))
+        (Nrc.Eval.eval (Nrc.Eval.env_of_list inputs) q')
+      && (parse (Nrc.Parser.to_source (E.real r)) = E.real r
+         || QCheck.Test.fail_reportf "%h prints as %s" r (Nrc.Parser.to_source (E.real r))))
 
 let test_program_to_source () =
   let prog =
@@ -262,6 +311,7 @@ let () =
           Alcotest.test_case "collections" `Quick test_collections;
           Alcotest.test_case "aggregates" `Quick test_aggregates;
           Alcotest.test_case "negative literals" `Quick test_negative_literals;
+          Alcotest.test_case "real literals" `Quick test_real_literals;
         ] );
       ( "end to end",
         [

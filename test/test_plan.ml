@@ -54,7 +54,7 @@ let test_sexpr_labels () =
   let lbl = S.MkLabel { site = 3; args = [ S.col "k"; S.col "s" ] } in
   let v = compile lbl row in
   (match v with
-  | V.Label { site = 3; args = [ V.Int 7; V.Str "x" ] } -> ()
+  | V.Label { site = 3; args = [ V.Int 7; V.Str "x" ]; _ } -> ()
   | _ -> Alcotest.failf "bad label %a" V.pp v);
   let row2 = row_of [ ("l", v) ] in
   check "label arg" true (V.equal (compile (S.LabelArg (S.col "l", 0)) row2) (V.Int 7));
@@ -334,7 +334,7 @@ let rec gen_value depth =
         (scalar
         @ [
             map2
-              (fun site args -> V.Label { site; args })
+              (fun site args -> V.label ~site args)
               small_int
               (list_size (int_bound 3) sub);
             map
@@ -884,6 +884,67 @@ let prop_nest_oracle =
            [ ("k, m by m", [ "k"; "m" ], []); ("m, a / k by m", [ "m"; "a" ], [ "k" ]);
              ("k, m, v by m", [ "k"; "m"; "v" ], []); ("k / a, m", [ "k" ], [ "a"; "m" ]) ])
 
+(* Gamma-plus as the executor runs it: a combine per partition, whose
+   hashes must be each partial's [hash_key] of its G-keys (else of its
+   aggregation keys; a global aggregate's go unread), and a reduce over
+   the partials of every partition that probes by those hashes and must
+   answer, bit for bit and in order, as [nest_sum] hashing its own keys. *)
+let prop_carried_hashes =
+  QCheck.Test.make ~name:"nest_sum_combine's hashes are the shuffle's; nest_sum_reduce = nest_sum"
+    ~count:(Fixtures.qcheck_count 300)
+    (QCheck.make
+       ~print:(fun rows ->
+         String.concat "\n" (List.map (fun row -> print_row (nest_names, row)) (Array.to_list rows)))
+       QCheck.Gen.(array_size (int_bound 30) gen_nest_row))
+    (fun rows ->
+      let presence = col "p" and cols = List.map (fun c -> (c, col c)) in
+      let aggs = [ ("s", col "n"); ("t", col "r") ] in
+      let check ids rows (name, keys, agg_keys) =
+        let keys = cols keys and agg_keys = cols agg_keys in
+        let names, combine = K.nest_sum_combine ~ids ~keys ~agg_keys ~aggs ~presence nest_names in
+        let half = Array.length rows / 2 in
+        let combined =
+          List.map
+            (fun part -> combine (K.sized part))
+            [ Array.sub rows 0 half; Array.sub rows half (Array.length rows - half) ]
+        in
+        let partials =
+          ( Array.concat (List.map (fun ((r, _), _) -> r) combined),
+            Array.concat (List.map (fun ((_, s), _) -> s) combined) )
+        and hashes = Array.concat (List.map snd combined) in
+        let shuffle_keys = if keys = [] then agg_keys else keys in
+        let key = compile_keys (List.map (fun (n, _) -> col n) shuffle_keys) names in
+        let global = shuffle_keys = [] in
+        (global
+        || Array.for_all2 (fun row h -> h = K.hash_key (Array.to_list (key row))) (fst partials) hashes
+        || QCheck.Test.fail_reportf "combine by %s: a hash is not its shuffle keys'" name)
+        &&
+        (* the reduce's keys are the combine's output columns *)
+        let keys = List.map (fun (n, _) -> (n, col n)) keys
+        and agg_keys = List.map (fun (n, _) -> (n, col n)) agg_keys
+        and aggs = List.map (fun (n, _) -> (n, col n)) aggs in
+        let presence =
+          match agg_keys with [] -> S.Const (V.Bool true) | (n, _) :: _ -> S.Not (S.IsNull (col n))
+        in
+        let names', reduce = K.nest_sum_reduce ~ids ~keys ~agg_keys ~aggs ~presence names in
+        identical_rows
+          (names', reduce (if global then [||] else hashes) partials)
+          ((fun (n, f) -> (n, f partials)) (K.nest_sum ~ids ~keys ~agg_keys ~aggs ~presence names))
+        || QCheck.Test.fail_reportf "reduce by %s differs" name
+      in
+      let by_m =
+        Array.map
+          (fun (r : Row.t) ->
+            let m = r.(2) in
+            Array.mapi (fun i v -> match i with 0 -> V.Bag [ m ] | 1 -> V.Tuple [ ("m", m) ] | _ -> v) r)
+          rows
+      in
+      let m_determines = { Op.unique = [ "m" ]; determines = [ ("m", [ "k"; "a" ]) ] } in
+      List.for_all (check Op.no_ids rows) nest_groupings
+      && List.for_all (check m_determines by_m)
+           [ ("k, m by m", [ "k"; "m" ], []); ("m, a / k by m", [ "m"; "a" ], [ "k" ]);
+             ("k / a, m", [ "k" ], [ "a"; "m" ]) ])
+
 (* [Value.hash] ignores bag order, so {1,2} and {2,1} meet in one table
    bucket; key equality keeps them apart *)
 let test_nest_permuted_bag_keys () =
@@ -1031,11 +1092,79 @@ let test_hash_key_pins () =
       ("Date", [ V.Date 9131 ], 25386199930);
       ("Bool", [ V.Bool true ], 883721962);
       ("Null", [ V.Null ], 544);
-      ("Label", [ V.Label { site = 3; args = [ V.Int 1; V.Str "x" ] } ], 28176063441);
+      ("Label", [ V.label ~site:3 [ V.Int 1; V.Str "x" ] ], 28176063441);
       ("Tuple", [ V.Tuple [ ("a", V.Int 1); ("b", V.Str "x") ] ], 50791709848);
       ("Bag", [ V.Bag [ V.Int 1; V.Int 2 ] ], 1531740859);
       ("Int, Str", [ V.Int 42; V.Str "ABC" ], 12897554830);
       ("12-key G tuple", g12, 3402342390727925159) ]
+
+(* [Value.hash] as it was folded before labels carried their hash, kept
+   here as the reference *)
+let rec folded_hash (v : V.t) =
+  match v with
+  | V.Null -> 17
+  | V.Int x -> Hashtbl.hash x
+  | V.Real x -> Hashtbl.hash x
+  | V.Str x -> Hashtbl.hash x
+  | V.Bool x -> Hashtbl.hash x
+  | V.Date x -> (31 * Hashtbl.hash x) + 5
+  | V.Label { site; args; _ } ->
+    List.fold_left (fun acc a -> (acc * 31) + folded_hash a) (site + 193) args
+  | V.Tuple fields ->
+    List.fold_left (fun acc (n, x) -> (acc * 31) + Hashtbl.hash n + folded_hash x) 7 fields
+  | V.Bag items -> List.fold_left (fun acc x -> acc + folded_hash x) 977 items
+
+(* every label in [v], nested ones included *)
+let rec labels_in acc (v : V.t) =
+  match v with
+  | V.Label l -> List.fold_left labels_in (v :: acc) l.args
+  | V.Tuple fields -> List.fold_left (fun acc (_, x) -> labels_in acc x) acc fields
+  | V.Bag items -> List.fold_left labels_in acc items
+  | _ -> acc
+
+(* Each producer of labels builds them through [Value.label], so a label's
+   carried hash is the fold over its site and arguments. [round_reals]
+   changes a label's arguments, so a copy keeping the old hash shows. *)
+let test_label_hashes () =
+  let module E = Nrc.Expr in
+  let cop_elem = Nrc.Types.element Fixtures.cop_ty in
+  let shredded = Trance.Shred_value.shred_bag "COP" cop_elem Fixtures.cop_value in
+  let placed =
+    Exec.Pool.with_pool ~domains:2 @@ fun pool ->
+    Trance.Shred_value.place pool ~partitions:3 [ ("COP", Fixtures.cop_ty) ]
+      [ ("COP", Fixtures.cop_value) ]
+  in
+  let row = row_of [ ("k", V.Int 7); ("s", V.Str "x"); ("r", V.Real 2.5) ] in
+  let producers =
+    [ ("Sexpr MkLabel", compile (S.MkLabel { site = 3; args = [ S.col "k"; S.col "s" ] }) row);
+      ( "Nrc.Eval NewLabel",
+        Nrc.Eval.eval (Nrc.Eval.env_of_list [])
+          (E.NewLabel { site = 5; args = [ E.int_ 1; E.str "a"; E.real 0.5 ] }) );
+      ( "Shred_value.shred_bag",
+        V.Bag (shredded.Trance.Shred_value.top :: List.map snd shredded.Trance.Shred_value.dicts) );
+      ( "Shred_value.place",
+        V.Bag
+          (List.concat_map
+             (fun (_, _, datasets) ->
+               List.concat_map
+                 (fun (d : Trance.Shred_value.placed) ->
+                   List.concat_map Array.to_list (Array.to_list d.parts))
+                 (Option.value datasets ~default:[]))
+             placed) );
+      ("default_of_type", V.default_of_type Nrc.Types.TLabel);
+      ( "canonicalize",
+        V.canonicalize (V.label ~site:2 [ V.Bag [ V.Int 2; V.Int 1 ]; V.label ~site:1 [ V.Int 4 ] ]) );
+      ( "round_reals",
+        V.round_reals ~digits:2 (V.label ~site:2 [ V.Real 1.23456789; V.label ~site:1 [ V.Real 0.0049 ] ]) ) ]
+  in
+  List.iter
+    (fun (name, v) ->
+      let labels = labels_in [] v in
+      check (name ^ " makes labels") true (labels <> []);
+      List.iter
+        (fun l -> check_int (name ^ ": " ^ V.to_string l) (folded_hash l) (V.hash l))
+        labels)
+    producers
 
 let prop_vector_hash =
   QCheck.Test.make ~name:"the shuffle's key-vector hash = hash_key of the key list"
@@ -1388,10 +1517,12 @@ let () =
           [ prop_append_column; prop_index_column; prop_join_rows ] );
       ( "kernels",
         Alcotest.test_case "hash_key pins" `Quick test_hash_key_pins
+        :: Alcotest.test_case "label hashes: every producer folds once" `Quick test_label_hashes
         :: Alcotest.test_case "heavy keys: the sample's last row" `Quick test_heavy_keys_sample
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_kernel_sizes; prop_kernel_chunks; prop_kernel_column_order;
-               prop_compiled_column_order; prop_nest_oracle; prop_vector_hash ] );
+               prop_compiled_column_order; prop_nest_oracle; prop_carried_hashes;
+               prop_vector_hash ] );
       ( "allocation",
         [ Alcotest.test_case "compiled reads, null tests and comparisons" `Quick
             test_compiled_allocation;
