@@ -114,9 +114,10 @@ let tokenize (src : string) : (token * int) list =
         let j = str (i + 1) in
         push i (STRING (Buffer.contents buf));
         go j
-      | '@' when i + 1 < n && is_digit src.[i + 1] ->
-        (* @123 date literal *)
-        let j = digits (i + 1) in
+      | '@' when (i + 1 < n && is_digit src.[i + 1])
+                 || (i + 2 < n && src.[i + 1] = '-' && is_digit src.[i + 2]) ->
+        (* @123 or @-123 date literal *)
+        let j = digits (i + 2) in
         (match int_of_string_opt (String.sub src (i + 1) (j - i - 1)) with
         | Some d -> push i (DATE d)
         | None -> out_of_range i "date" (String.sub src i (j - i)));

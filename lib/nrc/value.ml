@@ -121,6 +121,10 @@ let as_string = function Str s -> s | _ -> invalid_arg "Value.as_string"
    the cluster simulator. Numbers are rough per-value byte costs mirroring a
    compact binary row format. *)
 
+let tuple_bytes fields = 8 + fields
+let field_bytes value = 4 + value
+let bag_bytes items = 16 + items
+
 let rec byte_size = function
   | Null -> 1
   | Int _ | Real _ | Date _ -> 8
@@ -128,8 +132,8 @@ let rec byte_size = function
   | Str s -> 8 + String.length s
   | Label { args; _ } -> 8 + List.fold_left (fun acc a -> acc + byte_size a) 0 args
   | Tuple fields ->
-    List.fold_left (fun acc (_, v) -> acc + 4 + byte_size v) 8 fields
-  | Bag items -> List.fold_left (fun acc v -> acc + byte_size v) 16 items
+    tuple_bytes (List.fold_left (fun acc (_, v) -> acc + field_bytes (byte_size v)) 0 fields)
+  | Bag items -> bag_bytes (List.fold_left (fun acc v -> acc + byte_size v) 0 items)
 
 (* ------------------------------------------------------------------ *)
 (* Default values: get(e) on a non-singleton bag returns the default of the

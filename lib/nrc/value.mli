@@ -65,6 +65,13 @@ val byte_size : t -> int
 (** Rough binary-encoded size: drives the simulator's shuffle accounting
     and worker memory budgets. *)
 
+val tuple_bytes : int -> int
+val field_bytes : int -> int
+val bag_bytes : int -> int
+(** The parts {!byte_size} is built from: a tuple's size from the sum of
+    its fields' [field_bytes], a field's from its value's size, a bag's
+    from the sum of its items' sizes. *)
+
 val default_of_type : Types.t -> t
 (** The default value [get] returns on non-singleton bags (Section 2). *)
 

@@ -3,9 +3,9 @@
     executor in each pool task. A kernel is applied to its input's schema
     once per operator — resolving every column there — and returns its
     output's schema with the function it runs on each partition's rows and
-    their {!Row.byte_size}s, derived from the size model's additivity where
-    that saves walking rows. Keyed kernels find keys through one
-    {!Key_table} of positions. *)
+    their {!Row.byte_size}s, derived from the input rows' sizes where that
+    saves walking values. Keyed kernels find keys through one {!Key_table}
+    of positions. *)
 
 module V = Nrc.Value
 module S = Sexpr
@@ -123,125 +123,147 @@ let snoc vals v =
   Array.blit vals 0 out 0 m;
   out
 
-(* the bytes of the columns [lo, hi) *)
-let range_bytes (vals : V.t array) lo hi =
-  let s = ref 0 in
-  for i = lo to hi - 1 do
-    s := !s + Row.column_bytes vals.(i)
-  done;
-  !s
+let slots_where p n = Array.of_list (List.filter p (List.init n Fun.id))
+let distinct l = List.length (List.sort_uniq compare l) = List.length l
 
-let columns_bytes vals = range_bytes vals 0 (Array.length vals)
+(* ------------------------------------------------------------------ *)
+(* The sizer *)
 
-(* The bytes of the first [width] columns of rows sized one after another.
-   Consecutive rows often share values physically — groups opened by
-   sibling rows hold their common ancestors' values — so a slot holding
-   the very value the previous row held there reuses its size instead of
-   walking it again. Exact, since a size is a pure function of the value;
-   the memo lives as long as the sizer. *)
-let prefix_sizer width =
-  let prev = Array.make width V.Null and sizes = Array.make width (Row.column_bytes V.Null) in
-  fun (vals : V.t array) ->
-    let total = ref 0 in
-    for i = 0 to width - 1 do
-      let v = vals.(i) in
-      if prev.(i) != v then begin
-        prev.(i) <- v;
-        sizes.(i) <- Row.column_bytes v
-      end;
-      total := !total + sizes.(i)
-    done;
-    !total
+(* Where an output comes from, in an input schema: a whole input column,
+   a tuple of some fields of one (a projection narrowing a generator
+   variable), a tuple of whole columns, or none of these. *)
+type source = Column of int | Fields of int * string list | Columns of int array | Computed
 
-(* The bytes of a row's columns outside the slots [unused], from the row's
-   [size], when those columns are flat and so cheap to size; -1 when one
-   of them nests. *)
-let rec kept_from (unused : int array) (vals : V.t array) i acc =
-  if i < 0 then acc
-  else
-    match vals.(unused.(i)) with
-    | V.Bag _ | V.Tuple _ | V.Label _ -> -1
-    | v -> kept_from unused vals (i - 1) (acc - Row.column_bytes v)
-
-let kept_bytes unused vals size = kept_from unused vals (Array.length unused - 1) size
-
-(* the bytes of the columns in the slots [used], when they are flat; -1
-   when one of them nests *)
-let flat_bytes used vals = match kept_bytes used vals 0 with -1 -> -1 | b -> -b
-
-(* Where an output column comes from, in an input schema: a whole input
-   column, a tuple of some fields of one (a projection narrowing a
-   generator variable), or neither. *)
-type source = Column of int | Fields of int * string list | Computed
-
-let source src (e : S.t) =
+let source slot (e : S.t) =
+  let whole = function S.Col [ c ] -> slot c | _ -> None in
   match e with
-  | S.Col [ c ] -> ( match Row.slot src c with Some s -> Column s | None -> Computed)
+  | S.Col [ c ] -> ( match slot c with Some s -> Column s | None -> Computed)
   | S.MkTuple ((_, S.Col [ c; _ ]) :: _ as fields) -> (
     let names =
       List.filter_map (function _, S.Col [ c'; f ] when c' = c -> Some f | _ -> None) fields
     in
-    match Row.slot src c with
-    | Some s
-      when List.length names = List.length fields
-           && List.length (List.sort_uniq String.compare names) = List.length names ->
-      Fields (s, names)
+    match slot c with
+    | Some s when List.length names = List.length fields && distinct names -> Fields (s, names)
     | _ -> Computed)
+  | S.MkTuple fields when List.for_all (fun (_, e) -> whole e <> None) fields ->
+    Columns (Array.of_list (List.map (fun (_, e) -> Option.get (whole e)) fields))
   | _ -> Computed
 
-(* An output built from an input schema of [width] slots: the first
-   output drawing on a slot carries it — is sized from the input row —
-   later ones count as computed, and [unused] lists the slots no output
-   carries. *)
-type carrying = { sources : source array; unused : int array; any : bool }
+let source_slots = function
+  | Column s | Fields (s, _) -> [ s ]
+  | Columns slots -> Array.to_list slots
+  | Computed -> []
 
-let carrying width (sources : source array) =
-  let kept = Array.make width false in
-  let sources = Array.copy sources in
-  for k = 0 to Array.length sources - 1 do
-    match sources.(k) with
-    | Column s | Fields (s, _) when not kept.(s) -> kept.(s) <- true
-    | Column _ | Fields _ -> sources.(k) <- Computed
-    | Computed -> ()
-  done;
-  { sources;
-    unused = Array.of_list (List.filter (fun s -> not kept.(s)) (List.init width Fun.id));
-    any = Array.exists (function Computed -> false | _ -> true) sources }
+(* An output vector's sizes from an input schema of [width] slots: the
+   first output drawing on a slot carries it (is sized from the input
+   row), later ones count as computed. [used] are the carried slots,
+   [unused] the rest; [computed] the outputs walked when the carried
+   columns are subtracted, [walks] those walked when they are summed,
+   and [derived] the carried tuples, by position. *)
+type sizer = {
+  used : int array;
+  unused : int array;
+  computed : int array;
+  walks : int array;
+  derived : (int * source) array;
+}
+
+let sizer slot width exprs =
+  let carried = Array.make width false in
+  let carry src =
+    let slots = source_slots src in
+    if distinct slots && not (List.exists (fun s -> carried.(s)) slots) then begin
+      List.iter (fun s -> carried.(s) <- true) slots;
+      src
+    end
+    else Computed
+  in
+  let sources = Array.of_list (List.map (fun e -> carry (source slot e)) exprs) in
+  let outputs p = slots_where (fun k -> p sources.(k)) (Array.length sources) in
+  { used = slots_where (fun s -> carried.(s)) width;
+    unused = slots_where (fun s -> not carried.(s)) width;
+    computed = outputs (function Computed -> true | _ -> false);
+    walks = outputs (function Column _ | Fields _ | Computed -> true | Columns _ -> false);
+    derived =
+      Array.map (fun k -> (k, sources.(k)))
+        (outputs (function Fields _ | Columns _ -> true | _ -> false)) }
+
+let flat = function V.Bag _ | V.Tuple _ | V.Label _ -> false | _ -> true
+
+let rec all_flat (slots : int array) (row : Row.t) i =
+  i < 0 || (flat row.(slots.(i)) && all_flat slots row (i - 1))
+
+let rec slots_bytes (slots : int array) (row : Row.t) i acc =
+  if i < 0 then acc else slots_bytes slots row (i - 1) (acc + Row.column_bytes row.(slots.(i)))
 
 let rec remove_first n = function
   | [] -> []
   | m :: rest when String.equal m n -> rest
   | m :: rest -> m :: remove_first n rest
 
-(* the bytes a tuple loses keeping only the first field of each of [names]
-   (a field costs 4 bytes plus its value) *)
 let rec mem_name n = function [] -> false | m :: rest -> String.equal m n || mem_name n rest
 
+(* the bytes a tuple loses keeping only the first field of each of
+   [names] *)
 let rec dropped_bytes names = function
   | [] -> 0
   | (n, _) :: rest when mem_name n names -> dropped_bytes (remove_first n names) rest
-  | (_, v) :: rest -> 4 + V.byte_size v + dropped_bytes names rest
+  | (_, v) :: rest -> V.field_bytes (V.byte_size v) + dropped_bytes names rest
 
-(* the size of [out], built from the input row [vals] of [size] as [c]
-   describes: the input's kept columns, less the fields a narrowed tuple
-   drops, plus the computed outputs *)
-let rebuilt_size c vals size (out : V.t array) =
-  let kept = if c.any then kept_bytes c.unused vals size else -1 in
-  if kept < 0 then columns_bytes out
-  else begin
-    let s = ref kept in
-    Array.iteri
-      (fun k v ->
-        match c.sources.(k) with
-        | Column _ -> ()
-        | Fields (slot, names) -> (
-          match vals.(slot) with
-          | V.Tuple fields -> s := !s - dropped_bytes names fields
-          | w -> s := !s + Row.column_bytes v - Row.column_bytes w)
-        | Computed -> s := !s + Row.column_bytes v)
-      out;
-    !s
-  end
+(* The bytes of the outputs [vals] that their input [row] of [size] gives;
+   {!walk_part} walks the rest. The carried columns are [size] less the
+   others when those are flat, unless the carried ones are flat and no
+   more: then a narrowed tuple is its column less the fields it drops,
+   a tuple of whole columns its columns plus its headers. Otherwise the
+   carried columns are summed — tuples of whole columns here, the others
+   walked — and the result is complemented ([lnot], so negative). *)
+let row_part sz (row : Row.t) size (vals : V.t array) =
+  let nu = Array.length sz.used and nn = Array.length sz.unused in
+  let subtract =
+    (not (nu <= nn && all_flat sz.used row (nu - 1))) && all_flat sz.unused row (nn - 1)
+  in
+  let total = ref (if subtract then size - slots_bytes sz.unused row (nn - 1) 0 else 0) in
+  for j = 0 to Array.length sz.derived - 1 do
+    match sz.derived.(j) with
+    | k, Fields (s, names) when subtract -> (
+      match row.(s) with
+      | V.Tuple fields -> total := !total - dropped_bytes names fields
+      | w -> total := !total + Row.column_bytes vals.(k) - Row.column_bytes w)
+    | _, Columns slots ->
+      total := !total + Row.tuple_of_columns (Array.length slots);
+      if not subtract then total := !total + slots_bytes slots row (Array.length slots - 1) 0
+    | _ -> ()
+  done;
+  if subtract then !total else lnot !total
+
+(* Per output slot, the value last walked there and its column's bytes.
+   Consecutive outputs often hold physically the same value in a slot —
+   groups opened by sibling rows hold their common ancestors' values — so
+   that value is not walked again. Exact, since a size is a pure function
+   of the value; one memo serves one partition call. *)
+type memo = { prev : V.t array; bytes : int array }
+
+let null_column = Row.column_bytes V.Null and int_column = Row.column_bytes (V.Int 0)
+let memo width = { prev = Array.make width V.Null; bytes = Array.make width null_column }
+
+(* [row_part]'s [part] plus the outputs it leaves, walked through [m] *)
+let walk_part sz m part (vals : V.t array) =
+  let slots = if part >= 0 then sz.computed else sz.walks in
+  let total = ref (if part >= 0 then part else lnot part) in
+  for j = 0 to Array.length slots - 1 do
+    let k = slots.(j) in
+    let v = vals.(k) in
+    if m.prev.(k) != v then begin
+      m.prev.(k) <- v;
+      m.bytes.(k) <- Row.column_bytes v
+    end;
+    total := !total + m.bytes.(k)
+  done;
+  !total
+
+(* the sum of [Row.column_bytes] over the outputs [vals], built from the
+   input [row] of [size] *)
+let size sz m row size vals = walk_part sz m (row_part sz row size vals) vals
 
 (* rows built one per input element, in order *)
 let map_rows f a = Row.array_init Row.empty (Array.length a) (fun i -> f a.(i))
@@ -249,12 +271,12 @@ let map_rows f a = Row.array_init Row.empty (Array.length a) (fun i -> f a.(i))
 let scan ~binder =
   ([| binder |], fun items -> (map_rows (fun v -> [| v |]) items, Array.map Row.column_bytes items))
 
-(* one column of 8 bytes holding an 8-byte int per row *)
+(* one int column per row *)
 let add_index ~col names =
   ( snoc names col,
     fun id ((rows, sizes) : sized) ->
       ( Row.array_init Row.empty (Array.length rows) (fun i -> snoc rows.(i) (V.Int (id i))),
-        Array.map (fun b -> b + 16) sizes ) )
+        Array.map (fun b -> b + int_column) sizes ) )
 
 (* ------------------------------------------------------------------ *)
 (* Key sets *)
@@ -380,40 +402,52 @@ let join ~lkey ~kind lnames rnames =
       contents out )
 
 (* [presence] and [item] read each match's two sides in place: no joined
-   row is built *)
+   row is built. The keys are sized over the left row, the item over the
+   right one, where it reads only the right side's columns. *)
 let cogroup ~lkey ~kind ~keys ~item ~presence ~out lnames rnames =
   let prober = prober lkey lnames in
   let present = S.compile_pair lnames rnames presence
+  and item_sizer =
+    let right c = match Row.slot lnames c with Some _ -> None | None -> Row.slot rnames c in
+    sizer right (Array.length rnames) [ item ]
   and item = S.compile_pair lnames rnames item in
-  let key = S.compile_vec lnames (List.map snd keys) in
+  let key_exprs = List.map snd keys in
+  let key = S.compile_vec lnames key_exprs
+  and keys_sizer = sizer (Row.slot lnames) (Array.length lnames) key_exprs in
   let nk = Array.length key in
   let null_row = Array.make (Array.length rnames) V.Null in
+  let null_size = Row.byte_size null_row in
   let outer = match kind with Op.LeftOuter -> true | Op.Inner -> false in
   ( snoc (Array.of_list (List.map fst keys)) out,
-    fun (ix : index) ((lrows, _) : sized) ->
-      let probe = prober ix and side = S.pair () and keys_size = prefix_sizer nk in
-      let rows = buf () in
-      let add acc =
+    fun (ix : index) ((lrows, lsizes) : sized) ->
+      let probe = prober ix and side = S.pair () in
+      let keys_memo = memo nk and item_memo = memo 1 and one = [| V.Null |] in
+      let rows = buf () and bytes = ref 0 in
+      let add acc rsize =
         if S.truth (present side) then begin
           let v = item side in
-          acc := v :: !acc
+          acc := v :: !acc;
+          one.(0) <- v;
+          bytes :=
+            !bytes + size item_sizer item_memo side.right rsize one - Row.column_header
         end
       in
-      Array.iter
-        (fun lrow ->
+      Array.iteri
+        (fun i lrow ->
           let head = probe lrow in
           if head >= 0 || outer then begin
             side.left <- lrow;
+            bytes := 0;
             let items = ref [] in
             if head < 0 then begin
               side.right <- null_row;
-              add items
+              add items null_size
             end
             else begin
               let j = ref head in
               while !j >= 0 do
                 side.right <- ix.rows.(!j);
-                add items;
+                add items ix.rsizes.(!j);
                 j := ix.next.(!j)
               done
             end;
@@ -422,9 +456,7 @@ let cogroup ~lkey ~kind ~keys ~item ~presence ~out lnames rnames =
             for k = 0 to nk - 1 do
               vals.(k) <- key.(k) lrow
             done;
-            (* a column holding a bag: 8 + 16 + its items *)
-            let bag = List.fold_left (fun acc v -> acc + V.byte_size v) 24 items in
-            push rows vals (keys_size vals + bag)
+            push rows vals (size keys_sizer keys_memo lrow lsizes.(i) vals + Row.bag_column !bytes)
           end)
         lrows;
       contents rows )
@@ -448,18 +480,16 @@ let filter keep ((rows, sizes) : sized) : sized =
 
 let select p names = (names, filter (S.compile_pred names p))
 
-(* a projected row is sized from its input where it copies whole columns *)
 let project fields names =
   let exprs = List.map snd fields in
-  let fs = S.compile_vec names exprs in
-  let shape = carrying (Array.length names) (Array.of_list (List.map (source names) exprs)) in
+  let fs = S.compile_vec names exprs and sz = sizer (Row.slot names) (Array.length names) exprs in
   ( Array.of_list (List.map fst fields),
     fun ((rows, sizes) : sized) ->
-      let out_sizes = Array.make (Array.length rows) 0 in
+      let m = memo (Array.length fs) and out_sizes = Array.make (Array.length rows) 0 in
       ( Row.array_init Row.empty (Array.length rows) (fun i ->
             let row = rows.(i) in
             let vals = read_all fs row in
-            out_sizes.(i) <- rebuilt_size shape row sizes.(i) vals;
+            out_sizes.(i) <- size sz m row sizes.(i) vals;
             vals),
         out_sizes ) )
 
@@ -499,13 +529,12 @@ let cut_parent cut (vals : V.t array) =
       vals
     | _ -> vals)
 
-(* the bytes the cut removes from [vals], given the consumed bag's size:
-   a column costs 8 bytes, a tuple field 4 *)
+(* the bytes the cut removes from [vals], given the consumed bag's size *)
 let cut_bytes cut (vals : V.t array) bag_bytes =
   match cut with
   | Keep -> 0
-  | Drop_column _ -> 8 + bag_bytes
-  | Drop_field (i, _) -> ( match vals.(i) with V.Tuple _ -> 4 + bag_bytes | _ -> 0)
+  | Drop_column _ -> Row.column_header + bag_bytes
+  | Drop_field (i, _) -> ( match vals.(i) with V.Tuple _ -> V.field_bytes bag_bytes | _ -> 0)
 
 (* An output row is its parent plus one column. The parent's size is the
    input row's minus what the cut removes — the consumed bag, whose size
@@ -528,16 +557,16 @@ let unnest ~path ~binder ~outer ~drop names =
           let bag_bytes =
             match bagv with
             | V.Bag _ ->
-              let acc = ref 16 in
+              let acc = ref 0 in
               List.iteri
                 (fun i v ->
                   ib.(i) <- V.byte_size v;
                   acc := !acc + ib.(i))
                 items;
-              !acc
+              V.bag_bytes !acc
             | v -> V.byte_size v
           in
-          let parent = sizes.(r) - cut_bytes cut row bag_bytes + 8 in
+          let parent = sizes.(r) - cut_bytes cut row bag_bytes + Row.column_header in
           match items with
           | [] -> if outer then push out (snoc pvals V.Null) (parent + V.byte_size V.Null)
           | items -> List.iteri (fun i v -> push out (snoc pvals v) (parent + ib.(i))) items)
@@ -563,23 +592,8 @@ let dedup names =
       contents out )
 
 let align cols names =
-  let slots = Array.map (Row.slot names) cols in
-  let c =
-    carrying (Array.length names)
-      (Array.map (function Some s -> Column s | None -> Computed) slots)
-  in
-  ( cols,
-    fun ((rows, sizes) : sized) ->
-      let out_sizes = Array.make (Array.length rows) 0 in
-      ( Row.array_init Row.empty (Array.length rows) (fun i ->
-            let row = rows.(i) in
-            let vals = Array.make (Array.length slots) V.Null in
-            for j = 0 to Array.length slots - 1 do
-              match slots.(j) with Some s -> vals.(j) <- row.(s) | None -> ()
-            done;
-            out_sizes.(i) <- rebuilt_size c row sizes.(i) vals;
-            vals),
-        out_sizes ) )
+  let column c = (c, if Row.slot names c = None then S.Const V.Null else S.Col [ c ]) in
+  (cols, snd (project (List.map column (Array.to_list cols)) names))
 
 let values cols names =
   match cols with
@@ -623,13 +637,13 @@ type group = {
   vals : V.t array;
   mutable items : V.t list; (* a bag's items, the newest first *)
   mutable items_bytes : int; (* their byte sizes, summed *)
-  key_bytes : int; (* the key columns' bytes, -1 until they are walked *)
+  key_part : int; (* its keys' {!row_part}, from the row that opened it *)
   mutable link : int;
   hash : int; (* its shuffle hash, when the pass emits them (below) *)
 }
 
 let no_group =
-  { vals = Row.empty; items = []; items_bytes = 0; key_bytes = -1; link = -1; hash = 0 }
+  { vals = Row.empty; items = []; items_bytes = 0; key_part = 0; link = -1; hash = 0 }
 
 (* groups in a growable array, by position *)
 type groups = { mutable all : group array; mutable n : int }
@@ -637,13 +651,13 @@ type groups = { mutable all : group array; mutable n : int }
 let groups () = { all = Array.make 16 no_group; n = 0 }
 
 (* the next group, its position *)
-let add_group gs vals key_bytes hash =
+let add_group gs vals key_part hash =
   if gs.n = Array.length gs.all then begin
     let all = Array.make (2 * gs.n) no_group in
     Array.blit gs.all 0 all 0 gs.n;
     gs.all <- all
   end;
-  gs.all.(gs.n) <- { vals; items = []; items_bytes = 0; key_bytes; link = -1; hash };
+  gs.all.(gs.n) <- { vals; items = []; items_bytes = 0; key_part; link = -1; hash };
   gs.n <- gs.n + 1;
   gs.n - 1
 
@@ -693,8 +707,6 @@ let with_scratch ~rows ~width f =
   if Array.length s.probe < width then s.probe <- Array.make width V.Null;
   Fun.protect ~finally:(fun () -> release s) (fun () -> f s)
 
-let slots_where p n = Array.of_list (List.filter p (List.init n Fun.id))
-
 (* How the nest pass hashes a row's G-keys: by its own fold over the keys
    it probes; the same, also emitting each output row's shuffle hash; or
    taking the shuffle hash each row carries in, position by position. *)
@@ -710,9 +722,8 @@ type hashing = Own | Emit | Carried of int array
    A row is found its group by the G-keys {!Op.probe_keys} picks from
    [ids] — an id standing for the keys it determines — and its
    aggregation keys: only those are read, hashed and compared per row;
-   the other G-keys are read when the row opens a group. When the keys
-   are whole columns, a group's key bytes are its opening row's size less
-   the other columns, if those are flat.
+   the other G-keys are read when the row opens a group, which takes its
+   keys' {!row_part} from that row and walks the rest when emitted.
 
    The shuffle hash of a group is [hash_key] of its G-keys, or of its
    aggregation keys when there are no G-keys. When every G-key is probed,
@@ -734,19 +745,12 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
   let aslots = Array.append gslots (Array.init (first_agg - nk) (fun i -> nk + i)) in
   let agg_slots = Array.sub aslots (Array.length gslots) (first_agg - nk) in
   let key = S.compile_vec names exprs and present = S.compile_pred names presence in
-  (* the input slots outside the first [w] keys, when those are whole,
-     distinct columns *)
-  let outside =
-    let c = carrying (Array.length names) (Array.of_list (List.map (source names) exprs)) in
-    fun w ->
-      let used = Array.make (Array.length names) false in
-      let whole k = match c.sources.(k) with Column s -> used.(s) <- true; true | _ -> false in
-      if List.for_all whole (List.init w Fun.id) then
-        Some (slots_where (fun s -> not used.(s)) (Array.length names))
-      else None
+  (* an aggregation group's keys, and a G-group's, Null past the G-keys *)
+  let a_sizer = sizer (Row.slot names) (Array.length names) exprs
+  and g_sizer =
+    sizer (Row.slot names) (Array.length names)
+      (List.map snd keys @ List.map (fun _ -> S.Const V.Null) agg_keys)
   in
-  let g_outside = outside nk and a_outside = outside first_agg in
-  let null_bytes = Row.column_bytes V.Null in
   ( out_names,
     fun ~(fold : group -> int -> Row.t -> unit) ~(close : group -> int) hashing
       ((rows, sizes) : sized) ->
@@ -756,18 +760,12 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
       and a_equal a = same_slots probe ags.all.(a).vals aslots (Array.length aslots - 1) in
       (* a new group's output row: the probe's first [w] keys, Null up to
          the aggregates *)
-      let fresh s w r (row : Row.t) hash =
+      let fresh s w r hash =
         let vals = Array.make width empty in
         Array.blit probe 0 vals 0 w;
         Array.fill vals w (first_agg - w) V.Null;
-        add_group s vals
-          (match if w = nk then g_outside else a_outside with
-          | Some unused -> (
-            match kept_bytes unused row sizes.(r) with
-            | -1 -> -1
-            | kept -> kept + ((first_agg - w) * null_bytes))
-          | None -> -1)
-          hash
+        let sz = if w = nk then g_sizer else a_sizer in
+        add_group s vals (row_part sz rows.(r) sizes.(r) vals) hash
       in
       (* the G-keys no table compares, read into the probe for a new group *)
       let complete (row : Row.t) =
@@ -810,9 +808,9 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
         | -1 ->
           if sub < 0 then begin
             complete row;
-            fresh gs nk r row (g_hash hash)
+            fresh gs nk r (g_hash hash)
           end
-          else add_group gs ags.all.(sub).vals (-1) (g_hash hash)
+          else add_group gs ags.all.(sub).vals 0 (g_hash hash)
         | g -> g
       in
       let any_present = ref false in
@@ -837,7 +835,7 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
               match Key_table.find_or_add atbl ah a_equal ags.n with
               | -1 ->
                 complete row;
-                let a = fresh ags first_agg r row ah in
+                let a = fresh ags first_agg r ah in
                 let g = gs.all.(g_group ~sub:a r row gh) and sub = ags.all.(a) in
                 sub.link <- g.link;
                 g.link <- a;
@@ -864,11 +862,11 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
       let out = Array.make !count Row.empty and out_sizes = Array.make !count 0 in
       let emitting = match hashing with Emit -> true | Own | Carried _ -> false in
       let out_hashes = Array.make (if emitting then !count else 0) 0 in
-      let keys_size = prefix_sizer first_agg and at = ref 0 in
+      let m = memo first_agg and at = ref 0 in
       (* an aggregation group's shuffle hash is its G-group's, if any *)
-      let emit g hash =
+      let emit sz g hash =
         let bytes = close g in
-        let keys = if g.key_bytes >= 0 then g.key_bytes else keys_size g.vals in
+        let keys = walk_part sz m g.key_part g.vals in
         out.(!at) <- g.vals;
         out_sizes.(!at) <- keys + bytes;
         if emitting then out_hashes.(!at) <- (if nk > 0 then hash else g.hash);
@@ -876,65 +874,35 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
       in
       for g = gs.n - 1 downto 0 do
         let hash = gs.all.(g).hash and a = ref gs.all.(g).link in
-        if !a < 0 then (if emits_placeholder then emit gs.all.(g) hash)
+        if !a < 0 then (if emits_placeholder then emit g_sizer gs.all.(g) hash)
         else
           while !a >= 0 do
             let sub = ags.all.(!a) in
-            emit sub hash;
+            emit a_sizer sub hash;
             a := sub.link
           done
       done;
       (out, out_sizes, out_hashes) )
 
-(* An item that is a tuple of whole, distinct columns of its row is sized
-   from those columns (a tuple field costs 4 bytes where a column costs 8)
-   when they are flat, else from the row's size minus the columns it
-   leaves out, when those are flat; any other item is walked. *)
-let item_sizer item names =
-  let shape =
-    match item with
-    | S.MkTuple fields ->
-      let c =
-        carrying (Array.length names)
-          (Array.of_list (List.map (fun (_, e) -> source names e) fields))
-      in
-      let column = function Column s -> Some s | _ -> None in
-      if Array.for_all (fun x -> column x <> None) c.sources then
-        Some (Array.map (fun x -> Option.get (column x)) c.sources, c.unused)
-      else None
-    | _ -> None
-  in
-  fun sizes r (row : Row.t) v ->
-    match shape with
-    | Some (used, unused) ->
-      let columns =
-        match
-          if Array.length used <= Array.length unused then flat_bytes used row else -1
-        with
-        | -1 -> kept_bytes unused row sizes.(r)
-        | walked -> walked
-      in
-      if columns < 0 then V.byte_size v else 8 - (4 * Array.length used) + columns
-    | None -> V.byte_size v
-
 let nest_bag ~ids ~keys ~agg_keys ~item ~presence ~out names =
   let out_names, nest =
     nest ~ids ~keys ~agg_keys ~presence ~aggs:[ out ] ~empty:(V.Bag []) ~global_empty:true names
   in
-  let size = item_sizer item names and item = S.compile names item in
+  let sz = sizer (Row.slot names) (Array.length names) [ item ] and item = S.compile names item in
   let first = List.length keys + List.length agg_keys in
   ( out_names,
     fun ((_, sizes) as rows : sized) ->
+      let m = memo 1 and one = [| V.Null |] in
       let out, out_sizes, _ =
         nest Own rows
           ~fold:(fun g r row ->
             let v = item row in
             g.items <- v :: g.items;
-            g.items_bytes <- g.items_bytes + size sizes r row v)
+            one.(0) <- v;
+            g.items_bytes <- g.items_bytes + size sz m row sizes.(r) one - Row.column_header)
           ~close:(fun g ->
             (match g.items with [] -> () | items -> g.vals.(first) <- V.Bag (List.rev items));
-            (* a column holding a bag: 8 + 16 + its items *)
-            24 + g.items_bytes)
+            Row.bag_column g.items_bytes)
       in
       (out, out_sizes) )
 
@@ -946,9 +914,10 @@ let sum_pass ~ids ~keys ~agg_keys ~aggs ~presence names =
   in
   let values = S.compile_vec names (List.map snd aggs) in
   let first = List.length keys + List.length agg_keys in
+  let sums = Array.init (Array.length values) (fun j -> first + j) in
   ( out_names,
     nest
-      ~close:(fun g -> range_bytes g.vals first (Array.length g.vals))
+      ~close:(fun g -> slots_bytes sums g.vals (Array.length sums - 1) 0)
       ~fold:(fun g _ (row : Row.t) ->
         let vals = g.vals in
         for j = 0 to Array.length values - 1 do

@@ -14,25 +14,24 @@
     meaning: only {!align} and {!values} fix it.
 
     {b Row sizes.} Rows travel {!sized}: beside each row array, one
-    unboxed [int] per row, its {!Row.byte_size}. Every kernel takes its
-    input rows' sizes and returns its output rows', each equal to
-    {!Row.byte_size} of its row, derived from the size model's additivity
-    wherever that saves walking values: a kept row keeps its size (select,
-    dedup, a skew split); a joined or product row is the sum of its sides;
-    an indexed row adds 16; an unnested row is its parent — the input
-    row's size minus the dropped bag, itself the sum of the items the
-    kernel sizes anyway — plus its item; a projected or aligned row, a
-    nest's whole-column keys and a nest's item that is a tuple of whole
-    columns are the input row less the columns they leave out, when
-    those are flat (a projection narrowing a tuple column also less the
-    fields it drops; a tuple item of fewer flat columns is walked
-    directly), else the output is walked. A nest's keys that are
-    computed are walked, reusing a slot's size while consecutive groups
-    hold physically the same value there. Only values a kernel computes
-    are walked, so the executor never sizes a row it did not just
-    build. Every row or value array a kernel returns is built from a
-    static filler ({!Row.array_init}), so no output, however long, forces
-    a minor collection.
+    unboxed [int] per row, its {!Row.byte_size}, which every kernel takes
+    for its input and returns for its output; {!Row} and {!Nrc.Value}
+    own the size model. A kept row keeps its size, a joined or product
+    row is the sum of its sides, an indexed row adds an int column, and
+    an unnested row is the input row less the dropped bag (sized from
+    the items, walked for their own rows) plus its item. Every other
+    output — a projection, a union alignment, a nest's keys and items, a
+    cogroup's keys and its item over the right side — goes through one
+    sizer: an output that is a whole input column, a tuple of some
+    fields of one or a tuple of whole columns carries them, and the
+    carried columns are the input row's size less the rest when those
+    are flat, unless the carried ones are flat and no more, when they
+    are summed. Any other output is walked, reusing a slot's size while
+    consecutive outputs hold physically the same value there, so the
+    executor never sizes a row it did not just build. Every row or value
+    array a kernel returns is built from a static filler
+    ({!Row.array_init}), so no output, however long, forces a minor
+    collection.
 
     {b Keys.} Every keyed kernel finds keys through one {!Key_table} from
     a key's hash — {!hash_key}'s fold — to positions, comparing keys in

@@ -1,7 +1,7 @@
 (** Hashes to positions, open-addressed; see key_table.mli. *)
 
 (* slot [i] is [slots.(2i)], the hash, and [slots.(2i + 1)], the position
-   or -1 when free; probing is linear from [hash land mask] *)
+   or -1 when free; probing is linear from [home hash mask] *)
 type t = { mutable slots : int array; mutable mask : int; mutable count : int }
 
 let initial_mask = 15
@@ -20,6 +20,10 @@ let reset t ~keys =
   else if t.count > 0 then Array.fill t.slots 0 (Array.length t.slots) (-1);
   t.count <- 0
 
+(* The first slot probed for [hash], high bits folded in: the rows a
+   shuffle delivers to one partition share [hash mod partitions]. *)
+let home hash mask = (hash lxor (hash lsr 7) lxor (hash lsr 17)) land mask
+
 (* the slot holding an equal key, or the free slot where it goes, encoded
    as [-1 - i] *)
 let rec probe slots mask hash (equal : int -> bool) i =
@@ -29,7 +33,7 @@ let rec probe slots mask hash (equal : int -> bool) i =
   else probe slots mask hash equal ((i + 1) land mask)
 
 let find t hash equal =
-  match probe t.slots t.mask hash equal (hash land t.mask) with
+  match probe t.slots t.mask hash equal (home hash t.mask) with
   | i when i >= 0 -> t.slots.((2 * i) + 1)
   | _ -> -1
 
@@ -47,7 +51,7 @@ let grow t =
   let slots = Array.make (2 * (mask + 1)) (-1) in
   for i = 0 to t.mask do
     let p = old.((2 * i) + 1) in
-    if p >= 0 then place slots mask old.(2 * i) p (old.(2 * i) land mask)
+    if p >= 0 then place slots mask old.(2 * i) p (home old.(2 * i) mask)
   done;
   t.slots <- slots;
   t.mask <- mask
@@ -59,14 +63,14 @@ let enter t i hash p =
   if 2 * t.count > t.mask then grow t
 
 let find_or_add t hash equal p =
-  match probe t.slots t.mask hash equal (hash land t.mask) with
+  match probe t.slots t.mask hash equal (home hash t.mask) with
   | i when i >= 0 -> t.slots.((2 * i) + 1)
   | free ->
     enter t (-1 - free) hash p;
     -1
 
 let push t hash equal p =
-  match probe t.slots t.mask hash equal (hash land t.mask) with
+  match probe t.slots t.mask hash equal (home hash t.mask) with
   | i when i >= 0 ->
     let before = t.slots.((2 * i) + 1) in
     t.slots.((2 * i) + 1) <- p;

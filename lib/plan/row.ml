@@ -41,8 +41,14 @@ let get names (row : t) col =
   | Some i -> row.(i)
   | None -> invalid_arg (Printf.sprintf "Row.get: no column %S" col)
 
-let column_bytes v = 8 + Nrc.Value.byte_size v
+let column_header = 8
+let column_bytes v = column_header + Nrc.Value.byte_size v
 let byte_size (row : t) = Array.fold_left (fun acc v -> acc + column_bytes v) 0 row
+let bag_column items = column_header + Nrc.Value.bag_bytes items
+
+(* each column's header becomes a field's *)
+let tuple_of_columns n =
+  column_header + Nrc.Value.tuple_bytes 0 + (n * (Nrc.Value.field_bytes 0 - column_header))
 
 let pp names ppf (row : t) =
   Fmt.pf ppf "@[<h>[%a]@]"

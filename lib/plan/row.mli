@@ -38,13 +38,22 @@ val get : string array -> t -> string -> Nrc.Value.t
 (** [get names row col]: the column [col] of [row] over the schema [names].
     @raise Invalid_argument on missing columns. *)
 
+val column_header : int
+(** A column's bytes beyond its value's. *)
+
 val column_bytes : Nrc.Value.t -> int
-(** One column holding the value: 8 bytes plus {!Nrc.Value.byte_size}. *)
+(** One column holding the value: {!column_header} plus its size. *)
 
 val byte_size : t -> int
 (** The sum of {!column_bytes} over the columns — additive, so a row
     built by appending columns or joining rows is sized from its parts.
     Used by the executor's shuffle and memory accounting. *)
+
+val bag_column : int -> int
+val tuple_of_columns : int -> int
+(** [bag_column items] is a column holding a bag whose items' sizes sum
+    to [items]; [tuple_of_columns n + byte_size cols] is a column holding
+    a tuple of the [n] values [cols], under any field names. *)
 
 val pp : string array -> Format.formatter -> t -> unit
 (** [pp names]: a row over the schema [names]. *)

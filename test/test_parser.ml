@@ -267,17 +267,25 @@ let gen_real =
       (fun sign m e -> sign *. m *. (10. ** float_of_int e))
       (oneofl [ 1.; -1. ]) (float_range 1. 10.) (int_range (-300) 299))
 
+(* a date over the whole int range, before 1970 included *)
+let gen_date = QCheck.Gen.(oneof [ int; return min_int; return max_int; small_signed_int ])
+
 let prop_to_source_roundtrip =
-  QCheck.Test.make ~name:"random query and real: parse (to_source q) = q"
+  QCheck.Test.make ~name:"random query, real and date: parse (to_source q) = q"
     ~count:(Fixtures.qcheck_count 200)
-    (QCheck.pair Qgen.arbitrary_case (QCheck.make ~print:(Printf.sprintf "%h") gen_real))
-    (fun ((q, inputs), r) ->
+    (QCheck.triple Qgen.arbitrary_case
+       (QCheck.make ~print:(Printf.sprintf "%h") gen_real)
+       (QCheck.make ~print:string_of_int gen_date))
+    (fun ((q, inputs), r, d) ->
       let q' = parse (Nrc.Parser.to_source q) in
+      let roundtrips c = parse (Nrc.Parser.to_source c) = c in
       V.approx_bag_equal
         (Nrc.Eval.eval (Nrc.Eval.env_of_list inputs) q)
         (Nrc.Eval.eval (Nrc.Eval.env_of_list inputs) q')
-      && (parse (Nrc.Parser.to_source (E.real r)) = E.real r
-         || QCheck.Test.fail_reportf "%h prints as %s" r (Nrc.Parser.to_source (E.real r))))
+      && (roundtrips (E.real r)
+         || QCheck.Test.fail_reportf "%h prints as %s" r (Nrc.Parser.to_source (E.real r)))
+      && (roundtrips (E.date d)
+         || QCheck.Test.fail_reportf "date %d prints as %s" d (Nrc.Parser.to_source (E.date d))))
 
 let test_program_to_source () =
   let prog =

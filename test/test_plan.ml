@@ -382,15 +382,42 @@ let prop_join_rows =
     (fun (a, b) ->
       byte_size (append a (fields_of b)) = byte_size a + byte_size b)
 
+(* The parts of the size model that kernels derive sizes from, each equal
+   to [Value.byte_size] of the value it stands for: a column's header, a
+   tuple's and a field's bytes, a bag (and a column holding one) from its
+   items', and a column holding a tuple of whole columns from theirs. *)
+let prop_size_parts =
+  QCheck.Test.make ~name:"the size model's parts agree with byte_size"
+    ~count:(Fixtures.qcheck_count 300)
+    (QCheck.make
+       ~print:(fun (row, v) -> print_row row ^ " + " ^ V.to_string v)
+       QCheck.Gen.(pair gen_row (gen_value 3)))
+    (fun ((names, vals) as row, v) ->
+      let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+      let items = Array.to_list vals in
+      let fields = List.map2 (fun n v -> (n, v)) (Array.to_list names) items in
+      byte_size (append row [ ("new", v) ]) - byte_size row - V.byte_size v = Row.column_header
+      && V.byte_size (V.Tuple fields)
+         = V.tuple_bytes (sum (fun (_, v) -> V.field_bytes (V.byte_size v)) fields)
+      && V.byte_size (V.Tuple (("new", v) :: fields))
+         = V.byte_size (V.Tuple fields) + V.field_bytes (V.byte_size v)
+      && V.byte_size (V.Bag items) = V.bag_bytes (sum V.byte_size items)
+      && Row.column_bytes (V.Bag items) = Row.bag_column (sum V.byte_size items)
+      && Row.column_bytes (V.Tuple fields)
+         = Row.tuple_of_columns (List.length items) + Row.byte_size vals)
+
 (* ------------------------------------------------------------------ *)
 (* The kernel size contract. Rows travel with their sizes and the
    executor accounts every partition from the sizes its kernel returns,
    never re-walking rows, so each size a kernel returns must be
    [Row.byte_size] of its row — on both halves of a skew split, through
    an unnest that drops its bag (whole or one attribute down), an outer
-   one and one over a Null bag, and a nest whose item is a tuple of whole
-   columns. Row-wise kernels must also run the same on any split of their
-   input, as partitions split it. *)
+   one and one over a Null bag, a nest whose item is a tuple of whole
+   columns or narrows a tuple, a nest by whole and computed keys, and a
+   cogroup whose item narrows a right tuple or reads the left side, over
+   a right side sharing a column name with the left. Row-wise kernels
+   must also run the same on any split of their input, as partitions
+   split it. *)
 
 module K = Plan.Kernel
 
@@ -418,7 +445,7 @@ let gen_num =
    number to sum and an arbitrary value; the rows of one side share their
    schema, as the rows of one partition do *)
 let left_names = [| "k"; "b"; "t"; "n"; "v" |]
-let right_names = [| "rk"; "w" |]
+let right_names = [| "rk"; "w"; "rt" |]
 
 let gen_left_row =
   QCheck.Gen.(
@@ -426,7 +453,11 @@ let gen_left_row =
       (fun (k, b, t, n, v) -> [| k; b; V.Tuple [ ("items", t); ("f", v) ]; n; v |])
       (tup5 gen_key gen_bag gen_bag gen_num (gen_value 2)))
 
-let gen_right_row = QCheck.Gen.(map2 (fun k w -> [| k; w |]) gen_key (gen_value 2))
+let gen_right_row =
+  QCheck.Gen.(
+    map3
+      (fun k w (a, b) -> [| k; w; V.Tuple [ ("a", a); ("b", b) ] |])
+      gen_key (gen_value 2) (pair (gen_value 1) gen_key))
 
 let arbitrary_kernel_input =
   let print_rows names rows =
@@ -456,6 +487,8 @@ let row_kernels ?(lnames = left_names) ?(rnames = right_names) rrows =
     ("project whole columns", K.project [ ("v", col "v"); ("k2", col "k"); ("k", col "k") ] lnames);
     ("project narrowing a tuple",
       K.project [ ("k", col "k"); ("t", S.MkTuple [ ("g", S.path "t" [ "f" ]) ]) ] lnames);
+    ("project carrying a column, leaving out nested ones",
+      K.project [ ("n", col "n"); ("f", S.path "t" [ "f" ]) ] lnames);
     ("join", join Op.Inner);
     ("left-outer join", join Op.LeftOuter);
     ("unnest", K.unnest ~path:[ "b" ] ~binder:"i" ~outer:false ~drop:false lnames);
@@ -483,6 +516,20 @@ let all_kernels ?(lnames = left_names) ?(rnames = right_names) rrows =
           (K.cogroup ~lkey:[ col "k" ] ~kind:Op.LeftOuter ~keys:[ ("k", col "k") ]
              ~item:(col "w") ~presence:(S.Not (S.IsNull (col "w"))) ~out:"ws" lnames rnames)
           index);
+      ("cogroup narrowing a right tuple",
+        applied
+          (K.cogroup ~lkey:[ col "k" ] ~kind:Op.LeftOuter ~keys:[ ("k", col "k"); ("n", col "n") ]
+             ~item:(S.MkTuple [ ("b", S.path "rt" [ "b" ]); ("a", S.path "rt" [ "a" ]) ])
+             ~presence:(S.Not (S.IsNull (col "rk"))) ~out:"rs" lnames rnames)
+          index);
+      ("cogroup reading the left side",
+        (* the right side's [w] named [v] too: the item's [v] is the left one *)
+        let rnames = Array.map (fun c -> if c = "w" then "v" else c) rnames in
+        applied
+          (K.cogroup ~lkey:[ col "k" ] ~kind:Op.Inner ~keys:[ ("t", col "t") ]
+             ~item:(S.MkTuple [ ("v", col "v") ])
+             ~presence:(S.Const (V.Bool true)) ~out:"vs" lnames rnames)
+          (K.index [ col "rk" ] rnames (K.sized rrows)));
       ("product",
         let names, product = K.product lnames rnames in
         (names, fun rows -> product rows (K.sized rrows)));
@@ -503,6 +550,14 @@ let all_kernels ?(lnames = left_names) ?(rnames = right_names) rrows =
         K.nest_bag ~ids:Op.no_ids ~keys:[ ("v", col "v") ] ~agg_keys:[]
           ~item:(S.MkTuple [ ("b", col "b"); ("t", col "t") ])
           ~presence:present ~out:"vs" lnames);
+      ("nest_bag narrowing a tuple",
+        K.nest_bag ~ids:Op.no_ids ~keys:[ ("n", col "n") ] ~agg_keys:[]
+          ~item:(S.MkTuple [ ("f", S.path "t" [ "f" ]) ])
+          ~presence:present ~out:"fs" lnames);
+      ("nest_sum by whole and computed keys",
+        K.nest_sum ~ids:Op.no_ids
+          ~keys:[ ("t", col "t"); ("b", col "b"); ("f", S.path "t" [ "f" ]) ]
+          ~agg_keys:[ ("k", col "k") ] ~aggs:[ ("s", col "n") ] ~presence:present lnames);
       ("nest_sum",
         K.nest_sum ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[ ("b", col "b") ]
           ~aggs:[ ("s", col "n") ] ~presence:present lnames);
@@ -1514,7 +1569,7 @@ let () =
         ] );
       ( "row sizes",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_append_column; prop_index_column; prop_join_rows ] );
+          [ prop_append_column; prop_index_column; prop_join_rows; prop_size_parts ] );
       ( "kernels",
         Alcotest.test_case "hash_key pins" `Quick test_hash_key_pins
         :: Alcotest.test_case "label hashes: every producer folds once" `Quick test_label_hashes

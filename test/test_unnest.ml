@@ -238,7 +238,7 @@ let arbitrary_parts =
 
 let prop_join_agg_agree =
   QCheck.Test.make ~name:"random parts: join+sumBy plan agrees with NRC"
-    ~count:60 arbitrary_parts (fun parts ->
+    ~count:(Fixtures.qcheck_count 60) arbitrary_parts (fun parts ->
       let q =
         sum_by ~keys:[ "pname" ] ~values:[ "total" ]
           (for_ "p" (input "Part") (fun p ->
@@ -259,7 +259,8 @@ let prop_join_agg_agree =
 
 let prop_nested_reconstruction =
   QCheck.Test.make
-    ~name:"random parts: flat-to-nested plan agrees with NRC" ~count:60
+    ~name:"random parts: flat-to-nested plan agrees with NRC"
+    ~count:(Fixtures.qcheck_count 60)
     arbitrary_parts (fun parts ->
       let data = [ ("Part", V.Bag parts); ("COP", V.Bag []) ] in
       let expected =
