@@ -161,6 +161,17 @@ let reports_of (acc : step_acc) : step_report list =
       })
     acc
 
+(* what a route's exception says, without its constructor when it
+   carries a message *)
+let exn_message = function
+  | Nrc.Typecheck.Type_error m
+  | Nrc.Eval.Eval_error m
+  | Unnest.Unsupported m
+  | Invalid_argument m
+  | Failure m ->
+    m
+  | exn -> Printexc.to_string exn
+
 let timed f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -198,9 +209,7 @@ let run_steps ~options ~config ~stats ~trace ~faults ~checkpoint ~pool
           let f =
             match exn with
             | Exec.Failure.Failed f -> Exec.Failure.with_stage step f
-            | exn ->
-              Exec.Failure.Error
-                (Printf.sprintf "%s: %s" step (Printexc.to_string exn))
+            | exn -> Exec.Failure.Error (Printf.sprintf "%s: %s" step (exn_message exn))
           in
           record_step ~stats ~trace ~before ~step steps_out;
           raise (Exec.Failure.Failed f)
@@ -361,13 +370,7 @@ let load_shredded ~pool ~cluster (types : (string * T.t) list)
   List.iter
     (fun (name, v, shredded) ->
       match shredded with
-      | Some datasets ->
-        List.iter
-          (fun (d : Shred_value.placed) ->
-            Hashtbl.replace env d.name
-              { Exec.Dataset.parts = d.parts;
-                key = (if d.dict then Some [ [ "label" ] ] else None) })
-          datasets
+      | Some datasets -> List.iter (fun (n, d) -> Hashtbl.replace env n d) datasets
       | None -> Hashtbl.replace env name (Exec.Dataset.of_bag ~partitions v))
     (Shred_value.place pool ~partitions types values);
   env
@@ -397,16 +400,7 @@ let in_phase phase f =
   match f () with
   | v -> v
   | exception exn ->
-    let msg =
-      match exn with
-      | Nrc.Typecheck.Type_error m
-      | Unnest.Unsupported m
-      | Invalid_argument m
-      | Failure m ->
-        m
-      | exn -> Printexc.to_string exn
-    in
-    raise (Exec.Failure.Failed (Exec.Failure.Error (phase ^ ": " ^ msg)))
+    raise (Exec.Failure.Failed (Exec.Failure.Error (phase ^ ": " ^ exn_message exn)))
 
 (* a run that failed before executing anything *)
 let not_run ~strategy ~config failure =

@@ -203,25 +203,23 @@ let shred_chunk ~partitions ~dicts top_level (items : V.t array) ~lo ~hi ~base =
   done;
   ch
 
-(* one partition of a dataset: the chunks' pieces in chunk order *)
-let gather (pieces : buf array) =
-  let out = Array.make (Array.fold_left (fun acc b -> acc + b.n) 0 pieces) V.Null in
-  let at = ref 0 in
+(* one partition of a stored dataset: the chunks' pieces in chunk order,
+   each element its row's one column ["item"], sized once, here *)
+let gather (pieces : buf array) : Plan.Kernel.sized =
+  let n = Array.fold_left (fun acc b -> acc + b.n) 0 pieces in
+  let rows = Array.make n Plan.Row.empty and sizes = Array.make n 0 and at = ref 0 in
   Array.iter
     (fun b ->
-      Array.blit b.vals 0 out !at b.n;
-      at := !at + b.n)
+      for i = 0 to b.n - 1 do
+        rows.(!at) <- [| b.vals.(i) |];
+        sizes.(!at) <- Plan.Row.column_bytes b.vals.(i);
+        incr at
+      done)
     pieces;
-  out
+  (rows, sizes)
 
 (* ------------------------------------------------------------------ *)
 (* Shredding onto partitions *)
-
-type placed = {
-  name : string;
-  parts : V.t array array;
-  dict : bool; (* a dictionary, partitioned by its label *)
-}
 
 (* One nested input, resolved and its sites registered, to be shredded in
    chunks: its top bag, its dictionaries in pre-order. *)
@@ -247,7 +245,8 @@ let chunk_bounds n k =
    number of labels before it, so every label, and so every placement, is
    the one a single walk over the whole input gives. [registry] names the
    datasets. *)
-let shred_on pool ~registry ~partitions (inputs : input list) : placed list list =
+let shred_on pool ~registry ~partitions (inputs : input list) :
+    (string * Exec.Dataset.t) list list =
   let chunks_per_input = if Exec.Pool.size pool = 1 then 1 else 4 * Exec.Pool.size pool in
   let bounds = List.map (fun inp -> chunk_bounds (Array.length inp.items) chunks_per_input) inputs in
   let tasks =
@@ -284,21 +283,23 @@ let shred_on pool ~registry ~partitions (inputs : input list) : placed list list
     (fun inp bounds ->
       let mine = Array.sub chunks !first (Array.length bounds) in
       first := !first + Array.length bounds;
+      (* a dictionary is partitioned by its label *)
       let datasets =
-        (Registry.name registry (Top inp.base), false, fun (c : chunk) -> c.top)
+        (Registry.name registry (Top inp.base), None, fun (c : chunk) -> c.top)
         :: List.mapi
              (fun d path ->
-               (Registry.name registry (Dict (inp.base, path)), true, fun (c : chunk) -> c.dicts.(d)))
+               ( Registry.name registry (Dict (inp.base, path)),
+                 Some [ Plan.Sexpr.Col [ "item"; "label" ] ],
+                 fun (c : chunk) -> c.dicts.(d) ))
              inp.paths
       in
       List.map
-        (fun (name, dict, of_chunk) ->
-          let parts =
-            Exec.Pool.map pool
-              (fun p () -> gather (Array.map (fun c -> (of_chunk c).(p)) mine))
-              (Array.make partitions ())
-          in
-          { name; parts; dict })
+        (fun (name, key, of_chunk) ->
+          ( name,
+            Exec.Dataset.make ~key [| "item" |]
+              (Exec.Pool.map pool
+                 (fun p () -> gather (Array.map (fun c -> (of_chunk c).(p)) mine))
+                 (Array.make partitions ())) ))
         datasets)
     inputs bounds
 
@@ -313,7 +314,7 @@ let nested types name =
     in input order, before any is shredded. Other inputs come back as
     [None], in place, under the name of their dataset. *)
 let place pool ~partitions (types : (string * T.t) list) (values : (string * V.t) list) :
-    (string * V.t * placed list option) list =
+    (string * V.t * (string * Exec.Dataset.t) list option) list =
   let registry = Registry.of_inputs types in
   let prepared =
     List.map
@@ -333,9 +334,6 @@ let place pool ~partitions (types : (string * T.t) list) (values : (string * V.t
       | _ -> (name, v, None))
     prepared
 
-(* one partition's values as a bag *)
-let bag_of (p : placed) = V.Bag (Array.to_list p.parts.(0))
-
 (** Shred one nested bag value of element type [elem_ty], using the label
     sites registered for [base]. Fresh label ids are drawn per call, so two
     shreddings of the same value produce distinct but isomorphic labels. *)
@@ -344,7 +342,8 @@ let shred_bag (base : string) (elem_ty : T.t) (v : V.t) : shredded =
   let registry = Registry.of_inputs [ (base, T.TBag elem_ty) ] in
   match Exec.Pool.with_pool ~domains:1 (fun pool -> shred_on pool ~registry ~partitions:1 [ inp ]) with
   | [ top :: dicts ] ->
-    { top = bag_of top; dicts = List.map2 (fun path d -> (path, bag_of d)) inp.paths dicts }
+    { top = Exec.Dataset.to_bag (snd top);
+      dicts = List.map2 (fun path (_, d) -> (path, Exec.Dataset.to_bag d)) inp.paths dicts }
   | _ -> assert false
 
 (** Shred every nested input of an environment into named datasets
@@ -355,7 +354,7 @@ let shred_env (types : (string * T.t) list) (values : (string * V.t) list) :
   Exec.Pool.with_pool ~domains:1 (fun pool -> place pool ~partitions:1 types values)
   |> List.concat_map (fun (name, v, shredded) ->
          match shredded with
-         | Some ds -> List.map (fun p -> (p.name, bag_of p)) ds
+         | Some ds -> List.map (fun (name, d) -> (name, Exec.Dataset.to_bag d)) ds
          | None -> [ (name, v) ])
 
 (* ------------------------------------------------------------------ *)

@@ -25,25 +25,21 @@ val shred_bag : string -> Nrc.Types.t -> Nrc.Value.t -> shredded
 (** [shred_bag base elem_ty v]: shred one nested bag, drawing label sites
     from {!Shred_type.input_site}[ base]. *)
 
-type placed = {
-  name : string;  (** [COP_F], [COP_D_corders], ... *)
-  parts : Nrc.Value.t array array;
-  dict : bool;  (** a dictionary, partitioned by its label *)
-}
-
 val place :
   Exec.Pool.t ->
   partitions:int ->
   (string * Nrc.Types.t) list ->
   (string * Nrc.Value.t) list ->
-  (string * Nrc.Value.t * placed list option) list
+  (string * Nrc.Value.t * (string * Exec.Dataset.t) list option) list
 (** [place pool ~partitions types values]: every input in order, and for
-    each nested bag its shredded datasets on [partitions], named by
-    [Registry.of_inputs types] — the top bag
-    round-robin by item, each dictionary row in partition
-    [Plan.Kernel.hash_key [label] mod partitions], in walk order within
-    each partition, exactly as [Exec.Dataset.of_bag] and [of_bag_by] place
-    the bags {!shred_bag} returns. Label sites are registered for all
+    each nested bag its shredded stored datasets on [partitions], named by
+    [Registry.of_inputs types] ([COP_F], [COP_D_corders], ...) — the top
+    bag round-robin by item, each dictionary row in partition
+    [Plan.Kernel.hash_key [label] mod partitions] with that guarantee, in
+    walk order within each partition, exactly as [Exec.Dataset.of_bag]
+    and [of_bag_by] place the bags {!shred_bag} returns. The gather task
+    of each partition builds its ["item"] rows and their sizes, so loading
+    sizes every element once, on the pool. Label sites are registered for all
     inputs, in input order, first, on the calling domain. The top items
     are then shredded in contiguous chunks on [pool], a few per lane: a
     counting walk per chunk, which allocates nothing, gives each chunk the

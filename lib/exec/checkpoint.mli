@@ -3,7 +3,7 @@
     PR 2's recovery recomputes a lost worker's partitions from lineage —
     which grows with the run, so under a fault {e storm} (repeated crashes,
     a crash during recovery of a prior crash) recompute cost is unbounded.
-    This manager lets {!Executor} materialize an [rset] to simulated
+    This manager lets {!Executor} materialize a dataset to simulated
     replicated stable storage at accounted stage boundaries: the write
     costs [bytes * disk_weight * replication] simulated seconds (charged to
     the stage), and it {e truncates lineage}, so subsequent recovery

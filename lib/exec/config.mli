@@ -18,7 +18,7 @@ type spill =
 type checkpoint =
   | No_checkpoints  (** recovery always replays the full lineage *)
   | Every of int
-      (** materialize the live [rset] to replicated stable storage every K
+      (** materialize the live dataset to replicated stable storage every K
           accounted compute stages *)
   | Auto
       (** checkpoint only where the expected recompute cost under

@@ -1,56 +1,52 @@
-(** Partitioned datasets of the cluster simulator.
-
-    A dataset is an array of partitions of values (top-level tuples — the
-    granularity at which Spark distributes collections) plus an optional
-    partitioning guarantee: the field paths whose hash decided each value's
-    partition. Operators consume and produce datasets; the guarantee lets
-    the executor skip shuffles exactly where Spark's partitioner would
-    (Section 3, "Operators effect the partitioning guarantee"). *)
+(** Partitioned data of the cluster simulator: rows under one schema,
+    partition by partition, each beside its carried size, plus an optional
+    partitioning guarantee over the columns; see dataset.mli. *)
 
 module V = Nrc.Value
+module Row = Plan.Row
+module K = Plan.Kernel
 
 type t = {
-  parts : V.t array array;
-  key : string list list option;
-      (* field paths into each element; [Some keys] means all elements whose
-         key values are equal live in the same partition *)
+  names : K.names;
+  parts : Row.t array array;
+  sizes : int array array;
+  bytes : int array;
+  key : Plan.Sexpr.t list option;
+  skew : (Plan.Sexpr.t list * K.key_set) option;
 }
+
+let make ?(key = None) ?(skew = None) names (sized : K.sized array) =
+  let sizes = Array.map snd sized in
+  { names; parts = Array.map fst sized; sizes; bytes = Array.map K.total sizes; key; skew }
 
 let partition_count t = Array.length t.parts
 
 let total_rows t =
   Array.fold_left (fun acc p -> acc + Array.length p) 0 t.parts
 
-(* a partition's elements, pushed in reverse *)
-let of_rev_list l = Plan.Row.array_of_list V.Null (List.rev l)
-
-(** Round-robin distribution of a bag's elements (no guarantee), mirroring
-    block distribution of freshly loaded data. *)
-let of_bag ~partitions (v : V.t) : t =
-  let items = V.bag_items v in
+(* A stored dataset: each element a one-column row, in the partition
+   [place i row] gives the [i]-th, and sized once, here. *)
+let load ~partitions ?key place (v : V.t) : t =
   let parts = Array.make partitions [] in
   List.iteri
     (fun i item ->
-      let p = i mod partitions in
-      parts.(p) <- item :: parts.(p))
-    items;
-  { parts = Array.map of_rev_list parts; key = None }
+      let row = [| item |] in
+      let p = place i row in
+      parts.(p) <- row :: parts.(p))
+    (V.bag_items v);
+  make ~key [| "item" |]
+    (Array.map (fun rev -> K.sized (Row.array_of_list Row.empty (List.rev rev))) parts)
 
-(** Hash distribution by field paths: establishes the key guarantee. Used to
-    pre-partition dictionaries by label. *)
-let of_bag_by ~partitions ~key (v : V.t) : t =
-  let items = V.bag_items v in
-  let parts = Array.make partitions [] in
-  List.iter
-    (fun item ->
-      let kv = List.map (fun path -> List.fold_left V.field item path) key in
-      let p = Plan.Kernel.hash_key kv mod partitions in
-      parts.(p) <- item :: parts.(p))
-    items;
-  {
-    parts = Array.map of_rev_list parts;
-    key = Some key;
-  }
+(** Round-robin distribution of a bag's elements (no guarantee), mirroring
+    block distribution of freshly loaded data. *)
+let of_bag ~partitions v = load ~partitions (fun i _ -> i mod partitions) v
+
+(** Hash distribution by key: establishes the guarantee. *)
+let of_bag_by ~partitions ~key v =
+  let hash = K.key_hasher key [| "item" |] in
+  load ~partitions ~key (fun _ row -> hash row mod partitions) v
 
 let to_bag t : V.t =
-  V.Bag (Array.to_list t.parts |> List.concat_map Array.to_list)
+  V.Bag
+    (List.concat_map (fun p -> List.map (fun (r : Row.t) -> r.(0)) (Array.to_list p))
+       (Array.to_list t.parts))

@@ -50,20 +50,6 @@ let env_of_list l : env =
   List.iter (fun (n, d) -> Hashtbl.replace h n d) l;
   h
 
-type rset = {
-  names : K.names; (* the schema of every row of every partition *)
-  parts : Row.t array array;
-  sizes : int array array;
-      (* each row's [Row.byte_size], returned by the kernel that built it *)
-  bytes : int array; (* the sizes summed per partition *)
-  key : S.t list option; (* partitioning guarantee over rows *)
-  skew : (S.t list * K.key_set) option;
-      (* heavy keys of a skew-triple, carried between operators until
-         something alters the key (Section 5: "This set of heavy keys
-         remains associated to that skew-triple until the operator does
-         something to alter the key") *)
-}
-
 type state = {
   cfg : Config.t;
   opts : options;
@@ -76,14 +62,10 @@ type state = {
   pool : Pool.t; (* partition tasks run here; accounting stays outside *)
 }
 
-let unzip a = (Array.map fst a, Array.map snd a)
-
 let all_some l = if List.for_all Option.is_some l then Some (List.map Option.get l) else None
 
-let mk_rset ?(key = None) ?(skew = None) names (parts, sizes) =
-  { names; parts; sizes; bytes = Array.map K.total sizes; key; skew }
-
-let empty_rset n names = mk_rset names (Array.make n [||], Array.make n [||])
+(* [n] partitions, all empty but the first *)
+let first_only n (first : K.sized) = Array.init n (fun p -> if p = 0 then first else ([||], [||]))
 
 (* Partition-wise evaluation goes through the pool. The task closures must
    not touch [st.stats]/[st.trace]/[st.mem]/[st.faults]: every hot loop
@@ -93,29 +75,23 @@ let empty_rset n names = mk_rset names (Array.make n [||], Array.make n [||])
    carried sizes. The sizes are pure integer functions of the partitions,
    summed in partition order, so a [domains = N] run stays bit-identical
    to [domains = 1], and no row is walked for sizing outside a kernel. *)
-let pool_map st f xs = unzip (Pool.map st.pool f xs)
-
-(* [f p] over each partition of [r] with its sizes *)
-let pool_parts st (f : int -> K.sized -> K.sized) (r : rset) =
-  pool_map st (fun p part -> f p (part, r.sizes.(p))) r.parts
+let pool_parts st (f : int -> K.sized -> K.sized) (r : Dataset.t) =
+  Pool.map st.pool (fun p part -> f p (part, r.sizes.(p))) r.parts
 
 (* a partition with its sizes *)
-let part (r : rset) p : K.sized = (r.parts.(p), r.sizes.(p))
+let part (r : Dataset.t) p : K.sized = (r.parts.(p), r.sizes.(p))
 
 (* every partition in one, as gathered or broadcast *)
-let concat (r : rset) : K.sized =
+let concat (r : Dataset.t) : K.sized =
   (Array.concat (Array.to_list r.parts), Array.concat (Array.to_list r.sizes))
 
 (* ------------------------------------------------------------------ *)
 (* Accounting *)
 
-let rset_rows r =
-  Array.fold_left (fun acc p -> acc + Array.length p) 0 r.parts
-
-let trace_rows_in st rsets =
+let trace_rows_in st inputs =
   if st.trace <> None then
     Trace.add_rows_in st.trace
-      (List.fold_left (fun acc r -> acc + rset_rows r) 0 rsets)
+      (List.fold_left (fun acc r -> acc + Dataset.total_rows r) 0 inputs)
 
 (* The one accounting entry point: a counter delta lands in the run total
    and in the innermost span. *)
@@ -216,7 +192,7 @@ let check_residency st ~stage ~(worker : int array) ~(spillable : int array) :
    duplicates for stragglers — and its cost (extra attempts, recomputed
    bytes, extra simulated time) is charged on top of the clean stage. *)
 let account st ~stage ?(spill = Spill_all) (input_bytes : int array list)
-    (output : rset) : unit =
+    (output : Dataset.t) : unit =
   let cfg = st.cfg in
   let out_bytes = output.bytes in
   let nparts = Array.length out_bytes in
@@ -251,7 +227,7 @@ let account st ~stage ?(spill = Spill_all) (input_bytes : int array list)
     if b > !max_part then max_part := b
   done;
   let dt = float_of_int !max_part *. cfg.Config.cpu_weight in
-  let rows = rset_rows output in
+  let rows = Dataset.total_rows output in
   charge st { Stats.zero with rows_processed = rows; sim_seconds = dt };
   (match event with
   | None -> ()
@@ -325,8 +301,8 @@ let account st ~stage ?(spill = Spill_all) (input_bytes : int array list)
    [hashes], each row's [Kernel.hash_key] of [keys] partition by partition,
    it reads destinations from them instead of hashing the keys, and moves
    them with their rows. *)
-let shuffle_carrying st ?(stage = "shuffle") ?hashes (r : rset) (keys : S.t list) :
-    rset * int array array option =
+let shuffle_carrying st ?(stage = "shuffle") ?hashes (r : Dataset.t) (keys : S.t list) :
+    Dataset.t * int array array option =
   Trace.with_span st.trace ~op:"Shuffle" ~stage (fun () ->
       let cfg = st.cfg in
       let n = cfg.Config.partitions in
@@ -426,31 +402,25 @@ let shuffle_carrying st ?(stage = "shuffle") ?hashes (r : rset) (keys : S.t list
          checkpoint would have to re-move them *)
       Checkpoint.observe st.ckpt ~bytes:moved;
       check_deadline st ~stage;
-      ( mk_rset ~key:(Some keys) r.names (unzip (Array.map fst dest)),
+      ( Dataset.make ~key:(Some keys) r.names (Array.map fst dest),
         Option.map (fun _ -> Array.map snd dest) hashes ))
 
 let shuffle st ?stage r keys = fst (shuffle_carrying st ?stage r keys)
 
 (* shuffle only if the guarantee does not already hold; [hashes] as for
    [shuffle_carrying], returned as they are when no row moves *)
-let ensure_partitioned st ?stage ?hashes (r : rset) (keys : S.t list) =
+let ensure_partitioned st ?stage ?hashes (r : Dataset.t) (keys : S.t list) =
   match r.key with
   | Some k when k = keys -> (r, hashes)
   | _ -> shuffle_carrying st ?stage ?hashes r keys
 
-let rset_total_bytes r = Array.fold_left ( + ) 0 r.bytes
+let total_bytes (r : Dataset.t) = Array.fold_left ( + ) 0 r.bytes
 
 (* gather everything to partition 0 (global aggregates) *)
-let gather st (r : rset) : rset =
+let gather st (r : Dataset.t) : Dataset.t =
   Trace.with_span st.trace ~op:"Gather" ~stage:"gather" (fun () ->
-      let total = rset_total_bytes r in
-      charge st { Stats.zero with shuffled_bytes = total; stages = 1 };
-      let g = empty_rset st.cfg.Config.partitions r.names in
-      let rows, sizes = concat r in
-      g.parts.(0) <- rows;
-      g.sizes.(0) <- sizes;
-      g.bytes.(0) <- total;
-      g)
+      charge st { Stats.zero with shuffled_bytes = total_bytes r; stages = 1 };
+      Dataset.make r.names (first_only st.cfg.Config.partitions (concat r)))
 
 (* broadcast charge shared by broadcast joins, products, and the broadcast
    cogroup: the right side is resident on every worker *)
@@ -464,7 +434,7 @@ let charge_broadcast st rbytes =
    set is taken from the incoming skew-triple instead when it is over the
    same key (it "remains associated until the operator alters the key"). *)
 
-let heavy_set st (r : rset) (keys : S.t list) : K.key_set =
+let heavy_set st (r : Dataset.t) (keys : S.t list) : K.key_set =
   match r.skew with
   | Some (k, hk) when k = keys -> hk
   | _ ->
@@ -472,16 +442,17 @@ let heavy_set st (r : rset) (keys : S.t list) : K.key_set =
       ~threshold:st.cfg.Config.heavy_threshold keys r.names r.parts
 
 (* Each task splits one partition; the heavy-key set is shared read-only. *)
-let split_by_keys st (r : rset) (keys : S.t list) (hk : K.key_set) : rset * rset =
+let split_by_keys st (r : Dataset.t) (keys : S.t list) (hk : K.key_set) =
   let split = K.split_by_keys keys r.names hk in
   let halves = Pool.map st.pool (fun p _ -> split (part r p)) r.parts in
-  ( mk_rset ~key:r.key r.names (unzip (Array.map fst halves)),
-    mk_rset r.names (unzip (Array.map snd halves)) )
+  (Dataset.make ~key:r.key r.names (Array.map fst halves), Dataset.make r.names (Array.map snd halves))
 
 (* [b]'s rows hold [a]'s columns *)
-let union_parts ?(skew = None) a b =
-  mk_rset ~skew a.names
-    (Array.map2 Array.append a.parts b.parts, Array.map2 Array.append a.sizes b.sizes)
+let union_parts ?(skew = None) (a : Dataset.t) (b : Dataset.t) =
+  Dataset.make ~skew a.names
+    (Array.mapi
+       (fun p rows -> (Array.append rows b.parts.(p), Array.append a.sizes.(p) b.sizes.(p)))
+       a.parts)
 
 (* ------------------------------------------------------------------ *)
 (* Join strategies *)
@@ -492,14 +463,14 @@ let union_parts ?(skew = None) a b =
    replica is pinned on every worker for the duration of the stage; it is
    also the stage's build side, so it can spill (external broadcast
    join). *)
-let broadcast_stage st ~stage ?key ~names (l : rset) (r : rset) task : rset =
+let broadcast_stage st ~stage ?key ~names (l : Dataset.t) (r : Dataset.t) task =
   Trace.set_strategy st.trace Trace.Broadcast;
   Trace.set_stage st.trace stage;
-  let rbytes = rset_total_bytes r in
+  let rbytes = total_bytes r in
   charge_broadcast st rbytes;
   (* tasks share the replica (and any index over it) read-only, which is
      safe across domains *)
-  let out = mk_rset ?key names (pool_parts st (task (concat r)) l) in
+  let out = Dataset.make ?key names (pool_parts st (task (concat r)) l) in
   Memory.pin st.mem rbytes;
   Fun.protect
     ~finally:(fun () -> Memory.unpin st.mem rbytes)
@@ -509,8 +480,7 @@ let broadcast_stage st ~stage ?key ~names (l : rset) (r : rset) task : rset =
 (* A stage over both sides hash-partitioned on their keys (shuffle join,
    shuffle cogroup): each task indexes its right partition and probes it
    with [kernel], whose output has the schema [names]. *)
-let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey (names, kernel) :
-    rset =
+let shuffle_stage st ~stage ?key (l : Dataset.t) (r : Dataset.t) ~lkey ~rkey (names, kernel) =
   Trace.set_strategy st.trace
     (if l.key = Some lkey && r.key = Some rkey then Trace.Guarantee_skipped
      else Trace.Shuffle);
@@ -519,7 +489,7 @@ let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey (names, kerne
   let r', _ = ensure_partitioned st ~stage r rkey in
   let index = K.index rkey r'.names in
   let out =
-    mk_rset ?key names (pool_parts st (fun p lpart -> kernel (index (part r' p)) lpart) l')
+    Dataset.make ?key names (pool_parts st (fun p lpart -> kernel (index (part r' p)) lpart) l')
   in
   (* external hash join: the per-partition build table over the right side
      is what can stage through disk *)
@@ -527,19 +497,19 @@ let shuffle_stage st ~stage ?key (l : rset) (r : rset) ~lkey ~rkey (names, kerne
     [ l'.bytes; r'.bytes ] out;
   out
 
-let broadcast_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind : rset =
+let broadcast_join st ~stage (l : Dataset.t) (r : Dataset.t) ~lkey ~rkey ~kind =
   let names, join = K.join ~lkey ~kind l.names r.names in
   broadcast_stage st ~stage ~key:l.key ~names l r (fun all_right ->
       let index = K.index rkey r.names all_right in
       fun _ -> join index)
 
-let shuffle_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind : rset =
+let shuffle_join st ~stage (l : Dataset.t) (r : Dataset.t) ~lkey ~rkey ~kind =
   shuffle_stage st ~stage ~key:(Some lkey) l r ~lkey ~rkey
     (K.join ~lkey ~kind l.names r.names)
 
 (* Figure 6: skew-aware join. The resulting skew-triple carries the heavy
    keys forward. *)
-let skew_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind : rset =
+let skew_join st ~stage (l : Dataset.t) (r : Dataset.t) ~lkey ~rkey ~kind : Dataset.t =
   let hk = heavy_set st l lkey in
   if K.key_count hk = 0 then
     { (shuffle_join st ~stage l r ~lkey ~rkey ~kind) with
@@ -560,11 +530,10 @@ let skew_join st ~stage (l : rset) (r : rset) ~lkey ~rkey ~kind : rset =
 (* Operator dispatch *)
 
 (* [kernel] applied to [r]'s schema gives the output's and the task *)
-let map_stage st ~stage ?(key = fun k -> k) ?(keep_skew = false) kernel (r : rset)
-    : rset =
+let map_stage st ~stage ?(key = fun k -> k) ?(keep_skew = false) kernel (r : Dataset.t) =
   let names, f = kernel r.names in
   let out =
-    mk_rset ~key:(key r.key)
+    Dataset.make ~key:(key r.key)
       ~skew:(if keep_skew then r.skew else None)
       names
       (pool_parts st (fun _ -> f) r)
@@ -580,7 +549,7 @@ let map_stage st ~stage ?(key = fun k -> k) ?(keep_skew = false) kernel (r : rse
    heavy-key set is null (Figure 6). [hashes], each row's hash under the
    shuffle keys, move with the rows and reach [kernel] partition by
    partition; a gather moves none, nor does a shuffle not given them. *)
-let grouped st ~shuffle_at ~stage ?hashes (r : rset) ~keys ~agg_keys kernel : rset =
+let grouped st ~shuffle_at ~stage ?hashes (r : Dataset.t) ~keys ~agg_keys kernel =
   let shuffle_keys = if keys = [] then agg_keys else keys in
   let r', key, moved =
     match shuffle_keys with
@@ -591,7 +560,7 @@ let grouped st ~shuffle_at ~stage ?hashes (r : rset) ~keys ~agg_keys kernel : rs
   in
   let names, kernel = kernel r'.names in
   let hashes p = match moved with Some m -> m.(p) | None -> [||] in
-  let out = mk_rset ~key names (pool_parts st (fun p -> kernel (hashes p)) r') in
+  let out = Dataset.make ~key names (pool_parts st (fun p -> kernel (hashes p)) r') in
   account st ~stage ~spill:(Spill_parts [ r'.bytes ]) [ r'.bytes ] out;
   out
 
@@ -602,24 +571,21 @@ let next_id_base = ref 0
    counter before each run. *)
 let reset_ids () = next_id_base := 0
 
-(* One operator over its children's evaluated rsets, left before right. *)
-let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
+(* One operator over its children's evaluated datasets, left before right. *)
+let exec (st : state) (op : Op.t) (inputs : Dataset.t list) : Dataset.t =
   let cfg = st.cfg in
   match op, inputs with
-  | Op.Nil cols, [] -> empty_rset cfg.Config.partitions (Array.of_list cols)
-  | Op.UnitRow, [] ->
-    let r = empty_rset cfg.Config.partitions [||] in
-    r.parts.(0) <- [| Row.empty |];
-    r.sizes.(0) <- [| 0 |];
-    r
+  | Op.Nil cols, [] ->
+    Dataset.make (Array.of_list cols) (Array.make cfg.Config.partitions ([||], [||]))
+  | Op.UnitRow, [] -> Dataset.make [||] (first_only cfg.Config.partitions ([| Row.empty |], [| 0 |]))
   | Op.Scan { input; binder }, [] -> (
     match Hashtbl.find_opt st.env input with
     | None -> invalid_arg (Printf.sprintf "Executor: unknown input %S" input)
-    | Some ds ->
+    | Some (ds : Dataset.t) ->
+      (* the stored column ["item"], renamed: its rows and sizes as they are *)
       Trace.set_stage st.trace input;
-      let key = Option.map (List.map (fun path -> S.Col (binder :: path))) ds.Dataset.key in
-      let names, scan = K.scan ~binder in
-      let r = mk_rset ~key names (pool_map st (fun _ -> scan) ds.Dataset.parts) in
+      let rename = function S.Col (_ :: path) -> S.Col (binder :: path) | k -> k in
+      let r = { ds with names = [| binder |]; key = Option.map (List.map rename) ds.key } in
       trace_rows_in st [ r ];
       r)
   | Op.Select (p, _), [ r ] ->
@@ -634,14 +600,14 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
       ~key:(fun _ -> new_key)
   | Op.Join { lkey; rkey; kind; _ }, [ l; r ] ->
     if st.opts.skew_aware then skew_join st ~stage:"join(skew)" l r ~lkey ~rkey ~kind
-    else if rset_total_bytes r <= cfg.Config.broadcast_limit then
+    else if total_bytes r <= cfg.Config.broadcast_limit then
       broadcast_join st ~stage:"join(broadcast)" l r ~lkey ~rkey ~kind
     else shuffle_join st ~stage:"join(shuffle)" l r ~lkey ~rkey ~kind
   | Op.Cogroup { lkey; rkey; kind; keys; item; presence; out; _ }, [ l; r ] ->
     let ((names, cogroup) as kernel) =
       K.cogroup ~lkey ~kind ~keys ~item ~presence ~out l.names r.names
     in
-    if rset_total_bytes r <= cfg.Config.broadcast_limit then
+    if total_bytes r <= cfg.Config.broadcast_limit then
       (* broadcast cogroup: no shuffle at all *)
       broadcast_stage st ~stage:"cogroup(broadcast)" ~names l r (fun all_right ->
           let index = K.index rkey r.names all_right in
@@ -658,7 +624,7 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
     let base = !next_id_base * (1 lsl 50) in
     let names, add = K.add_index ~col r.names in
     let out =
-      mk_rset ~key:r.key ~skew:r.skew names
+      Dataset.make ~key:r.key ~skew:r.skew names
         (pool_parts st (fun p -> add (fun i -> base + (p lsl 28) + i)) r)
     in
     account st ~stage:"add_index" [ r.bytes ] out;
@@ -677,7 +643,7 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
       K.nest_sum_combine ~ids:(Op.ids input) ~keys ~agg_keys ~aggs ~presence r.names
     in
     let combined = Pool.map st.pool (fun p rows -> combine (rows, r.sizes.(p))) r.parts in
-    let partials = mk_rset names (unzip (Array.map fst combined)) in
+    let partials = Dataset.make names (Array.map fst combined) in
     account st ~stage:"nest_sum(combine)" ~spill:(Spill_parts [ r.bytes ])
       [ r.bytes ] partials;
     (* reduce side: sum the partial sums, each partial row carrying its
@@ -703,7 +669,7 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
   | Op.UnionAll _, [ l; r ] ->
     (* the right side takes the left side's columns, as they are *)
     let names, align = K.align l.names r.names in
-    union_parts l (mk_rset names (pool_parts st (fun _ -> align) r))
+    union_parts l (Dataset.make names (pool_parts st (fun _ -> align) r))
   | Op.BagToDict { label; _ }, [ r ] ->
     if st.opts.skew_aware then begin
       (* Figure 6: repartition only light labels; heavy labels stay put;
@@ -725,7 +691,7 @@ let exec (st : state) (op : Op.t) (inputs : rset list) : rset =
 
 (* Each operator is one span: its children run inside it, left before
    right, and their rows are its rows in before its own stages run. *)
-let rec run (st : state) (op : Op.t) : rset =
+let rec run (st : state) (op : Op.t) : Dataset.t =
   Trace.with_span st.trace ~op:(Op.name op) (fun () ->
       let inputs = List.map (run st) (Op.children op) in
       trace_rows_in st inputs;
@@ -734,20 +700,8 @@ let rec run (st : state) (op : Op.t) : rset =
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-let rset_to_dataset pool (cols : string list) (r : rset) : Dataset.t =
-  let path_of = function
-    | S.Col (c :: rest) -> (
-      match cols with
-      | [ "item" ] -> if c = "item" then Some rest else None
-      | _ -> Some (c :: rest))
-    | _ -> None
-  in
-  let key = Option.bind r.key (fun ks -> all_some (List.map path_of ks)) in
-  let values = K.values cols r.names in
-  { Dataset.parts = Pool.map pool (fun _ -> values) r.parts; key }
-
 let run_rows ?(options = default_options) ?trace ?faults ?checkpoint ~pool ~config
-    ~stats (env : env) (plan : Op.t) : rset =
+    ~stats (env : env) (plan : Op.t) : Dataset.t =
   let ckpt =
     match checkpoint with Some c -> c | None -> Checkpoint.make config
   in
@@ -765,8 +719,12 @@ let run_rows ?(options = default_options) ?trace ?faults ?checkpoint ~pool ~conf
 let run_plan ?options ?trace ?faults ?checkpoint ?pool ~config ~stats (env : env)
     (plan : Op.t) : Dataset.t =
   let go pool =
-    rset_to_dataset pool (Op.columns plan)
-      (run_rows ?options ?trace ?faults ?checkpoint ~pool ~config ~stats env plan)
+    let (r : Dataset.t) = run_rows ?options ?trace ?faults ?checkpoint ~pool ~config ~stats env plan in
+    let key, pack = K.pack r.names in
+    Dataset.make
+      ~key:(Option.bind r.key (fun ks -> all_some (List.map key ks)))
+      [| "item" |]
+      (Pool.map pool (fun p rows -> pack (rows, r.sizes.(p))) r.parts)
   in
   match pool with
   | Some p -> go p

@@ -1,6 +1,13 @@
 (** The distributed plan executor: evaluates plans over partitioned
     datasets the way a Spark cluster would, fully instrumented.
 
+    - every operator takes and returns {!Dataset.t}, the one type of
+      partitioned data: rows under one schema, each with the size the
+      kernel or loader that built it returned, and the guarantee and heavy
+      keys over its columns. A [Scan] renames a stored dataset's column ["item"] to
+      its binder — no task, no allocation per row, no walk — and
+      {!run_plan} packs the plan's rows back into that column once
+      ({!Plan.Kernel.pack});
     - each pool task runs its operator's {!Plan.Kernel}, the per-partition
       row code {!Plan.Local_eval} runs as one partition; shuffles place
       rows by {!Plan.Kernel.hash_key}, as {!Dataset.of_bag_by} does;
@@ -16,7 +23,7 @@
       the heavy part keeps its location and receives broadcast partners;
       [BagToDict] repartitions only light labels;
     - every operator is accounted, from the partition byte sizes the pool
-      tasks return with their partitions (see {!rset}): shuffled and
+      tasks return with their partitions: shuffled and
       broadcast bytes, per-worker residency reserved through the
       {!Memory} manager — fitting, spilling
       the operator's build side to simulated disk ({!Config.t.spill}
@@ -46,22 +53,6 @@ type env = (string, Dataset.t) Hashtbl.t
 
 val env_of_list : (string * Dataset.t) list -> env
 
-type rset = {
-  names : Plan.Kernel.names;
-      (** the schema of every row of every partition, empty ones included:
-          the kernel that built the rows returned it beside them *)
-  parts : Plan.Row.t array array;
-  sizes : int array array;
-      (** each row's {!Plan.Row.byte_size}, beside its partition — returned
-          by the kernel that built the row ({!Plan.Kernel.sized}), never
-          re-walked on the driver or by a consumer *)
-  bytes : int array;  (** the sizes summed per partition *)
-  key : Plan.Sexpr.t list option;  (** partitioning guarantee over rows *)
-  skew : (Plan.Sexpr.t list * Plan.Kernel.key_set) option;
-      (** heavy keys of a skew-triple, carried between operators until
-          something alters the key (Section 5) *)
-}
-
 val reset_ids : unit -> unit
 (** Reset the global [AddIndex] id counter. The ids feed
     {!Plan.Kernel.hash_key} and
@@ -79,9 +70,9 @@ val run_rows :
   stats:Stats.t ->
   env ->
   Plan.Op.t ->
-  rset
-(** {!run_plan} on the given pool, before the rows become result values:
-    the plan's rows, partition by partition. *)
+  Dataset.t
+(** {!run_plan} on the given pool, before its rows are packed: the plan's
+    own rows and schema, partition by partition. *)
 
 val run_plan :
   ?options:options ->
@@ -94,7 +85,8 @@ val run_plan :
   env ->
   Plan.Op.t ->
   Dataset.t
-(** Execute one plan against named datasets. Partition tasks run on the
+(** Execute one plan against named datasets, its rows packed into a stored
+    dataset ({!Dataset}) for later plans to scan. Partition tasks run on the
     given {!Pool} (or a fresh one sized by {!Config.t.domains}, shut down
     on exit); any domain count produces bit-identical results, stats,
     traces, fault victims, spill decisions and checkpoint bytes — only

@@ -1,7 +1,7 @@
 (** A reusable domain pool for partition-wise execution.
 
     The executor's hot loops are embarrassingly parallel: every operator
-    maps a pure function over the partitions of an {!Executor.rset}. The
+    maps a pure function over the partitions of a {!Dataset.t}. The
     pool runs those maps on [domains] OCaml 5 domains (including the
     calling one), spawned once per run and reused by every stage — the
     real-hardware counterpart of the cluster the simulator models.

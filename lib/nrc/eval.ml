@@ -20,13 +20,13 @@ let eval_prim op v1 v2 =
   | Expr.Add, Int a, Int b -> Int (a + b)
   | Expr.Sub, Int a, Int b -> Int (a - b)
   | Expr.Mul, Int a, Int b -> Int (a * b)
-  | Expr.Div, Int a, Int b -> if b = 0 then Int 0 else Int (a / b)
+  | Expr.Div, Int a, Int b -> Int (a / b)
   | Expr.Add, _, _ -> Real (as_real v1 +. as_real v2)
   | Expr.Sub, _, _ -> Real (as_real v1 -. as_real v2)
   | Expr.Mul, _, _ -> Real (as_real v1 *. as_real v2)
   | Expr.Div, _, _ ->
     let d = as_real v2 in
-    if d = 0. then Real 0. else Real (as_real v1 /. d)
+    if d = 0. then raise Division_by_zero else Real (as_real v1 /. d)
 
 let eval_cmp op v1 v2 =
   let c = Value.compare v1 v2 in
@@ -96,7 +96,10 @@ let rec eval (env : env) (e : Expr.t) : Value.t =
   | Expr.Union (e1, e2) ->
     Value.Bag (Value.bag_items (eval env e1) @ Value.bag_items (eval env e2))
   | Expr.Let (x, e1, e2) -> eval (Env.add x (eval env e1) env) e2
-  | Expr.Prim (op, e1, e2) -> eval_prim op (eval env e1) (eval env e2)
+  | Expr.Prim (op, e1, e2) -> (
+    match eval_prim op (eval env e1) (eval env e2) with
+    | v -> v
+    | exception Division_by_zero -> error "division by zero: %a" Expr.pp e)
   | Expr.Cmp (op, e1, e2) -> eval_cmp op (eval env e1) (eval env e2)
   | Expr.Logic (Expr.And, e1, e2) ->
     if Value.as_bool (eval env e1) then eval env e2 else Value.Bool false

@@ -265,12 +265,6 @@ let walk_part sz m part (vals : V.t array) =
    input [row] of [size] *)
 let size sz m row size vals = walk_part sz m (row_part sz row size vals) vals
 
-(* rows built one per input element, in order *)
-let map_rows f a = Row.array_init Row.empty (Array.length a) (fun i -> f a.(i))
-
-let scan ~binder =
-  ([| binder |], fun items -> (map_rows (fun v -> [| v |]) items, Array.map Row.column_bytes items))
-
 (* one int column per row *)
 let add_index ~col names =
   ( snoc names col,
@@ -595,21 +589,21 @@ let align cols names =
   let column c = (c, if Row.slot names c = None then S.Const V.Null else S.Col [ c ]) in
   (cols, snd (project (List.map column (Array.to_list cols)) names))
 
-let values cols names =
-  match cols with
-  | [ "item" ] ->
-    let item = S.compile names (S.col "item") in
-    fun (rows : Row.t array) -> Row.array_init V.Null (Array.length rows) (fun i -> item rows.(i))
+(* A row's single column ["item"] is its element as it is; any other row
+   becomes the tuple of its columns, named by them in order, which adds
+   the tuple's headers to the columns' ([Row.tuple_of_columns]). A key
+   reads the element where it read the row. *)
+let pack names =
+  match names with
+  | [| "item" |] ->
+    ((function S.Col ("item" :: _) as k -> Some k | _ -> None), Fun.id)
   | _ ->
-    let slots = List.map (fun c -> (c, Row.slot names c)) cols in
-    let rec tuple (row : Row.t) = function
-      | [] -> []
-      | (c, s) :: rest ->
-        let v = match s with Some s -> row.(s) | None -> V.Null in
-        (c, v) :: tuple row rest
-    in
-    fun rows ->
-      Row.array_init V.Null (Array.length rows) (fun i -> V.Tuple (tuple rows.(i) slots))
+    let n = Array.length names and extra = Row.tuple_of_columns (Array.length names) in
+    let rec fields (row : Row.t) j = if j = n then [] else (names.(j), row.(j)) :: fields row (j + 1) in
+    ( (function S.Col path -> Some (S.Col ("item" :: path)) | _ -> None),
+      fun ((rows, sizes) : sized) ->
+        ( Row.array_init Row.empty (Array.length rows) (fun i -> [| V.Tuple (fields rows.(i) 0) |]),
+          Array.map (fun b -> b + extra) sizes ) )
 
 let split_by_keys keys names =
   let rd = S.compile_vec names keys in

@@ -11,7 +11,7 @@
     partition and pool task; a partition function makes its own scratch
     state per call, except that the nest kernels borrow theirs from their
     domain (below). Column order is part of a schema but not of its
-    meaning: only {!align} and {!values} fix it.
+    meaning: only {!align} and {!pack} fix it.
 
     {b Row sizes.} Rows travel {!sized}: beside each row array, one
     unboxed [int] per row, its {!Row.byte_size}, which every kernel takes
@@ -87,9 +87,6 @@ val key_hasher : Sexpr.t list -> names -> Row.t -> int
 val sized : Row.t array -> sized
 (** Rows with their sizes, walked. *)
 
-val scan : binder:string -> names * (Nrc.Value.t array -> sized)
-(** One single-column row [binder] per item. *)
-
 val add_index : col:string -> names -> names * ((int -> int) -> sized -> sized)
 (** Append the column [col] holding [Int (id i)] to the [i]-th row; [id]
     is called in row order. *)
@@ -157,12 +154,15 @@ val align : names -> names -> names * (sized -> sized)
 (** [align cols names]: restrict rows of [names] to the columns [cols] in
     order, missing ones Null (union branches). *)
 
-val values : string list -> names -> Row.t array -> Nrc.Value.t array
-(** [values cols names]: rows of [names] as the elements of a result bag
-    over the plan columns [cols]: a tuple of those columns, missing ones
-    Null — except that the reserved single column ["item"] marks rows
-    carrying whole bag elements (scalars or pass-through tuples), which
-    are unwrapped. *)
+val pack : names -> (Sexpr.t -> Sexpr.t option) * (sized -> sized)
+(** [pack names]: rows of [names] as a stored dataset's rows, one column
+    ["item"] holding each element of a result bag. Rows whose one column
+    is ["item"] already are (scalars or pass-through tuples) and stay as
+    they are; any other row becomes the tuple of its columns, named by
+    [names] in order, sized as the row's size plus
+    [Row.tuple_of_columns] of its width, with no walk. Beside it, a key
+    over [names] as it reads the packed column, or [None] when it cannot
+    (a key that is not a column). *)
 
 val nest_bag :
   ids:Op.ids ->

@@ -6,23 +6,17 @@
 module V = Nrc.Value
 module K = Kernel
 
-type env = (string, V.t list) Hashtbl.t
-(** named datasets: bag items per input name *)
+type env = (string, K.sized) Hashtbl.t
+(** named datasets: one row per bag item, its column the item *)
+
+let add (env : env) name (v : V.t) =
+  let items = match v with V.Bag xs -> xs | v -> [ v ] in
+  Hashtbl.replace env name (K.sized (Row.array_of_list Row.empty (List.map (fun v -> [| v |]) items)))
 
 let env_of_list l : env =
   let h = Hashtbl.create 16 in
-  List.iter
-    (fun (name, items) ->
-      match (items : V.t) with
-      | V.Bag xs -> Hashtbl.replace h name xs
-      | v -> Hashtbl.replace h name [ v ])
-    l;
+  List.iter (fun (name, v) -> add h name v) l;
   h
-
-let lookup (env : env) name =
-  match Hashtbl.find_opt env name with
-  | Some items -> items
-  | None -> invalid_arg (Printf.sprintf "Local_eval: unknown input %S" name)
 
 let next_index = ref 0
 
@@ -33,8 +27,10 @@ let rec sized (env : env) (op : Op.t) : K.names * K.sized =
   match op, List.map (sized env) (Op.children op) with
   | Op.Nil cols, [] -> (Array.of_list cols, ([||], [||]))
   | Op.UnitRow, [] -> ([||], K.sized [| Row.empty |])
-  | Op.Scan { input; binder }, [] ->
-    unary (K.scan ~binder) (Row.array_of_list V.Null (lookup env input))
+  | Op.Scan { input; binder }, [] -> (
+    match Hashtbl.find_opt env input with
+    | Some rows -> ([| binder |], rows)
+    | None -> invalid_arg (Printf.sprintf "Local_eval: unknown input %S" input))
   | Op.Select (p, _), [ (names, rows) ] -> unary (K.select p names) rows
   | Op.Project (fields, _), [ (names, rows) ] -> unary (K.project fields names) rows
   | Op.Join { lkey; rkey; kind; _ }, [ (lnames, l); (rnames, r) ] ->
@@ -68,8 +64,9 @@ let eval env op =
   let names, (rows, _) = sized env op in
   (names, rows)
 
-(** Evaluate a plan and package the result rows as a bag, using the plan's
-    column names as attributes ({!Kernel.values}). *)
+(** Evaluate a plan and package the result rows as a bag, as the executor
+    stores a result ({!Kernel.pack}). *)
 let eval_to_bag (env : env) (op : Op.t) : V.t =
-  let names, (rows, _) = sized env op in
-  V.Bag (Array.to_list (K.values (Op.columns op) names rows))
+  let names, rows = sized env op in
+  let rows, _ = snd (K.pack names) rows in
+  V.Bag (List.map (fun (r : Row.t) -> r.(0)) (Array.to_list rows))

@@ -24,6 +24,27 @@ type t =
 let col c = Col [ c ]
 let path c fields = Col (c :: fields)
 
+let rec pp ppf = function
+  | Col p -> Fmt.string ppf (String.concat "." p)
+  | Const v -> Nrc.Value.pp ppf v
+  | Prim (op, a, b) ->
+    Fmt.pf ppf "(%a %s %a)" pp a (Nrc.Expr.prim_to_string op) pp b
+  | Cmp (op, a, b) ->
+    Fmt.pf ppf "(%a %s %a)" pp a (Nrc.Expr.cmp_to_string op) pp b
+  | Logic (op, a, b) ->
+    Fmt.pf ppf "(%a %s %a)" pp a (Nrc.Expr.logic_to_string op) pp b
+  | Not a -> Fmt.pf ppf "\u{00AC}%a" pp a
+  | IsNull a -> Fmt.pf ppf "isnull(%a)" pp a
+  | If (c, a, b) -> Fmt.pf ppf "(if %a then %a else %a)" pp c pp a pp b
+  | MkLabel { site; args } ->
+    Fmt.pf ppf "NewLabel_%d(%a)" site (Fmt.list ~sep:Fmt.comma pp) args
+  | LabelArg (a, i) -> Fmt.pf ppf "%a#%d" pp a i
+  | IsLabelSite (a, site) -> Fmt.pf ppf "site(%a)==%d" pp a site
+  | MkTuple fields ->
+    Fmt.pf ppf "\u{27E8}%a\u{27E9}"
+      (Fmt.list ~sep:Fmt.comma (fun ppf (n, x) -> Fmt.pf ppf "%s:%a" n pp x))
+      fields
+
 (* the first pair named [n] in [vfields], as [Value.field] finds it *)
 let rec find_pair n = function
   | ((m, _) as pair) :: _ when String.equal m n -> pair
@@ -58,7 +79,11 @@ let rec specialize (column : string -> ('a -> Nrc.Value.t) option) (e : t) :
     fun env -> (
       match a env, b env with
       | Nrc.Value.Null, _ | _, Nrc.Value.Null -> Nrc.Value.Null
-      | va, vb -> Nrc.Eval.eval_prim op va vb)
+      | va, vb -> (
+        match Nrc.Eval.eval_prim op va vb with
+        | v -> v
+        | exception Division_by_zero ->
+          raise (Nrc.Eval.Eval_error (Fmt.str "division by zero: %a" pp e))))
   | Cmp (op, a, b) ->
     let a = spec a and b = spec b in
     fun env -> (
@@ -189,24 +214,3 @@ let rec conjuncts = function
 
 let reads_only cols exprs =
   List.for_all (fun e -> List.for_all (fun c -> List.mem c cols) (cols_used e)) exprs
-
-let rec pp ppf = function
-  | Col p -> Fmt.string ppf (String.concat "." p)
-  | Const v -> Nrc.Value.pp ppf v
-  | Prim (op, a, b) ->
-    Fmt.pf ppf "(%a %s %a)" pp a (Nrc.Expr.prim_to_string op) pp b
-  | Cmp (op, a, b) ->
-    Fmt.pf ppf "(%a %s %a)" pp a (Nrc.Expr.cmp_to_string op) pp b
-  | Logic (op, a, b) ->
-    Fmt.pf ppf "(%a %s %a)" pp a (Nrc.Expr.logic_to_string op) pp b
-  | Not a -> Fmt.pf ppf "\u{00AC}%a" pp a
-  | IsNull a -> Fmt.pf ppf "isnull(%a)" pp a
-  | If (c, a, b) -> Fmt.pf ppf "(if %a then %a else %a)" pp c pp a pp b
-  | MkLabel { site; args } ->
-    Fmt.pf ppf "NewLabel_%d(%a)" site (Fmt.list ~sep:Fmt.comma pp) args
-  | LabelArg (a, i) -> Fmt.pf ppf "%a#%d" pp a i
-  | IsLabelSite (a, site) -> Fmt.pf ppf "site(%a)==%d" pp a site
-  | MkTuple fields ->
-    Fmt.pf ppf "\u{27E8}%a\u{27E9}"
-      (Fmt.list ~sep:Fmt.comma (fun ppf (n, x) -> Fmt.pf ppf "%s:%a" n pp x))
-      fields

@@ -11,7 +11,8 @@
     Null semantics mirror the paper's outer operators: projecting through a
     Null tuple yields Null; primitives, comparisons and conditionals with a
     Null operand (or condition) yield Null; selections treat Null as false; {!Op.NestSum} casts Null
-    aggregands to 0. *)
+    aggregands to 0. A division by zero raises [Nrc.Eval.Eval_error] naming
+    the expression, as {!Nrc.Eval} does. *)
 
 type t =
   | Col of string list  (** column name followed by tuple-field path *)

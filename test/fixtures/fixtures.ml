@@ -306,6 +306,9 @@ let check_counters_agree what (r : Trance.Api.run) =
       (Fmt.str "%s: span tree disagrees with the totals@.totals: %a@.spans:  %a"
          what Exec.Stats.pp_snapshot s Exec.Stats.pp_snapshot t)
 
+(** A stored dataset's elements, partition by partition: its column 0. *)
+let elements (d : Exec.Dataset.t) = Array.map (Array.map (fun (row : Plan.Row.t) -> row.(0))) d.parts
+
 (** Per-property QCheck case count: [default], or [QCHECK_COUNT] when it
     holds a positive integer, so the nightly campaign scales every suite up
     (the seed comes from QCHECK_SEED via qcheck-alcotest). *)

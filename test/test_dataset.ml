@@ -17,6 +17,9 @@ let row k v =
 
 let bag n = V.Bag (List.init n (fun i -> row (i mod 5) i))
 
+(* the field [k] of a stored element *)
+let item_k = Plan.Sexpr.Col [ "item"; "k" ]
+
 (* ------------------------------------------------------------------ *)
 (* Round-robin *)
 
@@ -38,7 +41,7 @@ let test_round_robin_placement () =
               (i mod partitions) p
           | _ -> Alcotest.fail "unexpected row shape")
         part)
-    d.D.parts;
+    (Fixtures.elements d);
   check_int "rows preserved" n (D.total_rows d)
 
 (* round-robin balance: partition sizes differ by at most one *)
@@ -60,8 +63,8 @@ let test_round_robin_balance () =
    key paths are exactly the ones hashed *)
 let test_hash_colocation () =
   let partitions = 5 in
-  let d = D.of_bag_by ~partitions ~key:[ [ "k" ] ] (bag 40) in
-  check "guarantee recorded" true (d.D.key = Some [ [ "k" ] ]);
+  let d = D.of_bag_by ~partitions ~key:[ item_k ] (bag 40) in
+  check "guarantee recorded" true (d.D.key = Some [ item_k ]);
   let home = Hashtbl.create 8 in
   Array.iteri
     (fun p part ->
@@ -73,7 +76,7 @@ let test_hash_colocation () =
           | Some p' ->
             check (Fmt.str "key %a co-located" V.pp k) true (p = p'))
         part)
-    d.D.parts;
+    (Fixtures.elements d);
   check_int "rows preserved" 40 (D.total_rows d)
 
 let gen_rows : V.t QCheck.Gen.t =
@@ -94,7 +97,7 @@ let prop_colocation =
   QCheck.Test.make
     ~name:"of_bag_by: equal keys always share a partition, rows preserved"
     ~count:(count 200) arbitrary_case (fun (v, partitions) ->
-      let d = D.of_bag_by ~partitions ~key:[ [ "k" ] ] v in
+      let d = D.of_bag_by ~partitions ~key:[ item_k ] v in
       let home = Hashtbl.create 8 in
       let ok = ref true in
       Array.iteri
@@ -107,7 +110,7 @@ let prop_colocation =
               | None -> Hashtbl.add home k p
               | Some p' -> if p <> p' then ok := false)
             part)
-        d.D.parts;
+        (Fixtures.elements d);
       !ok
       && D.total_rows d = List.length (V.bag_items v)
       && V.approx_bag_equal (D.to_bag d) v)
@@ -161,7 +164,7 @@ let prop_adversarial_shuffle =
     ~name:"of_bag_by: min_int-hashing keys never raise, co-location holds"
     ~count:(count 200) arbitrary_extreme_bag (fun (ks, partitions) ->
       let v = V.Bag (List.mapi (fun i k -> row k i) ks) in
-      let d = D.of_bag_by ~partitions ~key:[ [ "k" ] ] v in
+      let d = D.of_bag_by ~partitions ~key:[ item_k ] v in
       let home = Hashtbl.create 8 in
       let ok = ref true in
       Array.iteri
@@ -173,7 +176,7 @@ let prop_adversarial_shuffle =
               | None -> Hashtbl.add home k p
               | Some p' -> if p <> p' then ok := false)
             part)
-        d.D.parts;
+        (Fixtures.elements d);
       !ok
       && D.total_rows d = List.length ks
       && V.approx_bag_equal (D.to_bag d) v)

@@ -44,7 +44,7 @@ let test_dataset_key_guarantee () =
       (List.init 40 (fun i ->
            V.Tuple [ ("k", V.Int (i mod 5)); ("v", V.Int i) ]))
   in
-  let ds = Exec.Dataset.of_bag_by ~partitions:7 ~key:[ [ "k" ] ] bag in
+  let ds = Exec.Dataset.of_bag_by ~partitions:7 ~key:[ Plan.Sexpr.Col [ "item"; "k" ] ] bag in
   check "bag preserved" true (V.bag_equal bag (Exec.Dataset.to_bag ds));
   (* all values of one key live in one partition *)
   let locations = Hashtbl.create 8 in
@@ -57,7 +57,7 @@ let test_dataset_key_guarantee () =
           | None -> Hashtbl.add locations k p
           | Some p' -> check "key guarantee" true (p = p'))
         part)
-    ds.Exec.Dataset.parts;
+    (Fixtures.elements ds);
   check_int "five distinct keys" 5 (Hashtbl.length locations)
 
 (* ------------------------------------------------------------------ *)
@@ -235,18 +235,18 @@ let arbitrary_keyed_bag =
            nat nat))
 
 let prop_partition_preserves_bag =
-  QCheck.Test.make ~name:"hash partitioning preserves the bag" ~count:100
+  QCheck.Test.make ~name:"hash partitioning preserves the bag" ~count:(Fixtures.qcheck_count 100)
     arbitrary_keyed_bag (fun rows ->
       let bag = V.Bag rows in
-      let ds = Exec.Dataset.of_bag_by ~partitions:7 ~key:[ [ "k" ] ] bag in
+      let ds = Exec.Dataset.of_bag_by ~partitions:7 ~key:[ Plan.Sexpr.Col [ "item"; "k" ] ] bag in
       V.bag_equal bag (Exec.Dataset.to_bag ds)
       && Exec.Dataset.total_rows ds = List.length rows)
 
 let prop_key_guarantee =
-  QCheck.Test.make ~name:"key guarantee: one partition per key" ~count:100
+  QCheck.Test.make ~name:"key guarantee: one partition per key" ~count:(Fixtures.qcheck_count 100)
     arbitrary_keyed_bag (fun rows ->
       let ds =
-        Exec.Dataset.of_bag_by ~partitions:7 ~key:[ [ "k" ] ] (V.Bag rows)
+        Exec.Dataset.of_bag_by ~partitions:7 ~key:[ Plan.Sexpr.Col [ "item"; "k" ] ] (V.Bag rows)
       in
       let loc = Hashtbl.create 16 in
       let ok = ref true in
@@ -259,7 +259,7 @@ let prop_key_guarantee =
               | None -> Hashtbl.add loc k p
               | Some p' -> if p <> p' then ok := false)
             part)
-        ds.Exec.Dataset.parts;
+        (Fixtures.elements ds);
       !ok)
 
 let test_heavy_key_detection_bounds () =
@@ -634,6 +634,25 @@ let test_bag_carrying_routes () =
 let route_strategies =
   Trance.Api.
     [ Standard; Shredded { unshred = false }; Shredded { unshred = true }; SparkSQL_proxy ]
+
+(* A division by zero, int or real, that a kernel evaluates is a typed
+   failure of its step naming the division: never an answer, never an
+   exception constructor. *)
+let test_division_by_zero strategy () =
+  List.iter
+    (fun division ->
+      let prog =
+        Nrc.Parser.program_of_string ~inputs:Fixtures.inputs_ty
+          ("Q <- for p in Part union sng(pid := p.pid, r := " ^ division ^ ");")
+      in
+      match Trance.Api.run ~config:api_config ~strategy prog Fixtures.inputs_val with
+      | { failure = Some (Trance.Api.Error msg); value = None; _ } ->
+        check (division ^ ": " ^ msg) true
+          (String.starts_with ~prefix:"Q: division by zero: " msg)
+      | { failure; _ } ->
+        Alcotest.failf "%s: %s" division
+          (Option.fold ~none:"answered" ~some:Trance.Api.failure_message failure))
+    [ "p.pid / 0"; "p.price / 0.0" ]
 
 (* The shredded route once told dictionaries and steps apart by parsing
    the names it generates: a target named like a dictionary was cast to
@@ -1654,7 +1673,12 @@ let () =
           Alcotest.test_case "stray exception reported as Error" `Quick
             test_stray_exception_typed;
         ]
-      );
+        @ List.map
+            (fun s ->
+              Alcotest.test_case
+                ("division by zero fails typed [" ^ Trance.Api.strategy_name s ^ "]")
+                `Quick (test_division_by_zero s))
+            route_strategies );
       ( "bag-valued keys",
         [
           Alcotest.test_case "plans keyed by bags agree with Nrc.Eval" `Quick

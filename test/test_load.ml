@@ -80,7 +80,9 @@ let digest ~domains ~partitions (_, types, values) =
     List.sort compare
       (Hashtbl.fold
          (fun name (d : Exec.Dataset.t) acc ->
-           (name, d.key, Array.map (Array.map value) d.parts) :: acc)
+           let path = function Plan.Sexpr.Col (_ :: path) -> path | _ -> [] in
+           (name, Option.map (List.map path) d.key, Array.map (Array.map value) (Fixtures.elements d))
+           :: acc)
          env [])
   in
   Digest.to_hex (Digest.string (Marshal.to_string datasets [ Marshal.No_sharing ]))

@@ -176,8 +176,15 @@ let test_eval_basics () =
     (V.bag_equal
        (eval_in [] B.(sng (int_ 1) ++ sng (int_ 2)))
        (V.Bag [ V.Int 1; V.Int 2 ]));
-  check "div by zero yields 0" true
-    (V.equal (eval_in [] B.(int_ 1 / int_ 0)) (V.Int 0))
+  (* a zero divisor, int or real, is a typed failure naming the division *)
+  List.iter
+    (fun (what, e, text) ->
+      match eval_in [ ("x", V.Tuple [ ("n", V.Int 0) ]) ] e with
+      | v -> Alcotest.failf "%s answers %a" what V.pp v
+      | exception Nrc.Eval.Eval_error m -> Alcotest.(check string) what text m)
+    [ ("int division by zero", B.(int_ 1 / int_ 0), "division by zero: 1 / 0");
+      ("real division by zero", B.(real 1.5 / real 0.), "division by zero: 1.5 / 0");
+      ("division by a zero field", B.(int_ 7 / (input "x") #. "n"), "division by zero: 7 / x.n") ]
 
 let test_eval_get () =
   check "get singleton" true

@@ -287,6 +287,114 @@ let prop_to_source_roundtrip =
       && (roundtrips (E.date d)
          || QCheck.Test.fail_reportf "date %d prints as %s" d (Nrc.Parser.to_source (E.date d))))
 
+(* ------------------------------------------------------------------ *)
+(* Text-level fuzzing. A generated program's source text, with tokens
+   deleted, duplicated or swapped and boundary literals spliced in, must
+   lex, parse, type and run on every route or fail typed — a lex, parse
+   or type error, or a run that reports its failure in words — and never
+   raise. *)
+
+type edit =
+  | Delete of int
+  | Duplicate of int
+  | Swap of int
+  | Splice of int * string
+  | Replace of int * string  (** a literal by another *)
+
+let boundary_literals =
+  [ "99999999999999999999"; "@-1"; "1e400"; "-4611686018427387904"; "4611686018427387904";
+    "@99999999999999999999"; "-0.0"; "1e-400"; "0"; "\"\"" ]
+
+let gen_edits =
+  QCheck.Gen.(
+    list_size (int_range 1 2)
+      (let* i = int_bound 1000 in
+       frequency
+         [ (1, return (Delete i)); (1, return (Duplicate i)); (1, return (Swap i));
+           (1, map (fun lit -> Splice (i, lit)) (oneofl boundary_literals));
+           (3, map (fun lit -> Replace (i, lit)) (oneofl boundary_literals)) ]))
+
+(* [edit] on the [i mod n]-th of the text's [n] tokens — of its literals
+   for [Replace] — each spanning from its offset to the next token's, so
+   whitespace moves with the token before it; a text that no longer lexes
+   stays as it is *)
+let apply_edit text edit =
+  match Nrc.Lexer.tokenize text with
+  | exception Nrc.Lexer.Lex_error _ -> text
+  | toks ->
+    let starts = Array.of_list (List.map snd toks) in
+    let n = Array.length starts - 1 (* the last is EOF's *) in
+    let literals =
+      Array.of_list
+        (List.concat
+           (List.mapi
+              (fun i (t, _) ->
+                match (t : Nrc.Lexer.token) with
+                | INT _ | REAL _ | DATE _ | STRING _ -> [ i ]
+                | _ -> [])
+              toks))
+    in
+    let piece i = String.sub text starts.(i) (starts.(i + 1) - starts.(i)) in
+    let before i = String.sub text 0 starts.(i) in
+    let after i = String.sub text starts.(i + 1) (String.length text - starts.(i + 1)) in
+    if n = 0 then text
+    else (
+      match edit with
+      | Delete i -> before (i mod n) ^ after (i mod n)
+      | Duplicate i -> before (i mod n) ^ piece (i mod n) ^ piece (i mod n) ^ after (i mod n)
+      | Swap i ->
+        let i = i mod n in
+        if i + 1 = n then text else before i ^ piece (i + 1) ^ piece i ^ after (i + 1)
+      | Splice (i, lit) -> before (i mod n) ^ " " ^ lit ^ " " ^ piece (i mod n) ^ after (i mod n)
+      | Replace (_, _) when literals = [||] -> text
+      | Replace (i, lit) ->
+        let i = literals.(i mod Array.length literals) in
+        before i ^ lit ^ " " ^ after i)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* a failure text that is an exception's constructor, not a message *)
+let raw_exception msg =
+  List.exists
+    (contains msg)
+    [ "Not_found"; "Invalid_argument(\""; "Failure(\""; "Division_by_zero"; "Stack_overflow";
+      "Match_failure"; "Assert_failure"; "_error(\""; "Unsupported(\"" ]
+
+let prop_fuzzed_text =
+  let cluster = { Exec.Config.unbounded with partitions = 4; workers = 2 } in
+  let config = { Trance.Api.default_config with cluster } in
+  QCheck.Test.make ~name:"mutated program text: lex, parse, type and run answer or fail typed"
+    ~count:(Fixtures.qcheck_count 300)
+    (QCheck.pair Qgen.arbitrary_case (QCheck.make gen_edits))
+    (fun ((q, inputs), edits) ->
+      let text =
+        List.fold_left apply_edit
+          (Nrc.Parser.program_to_source (Nrc.Program.of_expr ~inputs:Qgen.inputs_ty ~name:"Q" q))
+          edits
+      in
+      let raised what e = QCheck.Test.fail_reportf "%s raised %s on:@.%s" what (Printexc.to_string e) text in
+      match Nrc.Parser.program_of_string ~inputs:Qgen.inputs_ty text with
+      | exception (Nrc.Lexer.Lex_error _ | Nrc.Parser.Parse_error _) -> true
+      | exception e -> raised "parsing" e
+      | prog -> (
+        match Nrc.Program.typecheck ~source:true prog with
+        | exception Nrc.Typecheck.Type_error _ -> true
+        | exception e -> raised "type checking" e
+        | _ ->
+          List.for_all
+            (fun strategy ->
+              match Trance.Api.run ~config ~strategy prog inputs with
+              | exception e -> raised (Trance.Api.strategy_name strategy) e
+              | { failure = Some f; _ } when raw_exception (Trance.Api.failure_message f) ->
+                QCheck.Test.fail_reportf "%s fails with %s on:@.%s"
+                  (Trance.Api.strategy_name strategy) (Trance.Api.failure_message f) text
+              | _ -> true)
+            Trance.Api.
+              [ Standard; Shredded { unshred = false }; Shredded { unshred = true }; SparkSQL_proxy ]))
+
 let test_program_to_source () =
   let prog =
     Nrc.Program.make ~inputs:Fixtures.inputs_ty
@@ -334,6 +442,7 @@ let () =
         [
           Alcotest.test_case "corpus roundtrip" `Quick test_to_source_corpus;
           QCheck_alcotest.to_alcotest prop_to_source_roundtrip;
+          QCheck_alcotest.to_alcotest prop_fuzzed_text;
           Alcotest.test_case "program roundtrip" `Quick test_program_to_source;
           Alcotest.test_case "type roundtrip" `Quick test_type_to_source;
         ] );

@@ -592,6 +592,107 @@ let prop_kernel_sizes =
               (print_row (names, rows.(i))) sizes.(i) (Row.byte_size rows.(i)))
         (all_kernels rrows))
 
+(* Phantom sizes. A carried size is read, never recomputed, so inputs
+   whose every size exceeds its row's by [phantom] show where a size is
+   carried rather than walked: each output carries the offset once per
+   input size it was derived from, and a sizer that walks instead (or a
+   Scan that re-sizes its elements) drops it, which a comparison with
+   [Row.byte_size] cannot see. The carrying cases are a Scan of a stored
+   dataset, a project carrying a bag column and dropping flat ones, one
+   narrowing a tuple column that may be Null while carrying every other,
+   a Γ⊎ item and a cogroup item that carry a bag column. *)
+let phantom = 1000
+
+let phantom_sized rows : K.sized = (rows, Array.map (fun r -> Row.byte_size r + phantom) rows)
+
+(* rows [k; b; n] (a flat key, a bag, a number), rows [t; k] (a tuple or
+   Null, a flat key) and right rows [rk; rb] *)
+let arbitrary_phantom_input =
+  let flat_key = QCheck.Gen.oneofl [ V.Null; V.Int 1; V.Int 2; V.Str "a" ] in
+  let bag = QCheck.Gen.(map (fun vs -> V.Bag vs) (list_size (int_bound 3) (gen_value 2))) in
+  let tuple =
+    QCheck.Gen.(
+      oneof
+        [ return V.Null;
+          map2 (fun f g -> V.Tuple [ ("f", f); ("g", g) ]) (gen_value 1) (gen_value 1) ])
+  in
+  let rows g = QCheck.Gen.array_size (QCheck.Gen.int_bound 10) g in
+  QCheck.make
+    ~print:(fun (l, t, r) ->
+      let print names rows = String.concat "\n" (List.map (fun row -> print_row (names, row)) (Array.to_list rows)) in
+      String.concat "\n"
+        [ print [| "k"; "b"; "n" |] l; print [| "t"; "k" |] t; print [| "rk"; "rb" |] r ])
+    QCheck.Gen.(
+      triple
+        (rows (map3 (fun k b n -> [| k; b; n |]) flat_key bag gen_num))
+        (rows (map2 (fun t k -> [| t; k |]) tuple flat_key))
+        (rows (map2 (fun k b -> [| k; b |]) flat_key bag)))
+
+let prop_phantom_sizes =
+  QCheck.Test.make ~name:"a carried size keeps a phantom offset: scan, project, Γ⊎ and cogroup items"
+    ~count:(Fixtures.qcheck_count 300) arbitrary_phantom_input
+    (fun (lrows, trows, rrows) ->
+      let lnames = [| "k"; "b"; "n" |] and rnames = [| "rk"; "rb" |] in
+      (* an output row carries the offset once, or once per item of its
+         bag column [c] *)
+      let once _ _ = 1 and per_item c names row = List.length (V.bag_items (Row.get names row c)) in
+      let scan () =
+        let stored =
+          Exec.Dataset.make [| "item" |]
+            (Array.init 3 (fun p ->
+                 phantom_sized
+                   (Array.of_list
+                      (List.filteri (fun i _ -> i mod 3 = p)
+                         (List.map (fun r -> [| V.Tuple (fields_of (lnames, r)) |]) (Array.to_list lrows))))))
+        in
+        let out =
+          Exec.Pool.with_pool ~domains:1 (fun pool ->
+              Exec.Executor.run_rows ~pool ~config:Exec.Config.unbounded
+                ~stats:(Exec.Stats.create ())
+                (Exec.Executor.env_of_list [ ("R", stored) ])
+                (Op.Scan { input = "R"; binder = "x" }))
+        in
+        (out.names, (Array.concat (Array.to_list out.parts), Array.concat (Array.to_list out.sizes)))
+      in
+      let applied (names, f) rows () = (names, f (phantom_sized rows)) in
+      let index = K.index [ col "rk" ] rnames (phantom_sized rrows) in
+      List.for_all
+        (fun (name, run, count) ->
+          let names, (rows, sizes) = run () in
+          let rec go i =
+            i = Array.length rows
+            ||
+            let want = Row.byte_size rows.(i) + (phantom * count names rows.(i)) in
+            (sizes.(i) = want
+            || QCheck.Test.fail_reportf "%s: row %d %s carries %d, wants %d" name i
+                 (print_row (names, rows.(i))) sizes.(i) want)
+            && go (i + 1)
+          in
+          go 0)
+        [ ("scan of a stored dataset", scan, once);
+          ("project carrying a bag, dropping flat columns",
+            applied (K.project [ ("b", col "b"); ("m", S.Prim (Nrc.Expr.Add, col "n", col "n")) ] lnames) lrows,
+            once);
+          ("project narrowing a tuple or Null, carrying the rest",
+            applied
+              (K.project [ ("t", S.MkTuple [ ("f", S.path "t" [ "f" ]) ]); ("k", col "k") ] [| "t"; "k" |])
+              trows,
+            once);
+          ("nest_bag of a bag column",
+            applied
+              (K.nest_bag ~ids:Op.no_ids ~keys:[ ("k", col "k") ] ~agg_keys:[] ~item:(col "b")
+                 ~presence:(S.Const (V.Bool true)) ~out:"bs" lnames)
+              lrows,
+            per_item "bs");
+          ("cogroup of a right bag column",
+            (fun () ->
+              let names, cogroup =
+                K.cogroup ~lkey:[ col "k" ] ~kind:Op.Inner ~keys:[ ("k", col "k") ] ~item:(col "rb")
+                  ~presence:(S.Const (V.Bool true)) ~out:"rbs" lnames rnames
+              in
+              (names, cogroup index (K.sized lrows))),
+            per_item "rbs") ])
+
 let same_rows a b = Array.length a = Array.length b && Array.for_all2 (Array.for_all2 V.equal) a b
 
 let prop_kernel_chunks =
@@ -735,8 +836,7 @@ let test_no_forced_minor () =
         | _ -> attempt (k + 1)
       in
       attempt 1)
-    [ ("scan", fun () -> run (K.scan ~binder:"x") (Row.array_init V.Null n (fun i -> V.Int i)));
-      ("add_index", fun () -> ignore (snd (K.add_index ~col:"id" names) Fun.id (rows ())));
+    [ ("add_index", fun () -> ignore (snd (K.add_index ~col:"id" names) Fun.id (rows ())));
       ("join", fun () ->
         ignore (snd (K.join ~lkey ~kind:Op.Inner names rnames) (join_args ()) (rows ())));
       ("cogroup", fun () ->
@@ -752,10 +852,7 @@ let test_no_forced_minor () =
         run (K.unnest ~path:[ "b" ] ~binder:"x" ~outer:false ~drop:true names) (rows ()));
       ("dedup", fun () -> run (K.dedup names) (rows ()));
       ("align", fun () -> run (K.align [| "n"; "k" |] names) (rows ()));
-      ("values", fun () -> ignore (K.values [ "n"; "k" ] names (fst (rows ()))));
-      ("values of item", fun () ->
-        let inames, project = K.project [ ("item", col "n") ] names in
-        ignore (K.values [ "item" ] inames (fst (project (rows ())))));
+      ("pack", fun () -> run (K.pack names) (rows ()));
       ("split_by_keys", fun () -> ignore (K.split_by_keys [ col "k" ] names heavy (rows ())));
       ("heavy_keys", fun () ->
         ignore (K.heavy_keys ~sample:n ~threshold:0.01 [ col "n" ] names [| fst (rows ()) |]));
@@ -782,7 +879,8 @@ let test_no_forced_minor () =
       ("Dataset.of_bag", fun () ->
         ignore (Exec.Dataset.of_bag ~partitions:1 (V.Bag (items ()))));
       ("Dataset.of_bag_by", fun () ->
-        ignore (Exec.Dataset.of_bag_by ~partitions:1 ~key:[ [ "k" ] ] (V.Bag (items ()))));
+        ignore
+          (Exec.Dataset.of_bag_by ~partitions:1 ~key:[ S.Col [ "item"; "k" ] ] (V.Bag (items ()))));
       ("2-lane load", fun () ->
         Trance.Shred_type.reset_sites ();
         ignore
@@ -1202,8 +1300,7 @@ let test_label_hashes () =
           (List.concat_map
              (fun (_, _, datasets) ->
                List.concat_map
-                 (fun (d : Trance.Shred_value.placed) ->
-                   List.concat_map Array.to_list (Array.to_list d.parts))
+                 (fun (_, d) -> V.bag_items (Exec.Dataset.to_bag d))
                  (Option.value datasets ~default:[]))
              placed) );
       ("default_of_type", V.default_of_type Nrc.Types.TLabel);
@@ -1230,7 +1327,7 @@ let prop_vector_hash =
     (fun inputs ->
       List.for_all
         (fun (name, bag) ->
-          let rows, _ = snd (K.scan ~binder:"x") (Array.of_list (V.bag_items bag)) in
+          let rows = Array.of_list (List.map (fun v -> [| v |]) (V.bag_items bag)) in
           let fields =
             match V.bag_items bag with
             | V.Tuple fs :: _ -> List.map (fun (f, _) -> S.path "x" [ f ]) fs
@@ -1352,7 +1449,7 @@ let test_cogroup_keeps_meaning () =
           (Plan.Local_eval.eval_to_bag env plan');
         Fixtures.check_bag_equal (what ^ ", pruned after fusing") expected
           (Plan.Local_eval.eval_to_bag env (Plan.Optimize.prune_columns plan'));
-        Hashtbl.replace env step (V.bag_items expected))
+        Plan.Local_eval.add env step expected)
       steps
   in
   List.iter
@@ -1484,7 +1581,7 @@ let check_route_facts case (route, inputs, steps) =
     (fun (step, plan) ->
       let what = String.concat "/" [ case; route; step ] in
       List.iter (check_facts what env) (all_ops plan);
-      Hashtbl.replace env step (V.bag_items (Plan.Local_eval.eval_to_bag env plan)))
+      Plan.Local_eval.add env step (Plan.Local_eval.eval_to_bag env plan))
     steps
 
 let test_id_facts () =
@@ -1575,7 +1672,7 @@ let () =
         :: Alcotest.test_case "label hashes: every producer folds once" `Quick test_label_hashes
         :: Alcotest.test_case "heavy keys: the sample's last row" `Quick test_heavy_keys_sample
         :: List.map QCheck_alcotest.to_alcotest
-             [ prop_kernel_sizes; prop_kernel_chunks; prop_kernel_column_order;
+             [ prop_kernel_sizes; prop_phantom_sizes; prop_kernel_chunks; prop_kernel_column_order;
                prop_compiled_column_order; prop_nest_oracle; prop_carried_hashes;
                prop_vector_hash ] );
       ( "allocation",

@@ -273,13 +273,13 @@ let test_one_schema () =
           let r =
             Exec.Executor.run_rows ~pool ~config ~stats:(Exec.Stats.create ()) env plan
           in
-          let rows = Array.concat (Array.to_list r.Exec.Executor.parts) in
+          let rows = Array.concat (Array.to_list r.Exec.Dataset.parts) in
           check (name ^ ": rows out") true (Array.length rows > 0);
           let local_names, _ =
             Plan.Local_eval.eval (Plan.Local_eval.env_of_list [ ("R", V.Bag items) ]) plan
           in
           check (name ^ ": the local interpreter's schema") true
-            (r.Exec.Executor.names = local_names);
+            (r.Exec.Dataset.names = local_names);
           check (name ^ ": every row as wide as the schema") true
             (Array.for_all
                (fun (row : Plan.Row.t) -> Array.length row = Array.length local_names)

@@ -16,7 +16,7 @@ let api_config = { Trance.Api.default_config with cluster }
 let reference q inputs = Nrc.Eval.eval (Nrc.Eval.env_of_list inputs) q
 
 let prop_plan_agrees =
-  QCheck.Test.make ~name:"random query: plan = reference" ~count:250
+  QCheck.Test.make ~name:"random query: plan = reference" ~count:(count 250)
     Qgen.arbitrary_case (fun (q, inputs) ->
       let expected = reference q inputs in
       let plan = Trance.Unnest.translate ~tenv:Qgen.inputs_ty q in

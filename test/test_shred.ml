@@ -83,7 +83,7 @@ let test_recorded_roles () =
       Hashtbl.iter
         (fun n (ds : Exec.Dataset.t) ->
           check (n ^ " loaded with the label guarantee") (List.mem n dicts)
-            (ds.key = Some [ [ "label" ] ]))
+            (ds.key = Some [ Plan.Sexpr.Col [ "item"; "label" ] ]))
         env)
     (List.map (fun i -> [ i ]) nested @ [ Biomed.Schema.inputs_ty ]);
   (* levels 0-4 nest 0-4 deep, narrow and wide; biomed nests three bags *)

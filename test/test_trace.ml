@@ -114,7 +114,7 @@ let exec_traced ~config env plan =
 let test_guarantee_skipped () =
   (* both sides pre-partitioned on the join key and broadcast disabled: the
      join must record Guarantee_skipped and no bytes may move *)
-  let mk v = Exec.Dataset.of_bag_by ~partitions:7 ~key:[ [ "k" ] ] v in
+  let mk v = Exec.Dataset.of_bag_by ~partitions:7 ~key:[ Plan.Sexpr.Col [ "item"; "k" ] ] v in
   let env =
     Exec.Executor.env_of_list
       [ ("L", mk (keyed_bag 40)); ("R", mk (keyed_bag 25)) ]

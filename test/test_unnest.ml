@@ -193,7 +193,7 @@ let test_program_translation () =
     List.fold_left
       (fun acc (name, plan) ->
         let bag = Plan.Local_eval.eval_to_bag env plan in
-        Hashtbl.replace env name (V.bag_items bag);
+        Plan.Local_eval.add env name bag;
         (name, bag) :: acc)
       [] plans
   in
