@@ -784,8 +784,46 @@ let micro () =
   let inputs2 =
     Tpch.Queries.input_values ~family:Tpch.Queries.Nested_to_nested ~level:2 db
   in
+  (* Gamma-plus as nested-standard runs it: 2,400 rows, each its own id,
+     whose 11 other G-keys the id determines and sibling rows (8 per
+     parent) share physically; the combine's partials go to the reduce
+     with their hashes *)
+  let gamma_plus =
+    let module V = Nrc.Value in
+    let keys = List.init 11 (fun j -> Printf.sprintf "k%d" j) in
+    let names = Array.of_list (("id" :: keys) @ [ "q" ]) in
+    let parent p =
+      Array.init 11 (fun j ->
+          match j mod 4 with
+          | 0 -> V.Str (Printf.sprintf "name%d" (p mod 50))
+          | 1 -> V.Int p
+          | 2 -> if p mod 7 = 0 then V.Null else V.Bool (p mod 3 = 0)
+          | _ -> V.Real (float_of_int p /. 4.))
+    in
+    let parents = Array.init 300 parent in
+    let rows =
+      Plan.Kernel.sized
+        (Array.init 2400 (fun i ->
+             Array.concat [ [| V.Int i |]; parents.(i / 8); [| V.Real (float_of_int (i mod 13)) |] ]))
+    in
+    let col c = Plan.Sexpr.Col [ c ] in
+    let ids = { Plan.Op.unique = [ "id" ]; determines = [ ("id", keys) ] } in
+    let gkeys = List.map (fun c -> (c, col c)) ("id" :: keys) and always = Plan.Sexpr.Const (V.Bool true) in
+    let out, combine =
+      Plan.Kernel.nest_sum_combine ~ids ~keys:gkeys ~agg_keys:[] ~aggs:[ ("s", col "q") ]
+        ~presence:always names
+    in
+    let _, reduce =
+      Plan.Kernel.nest_sum_reduce ~ids ~keys:gkeys ~agg_keys:[] ~aggs:[ ("s", col "s") ]
+        ~presence:always out
+    in
+    fun () ->
+      let partials, hashes = combine rows in
+      ignore (reduce hashes partials)
+  in
   let tests =
     [
+      Test.make ~name:"nest_sum_combine_reduce" (Staged.stage gamma_plus);
       Test.make ~name:"value_shred_L2"
         (Staged.stage (fun () ->
              ignore (Trance.Shred_value.shred_bag "COP" elem2 cop2)));

@@ -132,18 +132,22 @@ and count_items lv items acc =
    next label, and its items, flattened, go to the partition of its
    label's hash, in walk order. *)
 
-(* values appended in order *)
-type buf = { mutable vals : V.t array; mutable n : int }
+(* values appended in order, each with its {!Plan.Row.column_bytes} *)
+type buf = { mutable vals : V.t array; mutable sizes : int array; mutable n : int }
 
-let buf () = { vals = [||]; n = 0 }
+let buf () = { vals = [||]; sizes = [||]; n = 0 }
 
-let push b v =
+let push b v size =
   if b.n = Array.length b.vals then begin
-    let vals = Array.make (max 8 (2 * b.n)) V.Null in
+    let m = max 8 (2 * b.n) in
+    let vals = Array.make m V.Null and sizes = Array.make m 0 in
     Array.blit b.vals 0 vals 0 b.n;
-    b.vals <- vals
+    Array.blit b.sizes 0 sizes 0 b.n;
+    b.vals <- vals;
+    b.sizes <- sizes
   end;
   b.vals.(b.n) <- v;
+  b.sizes.(b.n) <- size;
   b.n <- b.n + 1
 
 type chunk = {
@@ -151,13 +155,29 @@ type chunk = {
   top : buf array; (* per partition *)
   dicts : buf array array; (* per dictionary, per partition *)
   mutable label : int; (* the last label's number *)
+  mutable bytes : int; (* the fields of the tuple being flattened, sized *)
 }
 
+(* every label is [Label { site; args = [Int n] }], of one size *)
+let label_bytes = V.byte_size (V.label ~site:0 [ V.Int 0 ])
+
+(* a flattened tuple's column, its fields summing to [bytes] *)
+let tuple_column bytes = Plan.Row.column_header + V.tuple_bytes bytes
+
+let rec fields_bytes acc = function
+  | [] -> acc
+  | (_, v) :: rest -> fields_bytes (acc + V.field_bytes (V.byte_size v)) rest
+
+(* the fields of a flattened item, their bytes added to [ch.bytes] *)
 let rec flatten ch lv (item : V.t) =
   match item with
   | V.Tuple vfields when lv.tuple ->
     (* a flat level whose tuples hold its fields in order keeps them *)
-    if lv.flat && exact lv.names 0 vfields then vfields else flat_fields ch lv vfields vfields 0
+    if lv.flat && exact lv.names 0 vfields then begin
+      ch.bytes <- fields_bytes ch.bytes vfields;
+      vfields
+    end
+    else flat_fields ch lv vfields vfields 0
   | _ -> mismatch lv
 
 and flat_fields ch lv vfields rest k =
@@ -172,9 +192,12 @@ and flat_fields ch lv vfields rest k =
 
 and flat_field ch lv vfields rest k field v =
   match lv.bags.(k) with
-  | None -> field :: flat_fields ch lv vfields rest (k + 1)
+  | None ->
+    ch.bytes <- ch.bytes + V.field_bytes (V.byte_size v);
+    field :: flat_fields ch lv vfields rest (k + 1)
   | Some b ->
     let label = shred_items ch b (V.bag_items v) in
+    ch.bytes <- ch.bytes + V.field_bytes label_bytes;
     let field = (lv.names.(k), label) in
     field :: flat_fields ch lv vfields rest (k + 1)
 
@@ -182,12 +205,14 @@ and shred_items ch b items =
   ch.label <- ch.label + 1;
   let label = V.label ~site:b.site [ V.Int ch.label ] in
   let rows = ch.dicts.(b.dict).(Plan.Kernel.hash_key [ label ] mod ch.partitions) in
-  let labelled = ("label", label) in
+  let labelled = ("label", label) and outer = ch.bytes in
   List.iter
     (fun item ->
+      ch.bytes <- V.field_bytes label_bytes;
       let fields = flatten ch b.inner item in
-      push rows (V.Tuple (labelled :: fields)))
+      push rows (V.Tuple (labelled :: fields)) (tuple_column ch.bytes))
     items;
+  ch.bytes <- outer;
   label
 
 (* the chunk [items.(lo) .. items.(hi - 1)], its labels numbered from
@@ -196,15 +221,18 @@ let shred_chunk ~partitions ~dicts top_level (items : V.t array) ~lo ~hi ~base =
   let ch =
     { partitions; top = Array.init partitions (fun _ -> buf ());
       dicts = Array.init dicts (fun _ -> Array.init partitions (fun _ -> buf ()));
-      label = base }
+      label = base; bytes = 0 }
   in
   for i = lo to hi - 1 do
-    push ch.top.(i mod partitions) (V.Tuple (flatten ch top_level items.(i)))
+    ch.bytes <- 0;
+    let fields = flatten ch top_level items.(i) in
+    push ch.top.(i mod partitions) (V.Tuple fields) (tuple_column ch.bytes)
   done;
   ch
 
 (* one partition of a stored dataset: the chunks' pieces in chunk order,
-   each element its row's one column ["item"], sized once, here *)
+   each element its row's one column ["item"], with the size the walk
+   gave it *)
 let gather (pieces : buf array) : Plan.Kernel.sized =
   let n = Array.fold_left (fun acc b -> acc + b.n) 0 pieces in
   let rows = Array.make n Plan.Row.empty and sizes = Array.make n 0 and at = ref 0 in
@@ -212,7 +240,7 @@ let gather (pieces : buf array) : Plan.Kernel.sized =
     (fun b ->
       for i = 0 to b.n - 1 do
         rows.(!at) <- [| b.vals.(i) |];
-        sizes.(!at) <- Plan.Row.column_bytes b.vals.(i);
+        sizes.(!at) <- b.sizes.(i);
         incr at
       done)
     pieces;

@@ -393,18 +393,7 @@ let rec type_to_source (t : Types.t) : string =
 let rec to_source (e : Expr.t) : string =
   match e with
   | Expr.Const (Expr.CInt i) -> string_of_int i
-  | Expr.Const (Expr.CReal r) ->
-    (* the shortest of 15, 16 and 17 significant digits that reads back *)
-    let s =
-      match Printf.sprintf "%.15g" r with
-      | s when float_of_string s = r -> s
-      | _ -> (
-        match Printf.sprintf "%.16g" r with
-        | s when float_of_string s = r -> s
-        | _ -> Printf.sprintf "%.17g" r)
-    in
-    (* a real without fraction or exponent would read as an integer *)
-    if String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s then s ^ ".0" else s
+  | Expr.Const (Expr.CReal r) -> Value.real_to_string r
   | Expr.Const (Expr.CString s) -> Printf.sprintf "%S" s
   | Expr.Const (Expr.CBool b) -> string_of_bool b
   | Expr.Const (Expr.CDate d) -> Printf.sprintf "@%d" d

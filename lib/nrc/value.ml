@@ -239,10 +239,23 @@ let dedup items =
 (* ------------------------------------------------------------------ *)
 (* Pretty printing *)
 
+let real_to_string r =
+  (* the shortest of 15, 16 and 17 significant digits that reads back *)
+  let s =
+    match Printf.sprintf "%.15g" r with
+    | s when float_of_string s = r -> s
+    | _ -> (
+      match Printf.sprintf "%.16g" r with
+      | s when float_of_string s = r -> s
+      | _ -> Printf.sprintf "%.17g" r)
+  in
+  (* a real without fraction or exponent would read as an integer *)
+  if String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s then s ^ ".0" else s
+
 let rec pp ppf = function
   | Null -> Fmt.string ppf "NULL"
   | Int i -> Fmt.int ppf i
-  | Real r -> Fmt.float ppf r
+  | Real r -> Fmt.string ppf (real_to_string r)
   | Str s -> Fmt.pf ppf "%S" s
   | Bool b -> Fmt.bool ppf b
   | Date d -> Fmt.pf ppf "d%d" d

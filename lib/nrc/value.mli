@@ -103,5 +103,11 @@ val dedup : t list -> t list
 
 (** {2 Printing} *)
 
+val real_to_string : float -> string
+(** A real as the shortest of 15, 16 or 17 significant digits that reads
+    back to it, with [.0] appended when that text has neither a fraction
+    nor an exponent, so a real never prints as an integer. {!pp} and
+    {!Parser.to_source} print reals with it. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -130,8 +130,9 @@ let distinct l = List.length (List.sort_uniq compare l) = List.length l
 (* The sizer *)
 
 (* Where an output comes from, in an input schema: a whole input column,
-   a tuple of some fields of one (a projection narrowing a generator
-   variable), a tuple of whole columns, or none of these. *)
+   a tuple of some distinct fields of one (a projection narrowing a
+   generator variable), at most one per bit of an int, a tuple of whole
+   columns, or none of these. *)
 type source = Column of int | Fields of int * string list | Columns of int array | Computed
 
 let source slot (e : S.t) =
@@ -143,7 +144,11 @@ let source slot (e : S.t) =
       List.filter_map (function _, S.Col [ c'; f ] when c' = c -> Some f | _ -> None) fields
     in
     match slot c with
-    | Some s when List.length names = List.length fields && distinct names -> Fields (s, names)
+    | Some s
+      when List.length names = List.length fields
+           && List.length names < Sys.int_size
+           && distinct names ->
+      Fields (s, names)
     | _ -> Computed)
   | S.MkTuple fields when List.for_all (fun (_, e) -> whole e <> None) fields ->
     Columns (Array.of_list (List.map (fun (_, e) -> Option.get (whole e)) fields))
@@ -196,19 +201,19 @@ let rec all_flat (slots : int array) (row : Row.t) i =
 let rec slots_bytes (slots : int array) (row : Row.t) i acc =
   if i < 0 then acc else slots_bytes slots row (i - 1) (acc + Row.column_bytes row.(slots.(i)))
 
-let rec remove_first n = function
-  | [] -> []
-  | m :: rest when String.equal m n -> rest
-  | m :: rest -> m :: remove_first n rest
-
-let rec mem_name n = function [] -> false | m :: rest -> String.equal m n || mem_name n rest
+(* the position of [n] in [names], or -1 *)
+let rec name_index n i = function
+  | [] -> -1
+  | m :: rest -> if String.equal m n then i else name_index n (i + 1) rest
 
 (* the bytes a tuple loses keeping only the first field of each of
-   [names] *)
-let rec dropped_bytes names = function
+   [names], those already met marked in the bits of [met] by position *)
+let rec dropped_bytes names met = function
   | [] -> 0
-  | (n, _) :: rest when mem_name n names -> dropped_bytes (remove_first n names) rest
-  | (_, v) :: rest -> V.field_bytes (V.byte_size v) + dropped_bytes names rest
+  | (n, v) :: rest ->
+    let bit = match name_index n 0 names with -1 -> 0 | i -> 1 lsl i in
+    if bit <> 0 && met land bit = 0 then dropped_bytes names (met lor bit) rest
+    else V.field_bytes (V.byte_size v) + dropped_bytes names met rest
 
 (* The bytes of the outputs [vals] that their input [row] of [size] gives;
    {!walk_part} walks the rest. The carried columns are [size] less the
@@ -227,7 +232,7 @@ let row_part sz (row : Row.t) size (vals : V.t array) =
     match sz.derived.(j) with
     | k, Fields (s, names) when subtract -> (
       match row.(s) with
-      | V.Tuple fields -> total := !total - dropped_bytes names fields
+      | V.Tuple fields -> total := !total - dropped_bytes names 0 fields
       | w -> total := !total + Row.column_bytes vals.(k) - Row.column_bytes w)
     | _, Columns slots ->
       total := !total + Row.tuple_of_columns (Array.length slots);
@@ -716,13 +721,15 @@ type hashing = Own | Emit | Carried of int array
    A row is found its group by the G-keys {!Op.probe_keys} picks from
    [ids] — an id standing for the keys it determines — and its
    aggregation keys: only those are read, hashed and compared per row;
-   the other G-keys are read when the row opens a group, which takes its
-   keys' {!row_part} from that row and walks the rest when emitted.
+   the other G-keys are read from the row that opens a group straight into
+   its output row, which takes its keys' {!row_part} from that row and
+   walks the rest when emitted.
 
    The shuffle hash of a group is [hash_key] of its G-keys, or of its
    aggregation keys when there are no G-keys. When every G-key is probed,
    the probe's G-key fold is that hash, and with no G-keys the aggregation
-   fold is; otherwise [Emit] hashes a G-group's keys once, when it opens.
+   fold is; otherwise [Emit] hashes a G-group's keys once, when it opens,
+   through a per-slot memo of the last value's hash.
    With [Carried] hashes, the G-table probes with a row's hash, which equal
    probed keys give equal G-keys and so equal hashes, and the aggregation
    table folds only the aggregation keys onto it, or with no G-keys probes
@@ -752,21 +759,43 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
       @@ fun { gs; ags; gtbl; atbl; probe; _ } ->
       let g_equal g = same_slots probe gs.all.(g).vals gslots (Array.length gslots - 1)
       and a_equal a = same_slots probe ags.all.(a).vals aslots (Array.length aslots - 1) in
-      (* a new group's output row: the probe's first [w] keys, Null up to
-         the aggregates *)
-      let fresh s w r hash =
+      (* the shuffle hash of a G-group whose output row is [vals], opened
+         under the G-key hash [gh]: with unprobed keys, [hash_key] of its
+         G-keys, each value's hash kept per slot while the slot holds that
+         value physically — groups opened by sibling rows share their
+         ancestors' values *)
+      let g_hash =
+        match hashing with
+        | Emit when Array.length later > 0 ->
+          let prev = Array.make nk V.Null and hashes = Array.make nk (V.hash V.Null) in
+          fun (vals : V.t array) _ ->
+            let h = ref 17 in
+            for i = 0 to nk - 1 do
+              let v = vals.(i) in
+              if prev.(i) != v then begin
+                prev.(i) <- v;
+                hashes.(i) <- V.hash v
+              end;
+              h := (!h * 31) + hashes.(i)
+            done;
+            !h land max_int
+        | _ -> fun _ gh -> gh
+      in
+      (* a new group at the probe's first [w] keys, opened by row [r]: its
+         output row takes them, the G-keys no table compares read from the
+         row and Null up to the aggregates; [h] is its G-key hash for a
+         G-group, else its shuffle hash *)
+      let fresh s w r h =
+        let row = rows.(r) in
         let vals = Array.make width empty in
         Array.blit probe 0 vals 0 w;
-        Array.fill vals w (first_agg - w) V.Null;
-        let sz = if w = nk then g_sizer else a_sizer in
-        add_group s vals (row_part sz rows.(r) sizes.(r) vals) hash
-      in
-      (* the G-keys no table compares, read into the probe for a new group *)
-      let complete (row : Row.t) =
         for j = 0 to Array.length later - 1 do
           let i = later.(j) in
-          probe.(i) <- key.(i) row
-        done
+          vals.(i) <- key.(i) row
+        done;
+        Array.fill vals w (first_agg - w) V.Null;
+        if w = nk then add_group s vals (row_part g_sizer row sizes.(r) vals) (g_hash vals h)
+        else add_group s vals (row_part a_sizer row sizes.(r) vals) h
       in
       (* the key [slots] of [row] into the probe, continuing the hash fold *)
       let fill (row : Row.t) slots h =
@@ -787,24 +816,16 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
         done;
         h
       in
-      (* the shuffle hash of a G-group opened under the G-key hash [gh],
-         its G-keys in the probe *)
-      let g_hash =
-        match hashing with
-        | Emit when Array.length later > 0 -> fun _ -> hash_run probe 0 nk
-        | _ -> Fun.id
-      in
       (* The G-group of the probe. [sub] is the aggregation group that
          opens it, if any — such a G-group is never emitted and holds
-         [sub]'s values — or -1 when [row] opens it. *)
-      let g_group ~sub r row hash =
+         [sub]'s values — or -1 when row [r] opens it. *)
+      let g_group ~sub r hash =
         match Key_table.find_or_add gtbl hash g_equal gs.n with
         | -1 ->
-          if sub < 0 then begin
-            complete row;
-            fresh gs nk r (g_hash hash)
-          end
-          else add_group gs ags.all.(sub).vals 0 (g_hash hash)
+          if sub < 0 then fresh gs nk r hash
+          else
+            let vals = ags.all.(sub).vals in
+            add_group gs vals 0 (g_hash vals hash)
         | g -> g
       in
       let any_present = ref false in
@@ -816,10 +837,10 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
             | _ -> fill row gslots 17
           in
           let gh = gfold land max_int in
-          if not (present row) then ignore (g_group ~sub:(-1) r row gh)
+          if not (present row) then ignore (g_group ~sub:(-1) r gh)
           else begin
             any_present := true;
-            if first_agg = nk then fold gs.all.(g_group ~sub:(-1) r row gh) r row
+            if first_agg = nk then fold gs.all.(g_group ~sub:(-1) r gh) r row
             else
               let ah =
                 match hashing with
@@ -828,9 +849,8 @@ let nest ~ids ~keys ~agg_keys ~presence ~aggs ~empty ~global_empty names =
               in
               match Key_table.find_or_add atbl ah a_equal ags.n with
               | -1 ->
-                complete row;
                 let a = fresh ags first_agg r ah in
-                let g = gs.all.(g_group ~sub:a r row gh) and sub = ags.all.(a) in
+                let g = gs.all.(g_group ~sub:a r gh) and sub = ags.all.(a) in
                 sub.link <- g.link;
                 g.link <- a;
                 fold sub r row

@@ -47,14 +47,21 @@
     aggregation keys probes the G-key table only when it starts an
     aggregation group). Given the facts {!Op.ids} of their input, they
     probe by {!Op.probe_keys}: an id among the G-keys stands for the keys
-    it determines, which are read only when a row opens a group. Groups
-    live in growable arrays, a G-group's aggregation groups chained by
-    position; a group's value array is its output row, which aggregates
-    accumulate into as rows stream, and the output is allocated at the
-    exact count of rows emitted. Run as a map-side combine and a reduce,
-    Γ+ hashes each key once: the combine returns each partial row's
-    shuffle hash ({!nest_sum_combine}), and the reduce probes with it
-    ({!nest_sum_reduce}).
+    it determines. The probe holds only the keys the tables compare; the
+    others are read only when a row opens a group, from that row straight
+    into the group's new output row. Groups live in growable arrays, a
+    G-group's aggregation groups chained by position; a group's value
+    array is its output row, which aggregates accumulate into as rows
+    stream, and the output is allocated at the exact count of rows
+    emitted. Run as a map-side combine and a reduce, Γ+ hashes each key
+    once: the combine returns each partial row's shuffle hash
+    ({!nest_sum_combine}), and the reduce probes with it
+    ({!nest_sum_reduce}). When some G-keys go unprobed, the combine hashes
+    a G-group's keys when it opens, through a memo per call and per key
+    slot of the last value there (compared physically) and its
+    [Value.hash], seeded with [Null]'s: groups opened by sibling rows
+    share their ancestors' values, so most of those keys are not hashed
+    again.
 
     {b Borrowed scratch.} The two key tables, the two group stores and
     the probe array of that pass belong to the domain, not to the call,

@@ -101,11 +101,11 @@ let golden =
     ("select_nested de=true", "ccb2127f2076e1ca498d0628edca0ead");
     ("group_query de=true", "3c7f62a254f3d0a487d00fe162bcdbe1");
     ("dedup_query de=true", "22339887a0a9370d303e65f6dced47d4");
-    ("deep_nested de=true", "26e702b26845c8badbc4cc3586b8babc");
-    ("two_bags de=true", "df6d7c2feab58d5ade01b461f1542bc7");
+    ("deep_nested de=true", "63ca8b4fa8d3b5b52d9a538586ac2ddf");
+    ("two_bags de=true", "1862c1e6bccf6e563a5825dfde1d778a");
     ("group_in_nested de=true", "57b3d77cff9c5672bacbdfc71914f217");
-    ("union_nested de=true", "1f2ae0846baae2652d968e53e112aab0");
-    ("union_query de=true", "bdfdcee41ed709db5e0813ac18e1f5d2");
+    ("union_nested de=true", "ed4edd0b885f7b81b7a0eb09b08050a8");
+    ("union_query de=true", "b49d1d948f8d29d8e8b8cea4715c4caa");
     ("flat-to-nested-0 de=false", "7c0e0ce4c652d08094de465407f20369");
     ("flat-to-nested-0-wide de=false", "ef74bf18bfae98eb71b78967b8c1bdb3");
     ("flat-to-nested-1 de=false", "d09c6c7076b72b13b02dde7735e64cc8");
@@ -144,11 +144,11 @@ let golden =
     ("select_nested de=false", "7739e0f04f41469721191713769d423b");
     ("group_query de=false", "83145e9a7326df2639034cd5f4e625af");
     ("dedup_query de=false", "f39501475002d14f52b8337273765f4e");
-    ("deep_nested de=false", "b92b75340e731a097bf382b9f31fae22");
-    ("two_bags de=false", "fc35651e600989f44422b5a963711aad");
+    ("deep_nested de=false", "f7baf05e9c039a78cf058325323c5b06");
+    ("two_bags de=false", "549d30a36221bc2e610d66c35d7a8ad6");
     ("group_in_nested de=false", "2dd97fd8e7962e50aeb7f8a8e24fa707");
-    ("union_nested de=false", "9dff6b66ca313e8feb6219e6e587b2cb");
-    ("union_query de=false", "a01b0478ab518490410f2e6b43069f20");
+    ("union_nested de=false", "1525068d832a88b9c63d771555b3c952");
+    ("union_query de=false", "370e3612c9783f30ff9f8b7bfdda7dd0");
   ]
 
 let test_golden () =

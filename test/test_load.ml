@@ -11,7 +11,8 @@
     top bag in parallel, each starting its label counter where the chunks
     before it end. On a mismatch the test prints the actual table. A
     QCheck property checks the same on random nested values and partition
-    counts: the load on several lanes equals the load on one. *)
+    counts: the load on several lanes equals the load on one. Both check
+    that every loaded row carries its {!Plan.Row.byte_size}. *)
 
 module V = Nrc.Value
 module Q = Tpch.Queries
@@ -70,12 +71,25 @@ let rec value : V.t -> value = function
   | V.Tuple fs -> Tuple (List.map (fun (n, v) -> (n, value v)) fs)
   | V.Bag items -> Bag (List.map value items)
 
+(* the name of the first dataset holding a row whose carried size is not
+   its {!Plan.Row.byte_size}, if any: the loader sizes each element as it
+   builds it *)
+let missized datasets =
+  List.find_map
+    (fun (name, (d : Exec.Dataset.t)) ->
+      let wrong rows sizes = Array.exists2 (fun r s -> Plan.Row.byte_size r <> s) rows sizes in
+      if Array.exists2 wrong d.parts d.sizes then Some name else None)
+    datasets
+
 (* every dataset of one load, in name order: its key, then each partition's
    values; marshalled without sharing, so only structure counts *)
 let digest ~domains ~partitions (_, types, values) =
   Trance.Shred_type.reset_sites ();
   let cluster = { Exec.Config.default with partitions; domains } in
   let env = Trance.Api.load_shredded_inputs ~cluster types values in
+  Option.iter
+    (Alcotest.failf "%s: a row's carried size is not its byte_size")
+    (missized (List.of_seq (Hashtbl.to_seq env)));
   let datasets =
     List.sort compare
       (Hashtbl.fold
@@ -215,7 +229,10 @@ let prop_parallel_load =
        QCheck.Gen.(pair Qgen.gen_inputs (int_range 1 9)))
     (fun (inputs, partitions) ->
       let one = Exec.Pool.with_pool ~domains:1 (fun pool -> place pool ~partitions inputs) in
-      List.for_all
+      (match missized (List.concat_map (fun (_, _, ds) -> Option.value ds ~default:[]) one) with
+       | None -> true
+       | Some name -> QCheck.Test.fail_reportf "%s: a row's carried size is not its byte_size" name)
+      && List.for_all
         (fun domains ->
           Exec.Pool.with_pool ~domains (fun pool -> place pool ~partitions inputs) = one
           || QCheck.Test.fail_reportf "%d lanes differ" domains)

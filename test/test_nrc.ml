@@ -183,7 +183,7 @@ let test_eval_basics () =
       | v -> Alcotest.failf "%s answers %a" what V.pp v
       | exception Nrc.Eval.Eval_error m -> Alcotest.(check string) what text m)
     [ ("int division by zero", B.(int_ 1 / int_ 0), "division by zero: 1 / 0");
-      ("real division by zero", B.(real 1.5 / real 0.), "division by zero: 1.5 / 0");
+      ("real division by zero", B.(real 1.5 / real 0.), "division by zero: 1.5 / 0.0");
       ("division by a zero field", B.(int_ 7 / (input "x") #. "n"), "division by zero: 7 / x.n") ]
 
 let test_eval_get () =

@@ -693,6 +693,27 @@ let prop_phantom_sizes =
               (names, cogroup index (K.sized lrows))),
             per_item "rbs") ])
 
+(* A project narrowing a tuple subtracts the fields it drops, marking the
+   kept names met in the bits of an int: one kept from a tuple wider than
+   that (the first 62, then the first 70 of 80, fields kept in reverse
+   order, and one field met twice) must still size its rows exactly. *)
+let test_wide_narrowing () =
+  let fields n = List.init n (fun i -> (Printf.sprintf "f%d" i, V.Int i)) in
+  let dup = V.Tuple (fields 80 @ [ ("f3", V.Str "again") ]) in
+  List.iter
+    (fun keep ->
+      let names = [| "t" |] in
+      let narrow =
+        S.MkTuple (List.rev (List.init keep (fun i -> let f = Printf.sprintf "f%d" i in (f, S.path "t" [ f ]))))
+      in
+      let _, f = K.project [ ("t", narrow) ] names in
+      let rows, sizes = f (K.sized [| [| V.Tuple (fields 80) |]; [| dup |]; [| V.Null |] |]) in
+      Array.iteri
+        (fun i row ->
+          check_int (Printf.sprintf "keeping %d: row %d" keep i) (Row.byte_size row) sizes.(i))
+        rows)
+    [ 62; 70 ]
+
 let same_rows a b = Array.length a = Array.length b && Array.for_all2 (Array.for_all2 V.equal) a b
 
 let prop_kernel_chunks =
@@ -1024,11 +1045,19 @@ let prop_nest_oracle =
       in
       (* the same rows with [k] and [a] functions of [m], which so
          determines them and stands for them where it is a G-key *)
+      (* the keys [m] determines, Null for one [m] each, and one value per
+         [m] that every row of that [m] shares physically, as rows
+         unnested from one parent share its values *)
+      let determined =
+        Array.init 3 (fun m ->
+            ( (if m = 0 then V.Null else V.Bag [ V.Int m ]),
+              if m = 1 then V.Null else V.Tuple [ ("m", V.Int m) ] ))
+      in
       let by_m =
         Array.map
           (fun (r : Row.t) ->
-            let m = r.(2) in
-            Array.mapi (fun i v -> match i with 0 -> V.Bag [ m ] | 1 -> V.Tuple [ ("m", m) ] | _ -> v) r)
+            let k, a = determined.(match r.(2) with V.Int m -> m | _ -> 0) in
+            Array.mapi (fun i v -> match i with 0 -> k | 1 -> a | _ -> v) r)
           rows
       in
       let m_determines = { Op.unique = [ "m" ]; determines = [ ("m", [ "k"; "a" ]) ] } in
@@ -1041,7 +1070,9 @@ let prop_nest_oracle =
    hashes must be each partial's [hash_key] of its G-keys (else of its
    aggregation keys; a global aggregate's go unread), and a reduce over
    the partials of every partition that probes by those hashes and must
-   answer, bit for bit and in order, as [nest_sum] hashing its own keys. *)
+   answer, bit for bit and in order, as [nest_sum] hashing its own keys.
+   Keys an id determines are Null for some ids and shared physically by
+   the rows of one id, so the combine's memo of G-key hashes meets both. *)
 let prop_carried_hashes =
   QCheck.Test.make ~name:"nest_sum_combine's hashes are the shuffle's; nest_sum_reduce = nest_sum"
     ~count:(Fixtures.qcheck_count 300)
@@ -1085,11 +1116,19 @@ let prop_carried_hashes =
           ((fun (n, f) -> (n, f partials)) (K.nest_sum ~ids ~keys ~agg_keys ~aggs ~presence names))
         || QCheck.Test.fail_reportf "reduce by %s differs" name
       in
+      (* the keys [m] determines, Null for one [m] each, and one value per
+         [m] that every row of that [m] shares physically, as rows
+         unnested from one parent share its values *)
+      let determined =
+        Array.init 3 (fun m ->
+            ( (if m = 0 then V.Null else V.Bag [ V.Int m ]),
+              if m = 1 then V.Null else V.Tuple [ ("m", V.Int m) ] ))
+      in
       let by_m =
         Array.map
           (fun (r : Row.t) ->
-            let m = r.(2) in
-            Array.mapi (fun i v -> match i with 0 -> V.Bag [ m ] | 1 -> V.Tuple [ ("m", m) ] | _ -> v) r)
+            let k, a = determined.(match r.(2) with V.Int m -> m | _ -> 0) in
+            Array.mapi (fun i v -> match i with 0 -> k | 1 -> a | _ -> v) r)
           rows
       in
       let m_determines = { Op.unique = [ "m" ]; determines = [ ("m", [ "k"; "a" ]) ] } in
@@ -1671,6 +1710,7 @@ let () =
         Alcotest.test_case "hash_key pins" `Quick test_hash_key_pins
         :: Alcotest.test_case "label hashes: every producer folds once" `Quick test_label_hashes
         :: Alcotest.test_case "heavy keys: the sample's last row" `Quick test_heavy_keys_sample
+        :: Alcotest.test_case "a narrowing wider than an int's bits" `Quick test_wide_narrowing
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_kernel_sizes; prop_phantom_sizes; prop_kernel_chunks; prop_kernel_column_order;
                prop_compiled_column_order; prop_nest_oracle; prop_carried_hashes;
