@@ -814,8 +814,7 @@ let micro () =
         ~presence:always names
     in
     let _, reduce =
-      Plan.Kernel.nest_sum_reduce ~ids ~keys:gkeys ~agg_keys:[] ~aggs:[ ("s", col "s") ]
-        ~presence:always out
+      Plan.Kernel.nest_sum_reduce ~ids ~keys:gkeys ~agg_keys:[] ~aggs:[ ("s", col "q") ] out
     in
     fun () ->
       let partials, hashes = combine rows in

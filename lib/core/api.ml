@@ -348,36 +348,21 @@ let compile_shredded ?(config = default_config) (p : Nrc.Program.t) :
 (* ------------------------------------------------------------------ *)
 (* Execution *)
 
-let load_inputs ~cluster (types : (string * T.t) list)
-    (values : (string * V.t) list) : Exec.Executor.env =
-  ignore types;
-  let env = Hashtbl.create 16 in
-  List.iter
-    (fun (name, v) ->
-      Hashtbl.replace env name
-        (Exec.Dataset.of_bag ~partitions:cluster.Exec.Config.partitions v))
-    values;
-  env
-
-(* Shred the nested inputs on [pool] straight onto the cluster's
-   partitions ({!Shred_value.place}): each top bag round-robin, each
-   dictionary by label, with its label guarantee. Other inputs load
-   round-robin under the name the registry gives them. *)
-let load_shredded ~pool ~cluster (types : (string * T.t) list)
-    (values : (string * V.t) list) : Exec.Executor.env =
+(* The inputs as stored datasets: on the shredded route, every nested bag
+   shredded on [pool] ({!Shred_value.place}); on the others, each input
+   round-robin under its own name. *)
+let load ~shred ~pool ~cluster types values : Exec.Executor.env =
   let partitions = cluster.Exec.Config.partitions in
-  let env = Hashtbl.create 16 in
-  List.iter
-    (fun (name, v, shredded) ->
-      match shredded with
-      | Some datasets -> List.iter (fun (n, d) -> Hashtbl.replace env n d) datasets
-      | None -> Hashtbl.replace env name (Exec.Dataset.of_bag ~partitions v))
-    (Shred_value.place pool ~partitions types values);
-  env
+  Exec.Executor.env_of_list
+    (if shred then Shred_value.place pool ~partitions types values
+     else List.map (fun (name, v) -> (name, Exec.Dataset.of_bag ~partitions v)) values)
+
+let load_inputs ~cluster types values =
+  Exec.Pool.with_pool ~domains:1 (fun pool -> load ~shred:false ~pool ~cluster types values)
 
 let load_shredded_inputs ~cluster types values =
   Exec.Pool.with_pool ~domains:cluster.Exec.Config.domains (fun pool ->
-      load_shredded ~pool ~cluster types values)
+      load ~shred:true ~pool ~cluster types values)
 
 (* [fell_back] exactly when an earlier route's failure was abandoned *)
 let degradation_of (s : Exec.Stats.snapshot) ~answered_by ~first_failure =
@@ -456,7 +441,7 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
   in
   let prepared =
     catch_failure (fun () ->
-        let steps, load =
+        let steps, shred =
           match strategy with
           | Standard | SparkSQL_proxy ->
             let plans, result_name =
@@ -464,7 +449,7 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
                   (compile_standard ~config p, Nrc.Program.result_name p))
             in
             ( (List.map (fun (name, plan) -> (name, name, plan)) plans, result_name),
-              fun ~pool:_ -> load_inputs )
+              false )
           | Shredded { unshred } -> (
             let compiled = in_phase "compile" (fun () -> compile_shredded ~config p) in
             let plans =
@@ -476,7 +461,7 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
             ( (match unshred, compiled.unshred_plan with
               | true, Some uplan -> (plans @ [ ("Unshred", "Unshred", uplan) ], "Unshred")
               | _ -> (plans, compiled.pipeline.Shred_pipeline.top)),
-              load_shredded ))
+              true ))
         in
         (* the pool is spawned once per run, before loading, which runs on
            it too, and outside the timed region, so wall_seconds measures
@@ -485,7 +470,7 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
           in_phase "pool" (fun () -> Exec.Pool.create ~domains:cluster.Exec.Config.domains)
         in
         match
-          in_phase "load" (fun () -> load ~pool ~cluster p.Nrc.Program.inputs input_values)
+          in_phase "load" (fun () -> load ~shred ~pool ~cluster p.Nrc.Program.inputs input_values)
         with
         | env -> (steps, env, pool)
         | exception e ->

@@ -162,7 +162,13 @@ type shredded_compiled = {
 
 val compile_shredded : ?config:config -> Nrc.Program.t -> shredded_compiled
 
-(** {2 Input loading} *)
+(** {2 Input loading}
+
+    {!run} loads its inputs on its run's pool: each round-robin under its
+    own name on the Standard routes, all through {!Shred_value.place} on
+    the shredded route. These wrappers load the same two ways, the second
+    on a temporary pool of [cluster.domains] lanes; they are kept only
+    for the benchmark harness, which times the load on its own. *)
 
 val load_inputs :
   cluster:Exec.Config.t ->
@@ -175,11 +181,6 @@ val load_shredded_inputs :
   (string * Nrc.Types.t) list ->
   (string * Nrc.Value.t) list ->
   Exec.Executor.env
-(** Value-shred nested inputs straight onto [cluster]'s partitions
-    ({!Shred_value.place}), on a temporary pool of [cluster.domains]
-    lanes — {!run} loads on its run's pool the same way. The dictionaries
-    the shredder made are loaded with their label partitioning guarantee,
-    every other dataset without one, whatever its name. *)
 
 (** {2 Execution} *)
 

@@ -60,7 +60,7 @@ let rec col_expr (e : S.t) : string =
 and const (v : Nrc.Value.t) : string =
   match v with
   | Nrc.Value.Int i -> Printf.sprintf "lit(%d)" i
-  | Nrc.Value.Real r -> Printf.sprintf "lit(%g)" r
+  | Nrc.Value.Real r -> Printf.sprintf "lit(%s)" (Nrc.Value.real_to_string r)
   | Nrc.Value.Str s -> Printf.sprintf "lit(%S)" s
   | Nrc.Value.Bool b -> Printf.sprintf "lit(%b)" b
   | Nrc.Value.Date d -> Printf.sprintf "lit(%d) /* date */" d

@@ -27,15 +27,13 @@ let total_rows t =
 (* A stored dataset: each element a one-column row, in the partition
    [place i row] gives the [i]-th, and sized once, here. *)
 let load ~partitions ?key place (v : V.t) : t =
-  let parts = Array.make partitions [] in
+  let parts = Array.init partitions (fun _ -> K.buf ()) in
   List.iteri
     (fun i item ->
       let row = [| item |] in
-      let p = place i row in
-      parts.(p) <- row :: parts.(p))
+      K.push parts.(place i row) row (Row.byte_size row))
     (V.bag_items v);
-  make ~key [| "item" |]
-    (Array.map (fun rev -> K.sized (Row.array_of_list Row.empty (List.rev rev))) parts)
+  make ~key [| "item" |] (Array.map (fun b -> K.contents [ b ]) parts)
 
 (** Round-robin distribution of a bag's elements (no guarantee), mirroring
     block distribution of freshly loaded data. *)

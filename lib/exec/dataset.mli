@@ -11,7 +11,9 @@
     A {e stored} dataset — a loaded input, or an assignment's result that
     later assignments scan — has the single column ["item"] holding each
     element of its bag (a top-level tuple: the granularity at which Spark
-    distributes collections). Loading builds its rows and sizes once;
+    distributes collections). Loading builds its rows and sizes once,
+    pushing each element's row to its partition's {!Plan.Kernel.buf}
+    ({!of_bag}, {!of_bag_by}, and {!Trance.Shred_value.place}'s chunks);
     {!Executor.run_plan} packs a plan's rows into it once
     ({!Plan.Kernel.pack}); a [Scan] only renames the column to its
     binder. *)

@@ -647,21 +647,12 @@ let exec (st : state) (op : Op.t) (inputs : Dataset.t list) : Dataset.t =
     account st ~stage:"nest_sum(combine)" ~spill:(Spill_parts [ r.bytes ])
       [ r.bytes ] partials;
     (* reduce side: sum the partial sums, each partial row carrying its
-       shuffle hash from the combine. Its keys are the combine's output
-       columns, so the combine's own facts say which id stands for which
-       of them. *)
-    let keys' = List.map (fun (n, _) -> (n, S.Col [ n ])) keys in
-    let agg_keys' = List.map (fun (n, _) -> (n, S.Col [ n ])) agg_keys in
-    let aggs' = List.map (fun (n, _) -> (n, S.Col [ n ])) aggs in
-    let presence' =
-      match agg_keys with
-      | [] -> S.Const (V.Bool true)
-      | (n, _) :: _ -> S.Not (S.IsNull (S.Col [ n ]))
-    in
+       shuffle hash from the combine, shuffled on the key columns, which
+       the keys name as they name the output's *)
+    let cols = List.map (fun (n, _) -> (n, S.Col [ n ])) in
     grouped st ~shuffle_at:"nest_sum" ~stage:"nest_sum" ~hashes:(Array.map snd combined)
-      partials ~keys:keys' ~agg_keys:agg_keys'
-      (K.nest_sum_reduce ~ids:(Op.ids op) ~keys:keys' ~agg_keys:agg_keys' ~aggs:aggs'
-         ~presence:presence')
+      partials ~keys:(cols keys) ~agg_keys:(cols agg_keys)
+      (K.nest_sum_reduce ~ids:(Op.ids op) ~keys ~agg_keys ~aggs)
   | Op.Dedup child, [ r ] ->
     let key_exprs = List.map (fun c -> S.Col [ c ]) (Op.columns child) in
     let r', _ = ensure_partitioned st ~stage:"dedup" r key_exprs in

@@ -77,7 +77,8 @@ let key_hasher keys names =
 let sized rows : sized = (rows, Array.map Row.byte_size rows)
 
 (* Rows and their sizes, appended in order into chunks small enough for
-   the minor heap (growing from 8 to 256 slots, so a short output stays
+   the minor heap (none until the first row, then growing from 8 to 256
+   slots, so an empty output allocates nothing and a short one stays
    short), so an output of unknown length costs the major heap only its
    final arrays. *)
 type buf = {
@@ -88,13 +89,12 @@ type buf = {
   mutable total : int;
 }
 
-let buf () =
-  { full = []; rows = Array.make 8 Row.empty; sizes = Array.make 8 0; n = 0; total = 0 }
+let buf () = { full = []; rows = [||]; sizes = [||]; n = 0; total = 0 }
 
 let push b row size =
   if b.n = Array.length b.rows then begin
-    let next = min 256 (2 * b.n) in
-    b.full <- (b.rows, b.sizes) :: b.full;
+    let next = max 8 (min 256 (2 * b.n)) in
+    if b.n > 0 then b.full <- (b.rows, b.sizes) :: b.full;
     b.rows <- Array.make next Row.empty;
     b.sizes <- Array.make next 0;
     b.n <- 0
@@ -104,16 +104,21 @@ let push b row size =
   b.n <- b.n + 1;
   b.total <- b.total + 1
 
-let contents b : sized =
-  let rows = Array.make b.total Row.empty and sizes = Array.make b.total 0 in
-  let at = ref b.total in
+(* the buffers end to end, filled from the last one's newest chunk back *)
+let contents bufs : sized =
+  let total = List.fold_left (fun acc b -> acc + b.total) 0 bufs in
+  let rows = Array.make total Row.empty and sizes = Array.make total 0 in
+  let at = ref total in
   let put r s n =
     at := !at - n;
     Array.blit r 0 rows !at n;
     Array.blit s 0 sizes !at n
   in
-  put b.rows b.sizes b.n;
-  List.iter (fun (r, s) -> put r s (Array.length r)) b.full;
+  List.iter
+    (fun b ->
+      put b.rows b.sizes b.n;
+      List.iter (fun (r, s) -> put r s (Array.length r)) b.full)
+    (List.rev bufs);
   (rows, sizes)
 
 (* [vals] plus one trailing value *)
@@ -398,7 +403,7 @@ let join ~lkey ~kind lnames rnames =
               j := ix.next.(!j)
             done)
         lrows;
-      contents out )
+      contents [ out ] )
 
 (* [presence] and [item] read each match's two sides in place: no joined
    row is built. The keys are sized over the left row, the item over the
@@ -458,7 +463,7 @@ let cogroup ~lkey ~kind ~keys ~item ~presence ~out lnames rnames =
             push rows vals (size keys_sizer keys_memo lrow lsizes.(i) vals + Row.bag_column !bytes)
           end)
         lrows;
-      contents rows )
+      contents [ rows ] )
 
 (* every left row meets every right row *)
 let product lnames rnames =
@@ -475,7 +480,7 @@ let product lnames rnames =
 let filter keep ((rows, sizes) : sized) : sized =
   let out = buf () in
   Array.iteri (fun i row -> if keep row then push out row sizes.(i)) rows;
-  contents out
+  contents [ out ]
 
 let select p names = (names, filter (S.compile_pred names p))
 
@@ -570,7 +575,7 @@ let unnest ~path ~binder ~outer ~drop names =
           | [] -> if outer then push out (snoc pvals V.Null) (parent + V.byte_size V.Null)
           | items -> List.iteri (fun i v -> push out (snoc pvals v) (parent + ib.(i))) items)
         rows;
-      contents out )
+      contents [ out ] )
 
 (* the first of equal rows (equal values, column by column) stays *)
 let dedup names =
@@ -588,7 +593,7 @@ let dedup names =
           if Key_table.find_or_add tbl (hash_run row 0 (Array.length row)) equal i < 0
           then push out row sizes.(i))
         rows;
-      contents out )
+      contents [ out ] )
 
 let align cols names =
   let column c = (c, if Row.slot names c = None then S.Const V.Null else S.Col [ c ]) in
@@ -623,7 +628,7 @@ let split_by_keys keys names =
         let is_heavy = w = hk.width && Key_table.find hk.tbl h equal >= 0 in
         push (if is_heavy then heavy else light) row sizes.(i))
       rows;
-    (contents light, contents heavy)
+    (contents [ light ], contents [ heavy ])
 
 (* ------------------------------------------------------------------ *)
 (* Nest operators *)
@@ -948,6 +953,14 @@ let nest_sum_combine ~ids ~keys ~agg_keys ~aggs ~presence names =
   let out_names, pass = sum_pass ~ids ~keys ~agg_keys ~aggs ~presence names in
   (out_names, fun rows -> let out, sizes, hashes = pass Emit rows in ((out, sizes), hashes))
 
-let nest_sum_reduce ~ids ~keys ~agg_keys ~aggs ~presence names =
-  let out_names, pass = sum_pass ~ids ~keys ~agg_keys ~aggs ~presence names in
+(* the combine's output holds each key and sum under its own name, and a
+   partial row is present exactly when its first aggregation key is set *)
+let nest_sum_reduce ~ids ~keys ~agg_keys ~aggs names =
+  let cols = List.map (fun (n, _) -> (n, S.Col [ n ])) in
+  let presence =
+    match agg_keys with [] -> S.Const (V.Bool true) | (n, _) :: _ -> S.Not (S.IsNull (S.Col [ n ]))
+  in
+  let out_names, pass =
+    sum_pass ~ids ~keys:(cols keys) ~agg_keys:(cols agg_keys) ~aggs:(cols aggs) ~presence names
+  in
   (out_names, fun hashes rows -> let out, sizes, _ = pass (Carried hashes) rows in (out, sizes))

@@ -94,6 +94,17 @@ val key_hasher : Sexpr.t list -> names -> Row.t -> int
 val sized : Row.t array -> sized
 (** Rows with their sizes, walked. *)
 
+type buf
+(** Sized rows of unknown number, appended in order into chunks small
+    enough for the minor heap: every kernel's and loader's output. *)
+
+val buf : unit -> buf
+val push : buf -> Row.t -> int -> unit
+
+val contents : buf list -> sized
+(** The buffers' rows and sizes end to end, in order, at their exact
+    total length. *)
+
 val add_index : col:string -> names -> names * ((int -> int) -> sized -> sized)
 (** Append the column [col] holding [Int (id i)] to the [i]-th row; [id]
     is called in row order. *)
@@ -216,13 +227,13 @@ val nest_sum_reduce :
   keys:(string * Sexpr.t) list ->
   agg_keys:(string * Sexpr.t) list ->
   aggs:(string * Sexpr.t) list ->
-  presence:Sexpr.t ->
   names ->
   names * (int array -> sized -> sized)
-(** {!nest_sum} as the reduce, over partial rows that arrive with their
-    {!nest_sum_combine} hashes, position by position (unread when there
-    are no keys): the G-key table probes with a row's hash, which equal
-    probed keys give equal G-keys and so equal hashes, and the
-    aggregation table folds only the aggregation keys onto it (with no
-    G-keys, it probes with the hash itself). Rows, sizes and order are
-    {!nest_sum}'s. *)
+(** {!nest_sum} as the reduce, given the [keys], [agg_keys] and [aggs]
+    its {!nest_sum_combine} took and that combine's output [names], over
+    partial rows that arrive with their combine hashes, position by
+    position (unread when there are no keys): the G-key table probes with
+    a row's hash, which equal probed keys give equal G-keys and so equal
+    hashes, and the aggregation table folds only the aggregation keys
+    onto it (with no G-keys, it probes with the hash itself). Rows, sizes
+    and order are {!nest_sum}'s. *)

@@ -53,6 +53,17 @@ let test_flat_join_scala () =
   check "no outer machinery" false
     (contains scala "explode_outer" || contains scala "left_outer")
 
+(* a real constant stays a real, with every digit it needs to read back *)
+let test_real_literals () =
+  let scala r =
+    gen
+      Nrc.Builder.(
+        for_ "p" (input "Part") (fun p ->
+            where (p #. "price" == real r) (sng (record [ ("pid", p #. "pid") ]))))
+  in
+  check "1.5e3 is lit(1500.0)" true (contains (scala 1.5e3) "lit(1500.0)");
+  check "0.1234567 keeps its digits" true (contains (scala 0.1234567) "lit(0.1234567)")
+
 let test_shredded_program_scala () =
   let prog =
     Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" Fixtures.example1
@@ -148,6 +159,7 @@ let () =
         [
           Alcotest.test_case "example1 structure" `Quick test_example1_scala;
           Alcotest.test_case "flat join" `Quick test_flat_join_scala;
+          Alcotest.test_case "real literals" `Quick test_real_literals;
           Alcotest.test_case "shredded program" `Quick
             test_shredded_program_scala;
           Alcotest.test_case "corpus well-formed" `Quick test_corpus_wellformed;

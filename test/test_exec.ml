@@ -635,6 +635,28 @@ let route_strategies =
   Trance.Api.
     [ Standard; Shredded { unshred = false }; Shredded { unshred = true }; SparkSQL_proxy ]
 
+(* An input value that is no bag, flat or nested, fails every route's
+   load typed, as [Error "load: ..."]: never an exception, never run. *)
+let test_load_errors_typed () =
+  let prog = Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" Fixtures.example1 in
+  List.iter
+    (fun input ->
+      let values =
+        List.map (fun (n, v) -> (n, if n = input then V.Int 3 else v)) Fixtures.inputs_val
+      in
+      List.iter
+        (fun strategy ->
+          let what = Printf.sprintf "%s holding no bag [%s]" input (Trance.Api.strategy_name strategy) in
+          match Trance.Api.run ~config:api_config ~strategy prog values with
+          | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+          | { failure = Some (Trance.Api.Error msg); steps = []; _ } ->
+            check (what ^ ": " ^ msg) true (String.starts_with ~prefix:"load: " msg)
+          | { failure; _ } ->
+            Alcotest.failf "%s: unexpected outcome %s" what
+              (Option.fold ~none:"(answered)" ~some:Trance.Api.failure_message failure))
+        route_strategies)
+    [ "COP"; "Part" ]
+
 (* A division by zero, int or real, that a kernel evaluates is a typed
    failure of its step naming the division: never an answer, never an
    exception constructor. *)
@@ -1689,6 +1711,8 @@ let () =
             test_bag_keyed_source_rejected;
           Alcotest.test_case "compile errors fail typed, every route" `Quick
             test_compile_errors_typed;
+          Alcotest.test_case "inputs that are no bag fail the load typed, every route" `Quick
+            test_load_errors_typed;
           Alcotest.test_case "rows holding bags, every route" `Quick
             test_bag_carrying_routes;
           Alcotest.test_case "user names like generated ones, every route"

@@ -1,6 +1,5 @@
 (** A golden table of every loaded shredded dataset. For the inputs of the
-    30 TPC-H cells and of biomed, {!Trance.Api.load_shredded_inputs}
-    shreds each nested input into its top bag and dictionaries and places
+    30 TPC-H cells and of biomed, {!Trance.Shred_value.place} shreds each nested input into its top bag and dictionaries and places
     them on the cluster's partitions: top rows round-robin, dictionary rows
     by the hash of their label. One [Digest] per case covers every
     dataset's name, values, labels, partition by partition in order, and
@@ -12,7 +11,9 @@
     before it end. On a mismatch the test prints the actual table. A
     QCheck property checks the same on random nested values and partition
     counts: the load on several lanes equals the load on one. Both check
-    that every loaded row carries its {!Plan.Row.byte_size}. *)
+    that every loaded row carries its {!Plan.Row.byte_size}. Label sites
+    follow the order a depth-first walk first meets each path, also when
+    a path is first met in a later chunk. *)
 
 module V = Nrc.Value
 module Q = Tpch.Queries
@@ -81,23 +82,24 @@ let missized datasets =
       if Array.exists2 wrong d.parts d.sizes then Some name else None)
     datasets
 
+(* the stored datasets of one load on [domains] lanes, with fresh label
+   sites *)
+let load ~domains ~partitions types values =
+  Trance.Shred_type.reset_sites ();
+  Exec.Pool.with_pool ~domains (fun pool -> Trance.Shred_value.place pool ~partitions types values)
+
 (* every dataset of one load, in name order: its key, then each partition's
    values; marshalled without sharing, so only structure counts *)
 let digest ~domains ~partitions (_, types, values) =
-  Trance.Shred_type.reset_sites ();
-  let cluster = { Exec.Config.default with partitions; domains } in
-  let env = Trance.Api.load_shredded_inputs ~cluster types values in
-  Option.iter
-    (Alcotest.failf "%s: a row's carried size is not its byte_size")
-    (missized (List.of_seq (Hashtbl.to_seq env)));
+  let loaded = load ~domains ~partitions types values in
+  Option.iter (Alcotest.failf "%s: a row's carried size is not its byte_size") (missized loaded);
   let datasets =
     List.sort compare
-      (Hashtbl.fold
-         (fun name (d : Exec.Dataset.t) acc ->
+      (List.map
+         (fun (name, (d : Exec.Dataset.t)) ->
            let path = function Plan.Sexpr.Col (_ :: path) -> path | _ -> [] in
-           (name, Option.map (List.map path) d.key, Array.map (Array.map value) (Fixtures.elements d))
-           :: acc)
-         env [])
+           (name, Option.map (List.map path) d.key, Array.map (Array.map value) (Fixtures.elements d)))
+         loaded)
   in
   Digest.to_hex (Digest.string (Marshal.to_string datasets [ Marshal.No_sharing ]))
 
@@ -214,10 +216,27 @@ let check_table ~domains ~partitions () =
       (String.concat "\n"
          (List.map (fun (k, d) -> Printf.sprintf "    (%S, %S);" k d) actual))
 
-(* the shredded datasets, loaded with fresh label sites *)
-let place pool ~partitions inputs =
-  Trance.Shred_type.reset_sites ();
-  Trance.Shred_value.place pool ~partitions Qgen.inputs_ty inputs
+(* A level holding two bag fields, [A] with an inner bag and [B]: a path
+   can be first met in a later chunk than a path after it in type order. *)
+let m_ty =
+  Nrc.Types.(
+    bag
+      (tuple
+         [ ("k", int_);
+           ("A", bag (tuple [ ("x", int_); ("inner", bag (tuple [ ("y", int_) ])) ]));
+           ("B", bag (tuple [ ("z", int_) ])) ]))
+
+let m_row k a b = V.Tuple [ ("k", V.Int k); ("A", V.Bag a); ("B", V.Bag b) ]
+let a_item x inner = V.Tuple [ ("x", V.Int x); ("inner", V.Bag inner) ]
+let field name i = V.Tuple [ (name, V.Int i) ]
+
+(* [A] and [inner] mostly empty, so [A.inner] is often first met late *)
+let gen_m =
+  let open QCheck.Gen in
+  let few g = frequency [ (2, return []); (1, list_size (int_bound 3) g) ] in
+  let int = int_bound 5 in
+  let a = map2 a_item int (few (map (field "y") int)) in
+  map (fun rows -> V.Bag rows) (list_size (int_bound 24) (map3 m_row int (few a) (few (map (field "z") int))))
 
 let prop_parallel_load =
   QCheck.Test.make ~name:"a load on 2 and 4 lanes = the load on one"
@@ -226,17 +245,47 @@ let prop_parallel_load =
        ~print:(fun (inputs, partitions) ->
          Printf.sprintf "%d partitions: %s" partitions
            (String.concat "; " (List.map (fun (n, v) -> n ^ " = " ^ V.to_string v) inputs)))
-       QCheck.Gen.(pair Qgen.gen_inputs (int_range 1 9)))
+       QCheck.Gen.(
+         pair (map2 (fun inputs m -> inputs @ [ ("M", m) ]) Qgen.gen_inputs gen_m) (int_range 1 9)))
     (fun (inputs, partitions) ->
-      let one = Exec.Pool.with_pool ~domains:1 (fun pool -> place pool ~partitions inputs) in
-      (match missized (List.concat_map (fun (_, _, ds) -> Option.value ds ~default:[]) one) with
+      let types = Qgen.inputs_ty @ [ ("M", m_ty) ] in
+      let one = load ~domains:1 ~partitions types inputs in
+      (match missized one with
        | None -> true
        | Some name -> QCheck.Test.fail_reportf "%s: a row's carried size is not its byte_size" name)
       && List.for_all
         (fun domains ->
-          Exec.Pool.with_pool ~domains (fun pool -> place pool ~partitions inputs) = one
+          load ~domains ~partitions types inputs = one
           || QCheck.Test.fail_reportf "%d lanes differ" domains)
         [ 2; 4 ])
+
+(* Sixteen items whose [A] is empty but for item 8's, which starts a chunk
+   on 2 lanes (8 chunks) and on 4 (16): [A] and [B] are met at the first
+   item, [A.inner] only there. Sites follow the depth-first first meet —
+   [A], [B], [A.inner] — not type order, on every pool size. *)
+let test_site_order () =
+  let items =
+    List.init 16 (fun i ->
+        if i = 8 then m_row i [ a_item 1 [ field "y" 2 ] ] [] else m_row i [] [ field "z" i ])
+  in
+  List.iter
+    (fun domains ->
+      let loaded = load ~domains ~partitions:3 [ ("M", m_ty) ] [ ("M", V.Bag items) ] in
+      (* the sites of the labels in [col] of dataset [name]'s elements *)
+      let sites name col =
+        List.sort_uniq compare
+          (List.map
+             (function
+               | V.Tuple fields -> (
+                 match List.assoc col fields with V.Label { site; _ } -> site | _ -> -1)
+               | _ -> -1)
+             (V.bag_items (Exec.Dataset.to_bag (List.assoc name loaded))))
+      in
+      Alcotest.(check (list (pair string (list int))))
+        (Printf.sprintf "sites on %d lanes" domains)
+        [ ("A", [ 1 ]); ("B", [ 2 ]); ("A.inner", [ 3 ]) ]
+        [ ("A", sites "M_F" "A"); ("B", sites "M_F" "B"); ("A.inner", sites "M_D_A" "inner") ])
+    [ 1; 2; 4 ]
 
 (* Malformed nested inputs fail the load with the error a depth-first walk
    meets first, whichever lane shreds the item holding it. *)
@@ -263,12 +312,8 @@ let test_malformed () =
             List.init 40 (fun k -> good k) @ [ bad ] @ List.init 40 (fun k -> good k)
             @ [ n 99 (V.Bag [ V.Int 0 ]) ]
           in
-          let cluster = { Exec.Config.default with partitions = 7; domains } in
           let message =
-            match
-              Trance.Shred_type.reset_sites ();
-              Trance.Api.load_shredded_inputs ~cluster Qgen.inputs_ty [ ("N", V.Bag items) ]
-            with
+            match load ~domains ~partitions:7 Qgen.inputs_ty [ ("N", V.Bag items) ] with
             | _ -> "loaded"
             | exception Trance.Unnest.Unsupported m -> m
             | exception Invalid_argument m -> m
@@ -292,5 +337,6 @@ let () =
           [ 1; 2; 4 ] );
       ( "parallel",
         [ QCheck_alcotest.to_alcotest prop_parallel_load;
-          Alcotest.test_case "malformed inputs fail at the first error" `Quick test_malformed ] );
+          Alcotest.test_case "malformed inputs fail at the first error" `Quick test_malformed;
+          Alcotest.test_case "sites in first-meet order across chunks" `Quick test_site_order ] );
     ]

@@ -1103,6 +1103,7 @@ let prop_carried_hashes =
         || Array.for_all2 (fun row h -> h = K.hash_key (Array.to_list (key row))) (fst partials) hashes
         || QCheck.Test.fail_reportf "combine by %s: a hash is not its shuffle keys'" name)
         &&
+        let names', reduce = K.nest_sum_reduce ~ids ~keys ~agg_keys ~aggs names in
         (* the reduce's keys are the combine's output columns *)
         let keys = List.map (fun (n, _) -> (n, col n)) keys
         and agg_keys = List.map (fun (n, _) -> (n, col n)) agg_keys
@@ -1110,7 +1111,6 @@ let prop_carried_hashes =
         let presence =
           match agg_keys with [] -> S.Const (V.Bool true) | (n, _) :: _ -> S.Not (S.IsNull (col n))
         in
-        let names', reduce = K.nest_sum_reduce ~ids ~keys ~agg_keys ~aggs ~presence names in
         identical_rows
           (names', reduce (if global then [||] else hashes) partials)
           ((fun (n, f) -> (n, f partials)) (K.nest_sum ~ids ~keys ~agg_keys ~aggs ~presence names))
@@ -1335,13 +1335,7 @@ let test_label_hashes () =
       ( "Shred_value.shred_bag",
         V.Bag (shredded.Trance.Shred_value.top :: List.map snd shredded.Trance.Shred_value.dicts) );
       ( "Shred_value.place",
-        V.Bag
-          (List.concat_map
-             (fun (_, _, datasets) ->
-               List.concat_map
-                 (fun (_, d) -> V.bag_items (Exec.Dataset.to_bag d))
-                 (Option.value datasets ~default:[]))
-             placed) );
+        V.Bag (List.concat_map (fun (_, d) -> V.bag_items (Exec.Dataset.to_bag d)) placed) );
       ("default_of_type", V.default_of_type Nrc.Types.TLabel);
       ( "canonicalize",
         V.canonicalize (V.label ~site:2 [ V.Bag [ V.Int 2; V.Int 1 ]; V.label ~site:1 [ V.Int 4 ] ]) );

@@ -186,9 +186,12 @@ let test_big_partitions () =
     Exec.Executor.reset_ids ();
     Trance.Shred_type.reset_sites ();
     let c = Trance.Api.compile_shredded ~config prog in
-    let env = Trance.Api.load_shredded_inputs ~cluster prog.Nrc.Program.inputs inputs in
     let stats = Exec.Stats.create () and checkpoint = Exec.Checkpoint.make cluster in
     Pool.with_pool ~domains (fun pool ->
+        let env =
+          Exec.Executor.env_of_list
+            (Trance.Shred_value.place pool ~partitions:cluster.partitions prog.Nrc.Program.inputs inputs)
+        in
         let run_plan plan =
           Exec.Executor.run_plan ~checkpoint ~pool ~config:cluster ~stats env plan
         in

@@ -51,6 +51,11 @@ let test_shredded_inputs () =
       (rest = [ ("odate", T.date); ("oparts", T.TLabel) ])
   | _ -> Alcotest.fail "unexpected dict type")
 
+(* every input as the shredded route stores it, on one lane *)
+let place types values =
+  Exec.Pool.with_pool ~domains:1 (fun pool ->
+      Trance.Shred_value.place pool ~partitions:Exec.Config.default.partitions types values)
+
 (* The shredder records which datasets are dictionaries where it makes
    them, and the loader and the shredded compiler read that record:
    every input dictionary of the ten TPC-H nested inputs and of biomed is
@@ -74,17 +79,13 @@ let test_recorded_roles () =
   let input_dicts = ref 0 in
   List.iter
     (fun inputs ->
-      let env =
-        Trance.Api.load_shredded_inputs ~cluster:Exec.Config.default inputs
-          (List.map (fun (n, _) -> (n, V.Bag [])) inputs)
-      in
       let dicts = List.concat_map (fun (n, ty) -> dicts_of n ty) inputs in
       input_dicts := !input_dicts + List.length dicts;
-      Hashtbl.iter
-        (fun n (ds : Exec.Dataset.t) ->
+      List.iter
+        (fun (n, (ds : Exec.Dataset.t)) ->
           check (n ^ " loaded with the label guarantee") (List.mem n dicts)
             (ds.key = Some [ Plan.Sexpr.Col [ "item"; "label" ] ]))
-        env)
+        (place inputs (List.map (fun (n, _) -> (n, V.Bag [])) inputs)))
     (List.map (fun i -> [ i ]) nested @ [ Biomed.Schema.inputs_ty ]);
   (* levels 0-4 nest 0-4 deep, narrow and wide; biomed nests three bags *)
   check_int "every input dictionary seen" 23 !input_dicts;
@@ -440,9 +441,8 @@ let prop_lookalike_names =
       let expected = Nrc.Program.eval_result p values in
       let mat = (Trance.Api.compile_shredded p).pipeline.mat in
       let inputs = List.map fst mat.inputs in
-      let env = Trance.Api.load_shredded_inputs ~cluster:Exec.Config.default p.inputs values in
+      let loaded = List.sort compare (List.map fst (place p.inputs values)) in
       let r = Trance.Api.run ~strategy:(Trance.Api.Shredded { unshred = true }) p values in
-      let loaded = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) env []) in
       let targets = List.map (fun (a : Nrc.Program.assignment) -> a.target) mat.assignments in
       if not (distinct (inputs @ targets)) then
         QCheck.Test.fail_reportf "two datasets share a name:@.%s" (Nrc.Program.to_string mat);
