@@ -129,37 +129,29 @@ let outcome (r : run) : outcome =
     then Degraded
     else Completed
 
-(* Per-step accumulator: (step, stats slice, assignment spans in reverse).
-   Survives a mid-run memory failure because it lives in a ref the caller
-   holds on to. *)
-type step_acc = (string * Exec.Stats.snapshot * Exec.Trace.span list) list
-
-let record_step ~stats ~trace ~before ~step (acc : step_acc ref) : unit =
-  let slice = Exec.Stats.diff (Exec.Stats.snapshot stats) before in
-  let span = Option.bind trace Exec.Trace.last_root in
-  acc :=
-    match !acc with
-    | (s, sl, spans) :: rest when s = step ->
-      ( s,
-        Exec.Stats.merge sl slice,
-        (match span with None -> spans | Some sp -> sp :: spans) )
-      :: rest
-    | l -> (step, slice, Option.to_list span) :: l
-
-let reports_of (acc : step_acc) : step_report list =
-  List.rev_map
-    (fun (step, slice, spans) ->
-      {
-        step;
-        sim_seconds = slice.Exec.Stats.sim_seconds;
-        stats = slice;
-        trace =
-          (match List.rev spans with
-          | [] -> None
-          | [ sp ] -> Some sp
-          | sps -> Some (Exec.Trace.group ~op:"Step" ~stage:step sps));
-      })
-    acc
+(* One report per source step, from the run's assignments in run order,
+   each [(step, slice, span)]: a step's consecutive assignments merge
+   their slices in run order and group their spans under one "Step"
+   span. *)
+let reports_of assignments : step_report list =
+  let rec go = function
+    | [] -> []
+    | (step, slice, span) :: rest ->
+      let rec gather slice spans = function
+        | (s, sl, sp) :: rest when s = step ->
+          gather (Exec.Stats.merge slice sl) (Option.to_list sp @ spans) rest
+        | rest -> (slice, List.rev spans, rest)
+      in
+      let slice, spans, rest = gather slice (Option.to_list span) rest in
+      let trace =
+        match spans with
+        | [] -> None
+        | [ sp ] -> Some sp
+        | sps -> Some (Exec.Trace.group ~op:"Step" ~stage:step sps)
+      in
+      { step; sim_seconds = slice.Exec.Stats.sim_seconds; stats = slice; trace } :: go rest
+  in
+  go assignments
 
 (* what a route's exception says, without its constructor when it
    carries a message *)
@@ -172,50 +164,52 @@ let exn_message = function
     m
   | exn -> Printexc.to_string exn
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+(* Every phase of a run (compile, pool, load, each step, collect) runs
+   inside this one wrapper: a typed failure takes the phase as its stage
+   prefix ([Failure.with_stage]), and any other exception (a type error,
+   a program shredding does not support, a plan scanning an input that
+   was not supplied) fails typed as [Error "<phase>: <message>"]. *)
+let phase name f =
+  match f () with
+  | v -> v
+  | exception Exec.Failure.Failed f ->
+    raise (Exec.Failure.Failed (Exec.Failure.with_stage name f))
+  | exception exn ->
+    raise (Exec.Failure.Failed (Error (name ^ ": " ^ exn_message exn)))
 
-(* run (step, assignment, plan) triples one at a time, slicing the stats
-   (and trace) per step;
-   one pool and one checkpoint manager span all of them so domains are
-   spawned once and recovery lineage is run-wide. Each assignment is
-   charged its real wall-clock, failed or not, like any other counter. *)
-let run_steps ~options ~config ~stats ~trace ~faults ~checkpoint ~pool
-    ~steps_out env plans =
+(* Run the (step, assignment, plan) triples one at a time, each a phase
+   named by its step, on the run's one pool and checkpoint manager, so
+   domains are spawned once and recovery lineage is run-wide. Each
+   assignment is charged its real wall-clock like any other counter, then
+   recorded once with its slice of the counters and (when tracing) its
+   span, failed or not. *)
+let run_steps ~options ~config ~stats ~trace ~faults ~checkpoint ~pool ~assignments
+    env plans =
   List.iter
     (fun (step, name, plan) ->
       let before = Exec.Stats.snapshot stats in
-      let ds =
-        try
-          Exec.Trace.with_span trace ~op:"Assignment" ~stage:name (fun () ->
-              let t0 = Unix.gettimeofday () in
-              Fun.protect
-                ~finally:(fun () ->
-                  Exec.Trace.charge trace stats
-                    {
-                      Exec.Stats.zero with
-                      wall_seconds = Unix.gettimeofday () -. t0;
-                    })
-                (fun () ->
-                  Exec.Executor.run_plan ~options ?trace ?faults ~checkpoint
-                    ~pool ~config ~stats env plan))
-        with exn ->
-          (* attribute the failure to its source step; the partially filled
-             step slice is still recorded for the failure report. Any other
-             exception escaping the executor (a plan naming an unknown
-             input, say) is a failure of the step too, typed as [Error]. *)
-          let f =
-            match exn with
-            | Exec.Failure.Failed f -> Exec.Failure.with_stage step f
-            | exn -> Exec.Failure.Error (Printf.sprintf "%s: %s" step (exn_message exn))
-          in
-          record_step ~stats ~trace ~before ~step steps_out;
-          raise (Exec.Failure.Failed f)
-      in
-      Hashtbl.replace env name ds;
-      record_step ~stats ~trace ~before ~step steps_out)
+      Fun.protect
+        ~finally:(fun () ->
+          assignments :=
+            ( step,
+              Exec.Stats.diff (Exec.Stats.snapshot stats) before,
+              Option.bind trace Exec.Trace.last_root )
+            :: !assignments)
+        (fun () ->
+          Hashtbl.replace env name
+            (phase step (fun () ->
+                 Exec.Trace.with_span trace ~op:"Assignment" ~stage:name (fun () ->
+                     let t0 = Unix.gettimeofday () in
+                     Fun.protect
+                       ~finally:(fun () ->
+                         Exec.Trace.charge trace stats
+                           {
+                             Exec.Stats.zero with
+                             wall_seconds = Unix.gettimeofday () -. t0;
+                           })
+                       (fun () ->
+                         Exec.Executor.run_plan ~options ?trace ?faults ~checkpoint
+                           ~pool ~config ~stats env plan))))))
     plans
 
 let pp_run ppf r =
@@ -378,34 +372,34 @@ let degradation_of (s : Exec.Stats.snapshot) ~answered_by ~first_failure =
 let catch_failure f =
   match f () with v -> Ok v | exception Exec.Failure.Failed f -> Error f
 
-(* Compiling or loading raises when the route cannot run the program (a
-   type error, a program shredding does not support) or its inputs do not
-   load: the run fails typed, as [Error "<phase>: <message>"]. *)
-let in_phase phase f =
-  match f () with
-  | v -> v
-  | exception exn ->
-    raise (Exec.Failure.Failed (Exec.Failure.Error (phase ^ ": " ^ exn_message exn)))
-
-(* a run that failed before executing anything *)
-let not_run ~strategy ~config failure =
+(* Every run record, executed or not. A run that failed before its steps
+   has no assignments, no spans and [wall = 0.]. *)
+let run_record ~strategy ~config ?(stats = Exec.Stats.create ()) ?trace ?(wall = 0.)
+    ?(assignments = []) outcome =
+  let value, failure =
+    match outcome with Ok v -> (v, None) | Error f -> (None, Some f)
+  in
+  let s = Exec.Stats.snapshot stats in
   {
     strategy = strategy_name strategy;
     config;
-    value = None;
-    stats = Exec.Stats.create ();
-    wall_seconds = 0.;
-    failure = Some failure;
-    steps = [];
-    trace = [];
-    degradation = None;
+    value;
+    stats;
+    wall_seconds = wall;
+    failure;
+    steps = reports_of assignments;
+    trace = (match trace with None -> [] | Some c -> Exec.Trace.roots c);
+    degradation =
+      (if s.spilled_bytes > 0 && failure = None then
+         Some (degradation_of s ~answered_by:strategy ~first_failure:None)
+       else None);
   }
 
 (* One route, one run; never raises a typed failure. Both routes take the
-   same path: compile to (name, plan) steps, load the inputs and spawn the
-   pool inside a failure-catching region, then run the steps on that pool
-   inside one timed, failure-catching region. The Shred+Unshred reassembly
-   is one more step, named "Unshred". *)
+   same chain of phases inside one failure-catching region: compile to
+   (step, name, plan) triples, spawn the pool, load the inputs on it,
+   then run the steps and collect the result inside one timed region.
+   The Shred+Unshred reassembly is one more step, named "Unshred". *)
 let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
     (input_values : (string * V.t) list) : run =
   (* AddIndex ids and label sites feed partition assignment: reset both so
@@ -439,81 +433,59 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
   let options =
     { Exec.Executor.skew_aware = config.skew_aware; cogroup = config.cogroup }
   in
-  let prepared =
+  let assignments = ref [] and wall = ref 0. in
+  let outcome =
     catch_failure (fun () ->
-        let steps, shred =
-          match strategy with
-          | Standard | SparkSQL_proxy ->
-            let plans, result_name =
-              in_phase "compile" (fun () ->
-                  (compile_standard ~config p, Nrc.Program.result_name p))
-            in
-            ( (List.map (fun (name, plan) -> (name, name, plan)) plans, result_name),
-              false )
-          | Shredded { unshred } -> (
-            let compiled = in_phase "compile" (fun () -> compile_shredded ~config p) in
-            let plans =
-              List.map2
-                (fun (name, plan) (_, { Shred_pipeline.step; _ }) ->
-                  (step, name, plan))
-                compiled.plans compiled.pipeline.Shred_pipeline.origins
-            in
-            ( (match unshred, compiled.unshred_plan with
-              | true, Some uplan -> (plans @ [ ("Unshred", "Unshred", uplan) ], "Unshred")
-              | _ -> (plans, compiled.pipeline.Shred_pipeline.top)),
-              true ))
+        let plans, result_name, shred =
+          phase "compile" (fun () ->
+              match strategy with
+              | Standard | SparkSQL_proxy ->
+                ( List.map
+                    (fun (name, plan) -> (name, name, plan))
+                    (compile_standard ~config p),
+                  Nrc.Program.result_name p,
+                  false )
+              | Shredded { unshred } -> (
+                let compiled = compile_shredded ~config p in
+                let plans =
+                  List.map2
+                    (fun (name, plan) (_, { Shred_pipeline.step; _ }) ->
+                      (step, name, plan))
+                    compiled.plans compiled.pipeline.Shred_pipeline.origins
+                in
+                match unshred, compiled.unshred_plan with
+                | true, Some uplan ->
+                  (plans @ [ ("Unshred", "Unshred", uplan) ], "Unshred", true)
+                | _ -> (plans, compiled.pipeline.Shred_pipeline.top, true)))
         in
         (* the pool is spawned once per run, before loading, which runs on
            it too, and outside the timed region, so wall_seconds measures
            execution rather than domain startup *)
         let pool =
-          in_phase "pool" (fun () -> Exec.Pool.create ~domains:cluster.Exec.Config.domains)
+          phase "pool" (fun () -> Exec.Pool.create ~domains:cluster.Exec.Config.domains)
         in
-        match
-          in_phase "load" (fun () -> load ~shred ~pool ~cluster p.Nrc.Program.inputs input_values)
-        with
-        | env -> (steps, env, pool)
-        | exception e ->
-          Exec.Pool.shutdown pool;
-          raise e)
+        Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) (fun () ->
+            let env =
+              phase "load" (fun () ->
+                  load ~shred ~pool ~cluster p.Nrc.Program.inputs input_values)
+            in
+            let t0 = Unix.gettimeofday () in
+            Fun.protect ~finally:(fun () -> wall := Unix.gettimeofday () -. t0) (fun () ->
+                run_steps ~options ~config:cluster ~stats ~trace ~faults ~checkpoint ~pool
+                  ~assignments env plans;
+                phase "collect" (fun () ->
+                    if config.collect then
+                      Some (Exec.Dataset.to_bag (Hashtbl.find env result_name))
+                    else None))))
   in
-  match prepared with
-  | Error f -> not_run ~strategy ~config f
-  | Ok ((plans, result_name), env, pool) ->
-    let steps_out = ref [] in
-    let outcome, wall =
-      Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) (fun () ->
-          timed (fun () ->
-              catch_failure (fun () ->
-                  run_steps ~options ~config:cluster ~stats ~trace
-                    ~faults ~checkpoint ~pool ~steps_out env plans;
-                  if config.collect then
-                    Some (Exec.Dataset.to_bag (Hashtbl.find env result_name))
-                  else None)))
-    in
-    let s = Exec.Stats.snapshot stats in
-    let value, failure =
-      match outcome with Ok v -> (v, None) | Error f -> (None, Some f)
-    in
-    {
-      strategy = strategy_name strategy;
-      config;
-      value;
-      stats;
-      wall_seconds = wall;
-      failure;
-      steps = reports_of !steps_out;
-      trace = (match trace with None -> [] | Some c -> Exec.Trace.roots c);
-      degradation =
-        (if s.spilled_bytes > 0 && failure = None then
-           Some (degradation_of s ~answered_by:strategy ~first_failure:None)
-         else None);
-    }
+  run_record ~strategy ~config ~stats ?trace ~wall:!wall
+    ~assignments:(List.rev !assignments) outcome
 
 (** Run a program with the given strategy; never raises a typed failure.
-    A configuration {!Exec.Config.validate} rejects ends the run at once
-    as [Error]. When the standard route dies of memory exhaustion — the
-    spilling layer itself denied a reservation, or spilling is off — and
+    A configuration {!Exec.Config.validate} rejects, or a fault schedule
+    {!Exec.Faults.check} rejects, ends the run at once as [Error]. When
+    the standard route dies of memory exhaustion — the spilling layer
+    itself denied a reservation, or spilling is off — and
     [config.route_fallback] is on, the driver re-plans the same program
     down the shredded route (query shredding usually fits where flattening
     cannot) and answers from there, surfacing the whole story as a
@@ -521,8 +493,11 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
     the answering route; [wall_seconds] covers both attempts. *)
 let run ?(config = default_config) ~(strategy : strategy)
     (p : Nrc.Program.t) (input_values : (string * V.t) list) : run =
-  match Exec.Config.validate config.cluster with
-  | Error msg -> not_run ~strategy ~config (Error msg)
+  match
+    Result.bind (Exec.Config.validate config.cluster) (fun _ ->
+        Exec.Faults.check config.faults)
+  with
+  | Error msg -> run_record ~strategy ~config (Error (Exec.Failure.Error msg))
   | Ok _ -> (
     let r = run_once ~config ~strategy p input_values in
     match r.failure, strategy with

@@ -191,14 +191,17 @@ val run :
   (string * Nrc.Value.t) list ->
   run
 (** Compile and execute; never raises a typed failure. A cluster
-    configuration {!Exec.Config.validate} rejects fails at once with
-    [Error] and runs nothing. A program the route cannot compile (a type
-    error, a program shredding does not support) or inputs that do not
-    load end the run as [Error "compile: <message>"] or
-    [Error "load: <message>"]. Any other exception escaping the executor
-    (e.g. a plan scanning an input that was not supplied) ends the run as
-    [Error "<step>: <exception>"]. A Standard run that dies of memory
-    exhaustion re-plans down the shredded route when
-    [config.route_fallback] is on (see {!degradation}); [wall_seconds] then
-    covers both attempts and the reported stats are the answering
-    route's. *)
+    configuration {!Exec.Config.validate} rejects, or a fault schedule
+    {!Exec.Faults.check} rejects, fails at once with [Error] and runs
+    nothing. Otherwise the run is one chain of phases — compile, pool,
+    load, each step, collect: a typed failure in a phase reads
+    [<phase>/<stage>: ...] (e.g. [Step2/unnest]), and any other exception
+    [Error "<phase>: <message>"] ([compile: ...] for a program the route
+    cannot compile, [pool: cannot start <n> domains: ...], [load: ...],
+    [<step>: ...] for a plan scanning an input that was not supplied). A
+    failure before the steps reports no steps and [wall_seconds = 0.]; a
+    failure in a step still reports every step run so far, its own partial
+    one included. A Standard run that dies of memory exhaustion re-plans
+    down the shredded route when [config.route_fallback] is on (see
+    {!degradation}); [wall_seconds] then covers both attempts and the
+    reported stats are the answering route's. *)

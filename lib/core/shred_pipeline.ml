@@ -18,7 +18,6 @@ type t = {
           assignment per top bag / dictionary / label domain *)
   origins : (string * origin) list; (* per assignment of [mat], in order *)
   top : string; (* dataset holding the result's top bag *)
-  dicts : (string list * string) list; (* result dict path -> dataset *)
   unshred_query : E.t option; (* None when the output is flat *)
 }
 
@@ -63,7 +62,6 @@ let shred_program ?(config = Materialize.default) (p : Nrc.Program.t) : t =
     mat = Nrc.Program.make ~inputs assignments;
     origins;
     top = last_mat.Materialize.top;
-    dicts = last_mat.Materialize.dicts;
     unshred_query;
   }
 

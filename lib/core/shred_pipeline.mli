@@ -17,7 +17,6 @@ type t = {
   origins : (string * origin) list;
       (** one per assignment of [mat], in order *)
   top : string;  (** dataset holding the result's top bag *)
-  dicts : (string list * string) list;  (** result dict path -> dataset *)
   unshred_query : Nrc.Expr.t option;  (** [None] when the output is flat *)
 }
 

@@ -691,32 +691,20 @@ let rec run (st : state) (op : Op.t) : Dataset.t =
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-let run_rows ?(options = default_options) ?trace ?faults ?checkpoint ~pool ~config
+let run_rows ?(options = default_options) ?trace ?faults ~checkpoint ~pool ~config
     ~stats (env : env) (plan : Op.t) : Dataset.t =
-  let ckpt =
-    match checkpoint with Some c -> c | None -> Checkpoint.make config
-  in
   run
     { cfg = config; opts = options; stats; trace; faults;
-      ckpt; mem = Memory.create ?faults config; env; pool }
+      ckpt = checkpoint; mem = Memory.create ?faults config; env; pool }
     plan
 
-(** Execute one plan against named datasets; returns the result dataset.
-    The checkpoint manager is created here when not supplied, so lineage
-    accrues (and recovery is charged) even under [No_checkpoints]. The
-    pool is spawned once per run: a driver that executes several plans
-    passes one in; a bare call creates a pool sized by [config.domains]
-    and shuts it down on exit. *)
-let run_plan ?options ?trace ?faults ?checkpoint ?pool ~config ~stats (env : env)
+(** Execute one plan against named datasets on the run's pool and
+    checkpoint manager; returns the result dataset. *)
+let run_plan ?options ?trace ?faults ~checkpoint ~pool ~config ~stats (env : env)
     (plan : Op.t) : Dataset.t =
-  let go pool =
-    let (r : Dataset.t) = run_rows ?options ?trace ?faults ?checkpoint ~pool ~config ~stats env plan in
-    let key, pack = K.pack r.names in
-    Dataset.make
-      ~key:(Option.bind r.key (fun ks -> all_some (List.map key ks)))
-      [| "item" |]
-      (Pool.map pool (fun p rows -> pack (rows, r.sizes.(p))) r.parts)
-  in
-  match pool with
-  | Some p -> go p
-  | None -> Pool.with_pool ~domains:config.Config.domains go
+  let (r : Dataset.t) = run_rows ?options ?trace ?faults ~checkpoint ~pool ~config ~stats env plan in
+  let key, pack = K.pack r.names in
+  Dataset.make
+    ~key:(Option.bind r.key (fun ks -> all_some (List.map key ks)))
+    [| "item" |]
+    (Pool.map pool (fun p rows -> pack (rows, r.sizes.(p))) r.parts)

@@ -64,31 +64,34 @@ val run_rows :
   ?options:options ->
   ?trace:Trace.ctx ->
   ?faults:Faults.t ->
-  ?checkpoint:Checkpoint.t ->
+  checkpoint:Checkpoint.t ->
   pool:Pool.t ->
   config:Config.t ->
   stats:Stats.t ->
   env ->
   Plan.Op.t ->
   Dataset.t
-(** {!run_plan} on the given pool, before its rows are packed: the plan's
-    own rows and schema, partition by partition. *)
+(** {!run_plan} before its rows are packed: the plan's own rows and
+    schema, partition by partition. *)
 
 val run_plan :
   ?options:options ->
   ?trace:Trace.ctx ->
   ?faults:Faults.t ->
-  ?checkpoint:Checkpoint.t ->
-  ?pool:Pool.t ->
+  checkpoint:Checkpoint.t ->
+  pool:Pool.t ->
   config:Config.t ->
   stats:Stats.t ->
   env ->
   Plan.Op.t ->
   Dataset.t
 (** Execute one plan against named datasets, its rows packed into a stored
-    dataset ({!Dataset}) for later plans to scan. Partition tasks run on the
-    given {!Pool} (or a fresh one sized by {!Config.t.domains}, shut down
-    on exit); any domain count produces bit-identical results, stats,
+    dataset ({!Dataset}) for later plans to scan. It runs on the run's own
+    {!Pool} and {!Checkpoint} manager: a run spawns its domains once and
+    accrues recovery lineage across all its plans (even under
+    {!Config.No_checkpoints}), as {!Trance.Api} does; a caller running one
+    plan alone makes both ({!Pool.with_pool}, {!Checkpoint.make}). Any
+    domain count produces bit-identical results, stats,
     traces, fault victims, spill decisions and checkpoint bytes — only
     wall-clock time changes. With [?trace], the plan run
     appears as one root span per top-level operator in the context. With
@@ -96,11 +99,7 @@ val run_plan :
     and injected events are recovered with Spark's semantics (bounded
     per-task retry, lineage re-execution — truncated at the nearest
     checkpoint — speculation); recovery cost shows up in {!Stats} and the
-    trace. A {!Checkpoint} manager is created from [config] when not
-    supplied, so recovery lineage accrues even under
-    {!Config.No_checkpoints}; pass one explicitly (and one pool) to share
-    lineage and domains across the plans of a run, as {!Trance.Api}
-    does.
+    trace.
     @raise Failure.Failed with [Out_of_memory] when a worker exceeds its
     (possibly squeezed) budget and cannot spill — spilling off, or the
     stage would need more than {!Config.t.max_spill_rounds} build passes;

@@ -40,6 +40,34 @@ let kind_of_string = function
           memsqueeze)"
          s)
 
+let spec_to_string sp =
+  let base = Printf.sprintf "%s:stage=%d" (kind_name sp.kind) sp.stage in
+  match sp.kind with
+  | Worker_crash -> base
+  | Task_failure | Fetch_failure -> Printf.sprintf "%s,fails=%d" base sp.fails
+  | Straggler -> Printf.sprintf "%s,mult=%g" base sp.multiplier
+  | Mem_squeeze -> Printf.sprintf "%s,factor=%g" base sp.factor
+
+(* The bounds of every spec, parsed or built in code: a negative stage,
+   a fault that never fails, a straggler that speeds up or never ends,
+   or a squeeze to no budget at all would charge nonsense. *)
+let check sch =
+  let problem sp =
+    if sp.stage < 0 then Some (Printf.sprintf "stage must be >= 0 (got %d)" sp.stage)
+    else if sp.fails < 1 then Some (Printf.sprintf "fails must be >= 1 (got %d)" sp.fails)
+    else if not (Float.is_finite sp.multiplier && sp.multiplier >= 1.) then
+      Some (Printf.sprintf "mult must be finite and >= 1 (got %g)" sp.multiplier)
+    else if not (sp.factor > 0. && sp.factor <= 1.) then
+      Some (Printf.sprintf "factor must be in (0, 1] (got %g)" sp.factor)
+    else None
+  in
+  match List.find_map (fun sp -> Option.map (fun m -> (sp, m)) (problem sp)) sch with
+  | None -> Ok sch
+  | Some (sp, m) ->
+    Error (Printf.sprintf "invalid fault schedule: %s: %s" (spec_to_string sp) m)
+
+(* The syntax first, then {!check}: the defaults are in bounds, so a
+   rejected spec names the parameter just set. *)
 let spec_of_string s =
   let kind_s, params =
     match String.index_opt s ':' with
@@ -52,36 +80,25 @@ let spec_of_string s =
         Result.bind acc (fun sp ->
             if kv = "" then Ok sp
             else
+              let set key v parse update =
+                match Option.map update (parse v) with
+                | Some sp when Result.is_ok (check [ sp ]) -> Ok sp
+                | _ -> Error (Printf.sprintf "bad %s %S" key v)
+              in
               match String.split_on_char '=' kv with
-              | [ "stage"; v ] -> (
-                match int_of_string_opt v with
-                | Some n when n >= 0 -> Ok { sp with stage = n }
-                | _ -> Error (Printf.sprintf "bad stage %S" v))
-              | [ "fails"; v ] -> (
-                match int_of_string_opt v with
-                | Some n when n >= 1 -> Ok { sp with fails = n }
-                | _ -> Error (Printf.sprintf "bad fails %S" v))
-              | [ "mult"; v ] -> (
-                match float_of_string_opt v with
-                | Some f when f >= 1. -> Ok { sp with multiplier = f }
-                | _ -> Error (Printf.sprintf "bad mult %S" v))
-              | [ "factor"; v ] -> (
-                match float_of_string_opt v with
-                | Some f when f > 0. && f <= 1. -> Ok { sp with factor = f }
-                | _ -> Error (Printf.sprintf "bad factor %S" v))
+              | [ "stage"; v ] ->
+                set "stage" v int_of_string_opt (fun n -> { sp with stage = n })
+              | [ "fails"; v ] ->
+                set "fails" v int_of_string_opt (fun n -> { sp with fails = n })
+              | [ "mult"; v ] ->
+                set "mult" v float_of_string_opt (fun f -> { sp with multiplier = f })
+              | [ "factor"; v ] ->
+                set "factor" v float_of_string_opt (fun f -> { sp with factor = f })
               | _ -> Error (Printf.sprintf "bad fault parameter %S" kv))
       in
       List.fold_left apply
         (Ok (default_spec kind))
         (String.split_on_char ',' params))
-
-let spec_to_string sp =
-  let base = Printf.sprintf "%s:stage=%d" (kind_name sp.kind) sp.stage in
-  match sp.kind with
-  | Worker_crash -> base
-  | Task_failure | Fetch_failure -> Printf.sprintf "%s,fails=%d" base sp.fails
-  | Straggler -> Printf.sprintf "%s,mult=%g" base sp.multiplier
-  | Mem_squeeze -> Printf.sprintf "%s,factor=%g" base sp.factor
 
 (* A schedule is '+'-separated specs: "crash:stage=2+task:stage=4,fails=2".
    The empty string is rejected — an absent schedule is [], not "". *)

@@ -58,11 +58,18 @@ type schedule = spec list
 val default_spec : kind -> spec
 (** [stage = 0], [fails = 1], [multiplier = 8.], [factor = 0.5]. *)
 
+val check : schedule -> (schedule, string) result
+(** The bounds of every spec, however it was built: [stage >= 0],
+    [fails >= 1], a finite [multiplier >= 1] and [factor] in (0, 1]. The
+    error names the first spec out of bounds and the field.
+    {!spec_of_string} and {!Trance.Api.run} both apply it. *)
+
 val spec_of_string : string -> (spec, string) result
 (** Parse CLI syntax: [crash:stage=2], [task:stage=1,fails=2],
     [fetch:stage=3], [straggler:stage=1,mult=8],
     [memsqueeze:stage=0,factor=0.25]. Parameters may be omitted
-    ([default_spec] fills them) and combined freely. *)
+    ([default_spec] fills them) and combined freely; a value that does not
+    parse or fails {!check} is rejected as [bad <param> "<value>"]. *)
 
 val spec_to_string : spec -> string
 (** Canonical round-trippable form of {!spec_of_string}. *)

@@ -89,35 +89,26 @@ let find_all pred spans =
 (* ------------------------------------------------------------------ *)
 (* Recording *)
 
+(* An open span; it is frozen into a [span] when it closes, so its
+   children are already spans. *)
 type node = {
   nid : int;
   nop : string;
   mutable nstage : string;
   mutable nstrategy : join_strategy option;
   mutable nm : metrics;
-  mutable nchildren : node list; (* reversed *)
+  mutable nchildren : span list; (* closed, reversed *)
 }
 
 type ctx = {
   mutable stack : node list; (* innermost first *)
-  mutable croots : node list; (* reversed *)
+  mutable croots : span list; (* reversed *)
   mutable next_id : int;
 }
 
 let create () = { stack = []; croots = []; next_id = 0 }
-
-let rec freeze (n : node) : span =
-  {
-    id = n.nid;
-    op = n.nop;
-    stage = n.nstage;
-    strategy = n.nstrategy;
-    metrics = n.nm;
-    children = List.rev_map freeze n.nchildren;
-  }
-
-let roots ctx = List.rev_map freeze ctx.croots
-let last_root ctx = match ctx.croots with [] -> None | n :: _ -> Some (freeze n)
+let roots ctx = List.rev ctx.croots
+let last_root ctx = match ctx.croots with [] -> None | sp :: _ -> Some sp
 
 let with_span octx ~op ?(stage = "") f =
   match octx with
@@ -140,9 +131,13 @@ let with_span octx ~op ?(stage = "") f =
         (match ctx.stack with
         | top :: rest when top == n -> ctx.stack <- rest
         | _ -> ());
+        let sp =
+          { id = n.nid; op = n.nop; stage = n.nstage; strategy = n.nstrategy;
+            metrics = n.nm; children = List.rev n.nchildren }
+        in
         match ctx.stack with
-        | parent :: _ -> parent.nchildren <- n :: parent.nchildren
-        | [] -> ctx.croots <- n :: ctx.croots)
+        | parent :: _ -> parent.nchildren <- sp :: parent.nchildren
+        | [] -> ctx.croots <- sp :: ctx.croots)
       f
 
 let on_top octx f =

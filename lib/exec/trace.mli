@@ -87,6 +87,8 @@ val roots : ctx -> span list
 (** Completed top-level spans, in completion order. *)
 
 val last_root : ctx -> span option
+(** The most recently completed top-level span. A span is frozen when it
+    closes, so neither read copies a tree. *)
 
 val with_span : ctx option -> op:string -> ?stage:string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a fresh child span of the innermost open span. The

@@ -306,6 +306,13 @@ let check_counters_agree what (r : Trance.Api.run) =
       (Fmt.str "%s: span tree disagrees with the totals@.totals: %a@.spans:  %a"
          what Exec.Stats.pp_snapshot s Exec.Stats.pp_snapshot t)
 
+(** One plan run on a pool and checkpoint manager of its own, sized and
+    made from [config] as a run would make them. *)
+let run_plan ?options ?trace ~config ~stats env plan =
+  Exec.Pool.with_pool ~domains:config.Exec.Config.domains (fun pool ->
+      Exec.Executor.run_plan ?options ?trace ~checkpoint:(Exec.Checkpoint.make config) ~pool
+        ~config ~stats env plan)
+
 (** A stored dataset's elements, partition by partition: its column 0. *)
 let elements (d : Exec.Dataset.t) = Array.map (Array.map (fun (row : Plan.Row.t) -> row.(0))) d.parts
 

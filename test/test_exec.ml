@@ -77,7 +77,7 @@ let exec_plan_agree name q () =
          (fun (n, v) -> (n, Exec.Dataset.of_bag ~partitions:7 v))
          Fixtures.inputs_val)
   in
-  let ds = Exec.Executor.run_plan ~config:cluster ~stats env plan in
+  let ds = Fixtures.run_plan ~config:cluster ~stats env plan in
   Fixtures.check_bag_equal name expected (Exec.Dataset.to_bag ds)
 
 let executor_corpus =
@@ -452,7 +452,7 @@ let test_bag_keyed_plans () =
                      bag_keyed_inputs)
               in
               let ds =
-                Exec.Executor.run_plan ~options ~config
+                Fixtures.run_plan ~options ~config
                   ~stats:(Exec.Stats.create ()) env plan
               in
               Fixtures.check_bag_equal
@@ -509,7 +509,7 @@ let test_union_over_dropping_unnest () =
       in
       Fixtures.check_bag_equal ("executor, " ^ cname) expected
         (Exec.Dataset.to_bag
-           (Exec.Executor.run_plan ~config ~stats:(Exec.Stats.create ()) env plan)))
+           (Fixtures.run_plan ~config ~stats:(Exec.Stats.create ()) env plan)))
     [ ("7 partitions", cluster); ("1 partition", { cluster with partitions = 1; workers = 1 }) ]
 
 (* A source program cannot key on a bag (Figure 1 keeps comparisons,
@@ -1338,7 +1338,7 @@ let test_gamma_plus_carried () =
             in
             let stats = Exec.Stats.create () and trace = Exec.Trace.create () in
             Exec.Executor.reset_ids ();
-            let ds = Exec.Executor.run_plan ~trace ~config ~stats env plan in
+            let ds = Fixtures.run_plan ~trace ~config ~stats env plan in
             Fixtures.check_bag_equal
               (Printf.sprintf "%s, %d domains" name domains)
               (expected plan) (Exec.Dataset.to_bag ds);

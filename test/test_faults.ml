@@ -62,7 +62,8 @@ let test_spec_parsing () =
     (fun s ->
       check ("reject " ^ s) true (Result.is_error (F.spec_of_string s)))
     [ "meteor"; "task:stage=-1"; "task:fails=0"; "straggler:mult=0.5";
-      "memsqueeze:factor=2"; "crash:bogus=1" ]
+      "straggler:mult=inf"; "straggler:mult=nan"; "memsqueeze:factor=2";
+      "memsqueeze:factor=nan"; "memsqueeze:factor=0"; "crash:bogus=1" ]
 
 let test_schedule_parsing () =
   let ok s =
@@ -423,6 +424,46 @@ let test_effective_mem_unbounded () =
        (Some (F.make [ { (F.default_spec F.Mem_squeeze) with F.stage = 5 } ]))
        max_int)
 
+(* A schedule built in code meets the parser's bounds: a spec with any
+   field out of range, even after a valid one, ends the run on every
+   route as a typed [Error] naming the field, with nothing run. *)
+let test_out_of_range_rejected () =
+  let spec kind = F.default_spec kind in
+  List.iter
+    (fun (field, bad) ->
+      List.iter
+        (fun strategy ->
+          let what =
+            Printf.sprintf "%s [%s]" (F.spec_to_string bad) (Trance.Api.strategy_name strategy)
+          in
+          let r = run_fault ~spec:[ spec F.Worker_crash; bad ] strategy Fixtures.example1 in
+          (match r.Trance.Api.failure with
+          | Some (Trance.Api.Error m) ->
+            check (what ^ ": names the spec and the field") true
+              (String.starts_with m
+                 ~prefix:
+                   (Printf.sprintf "invalid fault schedule: %s: %s must"
+                      (F.spec_to_string bad) field))
+          | other ->
+            Alcotest.failf "%s: expected Error, got %s" what
+              (Option.fold ~none:"a finished run" ~some:Trance.Api.failure_message other));
+          check (what ^ ": nothing ran") true
+            (r.Trance.Api.steps = [] && r.Trance.Api.trace = []
+            && r.Trance.Api.wall_seconds = 0.
+            && Exec.Stats.snapshot r.Trance.Api.stats = Exec.Stats.zero))
+        [ Trance.Api.Standard; Trance.Api.Shredded { unshred = false };
+          Trance.Api.Shredded { unshred = true }; Trance.Api.SparkSQL_proxy ])
+    [ ("stage", { (spec F.Worker_crash) with F.stage = -1 });
+      ("fails", { (spec F.Task_failure) with F.fails = -3 });
+      ("fails", { (spec F.Fetch_failure) with F.fails = 0 });
+      ("mult", { (spec F.Straggler) with F.multiplier = 0. });
+      ("mult", { (spec F.Straggler) with F.multiplier = Float.nan });
+      ("mult", { (spec F.Straggler) with F.multiplier = Float.infinity });
+      ("factor", { (spec F.Mem_squeeze) with F.factor = Float.nan });
+      ("factor", { (spec F.Mem_squeeze) with F.factor = -1. });
+      ("factor", { (spec F.Mem_squeeze) with F.factor = 0. });
+      ("factor", { (spec F.Mem_squeeze) with F.factor = 2. }) ]
+
 (* a storm fires every spec: a two-crash schedule retries more tasks than
    either single crash alone, and still recovers to the reference answer *)
 let test_storm_fires_all () =
@@ -579,6 +620,8 @@ let () =
             test_memsqueeze_spills;
           Alcotest.test_case "effective_mem survives unbounded budgets"
             `Quick test_effective_mem_unbounded;
+          Alcotest.test_case "out-of-range specs fail typed on every route"
+            `Quick test_out_of_range_rejected;
           Alcotest.test_case "two-crash storm fires both crashes" `Quick
             test_storm_fires_all;
           Alcotest.test_case "clean runs are deterministic" `Quick

@@ -647,7 +647,9 @@ let prop_phantom_sizes =
         in
         let out =
           Exec.Pool.with_pool ~domains:1 (fun pool ->
-              Exec.Executor.run_rows ~pool ~config:Exec.Config.unbounded
+              Exec.Executor.run_rows ~pool
+                ~checkpoint:(Exec.Checkpoint.make Exec.Config.unbounded)
+                ~config:Exec.Config.unbounded
                 ~stats:(Exec.Stats.create ())
                 (Exec.Executor.env_of_list [ ("R", stored) ])
                 (Op.Scan { input = "R"; binder = "x" }))

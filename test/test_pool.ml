@@ -274,7 +274,8 @@ let test_one_schema () =
       List.iter
         (fun (name, plan) ->
           let r =
-            Exec.Executor.run_rows ~pool ~config ~stats:(Exec.Stats.create ()) env plan
+            Exec.Executor.run_rows ~checkpoint:(Exec.Checkpoint.make config) ~pool ~config
+              ~stats:(Exec.Stats.create ()) env plan
           in
           let rows = Array.concat (Array.to_list r.Exec.Dataset.parts) in
           check (name ^ ": rows out") true (Array.length rows > 0);

@@ -218,14 +218,21 @@ let shred_of q =
   Trance.Shred_pipeline.shred_program
     (Nrc.Program.of_expr ~inputs:Fixtures.inputs_ty ~name:"Q" q)
 
+(* The output dictionaries materialization gives the assignment Q := q
+   over the fixture inputs: path -> dataset *)
+let out_dicts q =
+  let registry = Trance.Registry.of_inputs Fixtures.inputs_ty in
+  (Trance.Materialize.materialize ~registry ~target:"Q"
+     (Trance.Symbolic.shred_expr ~registry ~dtenv:Fixtures.inputs_ty q))
+    .Trance.Materialize.dicts
+
 let test_example1_structure () =
   let sp = shred_of Fixtures.example1 in
   (* output: top bag + 2 dictionaries; corders level aliases nothing (new
      labels) but the materialization touches only dictionaries, never the
      full nested value *)
   check_str "top" "Q_F" sp.Trance.Shred_pipeline.top;
-  check_int "two output dictionaries" 2
-    (List.length sp.Trance.Shred_pipeline.dicts);
+  check_int "two output dictionaries" 2 (List.length (out_dicts Fixtures.example1));
   (* with domain elimination, no label-domain assignments remain *)
   let has_domain =
     List.exists
@@ -255,7 +262,7 @@ let test_alias_label_reuse () =
   (* select_nested copies cop.corders: both output levels must alias the
      input dictionaries, with no assignments for them *)
   let sp = shred_of Fixtures.select_nested in
-  let dicts = sp.Trance.Shred_pipeline.dicts in
+  let dicts = out_dicts Fixtures.select_nested in
   check_str "corders aliases input dict" "COP_D_corders"
     (List.assoc [ "corders" ] dicts);
   check_str "oparts aliases input dict" "COP_D_corders_oparts"

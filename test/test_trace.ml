@@ -28,9 +28,27 @@ let close a b =
 (* ------------------------------------------------------------------ *)
 (* Aggregated span metrics = flat Stats totals *)
 
+(* Each step's slice agrees with its own span tree on every counter but
+   the peak: a slice reports the run-wide peak at the end of its step, so
+   the span's peak is at most the slice's. *)
+let check_step_slices what (r : Trance.Api.run) =
+  List.iter
+    (fun (s : Trance.Api.step_report) ->
+      let what = Printf.sprintf "%s, step %s" what s.Trance.Api.step in
+      match s.Trance.Api.trace with
+      | None -> Alcotest.failf "%s: no span tree" what
+      | Some sp ->
+        let peak = (Trace.total sp).Trace.counters.Exec.Stats.peak_worker_bytes in
+        check (what ^ ": span peak <= slice peak") true
+          (peak <= s.Trance.Api.stats.Exec.Stats.peak_worker_bytes);
+        check (what ^ ": slice agrees with its span") true
+          (Trace.agrees [ sp ] { s.Trance.Api.stats with Exec.Stats.peak_worker_bytes = peak }))
+    r.Trance.Api.steps
+
 let check_totals what (r : Trance.Api.run) =
   check (what ^ ": spans recorded") true (r.Trance.Api.trace <> []);
-  Fixtures.check_counters_agree what r
+  Fixtures.check_counters_agree what r;
+  check_step_slices what r
 
 (* Children's inclusive totals never exceed the parent's, at every level. *)
 let rec check_span_sums what (sp : Trace.span) =
@@ -107,7 +125,7 @@ let join_plan =
 let exec_traced ~config env plan =
   let stats = Exec.Stats.create () in
   let ctx = Trace.create () in
-  let ds = Exec.Executor.run_plan ~trace:ctx ~config ~stats env plan in
+  let ds = Fixtures.run_plan ~trace:ctx ~config ~stats env plan in
   ignore ds;
   (stats, Trace.roots ctx)
 
@@ -236,6 +254,7 @@ let test_step_reports_merge () =
   check "no failure" true (r.Trance.Api.failure = None);
   check "at least two steps (query + Unshred)" true
     (List.length r.Trance.Api.steps >= 2);
+  check_step_slices "Shred+Unshred" r;
   check "every step carries its span tree" true
     (List.for_all
        (fun (s : Trance.Api.step_report) -> s.Trance.Api.trace <> None)
@@ -406,7 +425,8 @@ let later_step_tests =
                    (fun (s : Trance.Api.step_report) -> s.Trance.Api.step)
                    r.Trance.Api.steps);
               check (what ^ ": the partial step carries its spans") true
-                ((List.nth r.Trance.Api.steps 1).Trance.Api.trace <> None)))
+                ((List.nth r.Trance.Api.steps 1).Trance.Api.trace <> None);
+              check_step_slices what r))
         [
           (`Oom, "Out_of_memory");
           (`Task, "Task_failed");
