@@ -272,15 +272,15 @@ let fig9 () =
             ~label:(label ^ "/" ^ Trance.Api.strategy_name strategy)
             ~config ~strategy Biomed.Pipeline.program inputs
         in
-        let steps = Trance.Api.step_seconds r in
+        let sim (s : Trance.Api.step_report) = s.stats.Exec.Stats.sim_seconds in
         let step name =
           List.fold_left
-            (fun acc (s, t) ->
-              if s = name || (name = "Step3" && s = "Step3u") then acc +. t
+            (fun acc (s : Trance.Api.step_report) ->
+              if s.step = name || (name = "Step3" && s.step = "Step3u") then acc +. sim s
               else acc)
-            0. steps
+            0. r.Trance.Api.steps
         in
-        let total = List.fold_left (fun a (_, t) -> a +. t) 0. steps in
+        let total = List.fold_left (fun a s -> a +. sim s) 0. r.Trance.Api.steps in
         Printf.printf "%-14s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %10.2f  %s\n"
           r.Trance.Api.strategy (step "Step1") (step "Step2") (step "Step3")
           (step "Step4") (step "Step5") total
@@ -655,12 +655,11 @@ let memory () =
           let r = api_run ~label ~config ~strategy prog inputs in
           let s = Exec.Stats.snapshot r.Trance.Api.stats in
           let regime =
-            match Trance.Api.outcome r, r.Trance.Api.degradation with
-            | Trance.Api.Failed, _ -> "FAIL"
-            | _, Some d when d.Trance.Api.fell_back ->
-              "fell back to " ^ d.Trance.Api.answered_by
-            | _, Some _ -> "spilling"
-            | _, None -> "in-memory"
+            if Trance.Api.outcome r = Trance.Api.Failed then "FAIL"
+            else if r.Trance.Api.abandoned <> None then
+              "fell back to " ^ r.Trance.Api.strategy
+            else if s.Exec.Stats.spilled_bytes > 0 then "spilling"
+            else "in-memory"
           in
           Printf.printf "%-22s %9.2f %9.4f %10.2f %6d %6d  %s\n" vname
             (mb budget)

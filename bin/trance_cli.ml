@@ -164,10 +164,20 @@ let checkpoint_arg =
            write cost is charged to the stage; checkpoints and truncated \
            lineage show in the stats.")
 
+(* A deadline is what {!Exec.Config.validate} accepts: seconds > 0, so
+   NaN, zero and negative values are usage errors. *)
+let seconds =
+  let parse s =
+    match float_of_string_opt s with
+    | Some d when d > 0. -> Ok d
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a number > 0" s))
+  in
+  Arg.conv (parse, Fmt.float)
+
 let deadline_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some seconds) None
     & info [ "deadline" ] ~docv:"SECONDS"
         ~doc:
           "Per-run deadline in simulated seconds. A run that exceeds it — \
@@ -200,7 +210,7 @@ let no_fallback_arg =
 let domains_arg =
   Arg.(
     value
-    & opt int Exec.Config.default.Exec.Config.domains
+    & opt (int_in ~lo:1 ()) Exec.Config.default.Exec.Config.domains
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Run partition tasks on N OCaml domains (default honours \
@@ -208,51 +218,35 @@ let domains_arg =
            produces bit-identical results, stats, traces, fault victims and \
            checkpoint bytes — only wall_seconds changes.")
 
-let api_config ~mem ~skew_aware ?(spill = Exec.Config.default.Exec.Config.spill)
-    ?(no_fallback = false) ?(trace = false) ?(faults = [])
-    ?(checkpoint = Exec.Config.default.Exec.Config.checkpoint) ?deadline
-    ?(domains = Exec.Config.default.Exec.Config.domains) () =
+let api_config ~mem ~skew_aware =
   { Trance.Api.default_config with
     skew_aware;
-    trace;
-    faults;
-    route_fallback = not no_fallback;
-    cluster =
-      { Exec.Config.default with
-        worker_mem = int_of_float (mem *. 1048576.);
-        spill;
-        checkpoint;
-        deadline;
-        domains };
+    cluster = { Exec.Config.default with worker_mem = int_of_float (mem *. 1048576.) };
     optimizer =
       { Plan.Optimize.default with unique_keys = [ ("Part", [ "pkey" ]) ] } }
 
-let print_trace (r : Trance.Api.run) =
-  List.iter
-    (fun sp -> Fmt.pr "%a" Exec.Trace.pp_tree sp)
-    r.Trance.Api.trace;
-  let t = (Exec.Trace.agg r.Trance.Api.trace).Exec.Trace.counters in
-  let mb b = float_of_int b /. 1048576. in
-  let agree =
-    Exec.Trace.agrees r.Trance.Api.trace (Exec.Stats.snapshot r.Trance.Api.stats)
-  in
-  Fmt.pr
-    "trace totals: shuffle=%.2fMB bcast=%.2fMB peak=%.2fMB spilled=%.2fMB \
-     (flat stats agree: %s)@."
-    (mb t.shuffled_bytes) (mb t.broadcast_bytes) (mb t.peak_worker_bytes)
-    (mb t.spilled_bytes)
-    (if agree then "yes" else "NO")
+(* What [run] and [biomed] take alike: the strategy, the run's
+   configuration, and where its report goes. *)
+type run_opts = {
+  strategy : Trance.Api.strategy;
+  config : Trance.Api.config;
+  trace : bool; (* print the span trees *)
+  json : string option; (* write the JSON run report here *)
+}
 
-let write_json path (r : Trance.Api.run) =
-  match open_out path with
-  | exception Sys_error msg ->
-      Fmt.epr "cannot write run report: %s@." msg;
-      exit 1
-  | oc ->
-      output_string oc (Trance.Api.run_json r);
-      output_char oc '\n';
-      close_out oc;
-      Fmt.pr "wrote run report to %s@." path
+let run_opts =
+  let make strategy skew_aware mem spill no_fallback trace json faults checkpoint deadline
+      domains =
+    let base = api_config ~mem ~skew_aware in
+    let cluster = { base.Trance.Api.cluster with spill; checkpoint; deadline; domains } in
+    let config =
+      { base with trace = trace || json <> None; faults; route_fallback = not no_fallback; cluster }
+    in
+    { strategy; config; trace; json }
+  in
+  Term.(
+    const make $ strategy_arg $ skew_aware_arg $ mem_arg $ spill_arg $ no_fallback_arg
+    $ trace_arg $ json_arg $ inject_arg $ checkpoint_arg $ deadline_arg $ domains_arg)
 
 let make_db ~customers ~skew =
   Tpch.Generator.generate
@@ -296,55 +290,71 @@ let explain_cmd =
 (* ------------------------------------------------------------------ *)
 (* run: execute one cell on the simulator *)
 
-let print_outcome (r : Trance.Api.run) =
-  let s = Exec.Stats.snapshot r.Trance.Api.stats in
+(* The one report of a [run] or [biomed] run: its line, what checkpoints,
+   recovery, a route fallback and spilling did, each step's line when
+   [steps], the span trees with --trace (and their totals checked against
+   the flat stats) and the JSON report with --json. Returns the exit
+   code: 1 for a failed run. *)
+let report ?(steps = false) opts (r : Trance.Api.run) =
+  let s = Exec.Stats.snapshot r.stats in
+  let kb b = float_of_int b /. 1024. and mb b = float_of_int b /. 1048576. in
+  Fmt.pr "%a@." Trance.Api.pp_run r;
   if s.checkpoints_written > 0 then
-    Fmt.pr
-      "wrote %d checkpoints (%.1fKB), truncating %.1fKB of recovery lineage@."
-      s.checkpoints_written
-      (float_of_int s.checkpoint_bytes /. 1024.)
-      (float_of_int s.lineage_truncated /. 1024.);
-  match Trance.Api.outcome r with
-  | Trance.Api.Degraded ->
-    if s.task_retries > 0 || s.speculative_tasks > 0 || s.recomputed_bytes > 0
-    then
+    Fmt.pr "wrote %d checkpoints (%.1fKB), truncating %.1fKB of recovery lineage@."
+      s.checkpoints_written (kb s.checkpoint_bytes) (kb s.lineage_truncated);
+  if Trance.Api.outcome r = Trance.Api.Degraded then begin
+    if s.task_retries > 0 || s.speculative_tasks > 0 || s.recomputed_bytes > 0 then
       Fmt.pr
         "recovered from injected fault: %d retries, %d retried tasks, %d \
          speculative, %.1fKB recomputed, %.4fs recovery time@."
-        s.task_retries s.retried_tasks s.speculative_tasks
-        (float_of_int s.recomputed_bytes /. 1024.)
+        s.task_retries s.retried_tasks s.speculative_tasks (kb s.recomputed_bytes)
         s.recovery_seconds;
     Option.iter
-      (fun (d : Trance.Api.degradation) ->
-        if d.Trance.Api.fell_back then
-          Fmt.pr "standard route exhausted memory (%s); fell back to %s@."
-            (match d.Trance.Api.first_failure with
-            | Some f -> Trance.Api.failure_message f
-            | None -> "out of memory")
-            d.Trance.Api.answered_by;
-        if d.Trance.Api.spilled_bytes > 0 then
-          Fmt.pr "spilled %.1fKB across %d build partitions (%d rounds)@."
-            (float_of_int d.Trance.Api.spilled_bytes /. 1024.)
-            d.Trance.Api.spill_partitions d.Trance.Api.spill_rounds)
-      r.Trance.Api.degradation
-  | Trance.Api.Completed | Trance.Api.Failed -> ()
+      (fun f ->
+        Fmt.pr "standard route exhausted memory (%s); fell back to %s@."
+          (Trance.Api.failure_message f) r.strategy)
+      r.abandoned;
+    if s.spilled_bytes > 0 then
+      Fmt.pr "spilled %.1fKB across %d build partitions (%d rounds)@." (kb s.spilled_bytes)
+        s.spill_partitions s.spill_rounds
+  end;
+  if steps then
+    List.iter
+      (fun (st : Trance.Api.step_report) ->
+        Fmt.pr "  %-8s %.4f sim s [%a]@." st.step st.stats.sim_seconds
+          Exec.Stats.pp_snapshot st.stats)
+      r.steps;
+  if opts.trace then begin
+    List.iter (Fmt.pr "%a" Exec.Trace.pp_tree) r.trace;
+    let t = (Exec.Trace.agg r.trace).counters in
+    Fmt.pr
+      "trace totals: shuffle=%.2fMB bcast=%.2fMB peak=%.2fMB spilled=%.2fMB \
+       (flat stats agree: %s)@."
+      (mb t.shuffled_bytes) (mb t.broadcast_bytes) (mb t.peak_worker_bytes)
+      (mb t.spilled_bytes)
+      (if Exec.Trace.agrees r.trace s then "yes" else "NO")
+  end;
+  Option.iter
+    (fun path ->
+      match open_out path with
+      | exception Sys_error msg ->
+        Fmt.epr "cannot write run report: %s@." msg;
+        exit 1
+      | oc ->
+        output_string oc (Trance.Api.run_json r);
+        output_char oc '\n';
+        close_out oc;
+        Fmt.pr "wrote run report to %s@." path)
+    opts.json;
+  match r.failure with Some _ -> 1 | None -> 0
 
-let run_cell family level wide skew customers strategy skew_aware mem spill
-    no_fallback trace json inject checkpoint deadline domains =
+let run_cell family level wide skew customers opts =
   let db = make_db ~customers ~skew in
   let prog = Tpch.Queries.program ~wide ~family ~level () in
   let inputs = Tpch.Queries.input_values ~wide ~family ~level db in
-  let config =
-    api_config ~mem ~skew_aware ~spill ~no_fallback
-      ~trace:(trace || json <> None) ~faults:inject ~checkpoint ?deadline
-      ~domains ()
-  in
-  let r = Trance.Api.run ~config ~strategy prog inputs in
-  Fmt.pr "%a@." Trance.Api.pp_run r;
-  print_outcome r;
-  if trace then print_trace r;
-  Option.iter (fun path -> write_json path r) json;
-  (match r.Trance.Api.value, strategy with
+  let r = Trance.Api.run ~config:opts.config ~strategy:opts.strategy prog inputs in
+  let code = report opts r in
+  (match r.Trance.Api.value, opts.strategy with
   | Some v, Trance.Api.Shredded { unshred = false } ->
     Fmt.pr
       "output left in shredded form: %d top-level tuples (run with -s \
@@ -357,16 +367,13 @@ let run_cell family level wide skew customers strategy skew_aware mem spill
         (List.length (Nrc.Value.bag_items v))
     else Fmt.pr "WARNING: result differs from the reference interpreter!@."
   | None, _ -> ());
-  match r.Trance.Api.failure with Some _ -> 1 | None -> 0
+  code
 
 let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run a TPC-H query cell on the cluster simulator.")
     Term.(
-      const run_cell $ family_arg $ level_arg $ wide_arg $ skew_arg $ scale_arg
-      $ strategy_arg $ skew_aware_arg $ mem_arg $ spill_arg $ no_fallback_arg
-      $ trace_arg $ json_arg $ inject_arg $ checkpoint_arg $ deadline_arg
-      $ domains_arg)
+      const run_cell $ family_arg $ level_arg $ wide_arg $ skew_arg $ scale_arg $ run_opts)
 
 (* ------------------------------------------------------------------ *)
 (* biomed: the E2E pipeline *)
@@ -374,37 +381,19 @@ let run_cmd =
 let small_arg =
   Arg.(value & flag & info [ "small" ] ~doc:"Use the small dataset variant.")
 
-let run_biomed strategy skew_aware mem spill no_fallback small trace json
-    inject checkpoint deadline domains =
+let run_biomed small opts =
   let scale =
     if small then Biomed.Generator.small_scale else Biomed.Generator.full_scale
   in
-  let db = Biomed.Generator.generate scale in
-  let inputs = Biomed.Generator.inputs db in
-  let config =
-    api_config ~mem ~skew_aware ~spill ~no_fallback
-      ~trace:(trace || json <> None) ~faults:inject ~checkpoint ?deadline
-      ~domains ()
-  in
-  let r = Trance.Api.run ~config ~strategy Biomed.Pipeline.program inputs in
-  Fmt.pr "%a@." Trance.Api.pp_run r;
-  print_outcome r;
-  List.iter
-    (fun (s : Trance.Api.step_report) ->
-      Fmt.pr "  %-8s %.4f sim s [%a]@." s.Trance.Api.step
-        s.Trance.Api.sim_seconds Exec.Stats.pp_snapshot s.Trance.Api.stats)
-    r.Trance.Api.steps;
-  if trace then print_trace r;
-  Option.iter (fun path -> write_json path r) json;
-  match r.Trance.Api.failure with Some _ -> 1 | None -> 0
+  let inputs = Biomed.Generator.inputs (Biomed.Generator.generate scale) in
+  report ~steps:true opts
+    (Trance.Api.run ~config:opts.config ~strategy:opts.strategy Biomed.Pipeline.program
+       inputs)
 
 let biomed_cmd =
   Cmd.v
     (Cmd.info "biomed" ~doc:"Run the biomedical E2E pipeline (Figure 9).")
-    Term.(
-      const run_biomed $ strategy_arg $ skew_aware_arg $ mem_arg $ spill_arg
-      $ no_fallback_arg $ small_arg $ trace_arg $ json_arg $ inject_arg
-      $ checkpoint_arg $ deadline_arg $ domains_arg)
+    Term.(const run_biomed $ small_arg $ run_opts)
 
 (* ------------------------------------------------------------------ *)
 (* query: parse and run a textual NRC query against generated TPC-H data *)
@@ -453,7 +442,7 @@ let run_query qtext level skew customers strategy skew_aware mem limit =
       Fmt.epr "type error: %s@." m;
       1
     | _ ->
-      let config = api_config ~mem ~skew_aware () in
+      let config = api_config ~mem ~skew_aware in
       let r = Trance.Api.run ~config ~strategy prog inputs_val in
       Fmt.pr "%a@." Trance.Api.pp_run r;
       (match r.Trance.Api.value with

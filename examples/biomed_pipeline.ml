@@ -22,8 +22,9 @@ let () =
       let r = Trance.Api.run ~config ~strategy Biomed.Pipeline.program inputs in
       Fmt.pr "=== %s ===@.%a@." r.Trance.Api.strategy Trance.Api.pp_run r;
       List.iter
-        (fun (step, t) -> Fmt.pr "  %-8s %.4f sim s@." step t)
-        (Trance.Api.step_seconds r);
+        (fun (s : Trance.Api.step_report) ->
+          Fmt.pr "  %-8s %.4f sim s@." s.step s.stats.Exec.Stats.sim_seconds)
+        r.Trance.Api.steps;
       (match r.Trance.Api.value with
       | Some v when Nrc.Value.approx_bag_equal v reference ->
         Fmt.pr "  final report matches the reference (%d genes)@.@."

@@ -69,20 +69,8 @@ type failure = Exec.Failure.t =
 
 let failure_message = Exec.Failure.message
 
-(* How a run that did not answer entirely in memory got its answer: what
-   spilled, and (after a route fallback) which route finally answered. *)
-type degradation = {
-  spilled_bytes : int;
-  spill_partitions : int;
-  spill_rounds : int;
-  fell_back : bool; (* true when the shredded route answered for Standard *)
-  answered_by : string; (* strategy name of the route that answered *)
-  first_failure : failure option; (* the abandoned route's failure *)
-}
-
 type step_report = {
   step : string; (* source assignment name; "Unshred" for reassembly *)
-  sim_seconds : float;
   stats : Exec.Stats.snapshot; (* this step's slice of the counters *)
   trace : Exec.Trace.span option; (* span tree when [config.trace] *)
 }
@@ -100,12 +88,10 @@ type run = {
          report covers result reassembly *)
   trace : Exec.Trace.span list;
       (* root spans, one per executed assignment; [] unless tracing *)
-  degradation : degradation option;
-      (* present whenever the run spilled or fell back to another route;
+  abandoned : failure option;
+      (* Standard's failure when the shredded route answered in its place;
          [stats]/[steps]/[trace] always describe the answering route *)
 }
-
-let step_seconds r = List.map (fun s -> (s.step, s.sim_seconds)) r.steps
 
 (** How the run ended, Spark-style: [Degraded] means faults were recovered
     (retries, speculation, recomputation), operators spilled to disk, or
@@ -125,7 +111,7 @@ let outcome (r : run) : outcome =
     let s = Exec.Stats.snapshot r.stats in
     if
       s.task_retries > 0 || s.speculative_tasks > 0 || s.recomputed_bytes > 0
-      || s.spilled_bytes > 0 || r.degradation <> None
+      || s.spilled_bytes > 0 || r.abandoned <> None
     then Degraded
     else Completed
 
@@ -149,7 +135,7 @@ let reports_of assignments : step_report list =
         | [ sp ] -> Some sp
         | sps -> Some (Exec.Trace.group ~op:"Step" ~stage:step sps)
       in
-      { step; sim_seconds = slice.Exec.Stats.sim_seconds; stats = slice; trace } :: go rest
+      { step; stats = slice; trace } :: go rest
   in
   go assignments
 
@@ -219,11 +205,9 @@ let pp_run ppf r =
       (failure_message f) r.wall_seconds Exec.Stats.pp r.stats
   | None ->
     let how =
-      match r.degradation with
-      | Some d when d.fell_back ->
-        Printf.sprintf " (fell back to %s)" d.answered_by
-      | Some _ -> " (spilled)"
-      | None -> ""
+      if r.abandoned <> None then Printf.sprintf " (fell back to %s)" r.strategy
+      else if (Exec.Stats.snapshot r.stats).spilled_bytes > 0 then " (spilled)"
+      else ""
     in
     Fmt.pf ppf "%-14s ok%s in %.3fs [%a]" r.strategy how r.wall_seconds
       Exec.Stats.pp r.stats
@@ -243,11 +227,15 @@ let config_json (c : config) =
         ( "faults",
           if c.faults = [] then Null else String (Exec.Faults.schedule_to_string c.faults) ) ])
 
+(* The "degradation" object is derived here, from the totals and
+   [abandoned]: it is present when a run that answered spilled or fell
+   back, and [answered_by] is the run's own strategy. *)
 let run_report (r : run) : Exec.Json.t =
   let failure = function None -> Exec.Json.Null | Some f -> String (failure_message f) in
+  let totals = Exec.Stats.snapshot r.stats in
   let step (s : step_report) =
     Exec.Json.Obj
-      [ ("step", String s.step); ("sim_seconds", Float s.sim_seconds);
+      [ ("step", String s.step); ("sim_seconds", Float s.stats.sim_seconds);
         ("stats", Exec.Stats.json s.stats);
         ("trace", match s.trace with None -> Null | Some sp -> Exec.Trace.json sp) ]
   in
@@ -255,17 +243,17 @@ let run_report (r : run) : Exec.Json.t =
     [ ("strategy", String r.strategy); ("wall_seconds", Float r.wall_seconds);
       ("outcome", String (outcome_name (outcome r))); ("failure", failure r.failure);
       ( "degradation",
-        match r.degradation with
-        | None -> Null
-        | Some d ->
+        if r.failure <> None || (totals.spilled_bytes = 0 && r.abandoned = None) then Null
+        else
           Obj
-            [ ("spilled_bytes", Int d.spilled_bytes);
-              ("spill_partitions", Int d.spill_partitions);
-              ("spill_rounds", Int d.spill_rounds); ("fell_back", Bool d.fell_back);
-              ("answered_by", String d.answered_by);
-              ("first_failure", failure d.first_failure) ] );
+            [ ("spilled_bytes", Int totals.spilled_bytes);
+              ("spill_partitions", Int totals.spill_partitions);
+              ("spill_rounds", Int totals.spill_rounds);
+              ("fell_back", Bool (r.abandoned <> None));
+              ("answered_by", String r.strategy);
+              ("first_failure", failure r.abandoned) ] );
       ("config", config_json r.config);
-      ("totals", Exec.Stats.json (Exec.Stats.snapshot r.stats));
+      ("totals", Exec.Stats.json totals);
       ("steps", List (List.map step r.steps));
       ("trace", List (List.map Exec.Trace.json r.trace)) ]
 
@@ -358,17 +346,6 @@ let load_shredded_inputs ~cluster types values =
   Exec.Pool.with_pool ~domains:cluster.Exec.Config.domains (fun pool ->
       load ~shred:true ~pool ~cluster types values)
 
-(* [fell_back] exactly when an earlier route's failure was abandoned *)
-let degradation_of (s : Exec.Stats.snapshot) ~answered_by ~first_failure =
-  {
-    spilled_bytes = s.spilled_bytes;
-    spill_partitions = s.spill_partitions;
-    spill_rounds = s.spill_rounds;
-    fell_back = first_failure <> None;
-    answered_by = strategy_name answered_by;
-    first_failure;
-  }
-
 let catch_failure f =
   match f () with v -> Ok v | exception Exec.Failure.Failed f -> Error f
 
@@ -379,7 +356,6 @@ let run_record ~strategy ~config ?(stats = Exec.Stats.create ()) ?trace ?(wall =
   let value, failure =
     match outcome with Ok v -> (v, None) | Error f -> (None, Some f)
   in
-  let s = Exec.Stats.snapshot stats in
   {
     strategy = strategy_name strategy;
     config;
@@ -389,10 +365,7 @@ let run_record ~strategy ~config ?(stats = Exec.Stats.create ()) ?trace ?(wall =
     failure;
     steps = reports_of assignments;
     trace = (match trace with None -> [] | Some c -> Exec.Trace.roots c);
-    degradation =
-      (if s.spilled_bytes > 0 && failure = None then
-         Some (degradation_of s ~answered_by:strategy ~first_failure:None)
-       else None);
+    abandoned = None;
   }
 
 (* One route, one run; never raises a typed failure. Both routes take the
@@ -488,9 +461,9 @@ let run_once ~(config : config) ~(strategy : strategy) (p : Nrc.Program.t)
     itself denied a reservation, or spilling is off — and
     [config.route_fallback] is on, the driver re-plans the same program
     down the shredded route (query shredding usually fits where flattening
-    cannot) and answers from there, surfacing the whole story as a
-    [degradation] record. The returned [stats]/[steps]/[trace] describe
-    the answering route; [wall_seconds] covers both attempts. *)
+    cannot) and answers from there, keeping Standard's failure as
+    [abandoned]. The returned [stats]/[steps]/[trace] describe the
+    answering route; [wall_seconds] covers both attempts. *)
 let run ?(config = default_config) ~(strategy : strategy)
     (p : Nrc.Program.t) (input_values : (string * V.t) list) : run =
   match
@@ -502,18 +475,9 @@ let run ?(config = default_config) ~(strategy : strategy)
     let r = run_once ~config ~strategy p input_values in
     match r.failure, strategy with
     | Some (Out_of_memory _ as first), Standard when config.route_fallback -> (
-      let fallback = Shredded { unshred = true } in
-      let r2 = run_once ~config ~strategy:fallback p input_values in
+      let r2 = run_once ~config ~strategy:(Shredded { unshred = true }) p input_values in
       match r2.failure with
       | Some _ -> r (* both routes failed: report the original failure *)
       | None ->
-        {
-          r2 with
-          wall_seconds = r.wall_seconds +. r2.wall_seconds;
-          degradation =
-            Some
-              (degradation_of
-                 (Exec.Stats.snapshot r2.stats)
-                 ~answered_by:fallback ~first_failure:(Some first));
-        })
+        { r2 with wall_seconds = r.wall_seconds +. r2.wall_seconds; abandoned = Some first })
     | _ -> r)

@@ -48,7 +48,7 @@ type config = {
       (** when a Standard run fails with {!Out_of_memory} — spilling off,
           or the spilling layer exhausted {!Exec.Config.t.max_spill_rounds}
           — re-plan the program down the shredded route and answer from
-          there, reported as a {!degradation} *)
+          there, keeping Standard's failure as {!run.abandoned} *)
 }
 
 val default_config : config
@@ -68,36 +68,26 @@ type failure = Exec.Failure.t =
 val failure_message : failure -> string
 (** {!Exec.Failure.message}, e.g. ["Step2/unnest: 5.0MB > 4.0MB"]. *)
 
-(** How a run that did not answer entirely in memory got its answer. *)
-type degradation = {
-  spilled_bytes : int;  (** bytes the answering route wrote to disk *)
-  spill_partitions : int;
-  spill_rounds : int;
-  fell_back : bool;
-      (** the standard route was abandoned and the shredded route answered *)
-  answered_by : string;  (** strategy name of the answering route *)
-  first_failure : failure option;
-      (** the abandoned route's failure when [fell_back] *)
-}
-
 type step_report = {
   step : string;
       (** source assignment name; each materialized assignment of the
           shredded route folds into the step it was made for (recorded in
           {!Shred_pipeline.t.origins}), so every route reports the same
           steps; ["Unshred"] covers reassembly *)
-  sim_seconds : float;
   stats : Exec.Stats.snapshot;
-      (** this step's slice of the run counters; slices
-          {!Exec.Stats.merge} back to the run totals (with
+      (** this step's slice of the run counters, its simulated seconds
+          included; slices {!Exec.Stats.merge} back to the run totals (with
           [peak_worker_bytes] as the max over steps) *)
   trace : Exec.Trace.span option;
       (** the step's span tree when tracing was on (a synthetic ["Step"]
           span groups multi-assignment steps) *)
 }
 
+(** Each figure a run reports is stored once: the spill counters live in
+    [stats], the answering route in [strategy]; {!run_report} derives the
+    ["degradation"] object from them and [abandoned]. *)
 type run = {
-  strategy : string;
+  strategy : string;  (** name of the answering route *)
   config : config;  (** the effective configuration the run executed under *)
   value : Nrc.Value.t option;  (** None when not collected or failed *)
   stats : Exec.Stats.t;
@@ -112,14 +102,11 @@ type run = {
   trace : Exec.Trace.span list;
       (** root spans, one per executed assignment; [[]] unless
           [config.trace] *)
-  degradation : degradation option;
-      (** present when the run spilled or fell back; [stats]/[steps]/
-          [trace] always describe the answering route *)
+  abandoned : failure option;
+      (** Standard's failure when the run fell back and the shredded route
+          answered; [stats]/[steps]/[trace] always describe the answering
+          route *)
 }
-
-val step_seconds : run -> (string * float) list
-(** Simulated seconds per step — the shape of the old [step_seconds]
-    field. *)
 
 (** How the run ended. [Degraded]: faults were recovered (retries,
     speculation, recomputation), operators spilled to disk, or the driver
@@ -134,7 +121,10 @@ val pp_run : Format.formatter -> run -> unit
 
 val run_report : run -> Exec.Json.t
 (** The whole run as a JSON object: strategy, wall seconds, outcome,
-    failure, degradation, the effective ["config"] (flat: the
+    failure, degradation (built here: for a run that answered after
+    spilling or falling back, the totals' spill counters, [fell_back],
+    [answered_by] = [strategy] and [first_failure] = [abandoned]; [null]
+    otherwise), the effective ["config"] (flat: the
     {!Exec.Config.json_fields}, this module's five switches and the fault
     schedule — enough to replay the run), totals and per-step slices as
     {!Exec.Stats.json}, span trees as {!Exec.Trace.json}. Every counter key
@@ -202,6 +192,7 @@ val run :
     failure before the steps reports no steps and [wall_seconds = 0.]; a
     failure in a step still reports every step run so far, its own partial
     one included. A Standard run that dies of memory exhaustion re-plans
-    down the shredded route when [config.route_fallback] is on (see
-    {!degradation}); [wall_seconds] then covers both attempts and the
-    reported stats are the answering route's. *)
+    down the shredded route when [config.route_fallback] is on; the run
+    then reports the answering route's strategy, stats, steps and trace,
+    Standard's failure as [abandoned], and [wall_seconds] covering both
+    attempts. *)

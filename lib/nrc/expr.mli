@@ -96,8 +96,6 @@ val fresh : ?hint:string -> unit -> var
 (** Globally fresh variable names (contain ['%'], which user programs
     should avoid). *)
 
-val fresh_counter : int ref
-
 val subst : var -> t -> t -> t
 (** [subst x e' e]: capture-avoiding substitution of [e'] for [x] in [e]. *)
 
@@ -109,5 +107,4 @@ val prim_to_string : prim -> string
 val cmp_to_string : cmp -> string
 val logic_to_string : logic -> string
 val pp : Format.formatter -> t -> unit
-val pp_atom : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -26,9 +26,6 @@ exception Parse_error of { pos : int; message : string }
 val expr_of_string : string -> Expr.t
 (** @raise Parse_error / {!Lexer.Lex_error} with a byte offset. *)
 
-val assignments_of_string : string -> (string * Expr.t) list
-(** Assignment sequence, or a bare expression as [[("Q", e)]]. *)
-
 val program_of_string :
   inputs:(string * Types.t) list -> string -> Program.t
 

@@ -15,9 +15,7 @@ val infer : env -> Expr.t -> Types.t
 (** Infer the type of an expression (labels and [MatLookup] allowed).
     @raise Type_error on ill-typed input. *)
 
-val check_label_free : Expr.t -> unit
-(** @raise Type_error if the expression uses shredding constructs. *)
-
 val check_source : env -> Expr.t -> Types.t
-(** [check_label_free] followed by [infer]: the entry point for user-facing
-    source programs. *)
+(** {!infer} for user-facing source programs: the entry point that also
+    rejects the shredding constructs (labels and [MatLookup]).
+    @raise Type_error on ill-typed input or a shredding construct. *)

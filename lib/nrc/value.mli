@@ -90,9 +90,6 @@ val bag_equal : t -> t -> bool
 val round_reals : ?digits:int -> t -> t
 (** Round every real to [digits] (default 6) decimal places. *)
 
-val approx_equal : ?tol:float -> t -> t -> bool
-(** Structural equality with a relative tolerance on reals. *)
-
 val approx_bag_equal : t -> t -> bool
 (** Bag equality up to element order and floating-point summation noise;
     the comparison used to validate distributed aggregates against the

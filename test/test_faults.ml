@@ -374,6 +374,11 @@ let test_memsqueeze_typed_oom () =
       | None -> "success"
       | Some f -> Trance.Api.failure_message f)
 
+let report_field r key =
+  match Trance.Api.run_report r with
+  | Exec.Json.Obj fields -> List.assoc key fields
+  | _ -> Alcotest.fail "run report is not an object"
+
 (* the same squeeze with spilling on degrades instead of failing: the
    squeezed stages spill their build sides and the answer is unchanged *)
 let test_memsqueeze_spills () =
@@ -396,11 +401,72 @@ let test_memsqueeze_spills () =
   check "answer unchanged" true
     (V.approx_bag_equal reference (Option.get r.Trance.Api.value));
   Fixtures.check_counters_agree "squeeze spills" r;
-  match r.Trance.Api.degradation with
-  | Some d ->
+  check "no route abandoned" true (r.Trance.Api.abandoned = None);
+  match report_field r "degradation" with
+  | Exec.Json.Obj d ->
     check "degradation records the spill" true
-      (d.Trance.Api.spilled_bytes > 0 && not d.Trance.Api.fell_back)
-  | None -> Alcotest.fail "expected a degradation record"
+      (List.assoc "spilled_bytes" d
+       = Exec.Json.Int (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.spilled_bytes
+      && List.assoc "fell_back" d = Exec.Json.Bool false)
+  | _ -> Alcotest.fail "expected a degradation object"
+
+(* TPC-H nested-to-nested level 2 over 20 customers, as [trance run -f n2n
+   -l 2 --customers 20 -s standard --spill off --mem MB] runs it: at 0.07
+   MB Standard's broadcast join exhausts memory but Shred+Unshred fits,
+   at 0.06 MB neither route fits *)
+let run_n2n_fallback mb =
+  let db =
+    Tpch.Generator.generate
+      { Tpch.Generator.default_scale with customers = 20; parts = 300 }
+  in
+  let family = Tpch.Queries.Nested_to_nested in
+  let prog = Tpch.Queries.program ~family ~level:2 () in
+  let inputs = Tpch.Queries.input_values ~family ~level:2 db in
+  let config =
+    { Trance.Api.default_config with
+      cluster =
+        { Exec.Config.default with
+          worker_mem = int_of_float (mb *. 1048576.);
+          spill = Exec.Config.Off } }
+  in
+  (prog, inputs, Trance.Api.run ~config ~strategy:Trance.Api.Standard prog inputs)
+
+let is_join_oom = function
+  | Some (Trance.Api.Out_of_memory { stage = "Q/join(broadcast)"; _ }) -> true
+  | _ -> false
+
+(* Standard fails for memory and the shredded route answers: the run
+   reports the answering route and the abandoned failure *)
+let test_route_fallback () =
+  let prog, inputs, r = run_n2n_fallback 0.07 in
+  check "fallback answers" true (r.Trance.Api.failure = None);
+  check "answered by Shred+Unshred" true (r.Trance.Api.strategy = "Shred+Unshred");
+  check "outcome is Degraded" true (Trance.Api.outcome r = Trance.Api.Degraded);
+  check "abandoned Standard's broadcast-join OOM" true
+    (is_join_oom r.Trance.Api.abandoned);
+  check "answer matches the reference" true
+    (V.approx_bag_equal (Nrc.Program.eval_result prog inputs)
+       (Option.get r.Trance.Api.value));
+  check "steps are the answering route's" true
+    (List.map (fun (s : Trance.Api.step_report) -> s.step) r.Trance.Api.steps
+    = [ "Q"; "Unshred" ]);
+  check "wall covers both attempts" true
+    (r.Trance.Api.wall_seconds
+    >= (Exec.Stats.snapshot r.Trance.Api.stats).Exec.Stats.wall_seconds);
+  match report_field r "degradation" with
+  | Exec.Json.Obj d ->
+    check "report: fell_back" true (List.assoc "fell_back" d = Exec.Json.Bool true);
+    check "report: answered_by" true
+      (List.assoc "answered_by" d = Exec.Json.String "Shred+Unshred")
+  | _ -> Alcotest.fail "expected a degradation object"
+
+(* when the shredded route fails too, the run reports Standard's failure *)
+let test_route_fallback_both_fail () =
+  let _, _, r = run_n2n_fallback 0.06 in
+  check "Standard's OOM reported" true (is_join_oom r.Trance.Api.failure);
+  check "strategy is Standard" true (r.Trance.Api.strategy = "Standard");
+  check "no route abandoned" true (r.Trance.Api.abandoned = None);
+  check "no degradation" true (report_field r "degradation" = Exec.Json.Null)
 
 (* regression: Config.unbounded's max_int budget must survive the
    squeeze's float round-trip — never a negative or garbage budget *)
@@ -618,6 +684,10 @@ let () =
             `Quick test_memsqueeze_typed_oom;
           Alcotest.test_case "memory squeeze spills and degrades" `Quick
             test_memsqueeze_spills;
+          Alcotest.test_case "route fallback answers from Shred+Unshred" `Quick
+            test_route_fallback;
+          Alcotest.test_case "route fallback reports Standard when both fail"
+            `Quick test_route_fallback_both_fail;
           Alcotest.test_case "effective_mem survives unbounded budgets"
             `Quick test_effective_mem_unbounded;
           Alcotest.test_case "out-of-range specs fail typed on every route"

@@ -275,13 +275,7 @@ let test_step_reports_merge () =
   check_int "merged peak = total" s.Exec.Stats.peak_worker_bytes
     merged.Exec.Stats.peak_worker_bytes;
   check "merged sim = total" true
-    (close s.Exec.Stats.sim_seconds merged.Exec.Stats.sim_seconds);
-  check "step_seconds compat helper matches" true
-    (List.for_all2
-       (fun (name, t) (s : Trance.Api.step_report) ->
-         name = s.Trance.Api.step && t = s.Trance.Api.sim_seconds)
-       (Trance.Api.step_seconds r)
-       r.Trance.Api.steps)
+    (close s.Exec.Stats.sim_seconds merged.Exec.Stats.sim_seconds)
 
 let test_trace_survives_oom () =
   (* the FAIL case (spilling off, no fallback) still reports the partial
