@@ -614,7 +614,7 @@ let memory () =
   let peak =
     (Exec.Stats.snapshot calibrate.Trance.Api.stats).Exec.Stats.peak_worker_bytes
   in
-  Printf.printf "clean Standard peak: %.2fMB per worker\n\n" (mb peak);
+  Printf.printf "clean Standard peak: %.1fKB per worker\n\n" (float_of_int peak /. 1024.);
   let variants =
     [
       ( "Standard (spill off)",
@@ -637,7 +637,7 @@ let memory () =
               { c.Trance.Api.cluster with spill = Exec.Config.On } } );
     ]
   in
-  Printf.printf "%-22s %9s %9s %10s %6s %6s  %s\n" "strategy" "memMB" "sim(s)"
+  Printf.printf "%-22s %9s %9s %10s %6s %6s  %s\n" "strategy" "memKB" "sim(s)"
     "spilledMB" "parts" "rounds" "regime";
   Printf.printf "%s\n" (String.make 86 '-');
   List.iter
@@ -661,8 +661,8 @@ let memory () =
             else if s.Exec.Stats.spilled_bytes > 0 then "spilling"
             else "in-memory"
           in
-          Printf.printf "%-22s %9.2f %9.4f %10.2f %6d %6d  %s\n" vname
-            (mb budget)
+          Printf.printf "%-22s %9.1f %9.4f %10.2f %6d %6d  %s\n" vname
+            (float_of_int budget /. 1024.)
             s.Exec.Stats.sim_seconds
             (mb s.Exec.Stats.spilled_bytes)
             s.Exec.Stats.spill_partitions
@@ -775,8 +775,7 @@ let micro () =
     Tpch.Generator.generate { (tpch_scale ()) with customers = 60; parts = 100 }
   in
   let cop2 = Tpch.Generator.nested_input ~level:2 db in
-  let elem2 = Nrc.Types.element (Tpch.Queries.nested_input_ty ~level:2 ()) in
-  let shredded = Trance.Shred_value.shred_bag "COP" elem2 cop2 in
+  let cop2_ty = Tpch.Queries.nested_input_ty ~level:2 () in
   let q2 =
     Tpch.Queries.program ~family:Tpch.Queries.Nested_to_nested ~level:2 ()
   in
@@ -824,13 +823,7 @@ let micro () =
       Test.make ~name:"nest_sum_combine_reduce" (Staged.stage gamma_plus);
       Test.make ~name:"value_shred_L2"
         (Staged.stage (fun () ->
-             ignore (Trance.Shred_value.shred_bag "COP" elem2 cop2)));
-      Test.make ~name:"value_unshred_L2"
-        (Staged.stage (fun () ->
-             ignore
-               (Trance.Shred_value.unshred_bag elem2
-                  shredded.Trance.Shred_value.top
-                  shredded.Trance.Shred_value.dicts)));
+             ignore (Trance.Shred_value.shred_env [ ("COP", cop2_ty) ] [ ("COP", cop2) ])));
       Test.make ~name:"compile_standard_L2"
         (Staged.stage (fun () -> ignore (Trance.Api.compile_standard q2)));
       Test.make ~name:"compile_shredded_L2"

@@ -57,13 +57,8 @@ let () =
 
   (* peek at the shredded representation of the nested input *)
   let cop = Tpch.Generator.nested_input ~level db in
-  let elem = Nrc.Types.element (Tpch.Queries.nested_input_ty ~level ()) in
-  let s = Trance.Shred_value.shred_bag "COP" elem cop in
+  let ty = Tpch.Queries.nested_input_ty ~level () in
   Fmt.pr "=== Shredded input ===@.";
-  Fmt.pr "top bag: %d flat tuples@." (List.length (Nrc.Value.bag_items s.Trance.Shred_value.top));
   List.iter
-    (fun (path, bag) ->
-      Fmt.pr "dictionary %s: %d rows@."
-        (String.concat "." path)
-        (List.length (Nrc.Value.bag_items bag)))
-    s.Trance.Shred_value.dicts
+    (fun (name, bag) -> Fmt.pr "%s: %d rows@." name (List.length (Nrc.Value.bag_items bag)))
+    (Trance.Shred_value.shred_env [ ("COP", ty) ] [ ("COP", cop) ])

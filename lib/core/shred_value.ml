@@ -1,18 +1,13 @@
-(** Value shredding and unshredding (Section 4): convert nested values to
-    their shredded representation — a flat top bag plus one flat dictionary
-    dataset per nesting level — and back. The input loader of the shredded
-    route shreds straight onto the cluster's partitions, in parallel;
-    {!shred_bag} and {!shred_env} read what it loads on one partition. *)
+(** Value shredding (Section 4): convert nested values to their shredded
+    representation — a flat top bag plus one flat dictionary dataset per
+    nesting level. The input loader of the shredded route shreds straight
+    onto the cluster's partitions, in parallel; {!shred_env} reads what it
+    loads on one partition. {!Unshred.query} rebuilds the nested bags. *)
 
 module T = Nrc.Types
 module V = Nrc.Value
 
 open Shred_type
-
-type shredded = {
-  top : V.t; (* flat bag *)
-  dicts : (string list * V.t) list; (* path -> flat dict bag (label + fields) *)
-}
 
 (* ------------------------------------------------------------------ *)
 (* One input's type, resolved once: per type level, its fields in type
@@ -313,16 +308,6 @@ let place pool ~partitions (types : (string * T.t) list) (values : (string * V.t
 
 let to_bags = List.map (fun (name, d) -> (name, Exec.Dataset.to_bag d))
 
-(** Shred one nested bag value of element type [elem_ty], using the label
-    sites registered for [base]. *)
-let shred_bag (base : string) (elem_ty : T.t) (v : V.t) : shredded =
-  match
-    Exec.Pool.with_pool ~domains:1 (fun pool ->
-        to_bags (place pool ~partitions:1 [ (base, T.TBag elem_ty) ] [ (base, v) ]))
-  with
-  | (_, top) :: dicts -> { top; dicts = List.map2 (fun path (_, d) -> (path, d)) (dict_paths elem_ty) dicts }
-  | [] -> assert false
-
 (** Shred every nested input of an environment into named datasets
     ([COP_F], [COP_D_corders], ...), in input order, each top before its
     dictionaries; flat bags pass through under their [_F] name, other
@@ -336,65 +321,3 @@ let shred_env (types : (string * T.t) list) (values : (string * V.t) list) :
           | Some (T.TBag _) -> to_bags (place pool ~partitions:1 types [ input ])
           | _ -> [ input ])
         values)
-
-(* ------------------------------------------------------------------ *)
-(* Unshredding *)
-
-(** Rebuild a nested bag of element type [elem_ty] from a flat top bag and
-    dictionaries indexed by path. Inverse of {!shred_bag} up to label
-    identity. *)
-let unshred_bag (elem_ty : T.t) (top : V.t)
-    (dicts : (string list * V.t) list) : V.t =
-  (* index each dictionary by label *)
-  let index =
-    List.map
-      (fun (path, bag) ->
-        let tbl : (V.t, V.t list ref) Hashtbl.t = Hashtbl.create 64 in
-        List.iter
-          (fun row ->
-            match row with
-            | V.Tuple (("label", l) :: fields) ->
-              let cell =
-                match Hashtbl.find_opt tbl l with
-                | Some c -> c
-                | None ->
-                  let c = ref [] in
-                  Hashtbl.add tbl l c;
-                  c
-              in
-              cell := V.Tuple fields :: !cell
-            | _ -> Unnest.unsupported "unshred_bag: malformed dictionary row")
-          (V.bag_items bag);
-        (path, tbl))
-      dicts
-  in
-  let lookup path label =
-    match List.assoc_opt path index with
-    | None -> Unnest.unsupported "unshred_bag: no dictionary at %s" (String.concat "." path)
-    | Some tbl -> (
-      match Hashtbl.find_opt tbl label with
-      | Some cell -> List.rev !cell
-      | None -> [])
-  in
-  let rec rebuild_item path (ty : T.t) (item : V.t) : V.t =
-    match ty, item with
-    | T.TTuple fields, V.Tuple vfields ->
-      V.Tuple
-        (List.map
-           (fun (n, ft) ->
-             let fv =
-               match List.assoc_opt n vfields with
-               | Some x -> x
-               | None -> Unnest.unsupported "unshred_bag: missing attribute %s" n
-             in
-             match ft with
-             | T.TBag inner_ty ->
-               let sub_path = path @ [ n ] in
-               let members = lookup sub_path fv in
-               (n, V.Bag (List.map (rebuild_item sub_path inner_ty) members))
-             | _ -> (n, fv))
-           fields)
-    | _, _ ->
-      Unnest.unsupported "unshred_bag: element type mismatch at %s" (String.concat "." path)
-  in
-  V.Bag (List.map (rebuild_item [] elem_ty) (V.bag_items top))

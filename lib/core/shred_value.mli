@@ -1,9 +1,9 @@
-(** Value shredding and unshredding (Section 4): convert nested values to
-    their shredded representation — flat top bag plus flat dictionaries —
-    and back. {!place} loads every input onto the cluster's partitions,
-    shredding the nested ones; {!shred_bag} and {!shred_env}, the semantic
-    reference for query-shredding tests, read what it loads on one
-    partition.
+(** Value shredding (Section 4): convert nested values to their shredded
+    representation — flat top bag plus flat dictionaries. {!place} loads
+    every input onto the cluster's partitions, shredding the nested ones;
+    {!shred_env}, the semantic reference for query-shredding tests, reads
+    what it loads on one partition. {!Unshred.query} rebuilds the nested
+    bags.
 
     Two walks shred an input, each type level's fields, bag fields,
     dictionaries and label sites resolved once, so neither derives
@@ -16,16 +16,6 @@
     registered ({!Shred_type.input_site}) in the order of each path's
     first label, which the counting walk finds: the order a depth-first
     walk over the values first meets the paths. *)
-
-type shredded = {
-  top : Nrc.Value.t;  (** flat bag with labels in bag positions *)
-  dicts : (string list * Nrc.Value.t) list;
-      (** path -> flat dictionary bag (label + item fields) *)
-}
-
-val shred_bag : string -> Nrc.Types.t -> Nrc.Value.t -> shredded
-(** [shred_bag base elem_ty v]: shred one nested bag, drawing label sites
-    from {!Shred_type.input_site}[ base]. *)
 
 val place :
   Exec.Pool.t ->
@@ -40,7 +30,7 @@ val place :
     dictionary row in partition [Plan.Kernel.hash_key [label] mod
     partitions] with that guarantee, in walk order within each partition,
     exactly as [Exec.Dataset.of_bag] and [of_bag_by] place the bags
-    {!shred_bag} returns. Any other input is [Exec.Dataset.of_bag]
+    {!shred_env} returns. Any other input is [Exec.Dataset.of_bag]
     (raising [Invalid_argument] on a value that is no bag), a flat bag
     under its top bag's name, anything else under its own.
 
@@ -63,10 +53,3 @@ val shred_env :
     its dictionaries, as {!place} loads them on one partition; flat bags
     pass through under their top bag's name, inputs of any other type
     unchanged. *)
-
-val unshred_bag :
-  Nrc.Types.t ->
-  Nrc.Value.t ->
-  (string list * Nrc.Value.t) list ->
-  Nrc.Value.t
-(** Rebuild the nested bag; inverse of {!shred_bag} up to label identity. *)

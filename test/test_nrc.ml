@@ -271,6 +271,48 @@ let test_eval_nested_to_flat () =
     result
 
 (* ------------------------------------------------------------------ *)
+(* Scalar arithmetic and comparison. The plans' compiled expressions and
+   kernels call these same functions, so no differential test against the
+   oracle can see a fault in them: they are pinned here. *)
+
+let check_value name expected actual =
+  if V.compare expected actual <> 0 then
+    Alcotest.failf "%s: expected %a, got %a" name V.pp expected V.pp actual
+
+let test_eval_arith () =
+  let prim = Nrc.Eval.eval_prim in
+  List.iter
+    (fun (name, f) -> Alcotest.check_raises name Division_by_zero (fun () -> ignore (f ())))
+    [ ("7 / 0", fun () -> prim E.Div (V.Int 7) (V.Int 0));
+      ("7.0 / 0.0", fun () -> prim E.Div (V.Real 7.) (V.Real 0.));
+      ("7 / 0.0", fun () -> prim E.Div (V.Int 7) (V.Real 0.)) ];
+  check_value "-7 / 2 truncates" (V.Int (-3)) (prim E.Div (V.Int (-7)) (V.Int 2));
+  check_value "min_int / -1" (V.Int min_int) (prim E.Div (V.Int min_int) (V.Int (-1)));
+  check_value "max_int + 1 wraps" (V.Int min_int) (prim E.Add (V.Int max_int) (V.Int 1));
+  check_value "1 + 2.5 promotes" (V.Real 3.5) (prim E.Add (V.Int 1) (V.Real 2.5));
+  List.iter
+    (fun (name, v) ->
+      Alcotest.check_raises name (Invalid_argument "Value.as_real") (fun () ->
+          ignore (prim E.Add v (V.Int 1))))
+    [ ("Null + 1", V.Null); ("\"a\" + 1", V.Str "a") ];
+  let add = Nrc.Eval.add_values in
+  check_value "add Int Int" (V.Int 3) (add (V.Int 1) (V.Int 2));
+  check_value "add Int Real" (V.Real 3.5) (add (V.Int 1) (V.Real 2.5));
+  check_value "add wraps" (V.Int min_int) (add (V.Int max_int) (V.Int 1));
+  Alcotest.check_raises "add Null" (Invalid_argument "Value.as_real") (fun () ->
+      ignore (add V.Null (V.Int 1)))
+
+let test_eval_cmp () =
+  List.iter
+    (fun (name, op, a, b, expected) ->
+      check_value name (V.Bool expected) (Nrc.Eval.eval_cmp op a b))
+    [ ("1 == 1.0", E.Eq, V.Int 1, V.Real 1., false);
+      ("1 < 1.5", E.Lt, V.Int 1, V.Real 1.5, true);
+      ("Null == Null", E.Eq, V.Null, V.Null, true);
+      ("Null < 0", E.Lt, V.Null, V.Int 0, true);
+      ("nan == nan", E.Eq, V.Real nan, V.Real nan, true) ]
+
+(* ------------------------------------------------------------------ *)
 (* Normalization and substitution *)
 
 let test_norm () =
@@ -370,6 +412,8 @@ let () =
           Alcotest.test_case "groupBy/sumBy" `Quick test_eval_groupby;
           Alcotest.test_case "example1 (paper)" `Quick test_eval_example1;
           Alcotest.test_case "nested-to-flat" `Quick test_eval_nested_to_flat;
+          Alcotest.test_case "scalar arithmetic" `Quick test_eval_arith;
+          Alcotest.test_case "scalar comparison" `Quick test_eval_cmp;
         ] );
       ( "norm",
         [

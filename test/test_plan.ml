@@ -1321,8 +1321,7 @@ let rec labels_in acc (v : V.t) =
    changes a label's arguments, so a copy keeping the old hash shows. *)
 let test_label_hashes () =
   let module E = Nrc.Expr in
-  let cop_elem = Nrc.Types.element Fixtures.cop_ty in
-  let shredded = Trance.Shred_value.shred_bag "COP" cop_elem Fixtures.cop_value in
+  let shredded = Trance.Shred_value.shred_env Fixtures.inputs_ty Fixtures.inputs_val in
   let placed =
     Exec.Pool.with_pool ~domains:2 @@ fun pool ->
     Trance.Shred_value.place pool ~partitions:3 [ ("COP", Fixtures.cop_ty) ]
@@ -1334,8 +1333,7 @@ let test_label_hashes () =
       ( "Nrc.Eval NewLabel",
         Nrc.Eval.eval (Nrc.Eval.env_of_list [])
           (E.NewLabel { site = 5; args = [ E.int_ 1; E.str "a"; E.real 0.5 ] }) );
-      ( "Shred_value.shred_bag",
-        V.Bag (shredded.Trance.Shred_value.top :: List.map snd shredded.Trance.Shred_value.dicts) );
+      ("Shred_value.shred_env", V.Bag (List.map snd shredded));
       ( "Shred_value.place",
         V.Bag (List.concat_map (fun (_, d) -> V.bag_items (Exec.Dataset.to_bag d)) placed) );
       ("default_of_type", V.default_of_type Nrc.Types.TLabel);

@@ -135,30 +135,53 @@ let test_recorded_roles () =
   check "some materialized dictionaries seen" true (!mat_dicts > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Value shredding *)
+(* Value shredding, undone by the unshred query the Shred+Unshred route
+   runs, evaluated by the reference interpreter *)
+
+let shred_cop v = Trance.Shred_value.shred_env [ ("COP", Fixtures.cop_ty) ] [ ("COP", v) ]
+
+let unshred_cop datasets =
+  let registry = Trance.Registry.of_inputs [ ("COP", Fixtures.cop_ty) ] in
+  Nrc.Eval.eval (Nrc.Eval.env_of_list datasets)
+    (Trance.Unshred.query ~registry ~dataset:"COP" (T.element Fixtures.cop_ty))
 
 let test_value_roundtrip () =
-  let elem = T.element Fixtures.cop_ty in
-  let s = Trance.Shred_value.shred_bag "COP" elem Fixtures.cop_value in
+  let datasets = shred_cop Fixtures.cop_value in
+  check "the datasets, top bag first" true
+    (List.map fst datasets = [ "COP_F"; "COP_D_corders"; "COP_D_corders_oparts" ]);
+  let rows name = V.bag_items (List.assoc name datasets) in
   (* top bag: one flat tuple per customer, labels in corders position *)
-  check_int "top cardinality" 5 (List.length (V.bag_items s.Trance.Shred_value.top));
+  check_int "top cardinality" 5 (List.length (rows "COP_F"));
   List.iter
     (fun item ->
       match V.field item "corders" with
       | V.Label _ -> ()
       | v -> Alcotest.failf "expected label, got %a" V.pp v)
-    (V.bag_items s.Trance.Shred_value.top);
-  (* dictionary sizes: 5 orders total, 5 opart rows total *)
-  let d1 = List.assoc [ "corders" ] s.Trance.Shred_value.dicts in
-  let d2 = List.assoc [ "corders"; "oparts" ] s.Trance.Shred_value.dicts in
-  check_int "corders dict rows" 5 (List.length (V.bag_items d1));
-  check_int "oparts dict rows" 6 (List.length (V.bag_items d2));
-  (* roundtrip *)
-  let back =
-    Trance.Shred_value.unshred_bag elem s.Trance.Shred_value.top
-      s.Trance.Shred_value.dicts
+    (rows "COP_F");
+  (* dictionary sizes: 5 orders total, 6 opart rows total *)
+  check_int "corders dict rows" 5 (List.length (rows "COP_D_corders"));
+  check_int "oparts dict rows" 6 (List.length (rows "COP_D_corders_oparts"));
+  Fixtures.check_bag_equal "shred/unshred roundtrip" Fixtures.cop_value (unshred_cop datasets);
+  (* the identity program down Shred+Unshred answers its input *)
+  let prog =
+    Nrc.Program.of_expr ~inputs:[ ("COP", Fixtures.cop_ty) ] ~name:"Q"
+      B.(for_ "x" (input "COP") (fun x -> sng x))
   in
-  Fixtures.check_bag_equal "shred/unshred roundtrip" Fixtures.cop_value back
+  List.iter
+    (fun domains ->
+      let config =
+        { Trance.Api.default_config with
+          cluster = { Trance.Api.default_config.cluster with domains } }
+      in
+      let r =
+        Trance.Api.run ~config ~strategy:(Trance.Api.Shredded { unshred = true }) prog
+          [ ("COP", Fixtures.cop_value) ]
+      in
+      let what = Printf.sprintf "identity on %d domain(s)" domains in
+      match r.Trance.Api.value with
+      | Some v -> Fixtures.check_bag_equal what Fixtures.cop_value v
+      | None -> Alcotest.failf "%s: no value" what)
+    [ 1; 2 ]
 
 let gen_nested_value =
   (* random values of the COP element type *)
@@ -179,13 +202,7 @@ let prop_shred_roundtrip =
     ~count:(Fixtures.qcheck_count 100)
     (QCheck.make ~print:V.to_string gen_nested_value)
     (fun v ->
-      let elem = T.element Fixtures.cop_ty in
-      let s = Trance.Shred_value.shred_bag "COP" elem v in
-      let back =
-        Trance.Shred_value.unshred_bag elem s.Trance.Shred_value.top
-          s.Trance.Shred_value.dicts
-      in
-      V.bag_equal v back)
+      V.bag_equal v (unshred_cop (shred_cop v)))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end query shredding: the whole corpus must agree with the

@@ -135,6 +135,35 @@ let test_zipf_determinism () =
   check "generator is deterministic" true
     (V.bag_equal a.Tpch.Generator.lineitem b.Tpch.Generator.lineitem)
 
+(* Every generated input at two scales, two seeds and skews 0 and 4,
+   pinned by a digest of its bytes. [Value.hash] would not do: a bag's
+   hash sums its items, blind to their order, which places each item on
+   its partition. *)
+let generator_golden =
+  [ ((12, 7, 0), "64a8ee9a45e4fbb8b2a6d0de5dd2ae7e");
+    ((12, 7, 4), "fe42587fe8dabfe1215e7f9db9b50618");
+    ((12, 11, 0), "74a813ae2631eb6c9bd4f449d580e4dd");
+    ((12, 11, 4), "a1dde0f0338d8d7766b23ce77e831b95");
+    ((40, 7, 0), "e50d8ff8b18de4652ec5e119c2dbb896");
+    ((40, 7, 4), "998dbc3bd12086e4631feaf67d521772");
+    ((40, 11, 0), "dfe5fbdb5b2e96b9ffa1080a8fb10716");
+    ((40, 11, 4), "ff4cf7760f3ff7a44e98b740d52464ba") ]
+
+let test_generator_digests () =
+  List.iter
+    (fun ((customers, seed, skew), expected) ->
+      let db = Tpch.Generator.generate { small_scale with customers; seed; skew } in
+      let nested level wide = Tpch.Generator.nested_input ~wide ~level db in
+      let inputs =
+        ( Tpch.Generator.flat_inputs db,
+          List.map (fun level -> (nested level false, nested level true)) [ 0; 1; 2; 3; 4 ] )
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "customers=%d seed=%d skew=%d" customers seed skew)
+        expected
+        (Digest.to_hex (Digest.string (Marshal.to_string inputs [ Marshal.No_sharing ]))))
+    generator_golden
+
 let () =
   Alcotest.run "tpch"
     [
@@ -145,6 +174,7 @@ let () =
           Alcotest.test_case "nested input = flat-to-nested query" `Quick
             test_nested_input_matches_query;
           Alcotest.test_case "determinism" `Quick test_zipf_determinism;
+          Alcotest.test_case "generated inputs pinned" `Quick test_generator_digests;
         ] );
       ("cells (uniform)", cell_cases ~db ~tag:"");
       ("cells (skewed)", cell_cases ~db:skewed_db ~tag:" skew=3");
