@@ -830,6 +830,8 @@ let micro () =
         (Staged.stage (fun () -> ignore (Trance.Api.compile_shredded q2)));
       Test.make ~name:"nrc_eval_n2n_L2"
         (Staged.stage (fun () -> ignore (Nrc.Program.eval_result q2 inputs2)));
+      Test.make ~name:"tpch_nested_input_L4"
+        (Staged.stage (fun () -> ignore (Tpch.Generator.nested_input ~level:4 db)));
     ]
   in
   let clock = Bechamel.Toolkit.Instance.monotonic_clock in

@@ -18,8 +18,6 @@ val full_scale : scale
 val small_scale : scale
 (** The paper's reduced dataset (6 GB BN2). *)
 
-val impacts : string array
-
 type db = {
   scale : scale;
   occurrences : Nrc.Value.t;  (** BN2: two-level nested *)

@@ -129,14 +129,9 @@ let program : Nrc.Program.t =
 (** Per-step programs for per-step timing (each step's program ends at that
     step; used to attribute runtime per step as in Figure 9). *)
 let prefix_programs : (string * Nrc.Program.t) list =
-  let steps =
-    [
-      ("Step1", step1); ("Step2", step2); ("Step3u", step3_union);
-      ("Step3", step3); ("Step4", step4); ("Step5", step5);
-    ]
-  in
   List.mapi
-    (fun i (name, _) ->
-      (name, Nrc.Program.make ~inputs:Schema.inputs_ty
-         (List.filteri (fun j _ -> Stdlib.( <= ) j i) steps)))
-    steps
+    (fun i (a : Nrc.Program.assignment) ->
+      ( a.target,
+        { program with
+          assignments = List.filteri (fun j _ -> Stdlib.( <= ) j i) program.assignments } ))
+    program.assignments

@@ -4,13 +4,6 @@
     against the first level of Step 1's output (Step 2, the explosive
     join), combination, cohort aggregation, and the flat final report. *)
 
-val step1 : Nrc.Expr.t
-val step2 : Nrc.Expr.t
-val step3_union : Nrc.Expr.t
-val step3 : Nrc.Expr.t
-val step4 : Nrc.Expr.t
-val step5 : Nrc.Expr.t
-
 val program : Nrc.Program.t
 (** The full E2E program (Step3's union materialized as [Step3u]). *)
 

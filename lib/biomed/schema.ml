@@ -13,34 +13,23 @@
 
 module T = Nrc.Types
 
-let candidate_ty =
-  T.tuple [ ("gid", T.int_); ("impact", T.string_); ("cscore", T.real) ]
-
-let mutation_ty =
-  T.tuple [ ("mid", T.int_); ("candidates", T.bag candidate_ty) ]
-
-let occurrences_ty =
-  T.bag (T.tuple [ ("sid", T.int_); ("mutations", T.bag mutation_ty) ])
-
-let edge_ty = T.tuple [ ("gid2", T.int_); ("eweight", T.real) ]
-
-let network_ty =
-  T.bag (T.tuple [ ("gid", T.int_); ("edges", T.bag edge_ty) ])
-
-let copynumber_ty =
-  T.bag (T.tuple [ ("sid", T.int_); ("gid", T.int_); ("cnum", T.real) ])
-
-let genemeta_ty =
-  T.bag (T.tuple [ ("gid", T.int_); ("gname", T.string_); ("chrom", T.string_) ])
-
-let soimpact_ty =
-  T.bag (T.tuple [ ("impact", T.string_); ("iweight", T.real) ])
-
 let inputs_ty =
+  let rel fields = T.bag (T.tuple fields) in
   [
-    ("Occurrences", occurrences_ty);
-    ("Network", network_ty);
-    ("CopyNumber", copynumber_ty);
-    ("GeneMeta", genemeta_ty);
-    ("SOImpact", soimpact_ty);
+    ( "Occurrences",
+      rel
+        [
+          ("sid", T.int_);
+          ( "mutations",
+            rel
+              [
+                ("mid", T.int_);
+                ( "candidates",
+                  rel [ ("gid", T.int_); ("impact", T.string_); ("cscore", T.real) ] );
+              ] );
+        ] );
+    ("Network", rel [ ("gid", T.int_); ("edges", rel [ ("gid2", T.int_); ("eweight", T.real) ]) ]);
+    ("CopyNumber", rel [ ("sid", T.int_); ("gid", T.int_); ("cnum", T.real) ]);
+    ("GeneMeta", rel [ ("gid", T.int_); ("gname", T.string_); ("chrom", T.string_) ]);
+    ("SOImpact", rel [ ("impact", T.string_); ("iweight", T.real) ]);
   ]

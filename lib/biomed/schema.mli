@@ -3,14 +3,5 @@
     (BN2), one-level nested Network (BN1), flat CopyNumber (BF2), GeneMeta
     (BF1) and the tiny SOImpact ontology table (BF3). *)
 
-val candidate_ty : Nrc.Types.t
-val mutation_ty : Nrc.Types.t
-val occurrences_ty : Nrc.Types.t
-val edge_ty : Nrc.Types.t
-val network_ty : Nrc.Types.t
-val copynumber_ty : Nrc.Types.t
-val genemeta_ty : Nrc.Types.t
-val soimpact_ty : Nrc.Types.t
-
 val inputs_ty : (string * Nrc.Types.t) list
 (** All five inputs in pipeline order. *)

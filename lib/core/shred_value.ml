@@ -15,7 +15,7 @@ open Shred_type
    site, so the walks over the values derive nothing per item. *)
 
 type level = {
-  path : string list; (* for error messages *)
+  where : string; (* the input's name and the level's path, for errors *)
   tuple : bool; (* items at this level must be tuples *)
   names : string array; (* the tuple's fields, in type order *)
   bags : bag option array; (* per field: the bag it holds, if any *)
@@ -30,7 +30,8 @@ and bag = {
   mutable site : int; (* -1 until registered *)
 }
 
-let rec resolve_level next path (ty : T.t) : level =
+let rec resolve_level next base path (ty : T.t) : level =
+  let where = String.concat "." (base :: path) in
   match ty with
   | T.TTuple fields ->
     let fields = Array.of_list fields in
@@ -43,23 +44,31 @@ let rec resolve_level next path (ty : T.t) : level =
           let bag_path = path @ [ n ] and dict = !next in
           incr next;
           bags.(k) <-
-            Some { bag_path; dict; inner = resolve_level next bag_path inner_ty; first = 0; site = -1 }
+            Some
+              { bag_path; dict; inner = resolve_level next base bag_path inner_ty;
+                first = 0; site = -1 }
         | _ -> ())
       fields;
-    { path; tuple = true; names = Array.map fst fields; bags;
+    { where; tuple = true; names = Array.map fst fields; bags;
       flat = Array.for_all Option.is_none bags }
-  | _ -> { path; tuple = false; names = [||]; bags = [||]; flat = true }
+  | _ -> { where; tuple = false; names = [||]; bags = [||]; flat = true }
 
 (* a level's bags and theirs, in pre-order: each at its [dict] *)
 let rec bags_of lv =
   List.concat_map (function None -> [] | Some b -> b :: bags_of b.inner) (Array.to_list lv.bags)
 
-let mismatch lv = Unnest.unsupported "shred_bag: element type mismatch at %s" (String.concat "." lv.path)
+let mismatch lv = Unnest.unsupported "%s: element type mismatch" lv.where
 
-let rec lookup name = function
+let rec lookup lv name = function
   | (n, v) :: _ when String.equal n name -> v
-  | _ :: rest -> lookup name rest
-  | [] -> Unnest.unsupported "shred_bag: missing attribute %s" name
+  | _ :: rest -> lookup lv name rest
+  | [] -> Unnest.unsupported "%s: missing attribute %s" lv.where name
+
+(* the items of bag [b]'s value; [Null] is the empty bag *)
+let items_of b : V.t -> V.t list = function
+  | V.Bag items -> items
+  | V.Null -> []
+  | _ -> Unnest.unsupported "%s: not a bag" b.inner.where
 
 (* [vfields] holds exactly the level's fields, in type order *)
 let rec exact (names : string array) k = function
@@ -83,7 +92,7 @@ and count_fields first lv vfields rest k acc =
     let name = lv.names.(k) in
     match rest with
     | (n, v) :: rest when String.equal n name -> count_field first lv vfields rest k acc v
-    | _ -> count_field first lv vfields rest k acc (lookup name vfields)
+    | _ -> count_field first lv vfields rest k acc (lookup lv name vfields)
 
 and count_field first lv vfields rest k acc v =
   let acc =
@@ -91,7 +100,7 @@ and count_field first lv vfields rest k acc v =
     | None -> acc
     | Some b ->
       if first.(b.dict) = 0 then first.(b.dict) <- acc + 1;
-      count_items first b.inner (V.bag_items v) (acc + 1)
+      count_items first b.inner (items_of b v) (acc + 1)
   in
   count_fields first lv vfields rest (k + 1) acc
 
@@ -141,7 +150,7 @@ and flat_fields ch lv vfields rest k =
     match rest with
     | ((n, v) as field) :: rest when String.equal n name -> flat_field ch lv vfields rest k field v
     | _ ->
-      let v = lookup name vfields in
+      let v = lookup lv name vfields in
       flat_field ch lv vfields rest k (name, v) v
 
 and flat_field ch lv vfields rest k field v =
@@ -150,7 +159,7 @@ and flat_field ch lv vfields rest k field v =
     ch.bytes <- ch.bytes + V.field_bytes (V.byte_size v);
     field :: flat_fields ch lv vfields rest (k + 1)
   | Some b ->
-    let label = shred_items ch b (V.bag_items v) in
+    let label = shred_items ch b (items_of b v) in
     ch.bytes <- ch.bytes + V.field_bytes label_bytes;
     let field = (lv.names.(k), label) in
     field :: flat_fields ch lv vfields rest (k + 1)
@@ -196,7 +205,7 @@ type input = {
 }
 
 let prepare base elem_ty v =
-  let level = resolve_level (ref 0) [] elem_ty in
+  let level = resolve_level (ref 0) base [] elem_ty in
   { base; level; bags = Array.of_list (bags_of level);
     items = Plan.Row.array_of_list V.Null (V.bag_items v) }
 

@@ -42,9 +42,9 @@ val place :
     calling domain. The walk that flattens sizes each element as it
     builds it, and each partition's task lays the chunks' rows end to
     end, so loading sizes every element once, on the pool. Malformed
-    values raise {!Unnest.Unsupported} (or [Invalid_argument] for a bag
-    field holding no bag), the first in walk order, before any chunk is
-    flattened. *)
+    values raise {!Unnest.Unsupported} naming the input and the path of
+    the error ([N.items: not a bag]), the first in walk order, before any
+    chunk is flattened. *)
 
 val shred_env :
   (string * Nrc.Types.t) list -> (string * Nrc.Value.t) list -> (string * Nrc.Value.t) list

@@ -168,72 +168,46 @@ let flat_inputs (db : db) : (string * V.t) list =
    their input, exactly as the paper materializes the flat-to-nested output
    before timing the downstream queries). *)
 
-let index_by field bag =
-  let tbl : (V.t, V.t list ref) Hashtbl.t = Hashtbl.create 1024 in
-  List.iter
-    (fun row ->
-      let k = V.field row field in
-      match Hashtbl.find_opt tbl k with
-      | Some cell -> cell := row :: !cell
-      | None -> Hashtbl.add tbl k (ref [ row ]))
-    (V.bag_items bag);
-  fun k ->
-    match Hashtbl.find_opt tbl k with
-    | Some cell -> List.rev !cell
-    | None -> []
+let project attrs row = List.map (fun a -> (a, V.field row a)) attrs
 
-let project attrs row = V.Tuple (List.map (fun a -> (a, V.field row a)) attrs)
-
-(** The nested input of the given nesting level (1..4) and variant.
-    Level 1: Bag<odate..., o_parts: Bag<pkey, lqty...>>; level 2 wraps per
-    customer; and so on up to regions. Level 0 is the flat leaf projection. *)
+(** The nested input of the given nesting level (0..4) and variant: the
+    rows of [Schema.levels.(level - 1)], each nesting its children under
+    its [nested_attr], down to the projected lineitems at level 0. *)
 let nested_input ?(wide = false) ~level (db : db) : V.t =
-  let leaf_attrs =
-    if wide then Schema.leaf_attrs_wide else Schema.leaf_attrs_narrow
+  (* the flat rows of level [l]: lineitems at 0, else the level's entity *)
+  let relation l =
+    if l = 0 then V.bag_items db.lineitem
+    else V.bag_items (List.assoc Schema.levels.(l - 1).entity (flat_inputs db))
   in
-  let items_of = index_by "okey" db.lineitem in
-  let level_attrs (info : Schema.level_info) =
-    if wide then info.Schema.wide_attrs else [ info.Schema.narrow_attr ]
+  let key (info : Schema.level_info) row =
+    match V.field row info.pk with
+    | V.Int k -> k
+    | _ -> invalid_arg "Generator.nested_input: key is not an int"
   in
-  let wrap_level info parent_rows child_builder =
-    List.map
-      (fun row ->
-        let attrs = level_attrs info in
-        let fields = List.map (fun a -> (a, V.field row a)) attrs in
-        V.Tuple (fields @ [ (info.Schema.nested_attr, V.Bag (child_builder row)) ]))
-      parent_rows
+  (* children.(l - 1).(k): the level-(l - 1) rows under the level-[l] row
+     of key [k], in bag order; a level's keys are its rows' indexes *)
+  let children =
+    Array.init level (fun i ->
+        let info = Schema.levels.(i) in
+        let buckets = Array.make (List.length (relation (i + 1))) [] in
+        List.iter
+          (fun row ->
+            let k = key info row in
+            buckets.(k) <- row :: buckets.(k))
+          (relation i);
+        Array.map List.rev buckets)
   in
-  if level = 0 then
-    V.Bag (List.map (project leaf_attrs) (V.bag_items db.lineitem))
-  else begin
-    (* build from the bottom: orders with their items *)
-    let build_orders rows =
-      wrap_level Schema.levels.(0) rows (fun o ->
-          List.map (project leaf_attrs) (items_of (V.field o "okey")))
-    in
-    if level = 1 then V.Bag (build_orders (V.bag_items db.orders))
-    else begin
-      let orders_of = index_by "ckey" db.orders in
-      let build_customers rows =
-        wrap_level Schema.levels.(1) rows (fun c ->
-            build_orders (orders_of (V.field c "ckey")))
+  let rec nest l rows =
+    if l = 0 then
+      List.map (fun row -> V.Tuple (project (Schema.leaf_attrs ~wide) row)) rows
+    else
+      let info = Schema.levels.(l - 1) in
+      let nest_row row =
+        let kids = nest (l - 1) children.(l - 1).(key info row) in
+        V.Tuple
+          (project (Schema.level_attrs ~wide info) row
+          @ [ (info.nested_attr, V.Bag kids) ])
       in
-      if level = 2 then V.Bag (build_customers (V.bag_items db.customer))
-      else begin
-        let custs_of = index_by "nkey" db.customer in
-        let build_nations rows =
-          wrap_level Schema.levels.(2) rows (fun n ->
-              build_customers (custs_of (V.field n "nkey")))
-        in
-        if level = 3 then V.Bag (build_nations (V.bag_items db.nation))
-        else begin
-          let nations_of = index_by "rkey" db.nation in
-          let build_regions rows =
-            wrap_level Schema.levels.(3) rows (fun r ->
-                build_nations (nations_of (V.field r "rkey")))
-          in
-          V.Bag (build_regions (V.bag_items db.region))
-        end
-      end
-    end
-  end
+      List.map nest_row rows
+  in
+  V.Bag (nest level (relation level))

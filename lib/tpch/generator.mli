@@ -27,13 +27,12 @@ type db = {
   part : Nrc.Value.t;
 }
 
-val nations : int
-val regions : int
-
 val generate : scale -> db
 val flat_inputs : db -> (string * Nrc.Value.t) list
 
 val nested_input : ?wide:bool -> level:int -> db -> Nrc.Value.t
 (** The materialized result of the flat-to-nested query at the given level
-    (0 = flat leaf projection, 4 = grouped up to regions), built directly;
-    equals the evaluated query (asserted in the test suite). *)
+    (0 = flat leaf projection, 4 = grouped up to regions), built directly by
+    one walk down {!Schema.levels}: each level's children are bucketed once
+    by their int key, in bag order. Equals the evaluated
+    {!Queries.flat_to_nested} (asserted in the test suite). *)

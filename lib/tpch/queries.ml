@@ -18,138 +18,86 @@ open Nrc.Builder
 
 let nested_name = "COP"
 
-let leaf_attrs ~wide =
-  if wide then Schema.leaf_attrs_wide else Schema.leaf_attrs_narrow
-
-let level_attrs ~wide (info : Schema.level_info) =
-  if wide then info.Schema.wide_attrs else [ info.Schema.narrow_attr ]
-
-let record_of var attrs = record (List.map (fun a -> (a, var #. a)) attrs)
+let fields_of var attrs = List.map (fun a -> (a, var #. a)) attrs
 
 (* ------------------------------------------------------------------ *)
 (* Types of the materialized nested inputs *)
 
 let rec nested_input_ty ?(wide = false) ~level () : T.t =
-  let leaf_item_ty =
-    T.tuple
-      (List.map
-         (fun a -> (a, T.field (T.element Schema.lineitem_ty) a))
-         (leaf_attrs ~wide))
-  in
-  if level = 0 then T.bag leaf_item_ty
-  else begin
+  let project ty attrs = List.map (fun a -> (a, T.field (T.element ty) a)) attrs in
+  if level = 0 then T.bag (T.tuple (project Schema.lineitem_ty (Schema.leaf_attrs ~wide)))
+  else
     let info = Schema.levels.(pred level) in
-    let entity_ty =
-      List.assoc info.Schema.entity Schema.flat_inputs_ty
-    in
-    let fields =
-      List.map
-        (fun a -> (a, T.field (T.element entity_ty) a))
-        (level_attrs ~wide info)
-    in
     T.bag
       (T.tuple
-         (fields
-         @ [ (info.Schema.nested_attr, nested_input_ty ~wide ~level:(pred level) ()) ]))
-  end
+         (project (List.assoc info.entity Schema.flat_inputs_ty) (Schema.level_attrs ~wide info)
+         @ [ (info.nested_attr, nested_input_ty ~wide ~level:(pred level) ()) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Flat-to-nested *)
 
 let flat_to_nested ?(wide = false) ~level () : E.t =
-  let leaf parent =
-    for_ "l" (input "Lineitem") (fun l ->
-        let body = sng (record_of l (leaf_attrs ~wide)) in
+  let rec build lvl parent =
+    let x, entity =
+      if lvl = 0 then ("l", "Lineitem")
+      else (Printf.sprintf "x%d" lvl, Schema.levels.(pred lvl).entity)
+    in
+    for_ x (input entity) (fun xv ->
+        let fields =
+          if lvl = 0 then fields_of xv (Schema.leaf_attrs ~wide)
+          else
+            let info = Schema.levels.(pred lvl) in
+            fields_of xv (Schema.level_attrs ~wide info)
+            @ [ (info.nested_attr, build (pred lvl) (Some (xv, info.pk))) ]
+        in
+        let body = sng (record fields) in
         match parent with
         | None -> body
-        | Some (pvar, pk) -> where (l #. pk == pvar #. pk) body)
-  in
-  let rec build lvl parent =
-    if lvl = 0 then leaf parent
-    else begin
-      let info = Schema.levels.(pred lvl) in
-      let x = Printf.sprintf "x%d" lvl in
-      for_ x (input info.Schema.entity) (fun xv ->
-          let fields =
-            List.map (fun a -> (a, xv #. a)) (level_attrs ~wide info)
-          in
-          let body =
-            sng
-              (record
-                 (fields
-                 @ [
-                     ( info.Schema.nested_attr,
-                       build (pred lvl) (Some (xv, info.Schema.pk)) );
-                   ]))
-          in
-          match parent with
-          | None -> body
-          | Some (pvar, pk) -> where (xv #. pk == pvar #. pk) body)
-    end
+        | Some (pvar, pk) -> where (xv #. pk == pvar #. pk) body)
   in
   build level None
 
 (* ------------------------------------------------------------------ *)
-(* Nested-to-nested *)
+(* Nested-to-nested and nested-to-flat *)
+
+(* join the leaf items [src] with Part: one [fields p] row per match, plus
+   its qty*price [total] *)
+let join_part src fields =
+  for_ "op" src (fun op ->
+      for_ "p" (input "Part") (fun p ->
+          where
+            (op #. "pkey" == p #. "pkey")
+            (sng (record (fields p @ [ ("total", op #. "lqty" * p #. "pprice") ])))))
 
 (* the leaf aggregation of Example 1: join Part, sum qty*price per pname *)
 let leaf_aggregate src =
   sum_by ~keys:[ "pname" ] ~values:[ "total" ]
-    (for_ "op" src (fun op ->
-         for_ "p" (input "Part") (fun p ->
-             where
-               (op #. "pkey" == p #. "pkey")
-               (sng
-                  (record
-                     [
-                       ("pname", p #. "pname");
-                       ("total", op #. "lqty" * p #. "pprice");
-                     ])))))
+    (join_part src (fun p -> [ ("pname", p #. "pname") ]))
 
 let nested_to_nested ?(wide = false) ~level () : E.t =
-  if level = 0 then leaf_aggregate (input nested_name)
-  else begin
-    let rec rebuild lvl src =
+  let rec rebuild lvl src =
+    if lvl = 0 then leaf_aggregate src
+    else
       let info = Schema.levels.(pred lvl) in
-      let x = Printf.sprintf "y%d" lvl in
-      for_ x src (fun xv ->
-          let fields =
-            List.map (fun a -> (a, xv #. a)) (level_attrs ~wide info)
-          in
-          let child =
-            if lvl = 1 then leaf_aggregate (xv #. info.Schema.nested_attr)
-            else rebuild (pred lvl) (xv #. info.Schema.nested_attr)
-          in
-          sng (record (fields @ [ (info.Schema.nested_attr, child) ])))
-    in
-    rebuild level (input nested_name)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Nested-to-flat *)
+      for_ (Printf.sprintf "y%d" lvl) src (fun xv ->
+          sng
+            (record
+               (fields_of xv (Schema.level_attrs ~wide info)
+               @ [ (info.nested_attr, rebuild (pred lvl) (xv #. info.nested_attr)) ])))
+  in
+  rebuild level (input nested_name)
 
 let nested_to_flat ?(wide = false) ~level () : E.t =
   if level = 0 then leaf_aggregate (input nested_name)
   else begin
-    let top = Schema.levels.(pred level) in
-    let keys = level_attrs ~wide top in
+    let keys = Schema.level_attrs ~wide Schema.levels.(pred level) in
     let rec navigate lvl src (topvar : E.t) =
-      if lvl = 0 then
-        for_ "op" src (fun op ->
-            for_ "p" (input "Part") (fun p ->
-                where
-                  (op #. "pkey" == p #. "pkey")
-                  (sng
-                     (record
-                        (List.map (fun a -> (a, topvar #. a)) keys
-                        @ [ ("total", op #. "lqty" * p #. "pprice") ])))))
-      else begin
+      if lvl = 0 then join_part src (fun _ -> fields_of topvar keys)
+      else
         let info = Schema.levels.(pred lvl) in
-        let x = Printf.sprintf "z%d" lvl in
-        for_ x src (fun xv ->
+        for_ (Printf.sprintf "z%d" lvl) src (fun xv ->
             let topvar = if lvl = level then xv else topvar in
-            navigate (pred lvl) (xv #. info.Schema.nested_attr) topvar)
-      end
+            navigate (pred lvl) (xv #. info.nested_attr) topvar)
     in
     sum_by ~keys ~values:[ "total" ]
       (navigate level (input nested_name) (v "unused"))
@@ -170,28 +118,16 @@ let family_name = function
     the nested families read the materialized nested input [COP] and
     [Part]. *)
 let program ?(wide = false) ~family ~level () : Nrc.Program.t =
-  match family with
-  | Flat_to_nested ->
-    Nrc.Program.of_expr ~inputs:Schema.flat_inputs_ty ~name:"Q"
-      (flat_to_nested ~wide ~level ())
-  | Nested_to_nested ->
-    Nrc.Program.of_expr
-      ~inputs:
-        [
-          (nested_name, nested_input_ty ~wide ~level ());
-          ("Part", Schema.part_ty);
-        ]
-      ~name:"Q"
-      (nested_to_nested ~wide ~level ())
-  | Nested_to_flat ->
-    Nrc.Program.of_expr
-      ~inputs:
-        [
-          (nested_name, nested_input_ty ~wide ~level ());
-          ("Part", Schema.part_ty);
-        ]
-      ~name:"Q"
-      (nested_to_flat ~wide ~level ())
+  let nested =
+    [ (nested_name, nested_input_ty ~wide ~level ()); ("Part", Schema.part_ty) ]
+  in
+  let inputs, query =
+    match family with
+    | Flat_to_nested -> (Schema.flat_inputs_ty, flat_to_nested)
+    | Nested_to_nested -> (nested, nested_to_nested)
+    | Nested_to_flat -> (nested, nested_to_flat)
+  in
+  Nrc.Program.of_expr ~inputs ~name:"Q" (query ~wide ~level ())
 
 (** Input values for one benchmark cell. *)
 let input_values ?(wide = false) ~family ~level (db : Generator.db) :

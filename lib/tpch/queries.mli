@@ -13,16 +13,14 @@ val flat_to_nested : ?wide:bool -> level:int -> unit -> Nrc.Expr.t
 (** Iteratively group the relational inputs up to the given level, keeping
     (pkey, lqty) at the leaf; narrow keeps one attribute per level. *)
 
-val leaf_aggregate : Nrc.Expr.t -> Nrc.Expr.t
-(** Join Part and [sumBy^{qty*price}_{pname}] — the Example 1 aggregate. *)
-
-val nested_to_nested : ?wide:bool -> level:int -> unit -> Nrc.Expr.t
-(** Rebuild the input hierarchy with {!leaf_aggregate} at the bottom. *)
-
-val nested_to_flat : ?wide:bool -> level:int -> unit -> Nrc.Expr.t
-(** Navigate all levels, aggregate at the top keyed by top attributes. *)
-
-type family = Flat_to_nested | Nested_to_nested | Nested_to_flat
+type family =
+  | Flat_to_nested  (** {!flat_to_nested} *)
+  | Nested_to_nested
+      (** rebuild the input hierarchy; at the leaf, join Part and
+          [sumBy^{qty*price}_{pname}] (Example 1) *)
+  | Nested_to_flat
+      (** navigate every level; join Part at the leaf and sum qty*price
+          at the top, keyed by the top level's attributes *)
 
 val family_name : family -> string
 

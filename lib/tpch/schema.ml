@@ -7,38 +7,6 @@
     (everything, including padded comment strings, for the wide variant). *)
 
 module T = Nrc.Types
-module V = Nrc.Value
-
-let region_ty =
-  T.bag
-    (T.tuple
-       [ ("rkey", T.int_); ("rname", T.string_); ("rcomment", T.string_) ])
-
-let nation_ty =
-  T.bag
-    (T.tuple
-       [
-         ("nkey", T.int_); ("nname", T.string_); ("rkey", T.int_);
-         ("ncomment", T.string_);
-       ])
-
-let customer_ty =
-  T.bag
-    (T.tuple
-       [
-         ("ckey", T.int_); ("cname", T.string_); ("nkey", T.int_);
-         ("acctbal", T.real); ("mktsegment", T.string_);
-         ("ccomment", T.string_);
-       ])
-
-let orders_ty =
-  T.bag
-    (T.tuple
-       [
-         ("okey", T.int_); ("ckey", T.int_); ("odate", T.date);
-         ("ototal", T.real); ("opriority", T.string_);
-         ("ocomment", T.string_);
-       ])
 
 let lineitem_ty =
   T.bag
@@ -56,12 +24,9 @@ let part_ty =
          ("brand", T.string_); ("pcomment", T.string_);
        ])
 
-(** The hierarchy from the leaf upward. [parent_key]/[child_key] give the
-    join columns linking a level to the one above it. *)
 type level_info = {
   entity : string; (* dataset name of the flat input *)
-  pk : string; (* primary key attribute *)
-  fk_down : string; (* attribute of the CHILD entity referencing this pk *)
+  pk : string; (* primary key attribute, also the child's FK *)
   narrow_attr : string; (* the single attribute kept by narrow queries *)
   wide_attrs : string list; (* all non-key payload attributes *)
   nested_attr : string; (* name of the nested collection in outputs *)
@@ -71,36 +36,60 @@ type level_info = {
 let levels =
   [|
     {
-      entity = "Orders"; pk = "okey"; fk_down = "okey"; narrow_attr = "odate";
+      entity = "Orders"; pk = "okey"; narrow_attr = "odate";
       wide_attrs = [ "odate"; "ototal"; "opriority"; "ocomment" ];
       nested_attr = "o_parts";
     };
     {
-      entity = "Customer"; pk = "ckey"; fk_down = "ckey"; narrow_attr = "cname";
+      entity = "Customer"; pk = "ckey"; narrow_attr = "cname";
       wide_attrs = [ "cname"; "acctbal"; "mktsegment"; "ccomment" ];
       nested_attr = "c_orders";
     };
     {
-      entity = "Nation"; pk = "nkey"; fk_down = "nkey"; narrow_attr = "nname";
+      entity = "Nation"; pk = "nkey"; narrow_attr = "nname";
       wide_attrs = [ "nname"; "ncomment" ];
       nested_attr = "n_custs";
     };
     {
-      entity = "Region"; pk = "rkey"; fk_down = "rkey"; narrow_attr = "rname";
+      entity = "Region"; pk = "rkey"; narrow_attr = "rname";
       wide_attrs = [ "rname"; "rcomment" ];
       nested_attr = "r_nations";
     };
   |]
 
-let leaf_attrs_narrow = [ "pkey"; "lqty" ]
-let leaf_attrs_wide = [ "pkey"; "lqty"; "eprice"; "ldiscount"; "lcomment" ]
+let leaf_attrs ~wide =
+  if wide then [ "pkey"; "lqty"; "eprice"; "ldiscount"; "lcomment" ]
+  else [ "pkey"; "lqty" ]
+
+let level_attrs ~wide info =
+  if wide then info.wide_attrs else [ info.narrow_attr ]
 
 let flat_inputs_ty =
+  let rel fields = T.bag (T.tuple fields) in
   [
     ("Lineitem", lineitem_ty);
-    ("Orders", orders_ty);
-    ("Customer", customer_ty);
-    ("Nation", nation_ty);
-    ("Region", region_ty);
+    ( "Orders",
+      rel
+        [
+          ("okey", T.int_); ("ckey", T.int_); ("odate", T.date);
+          ("ototal", T.real); ("opriority", T.string_);
+          ("ocomment", T.string_);
+        ] );
+    ( "Customer",
+      rel
+        [
+          ("ckey", T.int_); ("cname", T.string_); ("nkey", T.int_);
+          ("acctbal", T.real); ("mktsegment", T.string_);
+          ("ccomment", T.string_);
+        ] );
+    ( "Nation",
+      rel
+        [
+          ("nkey", T.int_); ("nname", T.string_); ("rkey", T.int_);
+          ("ncomment", T.string_);
+        ] );
+    ( "Region",
+      rel [ ("rkey", T.int_); ("rname", T.string_); ("rcomment", T.string_) ]
+    );
     ("Part", part_ty);
   ]

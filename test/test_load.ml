@@ -295,13 +295,13 @@ let test_malformed () =
   let good k = n k (V.Bag [ item k ]) in
   let cases =
     [ ("a missing attribute", V.Tuple [ ("k", V.Int 9); ("name", V.Str "n") ],
-       "shred_bag: missing attribute items");
-      ("an item that is no tuple", V.Int 9, "shred_bag: element type mismatch at ");
-      ("a bag field holding no bag", n 9 (V.Int 1), "Value.bag_items: not a bag");
+       "N: missing attribute items");
+      ("an item that is no tuple", V.Int 9, "N: element type mismatch");
+      ("a bag field holding no bag", n 9 (V.Int 1), "N.items: not a bag");
       ("an inner item that is no tuple", n 9 (V.Bag [ item 1; V.Str "x" ]),
-       "shred_bag: element type mismatch at items");
+       "N.items: element type mismatch");
       ("a missing inner attribute", n 9 (V.Bag [ V.Tuple [ ("a", V.Int 1) ] ]),
-       "shred_bag: missing attribute q") ]
+       "N.items: missing attribute q") ]
   in
   List.iter
     (fun (what, bad, expected) ->
@@ -316,11 +316,23 @@ let test_malformed () =
             match load ~domains ~partitions:7 Qgen.inputs_ty [ ("N", V.Bag items) ] with
             | _ -> "loaded"
             | exception Trance.Unnest.Unsupported m -> m
-            | exception Invalid_argument m -> m
           in
           Alcotest.(check string) (Printf.sprintf "%s, %d lanes" what domains) expected message)
         [ 1; 2; 4 ])
-    cases
+    cases;
+  (* a run fails typed at its load phase, with the same message *)
+  let prog =
+    Nrc.Program.of_expr ~inputs:Qgen.inputs_ty ~name:"Q"
+      Nrc.Builder.(for_ "x" (input "N") (fun x -> sng x))
+  in
+  let r =
+    Trance.Api.run ~strategy:(Trance.Api.Shredded { unshred = true }) prog
+      [ ("R", V.Bag []); ("S", V.Bag []); ("N", V.Bag [ good 1; n 9 (V.Int 1) ]) ]
+  in
+  match r.Trance.Api.failure with
+  | Some (Trance.Api.Error m) -> Alcotest.(check string) "Api.run" "load: N.items: not a bag" m
+  | Some f -> Alcotest.failf "Api.run: %s" (Trance.Api.failure_message f)
+  | None -> Alcotest.fail "Api.run: no failure"
 
 let () =
   Alcotest.run "load"

@@ -111,23 +111,27 @@ let test_skew_effect () =
 
 let test_nested_input_matches_query () =
   (* the generator's directly-built nested input equals the evaluated
-     flat-to-nested query result *)
+     flat-to-nested query result, at every level, on uniform and skewed
+     data *)
   List.iter
-    (fun level ->
+    (fun (db, tag) ->
       List.iter
-        (fun wide ->
-          let q = Tpch.Queries.flat_to_nested ~wide ~level () in
-          let expected =
-            Nrc.Eval.eval
-              (Nrc.Eval.env_of_list (Tpch.Generator.flat_inputs db))
-              q
-          in
-          let built = Tpch.Generator.nested_input ~wide ~level db in
-          Fixtures.check_bag_equal
-            (Printf.sprintf "nested input L%d wide=%b" level wide)
-            expected built)
-        [ false; true ])
-    [ 0; 1; 2; 3 ]
+        (fun level ->
+          List.iter
+            (fun wide ->
+              let q = Tpch.Queries.flat_to_nested ~wide ~level () in
+              let expected =
+                Nrc.Eval.eval
+                  (Nrc.Eval.env_of_list (Tpch.Generator.flat_inputs db))
+                  q
+              in
+              let built = Tpch.Generator.nested_input ~wide ~level db in
+              Fixtures.check_bag_equal
+                (Printf.sprintf "nested input L%d wide=%b%s" level wide tag)
+                expected built)
+            [ false; true ])
+        [ 0; 1; 2; 3; 4 ])
+    [ (db, ""); (skewed_db, " skew=3") ]
 
 let test_zipf_determinism () =
   let a = Tpch.Generator.generate small_scale in
